@@ -249,11 +249,6 @@ def fill_order(n_max: int) -> Tuple[FillEntry, ...]:
     return tuple(order)
 
 
-def tilde_qh_sites(n_max: int) -> Iterator[SubIndex]:
-    for entry in fill_order(n_max):
-        yield entry.site
-
-
 def q_sites(n_max: int) -> Iterator[MultiIndex]:
     """All vertices of Q with generation k+l-m <= n_max."""
     for g in range(n_max + 1):

@@ -124,15 +124,18 @@ def backend_for(mode: str, dps: int = DEFAULT_EXT_DPS) -> Backend:
     return Backend(mode=mode, dps=dps)
 
 
-def as_float(x) -> float:
-    """Collapse a backend number to a plain float (for reports/tolerances)."""
-    return float(x)
+def worst_of(residuals) -> float:
+    """Largest of some residuals, 0.0 for none; NaN if any is NaN.
 
-
-def as_complex(z) -> complex:
-    if isinstance(z, complex):
-        return z
-    return complex(float(z.real), float(z.imag))
+    The built-in max drops a NaN that does not come first, which would let
+    a check pass on corrupted data.
+    """
+    worst = 0.0
+    for x in residuals:
+        if math.isnan(x):
+            return math.nan
+        worst = max(worst, x)
+    return worst
 
 
 def parse_angles(spec: str) -> tuple[tuple[float, float, float],

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .lattice import MultiIndex, generation, q_sites
-from .numerics import Backend, ComplexNumber, DOUBLE, backend_for
+from .numerics import Backend, ComplexNumber, DOUBLE, backend_for, worst_of
 
 ANGLE_SUM_TOL = 1e-12
 
@@ -235,14 +235,14 @@ def max_face_residual(zf: ZField) -> float:
     bk = zf.params.backend()
     with bk.context():
         targets = face_targets(zf.params, bk)
-        worst = 0.0
+        residuals = []
         for t, sites in iter_faces(zf):
             corners = [zf[s] for s in sites]
             if any(corners[i] == corners[(i + 1) % 4] for i in range(4)):
                 continue
             q = cross_ratio(*corners)
-            worst = max(worst, float(bk.abs(q - targets[t])))
-    return worst
+            residuals.append(float(bk.abs(q - targets[t])))
+    return worst_of(residuals)
 
 
 def constraint_residual(zf: ZField, p: MultiIndex) -> ComplexNumber:
@@ -271,10 +271,8 @@ def interior_sites(zf: ZField) -> Iterator[MultiIndex]:
 def max_constraint_residual(zf: ZField) -> float:
     bk = zf.params.backend()
     with bk.context():
-        worst = 0.0
-        for p in interior_sites(zf):
-            worst = max(worst, float(bk.abs(constraint_residual(zf, p))))
-    return worst
+        return worst_of(float(bk.abs(constraint_residual(zf, p)))
+                        for p in interior_sites(zf))
 
 
 # ---------------------------------------------------------------------------
@@ -328,15 +326,6 @@ def lax_matrix(delta, z_out, z_in, mu):
     return ((1, d), (mu * delta / d, 1))
 
 
-def _mat_mul(p, q):
-    return (
-        (p[0][0] * q[0][0] + p[0][1] * q[1][0],
-         p[0][0] * q[0][1] + p[0][1] * q[1][1]),
-        (p[1][0] * q[0][0] + p[1][1] * q[1][0],
-         p[1][0] * q[0][1] + p[1][1] * q[1][1]),
-    )
-
-
 DEFAULT_MU_SAMPLES = (0.731, -1.2 + 0.4j, 2.3j)
 
 
@@ -344,21 +333,28 @@ def zero_curvature_residual(zf: ZField, base: MultiIndex, i: int, j: int,
                             mu_samples=DEFAULT_MU_SAMPLES,
                             deltas: Optional[dict] = None) -> float:
     """Norm gap of the two transport products around the face at base
-    spanning (+e_i, -e_j), maximized over the sampled spectral values."""
+    spanning (+e_i, -e_j), maximized over the sampled spectral values.
+
+    Both products of lax_matrix factors are affine in mu with equal mu^0
+    parts.  With the edges a = zb - za, b = za - zd, c = zb - zc,
+    e = zc - zd (so a + b = c + e) and G = delta_i b c - delta_j a e, their
+    entries differ by mu G / (b e), mu G (e - a) / (a b c e) and
+    mu G / (a c), which gives the gap in closed form.  G carries the
+    cancellation the check measures and is formed at working precision (the
+    caller's backend context); the edge lengths only scale it and are taken
+    in double.
+    """
     deltas = deltas or lax_deltas(zf.params)
-    bk = zf.params.backend()
     v, vi, vij, vj = face_sites(base, i, j)
     za, zb, zc, zd = zf[v], zf[vi], zf[vij], zf[vj]
-    worst = 0.0
-    for mu in mu_samples:
-        p1 = _mat_mul(lax_matrix(deltas[i], za, zb, mu),
-                      lax_matrix(deltas[j], zd, za, mu))
-        p2 = _mat_mul(lax_matrix(deltas[j], zc, zb, mu),
-                      lax_matrix(deltas[i], zd, zc, mu))
-        gap = max(float(bk.abs(p1[r][s] - p2[r][s]))
-                  for r in range(2) for s in range(2))
-        worst = max(worst, gap)
-    return worst
+    a, b, c, e = zb - za, za - zd, zb - zc, zc - zd
+    if not (a and b and c and e):
+        raise DegenerateQuadError("degenerate edge in transport matrix")
+    gap = abs(complex(deltas[i] * b * c - deltas[j] * a * e))
+    a, b, c, e = complex(a), complex(b), complex(c), complex(e)
+    la, lb, lc, le = abs(a), abs(b), abs(c), abs(e)
+    mu_max = max((abs(complex(mu)) for mu in mu_samples), default=0.0)
+    return mu_max * gap * max(la * lc, lb * le, abs(e - a)) / (la * lb * lc * le)
 
 
 def max_zero_curvature_residual(zf: ZField,
@@ -366,14 +362,10 @@ def max_zero_curvature_residual(zf: ZField,
     bk = zf.params.backend()
     with bk.context():
         deltas = lax_deltas(zf.params)
-        worst = 0.0
-        for v in zf.values:
-            for (i, j) in ((2, 1), (3, 2), (1, 3)):
-                sites = face_sites(v, i, j)
-                if all(s in zf.values for s in sites):
-                    worst = max(worst, zero_curvature_residual(
-                        zf, v, i, j, mu_samples, deltas))
-    return worst
+        return worst_of(zero_curvature_residual(zf, v, i, j, mu_samples, deltas)
+                        for v in zf.values
+                        for (i, j) in ((2, 1), (3, 2), (1, 3))
+                        if all(s in zf.values for s in face_sites(v, i, j)))
 
 
 def kite_spread(zf: ZField, center: MultiIndex) -> Tuple[float, float]:

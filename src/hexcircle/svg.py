@@ -42,7 +42,7 @@ def render_svg(doc: PatternDocument, show: str = "both", scale: float = 100.0,
             from .lattice import sub_to_vertex
             v = sub_to_vertex(site)
             if v in vertices:
-                circles.append((vertices[v], r))
+                circles.append((vertices[v], float(r)))
     quads: List[Tuple[complex, ...]] = []
     if doc.mode == "sg":
         for (k, l, m) in sorted(vertices):

@@ -7,6 +7,7 @@ from typing import Dict, List, Optional
 
 from . import geometry, pattern_core, radius_system
 from .document import PatternDocument
+from .numerics import worst_of
 
 DEFAULT_TOLERANCES = {
     "crossratio": 1e-9,
@@ -59,57 +60,68 @@ def run_checks(doc: PatternDocument, checks=None,
     report = VerifyReport()
     zf = doc.zfield() if doc.vertices else None
     rf = doc.radius_field() if doc.radii else None
-    slab_only = doc.route == "reconstructed" or doc.mode in ("z2", "log")
     for name in checks:
-        if name == "crossratio":
-            if zf is None:
-                report.notes.append("crossratio: no vertices stored")
-                continue
-            res = pattern_core.max_face_residual(zf)
-        elif name == "constraint":
-            if zf is None or doc.mode in ("log",):
-                report.notes.append("constraint: not applicable")
-                continue
-            res = pattern_core.max_constraint_residual(zf)
-        elif name == "laxzc":
-            if zf is None:
-                report.notes.append("laxzc: no vertices stored")
-                continue
-            res = pattern_core.max_zero_curvature_residual(zf)
-        elif name == "kite":
-            if zf is None:
-                report.notes.append("kite: no vertices stored")
-                continue
-            res = max_kite_residual(zf)
-        elif name == "positivity":
-            if rf is None:
-                report.notes.append("positivity: no radii stored")
-                continue
-            bad = [s for s, v in rf.values.items()
-                   if not rf.is_pole(s) and (math.isnan(v) or v < 0
-                                             or (v == 0 and s not in rf.pole_sites
-                                                 and doc.mode not in ("z2",)))]
-            res = float(len(bad))
-        elif name == "immersion":
-            if zf is None:
-                report.notes.append("immersion: no vertices stored")
-                continue
-            if doc.mode == "sg":
-                sg = geometry.sg_slice(zf)
-                rep = geometry.sg_immersion_check(sg)
-            else:
-                rep = geometry.immersion_check(zf, slab_only=slab_only)
-            res = float(len(rep.failures))
-        elif name == "radius_eq":
-            if rf is None:
-                report.notes.append("radius_eq: no radii stored")
-                continue
-            res = radius_system.max_equation_residual(rf)
-        else:
-            raise ValueError(f"unknown check {name}")
+        try:
+            res = _residual(name, doc, zf, rf, report.notes)
+        except ArithmeticError as exc:
+            # a degenerate stencil is a failed check, not a crash
+            report.notes.append(f"{name}: {exc}")
+            res = math.inf
+        if res is None:
+            continue
         report.residuals[name] = res
         report.passed[name] = res <= tolerances[name]
     return report
+
+
+def _residual(name, doc, zf, rf, notes) -> Optional[float]:
+    """Residual of one check, or None (with a note) when it does not apply."""
+    if name == "crossratio":
+        if zf is None:
+            notes.append("crossratio: no vertices stored")
+            return None
+        return pattern_core.max_face_residual(zf)
+    elif name == "constraint":
+        if zf is None or doc.mode in ("log",):
+            notes.append("constraint: not applicable")
+            return None
+        return pattern_core.max_constraint_residual(zf)
+    elif name == "laxzc":
+        if zf is None:
+            notes.append("laxzc: no vertices stored")
+            return None
+        return pattern_core.max_zero_curvature_residual(zf)
+    elif name == "kite":
+        if zf is None:
+            notes.append("kite: no vertices stored")
+            return None
+        return max_kite_residual(zf)
+    elif name == "positivity":
+        if rf is None:
+            notes.append("positivity: no radii stored")
+            return None
+        bad = [s for s, v in rf.values.items()
+               if not rf.is_pole(s) and (math.isnan(v) or v < 0
+                                         or (v == 0 and s not in rf.pole_sites
+                                             and doc.mode not in ("z2",)))]
+        return float(len(bad))
+    elif name == "immersion":
+        if zf is None:
+            notes.append("immersion: no vertices stored")
+            return None
+        if doc.mode == "sg":
+            sg = geometry.sg_slice(zf)
+            rep = geometry.sg_immersion_check(sg)
+        else:
+            slab_only = doc.route == "reconstructed" or doc.mode in ("z2", "log")
+            rep = geometry.immersion_check(zf, slab_only=slab_only)
+        return float(len(rep.failures))
+    elif name == "radius_eq":
+        if rf is None:
+            notes.append("radius_eq: no radii stored")
+            return None
+        return radius_system.max_equation_residual(rf)
+    raise ValueError(f"unknown check {name}")
 
 
 def max_kite_residual(zf) -> float:
@@ -117,14 +129,16 @@ def max_kite_residual(zf) -> float:
     common value (max/min ratio minus one)."""
     from . import lattice
     bk = zf.params.backend()
-    worst = 0.0
+    spreads = []
     with bk.context():
         for site in zf.values:
             if lattice.parity(site) != 0:
                 continue
             dists = [float(bk.abs(zf[nb] - zf[site]))
                      for nb in lattice.axis_neighbors(site) if nb in zf.values]
+            if any(math.isnan(d) for d in dists):
+                return math.nan
             if len(dists) < 2 or min(dists) == 0:
                 continue
-            worst = max(worst, max(dists) / min(dists) - 1.0)
-    return worst
+            spreads.append(max(dists) / min(dists) - 1.0)
+    return worst_of(spreads)

@@ -96,6 +96,51 @@ def test_cli_render_deterministic(tmp_path):
         assert fa.read() == fb.read()
 
 
+def test_cli_render_extended_documents(tmp_path):
+    for mode, c in (("hex", "1.5"), ("z2", "2")):
+        pat = str(tmp_path / f"{mode}.txt")
+        assert run_cli(["generate", "--c", c, "--alpha", "iso", "--n", "4",
+                        "--mode", mode, "--precision", "ext", "--dps", "30",
+                        "--out", pat]) == 0
+        svgs = []
+        for name in ("a", "b"):
+            out = str(tmp_path / f"{mode}-{name}.svg")
+            assert run_cli(["render", pat, "--out", out]) == 0
+            with open(out, "rb") as fh:
+                svgs.append(fh.read())
+        assert svgs[0] == svgs[1] and b"<circle" in svgs[0]
+
+
+def test_cli_nan_vertex_fails_every_sweep(tmp_path):
+    path = str(tmp_path / "pat.txt")
+    run_cli(["generate", "--c", "1.5", "--alpha", "iso", "--n", "6",
+             "--mode", "hex", "--out", path])
+    doc = load_document(path)
+    doc.vertices[(2, 1, -1)] = complex(math.nan, math.nan)
+    bad_path = str(tmp_path / "nan.txt")
+    save_document(doc, bad_path)
+    assert run_cli(["verify", bad_path, "--checks",
+                    "crossratio,laxzc,kite,constraint"]) == 3
+    report = verify.run_checks(load_document(bad_path),
+                               ["crossratio", "laxzc", "kite", "constraint"])
+    assert all(math.isnan(r) for r in report.residuals.values())
+    assert not any(report.passed.values())
+
+
+def test_cli_degenerate_edge_fails_check(tmp_path, capsys):
+    path = str(tmp_path / "pat.txt")
+    run_cli(["generate", "--c", "1.5", "--alpha", "iso", "--n", "6",
+             "--mode", "hex", "--out", path])
+    doc = load_document(path)
+    doc.vertices[(2, 0, 0)] = doc.vertices[(1, 0, 0)]
+    bad_path = str(tmp_path / "deg.txt")
+    save_document(doc, bad_path)
+    assert run_cli(["verify", bad_path]) == 3
+    report = verify.run_checks(load_document(bad_path), ["laxzc"])
+    assert report.residuals["laxzc"] == math.inf
+    assert not report.passed["laxzc"]
+
+
 def test_cli_render_modes_and_flags(tmp_path):
     pat = str(tmp_path / "log.txt")
     run_cli(["generate", "--c", "2", "--alpha", "iso", "--n", "5",

@@ -5,12 +5,12 @@ import random
 import pytest
 
 from hexcircle import pattern_core
-from hexcircle.pattern_core import (DegenerateQuadError, PatternParams,
-                                    UnsupportedExponentError, axis_next,
-                                    constraint_residual, cross_ratio,
-                                    generate_z, isotropic_params,
-                                    lax_deltas, solve_fourth,
-                                    zero_curvature_residual)
+from hexcircle.pattern_core import (DEFAULT_MU_SAMPLES, DegenerateQuadError,
+                                    PatternParams, UnsupportedExponentError,
+                                    axis_next, constraint_residual,
+                                    cross_ratio, face_sites, generate_z,
+                                    isotropic_params, lax_deltas, lax_matrix,
+                                    solve_fourth, zero_curvature_residual)
 
 ISO = (math.pi / 3,) * 3
 ANISO = (math.pi / 4, math.pi / 4, math.pi / 2)
@@ -159,6 +159,59 @@ def test_zero_curvature_mu_zero_any_values():
         zf.values[site] = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
     res = zero_curvature_residual(zf, (0, 0, -1), 1, 3, mu_samples=(0.0,))
     assert res == 0.0
+
+
+def _mat_mul(p, q):
+    return (
+        (p[0][0] * q[0][0] + p[0][1] * q[1][0],
+         p[0][0] * q[0][1] + p[0][1] * q[1][1]),
+        (p[1][0] * q[0][0] + p[1][1] * q[1][0],
+         p[1][0] * q[0][1] + p[1][1] * q[1][1]),
+    )
+
+
+def _explicit_gaps(zf):
+    """Per face, the largest entrywise gap of the two multiplied-out
+    transport products over DEFAULT_MU_SAMPLES."""
+    deltas = lax_deltas(zf.params)
+    gaps = {}
+    for v in zf.values:
+        for (i, j) in ((2, 1), (3, 2), (1, 3)):
+            sites = face_sites(v, i, j)
+            if not all(s in zf.values for s in sites):
+                continue
+            za, zb, zc, zd = (zf[s] for s in sites)
+            worst = 0.0
+            for mu in DEFAULT_MU_SAMPLES:
+                p1 = _mat_mul(lax_matrix(deltas[i], za, zb, mu),
+                              lax_matrix(deltas[j], zd, za, mu))
+                p2 = _mat_mul(lax_matrix(deltas[j], zc, zb, mu),
+                              lax_matrix(deltas[i], zd, zc, mu))
+                worst = max([worst] + [abs(complex(p1[r][s] - p2[r][s]))
+                                       for r in range(2) for s in range(2)])
+            gaps[(v, i, j)] = worst
+    return gaps
+
+
+def test_zero_curvature_closed_form_matches_matrix_products():
+    rng = random.Random(5)
+    zf = generate_z(isotropic_params(1.5), 4)
+    for site in list(zf.values):
+        zf.values[site] = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+    gaps = _explicit_gaps(zf)
+    for (v, i, j), gap in gaps.items():
+        assert zero_curvature_residual(zf, v, i, j) == pytest.approx(gap, rel=1e-9)
+    assert pattern_core.max_zero_curvature_residual(zf) == pytest.approx(
+        max(gaps.values()), rel=1e-9)
+
+    params = isotropic_params(1.5, precision="ext", dps=40)
+    zf = generate_z(params, 6)
+    zf.values[(2, 1, -1)] = zf.values[(2, 1, -1)] + 1e-3
+    with params.backend().context():
+        worst = max(_explicit_gaps(zf).values())
+    assert worst >= 1e-5
+    assert pattern_core.max_zero_curvature_residual(zf) == pytest.approx(
+        worst, rel=1e-9)
 
 
 def test_lax_delta_calibration_matches_field_reference():
