@@ -63,7 +63,6 @@ def _build_document(params: PatternParams, n: int, mode: str, route: str) -> Pat
         if mode == "hex":
             doc.summary["constraint"] = pattern_core.max_constraint_residual(zf)
             doc.summary["zerocurvature"] = pattern_core.max_zero_curvature_residual(zf)
-        doc.summary["overdetermination"] = zf.meta.get("overdetermination", 0.0)
     return doc
 
 

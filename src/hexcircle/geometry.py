@@ -17,7 +17,8 @@ from typing import Dict, List, Optional, Tuple
 
 from . import lattice
 from .lattice import MultiIndex, SubIndex
-from .pattern_core import PatternParams, ZField, cross_ratio, face_sites
+from .pattern_core import (PatternParams, ZField, axis_distances, cross_ratio,
+                           face_sites, iter_slab_faces)
 from .radius_system import RadiusField, extract_radii
 
 POLE = math.inf
@@ -242,9 +243,7 @@ def reconstruct(rf: RadiusField, closure_tol: float = 1e-6) -> ZField:
             # intersection point v+e_i is the +e_j spoke of the neighbor
             i_dir = [d for d in (1, 2, 3) if off[d - 1] == 1][0]
             j_dir = [d for d in (1, 2, 3) if off[d - 1] == -1][0]
-            shared_vertex = (vertex[0] + _E3[i_dir][0],
-                             vertex[1] + _E3[i_dir][1],
-                             vertex[2] + _E3[i_dir][2])
+            shared_vertex = face_sites(vertex, i_dir, j_dir)[1]
             back = cmath.phase(values[shared_vertex] - z_n) if shared_vertex in values else None
             if back is None:
                 raise ReconstructionError(f"missing shared spoke for {nb}")
@@ -258,9 +257,6 @@ def reconstruct(rf: RadiusField, closure_tol: float = 1e-6) -> ZField:
     zf.meta["wedge_closure"] = worst_closure
     zf.meta["pole_sites"] = tuple(pole)
     return zf
-
-
-_E3 = {1: (1, 0, 0), 2: (0, 1, 0), 3: (0, 0, 1)}
 
 
 def circumcircle(z1: complex, z2: complex, z3: complex) -> Tuple[complex, float]:
@@ -340,7 +336,9 @@ def immersion_check(zf: ZField, slab_only: bool = False,
     """Uniform positive orientation of the three elementary triangles at
     every stored site, plus pairwise interior-disjointness of adjacent
     pattern faces.  Triangles whose edges all fall below the degeneracy
-    guard (the branch point of the c = 2 pattern) are skipped."""
+    guard (the branch point of the c = 2 pattern) are skipped; any other
+    triangle fails unless its signed area is clearly positive, so a
+    collapsed edge fails too."""
     report = ImmersionReport()
     vals = zf.values
     for (k, l, m), z0 in vals.items():
@@ -366,21 +364,14 @@ def immersion_check(zf: ZField, slab_only: bool = False,
             report.checked_triangles += 1
             if edge <= eps_scale:
                 continue
-            if orientation(a, b, c_) <= -eps_scale * edge * edge:
+            if orientation(a, b, c_) <= eps_scale * edge * edge:
                 report.failures.append(((k, l, m), f"orientation-flip:{name}"))
     # radius positivity (degenerate zero radii at a flagged pole are allowed)
     for sub, r in extract_radii(zf).items():
         if math.isnan(r) or r < 0:
             report.failures.append((lattice.sub_to_vertex(sub), "nonpositive-radius"))
     # adjacent-face overlap sweep
-    h_faces = []
-    for v in vals:
-        if (v[0] + v[1] + v[2]) != 0:
-            continue
-        for (i, j) in ((1, 2), (1, 3), (2, 3)):
-            sites = face_sites(v, i, j)
-            if all(s in vals for s in sites):
-                h_faces.append(sites)
+    h_faces = list(iter_slab_faces(vals))
     by_edge: Dict[frozenset, List[int]] = {}
     for idx, sites in enumerate(h_faces):
         for a in range(4):
@@ -423,14 +414,14 @@ class SquareGridPattern:
     generation: int
 
     def circles(self) -> List[Circle]:
+        lifted = {(k, 0, m): z for (k, m), z in self.values.items()}
         out = []
-        for (k, m), z in sorted(self.values.items()):
-            if (k + m) % 2 == 0:
-                nb = [(k + 1, m), (k - 1, m), (k, m + 1), (k, m - 1)]
-                dists = [abs(self.values[p] - z) for p in nb if p in self.values]
+        for site, z in sorted(lifted.items()):
+            if lattice.parity(site) == 0:
+                dists = axis_distances(lifted, site)
                 if dists:
                     out.append(Circle(center=complex(z), radius=sum(dists) / len(dists),
-                                      site=(k, 0, m)))
+                                      site=site))
         return out
 
 
@@ -444,7 +435,9 @@ def sg_slice(zf: ZField) -> SquareGridPattern:
 
 
 def sg_immersion_check(sg: SquareGridPattern, eps_scale: float = 1e-12) -> ImmersionReport:
-    """Orientation sweep of consecutive-neighbor triangles in the plane."""
+    """Orientation sweep of consecutive-neighbor triangles in the plane;
+    as in immersion_check, a degenerate triangle fails unless all its edges
+    fall below the guard."""
     report = ImmersionReport()
     cycle = ((1, 0), (0, -1), (-1, 0), (0, 1))   # counterclockwise images
     for (k, m), z in sg.values.items():
@@ -460,7 +453,7 @@ def sg_immersion_check(sg: SquareGridPattern, eps_scale: float = 1e-12) -> Immer
             report.checked_triangles += 1
             if edge <= eps_scale:
                 continue
-            if orientation(z, p1, p2) <= -eps_scale * edge * edge:
+            if orientation(z, p1, p2) <= eps_scale * edge * edge:
                 report.failures.append(((k, 0, m), "orientation-flip:sg"))
     return report
 

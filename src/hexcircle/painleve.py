@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, Optional, Tuple
@@ -101,6 +102,12 @@ def x0_closed(c: float, alpha: float) -> complex:
 
 def sector_of(x, alpha: float, boundary_tol: float = 0.0) -> SectorTag:
     beta = cmath.phase(complex(x)) if not isinstance(x, mp.mpc) else float(mp.arg(x))
+    return sector_of_beta(beta, alpha, boundary_tol)
+
+
+def sector_of_beta(beta: float, alpha: float, boundary_tol: float = 0.0) -> SectorTag:
+    """Sector of the angle beta; within boundary_tol of 0 or alpha it is on
+    the boundary."""
     if abs(beta) <= boundary_tol:
         return SectorTag.BOUNDARY_LOW
     if abs(beta - alpha) <= boundary_tol:
@@ -122,10 +129,7 @@ def run_trajectory(c: float, alpha: float, beta0: float, n_steps: int,
     if not (0 <= beta0 <= alpha):
         raise ValueError("starting angle must lie in [0, alpha]")
     use_mp = dps is not None
-    if use_mp:
-        ctx = mp.workdps(dps)
-        ctx.__enter__()
-    try:
+    with mp.workdps(dps) if use_mp else nullcontext():
         if use_mp:
             eps = mp.expj(mp.mpf(alpha))
             x = mp.expj(mp.mpf(beta0))
@@ -157,23 +161,6 @@ def run_trajectory(c: float, alpha: float, beta0: float, n_steps: int,
         return PainleveTrajectory(betas=betas, sectors=sectors,
                                   exit_index=exit_index, exit_sector=exit_sector,
                                   max_unitarity_drift=drift)
-    finally:
-        if use_mp:
-            ctx.__exit__(None, None, None)
-
-
-def sector_of_beta(beta: float, alpha: float) -> SectorTag:
-    if 0 < beta < alpha:
-        return SectorTag.A_I
-    if beta == 0:
-        return SectorTag.BOUNDARY_LOW
-    if beta == alpha:
-        return SectorTag.BOUNDARY_HIGH
-    if alpha < beta <= math.pi:
-        return SectorTag.A_II
-    if alpha - math.pi <= beta < 0:
-        return SectorTag.A_IV
-    return SectorTag.A_III
 
 
 def growth_rate(c: float, alpha: float, probe_steps: int = 10) -> float:

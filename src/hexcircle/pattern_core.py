@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
-from .lattice import MultiIndex, generation, q_sites
+from .lattice import MultiIndex, axis_neighbors, generation, parity, q_sites
 from .numerics import Backend, ComplexNumber, DOUBLE, backend_for, worst_of
 
 ANGLE_SUM_TOL = 1e-12
@@ -122,9 +122,10 @@ def axis_next(n: int, z_prev, z_cur, c: float) -> ComplexNumber:
 
 
 # face orientations: (i, j) means the face {v, v+e_i, v+e_i-e_j, v-e_j};
-# plane spans determine the prescribed angle.
+# the plane span (in either order) determines the face type and so the
+# prescribed angle.  FACE_SPAN is the orientation iter_faces enumerates.
 _E = {1: (1, 0, 0), 2: (0, 1, 0), 3: (0, 0, 1)}
-FACE_TYPE = {(1, 2): 1, (2, 1): 1, (2, 3): 2, (3, 2): 2, (1, 3): 3, (3, 1): 3}
+FACE_SPAN = {1: (2, 1), 2: (3, 2), 3: (1, 3)}
 
 
 def _shift(p: MultiIndex, d: Tuple[int, int, int], s: int = 1) -> MultiIndex:
@@ -142,14 +143,36 @@ def face_sites(base: MultiIndex, i: int, j: int) -> Tuple[MultiIndex, ...]:
 def iter_faces(zf: ZField) -> Iterator[Tuple[int, Tuple[MultiIndex, ...]]]:
     """Every stored elementary face, once, as (type_index, corners).
 
-    Enumerates the display orientations (1,2), (2,3), (1,3); the reversed
-    spans describe the same faces.
+    Enumerates the orientations of FACE_SPAN; the reversed spans describe
+    the same faces.
     """
     for v in zf.values:
-        for (i, j) in ((2, 1), (3, 2), (1, 3)):
+        for t, (i, j) in FACE_SPAN.items():
             sites = face_sites(v, i, j)
             if all(s in zf.values for s in sites):
-                yield FACE_TYPE[(i, j)], sites
+                yield t, sites
+
+
+def iter_slab_faces(stored: Mapping[MultiIndex, object]) -> Iterator[Tuple[MultiIndex, ...]]:
+    """Corners of the faces of the hexagonal pattern, in the order of stored:
+    the faces spanning (1,2), (1,3), (2,3) at every vertex with k+l+m = 0."""
+    for v in stored:
+        if v[0] + v[1] + v[2] != 0:
+            continue
+        for (i, j) in ((1, 2), (1, 3), (2, 3)):
+            sites = face_sites(v, i, j)
+            if all(s in stored for s in sites):
+                yield sites
+
+
+def axis_distances(values: Mapping[MultiIndex, ComplexNumber],
+                   site: MultiIndex) -> List[float]:
+    """Distances from site to its stored axis neighbors, in axis_neighbors
+    order.  Uses the built-in abs: extended values must be passed inside
+    the caller's backend context."""
+    z = values[site]
+    return [float(abs(values[nb] - z)) for nb in axis_neighbors(site)
+            if nb in values]
 
 
 def face_targets(params: PatternParams, bk: Optional[Backend] = None):
@@ -158,15 +181,14 @@ def face_targets(params: PatternParams, bk: Optional[Backend] = None):
 
 
 def generate_z(params: PatternParams, n_max: int,
-               initial_override: Optional[dict] = None,
-               check_overdetermined: bool = True) -> ZField:
+               initial_override: Optional[dict] = None) -> ZField:
     """Fill Q up to generation n_max from the closed-form initial data.
 
     Axes come from the constraint, everything else from the cross-ratio
     equations, shell by shell.  A vertex reachable from several faces is
-    computed from the first available orientation; the alternatives are
-    evaluated as a consistency check and the worst discrepancy is recorded
-    in the field metadata.
+    solved once, from the first available orientation; the cross-ratio
+    system is consistent, so the other orientations agree with it, and
+    max_face_residual checks every one of those faces.
     """
     if params.c >= 2 or params.c <= 0:
         raise UnsupportedExponentError(
@@ -194,36 +216,24 @@ def generate_z(params: PatternParams, n_max: int,
             z[(0, 0, -n - 1)] = axis_next(n, z[(0, 0, -n + 1)], z[(0, 0, -n)], c)
 
         targets = face_targets(params, bk)
-        worst_disc = 0.0
         for site in q_sites(n_max):
             k, l, m = site
-            if site in z:
+            if site in z or generation(site) < 2:
                 continue
-            if generation(site) < 2:
-                continue
-            candidates: List[ComplexNumber] = []
-            # unknown as the top corner of a face of each available orientation
+            # unknown as the top corner of a face of the first available
+            # orientation
             if k >= 1 and l >= 1:
-                candidates.append(solve_fourth(
-                    z[(k - 1, l, m)], z[(k - 1, l - 1, m)], z[(k, l - 1, m)],
-                    targets[1]))
-            if l >= 1 and m <= -1:
-                candidates.append(solve_fourth(
-                    z[(k, l - 1, m)], z[(k, l - 1, m + 1)], z[(k, l, m + 1)],
-                    targets[2]))
-            if k >= 1 and m <= -1:
-                candidates.append(solve_fourth(
-                    z[(k, l, m + 1)], z[(k - 1, l, m + 1)], z[(k - 1, l, m)],
-                    targets[3]))
-            if not candidates:
+                z[site] = solve_fourth(z[(k - 1, l, m)], z[(k - 1, l - 1, m)],
+                                       z[(k, l - 1, m)], targets[1])
+            elif l >= 1 and m <= -1:
+                z[site] = solve_fourth(z[(k, l - 1, m)], z[(k, l - 1, m + 1)],
+                                       z[(k, l, m + 1)], targets[2])
+            elif k >= 1 and m <= -1:
+                z[site] = solve_fourth(z[(k, l, m + 1)], z[(k - 1, l, m + 1)],
+                                       z[(k - 1, l, m)], targets[3])
+            else:
                 raise IncompleteStencilError(site)
-            z[site] = candidates[0]
-            if check_overdetermined:
-                for alt in candidates[1:]:
-                    worst_disc = max(worst_disc,
-                                     float(bk.abs(alt - candidates[0])))
     zf = ZField(params=params, values=z, generation=n_max)
-    zf.meta["overdetermination"] = worst_disc
     zf.meta["precision"] = params.precision
     return zf
 
@@ -241,7 +251,7 @@ def max_face_residual(zf: ZField) -> float:
             if any(corners[i] == corners[(i + 1) % 4] for i in range(4)):
                 continue
             q = cross_ratio(*corners)
-            residuals.append(float(bk.abs(q - targets[t])))
+            residuals.append(float(abs(q - targets[t])))
     return worst_of(residuals)
 
 
@@ -269,9 +279,8 @@ def interior_sites(zf: ZField) -> Iterator[MultiIndex]:
 
 
 def max_constraint_residual(zf: ZField) -> float:
-    bk = zf.params.backend()
-    with bk.context():
-        return worst_of(float(bk.abs(constraint_residual(zf, p)))
+    with zf.params.backend().context():
+        return worst_of(float(abs(constraint_residual(zf, p)))
                         for p in interior_sites(zf))
 
 
@@ -288,30 +297,26 @@ def lax_deltas(params: PatternParams, zf: Optional[ZField] = None) -> Dict[int, 
     and freeze delta_1 = 1.
     """
     bk = params.backend()
-    if zf is not None:
-        ratios = {}
-        needed = {(1, 3): None, (2, 1): None, (3, 2): None}
-        for v in zf.values:
-            for (i, j) in list(needed):
-                if needed[(i, j)] is None:
-                    sites = face_sites(v, i, j)
-                    if all(s in zf.values for s in sites):
-                        f1, f2, f3, f4 = (zf[s] for s in sites)
-                        needed[(i, j)] = ((f1 - f4) * (f2 - f3)) / ((f2 - f1) * (f3 - f4))
-            if all(val is not None for val in needed.values()):
-                break
-        if any(val is None for val in needed.values()):
-            raise IncompleteStencilError("no reference faces for calibration")
-        ratios = needed
-    else:
-        targets = face_targets(params, bk)
-        ratios = {(1, 3): 1 / targets[3], (2, 1): 1 / targets[1],
-                  (3, 2): 1 / targets[2]}
-    d1 = bk.exp_i(0)
-    d3 = d1 * ratios[(1, 3)]
-    d2 = d1 / ratios[(2, 1)]
-    # consistency: the third ratio (delta_2/delta_3) must close up
-    closure = float(bk.abs(d2 / d3 - ratios[(3, 2)]))
+    with bk.context():
+        if zf is not None:
+            # inverse cross-ratio of the first stored face of each type
+            ratios = {}
+            for t, sites in iter_faces(zf):
+                if t not in ratios:
+                    f1, f2, f3, f4 = (zf[s] for s in sites)
+                    ratios[t] = ((f1 - f4) * (f2 - f3)) / ((f2 - f1) * (f3 - f4))
+                    if len(ratios) == 3:
+                        break
+            else:
+                raise IncompleteStencilError("no reference faces for calibration")
+        else:
+            targets = face_targets(params, bk)
+            ratios = {t: 1 / targets[t] for t in (1, 2, 3)}
+        d1 = bk.exp_i(0)
+        d3 = d1 * ratios[3]
+        d2 = d1 / ratios[1]
+        # consistency: the third ratio (delta_2/delta_3) must close up
+        closure = float(abs(d2 / d3 - ratios[2]))
     return {1: d1, 2: d2, 3: d3, "closure": closure}
 
 
@@ -340,44 +345,49 @@ def zero_curvature_residual(zf: ZField, base: MultiIndex, i: int, j: int,
     e = zc - zd (so a + b = c + e) and G = delta_i b c - delta_j a e, their
     entries differ by mu G / (b e), mu G (e - a) / (a b c e) and
     mu G / (a c), which gives the gap in closed form.  G carries the
-    cancellation the check measures and is formed at working precision (the
-    caller's backend context); the edge lengths only scale it and are taken
-    in double.
+    cancellation the check measures and is formed at the working precision
+    of the field; the edge lengths only scale it and are taken in double.
     """
-    deltas = deltas or lax_deltas(zf.params)
-    v, vi, vij, vj = face_sites(base, i, j)
-    za, zb, zc, zd = zf[v], zf[vi], zf[vij], zf[vj]
+    with zf.params.backend().context():
+        deltas = deltas or lax_deltas(zf.params)
+        return _face_gap([zf[s] for s in face_sites(base, i, j)],
+                         deltas[i], deltas[j], _mu_max(mu_samples))
+
+
+def _mu_max(mu_samples) -> float:
+    return max((abs(complex(mu)) for mu in mu_samples), default=0.0)
+
+
+def _face_gap(corners, delta_i, delta_j, mu_max: float) -> float:
+    """zero_curvature_residual of one face from its corners; the caller
+    holds the backend context."""
+    za, zb, zc, zd = corners
     a, b, c, e = zb - za, za - zd, zb - zc, zc - zd
     if not (a and b and c and e):
         raise DegenerateQuadError("degenerate edge in transport matrix")
-    gap = abs(complex(deltas[i] * b * c - deltas[j] * a * e))
+    gap = abs(complex(delta_i * b * c - delta_j * a * e))
     a, b, c, e = complex(a), complex(b), complex(c), complex(e)
     la, lb, lc, le = abs(a), abs(b), abs(c), abs(e)
-    mu_max = max((abs(complex(mu)) for mu in mu_samples), default=0.0)
     return mu_max * gap * max(la * lc, lb * le, abs(e - a)) / (la * lb * lc * le)
 
 
 def max_zero_curvature_residual(zf: ZField,
                                 mu_samples=DEFAULT_MU_SAMPLES) -> float:
-    bk = zf.params.backend()
-    with bk.context():
+    mu_max = _mu_max(mu_samples)
+    with zf.params.backend().context():
         deltas = lax_deltas(zf.params)
-        return worst_of(zero_curvature_residual(zf, v, i, j, mu_samples, deltas)
-                        for v in zf.values
-                        for (i, j) in ((2, 1), (3, 2), (1, 3))
-                        if all(s in zf.values for s in face_sites(v, i, j)))
+        return worst_of(_face_gap([zf[s] for s in sites], deltas[FACE_SPAN[t][0]],
+                                  deltas[FACE_SPAN[t][1]], mu_max)
+                        for t, sites in iter_faces(zf))
 
 
 def kite_spread(zf: ZField, center: MultiIndex) -> Tuple[float, float]:
     """(mean radius, max-min spread) of the distances from an even vertex to
     its stored axis neighbors."""
-    from .lattice import axis_neighbors, parity
     if parity(center) != 0:
         raise ValueError("kite centers have even coordinate sum")
-    bk = zf.params.backend()
-    with bk.context():
-        dists = [float(bk.abs(zf[nb] - zf[center]))
-                 for nb in axis_neighbors(center) if nb in zf.values]
+    with zf.params.backend().context():
+        dists = axis_distances(zf.values, center)
     if not dists:
         raise IncompleteStencilError(center)
     return sum(dists) / len(dists), max(dists) - min(dists)

@@ -20,7 +20,7 @@ from . import lattice
 from .lattice import (SubIndex, TAG_BORDER, TAG_HEX, TAG_SEED, TAG_TRI,
                       border_fill_stencil, black_fill_stencil,
                       hex_coefficients, hex_stencil_slots, tri_fill_stencil)
-from .pattern_core import PatternParams, ZField, generate_z
+from .pattern_core import PatternParams, ZField, axis_distances, generate_z
 
 POLE = math.inf
 
@@ -235,7 +235,7 @@ def z2_initial(params: PatternParams) -> Dict[SubIndex, float]:
 def seeds_from_pattern(params: PatternParams) -> Dict[SubIndex, float]:
     """Seed radii for 0 < c < 2, extracted from a depth-2 run of the evolved
     map (the initial data is given for z, not for r)."""
-    zf = generate_z(params, 2, check_overdetermined=False)
+    zf = generate_z(params, 2)
     bk = params.backend()
     with bk.context():
         return {
@@ -343,41 +343,32 @@ def iter_equation_residuals(rf: RadiusField) -> Iterator[Tuple[str, SubIndex, fl
     values = rf.values
     c = rf.params.c
     s1, s2, s3 = (math.sin(a) for a in rf.params.alphas)
-    seen = set(values)
     # six-circle instances: labels with slot sums inside {0, 1}
     for (K, L, M) in values:
         label = (K - 1, L - 1, M)
         res = hex_residual(label, values, c)
         if res is not None:
             yield ("hex", label, float(abs(res)))
-    # border instances
-    for (K, L, M) in values:
-        if L == 0 and M == -K and K >= 2 and _finite(values, [(K, 0, -K)]):
-            st = border_fill_stencil((K, L, M))
-            sites = [st["r"], st["r2"], st["r3"]]
-            if all(s in seen for s in sites) and _finite(values, sites):
-                r, r2v, r3v = (values[s] for s in sites)
-                scale = max(r, 1.0) ** 3
-                yield ("border", (K, L, M),
-                       float(abs(border_residual(r, values[(K, 0, -K)], r2v, r3v,
-                                                 math.cos(rf.params.alphas[2])))
-                             / scale))
-        if K == 0 and M == -L and L >= 2:
-            st = border_fill_stencil((K, L, M))
-            sites = [st["r"], st["r2"], st["r3"]]
-            if all(s in seen for s in sites) and _finite(values, sites + [(0, L, -L)]):
-                r, r2v, r3v = (values[s] for s in sites)
-                scale = max(r, 1.0) ** 3
-                yield ("border", (K, L, M),
-                       float(abs(border_residual(r, values[(0, L, -L)], r2v, r3v,
-                                                 math.cos(rf.params.alphas[1])))
-                             / scale))
+    # border instances, on both boundary rows
+    for site in values:
+        K, L, M = site
+        if not ((L == 0 and M == -K and K >= 2) or (K == 0 and M == -L and L >= 2)):
+            continue
+        st = border_fill_stencil(site)
+        sites = [st["r"], st["r2"], st["r3"]]
+        if _finite(values, sites + [site]):
+            r, r2v, r3v = (values[s] for s in sites)
+            scale = max(r, 1.0) ** 3
+            cos_alpha = math.cos(rf.params.alphas[st["angle_index"] - 1])
+            yield ("border", site,
+                   float(abs(border_residual(r, values[site], r2v, r3v, cos_alpha))
+                         / scale))
     # three-circle instances, both parities
     for base in values:
         K, L, M = base
         for sgn in (+1, -1):
             sites = [base, (K, L - sgn, M), (K, L, M - sgn), (K - sgn, L, M)]
-            if all(s in seen for s in sites) and _finite(values, sites):
+            if _finite(values, sites):
                 r, r1v, r2v, r3v = (values[s] for s in sites)
                 scale = max(r, r1v, r2v, r3v, 1.0) ** 2
                 yield ("tri", base,
@@ -393,20 +384,17 @@ def max_equation_residual(rf: RadiusField) -> float:
 def extract_radii(zf: ZField, n_max: Optional[int] = None) -> Dict[SubIndex, float]:
     """Distances from even vertices to their stored neighbors, keyed by
     sublattice label (the oracle for the recurrence route)."""
-    bk = zf.params.backend()
-    ctx = bk.context()
     out: Dict[SubIndex, float] = {}
-    for site in zf.values:
-        if lattice.parity(site) != 0:
-            continue
-        sub = lattice.to_sub(site)
-        if n_max is not None and lattice.sub_generation(sub) > n_max:
-            continue
-        with ctx:
-            dists = [float(bk.abs(zf[nb] - zf[site]))
-                     for nb in lattice.axis_neighbors(site) if nb in zf.values]
-        if dists:
-            out[sub] = sum(dists) / len(dists)
+    with zf.params.backend().context():
+        for site in zf.values:
+            if lattice.parity(site) != 0:
+                continue
+            sub = lattice.to_sub(site)
+            if n_max is not None and lattice.sub_generation(sub) > n_max:
+                continue
+            dists = axis_distances(zf.values, site)
+            if dists:
+                out[sub] = sum(dists) / len(dists)
     return out
 
 

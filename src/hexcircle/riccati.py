@@ -24,6 +24,7 @@ The same admixture enters the generating function of the p0 series formula.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -107,28 +108,17 @@ def trajectory(params: RiccatiParams, n_steps: int, p_start: Optional[float] = N
     working precision (None = double).  A step pole is recorded as a sign
     failure at the following index.
     """
-    if dps is None:
-        t = params.t
-        p = p0_closed(params) if p_start is None else p_start
-        values = [p]
-        first_bad = None if p > 0 else 0
-        for n in range(n_steps):
-            try:
-                p = riccati_step(p, n, params, t)
-            except StepPoleError:
-                first_bad = first_bad if first_bad is not None else n + 1
-                break
-            values.append(p)
-            if first_bad is None and p <= 0:
-                first_bad = n + 1
-        return Trajectory(values=values, first_nonpositive=first_bad)
-    with mp.workdps(dps):
-        c = mp.mpf(params.c)
-        t = mp.cos(mp.mpf(params.alpha))
-        if p_start is None:
-            p = mp.sin(c * params.alpha / 2) / mp.sin((2 - c) * params.alpha / 2)
+    with nullcontext() if dps is None else mp.workdps(dps):
+        if dps is None:
+            c, t = params.c, params.t
+            p = p0_closed(params) if p_start is None else p_start
         else:
-            p = mp.mpf(p_start)
+            c = mp.mpf(params.c)
+            t = mp.cos(mp.mpf(params.alpha))
+            if p_start is None:
+                p = mp.sin(c * params.alpha / 2) / mp.sin((2 - c) * params.alpha / 2)
+            else:
+                p = mp.mpf(p_start)
         values = [float(p)]
         first_bad = None if p > 0 else 0
         for n in range(n_steps):
@@ -168,29 +158,18 @@ def p_limit_check(params: RiccatiParams, n_steps: int = 40,
 
 def hyp_f(a, b, cc, z, tol: float = 1e-15):
     """Gauss series sum_k (a)_k (b)_k / ((cc)_k k!) z^k for |z| < 1."""
+    return _hyp_with_derivative(a, b, cc, z, tol)[0]
+
+
+def _hyp_with_derivative(a, b, cc, z, tol):
+    """(F, F') of the Gauss series, F' by term-wise differentiation."""
     if abs(z) >= 1:
         raise SeriesDomainError("series needs |z| < 1")
     if cc == int(cc) and cc <= 0:
         raise ParameterError("third parameter is a nonpositive integer")
     one = z * 0 + 1
-    total = one
-    term = one
-    small = 0
-    for k in range(MAX_SERIES_TERMS):
-        term = term * (a + k) * (b + k) / ((cc + k) * (k + 1)) * z
-        total += term
-        if abs(term) < tol * abs(total):
-            small += 1
-            if small >= 2:
-                return total
-        else:
-            small = 0
-    raise ArithmeticError("hypergeometric series did not converge")
-
-
-def _hyp_with_derivative(a, b, cc, z, tol):
-    """(F, F') by term-wise differentiation of the Gauss series."""
-    one = z * 0 + 1
+    if z == 0:
+        return one, one * a * b / cc
     total = one
     deriv = z * 0
     term = one

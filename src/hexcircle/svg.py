@@ -9,7 +9,8 @@ import math
 from typing import List, Tuple
 
 from .document import PatternDocument
-from .pattern_core import face_sites
+from .lattice import parity, sub_to_vertex
+from .pattern_core import axis_distances, iter_slab_faces
 
 
 def _f(x: float) -> str:
@@ -26,12 +27,12 @@ def render_svg(doc: PatternDocument, show: str = "both", scale: float = 100.0,
     if show not in ("circles", "quads", "both"):
         raise ValueError("show must be circles, quads or both")
     circles: List[Tuple[complex, float]] = []
-    vertices = {s: complex(z) for s, z in doc.vertices.items()}
+    # sorted, so that every sweep below runs in a fixed order
+    vertices = {s: complex(z) for s, z in sorted(doc.vertices.items())}
     if doc.mode == "sg":
-        for (k, l, m), z in sorted(vertices.items()):
-            if (k + m) % 2 == 0:
-                nb = [(k + 1, 0, m), (k - 1, 0, m), (k, 0, m + 1), (k, 0, m - 1)]
-                dists = [abs(vertices[p] - z) for p in nb if p in vertices]
+        for site, z in vertices.items():
+            if parity(site) == 0:
+                dists = axis_distances(vertices, site)
                 if dists:
                     circles.append((z, sum(dists) / len(dists)))
     else:
@@ -39,24 +40,16 @@ def render_svg(doc: PatternDocument, show: str = "both", scale: float = 100.0,
         for site, r in sorted(doc.radii.items()):
             if sum(site) != 0 or site in pole or math.isinf(r):
                 continue
-            from .lattice import sub_to_vertex
             v = sub_to_vertex(site)
             if v in vertices:
                 circles.append((vertices[v], float(r)))
-    quads: List[Tuple[complex, ...]] = []
     if doc.mode == "sg":
-        for (k, l, m) in sorted(vertices):
-            sites = [(k, 0, m), (k + 1, 0, m), (k + 1, 0, m - 1), (k, 0, m - 1)]
-            if all(s in vertices for s in sites):
-                quads.append(tuple(vertices[s] for s in sites))
+        quad_sites = [((k, 0, m), (k + 1, 0, m), (k + 1, 0, m - 1), (k, 0, m - 1))
+                      for (k, l, m) in vertices]
     else:
-        for v in sorted(vertices):
-            if sum(v) != 0:
-                continue
-            for (i, j) in ((1, 2), (1, 3), (2, 3)):
-                sites = face_sites(v, i, j)
-                if all(s in vertices for s in sites):
-                    quads.append(tuple(vertices[s] for s in sites))
+        quad_sites = iter_slab_faces(vertices)
+    quads = [tuple(vertices[s] for s in sites) for sites in quad_sites
+             if all(s in vertices for s in sites)]
 
     if not circles and not vertices:
         raise ValueError("empty document")

@@ -5,7 +5,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from . import geometry, pattern_core, radius_system
+from . import geometry, lattice, pattern_core, radius_system
 from .document import PatternDocument
 from .numerics import worst_of
 
@@ -126,19 +126,21 @@ def _residual(name, doc, zf, rf, notes) -> Optional[float]:
 
 def max_kite_residual(zf) -> float:
     """Worst deviation of the neighbor distances around any center from a
-    common value (max/min ratio minus one)."""
-    from . import lattice
-    bk = zf.params.backend()
+    common value (max/min ratio minus one).
+
+    A center whose neighbors all coincide with it (the branch point of the
+    c = 2 pattern) is skipped; one with some but not all distances zero is
+    a collapsed edge and gives inf.
+    """
     spreads = []
-    with bk.context():
+    with zf.params.backend().context():
         for site in zf.values:
             if lattice.parity(site) != 0:
                 continue
-            dists = [float(bk.abs(zf[nb] - zf[site]))
-                     for nb in lattice.axis_neighbors(site) if nb in zf.values]
+            dists = pattern_core.axis_distances(zf.values, site)
             if any(math.isnan(d) for d in dists):
                 return math.nan
-            if len(dists) < 2 or min(dists) == 0:
+            if len(dists) < 2 or max(dists) == 0:
                 continue
-            spreads.append(max(dists) / min(dists) - 1.0)
+            spreads.append(max(dists) / min(dists) - 1.0 if min(dists) else math.inf)
     return worst_of(spreads)

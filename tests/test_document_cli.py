@@ -141,6 +141,20 @@ def test_cli_degenerate_edge_fails_check(tmp_path, capsys):
     assert not report.passed["laxzc"]
 
 
+def test_cli_collapsed_edge_fails_immersion_and_kite(tmp_path):
+    path = str(tmp_path / "pat.txt")
+    run_cli(["generate", "--c", "1.5", "--alpha", "iso", "--n", "6",
+             "--mode", "hex", "--out", path])
+    doc = load_document(path)
+    doc.vertices[(2, 0, 0)] = doc.vertices[(1, 0, 0)]
+    bad_path = str(tmp_path / "deg.txt")
+    save_document(doc, bad_path)
+    report = verify.run_checks(load_document(bad_path), ["immersion", "kite"])
+    assert report.residuals["immersion"] >= 1
+    assert report.residuals["kite"] == math.inf
+    assert not report.passed["immersion"] and not report.passed["kite"]
+
+
 def test_cli_render_modes_and_flags(tmp_path):
     pat = str(tmp_path / "log.txt")
     run_cli(["generate", "--c", "2", "--alpha", "iso", "--n", "5",

@@ -212,3 +212,10 @@ def test_sg_radius_residual_constant_and_negative_control():
         if abs(sg_radius_residual(*vals, alpha=0.9)) > 1e-6:
             nonzero += 1
     assert nonzero >= 15
+
+
+def test_sg_immersion_fails_collapsed_edge():
+    sg = sg_slice(generate_z(isotropic_params(1.5), 6))
+    assert sg_immersion_check(sg).ok
+    sg.values[(2, 0)] = sg.values[(1, 0)]
+    assert not sg_immersion_check(sg).ok

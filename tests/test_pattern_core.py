@@ -228,7 +228,6 @@ def test_extended_precision_tightens_residuals():
     params = isotropic_params(1.25, precision="ext", dps=30)
     zf = generate_z(params, 5)
     assert pattern_core.max_face_residual(zf) <= 1e-25
-    assert zf.meta["overdetermination"] <= 1e-25
 
 
 def test_angle_validation():
@@ -244,3 +243,33 @@ def test_lax_matrix_mu_zero_unit_triangular():
     assert m[0][0] == 1 and m[1][1] == 1 and m[1][0] == 0
     det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
     assert det == 1
+
+
+def test_every_face_generate_z_could_solve_from_is_a_stored_face():
+    # generate_z solves a vertex from its first available face; the other
+    # faces it could have used are stored faces of the same type, so
+    # max_face_residual checks their consistency
+    zf = generate_z(PatternParams(alphas=(0.7, 1.1, math.pi - 1.8), c=1.2), 7)
+    faces = {frozenset(sites): t for t, sites in pattern_core.iter_faces(zf)}
+    checked = 0
+    for (k, l, m) in zf.values:
+        candidates = []
+        if k >= 1 and l >= 1:
+            candidates.append((1, [(k - 1, l, m), (k - 1, l - 1, m), (k, l - 1, m)]))
+        if l >= 1 and m <= -1:
+            candidates.append((2, [(k, l - 1, m), (k, l - 1, m + 1), (k, l, m + 1)]))
+        if k >= 1 and m <= -1:
+            candidates.append((3, [(k, l, m + 1), (k - 1, l, m + 1), (k - 1, l, m)]))
+        for t, known in candidates:
+            assert faces[frozenset(known + [(k, l, m)])] == t
+            checked += 1
+    assert checked > len(zf.values)
+    assert pattern_core.max_face_residual(zf) <= 1e-12
+
+
+def test_zero_curvature_residual_runs_at_field_precision():
+    # called outside any backend context, the per-face residual still
+    # works at the field's 40 digits
+    zf = generate_z(isotropic_params(1.5, precision="ext", dps=40), 6)
+    assert zero_curvature_residual(zf, (1, 1, -1), 1, 3) <= 1e-30
+    assert lax_deltas(zf.params, zf)["closure"] <= 1e-30

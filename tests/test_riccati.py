@@ -203,3 +203,14 @@ def test_consistency_triangle_with_pattern():
             extracted = seeds[(1, 0, -1)] / seeds[(0, 0, 0)]
             assert extracted == pytest.approx(p0_closed(rp), abs=1e-8)
             assert p0_via_series(rp) == pytest.approx(p0_closed(rp), abs=1e-10)
+
+
+def test_double_trajectory_is_the_iterated_step():
+    for c, alpha in ((1.5, math.pi / 3), (0.5, 1.2), (1.0, math.pi / 2), (1.75, 2.5)):
+        rp = RiccatiParams(c=c, alpha=alpha)
+        p = p0_closed(rp)
+        expected = [p]
+        for n in range(40):
+            p = riccati_step(p, n, rp)
+            expected.append(p)
+        assert trajectory(rp, 40).values == expected
