@@ -331,14 +331,24 @@ def _proper_crossing(a1: complex, a2: complex, b1: complex, b2: complex) -> bool
     return (d1 * d2 < 0) and (d3 * d4 < 0)
 
 
+def _flipped(a: complex, b: complex, c: complex, eps_scale: float) -> bool:
+    """A triangle fails when it is clearly negatively oriented or has a
+    collapsed edge.  Triangles whose edges all fall below the guard (the
+    branch point of the c = 2 pattern) pass; a straight angle (zero area
+    with three distinct corners) passes too."""
+    edges = (abs(b - a), abs(c - a), abs(c - b))
+    edge = max(edges)
+    if edge <= eps_scale:
+        return False
+    return (min(edges) <= eps_scale * edge
+            or orientation(a, b, c) <= -eps_scale * edge * edge)
+
+
 def immersion_check(zf: ZField, slab_only: bool = False,
                     eps_scale: float = 1e-12) -> ImmersionReport:
     """Uniform positive orientation of the three elementary triangles at
     every stored site, plus pairwise interior-disjointness of adjacent
-    pattern faces.  Triangles whose edges all fall below the degeneracy
-    guard (the branch point of the c = 2 pattern) are skipped; any other
-    triangle fails unless its signed area is clearly positive, so a
-    collapsed edge fails too."""
+    pattern faces; see _flipped for the triangle test."""
     report = ImmersionReport()
     vals = zf.values
     for (k, l, m), z0 in vals.items():
@@ -360,11 +370,8 @@ def immersion_check(zf: ZField, slab_only: bool = False,
             if b is None or c_ is None:
                 continue
             b, c_ = complex(b), complex(c_)
-            edge = max(abs(b - a), abs(c_ - a), abs(b - c_))
             report.checked_triangles += 1
-            if edge <= eps_scale:
-                continue
-            if orientation(a, b, c_) <= eps_scale * edge * edge:
+            if _flipped(a, b, c_, eps_scale):
                 report.failures.append(((k, l, m), f"orientation-flip:{name}"))
     # radius positivity (degenerate zero radii at a flagged pole are allowed)
     for sub, r in extract_radii(zf).items():
@@ -435,9 +442,8 @@ def sg_slice(zf: ZField) -> SquareGridPattern:
 
 
 def sg_immersion_check(sg: SquareGridPattern, eps_scale: float = 1e-12) -> ImmersionReport:
-    """Orientation sweep of consecutive-neighbor triangles in the plane;
-    as in immersion_check, a degenerate triangle fails unless all its edges
-    fall below the guard."""
+    """Orientation sweep of consecutive-neighbor triangles in the plane,
+    with the triangle test of immersion_check."""
     report = ImmersionReport()
     cycle = ((1, 0), (0, -1), (-1, 0), (0, 1))   # counterclockwise images
     for (k, m), z in sg.values.items():
@@ -449,11 +455,8 @@ def sg_immersion_check(sg: SquareGridPattern, eps_scale: float = 1e-12) -> Immer
             if p1 is None or p2 is None:
                 continue
             p1, p2 = complex(p1), complex(p2)
-            edge = max(abs(p1 - z), abs(p2 - z), abs(p2 - p1))
             report.checked_triangles += 1
-            if edge <= eps_scale:
-                continue
-            if orientation(z, p1, p2) <= eps_scale * edge * edge:
+            if _flipped(z, p1, p2, eps_scale):
                 report.failures.append(((k, 0, m), "orientation-flip:sg"))
     return report
 

@@ -100,17 +100,15 @@ def x0_closed(c: float, alpha: float) -> complex:
     return cmath.exp(1j * c * alpha / 2)
 
 
-def sector_of(x, alpha: float, boundary_tol: float = 0.0) -> SectorTag:
+def sector_of(x, alpha: float) -> SectorTag:
     beta = cmath.phase(complex(x)) if not isinstance(x, mp.mpc) else float(mp.arg(x))
-    return sector_of_beta(beta, alpha, boundary_tol)
+    return sector_of_beta(beta, alpha)
 
 
-def sector_of_beta(beta: float, alpha: float, boundary_tol: float = 0.0) -> SectorTag:
-    """Sector of the angle beta; within boundary_tol of 0 or alpha it is on
-    the boundary."""
-    if abs(beta) <= boundary_tol:
+def sector_of_beta(beta: float, alpha: float) -> SectorTag:
+    if beta == 0:
         return SectorTag.BOUNDARY_LOW
-    if abs(beta - alpha) <= boundary_tol:
+    if beta == alpha:
         return SectorTag.BOUNDARY_HIGH
     if 0 < beta < alpha:
         return SectorTag.A_I

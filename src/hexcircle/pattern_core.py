@@ -351,11 +351,8 @@ def zero_curvature_residual(zf: ZField, base: MultiIndex, i: int, j: int,
     with zf.params.backend().context():
         deltas = deltas or lax_deltas(zf.params)
         return _face_gap([zf[s] for s in face_sites(base, i, j)],
-                         deltas[i], deltas[j], _mu_max(mu_samples))
-
-
-def _mu_max(mu_samples) -> float:
-    return max((abs(complex(mu)) for mu in mu_samples), default=0.0)
+                         deltas[i], deltas[j],
+                         max((abs(complex(mu)) for mu in mu_samples), default=0.0))
 
 
 def _face_gap(corners, delta_i, delta_j, mu_max: float) -> float:
@@ -373,7 +370,7 @@ def _face_gap(corners, delta_i, delta_j, mu_max: float) -> float:
 
 def max_zero_curvature_residual(zf: ZField,
                                 mu_samples=DEFAULT_MU_SAMPLES) -> float:
-    mu_max = _mu_max(mu_samples)
+    mu_max = max((abs(complex(mu)) for mu in mu_samples), default=0.0)
     with zf.params.backend().context():
         deltas = lax_deltas(zf.params)
         return worst_of(_face_gap([zf[s] for s in sites], deltas[FACE_SPAN[t][0]],

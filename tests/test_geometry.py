@@ -219,3 +219,13 @@ def test_sg_immersion_fails_collapsed_edge():
     assert sg_immersion_check(sg).ok
     sg.values[(2, 0)] = sg.values[(1, 0)]
     assert not sg_immersion_check(sg).ok
+
+
+def test_straight_angle_at_origin_is_not_a_flip():
+    # with c * alpha_i = pi the two origin triangles spanning that angle have
+    # zero area but three distinct corners; only a collapsed edge fails
+    for alphas in ((math.pi / 6, math.pi / 6, 2 * math.pi / 3),
+                   (math.pi / 6, 2 * math.pi / 3, math.pi / 6)):
+        zf = generate_z(PatternParams(alphas=alphas, c=1.5), 6)
+        assert (0, 0, 0) not in [site for site, _ in immersion_check(zf).failures]
+        assert sg_immersion_check(sg_slice(zf)).ok
