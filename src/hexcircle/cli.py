@@ -83,6 +83,10 @@ def cmd_generate(args) -> int:
     except PositivityViolation as exc:
         print(f"positivity failure: {exc}", file=sys.stderr)
         return EXIT_MATH
+    except ArithmeticError as exc:
+        # a degenerate stencil, an overflow or a layout that fails to close
+        print(f"mathematical failure: {exc}", file=sys.stderr)
+        return EXIT_MATH
     except (pattern_core.UnsupportedExponentError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -60,15 +60,25 @@ def _fmt(x: float, precision: str, dps: int) -> str:
         return mp.nstr(mp.mpf(x), dps + 5)
 
 
-def _parse_number(s: str, precision: str, dps: int):
+def _parse_number(s: str, precision: str):
+    """One stored number; extended numbers are read at the caller's
+    working precision."""
     if s == "inf":
         return math.inf
     if s == "-inf":
         return -math.inf
-    if precision == "double":
-        return float(s)
-    with mp.workdps(dps + 5):
-        return mp.mpf(s)
+    try:
+        return float(s) if precision == "double" else mp.mpf(s)
+    except (ValueError, ZeroDivisionError):
+        # mpmath also reads fractions such as "1/0"
+        raise DocumentError(f"bad number: {s}") from None
+
+
+def _parse_site(parts: List[str]) -> MultiIndex:
+    try:
+        return (int(parts[0]), int(parts[1]), int(parts[2]))
+    except ValueError:
+        raise DocumentError(f"bad site index: {' '.join(parts[:3])}") from None
 
 
 def save_document(doc: PatternDocument, path: str) -> None:
@@ -110,7 +120,7 @@ def load_document(path: str) -> PatternDocument:
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = [ln.rstrip("\n") for ln in fh]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     if not lines or lines[0] != FORMAT_HEADER:
         raise DocumentError("missing or unsupported format header")
@@ -134,19 +144,20 @@ def load_document(path: str) -> PatternDocument:
             key, val = (part.strip() for part in ln.split("=", 1))
             kv[key] = val
         elif section == "[summary]":
+            if "=" not in ln:
+                raise DocumentError(f"bad summary line: {ln}")
             key, val = (part.strip() for part in ln.split("=", 1))
-            summary[key] = float(val)
+            summary[key] = _parse_number(val, "double")
         elif section == "[vertices]":
             parts = ln.split()
             if len(parts) != 5:
                 raise DocumentError(f"bad vertex line: {ln}")
-            site = (int(parts[0]), int(parts[1]), int(parts[2]))
-            vertices[site] = (parts[3], parts[4])
+            vertices[_parse_site(parts)] = (parts[3], parts[4])
         elif section == "[radii]":
             parts = ln.split()
             if len(parts) != 4:
                 raise DocumentError(f"bad radius line: {ln}")
-            radii[(int(parts[0]), int(parts[1]), int(parts[2]))] = parts[3]
+            radii[_parse_site(parts)] = parts[3]
         else:
             raise DocumentError(f"content outside any section: {ln}")
     try:
@@ -166,16 +177,16 @@ def load_document(path: str) -> PatternDocument:
             params=params, n_max=int(kv["n"]), mode=kv.get("mode", "hex"),
             route=kv.get("route", "crossratio"), summary=summary,
             pole_sites=poles, tool=kv.get("tool", "unknown"))
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, ZeroDivisionError) as exc:
         raise DocumentError(f"bad parameter block: {exc}") from exc
     with mp.workdps(dps + 5):
         for site, (re_s, im_s) in vertices.items():
-            re = _parse_number(re_s, precision, dps)
-            im = _parse_number(im_s, precision, dps)
+            re = _parse_number(re_s, precision)
+            im = _parse_number(im_s, precision)
             if precision == "double":
                 doc.vertices[site] = complex(re, im)
             else:
                 doc.vertices[site] = mp.mpc(re, im)
         for site, val in radii.items():
-            doc.radii[site] = _parse_number(val, precision, dps)
+            doc.radii[site] = _parse_number(val, precision)
     return doc

@@ -348,37 +348,35 @@ def immersion_check(zf: ZField, slab_only: bool = False,
                     eps_scale: float = 1e-12) -> ImmersionReport:
     """Uniform positive orientation of the three elementary triangles at
     every stored site, plus pairwise interior-disjointness of adjacent
-    pattern faces; see _flipped for the triangle test."""
+    pattern faces; see _flipped for the triangle test.  Both sweeps run in
+    double on one snapshot of the field."""
     report = ImmersionReport()
-    vals = zf.values
-    for (k, l, m), z0 in vals.items():
+    pts = {site: complex(z) for site, z in zf.values.items()}
+    for (k, l, m), z0 in pts.items():
         if slab_only and abs(k + l + m) > 1:
             continue
-        zk = vals.get((k + 1, l, m))
-        zl = vals.get((k, l + 1, m))
-        zm = vals.get((k, l, m - 1))
-        z0c = complex(z0)
+        zk = pts.get((k + 1, l, m))
+        zl = pts.get((k, l + 1, m))
+        zm = pts.get((k, l, m - 1))
         # the k-l fan spans two face corners; it reads as a face orientation
         # only where the spoke ring is complete (+e3 still inside the
         # domain).  At the branch-point corner it measures the full image
         # sector, which legitimately exceeds pi for large exponents.
-        triangles = [((z0c, zk, zm), "k-m"), ((z0c, zm, zl), "m-l")]
+        triangles = [((zk, zm), "k-m"), ((zm, zl), "m-l")]
         if m <= -1:
-            triangles.append(((z0c, zk, zl), "k-l"))
-        for tri in triangles:
-            (a, b, c_), name = tri
+            triangles.append(((zk, zl), "k-l"))
+        for (b, c_), name in triangles:
             if b is None or c_ is None:
                 continue
-            b, c_ = complex(b), complex(c_)
             report.checked_triangles += 1
-            if _flipped(a, b, c_, eps_scale):
+            if _flipped(z0, b, c_, eps_scale):
                 report.failures.append(((k, l, m), f"orientation-flip:{name}"))
     # radius positivity (degenerate zero radii at a flagged pole are allowed)
     for sub, r in extract_radii(zf).items():
         if math.isnan(r) or r < 0:
             report.failures.append((lattice.sub_to_vertex(sub), "nonpositive-radius"))
     # adjacent-face overlap sweep
-    h_faces = list(iter_slab_faces(vals))
+    h_faces = list(iter_slab_faces(pts))
     by_edge: Dict[frozenset, List[int]] = {}
     for idx, sites in enumerate(h_faces):
         for a in range(4):
@@ -389,20 +387,15 @@ def immersion_check(zf: ZField, slab_only: bool = False,
             for jj in range(ii + 1, len(members)):
                 fa, fb = h_faces[members[ii]], h_faces[members[jj]]
                 report.checked_quads += 1
-                if _quads_overlap(zf, fa, fb, edge):
+                if _quads_overlap(pts, fa, fb, edge):
                     report.failures.append((fa[0], "overlapping-quads"))
     return report
 
 
-def _quads_overlap(zf: ZField, fa, fb, shared: frozenset) -> bool:
+def _quads_overlap(pts: Dict[MultiIndex, complex], fa, fb, shared: frozenset) -> bool:
     def edges(face):
-        pts = [complex(zf[s]) for s in face]
-        out = []
-        for a in range(4):
-            pair = frozenset((face[a], face[(a + 1) % 4]))
-            if pair != shared:
-                out.append((pts[a], pts[(a + 1) % 4]))
-        return out
+        return [(pts[face[a]], pts[face[(a + 1) % 4]]) for a in range(4)
+                if frozenset((face[a], face[(a + 1) % 4])) != shared]
     for a1, a2 in edges(fa):
         for b1, b2 in edges(fb):
             if _proper_crossing(a1, a2, b1, b2):
@@ -425,7 +418,7 @@ class SquareGridPattern:
         out = []
         for site, z in sorted(lifted.items()):
             if lattice.parity(site) == 0:
-                dists = axis_distances(lifted, site)
+                dists = [float(d) for d in axis_distances(lifted, site)]
                 if dists:
                     out.append(Circle(center=complex(z), radius=sum(dists) / len(dists),
                                       site=site))

@@ -37,6 +37,8 @@ class Backend:
     def __post_init__(self):
         if self.mode not in (DOUBLE, EXTENDED):
             raise ValueError(f"unknown precision mode {self.mode!r}")
+        if self.mode == EXTENDED and self.dps < 1:
+            raise ValueError(f"extended precision needs dps >= 1, not {self.dps}")
 
     @property
     def is_double(self) -> bool:

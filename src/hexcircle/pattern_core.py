@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from .lattice import MultiIndex, axis_neighbors, generation, parity, q_sites
-from .numerics import Backend, ComplexNumber, DOUBLE, backend_for, worst_of
+from .numerics import Backend, ComplexNumber, DOUBLE, Number, backend_for, worst_of
 
 ANGLE_SUM_TOL = 1e-12
 
@@ -48,6 +48,8 @@ class PatternParams:
 
     def __post_init__(self):
         a1, a2, a3 = self.alphas
+        if not all(math.isfinite(a) for a in self.alphas):
+            raise ValueError("intersection angles must be finite")
         if min(a1, a2, a3) <= 0:
             raise ValueError("intersection angles must be positive")
         if abs(a1 + a2 + a3 - math.pi) > ANGLE_SUM_TOL:
@@ -55,8 +57,10 @@ class PatternParams:
         if not (0 <= self.c <= 2):
             # c = 0 only occurs as the dual of the c = 2 pattern
             raise ValueError("exponent must satisfy 0 <= c <= 2")
-        if self.alpha_pi_fracs is not None and sum(self.alpha_pi_fracs) != 1:
-            raise ValueError("pi-fractions of the angles must sum to 1")
+        if self.alpha_pi_fracs is not None and (len(self.alpha_pi_fracs) != 3
+                                                or sum(self.alpha_pi_fracs) != 1):
+            raise ValueError("need three pi-fractions of the angles summing to 1")
+        self.backend()  # rejects an unknown precision mode or dps
 
     def backend(self) -> Backend:
         return backend_for(self.precision, self.dps)
@@ -166,13 +170,12 @@ def iter_slab_faces(stored: Mapping[MultiIndex, object]) -> Iterator[Tuple[Multi
 
 
 def axis_distances(values: Mapping[MultiIndex, ComplexNumber],
-                   site: MultiIndex) -> List[float]:
+                   site: MultiIndex) -> List[Number]:
     """Distances from site to its stored axis neighbors, in axis_neighbors
-    order.  Uses the built-in abs: extended values must be passed inside
-    the caller's backend context."""
+    order, at the precision of the values.  Uses the built-in abs:
+    extended values must be passed inside the caller's backend context."""
     z = values[site]
-    return [float(abs(values[nb] - z)) for nb in axis_neighbors(site)
-            if nb in values]
+    return [abs(values[nb] - z) for nb in axis_neighbors(site) if nb in values]
 
 
 def face_targets(params: PatternParams, bk: Optional[Backend] = None):
@@ -247,12 +250,30 @@ def max_face_residual(zf: ZField) -> float:
         targets = face_targets(zf.params, bk)
         residuals = []
         for t, sites in iter_faces(zf):
-            corners = [zf[s] for s in sites]
-            if any(corners[i] == corners[(i + 1) % 4] for i in range(4)):
-                continue
-            q = cross_ratio(*corners)
-            residuals.append(float(abs(q - targets[t])))
+            face = face_defect([zf[s] for s in sites], targets[t])
+            if face is not None:
+                residuals.append(face[0])
     return worst_of(residuals)
+
+
+def face_defect(corners, r):
+    """Cross-ratio defect |q - r| of one face, and the face's edges.
+
+    With the edges a = zb - za, b = za - zd, c = zb - zc, e = zc - zd of the
+    corners (za, zb, zc, zd), the face cross-ratio is q = a e / (b c), so
+    |q - r| = |a e - r b c| / (|b| |c|).  The numerator carries the
+    cancellation the checks measure and is formed at the working precision
+    of the corners, without a division; the moduli only scale it and are
+    taken in double.  Returns (defect, (a, b, c, e)) with the edges at
+    working precision, or None when an edge is zero.  Extended corners must
+    be passed inside the caller's backend context.
+    """
+    za, zb, zc, zd = corners
+    a, b, c, e = zb - za, za - zd, zb - zc, zc - zd
+    if not (a and b and c and e):
+        return None
+    n = a * e - r * (b * c)
+    return abs(complex(n)) / (abs(complex(b)) * abs(complex(c))), (a, b, c, e)
 
 
 def constraint_residual(zf: ZField, p: MultiIndex) -> ComplexNumber:
@@ -344,28 +365,27 @@ def zero_curvature_residual(zf: ZField, base: MultiIndex, i: int, j: int,
     parts.  With the edges a = zb - za, b = za - zd, c = zb - zc,
     e = zc - zd (so a + b = c + e) and G = delta_i b c - delta_j a e, their
     entries differ by mu G / (b e), mu G (e - a) / (a b c e) and
-    mu G / (a c), which gives the gap in closed form.  G carries the
-    cancellation the check measures and is formed at the working precision
-    of the field; the edge lengths only scale it and are taken in double.
+    mu G / (a c), which gives the gap in closed form.  Since |delta_j| = 1,
+    |G| / (|b| |c|) is the face_defect of the face against
+    r = delta_i / delta_j.
     """
     with zf.params.backend().context():
         deltas = deltas or lax_deltas(zf.params)
-        return _face_gap([zf[s] for s in face_sites(base, i, j)],
-                         deltas[i], deltas[j],
-                         max((abs(complex(mu)) for mu in mu_samples), default=0.0))
+        return _lax_gap([zf[s] for s in face_sites(base, i, j)],
+                        deltas[i] / deltas[j],
+                        max((abs(complex(mu)) for mu in mu_samples), default=0.0))
 
 
-def _face_gap(corners, delta_i, delta_j, mu_max: float) -> float:
-    """zero_curvature_residual of one face from its corners; the caller
-    holds the backend context."""
-    za, zb, zc, zd = corners
-    a, b, c, e = zb - za, za - zd, zb - zc, zc - zd
-    if not (a and b and c and e):
+def _lax_gap(corners, r, mu_max: float) -> float:
+    """zero_curvature_residual of one face from its corners and
+    r = delta_i / delta_j; the caller holds the backend context."""
+    face = face_defect(corners, r)
+    if face is None:
         raise DegenerateQuadError("degenerate edge in transport matrix")
-    gap = abs(complex(delta_i * b * c - delta_j * a * e))
-    a, b, c, e = complex(a), complex(b), complex(c), complex(e)
-    la, lb, lc, le = abs(a), abs(b), abs(c), abs(e)
-    return mu_max * gap * max(la * lc, lb * le, abs(e - a)) / (la * lb * lc * le)
+    defect, edges = face
+    a, b, c, e = (complex(x) for x in edges)
+    la, lc, le = abs(a), abs(c), abs(e)
+    return mu_max * defect * max(la * lc, abs(b) * le, abs(e - a)) / (la * le)
 
 
 def max_zero_curvature_residual(zf: ZField,
@@ -373,8 +393,8 @@ def max_zero_curvature_residual(zf: ZField,
     mu_max = max((abs(complex(mu)) for mu in mu_samples), default=0.0)
     with zf.params.backend().context():
         deltas = lax_deltas(zf.params)
-        return worst_of(_face_gap([zf[s] for s in sites], deltas[FACE_SPAN[t][0]],
-                                  deltas[FACE_SPAN[t][1]], mu_max)
+        ratios = {t: deltas[i] / deltas[j] for t, (i, j) in FACE_SPAN.items()}
+        return worst_of(_lax_gap([zf[s] for s in sites], ratios[t], mu_max)
                         for t, sites in iter_faces(zf))
 
 
@@ -384,7 +404,7 @@ def kite_spread(zf: ZField, center: MultiIndex) -> Tuple[float, float]:
     if parity(center) != 0:
         raise ValueError("kite centers have even coordinate sum")
     with zf.params.backend().context():
-        dists = axis_distances(zf.values, center)
+        dists = [float(d) for d in axis_distances(zf.values, center)]
     if not dists:
         raise IncompleteStencilError(center)
     return sum(dists) / len(dists), max(dists) - min(dists)

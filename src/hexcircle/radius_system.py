@@ -392,7 +392,7 @@ def extract_radii(zf: ZField, n_max: Optional[int] = None) -> Dict[SubIndex, flo
             sub = lattice.to_sub(site)
             if n_max is not None and lattice.sub_generation(sub) > n_max:
                 continue
-            dists = axis_distances(zf.values, site)
+            dists = [float(d) for d in axis_distances(zf.values, site)]
             if dists:
                 out[sub] = sum(dists) / len(dists)
     return out

@@ -32,7 +32,7 @@ def render_svg(doc: PatternDocument, show: str = "both", scale: float = 100.0,
     if doc.mode == "sg":
         for site, z in vertices.items():
             if parity(site) == 0:
-                dists = axis_distances(vertices, site)
+                dists = [float(d) for d in axis_distances(vertices, site)]
                 if dists:
                     circles.append((z, sum(dists) / len(dists)))
     else:

@@ -67,6 +67,10 @@ def run_checks(doc: PatternDocument, checks=None,
             # a degenerate stencil is a failed check, not a crash
             report.notes.append(f"{name}: {exc}")
             res = math.inf
+        except pattern_core.IncompleteStencilError as exc:
+            # so is a stencil the document does not store
+            report.notes.append(f"{name}: missing vertex {exc}")
+            res = math.inf
         if res is None:
             continue
         report.residuals[name] = res
@@ -126,7 +130,8 @@ def _residual(name, doc, zf, rf, notes) -> Optional[float]:
 
 def max_kite_residual(zf) -> float:
     """Worst deviation of the neighbor distances around any center from a
-    common value (max/min ratio minus one).
+    common value (max/min ratio minus one), formed at the working precision
+    of the field.
 
     A center whose neighbors all coincide with it (the branch point of the
     c = 2 pattern) is skipped; one with some but not all distances zero is
@@ -138,9 +143,11 @@ def max_kite_residual(zf) -> float:
             if lattice.parity(site) != 0:
                 continue
             dists = pattern_core.axis_distances(zf.values, site)
-            if any(math.isnan(d) for d in dists):
+            if any(d != d for d in dists):
                 return math.nan
-            if len(dists) < 2 or max(dists) == 0:
+            if len(dists) < 2:
                 continue
-            spreads.append(max(dists) / min(dists) - 1.0 if min(dists) else math.inf)
+            lo, hi = min(dists), max(dists)
+            if hi:
+                spreads.append(float(hi / lo - 1) if lo else math.inf)
     return worst_of(spreads)

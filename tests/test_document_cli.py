@@ -184,3 +184,44 @@ def test_document_rejects_garbage(tmp_path):
         fh.write("not a pattern\n")
     with pytest.raises(DocumentError):
         load_document(path)
+
+
+def test_cli_generate_rejects_non_finite_angles(tmp_path):
+    path = tmp_path / "nan.txt"
+    assert run_cli(["generate", "--c", "1.5", "--alpha", "1,1,nan", "--n", "4",
+                    "--out", str(path)]) == 2
+    assert not path.exists()
+
+
+def test_cli_generate_rejects_nonpositive_dps(tmp_path):
+    path = str(tmp_path / "x.txt")
+    for dps in ("0", "-3"):
+        assert run_cli(["generate", "--c", "1.5", "--n", "4", "--precision",
+                        "ext", "--dps", dps, "--out", path]) == 2
+
+
+def test_cli_generate_maps_arithmetic_failure_to_exit_3(tmp_path, monkeypatch):
+    from hexcircle import pattern_core
+
+    def degenerate(params, n_max):
+        raise pattern_core.DegenerateQuadError("no finite fourth vertex")
+    monkeypatch.setattr(pattern_core, "generate_z", degenerate)
+    assert run_cli(["generate", "--c", "1.5", "--n", "4",
+                    "--out", str(tmp_path / "x.txt")]) == 3
+
+
+@pytest.mark.parametrize("section, bad", [
+    ("[summary]", "crossratio 1e-16"),
+    ("[vertices]", "0 x 0 0.0 0.0"),
+    ("[vertices]", "50 0 0 zero 0.0"),
+])
+def test_loader_errors_exit_2(tmp_path, section, bad):
+    path = str(tmp_path / "pat.txt")
+    run_cli(["generate", "--c", "1.5", "--n", "4", "--out", path])
+    with open(path) as fh:
+        text = fh.read()
+    with open(path, "w") as fh:
+        fh.write(text.replace(section + "\n", section + "\n" + bad + "\n"))
+    with pytest.raises(DocumentError):
+        load_document(path)
+    assert run_cli(["verify", path]) == 2

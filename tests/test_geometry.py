@@ -229,3 +229,37 @@ def test_straight_angle_at_origin_is_not_a_flip():
         zf = generate_z(PatternParams(alphas=alphas, c=1.5), 6)
         assert (0, 0, 0) not in [site for site, _ in immersion_check(zf).failures]
         assert sg_immersion_check(sg_slice(zf)).ok
+
+
+def test_immersion_on_extended_radius_document_matches_complex_copy(tmp_path):
+    from hexcircle import cli
+    from hexcircle.document import load_document
+    from hexcircle.pattern_core import ZField
+    path = str(tmp_path / "z2.txt")
+    assert cli.main(["generate", "--c", "2", "--mode", "z2", "--n", "8",
+                     "--precision", "ext", "--dps", "80", "--out", path]) == 0
+    zf = load_document(path).zfield()
+    # drag one intersection point across its quad so that there is
+    # something to report
+    site, other = (2, 2, -3), (1, 2, -3)
+    with zf.params.backend().context():
+        zf.values[site] += 1.4 * (zf.values[other] - zf.values[site])
+    copy = ZField(params=zf.params, generation=zf.generation,
+                  values={s: complex(z) for s, z in zf.values.items()})
+    rep, ref = (immersion_check(f, slab_only=True) for f in (zf, copy))
+    assert rep.failures and rep.failures == ref.failures
+    assert (rep.checked_triangles, rep.checked_quads) == (
+        ref.checked_triangles, ref.checked_quads)
+    assert rep.checked_quads > 100
+
+
+def test_immersion_detects_overlapping_quads_on_extended_field():
+    params = isotropic_params(1.25, precision="ext", dps=40)
+    zf = generate_z(params, 7)
+    assert immersion_check(zf).ok
+    site = (2, 2, -3)
+    with params.backend().context():
+        here, there = zf.values[site], zf.values[(1, 2, -3)]
+        zf.values[site] = here + 1.4 * (there - here)
+    assert any(kind == "overlapping-quads"
+               for _, kind in immersion_check(zf).failures)

@@ -273,3 +273,81 @@ def test_zero_curvature_residual_runs_at_field_precision():
     zf = generate_z(isotropic_params(1.5, precision="ext", dps=40), 6)
     assert zero_curvature_residual(zf, (1, 1, -1), 1, 3) <= 1e-30
     assert lax_deltas(zf.params, zf)["closure"] <= 1e-30
+
+
+def _corrupted_ext_field():
+    params = isotropic_params(1.5, precision="ext", dps=40)
+    zf = generate_z(params, 6)
+    with params.backend().context():
+        zf.values[(2, 1, -1)] += params.backend().real("1e-3")
+    return zf
+
+
+def _random_double_field():
+    rng = random.Random(11)
+    zf = generate_z(isotropic_params(1.5), 4)
+    for site in list(zf.values):
+        zf.values[site] = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+    return zf
+
+
+def test_face_defect_matches_cross_ratio_reference():
+    # per face, |a e - r b c| / (|b||c|) is |cross_ratio - r|; faces away
+    # from the corrupted vertex sit at the 40-digit roundoff level
+    for zf in (_random_double_field(), _corrupted_ext_field()):
+        bk = zf.params.backend()
+        with bk.context():
+            targets = pattern_core.face_targets(zf.params, bk)
+            ref = {}
+            for t, sites in pattern_core.iter_faces(zf):
+                corners = [zf[s] for s in sites]
+                got = pattern_core.face_defect(corners, targets[t])[0]
+                ref[sites] = float(abs(cross_ratio(*corners) - targets[t]))
+                assert got == pytest.approx(ref[sites], rel=1e-9, abs=1e-36)
+        assert max(ref.values()) >= 1e-5
+        assert pattern_core.max_face_residual(zf) == pytest.approx(
+            max(ref.values()), rel=1e-9)
+
+
+def test_face_defect_skips_collapsed_faces():
+    assert pattern_core.face_defect([0j, 1 + 0j, 1 + 0j, 1j], 1) is None
+    zf = generate_z(isotropic_params(1.5), 4)
+    zf.values[(2, 0, 0)] = zf.values[(1, 0, 0)]
+    assert pattern_core.max_face_residual(zf) > 1e-3
+
+
+def test_zero_curvature_matches_matrix_products_per_face_ext():
+    zf = _corrupted_ext_field()
+    deltas = lax_deltas(zf.params)
+    with zf.params.backend().context():
+        gaps = _explicit_gaps(zf)
+    for (v, i, j), gap in gaps.items():
+        assert zero_curvature_residual(zf, v, i, j, deltas=deltas) == pytest.approx(
+            gap, rel=1e-9, abs=1e-36)
+    assert max(gaps.values()) >= 1e-5
+
+
+def test_params_reject_non_finite_angles_and_bad_precision():
+    for alphas in ((1.0, 1.0, math.nan), (math.inf, 1.0, 1.0)):
+        with pytest.raises(ValueError):
+            PatternParams(alphas=alphas, c=1.0)
+    for dps in (0, -3):
+        with pytest.raises(ValueError):
+            isotropic_params(1.5, precision="ext", dps=dps)
+    with pytest.raises(ValueError):
+        isotropic_params(1.5, precision="quad")
+
+
+def test_kite_residual_sees_defects_below_double_roundoff():
+    from hexcircle import verify
+    params = isotropic_params(1.5, precision="ext", dps=40)
+    zf = generate_z(params, 6)
+    assert verify.max_kite_residual(zf) <= 1e-35
+    center, nb = (2, 1, -1), (3, 1, -1)
+    with params.backend().context():
+        stretch = 1 + params.backend().real("1e-25")
+        zf.values[nb] = zf.values[center] + (zf.values[nb] - zf.values[center]) * stretch
+    assert 1e-26 <= verify.max_kite_residual(zf) <= 1e-24
+    # radii are still the double means of the distances
+    from hexcircle.radius_system import extract_radii
+    assert all(isinstance(r, float) for r in extract_radii(zf).values())
