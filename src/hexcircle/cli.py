@@ -16,7 +16,7 @@ from .document import DocumentError, PatternDocument, load_document, save_docume
 from .numerics import parse_angles
 from .pattern_core import PatternParams
 from .radius_system import PositivityViolation
-from .svg import render_svg
+from .svg import NonFiniteError, render_svg
 from .verify import ALL_CHECKS, run_checks
 
 EXIT_OK = 0
@@ -124,6 +124,9 @@ def cmd_render(args) -> int:
         return EXIT_USAGE
     try:
         text = render_svg(doc, show=args.show, scale=args.scale)
+    except NonFiniteError as exc:
+        print(f"mathematical failure: {exc}", file=sys.stderr)
+        return EXIT_MATH
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

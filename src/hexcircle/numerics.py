@@ -13,7 +13,7 @@ import contextlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Mapping, Optional, Tuple, Union
 
 import mpmath as mp
 
@@ -25,6 +25,10 @@ EXTENDED = "ext"
 
 #: mantissa of ~128 bits expressed in decimal digits
 DEFAULT_EXT_DPS = 40
+#: largest working precision: every cost of an extended run grows with it,
+#: and the deepest planned runs (compare_routes, 4n + 4 digits) stay far
+#: below it
+MAX_DPS = 1000
 
 
 @dataclass(frozen=True)
@@ -37,8 +41,9 @@ class Backend:
     def __post_init__(self):
         if self.mode not in (DOUBLE, EXTENDED):
             raise ValueError(f"unknown precision mode {self.mode!r}")
-        if self.mode == EXTENDED and self.dps < 1:
-            raise ValueError(f"extended precision needs dps >= 1, not {self.dps}")
+        if self.mode == EXTENDED and not 1 <= self.dps <= MAX_DPS:
+            raise ValueError(f"extended precision needs 1 <= dps <= {MAX_DPS}, "
+                             f"not {self.dps}")
 
     @property
     def is_double(self) -> bool:
@@ -138,6 +143,127 @@ def worst_of(residuals) -> float:
             return math.nan
         worst = max(worst, x)
     return worst
+
+
+#: binary exponents bounding the nonzero doubles: 2**-1074 <= |x| < 2**1024
+MIN_EXP, MAX_EXP = -1074, 1024
+
+
+class ExactComplex:
+    """The exact complex number (x + i y) * 2**e, with Python integers x, y
+    and e: a Gaussian integer scaled by a power of two.
+
+    Every finite float and mpf is m * 2**e, so stored coordinates convert
+    without rounding, and sums, differences and products stay exact (there
+    is no division).  complex() rounds once, to double.  The operands of a
+    sum are aligned to the smaller exponent, so integer widths stay bounded
+    when the inputs lie in a bounded exponent range, which snapshot() ensures.
+    """
+
+    __slots__ = ("x", "y", "e")
+
+    def __init__(self, x: int, y: int, e: int):
+        self.x, self.y, self.e = x, y, e
+
+    def __add__(self, other: "ExactComplex") -> "ExactComplex":
+        d = self.e - other.e
+        if d >= 0:
+            return ExactComplex((self.x << d) + other.x, (self.y << d) + other.y, other.e)
+        return ExactComplex(self.x + (other.x << -d), self.y + (other.y << -d), self.e)
+
+    def __sub__(self, other: "ExactComplex") -> "ExactComplex":
+        d = self.e - other.e
+        if d >= 0:
+            return ExactComplex((self.x << d) - other.x, (self.y << d) - other.y, other.e)
+        return ExactComplex(self.x - (other.x << -d), self.y - (other.y << -d), self.e)
+
+    def __mul__(self, other) -> "ExactComplex":
+        if isinstance(other, int):
+            return ExactComplex(self.x * other, self.y * other, self.e)
+        x, y, u, v = self.x, self.y, other.x, other.y
+        return ExactComplex(x * u - y * v, x * v + y * u, self.e + other.e)
+
+    __rmul__ = __mul__
+
+    def __bool__(self) -> bool:
+        return bool(self.x or self.y)
+
+    def conjugate(self) -> "ExactComplex":
+        return ExactComplex(self.x, -self.y, self.e)
+
+    def __complex__(self) -> complex:
+        return complex(_ldexp(self.x, self.e), _ldexp(self.y, self.e))
+
+
+def _ldexp(m: int, e: int) -> float:
+    """m * 2**e rounded to double; m may exceed the double range."""
+    shift = m.bit_length() - 1000
+    if shift > 0:
+        m >>= shift
+        e += shift
+    return math.ldexp(m, e)
+
+
+def _from_mpf(t, min_exp: int) -> Optional[Tuple[int, int]]:
+    """(m, e) with m * 2**e the mpf of the raw tuple t, or None when it is
+    not finite or lies outside 2**min_exp <= |x| < 2**MAX_EXP."""
+    sign, man, exp, bc = t
+    if not man:
+        return None if exp else (0, 0)  # mpmath codes inf and nan as man 0
+    if not min_exp < exp + bc <= MAX_EXP:
+        return None
+    return (-man if sign else man), exp
+
+
+def _from_float(x: float) -> Optional[Tuple[int, int]]:
+    if not math.isfinite(x):
+        return None
+    m, e = math.frexp(x)
+    return int(m * 2.0 ** 53), e - 53
+
+
+def _exact(z, min_exp: int) -> Optional[ExactComplex]:
+    if isinstance(z, mp.mpc):
+        re, im = (_from_mpf(t, min_exp) for t in z._mpc_)
+    elif isinstance(z, mp.mpf):
+        re, im = _from_mpf(z._mpf_, min_exp), (0, 0)
+    else:
+        z = complex(z)
+        re, im = _from_float(z.real), _from_float(z.imag)
+    if re is None or im is None:
+        return None
+    (x, ex), (y, ey) = re, im
+    if not y:
+        return ExactComplex(x, 0, ex)
+    if not x:
+        return ExactComplex(0, y, ey)
+    if ex >= ey:
+        return ExactComplex(x << (ex - ey), y, ey)
+    return ExactComplex(x, y << (ey - ex), ex)
+
+
+def snapshot(bk: Backend, values: Mapping):
+    """The values (mpc, mpf, complex, float or int) read exactly, for the
+    extended-precision sweeps.
+
+    In extended mode each value becomes an ExactComplex, so arithmetic on
+    the snapshot never rounds.  Each nonzero coordinate must lie in
+    2**(MIN_EXP - 4 dps) <= |x| < 2**MAX_EXP: the double range, widened
+    below by the roundoff (10**-dps > 2**(-4 dps) of the field's scale)
+    that extended arithmetic leaves on a coordinate that should be zero.
+    That window bounds the integer widths.  The snapshot is None when some
+    coordinate is not finite or lies outside it, which the sweeps report as
+    NaN.  In double mode the snapshot is the values themselves.
+    """
+    if bk.is_double:
+        return values
+    min_exp = MIN_EXP - 4 * bk.dps
+    out = {}
+    for key, z in values.items():
+        out[key] = ez = _exact(z, min_exp)
+        if ez is None:
+            return None
+    return out
 
 
 def parse_angles(spec: str) -> tuple[tuple[float, float, float],

@@ -15,7 +15,8 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from .lattice import MultiIndex, axis_neighbors, generation, parity, q_sites
-from .numerics import Backend, ComplexNumber, DOUBLE, Number, backend_for, worst_of
+from .numerics import (Backend, ComplexNumber, DOUBLE, Number, backend_for,
+                       snapshot, worst_of)
 
 ANGLE_SUM_TOL = 1e-12
 
@@ -244,13 +245,17 @@ def generate_z(params: PatternParams, n_max: int,
 def max_face_residual(zf: ZField) -> float:
     """Worst |q - exp(-2 i alpha)| over stored faces; faces collapsed onto a
     point-circle (the c = 2 branch point) carry no cross-ratio and are
-    skipped."""
+    skipped.  An extended field is read exactly (numerics.snapshot), so the
+    defects carry no rounding before their final conversion to double."""
     bk = zf.params.backend()
     with bk.context():
-        targets = face_targets(zf.params, bk)
+        values = snapshot(bk, zf.values)
+        if values is None:
+            return math.nan
+        targets = snapshot(bk, face_targets(zf.params, bk))
         residuals = []
         for t, sites in iter_faces(zf):
-            face = face_defect([zf[s] for s in sites], targets[t])
+            face = face_defect([values[s] for s in sites], targets[t])
             if face is not None:
                 residuals.append(face[0])
     return worst_of(residuals)
@@ -266,7 +271,8 @@ def face_defect(corners, r):
     of the corners, without a division; the moduli only scale it and are
     taken in double.  Returns (defect, (a, b, c, e)) with the edges at
     working precision, or None when an edge is zero.  Extended corners must
-    be passed inside the caller's backend context.
+    be passed inside the caller's backend context, or as exact snapshot
+    values (numerics.ExactComplex), on which nothing rounds.
     """
     za, zb, zc, zd = corners
     a, b, c, e = zb - za, za - zd, zb - zc, zc - zd
@@ -299,10 +305,43 @@ def interior_sites(zf: ZField) -> Iterator[MultiIndex]:
             yield (k, l, m)
 
 
+def constraint_defect(values: Mapping[MultiIndex, ComplexNumber], c,
+                      p: MultiIndex) -> float:
+    """|constraint_residual| at p with its three divisions cleared.
+
+    With d_j = zu_j - zd_j and P_j = (zu_j - z0)(z0 - zd_j) for the stencil
+    of each axis j (index n_j = k, l, m), the residual is N / (d_1 d_2 d_3)
+    with N = c z0 d_1 d_2 d_3 - 2 sum_j n_j P_j prod_{i != j} d_i.  N is
+    formed at the precision of the values (exactly on a snapshot) and the
+    moduli in double.  Extended values must be passed inside the caller's
+    backend context.
+    """
+    k, l, m = p
+    try:
+        z0 = values[p]
+        u1, w1 = values[(k + 1, l, m)], values[(k - 1, l, m)]
+        u2, w2 = values[(k, l + 1, m)], values[(k, l - 1, m)]
+        u3, w3 = values[(k, l, m + 1)], values[(k, l, m - 1)]
+    except KeyError as exc:
+        raise IncompleteStencilError(exc.args[0]) from None
+    d1, d2, d3 = u1 - w1, u2 - w2, u3 - w3
+    if not (d1 and d2 and d3):
+        raise DegenerateQuadError(f"collinear stencil degenerate at {p}")
+    num = ((c * z0 * d1 - (u1 - z0) * (z0 - w1) * (2 * k)) * (d2 * d3)
+           - ((u2 - z0) * (z0 - w2) * (2 * l) * d3
+              + (u3 - z0) * (z0 - w3) * (2 * m) * d2) * d1)
+    return abs(complex(num)) / (abs(complex(d1)) * abs(complex(d2)) * abs(complex(d3)))
+
+
 def max_constraint_residual(zf: ZField) -> float:
-    with zf.params.backend().context():
-        return worst_of(float(abs(constraint_residual(zf, p)))
-                        for p in interior_sites(zf))
+    """Worst constraint_defect over the interior sites."""
+    bk = zf.params.backend()
+    with bk.context():
+        values = snapshot(bk, zf.values)
+        if values is None:
+            return math.nan
+        c = snapshot(bk, {"c": zf.params.c})["c"]
+        return worst_of(constraint_defect(values, c, p) for p in interior_sites(zf))
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +430,15 @@ def _lax_gap(corners, r, mu_max: float) -> float:
 def max_zero_curvature_residual(zf: ZField,
                                 mu_samples=DEFAULT_MU_SAMPLES) -> float:
     mu_max = max((abs(complex(mu)) for mu in mu_samples), default=0.0)
-    with zf.params.backend().context():
+    bk = zf.params.backend()
+    with bk.context():
+        values = snapshot(bk, zf.values)
+        if values is None:
+            return math.nan
         deltas = lax_deltas(zf.params)
-        ratios = {t: deltas[i] / deltas[j] for t, (i, j) in FACE_SPAN.items()}
-        return worst_of(_lax_gap([zf[s] for s in sites], ratios[t], mu_max)
+        ratios = snapshot(bk, {t: deltas[i] / deltas[j]
+                               for t, (i, j) in FACE_SPAN.items()})
+        return worst_of(_lax_gap([values[s] for s in sites], ratios[t], mu_max)
                         for t, sites in iter_faces(zf))
 
 

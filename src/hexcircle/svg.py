@@ -5,6 +5,7 @@ byte-identical for identical inputs.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from typing import List, Tuple
 
@@ -18,17 +19,26 @@ def _f(x: float) -> str:
     return "0.000000" if out == "-0.000000" else out
 
 
+class NonFiniteError(ArithmeticError):
+    """A vertex or radius to draw is not a finite double."""
+
+
 def render_svg(doc: PatternDocument, show: str = "both", scale: float = 100.0,
                margin: float = 0.6) -> str:
     """SVG 1.1 text for a pattern document.
 
     show selects circles, quads or both; scale sets pixels per unit length.
+    Raises NonFiniteError, naming the site, for a vertex that is not finite
+    in double or a NaN radius (an infinite radius is a pole, not drawn).
     """
     if show not in ("circles", "quads", "both"):
         raise ValueError("show must be circles, quads or both")
     circles: List[Tuple[complex, float]] = []
     # sorted, so that every sweep below runs in a fixed order
     vertices = {s: complex(z) for s, z in sorted(doc.vertices.items())}
+    for site, z in vertices.items():
+        if not cmath.isfinite(z):
+            raise NonFiniteError(f"vertex {site} is not finite in double: {z}")
     if doc.mode == "sg":
         for site, z in vertices.items():
             if parity(site) == 0:
@@ -40,6 +50,8 @@ def render_svg(doc: PatternDocument, show: str = "both", scale: float = 100.0,
         for site, r in sorted(doc.radii.items()):
             if sum(site) != 0 or site in pole or math.isinf(r):
                 continue
+            if math.isnan(r):
+                raise NonFiniteError(f"radius {site} is NaN")
             v = sub_to_vertex(site)
             if v in vertices:
                 circles.append((vertices[v], float(r)))

@@ -7,7 +7,7 @@ from typing import Dict, List, Optional
 
 from . import geometry, lattice, pattern_core, radius_system
 from .document import PatternDocument
-from .numerics import worst_of
+from .numerics import snapshot, worst_of
 
 DEFAULT_TOLERANCES = {
     "crossratio": 1e-9,
@@ -130,24 +130,43 @@ def _residual(name, doc, zf, rf, notes) -> Optional[float]:
 
 def max_kite_residual(zf) -> float:
     """Worst deviation of the neighbor distances around any center from a
-    common value (max/min ratio minus one), formed at the working precision
-    of the field.
+    common value (max/min ratio minus one).
 
-    A center whose neighbors all coincide with it (the branch point of the
-    c = 2 pattern) is skipped; one with some but not all distances zero is
-    a collapsed edge and gives inf.
+    The squared distances are compared exactly on an extended field (read
+    through numerics.snapshot), and hi/lo - 1 is formed from the gap of the
+    largest and smallest as (hi^2 - lo^2) / ((hi + lo) lo), with only that
+    quotient in double.  A center whose neighbors all coincide with it (the
+    branch point of the c = 2 pattern) is skipped; one with some but not all
+    distances zero is a collapsed edge and gives inf.
     """
+    bk = zf.params.backend()
     spreads = []
-    with zf.params.backend().context():
-        for site in zf.values:
+    with bk.context():
+        values = snapshot(bk, zf.values)
+        if values is None:
+            return math.nan
+        for site, z in values.items():
             if lattice.parity(site) != 0:
                 continue
-            dists = pattern_core.axis_distances(zf.values, site)
-            if any(d != d for d in dists):
-                return math.nan
-            if len(dists) < 2:
+            sq = []
+            for nb in lattice.axis_neighbors(site):
+                if nb in values:
+                    d = values[nb] - z
+                    sq.append(d * d.conjugate())
+            if len(sq) < 2:
                 continue
-            lo, hi = min(dists), max(dists)
-            if hi:
-                spreads.append(float(hi / lo - 1) if lo else math.inf)
+            # exact differences to the first, rounded once: they order the
+            # squared distances as the exact values would
+            first = sq[0]
+            gaps = [0.0] + [complex(s - first).real for s in sq[1:]]
+            if math.isnan(sum(gaps)):
+                return math.nan
+            hi, lo = sq[gaps.index(max(gaps))], sq[gaps.index(min(gaps))]
+            if not hi:
+                continue
+            if not lo:
+                spreads.append(math.inf)
+                continue
+            r_hi, r_lo = math.sqrt(complex(hi).real), math.sqrt(complex(lo).real)
+            spreads.append(complex(hi - lo).real / ((r_hi + r_lo) * r_lo))
     return worst_of(spreads)

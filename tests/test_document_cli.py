@@ -225,3 +225,75 @@ def test_loader_errors_exit_2(tmp_path, section, bad):
     with pytest.raises(DocumentError):
         load_document(path)
     assert run_cli(["verify", path]) == 2
+
+
+def _with_vertex(src, dst, site, re, im="0.0"):
+    prefix = "{} {} {} ".format(*site)
+    lines = src.read_text().splitlines()
+    hits = [i for i, ln in enumerate(lines) if ln.startswith(prefix)]
+    lines[hits[0]] = prefix + f"{re} {im}"  # the first is the vertex line
+    dst.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("value", ["1e400", "nan"])
+def test_cli_render_refuses_non_finite_vertex(tmp_path, capsys, value):
+    pat = tmp_path / "e3.txt"
+    assert run_cli(["generate", "--c", "1.5", "--n", "3", "--precision", "ext",
+                    "--dps", "40", "--out", str(pat)]) == 0
+    bad = tmp_path / "bad.txt"
+    _with_vertex(pat, bad, (1, 1, -1), value)
+    svg = tmp_path / "bad.svg"
+    capsys.readouterr()
+    assert run_cli(["render", str(bad), "--out", str(svg)]) == 3
+    assert "(1, 1, -1)" in capsys.readouterr().err
+    assert not svg.exists()
+    assert run_cli(["verify", str(bad)]) == 3
+
+
+def test_cli_render_refuses_nan_radius(tmp_path, capsys):
+    pat = tmp_path / "d.txt"
+    assert run_cli(["generate", "--c", "1.5", "--n", "3", "--out", str(pat)]) == 0
+    doc = load_document(str(pat))
+    site = next(s for s in sorted(doc.radii) if sum(s) == 0)
+    doc.radii[site] = math.nan
+    save_document(doc, str(pat))
+    capsys.readouterr()
+    assert run_cli(["render", str(pat), "--out", str(tmp_path / "d.svg")]) == 3
+    assert str(site) in capsys.readouterr().err
+
+
+def test_cli_precision_cap_exits_2_fast(tmp_path):
+    import time
+    path = tmp_path / "x.txt"
+    t0 = time.perf_counter()
+    assert run_cli(["generate", "--c", "1.5", "--n", "4", "--precision", "ext",
+                    "--dps", "5000", "--out", str(path)]) == 2
+    assert not path.exists()
+    assert time.perf_counter() - t0 < 1.0
+    assert run_cli(["generate", "--c", "1.5", "--n", "3", "--precision", "ext",
+                    "--dps", "40", "--out", str(path)]) == 0
+    path.write_text(path.read_text().replace("dps = 40\n", "dps = 5000\n"))
+    t0 = time.perf_counter()
+    assert run_cli(["verify", str(path)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.fixture(scope="module")
+def ext24(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ext24") / "ext24.txt"
+    assert run_cli(["generate", "--c", "1.5", "--n", "24", "--precision", "ext",
+                    "--dps", "40", "--out", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("value", ["1e-100000", "1e400000"])
+def test_cli_vertex_out_of_magnitude_range_exits_3_fast(ext24, tmp_path, value):
+    import time
+    bad = tmp_path / "bad.txt"
+    _with_vertex(ext24, bad, (3, 2, -1), value)
+    t0 = time.perf_counter()
+    assert run_cli(["verify", str(bad)]) == 3
+    assert time.perf_counter() - t0 < 10.0
+    report = verify.run_checks(load_document(str(bad)),
+                               ["crossratio", "constraint", "laxzc", "kite"])
+    assert all(math.isnan(r) for r in report.residuals.values())

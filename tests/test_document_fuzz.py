@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from hexcircle import cli
 
 GARBAGE = ("", "x", "=", "nan", "inf", "-inf", "0", "-1", "2.5", "1e400",
-           "1e-400", "1/0", "[end]", "[radii]", "0 0 0", "1 2 3 4 5 6")
+           "1e-400", "1e-100000", "1e400000", "1/0", "[end]", "[radii]", "0 0 0",
+           "1 2 3 4 5 6")
 
 index = st.integers(min_value=0, max_value=10**6)
 garbage = st.sampled_from(GARBAGE)

@@ -351,3 +351,82 @@ def test_kite_residual_sees_defects_below_double_roundoff():
     # radii are still the double means of the distances
     from hexcircle.radius_system import extract_radii
     assert all(isinstance(r, float) for r in extract_radii(zf).values())
+
+
+def test_snapshot_kernels_match_mpmath_at_twice_the_precision():
+    # the exact face and constraint kernels against the mpmath formulas at
+    # 80 digits, per face and per site, on a field with a corrupted vertex
+    import mpmath as mp
+    from hexcircle.numerics import snapshot
+    zf = _corrupted_ext_field()
+    bk = zf.params.backend()
+    with bk.context():
+        values = snapshot(bk, zf.values)
+        targets = pattern_core.face_targets(zf.params, bk)
+        exact_targets = snapshot(bk, targets)
+        c = snapshot(bk, {"c": zf.params.c})["c"]
+    face_refs, site_refs = [], []
+    with mp.workdps(2 * zf.params.dps):
+        for t, corners in pattern_core.iter_faces(zf):
+            got = pattern_core.face_defect([values[s] for s in corners], exact_targets[t])[0]
+            ref = float(abs(cross_ratio(*(zf[s] for s in corners)) - targets[t]))
+            assert got == pytest.approx(ref, rel=1e-9)
+            face_refs.append(ref)
+        for p in pattern_core.interior_sites(zf):
+            got = pattern_core.constraint_defect(values, c, p)
+            ref = float(abs(constraint_residual(zf, p)))
+            assert got == pytest.approx(ref, rel=1e-9)
+            site_refs.append(ref)
+    assert len(face_refs) >= 100 and len(site_refs) >= 10
+    # both the corrupted faces and the ones at roundoff level were compared
+    for refs in (face_refs, site_refs):
+        assert max(refs) >= 1e-5 and min(refs) <= 1e-30
+    assert pattern_core.max_constraint_residual(zf) == pytest.approx(max(site_refs), rel=1e-9)
+
+
+def test_constraint_defect_stencil_errors():
+    from hexcircle.numerics import snapshot
+    zf = generate_z(isotropic_params(1.5, precision="ext", dps=40), 6)
+    bk = zf.params.backend()
+    values = snapshot(bk, zf.values)
+    c = snapshot(bk, {"c": zf.params.c})["c"]
+    del values[(2, 1, -1)]
+    with pytest.raises(pattern_core.IncompleteStencilError):
+        pattern_core.constraint_defect(values, c, (1, 1, -1))
+    values[(2, 1, -1)] = values[(0, 1, -1)]
+    with pytest.raises(DegenerateQuadError):
+        pattern_core.constraint_defect(values, c, (1, 1, -1))
+    del zf.values[(2, 1, -1)]
+    with pytest.raises(pattern_core.IncompleteStencilError):
+        pattern_core.max_constraint_residual(zf)
+
+
+def test_kite_residual_exact_at_80_digits():
+    from hexcircle import verify
+    params = isotropic_params(1.5, precision="ext", dps=80)
+    zf = generate_z(params, 5)
+    assert verify.max_kite_residual(zf) <= 1e-75
+    center, nb = (2, 1, -1), (3, 1, -1)
+    with params.backend().context():
+        stretch = 1 + params.backend().real("1e-60")
+        zf.values[nb] = zf.values[center] + (zf.values[nb] - zf.values[center]) * stretch
+    assert 1e-61 <= verify.max_kite_residual(zf) <= 1e-59
+
+
+@pytest.mark.parametrize("precision", ["double", "ext"])
+def test_kite_residual_is_max_over_min_minus_one(precision):
+    # one center with neighbor distances 1.5 (the first), 1 and 2
+    from hexcircle import verify
+    from hexcircle.pattern_core import ZField
+    params = isotropic_params(1.5, precision=precision, dps=40)
+    bk = params.backend()
+    with bk.context():
+        one = bk.exp_i(0)
+        values = {(0, 0, 0): 0 * one, (1, 0, 0): 1.5 * one, (0, 1, 0): 1j * one,
+                  (0, 0, -1): -2 * one}
+    zf = ZField(params=params, values=values, generation=1)
+    assert verify.max_kite_residual(zf) == pytest.approx(1.0, rel=1e-15)
+    # a NaN neighbor that is neither the first nor an extreme still counts
+    with bk.context():
+        values[(0, 1, 0)] = math.nan * one
+    assert math.isnan(verify.max_kite_residual(zf))
