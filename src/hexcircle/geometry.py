@@ -303,7 +303,7 @@ def circle_pattern(zf: ZField, n_max: Optional[int] = None) -> CirclePattern:
             continue
         vertex = lattice.sub_to_vertex(sub)
         if vertex in zf.values:
-            circles.append(Circle(center=complex(zf[vertex]), radius=r, site=sub))
+            circles.append(Circle(center=complex(zf[vertex]), radius=float(r), site=sub))
     inter = {}
     for site, z in zf.values.items():
         if lattice.parity(site) == 1 and abs(site[0] + site[1] + site[2]) == 1:

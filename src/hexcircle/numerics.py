@@ -266,6 +266,28 @@ def snapshot(bk: Backend, values: Mapping):
     return out
 
 
+def aligned_reals(bk: Backend, values: Mapping):
+    """The real values read exactly as integers over one power of two, for
+    the sweeps that multiply stored numbers without a division.
+
+    Returns (ints, one): each value is ints[key] * 2**e, and the integer
+    one = 2**-e stands for 1, with e <= 0 the smallest exponent of the
+    snapshot.  The snapshot's window bounds the widths of these integers.
+    In double mode the values come back as they are, with one = 1.0.  None
+    when some value is not finite or (extended mode) lies outside the
+    snapshot's window, which the sweeps report as NaN.
+    """
+    if bk.is_double:
+        if not all(math.isfinite(v) for v in values.values()):
+            return None
+        return values, 1.0
+    snap = snapshot(bk, values)
+    if snap is None:
+        return None
+    e = min([0] + [z.e for z in snap.values()])
+    return {key: z.x << (z.e - e) for key, z in snap.items()}, 1 << -e
+
+
 def parse_angles(spec: str) -> tuple[tuple[float, float, float],
                                      Optional[tuple[Fraction, Fraction, Fraction]]]:
     """Parse an angle triple.

@@ -14,12 +14,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
+
+import mpmath as mp
 
 from . import lattice
 from .lattice import (SubIndex, TAG_BORDER, TAG_HEX, TAG_SEED, TAG_TRI,
                       border_fill_stencil, black_fill_stencil,
                       hex_coefficients, hex_stencil_slots, tri_fill_stencil)
+from .numerics import aligned_reals, worst_of
 from .pattern_core import PatternParams, ZField, axis_distances, generate_z
 
 POLE = math.inf
@@ -88,6 +91,11 @@ class RadiusField:
 # single-stencil solvers
 # ---------------------------------------------------------------------------
 
+#: the slot pairs (ra, rb) of the six-circle relation, in the order of
+#: hex_coefficients
+_HEX_PAIRS = (("r4", "r1"), ("r6", "r3"), ("r2", "r5"))
+
+
 def hex_residual(label: SubIndex, values: Dict[SubIndex, float], c: float) -> Optional[float]:
     """Residual of the six-circle relation at a sublattice label, or None if
     a needed slot is missing.  Slots multiplied by a zero coefficient are
@@ -95,7 +103,7 @@ def hex_residual(label: SubIndex, values: Dict[SubIndex, float], c: float) -> Op
     slots = hex_stencil_slots(label)
     co = hex_coefficients(label)
     total = 0.0
-    for cf, (pa, pb) in zip(co, (("r4", "r1"), ("r6", "r3"), ("r2", "r5"))):
+    for cf, (pa, pb) in zip(co, _HEX_PAIRS):
         if cf == 0:
             continue
         if slots[pa] not in values or slots[pb] not in values:
@@ -157,17 +165,19 @@ def border_residual(r: float, r1: float, r2: float, r3: float,
 
 
 def border_solve(r: float, r2: float, r3: float, angle_index: int,
-                 params: PatternParams) -> float:
+                 params: PatternParams, cosines=None) -> float:
     """Solve the border relation for the r1 slot (the next boundary circle).
 
     r is the current boundary circle, r3 the previous one, r2 the adjacent
     circle of the inner row; angle_index in {2, 3} picks the intersection
-    angle of the corresponding boundary faces.
+    angle of the corresponding boundary faces.  cosines are the angle
+    cosines of angle_constants, computed here when not passed.
     """
     if angle_index not in (2, 3):
         raise ValueError("angle_index must be 2 or 3")
-    bk = params.backend()
-    t = bk.cos(params.exact_angle(angle_index - 1, bk))
+    if cosines is None:
+        cosines = angle_constants(params)[1]
+    t = cosines[angle_index - 1]
     # linear in r1: r1 * [A + (r3+r2)(r t - r2)] + r2 A + (r3+r2) r (r - r2 t) = 0
     a_fac = r * r - r2 * r3 + r * (r3 - r2) * t
     den = a_fac + (r3 + r2) * (r * t - r2)
@@ -176,14 +186,17 @@ def border_solve(r: float, r2: float, r3: float, angle_index: int,
     return -(r2 * a_fac + (r3 + r2) * r * (r - r2 * t)) / den
 
 
-def _sines(params: PatternParams):
-    bk = params.backend()
-    return tuple(bk.sin(params.exact_angle(i, bk)) for i in range(3))
+def angle_constants(params: PatternParams, bk=None):
+    """(sines, cosines) of the three intersection angles at the working
+    precision, from the exact angles."""
+    bk = bk or params.backend()
+    angles = [params.exact_angle(i, bk) for i in range(3)]
+    return tuple(bk.sin(a) for a in angles), tuple(bk.cos(a) for a in angles)
 
 
 def tri_residual(r: float, r1: float, r2: float, r3: float,
                  params: PatternParams) -> float:
-    s1, s2, s3 = _sines(params)
+    s1, s2, s3 = angle_constants(params)[0]
     return (r * (r1 * s3 + r2 * s1 + r3 * s2)
             - (r1 * r2 * s2 + r2 * r3 * s3 + r3 * r1 * s1))
 
@@ -191,7 +204,7 @@ def tri_residual(r: float, r1: float, r2: float, r3: float,
 def tri_solve(r1: float, r2: float, r3: float, params: PatternParams) -> float:
     """Circle through the pairwise intersection points of three circles;
     manifestly positive for positive inputs."""
-    s1, s2, s3 = _sines(params)
+    s1, s2, s3 = angle_constants(params)[0]
     num = r1 * r2 * s2 + r2 * r3 * s3 + r3 * r1 * s1
     den = r1 * s3 + r2 * s1 + r3 * s2
     if den == 0:
@@ -200,10 +213,12 @@ def tri_solve(r1: float, r2: float, r3: float, params: PatternParams) -> float:
 
 
 def tri_solve_slot2(r: float, r1: float, r3: float,
-                    params: PatternParams) -> float:
+                    params: PatternParams, sines=None) -> float:
     """Solve the three-circle relation for its r2 slot given the base and
-    the other two circles (the direction used by the interior fill)."""
-    s1, s2, s3 = _sines(params)
+    the other two circles (the direction used by the interior fill).
+    sines are the angle sines of angle_constants, computed here when not
+    passed."""
+    s1, s2, s3 = sines if sines is not None else angle_constants(params)[0]
     den = r * s1 - r1 * s2 - r3 * s3
     if den == 0:
         raise DegenerateStencilError("three-circle slot solve degenerate")
@@ -263,7 +278,9 @@ def generate_radii(params: PatternParams, n_max: int,
     values: Dict[SubIndex, float] = {}
     pole_sites: List[SubIndex] = []
     c = params.c
-    ctx = params.backend().context()
+    bk = params.backend()
+    ctx = bk.context()
+    sines, cosines = angle_constants(params, bk)
     for entry in lattice.fill_order(n_max):
         site, tag = entry.site, entry.tag
         if site in seeds:
@@ -280,11 +297,12 @@ def generate_radii(params: PatternParams, n_max: int,
             elif tag == TAG_BORDER:
                 st = border_fill_stencil(site)
                 val = border_solve(values[st["r"]], values[st["r2"]],
-                                   values[st["r3"]], st["angle_index"], params)
+                                   values[st["r3"]], st["angle_index"], params,
+                                   cosines)
             elif tag == TAG_TRI:
                 st = tri_fill_stencil(site)
                 val = tri_solve_slot2(values[st["r"]], values[st["r1"]],
-                                      values[st["r3"]], params)
+                                      values[st["r3"]], params, sines)
             else:
                 raise ValueError(tag)
         if math.isinf(float(val)):
@@ -309,14 +327,15 @@ def dual(rf: RadiusField) -> RadiusField:
                                alpha_pi_fracs=rf.params.alpha_pi_fracs)
     new_values: Dict[SubIndex, float] = {}
     poles: List[SubIndex] = []
-    for site, v in rf.values.items():
-        if v == 0:
-            new_values[site] = POLE
-            poles.append(site)
-        elif math.isinf(v):
-            new_values[site] = 0.0
-        else:
-            new_values[site] = 1.0 / v
+    with new_params.backend().context():
+        for site, v in rf.values.items():
+            if v == 0:
+                new_values[site] = POLE
+                poles.append(site)
+            elif math.isinf(v):
+                new_values[site] = 0.0
+            else:
+                new_values[site] = 1.0 / v
     out = RadiusField(params=new_params, values=new_values,
                       generation=rf.generation, pole_sites=tuple(poles))
     out.meta["dual_of_c"] = rf.params.c
@@ -327,63 +346,120 @@ def dual(rf: RadiusField) -> RadiusField:
 # residual sweeps and the oracle extraction
 # ---------------------------------------------------------------------------
 
-def _finite(values: Dict[SubIndex, float], sites) -> bool:
-    return all(s in values and not math.isinf(values[s]) and values[s] != 0
-               for s in sites)
+def equation_defects(rf: RadiusField):
+    """Every testable stencil of the three radius relations inside the
+    stored field, as (kind, anchor, defect), or None when the radii cannot
+    be read (numerics.aligned_reals: a NaN, or an extended value outside
+    the snapshot window).
 
+    - ("hex", label): |hex_residual|, a pole giving its limit ratio +-1; a
+      pair of poles or a missing slot leaves the stencil out;
+    - ("border", site): |border_residual| / max(r, 1)**3 for the relation
+      producing the radius at a boundary site;
+    - ("tri", (base, sgn)): |tri_residual| / max(r, r1, r2, r3, 1)**2 with
+      the neighbors base - sgn e_i.
 
-def iter_equation_residuals(rf: RadiusField) -> Iterator[Tuple[str, SubIndex, float]]:
-    """All testable stencil instances inside the stored field.
-
-    Yields (kind, anchor, residual) with residuals of the six-circle
-    relation (normalized by its coefficients), the border relation
-    (normalized by the radius scale cubed) and the three-circle relation in
-    both slot parities.  Stencils touching poles or zeros are skipped.
+    Border and three-circle stencils touching a pole or a zero are left
+    out.  The radii and the working-precision sines, cosines and c - 1 are
+    read once as integers over one power of two (floats on a double field),
+    the six-circle balance is multiplied through by its pair sums, and only
+    the final quotient is rounded to double.  A vanishing pair sum raises
+    DegenerateStencilError.
     """
-    values = rf.values
-    c = rf.params.c
-    s1, s2, s3 = (math.sin(a) for a in rf.params.alphas)
-    # six-circle instances: labels with slot sums inside {0, 1}
-    for (K, L, M) in values:
+    params = rf.params
+    bk = params.backend()
+    # math.isinf would read a finite mpf beyond the double range as a pole
+    isinf = math.isinf if bk.is_double else mp.isinf
+    poles = {s for s, v in rf.values.items() if isinf(v)}
+    with bk.context():
+        sines, cosines = angle_constants(params, bk)
+        consts = dict(enumerate(sines + cosines + (bk.real(params.c) - 1,)))
+        read_r = aligned_reals(bk, {s: v for s, v in rf.values.items()
+                                    if s not in poles})
+        read_k = aligned_reals(bk, consts)
+    if read_r is None or read_k is None:
+        return None
+    r, r_one = read_r
+    k, one = read_k
+    s1, s2, s3, *cos, c1 = k.values()
+    out = []
+    # six-circle relations: labels with slot sums inside {0, 1}
+    for (K, L, M) in rf.values:
         label = (K - 1, L - 1, M)
-        res = hex_residual(label, values, c)
-        if res is not None:
-            yield ("hex", label, float(abs(res)))
-    # border instances, on both boundary rows
-    for site in values:
+        slots = hex_stencil_slots(label)
+        num, den = -c1, 1
+        for cf, (pa, pb) in zip(hex_coefficients(label), _HEX_PAIRS):
+            if cf == 0:
+                continue
+            sa, sb = slots[pa], slots[pb]
+            if sa in r and sb in r:
+                ra, rb = r[sa], r[sb]
+                pair = ra + rb
+                num = num * pair + cf * one * (ra - rb) * den
+                den *= pair
+            elif sa in poles and sb in r:
+                num += cf * one * den
+            elif sb in poles and sa in r:
+                num -= cf * one * den
+            else:
+                break
+        else:
+            if not den:
+                raise DegenerateStencilError(
+                    f"six-circle relation at {label} has a vanishing pair sum")
+            out.append(("hex", label, _quotient(num, den * one)))
+    # border relations, on both boundary rows
+    for site, r1 in r.items():
         K, L, M = site
         if not ((L == 0 and M == -K and K >= 2) or (K == 0 and M == -L and L >= 2)):
             continue
         st = border_fill_stencil(site)
-        sites = [st["r"], st["r2"], st["r3"]]
-        if _finite(values, sites + [site]):
-            r, r2v, r3v = (values[s] for s in sites)
-            scale = max(r, 1.0) ** 3
-            cos_alpha = math.cos(rf.params.alphas[st["angle_index"] - 1])
-            yield ("border", site,
-                   float(abs(border_residual(r, values[site], r2v, r3v, cos_alpha))
-                         / scale))
-    # three-circle instances, both parities
-    for base in values:
+        rc, r2, r3 = (r.get(st[name]) for name in ("r", "r2", "r3"))
+        if not (r1 and rc and r2 and r3):
+            continue
+        t = cos[st["angle_index"] - 1]
+        num = ((r1 + r2) * (one * (rc * rc - r2 * r3) + rc * (r3 - r2) * t)
+               + (r3 + r2) * (one * (rc * rc - r2 * r1) + rc * (r1 - r2) * t))
+        scale = max(rc, r_one)
+        out.append(("border", site, _quotient(num, scale * scale * scale * one)))
+    # three-circle relations, both parities
+    for base, rc in r.items():
+        if not rc:
+            continue
         K, L, M = base
-        for sgn in (+1, -1):
-            sites = [base, (K, L - sgn, M), (K, L, M - sgn), (K - sgn, L, M)]
-            if _finite(values, sites):
-                r, r1v, r2v, r3v = (values[s] for s in sites)
-                scale = max(r, r1v, r2v, r3v, 1.0) ** 2
-                yield ("tri", base,
-                       float(abs(r * (r1v * s3 + r2v * s1 + r3v * s2)
-                                 - (r1v * r2v * s2 + r2v * r3v * s3
-                                    + r3v * r1v * s1)) / scale))
+        for sgn in (1, -1):
+            r1, r2, r3 = r.get((K, L - sgn, M)), r.get((K, L, M - sgn)), r.get((K - sgn, L, M))
+            if not (r1 and r2 and r3):
+                continue
+            num = (rc * (r1 * s3 + r2 * s1 + r3 * s2)
+                   - (r1 * r2 * s2 + r2 * r3 * s3 + r3 * r1 * s1))
+            scale = max(rc, r1, r2, r3, r_one)
+            out.append(("tri", (base, sgn), _quotient(num, scale * scale * one)))
+    return out
+
+
+def _quotient(num, den) -> float:
+    """|num / den| rounded once to double (exactly rounded for integers);
+    inf past the double range."""
+    try:
+        return abs(num / den)
+    except OverflowError:
+        return math.inf
 
 
 def max_equation_residual(rf: RadiusField) -> float:
-    return max((res for _, _, res in iter_equation_residuals(rf)), default=0.0)
+    """Worst defect of equation_defects; NaN when the radii cannot be
+    read."""
+    defects = equation_defects(rf)
+    if defects is None:
+        return math.nan
+    return worst_of(d for _, _, d in defects)
 
 
 def extract_radii(zf: ZField, n_max: Optional[int] = None) -> Dict[SubIndex, float]:
-    """Distances from even vertices to their stored neighbors, keyed by
-    sublattice label (the oracle for the recurrence route)."""
+    """Mean distance from each even vertex to its stored neighbors, keyed
+    by sublattice label (the oracle for the recurrence route), at the
+    precision of the field."""
     out: Dict[SubIndex, float] = {}
     with zf.params.backend().context():
         for site in zf.values:
@@ -392,7 +468,7 @@ def extract_radii(zf: ZField, n_max: Optional[int] = None) -> Dict[SubIndex, flo
             sub = lattice.to_sub(site)
             if n_max is not None and lattice.sub_generation(sub) > n_max:
                 continue
-            dists = [float(d) for d in axis_distances(zf.values, site)]
+            dists = axis_distances(zf.values, site)
             if dists:
                 out[sub] = sum(dists) / len(dists)
     return out
@@ -416,8 +492,9 @@ def compare_routes(params: PatternParams, n_max: int) -> Tuple[float, int]:
     zf = generate_z(params, depth)
     oracle = extract_radii(zf)
     worst, count = 0.0, 0
-    for site, val in rf.values.items():
-        if site in oracle and not math.isinf(float(val)):
-            worst = max(worst, abs(float(val) - oracle[site]))
-            count += 1
+    with params.backend().context():
+        for site, val in rf.values.items():
+            if site in oracle and not math.isinf(float(val)):
+                worst = max(worst, float(abs(val - oracle[site])))
+                count += 1
     return worst, count

@@ -297,3 +297,36 @@ def test_cli_vertex_out_of_magnitude_range_exits_3_fast(ext24, tmp_path, value):
     report = verify.run_checks(load_document(str(bad)),
                                ["crossratio", "constraint", "laxzc", "kite"])
     assert all(math.isnan(r) for r in report.residuals.values())
+
+
+def _with_radius(src, dst, site, value):
+    lines = src.read_text().splitlines()
+    start = lines.index("[radii]")
+    prefix = "{} {} {} ".format(*site)
+    hit = next(i for i in range(start, len(lines)) if lines[i].startswith(prefix))
+    lines[hit] = prefix + value
+    dst.write_text("\n".join(lines) + "\n")
+
+
+def test_cli_nan_radius_fails_radius_eq(tmp_path, capsys):
+    pat, bad = tmp_path / "r6.txt", tmp_path / "bad.txt"
+    assert run_cli(["generate", "--c", "1.5", "--route", "radius", "--n", "6",
+                    "--out", str(pat)]) == 0
+    _with_radius(pat, bad, (2, 0, -2), "nan")
+    capsys.readouterr()
+    assert run_cli(["verify", str(bad), "--checks", "radius_eq"]) == 3
+    assert "radius_eq    max-residual nan  FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["1e-100000", "1e400000"])
+def test_cli_radius_out_of_magnitude_range_exits_3_fast(tmp_path, value):
+    import time
+    pat, bad = tmp_path / "log.txt", tmp_path / "bad.txt"
+    assert run_cli(["generate", "--c", "2", "--mode", "log", "--n", "12",
+                    "--precision", "ext", "--dps", "80", "--out", str(pat)]) == 0
+    _with_radius(pat, bad, (3, 2, -4), value)
+    t0 = time.perf_counter()
+    assert run_cli(["verify", str(bad)]) == 3
+    assert time.perf_counter() - t0 < 10.0
+    report = verify.run_checks(load_document(str(bad)), ["radius_eq"])
+    assert math.isnan(report.residuals["radius_eq"])

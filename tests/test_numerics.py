@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexcircle import pattern_core, verify
+from hexcircle import pattern_core, radius_system, verify
 from hexcircle.numerics import MAX_DPS, Backend, ExactComplex, snapshot
 from hexcircle.pattern_core import generate_z, isotropic_params
 
@@ -108,6 +108,10 @@ _ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul_
 def test_extended_sweeps_do_no_mpmath_arithmetic_per_item(monkeypatch):
     fields = [generate_z(isotropic_params(1.5, precision="ext", dps=40), n)
               for n in (8, 12)]
+    radius_fields = []
+    for n in (8, 12):
+        rf = radius_system.generate_radii(isotropic_params(2.0, precision="ext", dps=40), n)
+        radius_fields.append((rf, radius_system.dual(rf)))
     calls = [0]
 
     def counted(fn):
@@ -128,4 +132,12 @@ def test_extended_sweeps_do_no_mpmath_arithmetic_per_item(monkeypatch):
             assert check(zf) <= 1e-25
         counts.append(calls[0])
     assert len(fields[1].values) > 2 * len(fields[0].values)
+    assert counts[0] == counts[1]
+    counts = []
+    for rf, lg in radius_fields:
+        calls[0] = 0
+        for field in (rf, lg):  # the zero and the pole at the origin
+            assert radius_system.max_equation_residual(field) <= 1e-30
+        counts.append(calls[0])
+    assert len(radius_fields[1][0].values) > 2 * len(radius_fields[0][0].values)
     assert counts[0] == counts[1]

@@ -348,9 +348,14 @@ def test_kite_residual_sees_defects_below_double_roundoff():
         stretch = 1 + params.backend().real("1e-25")
         zf.values[nb] = zf.values[center] + (zf.values[nb] - zf.values[center]) * stretch
     assert 1e-26 <= verify.max_kite_residual(zf) <= 1e-24
-    # radii are still the double means of the distances
-    from hexcircle.radius_system import extract_radii
-    assert all(isinstance(r, float) for r in extract_radii(zf).values())
+    # radii are the working-precision means of the distances: their
+    # relations hold far below double roundoff, up to the stretched edge
+    import mpmath as mp
+    from hexcircle.radius_system import RadiusField, extract_radii, max_equation_residual
+    radii = extract_radii(zf)
+    assert all(isinstance(r, mp.mpf) for r in radii.values())
+    assert max_equation_residual(RadiusField(params=params, values=radii,
+                                             generation=6)) <= 1e-25
 
 
 def test_snapshot_kernels_match_mpmath_at_twice_the_precision():

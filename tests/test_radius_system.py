@@ -1,12 +1,18 @@
 import math
 import random
+from collections import Counter
+from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from hexcircle import lattice
+from hexcircle.lattice import border_fill_stencil, hex_stencil_slots
 from hexcircle.pattern_core import PatternParams, generate_z, isotropic_params
-from hexcircle.radius_system import (PositivityViolation, border_residual,
-                                     border_solve, compare_routes, dual,
+from hexcircle.radius_system import (DegenerateStencilError,
+                                     PositivityViolation, angle_constants,
+                                     border_residual, border_solve,
+                                     compare_routes, dual, equation_defects,
                                      extract_radii, generate_radii,
                                      hex_residual, hex_solve,
                                      max_equation_residual, seeds_from_pattern,
@@ -246,3 +252,156 @@ def test_stencil_types_and_arities():
         assert isinstance(st, StencilType)
         if entry.tag == "border":
             assert st in (StencilType.TYPE_I, StencilType.TYPE_II)
+
+
+# -- the exact radius_eq sweep ------------------------------------------------
+
+FRACS = (Fraction(1, 4), Fraction(1, 3), Fraction(5, 12))
+
+
+def _ext_params(c, dps=40):
+    # distinct exact angles, so a swapped sine or cosine shows
+    return PatternParams(alphas=tuple(float(f) * math.pi for f in FRACS), c=c,
+                         precision="ext", dps=dps, alpha_pi_fracs=FRACS)
+
+
+def _corrupted(rf):
+    bk = rf.params.backend()
+    with bk.context():
+        rf.values[(3, 2, -4)] *= 1 + bk.real("1e-12")
+    return rf
+
+
+def _reference(rf, kind, anchor, cosines):
+    """The defect of one stencil from the reference relations, evaluated
+    at twice the working precision with the working-precision constants."""
+    v = rf.values
+    if kind == "hex":
+        return abs(hex_residual(anchor, v, rf.params.c))
+    if kind == "border":
+        st = border_fill_stencil(anchor)
+        r = v[st["r"]]
+        return abs(border_residual(r, v[anchor], v[st["r2"]], v[st["r3"]],
+                                   cosines[st["angle_index"] - 1])) / max(r, 1) ** 3
+    (K, L, M), sgn = anchor
+    r, r1, r2, r3 = (v[s] for s in ((K, L, M), (K, L - sgn, M), (K, L, M - sgn),
+                                    (K - sgn, L, M)))
+    return abs(tri_residual(r, r1, r2, r3, rf.params)) / max(r, r1, r2, r3, 1) ** 2
+
+
+@pytest.mark.parametrize("mode", ["z2", "log"])
+def test_radius_sweep_matches_reference_at_twice_the_precision(mode):
+    # z2 has the zero radius at the origin, log (its dual) the pole there
+    rf = generate_radii(_ext_params(2.0), 8)
+    if mode == "log":
+        rf = dual(rf)
+        rf.values[(2, 3, -4)] = math.inf  # a pole in both slots of a pair
+    rf = _corrupted(rf)
+    cosines = angle_constants(rf.params)[1]
+    defects = equation_defects(rf)
+    kinds = Counter(kind for kind, _, _ in defects)
+    assert kinds["hex"] >= 30 and kinds["border"] >= 10 and kinds["tri"] >= 50
+    pole_slots = Counter()
+    with mp.workdps(2 * rf.params.dps):
+        for kind, anchor, got in defects:
+            ref = float(_reference(rf, kind, anchor, cosines))
+            assert got == pytest.approx(ref, rel=1e-9, abs=0), (kind, anchor)
+            if kind == "hex":
+                pole_slots.update(name for name, s in hex_stencil_slots(anchor).items()
+                                  if math.isinf(rf.values.get(s, 0)))
+    worst = max_equation_residual(rf)
+    assert worst == max(d for _, _, d in defects)
+    if mode == "log":
+        assert pole_slots["r2"] and pole_slots["r5"]
+    else:
+        assert 1e-14 <= worst <= 1e-10  # the corrupted radius
+
+
+def test_radius_sweep_reads_working_precision():
+    # the relations of a dps-40 fill hold far below double roundoff
+    rf = generate_radii(_ext_params(2.0), 8)
+    assert max_equation_residual(rf) <= 1e-35
+    assert max_equation_residual(dual(rf)) <= 1e-35
+
+
+@pytest.mark.parametrize("bad", [math.nan, "nan", "1e-100000", "1e400000"])
+def test_radius_sweep_fails_closed(bad):
+    for precision in ("double", "ext"):
+        if precision == "double" and isinstance(bad, str):
+            continue
+        params = PatternParams(alphas=ISO, c=2.0, precision=precision)
+        rf = generate_radii(params, 6)
+        with mp.workdps(40):
+            rf.values[(2, 0, -2)] = bad if precision == "double" else mp.mpf(bad)
+        assert math.isnan(max_equation_residual(rf))
+        assert equation_defects(rf) is None
+
+
+def test_radius_sweep_degenerate_pair_raises():
+    rf = generate_radii(PatternParams(alphas=ISO, c=1.5), 4)
+    label = (1, 1, -2)
+    slots = hex_stencil_slots(label)
+    assert lattice.hex_coefficients(label)[2] != 0
+    rf.values[slots["r2"]] = -rf.values[slots["r5"]]
+    with pytest.raises(DegenerateStencilError):
+        max_equation_residual(rf)
+
+
+def test_radius_sweep_double_matches_ratio_form():
+    rf = generate_radii(PatternParams(alphas=DISTINCT, c=1.37), 8)
+    for kind, anchor, got in equation_defects(rf):
+        if kind == "hex":
+            assert got == pytest.approx(abs(hex_residual(anchor, rf.values, 1.37)),
+                                        rel=1e-6, abs=1e-15)
+
+
+def test_dual_keeps_working_precision():
+    rf = generate_radii(_ext_params(2.0, dps=80), 8)
+    lg = dual(rf)
+    with mp.workdps(80):
+        for site, v in rf.values.items():
+            if v and not math.isinf(v):
+                assert lg.values[site] == 1 / v
+    assert max(lg.values[(3, 2, -4)].man.bit_length(),
+               lg.values[(4, 0, -4)].man.bit_length()) > 200
+    assert max_equation_residual(lg) <= 1e-45
+
+
+def test_fill_computes_its_angle_constants_once(monkeypatch):
+    from hexcircle.numerics import Backend
+    calls = Counter()
+    for name in ("sin", "cos", "pi_times"):
+        method = getattr(Backend, name)
+
+        def counted(self, x, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(self, x)
+        monkeypatch.setattr(Backend, name, counted)
+    counts = []
+    for n in (6, 12):
+        calls.clear()
+        generate_radii(_ext_params(2.0), n)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
+
+
+def test_fill_values_are_the_single_stencil_solves():
+    # the once-per-fill constants leave every radius bit-identical
+    params = _ext_params(2.0)
+    rf = generate_radii(params, 10)
+    v = rf.values
+    checked = 0
+    with params.backend().context():
+        for entry in lattice.fill_order(10):
+            if entry.tag == lattice.TAG_BORDER:
+                st = border_fill_stencil(entry.site)
+                got = border_solve(v[st["r"]], v[st["r2"]], v[st["r3"]],
+                                   st["angle_index"], params)
+            elif entry.tag == lattice.TAG_TRI:
+                st = lattice.tri_fill_stencil(entry.site)
+                got = tri_solve_slot2(v[st["r"]], v[st["r1"]], v[st["r3"]], params)
+            else:
+                continue
+            assert got == v[entry.site]
+            checked += 1
+    assert checked >= 60
