@@ -13,7 +13,7 @@ from typing import Optional
 
 from . import geometry, pattern_core, radius_system, riccati, painleve
 from .document import DocumentError, PatternDocument, load_document, save_document
-from .numerics import parse_angles
+from .numerics import backend_for, parse_angles
 from .pattern_core import PatternParams
 from .radius_system import PositivityViolation
 from .svg import NonFiniteError, render_svg
@@ -164,7 +164,8 @@ def cmd_analyze(args) -> int:
                 print(f"# first nonpositive at n={traj.first_nonpositive}")
         elif args.what == "painleve":
             beta0 = args.beta0 if args.beta0 is not None else args.c * args.alpha / 2
-            dps = None if args.precision == "double" else args.dps
+            bk = backend_for(args.precision, args.dps)  # caps dps
+            dps = None if bk.is_double else bk.dps
             traj = painleve.run_trajectory(args.c, args.alpha, beta0, args.n, dps=dps)
             print("#   n      beta_n    sector")
             for n, (b, s) in enumerate(zip(traj.betas, traj.sectors)):

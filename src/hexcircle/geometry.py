@@ -147,8 +147,10 @@ def reconstruct(rf: RadiusField, closure_tol: float = 1e-6) -> ZField:
     positive real axis (a pole at the origin moves the anchor to the next
     boundary circle).  Every odd vertex reachable from several centers is
     placed once and re-derivations are compared; the worst mismatch and the
-    worst wedge-closure defect are recorded in the metadata.
+    worst wedge-closure defect are recorded in the metadata.  Each radius is
+    read as a float once: the layout is a double one, whatever the digits.
     """
+    radii = {site: float(r) for site, r in rf.values.items()}
     centers = _sub_center_sites(rf)
     alphas = rf.params.alphas
     values: Dict[MultiIndex, complex] = {}
@@ -157,11 +159,11 @@ def reconstruct(rf: RadiusField, closure_tol: float = 1e-6) -> ZField:
     worst_mismatch = 0.0
     worst_closure = 0.0
 
-    pole = {s for s in centers if math.isinf(rf.values[s])}
+    pole = {s for s in centers if math.isinf(radii[s])}
     anchor = (0, 0, 0)
-    if anchor in pole or anchor not in rf.values:
+    if anchor in pole or anchor not in radii:
         anchor = (1, 0, -1)
-    if anchor not in rf.values:
+    if anchor not in radii:
         raise ReconstructionError("no anchor circle available")
     center_pos[anchor] = 0j
     ref_spoke[anchor] = ("+1", 0.0)
@@ -170,15 +172,15 @@ def reconstruct(rf: RadiusField, closure_tol: float = 1e-6) -> ZField:
         """All spoke directions derivable from the reference by walking
         wedges whose neighbor radius is known."""
         nonlocal worst_closure
-        r_c = rf.values[site]
+        r_c = radii[site]
         name0, theta0 = ref_spoke[site]
         i0 = _SPOKES.index(name0)
         out = {name0: theta0}
         wedges: List[Optional[float]] = []
         for off, aidx in _WEDGES:
             nb = (site[0] + off[0], site[1] + off[1], site[2] + off[2])
-            if nb in rf.values:
-                wedges.append(2 * wedge_half_angle(r_c, rf.values[nb],
+            if nb in radii:
+                wedges.append(2 * wedge_half_angle(r_c, radii[nb],
                                                    alphas[aidx - 1]))
             else:
                 wedges.append(None)
@@ -209,7 +211,7 @@ def reconstruct(rf: RadiusField, closure_tol: float = 1e-6) -> ZField:
     seen = {anchor}
     while queue:
         site = queue.pop(0)
-        r_c = float(rf.values[site])
+        r_c = radii[site]
         vertex = lattice.sub_to_vertex(site)
         z_c = center_pos[site]
         values[vertex] = z_c
@@ -228,13 +230,13 @@ def reconstruct(rf: RadiusField, closure_tol: float = 1e-6) -> ZField:
         # place adjacent centers
         for idx, (off, aidx) in enumerate(_WEDGES):
             nb = (site[0] + off[0], site[1] + off[1], site[2] + off[2])
-            if nb not in rf.values or nb in pole or nb in seen:
+            if nb not in radii or nb in pole or nb in seen:
                 continue
             first = _SPOKES[idx]
             if first not in angles:
                 continue
             alpha = alphas[aidx - 1]
-            r_n = float(rf.values[nb])
+            r_n = radii[nb]
             nu = wedge_half_angle(r_c, r_n, alpha)
             z_n = z_c + center_distance(r_c, r_n, alpha) * cmath.exp(
                 1j * (angles[first] + nu))
@@ -323,14 +325,6 @@ def circle_pattern(zf: ZField, n_max: Optional[int] = None) -> CirclePattern:
 # immersion
 # ---------------------------------------------------------------------------
 
-def _proper_crossing(a1: complex, a2: complex, b1: complex, b2: complex) -> bool:
-    d1 = orientation(a1, a2, b1)
-    d2 = orientation(a1, a2, b2)
-    d3 = orientation(b1, b2, a1)
-    d4 = orientation(b1, b2, a2)
-    return (d1 * d2 < 0) and (d3 * d4 < 0)
-
-
 def _flipped(a: complex, b: complex, c: complex, eps_scale: float) -> bool:
     """A triangle fails when it is clearly negatively oriented or has a
     collapsed edge.  Triangles whose edges all fall below the guard (the
@@ -375,31 +369,47 @@ def immersion_check(zf: ZField, slab_only: bool = False,
     for sub, r in extract_radii(zf).items():
         if math.isnan(r) or r < 0:
             report.failures.append((lattice.sub_to_vertex(sub), "nonpositive-radius"))
-    # adjacent-face overlap sweep
-    h_faces = list(iter_slab_faces(pts))
-    by_edge: Dict[frozenset, List[int]] = {}
-    for idx, sites in enumerate(h_faces):
-        for a in range(4):
-            edge = frozenset((sites[a], sites[(a + 1) % 4]))
-            by_edge.setdefault(edge, []).append(idx)
-    for edge, members in by_edge.items():
-        for ii in range(len(members)):
-            for jj in range(ii + 1, len(members)):
-                fa, fb = h_faces[members[ii]], h_faces[members[jj]]
+    # adjacent-face overlap sweep: faces that share an edge must not cross
+    # along their other sides
+    sites = list(pts)
+    ids = {site: i for i, site in enumerate(sites)}
+    xs = [z.real for z in pts.values()]
+    ys = [z.imag for z in pts.values()]
+    sides = []  # per face, per side: its site ids and direction
+    by_edge: Dict[Tuple[int, int], List[int]] = {}  # members 4 * face + side
+    for face in iter_slab_faces(pts):
+        f = [ids[site] for site in face]
+        ends = list(zip(f, f[1:] + f[:1]))
+        for a, (p, q) in enumerate(ends):
+            by_edge.setdefault((p, q) if p < q else (q, p), []).append(4 * len(sides) + a)
+        sides.append(tuple((p, q, xs[q] - xs[p], ys[q] - ys[p]) for p, q in ends))
+    for members in by_edge.values():
+        for ii, ma in enumerate(members):
+            fa, a = divmod(ma, 4)
+            for mb in members[ii + 1:]:
+                fb, b = divmod(mb, 4)
                 report.checked_quads += 1
-                if _quads_overlap(pts, fa, fb, edge):
-                    report.failures.append((fa[0], "overlapping-quads"))
+                if _sides_cross(xs, ys, sides[fa], a, sides[fb], b):
+                    report.failures.append((sites[sides[fa][0][0]], "overlapping-quads"))
     return report
 
 
-def _quads_overlap(pts: Dict[MultiIndex, complex], fa, fb, shared: frozenset) -> bool:
-    def edges(face):
-        return [(pts[face[a]], pts[face[(a + 1) % 4]]) for a in range(4)
-                if frozenset((face[a], face[(a + 1) % 4])) != shared]
-    for a1, a2 in edges(fa):
-        for b1, b2 in edges(fb):
-            if _proper_crossing(a1, a2, b1, b2):
-                return True
+def _sides_cross(xs, ys, sa, a, sb, b) -> bool:
+    """Whether a side of one face other than its side a properly crosses a
+    side of the other face other than its side b: each side has both ends
+    strictly on opposite sides of the other's line.  Sides sharing a site
+    are skipped, because one of their orientations is exactly 0 (or NaN)."""
+    for k, (p, q, ux, uy) in enumerate(sa):
+        if k == a:
+            continue
+        px, py = xs[p], ys[p]
+        for kk, (r, s, vx, vy) in enumerate(sb):
+            if kk == b or r == p or r == q or s == p or s == q:
+                continue
+            rx, ry = xs[r], ys[r]
+            if (ux * (ry - py) - uy * (rx - px)) * (ux * (ys[s] - py) - uy * (xs[s] - px)) < 0:
+                if (vx * (py - ry) - vy * (px - rx)) * (vx * (ys[q] - ry) - vy * (xs[q] - rx)) < 0:
+                    return True
     return False
 
 

@@ -266,26 +266,29 @@ def snapshot(bk: Backend, values: Mapping):
     return out
 
 
-def aligned_reals(bk: Backend, values: Mapping):
-    """The real values read exactly as integers over one power of two, for
-    the sweeps that multiply stored numbers without a division.
-
-    Returns (ints, one): each value is ints[key] * 2**e, and the integer
-    one = 2**-e stands for 1, with e <= 0 the smallest exponent of the
-    snapshot.  The snapshot's window bounds the widths of these integers.
-    In double mode the values come back as they are, with one = 1.0.  None
-    when some value is not finite or (extended mode) lies outside the
-    snapshot's window, which the sweeps report as NaN.
-    """
-    if bk.is_double:
-        if not all(math.isfinite(v) for v in values.values()):
-            return None
-        return values, 1.0
+def aligned_points(bk: Backend, values: Mapping):
+    """An extended field's values read exactly, for the sweeps that combine
+    them without a division: (ints, one), each value being (x + i y) * 2**e
+    with (x, y) = ints[key], and the integer one = 2**-e standing for 1,
+    e <= 0 the smallest exponent of the snapshot (whose window bounds the
+    integer widths).  None when some value is not finite or lies outside
+    that window, which the sweeps report as NaN."""
     snap = snapshot(bk, values)
     if snap is None:
         return None
     e = min([0] + [z.e for z in snap.values()])
-    return {key: z.x << (z.e - e) for key, z in snap.items()}, 1 << -e
+    return {key: (z.x << (z.e - e), z.y << (z.e - e))
+            for key, z in snap.items()}, 1 << -e
+
+
+def aligned_reals(bk: Backend, values: Mapping):
+    """Real values read as by aligned_points, one integer each.  In double
+    mode the values come back as they are, with one = 1.0, or None when
+    some value is not finite."""
+    if bk.is_double:
+        return (values, 1.0) if all(map(math.isfinite, values.values())) else None
+    read = aligned_points(bk, values)
+    return read and ({key: x for key, (x, _) in read[0].items()}, read[1])
 
 
 def parse_angles(spec: str) -> tuple[tuple[float, float, float],

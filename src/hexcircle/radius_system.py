@@ -21,9 +21,10 @@ import mpmath as mp
 from . import lattice
 from .lattice import (SubIndex, TAG_BORDER, TAG_HEX, TAG_SEED, TAG_TRI,
                       border_fill_stencil, black_fill_stencil,
-                      hex_coefficients, hex_stencil_slots, tri_fill_stencil)
-from .numerics import aligned_reals, worst_of
-from .pattern_core import PatternParams, ZField, axis_distances, generate_z
+                      axis_neighbors, hex_coefficients, hex_stencil_slots,
+                      tri_fill_stencil)
+from .numerics import aligned_points, aligned_reals, worst_of
+from .pattern_core import PatternParams, ZField, generate_z
 
 POLE = math.inf
 
@@ -459,18 +460,36 @@ def max_equation_residual(rf: RadiusField) -> float:
 def extract_radii(zf: ZField, n_max: Optional[int] = None) -> Dict[SubIndex, float]:
     """Mean distance from each even vertex to its stored neighbors, keyed
     by sublattice label (the oracle for the recurrence route), at the
-    precision of the field."""
+    precision of the field.  An extended field is read once, exactly
+    (numerics.aligned_points): each squared distance is an integer, its
+    math.isqrt is taken to 32 bits beyond the working precision, and the
+    sum of the roots is divided once.  Every radius is NaN when the field
+    cannot be read.
+    """
+    bk = zf.params.backend()
+    read = None if bk.is_double else aligned_points(bk, zf.values)
     out: Dict[SubIndex, float] = {}
-    with zf.params.backend().context():
-        for site in zf.values:
+    with bk.context():
+        bits = mp.mp.prec + 32
+        for site, z in zf.values.items():
             if lattice.parity(site) != 0:
                 continue
             sub = lattice.to_sub(site)
-            if n_max is not None and lattice.sub_generation(sub) > n_max:
+            nbs = [nb for nb in axis_neighbors(site) if nb in zf.values]
+            if not nbs or n_max is not None and lattice.sub_generation(sub) > n_max:
                 continue
-            dists = axis_distances(zf.values, site)
-            if dists:
-                out[sub] = sum(dists) / len(dists)
+            if bk.is_double:
+                out[sub] = sum(abs(zf.values[nb] - z) for nb in nbs) / len(nbs)
+            elif read is None:
+                out[sub] = mp.nan
+            else:
+                pts, one = read
+                x, y = pts[site]
+                sq = [(pts[nb][0] - x) ** 2 + (pts[nb][1] - y) ** 2 for nb in nbs]
+                g = max(0, bits - max(sq).bit_length() // 2)
+                # the mean is roots / len(sq) * 2**-g / one
+                roots = sum(math.isqrt(d << 2 * g) for d in sq)
+                out[sub] = mp.fdiv(roots, len(sq) * one << g)
     return out
 
 

@@ -9,6 +9,8 @@ import cmath
 import math
 from typing import List, Tuple
 
+import mpmath as mp
+
 from .document import PatternDocument
 from .lattice import parity, sub_to_vertex
 from .pattern_core import axis_distances, iter_slab_faces
@@ -28,8 +30,9 @@ def render_svg(doc: PatternDocument, show: str = "both", scale: float = 100.0,
     """SVG 1.1 text for a pattern document.
 
     show selects circles, quads or both; scale sets pixels per unit length.
-    Raises NonFiniteError, naming the site, for a vertex that is not finite
-    in double or a NaN radius (an infinite radius is a pole, not drawn).
+    Raises NonFiniteError, naming the site, for a vertex or radius that is
+    not finite in double (an infinite radius is a pole, not drawn; a finite
+    one beyond the double range is an error).
     """
     if show not in ("circles", "quads", "both"):
         raise ValueError("show must be circles, quads or both")
@@ -48,13 +51,16 @@ def render_svg(doc: PatternDocument, show: str = "both", scale: float = 100.0,
     else:
         pole = set(doc.pole_sites)
         for site, r in sorted(doc.radii.items()):
-            if sum(site) != 0 or site in pole or math.isinf(r):
+            if sum(site) != 0 or site in pole:
                 continue
-            if math.isnan(r):
-                raise NonFiniteError(f"radius {site} is NaN")
+            radius = float(r)
+            if math.isinf(radius) and mp.isinf(r):  # a pole, not a huge mpf
+                continue
+            if not math.isfinite(radius):
+                raise NonFiniteError(f"radius {site} is not finite in double: {r}")
             v = sub_to_vertex(site)
             if v in vertices:
-                circles.append((vertices[v], float(r)))
+                circles.append((vertices[v], radius))
     if doc.mode == "sg":
         quad_sites = [((k, 0, m), (k + 1, 0, m), (k + 1, 0, m - 1), (k, 0, m - 1))
                       for (k, l, m) in vertices]

@@ -330,3 +330,42 @@ def test_cli_radius_out_of_magnitude_range_exits_3_fast(tmp_path, value):
     assert time.perf_counter() - t0 < 10.0
     report = verify.run_checks(load_document(str(bad)), ["radius_eq"])
     assert math.isnan(report.residuals["radius_eq"])
+
+
+def test_cli_render_refuses_radius_beyond_double_range(tmp_path, capsys):
+    pat, bad = tmp_path / "log.txt", tmp_path / "bad.txt"
+    assert run_cli(["generate", "--c", "2", "--mode", "log", "--n", "8",
+                    "--precision", "ext", "--dps", "40", "--out", str(pat)]) == 0
+    svg = tmp_path / "log.svg"
+    assert run_cli(["render", str(pat), "--out", str(svg)]) == 0
+    assert svg.read_text().count("<circle") == 44
+    _with_radius(pat, bad, (2, 0, -2), "1e400000")
+    capsys.readouterr()
+    assert run_cli(["render", str(bad), "--out", str(tmp_path / "bad.svg")]) == 3
+    assert "(2, 0, -2)" in capsys.readouterr().err
+    assert not (tmp_path / "bad.svg").exists()
+
+
+@pytest.mark.parametrize("dps", ["5000", "0"])
+def test_cli_analyze_painleve_precision_cap_exits_2_fast(dps):
+    import time
+    t0 = time.perf_counter()
+    assert run_cli(["analyze", "painleve", "--c", "1.5", "--n", "3",
+                    "--precision", "ext", "--dps", dps]) == 2
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("precision", [["--precision", "double"],
+                                       ["--precision", "ext", "--dps", "40"]])
+@pytest.mark.parametrize("kind", [["--c", "1.5"], ["--c", "2", "--mode", "z2"]])
+def test_cli_nan_vertex_fails_immersion(tmp_path, capsys, kind, precision):
+    from hexcircle.geometry import immersion_check
+    pat, bad = tmp_path / "p.txt", tmp_path / "bad.txt"
+    assert run_cli(["generate", *kind, "--n", "6", *precision,
+                    "--out", str(pat)]) == 0
+    _with_vertex(pat, bad, (2, 1, -2), "nan", "nan")
+    capsys.readouterr()
+    assert run_cli(["verify", str(bad), "--checks", "immersion"]) == 3
+    assert "FAIL" in capsys.readouterr().out
+    failures = immersion_check(load_document(str(bad)).zfield()).failures
+    assert failures and {kind for _, kind in failures} == {"nonpositive-radius"}

@@ -7,10 +7,12 @@ import pytest
 from hexcircle import lattice
 from hexcircle.geometry import (NotAKiteError, circle_pattern, circumcircle,
                                 erf_radius, immersion_check, kite_classify,
-                                pattern_radii, reconstruct, sg_immersion_check,
-                                sg_radius_residual, sg_slice)
-from hexcircle.pattern_core import PatternParams, generate_z, isotropic_params
-from hexcircle.radius_system import dual, generate_radii
+                                orientation, pattern_radii, reconstruct,
+                                sg_immersion_check, sg_radius_residual,
+                                sg_slice)
+from hexcircle.pattern_core import (PatternParams, ZField, generate_z,
+                                    isotropic_params, iter_slab_faces)
+from hexcircle.radius_system import RadiusField, dual, generate_radii
 
 ISO = (math.pi / 3,) * 3
 ANISO = (math.pi / 4, math.pi / 4, math.pi / 2)
@@ -263,3 +265,140 @@ def test_immersion_detects_overlapping_quads_on_extended_field():
         zf.values[site] = here + 1.4 * (there - here)
     assert any(kind == "overlapping-quads"
                for _, kind in immersion_check(zf).failures)
+
+
+# -- the quad-overlap sweep against its reference --------------------------
+
+def _proper_crossing(a1, a2, b1, b2):
+    d1 = orientation(a1, a2, b1)
+    d2 = orientation(a1, a2, b2)
+    d3 = orientation(b1, b2, a1)
+    d4 = orientation(b1, b2, a2)
+    return (d1 * d2 < 0) and (d3 * d4 < 0)
+
+
+def _quads_overlap(pts, fa, fb, shared):
+    def edges(face):
+        return [(pts[face[a]], pts[face[(a + 1) % 4]]) for a in range(4)
+                if frozenset((face[a], face[(a + 1) % 4])) != shared]
+    return any(_proper_crossing(a1, a2, b1, b2)
+               for a1, a2 in edges(fa) for b1, b2 in edges(fb))
+
+
+def reference_quad_sweep(zf):
+    """The quad-overlap sweep tested edge pair by edge pair, every side
+    against every side: (failures, checked_quads)."""
+    pts = {site: complex(z) for site, z in zf.values.items()}
+    faces = list(iter_slab_faces(pts))
+    by_edge = {}
+    for idx, sites in enumerate(faces):
+        for a in range(4):
+            edge = frozenset((sites[a], sites[(a + 1) % 4]))
+            by_edge.setdefault(edge, []).append(idx)
+    failures, checked = [], 0
+    for edge, members in by_edge.items():
+        for ii in range(len(members)):
+            for jj in range(ii + 1, len(members)):
+                fa, fb = faces[members[ii]], faces[members[jj]]
+                checked += 1
+                if _quads_overlap(pts, fa, fb, edge):
+                    failures.append((fa[0], "overlapping-quads"))
+    return failures, checked
+
+
+def assert_quad_sweep_matches_reference(zf):
+    rep = immersion_check(zf)
+    quads = [f for f in rep.failures if f[1] == "overlapping-quads"]
+    assert (quads, rep.checked_quads) == reference_quad_sweep(zf)
+    return quads
+
+
+def _dragged(zf, site=(2, 2, -3), other=(1, 2, -3)):
+    with zf.params.backend().context():
+        zf.values[site] += 1.4 * (zf.values[other] - zf.values[site])
+    return zf
+
+
+def test_quad_sweep_matches_reference_on_negative_controls():
+    seed = {(0, 0, -1): cmath.exp(1j * (1.5 * math.pi / 3 + 0.05))}
+    controls = [
+        generate_z(isotropic_params(1.5), 8, initial_override=seed),
+        _dragged(generate_z(isotropic_params(1.25), 7)),
+        _dragged(generate_z(isotropic_params(1.25, precision="ext", dps=40), 7)),
+    ]
+    collapsed = generate_z(isotropic_params(1.5), 6)
+    collapsed.values[(2, 1, -1)] = collapsed.values[(1, 1, -1)]
+    controls.append(collapsed)
+    found = [assert_quad_sweep_matches_reference(zf) for zf in controls]
+    assert all(found[:3])
+
+
+def _perturbed(zf, rng, amplitude):
+    """Every vertex moved by a random offset of about amplitude times its
+    distance from the origin (plus amplitude), a few snapped onto another
+    vertex and one set to NaN."""
+    sites = sorted(zf.values)
+    with zf.params.backend().context():
+        for site in sites:
+            z = zf.values[site]
+            step = amplitude * (abs(z) + 1)
+            zf.values[site] = z + complex(rng.gauss(0, step), rng.gauss(0, step))
+        for site in rng.sample(sites, 4):
+            zf.values[site] = zf.values[rng.choice(sites)]
+        zf.values[rng.choice(sites)] = complex(math.nan, 0)
+    return zf
+
+
+@pytest.mark.parametrize("amplitude", [0.01, 0.05, 0.2])
+def test_quad_sweep_matches_reference_on_perturbed_double_fields(amplitude):
+    rng = random.Random(int(amplitude * 1000))
+    found = 0
+    for c in (0.5, 1.25, 1.9):
+        zf = _perturbed(generate_z(isotropic_params(c), 8), rng, amplitude)
+        found += len(assert_quad_sweep_matches_reference(zf))
+    assert found
+
+
+def test_quad_sweep_matches_reference_on_integer_grid_fields():
+    # small integer coordinates: orientations are exact, so touching and
+    # collinear sides (orientation exactly 0) are frequent
+    rng = random.Random(7)
+    found = 0
+    for _ in range(20):
+        zf = generate_z(isotropic_params(1.5), 6)
+        for site in zf.values:
+            zf.values[site] = complex(rng.randint(-2, 2), rng.randint(-2, 2))
+        found += len(assert_quad_sweep_matches_reference(zf))
+    assert found
+
+
+def test_quad_sweep_matches_reference_on_loaded_extended_field(tmp_path):
+    from hexcircle import cli
+    from hexcircle.document import load_document
+    path = str(tmp_path / "z2.txt")
+    assert cli.main(["generate", "--c", "2", "--mode", "z2", "--n", "8",
+                     "--precision", "ext", "--dps", "80", "--out", path]) == 0
+    rng = random.Random(80)
+    found = 0
+    for amplitude in (0.0, 0.02, 0.1):
+        zf = load_document(path).zfield()
+        if amplitude:
+            zf = _perturbed(zf, rng, amplitude)
+        found += len(assert_quad_sweep_matches_reference(zf))
+    assert found
+
+
+# -- reconstruct reads the radii as doubles --------------------------------
+
+@pytest.mark.parametrize("dual_of", [False, True])
+def test_reconstruct_gives_the_same_vertices_from_float_radii(dual_of):
+    params = PatternParams(alphas=ISO, c=2.0, precision="ext", dps=80)
+    rf = generate_radii(params, 8)
+    if dual_of:
+        rf = dual(rf)
+    copy = RadiusField(params=rf.params, generation=rf.generation,
+                       pole_sites=rf.pole_sites,
+                       values={s: float(r) for s, r in rf.values.items()})
+    zf, ref = reconstruct(rf), reconstruct(copy)
+    assert zf.values == ref.values
+    assert zf.meta == ref.meta

@@ -405,3 +405,67 @@ def test_fill_values_are_the_single_stencil_solves():
             assert got == v[entry.site]
             checked += 1
     assert checked >= 60
+
+
+# -- extract_radii ---------------------------------------------------------
+
+def _reference_radii(zf, dps):
+    """Mean of the mpmath moduli of the stored neighbor differences, at
+    dps digits."""
+    out = {}
+    with mp.workdps(dps):
+        for site, z in zf.values.items():
+            if lattice.parity(site) == 0:
+                d = [abs(mp.mpc(zf.values[nb]) - mp.mpc(z))
+                     for nb in lattice.axis_neighbors(site) if nb in zf.values]
+                if d:
+                    out[lattice.to_sub(site)] = mp.fsum(d) / len(d)
+    return out
+
+
+@pytest.mark.parametrize("dps", [40, 80])
+def test_extract_radii_matches_reference_at_twice_the_precision(dps):
+    zf = generate_z(_ext_params(1.37, dps), 10)
+    got = extract_radii(zf)
+    ref = _reference_radii(zf, 2 * dps)
+    assert got.keys() == ref.keys() and len(got) > 100
+    with mp.workdps(2 * dps):
+        for sub, want in ref.items():
+            assert isinstance(got[sub], mp.mpf)
+            assert abs(got[sub] - want) <= want * mp.mpf(10) ** -dps, sub
+    # a reconstructed c = 2 layout: double vertices, and a center whose
+    # neighbors all coincide with it (zero radius)
+    rz = generate_radii(_ext_params(2.0, dps=dps), 8)
+    from hexcircle.geometry import reconstruct
+    zr = reconstruct(rz)
+    got, ref = extract_radii(zr), _reference_radii(zr, 2 * dps)
+    assert got[(0, 0, 0)] == 0 and ref[(0, 0, 0)] == 0
+    with mp.workdps(2 * dps):
+        assert all(abs(got[s] - ref[s]) <= ref[s] * mp.mpf(10) ** -dps for s in ref)
+
+
+def test_extract_radii_double_is_the_axis_distance_mean():
+    from hexcircle.pattern_core import axis_distances
+    for c in (0.5, 1.37):
+        zf = generate_z(PatternParams(alphas=DISTINCT, c=c), 10)
+        got = extract_radii(zf, 4)
+        want = {}
+        for site in zf.values:
+            if lattice.parity(site) == 0 and lattice.sub_generation(lattice.to_sub(site)) <= 4:
+                d = axis_distances(zf.values, site)
+                want[lattice.to_sub(site)] = sum(d) / len(d)
+        assert got == want and all(type(r) is float for r in got.values())
+
+
+@pytest.mark.parametrize("bad", ["nan", "1e400000", "1e-100000"])
+def test_extract_radii_unreadable_field_gives_nan(bad):
+    from hexcircle.geometry import immersion_check
+    params = isotropic_params(1.5, precision="ext", dps=40)
+    zf = generate_z(params, 6)
+    count = len(extract_radii(zf))
+    with mp.workdps(40):
+        zf.values[(3, 2, -1)] = mp.mpc(mp.mpf(bad), 1)
+    radii = extract_radii(zf)
+    assert len(radii) == count and all(mp.isnan(r) for r in radii.values())
+    assert any(kind == "nonpositive-radius"
+               for _, kind in immersion_check(zf).failures)
