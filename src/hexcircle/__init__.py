@@ -8,14 +8,14 @@ from radii and certifies immersion.
 
 from .pattern_core import (PatternParams, ZField, cross_ratio, solve_fourth,
                            axis_next, generate_z, constraint_residual,
-                           zero_curvature_residual, isotropic_params)
+                           isotropic_params)
 from .radius_system import (RadiusField, PositivityViolation, generate_radii,
                             dual, z2_initial, border_solve, hex_solve,
-                            tri_solve, extract_radii)
-from .riccati import RiccatiParams, g, riccati_step, p0_closed, p0_via_series, y_closed, hyp_f
+                            extract_radii)
+from .riccati import RiccatiParams, g, riccati_step, p0_closed, p0_via_series, y_closed
 from .painleve import dpii_step, x0_closed, sector_of, run_trajectory, shoot
-from .geometry import (reconstruct, immersion_check, kite_classify, sg_slice,
-                       erf_radius, sg_radius_residual, circle_pattern)
+from .geometry import (reconstruct, immersion_check, sg_slice, erf_radius,
+                       sg_radius_residual)
 from .document import PatternDocument, save_document, load_document
 from .verify import run_checks, VerifyReport
 
@@ -25,11 +25,10 @@ __all__ = [
     "PatternParams", "ZField", "RadiusField", "RiccatiParams",
     "PatternDocument", "VerifyReport", "PositivityViolation",
     "cross_ratio", "solve_fourth", "axis_next", "generate_z",
-    "constraint_residual", "zero_curvature_residual", "isotropic_params",
-    "generate_radii", "dual", "z2_initial", "border_solve", "hex_solve",
-    "tri_solve", "extract_radii", "g", "riccati_step", "p0_closed",
-    "p0_via_series", "y_closed", "hyp_f", "dpii_step", "x0_closed",
-    "sector_of", "run_trajectory", "shoot", "reconstruct", "immersion_check",
-    "kite_classify", "sg_slice", "erf_radius", "sg_radius_residual",
-    "circle_pattern", "save_document", "load_document", "run_checks",
+    "constraint_residual", "isotropic_params", "generate_radii", "dual",
+    "z2_initial", "border_solve", "hex_solve", "extract_radii", "g",
+    "riccati_step", "p0_closed", "p0_via_series", "y_closed", "dpii_step",
+    "x0_closed", "sector_of", "run_trajectory", "shoot", "reconstruct",
+    "immersion_check", "sg_slice", "erf_radius", "sg_radius_residual",
+    "save_document", "load_document", "run_checks",
 ]

@@ -13,7 +13,7 @@ from typing import Optional
 
 from . import geometry, pattern_core, radius_system, riccati, painleve
 from .document import DocumentError, PatternDocument, load_document, save_document
-from .numerics import backend_for, parse_angles
+from .numerics import Backend, parse_angles
 from .pattern_core import PatternParams
 from .radius_system import PositivityViolation
 from .svg import NonFiniteError, render_svg
@@ -33,12 +33,7 @@ def _params_from_args(args) -> PatternParams:
 def _build_document(params: PatternParams, n: int, mode: str, route: str) -> PatternDocument:
     doc = PatternDocument(params=params, n_max=n, mode=mode, route=route)
     if mode in ("z2", "log") or route == "radius":
-        base_params = params
-        if mode == "z2":
-            base_params = PatternParams(alphas=params.alphas, c=2.0,
-                                        precision=params.precision, dps=params.dps,
-                                        alpha_pi_fracs=params.alpha_pi_fracs)
-        rf = radius_system.generate_radii(base_params, n)
+        rf = radius_system.generate_radii(params, n)
         if mode == "log":
             rf = radius_system.dual(rf)
         doc.params = rf.params
@@ -53,11 +48,7 @@ def _build_document(params: PatternParams, n: int, mode: str, route: str) -> Pat
         doc.summary["radius_eq"] = radius_system.max_equation_residual(rf)
     else:
         zf = pattern_core.generate_z(params, n)
-        if mode == "sg":
-            sg = geometry.sg_slice(zf)
-            doc.vertices = {(k, 0, m): z for (k, m), z in sg.values.items()}
-        else:
-            doc.vertices = dict(zf.values)
+        doc.vertices = dict((geometry.sg_slice(zf) if mode == "sg" else zf).values)
         doc.radii = radius_system.extract_radii(zf, n)
         doc.summary["crossratio"] = pattern_core.max_face_residual(zf)
         if mode == "hex":
@@ -71,6 +62,10 @@ def cmd_generate(args) -> int:
         params = _params_from_args(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.mode in ("z2", "log") and params.c != 2:
+        print(f"error: --mode {args.mode} is built from the c = 2 pattern and "
+              f"needs --c 2", file=sys.stderr)
         return EXIT_USAGE
     if args.mode in ("z2", "log") and args.route == "crossratio":
         args.route = "radius"
@@ -164,7 +159,7 @@ def cmd_analyze(args) -> int:
                 print(f"# first nonpositive at n={traj.first_nonpositive}")
         elif args.what == "painleve":
             beta0 = args.beta0 if args.beta0 is not None else args.c * args.alpha / 2
-            bk = backend_for(args.precision, args.dps)  # caps dps
+            bk = Backend(args.precision, args.dps)  # caps dps
             dps = None if bk.is_double else bk.dps
             traj = painleve.run_trajectory(args.c, args.alpha, beta0, args.n, dps=dps)
             print("#   n      beta_n    sector")

@@ -103,10 +103,8 @@ def save_document(doc: PatternDocument, path: str) -> None:
     lines.append("[vertices]")
     for site in sorted(doc.vertices):
         z = doc.vertices[site]
-        re = z.real if isinstance(z, complex) else z.real
-        im = z.imag if isinstance(z, complex) else z.imag
         lines.append(f"{site[0]} {site[1]} {site[2]} "
-                     f"{_fmt(re, p.precision, p.dps)} {_fmt(im, p.precision, p.dps)}")
+                     f"{_fmt(z.real, p.precision, p.dps)} {_fmt(z.imag, p.precision, p.dps)}")
     lines.append("[radii]")
     for site in sorted(doc.radii):
         lines.append(f"{site[0]} {site[1]} {site[2]} "

@@ -1,4 +1,5 @@
-"""Embedded patterns: kites, reconstruction from radii, immersion reports.
+"""Embedded patterns: reconstruction from radii, immersion reports, the
+square-grid slice.
 
 A center and one adjacent circle fix a kite; the angle under which the two
 circles cross is the constant angle of the face between them.  Walking the
@@ -17,34 +18,14 @@ from typing import Dict, List, Optional, Tuple
 
 from . import lattice
 from .lattice import MultiIndex, SubIndex
-from .pattern_core import (PatternParams, ZField, axis_distances, cross_ratio,
-                           face_sites, iter_slab_faces)
+from .pattern_core import ZField, face_sites, iter_slab_faces
 from .radius_system import RadiusField, extract_radii
 
 POLE = math.inf
 
 
-class NotAKiteError(ValueError):
-    """The quadrilateral fits none of the four kite cases."""
-
-
 class ReconstructionError(ArithmeticError):
     """Wedge layout failed to close around a vertex."""
-
-
-@dataclass(frozen=True)
-class Circle:
-    center: complex
-    radius: float
-    site: SubIndex
-
-
-@dataclass
-class CirclePattern:
-    circles: List[Circle]
-    intersections: Dict[MultiIndex, complex]
-    adjacency: List[Tuple[SubIndex, SubIndex, int]]   # (site, site, angle index)
-    params: PatternParams
 
 
 @dataclass
@@ -62,50 +43,6 @@ def orientation(z1: complex, z2: complex, z3: complex) -> float:
     """Twice the signed area of the triangle."""
     return ((z2.real - z1.real) * (z3.imag - z1.imag)
             - (z2.imag - z1.imag) * (z3.real - z1.real))
-
-
-def _angle_between(za: complex, zb: complex) -> float:
-    """Unsigned angle between two directions, in [0, pi]."""
-    return abs(cmath.phase(zb / za))
-
-
-def kite_classify(z1: complex, z2: complex, z3: complex, z4: complex,
-                  alpha: float, tol: float = 1e-9) -> int:
-    """Which of the four kite cases the face realizes (1..4).
-
-    Precondition: the cross-ratio of (z1..z4) is exp(-2 i alpha).  Each case
-    asserts its side equalities; inconsistent input raises NotAKiteError.
-    """
-    q = cross_ratio(z1, z2, z3, z4)
-    target = cmath.exp(-2j * alpha)
-    scale = max(abs(z1 - z2), abs(z2 - z3), abs(z3 - z4), abs(z4 - z1))
-    if abs(q - target) > 1e-6 * max(1.0, 1.0 / max(scale, 1e-30)) + 1e-6:
-        raise NotAKiteError("cross-ratio does not match the prescribed angle")
-    d12, d14 = abs(z1 - z2), abs(z1 - z4)
-    d32, d34 = abs(z3 - z2), abs(z3 - z4)
-    orient124 = orientation(z1, z2, z4)
-    apex_tol = tol * max(scale, 1e-30)
-    if abs(d12 - d14) <= apex_tol:
-        case = 1 if orient124 >= 0 else 2
-        if abs(d32 - d34) > 10 * apex_tol:
-            raise NotAKiteError("opposite sides fail the kite equality")
-        # angle between the segments [z1,z2] and [z2,z3] at their shared
-        # endpoint: directions away from z2
-        ang = _angle_between(z1 - z2, z3 - z2)
-        want = math.pi - alpha if case == 1 else alpha
-        if abs(ang - want) > 1e-6:
-            raise NotAKiteError("hinge angle does not match the case")
-        return case
-    ang14 = _angle_between(z2 - z1, z4 - z1)
-    if abs(ang14 - alpha) <= 1e-6 and orient124 >= 0:
-        case = 3
-    elif abs(ang14 - (math.pi - alpha)) <= 1e-6 and orient124 < 0:
-        case = 4
-    else:
-        raise NotAKiteError("no kite case matches")
-    if abs(d32 - d12) > 10 * apex_tol or abs(d34 - d14) > 10 * apex_tol:
-        raise NotAKiteError("side equalities fail for the angle cases")
-    return case
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +157,8 @@ def reconstruct(rf: RadiusField, closure_tol: float = 1e-6) -> ZField:
         for name, theta in angles.items():
             step = _SPOKE_STEP[name]
             odd = (vertex[0] + step[0], vertex[1] + step[1], vertex[2] + step[2])
-            if not lattice.region_contains(lattice.Region.Q, odd):
-                continue
+            if not (odd[0] >= 0 and odd[1] >= 0 and odd[2] <= 0):
+                continue  # outside the octant Q
             z_p = z_c + r_c * cmath.exp(1j * theta)
             if odd in values:
                 worst_mismatch = max(worst_mismatch, abs(values[odd] - z_p))
@@ -259,66 +196,6 @@ def reconstruct(rf: RadiusField, closure_tol: float = 1e-6) -> ZField:
     zf.meta["wedge_closure"] = worst_closure
     zf.meta["pole_sites"] = tuple(pole)
     return zf
-
-
-def circumcircle(z1: complex, z2: complex, z3: complex) -> Tuple[complex, float]:
-    """Center and radius of the circle through three points."""
-    d = 2 * ((z1.real * (z2.imag - z3.imag)) + (z2.real * (z3.imag - z1.imag))
-             + (z3.real * (z1.imag - z2.imag)))
-    if d == 0:
-        raise ValueError("collinear points have no circumcircle")
-    u1, u2, u3 = (abs(z1) ** 2, abs(z2) ** 2, abs(z3) ** 2)
-    ux = (u1 * (z2.imag - z3.imag) + u2 * (z3.imag - z1.imag)
-          + u3 * (z1.imag - z2.imag)) / d
-    uy = (u1 * (z3.real - z2.real) + u2 * (z1.real - z3.real)
-          + u3 * (z2.real - z1.real)) / d
-    center = complex(ux, uy)
-    return center, abs(z1 - center)
-
-
-def pattern_radii(zf: ZField, n_max: Optional[int] = None) -> Dict[SubIndex, float]:
-    """Radius extraction that also covers sublattice sites whose center
-    vertex is absent (reconstructed fields): those radii are circumradii of
-    the three stored intersection points."""
-    out = extract_radii(zf, n_max)
-    for entry in lattice.fill_order(n_max if n_max is not None else zf.generation):
-        q = entry.site
-        if q in out:
-            continue
-        if q[0] + q[1] + q[2] != 1:
-            continue
-        k, l, m = lattice.sub_to_vertex(q)
-        pts = [(k + 1, l, m), (k, l + 1, m), (k, l, m + 1)]
-        if all(p in zf.values for p in pts):
-            _, radius = circumcircle(*(complex(zf[p]) for p in pts))
-            out[q] = radius
-    return out
-
-
-def circle_pattern(zf: ZField, n_max: Optional[int] = None) -> CirclePattern:
-    """Circles, intersection points and adjacency of the hexagonal pattern
-    carried by a field."""
-    radii = extract_radii(zf, n_max)
-    circles = []
-    for sub, r in sorted(radii.items()):
-        if sub[0] + sub[1] + sub[2] != 0:
-            continue
-        vertex = lattice.sub_to_vertex(sub)
-        if vertex in zf.values:
-            circles.append(Circle(center=complex(zf[vertex]), radius=float(r), site=sub))
-    inter = {}
-    for site, z in zf.values.items():
-        if lattice.parity(site) == 1 and abs(site[0] + site[1] + site[2]) == 1:
-            inter[site] = complex(z)
-    adjacency = []
-    have = {c.site for c in circles}
-    for c in circles:
-        for off, aidx in _WEDGES:
-            nb = (c.site[0] + off[0], c.site[1] + off[1], c.site[2] + off[2])
-            if nb in have and c.site < nb:
-                adjacency.append((c.site, nb, aidx))
-    return CirclePattern(circles=circles, intersections=inter,
-                         adjacency=adjacency, params=zf.params)
 
 
 # ---------------------------------------------------------------------------
@@ -417,50 +294,31 @@ def _sides_cross(xs, ys, sa, a, sb, b) -> bool:
 # square-grid slice and the error-function pattern
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SquareGridPattern:
-    values: Dict[Tuple[int, int], complex]
-    params: PatternParams
-    generation: int
-
-    def circles(self) -> List[Circle]:
-        lifted = {(k, 0, m): z for (k, m), z in self.values.items()}
-        out = []
-        for site, z in sorted(lifted.items()):
-            if lattice.parity(site) == 0:
-                dists = [float(d) for d in axis_distances(lifted, site)]
-                if dists:
-                    out.append(Circle(center=complex(z), radius=sum(dists) / len(dists),
-                                      site=site))
-        return out
+def sg_slice(zf: ZField) -> ZField:
+    """Restrict the field to the l = 0 plane, at its own precision: a
+    square-grid pattern whose circles cross at the third angle and its
+    supplement."""
+    return ZField(params=zf.params, generation=zf.generation,
+                  values={s: z for s, z in zf.values.items() if s[1] == 0})
 
 
-def sg_slice(zf: ZField) -> SquareGridPattern:
-    """Restrict the field to the l = 0 plane: a square-grid pattern whose
-    circles cross at the third angle and its supplement."""
-    values = {(k, m): complex(zf[(k, l, m)])
-              for (k, l, m) in zf.values if l == 0}
-    return SquareGridPattern(values=values, params=zf.params,
-                             generation=zf.generation)
-
-
-def sg_immersion_check(sg: SquareGridPattern, eps_scale: float = 1e-12) -> ImmersionReport:
-    """Orientation sweep of consecutive-neighbor triangles in the plane,
-    with the triangle test of immersion_check."""
+def sg_immersion_check(sg: ZField, eps_scale: float = 1e-12) -> ImmersionReport:
+    """Orientation sweep of consecutive-neighbor triangles in the l = 0
+    plane, with the triangle test of immersion_check."""
     report = ImmersionReport()
     cycle = ((1, 0), (0, -1), (-1, 0), (0, 1))   # counterclockwise images
-    for (k, m), z in sg.values.items():
+    for (k, l, m), z in sg.values.items():
         z = complex(z)
         for idx in range(4):
             d1, d2 = cycle[idx], cycle[(idx + 1) % 4]
-            p1 = sg.values.get((k + d1[0], m + d1[1]))
-            p2 = sg.values.get((k + d2[0], m + d2[1]))
+            p1 = sg.values.get((k + d1[0], l, m + d1[1]))
+            p2 = sg.values.get((k + d2[0], l, m + d2[1]))
             if p1 is None or p2 is None:
                 continue
             p1, p2 = complex(p1), complex(p2)
             report.checked_triangles += 1
             if _flipped(z, p1, p2, eps_scale):
-                report.failures.append(((k, 0, m), "orientation-flip:sg"))
+                report.failures.append(((k, l, m), "orientation-flip:sg"))
     return report
 
 

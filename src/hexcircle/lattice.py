@@ -10,7 +10,6 @@ radius recurrences, tagging every site with the equation that computes it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from typing import Iterator, List, Tuple
 
@@ -20,17 +19,6 @@ SubIndex = Tuple[int, int, int]
 
 class ParityError(ValueError):
     """Raised when an operation requires an even coordinate sum."""
-
-
-class Region(Enum):
-    Q = "Q"
-    Q_H = "Q_H"
-    TILDE_Q = "TildeQ"
-    TILDE_Q_H = "TildeQ_H"
-    BORDER_PLANE_KM = "BorderPlaneKM"   # K+M = 0 in sublattice labels
-    BORDER_PLANE_LM = "BorderPlaneLM"   # L+M = 0
-    AXIS_K = "AxisK"                    # sublattice line (n, 0, -n)
-    AXIS_L = "AxisL"                    # sublattice line (0, n, -n)
 
 
 def parity(p: MultiIndex) -> int:
@@ -68,30 +56,6 @@ def sub_to_vertex(q: SubIndex) -> MultiIndex:
     return from_sub(q, canonical_shift(q))
 
 
-def region_contains(region: Region, p: Tuple[int, int, int]) -> bool:
-    k, l, m = p
-    if region is Region.Q:
-        return k >= 0 and l >= 0 and m <= 0
-    if region is Region.Q_H:
-        return k >= 0 and l >= 0 and m <= 0 and abs(k + l + m) <= 1
-    if region is Region.TILDE_Q:
-        return l + m <= 0 and m + k <= 0 and k + l >= 0
-    if region is Region.TILDE_Q_H:
-        # subset of TildeQ: the extra corner points of the literal
-        # inequality set have no preimage vertex inside Q
-        return (region_contains(Region.TILDE_Q, p)
-                and k >= 0 and l >= 0 and m <= 0 and (k + l + m) in (0, 1))
-    if region is Region.BORDER_PLANE_KM:
-        return region_contains(Region.TILDE_Q, p) and k + m == 0
-    if region is Region.BORDER_PLANE_LM:
-        return region_contains(Region.TILDE_Q, p) and l + m == 0
-    if region is Region.AXIS_K:
-        return l == 0 and m == -k and k >= 0
-    if region is Region.AXIS_L:
-        return k == 0 and m == -l and l >= 0
-    raise ValueError(region)
-
-
 def axis_neighbors(p: MultiIndex) -> List[MultiIndex]:
     k, l, m = p
     return [(k + 1, l, m), (k - 1, l, m), (k, l + 1, m),
@@ -122,9 +86,6 @@ TAG_TRI = "three-circle"    # white interior sites
 class FillEntry:
     site: SubIndex
     tag: str
-
-    def dependencies(self) -> List[SubIndex]:
-        return fill_dependencies(self)
 
 
 def hex_stencil_slots(label: SubIndex) -> dict:

@@ -127,10 +127,6 @@ class Backend:
         return 10.0 ** (1 - self.dps)
 
 
-def backend_for(mode: str, dps: int = DEFAULT_EXT_DPS) -> Backend:
-    return Backend(mode=mode, dps=dps)
-
-
 def worst_of(residuals) -> float:
     """Largest of some residuals, 0.0 for none; NaN if any is NaN.
 
@@ -187,9 +183,6 @@ class ExactComplex:
 
     def __bool__(self) -> bool:
         return bool(self.x or self.y)
-
-    def conjugate(self) -> "ExactComplex":
-        return ExactComplex(self.x, -self.y, self.e)
 
     def __complex__(self) -> complex:
         return complex(_ldexp(self.x, self.e), _ldexp(self.y, self.e))

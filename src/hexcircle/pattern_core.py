@@ -12,11 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Tuple
 
-from .lattice import MultiIndex, axis_neighbors, generation, parity, q_sites
-from .numerics import (Backend, ComplexNumber, DOUBLE, Number, backend_for,
-                       snapshot, worst_of)
+from .lattice import MultiIndex, generation, q_sites
+from .numerics import Backend, ComplexNumber, DOUBLE, snapshot, worst_of
 
 ANGLE_SUM_TOL = 1e-12
 
@@ -64,7 +63,7 @@ class PatternParams:
         self.backend()  # rejects an unknown precision mode or dps
 
     def backend(self) -> Backend:
-        return backend_for(self.precision, self.dps)
+        return Backend(self.precision, self.dps)
 
     def exact_angle(self, i: int, bk: Optional[Backend] = None):
         bk = bk or self.backend()
@@ -168,15 +167,6 @@ def iter_slab_faces(stored: Mapping[MultiIndex, object]) -> Iterator[Tuple[Multi
             sites = face_sites(v, i, j)
             if all(s in stored for s in sites):
                 yield sites
-
-
-def axis_distances(values: Mapping[MultiIndex, ComplexNumber],
-                   site: MultiIndex) -> List[Number]:
-    """Distances from site to its stored axis neighbors, in axis_neighbors
-    order, at the precision of the values.  Uses the built-in abs:
-    extended values must be passed inside the caller's backend context."""
-    z = values[site]
-    return [abs(values[nb] - z) for nb in axis_neighbors(site) if nb in values]
 
 
 def face_targets(params: PatternParams, bk: Optional[Backend] = None):
@@ -348,36 +338,18 @@ def max_constraint_residual(zf: ZField) -> float:
 # transport matrices and the zero-curvature check
 # ---------------------------------------------------------------------------
 
-def lax_deltas(params: PatternParams, zf: Optional[ZField] = None) -> Dict[int, complex]:
-    """Unit-modulus edge constants, calibrated on one reference face per type.
+def lax_deltas(params: PatternParams) -> Dict[int, complex]:
+    """Unit-modulus edge constants from the prescribed face values.
 
     The compatibility of two transport products around a face forces the
-    ratio delta_j/delta_i to equal the inverse cross-ratio of that face; we
-    read the ratios off a reference field (or the prescribed face values)
-    and freeze delta_1 = 1.
+    ratio delta_j/delta_i to equal the inverse cross-ratio of that face, so
+    the ratios are the inverse targets, with delta_1 = 1 frozen.
     """
     bk = params.backend()
     with bk.context():
-        if zf is not None:
-            # inverse cross-ratio of the first stored face of each type
-            ratios = {}
-            for t, sites in iter_faces(zf):
-                if t not in ratios:
-                    f1, f2, f3, f4 = (zf[s] for s in sites)
-                    ratios[t] = ((f1 - f4) * (f2 - f3)) / ((f2 - f1) * (f3 - f4))
-                    if len(ratios) == 3:
-                        break
-            else:
-                raise IncompleteStencilError("no reference faces for calibration")
-        else:
-            targets = face_targets(params, bk)
-            ratios = {t: 1 / targets[t] for t in (1, 2, 3)}
+        ratios = {t: 1 / r for t, r in face_targets(params, bk).items()}
         d1 = bk.exp_i(0)
-        d3 = d1 * ratios[3]
-        d2 = d1 / ratios[1]
-        # consistency: the third ratio (delta_2/delta_3) must close up
-        closure = float(abs(d2 / d3 - ratios[2]))
-    return {1: d1, 2: d2, 3: d3, "closure": closure}
+        return {1: d1, 2: d1 / ratios[1], 3: d1 * ratios[3]}
 
 
 def lax_matrix(delta, z_out, z_in, mu):
@@ -394,30 +366,19 @@ def lax_matrix(delta, z_out, z_in, mu):
 DEFAULT_MU_SAMPLES = (0.731, -1.2 + 0.4j, 2.3j)
 
 
-def zero_curvature_residual(zf: ZField, base: MultiIndex, i: int, j: int,
-                            mu_samples=DEFAULT_MU_SAMPLES,
-                            deltas: Optional[dict] = None) -> float:
-    """Norm gap of the two transport products around the face at base
-    spanning (+e_i, -e_j), maximized over the sampled spectral values.
+def _lax_gap(corners, r, mu_max: float) -> float:
+    """Norm gap of the two transport products around one face, maximized
+    over spectral values of modulus up to mu_max, with r = delta_i / delta_j
+    for the face at base spanning (+e_i, -e_j); the caller holds the backend
+    context.
 
     Both products of lax_matrix factors are affine in mu with equal mu^0
     parts.  With the edges a = zb - za, b = za - zd, c = zb - zc,
     e = zc - zd (so a + b = c + e) and G = delta_i b c - delta_j a e, their
     entries differ by mu G / (b e), mu G (e - a) / (a b c e) and
     mu G / (a c), which gives the gap in closed form.  Since |delta_j| = 1,
-    |G| / (|b| |c|) is the face_defect of the face against
-    r = delta_i / delta_j.
+    |G| / (|b| |c|) is the face_defect of the face against r.
     """
-    with zf.params.backend().context():
-        deltas = deltas or lax_deltas(zf.params)
-        return _lax_gap([zf[s] for s in face_sites(base, i, j)],
-                        deltas[i] / deltas[j],
-                        max((abs(complex(mu)) for mu in mu_samples), default=0.0))
-
-
-def _lax_gap(corners, r, mu_max: float) -> float:
-    """zero_curvature_residual of one face from its corners and
-    r = delta_i / delta_j; the caller holds the backend context."""
     face = face_defect(corners, r)
     if face is None:
         raise DegenerateQuadError("degenerate edge in transport matrix")
@@ -440,15 +401,3 @@ def max_zero_curvature_residual(zf: ZField,
                                for t, (i, j) in FACE_SPAN.items()})
         return worst_of(_lax_gap([values[s] for s in sites], ratios[t], mu_max)
                         for t, sites in iter_faces(zf))
-
-
-def kite_spread(zf: ZField, center: MultiIndex) -> Tuple[float, float]:
-    """(mean radius, max-min spread) of the distances from an even vertex to
-    its stored axis neighbors."""
-    if parity(center) != 0:
-        raise ValueError("kite centers have even coordinate sum")
-    with zf.params.backend().context():
-        dists = [float(d) for d in axis_distances(zf.values, center)]
-    if not dists:
-        raise IncompleteStencilError(center)
-    return sum(dists) / len(dists), max(dists) - min(dists)

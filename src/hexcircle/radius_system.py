@@ -11,9 +11,9 @@ immersion property, so sign failures are reported, never clamped.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
 import mpmath as mp
@@ -21,34 +21,12 @@ import mpmath as mp
 from . import lattice
 from .lattice import (SubIndex, TAG_BORDER, TAG_HEX, TAG_SEED, TAG_TRI,
                       border_fill_stencil, black_fill_stencil,
-                      axis_neighbors, hex_coefficients, hex_stencil_slots,
-                      tri_fill_stencil)
+                      axis_neighbors, fill_dependencies, hex_coefficients,
+                      hex_stencil_slots, tri_fill_stencil)
 from .numerics import aligned_points, aligned_reals, worst_of
 from .pattern_core import PatternParams, ZField, generate_z
 
 POLE = math.inf
-
-
-class StencilType(Enum):
-    """The four local relation patterns and their slot arities."""
-
-    TYPE_I = "border-k"     # boundary row along the first direction
-    TYPE_II = "border-l"    # boundary row along the second direction
-    TYPE_III = "six-circle"
-    TYPE_IV = "three-circle"
-
-    @property
-    def arity(self) -> int:
-        return 6 if self is StencilType.TYPE_III else 3
-
-
-TAG_TO_STENCIL = {TAG_HEX: StencilType.TYPE_III, TAG_TRI: StencilType.TYPE_IV}
-
-
-def stencil_type_for(entry_tag: str, site: SubIndex) -> StencilType:
-    if entry_tag == TAG_BORDER:
-        return StencilType.TYPE_I if site[1] == 0 else StencilType.TYPE_II
-    return TAG_TO_STENCIL[entry_tag]
 
 
 class DegenerateStencilError(ArithmeticError):
@@ -202,17 +180,6 @@ def tri_residual(r: float, r1: float, r2: float, r3: float,
             - (r1 * r2 * s2 + r2 * r3 * s3 + r3 * r1 * s1))
 
 
-def tri_solve(r1: float, r2: float, r3: float, params: PatternParams) -> float:
-    """Circle through the pairwise intersection points of three circles;
-    manifestly positive for positive inputs."""
-    s1, s2, s3 = angle_constants(params)[0]
-    num = r1 * r2 * s2 + r2 * r3 * s3 + r3 * r1 * s1
-    den = r1 * s3 + r2 * s1 + r3 * s2
-    if den == 0:
-        raise DegenerateStencilError("three-circle relation degenerate")
-    return num / den
-
-
 def tri_solve_slot2(r: float, r1: float, r3: float,
                     params: PatternParams, sines=None) -> float:
     """Solve the three-circle relation for its r2 slot given the base and
@@ -309,7 +276,7 @@ def generate_radii(params: PatternParams, n_max: int,
         if math.isinf(float(val)):
             pole_sites.append(site)
         elif not (val > 0) or math.isnan(float(val)):
-            upstream = {str(dep): values.get(dep) for dep in entry.dependencies()}
+            upstream = {str(dep): values.get(dep) for dep in fill_dependencies(entry)}
             raise PositivityViolation(site=site, value=val, tag=tag,
                                       upstream=upstream)
         values[site] = val
@@ -457,17 +424,49 @@ def max_equation_residual(rf: RadiusField) -> float:
     return worst_of(d for _, _, d in defects)
 
 
+def _axis_sq_distances(zf: ZField):
+    """Squared distances from every even site to its stored axis neighbors,
+    in axis_neighbors order, as ({site: [sq, ...]}, one); sites without a
+    stored neighbor are left out.  On an extended field they are exact
+    integers over one**2 (numerics.aligned_points), on a double field
+    floats with one = 1.0.  None when the field cannot be read: a value that
+    is not finite, or an extended value outside the snapshot window.
+    """
+    bk = zf.params.backend()
+    if bk.is_double:
+        if not all(map(cmath.isfinite, zf.values.values())):
+            return None
+        pts, one = {s: (z.real, z.imag) for s, z in zf.values.items()}, 1.0
+    else:
+        read = aligned_points(bk, zf.values)
+        if read is None:
+            return None
+        pts, one = read
+    out = {}
+    for site, (x, y) in pts.items():
+        if lattice.parity(site) != 0:
+            continue
+        sq = []
+        for nb in axis_neighbors(site):
+            if nb in pts:
+                dx, dy = pts[nb][0] - x, pts[nb][1] - y
+                sq.append(dx * dx + dy * dy)
+        if sq:
+            out[site] = sq
+    return out, one
+
+
 def extract_radii(zf: ZField, n_max: Optional[int] = None) -> Dict[SubIndex, float]:
     """Mean distance from each even vertex to its stored neighbors, keyed
     by sublattice label (the oracle for the recurrence route), at the
-    precision of the field.  An extended field is read once, exactly
-    (numerics.aligned_points): each squared distance is an integer, its
-    math.isqrt is taken to 32 bits beyond the working precision, and the
-    sum of the roots is divided once.  Every radius is NaN when the field
-    cannot be read.
+    precision of the field.  A double field takes the mean of the built-in
+    abs of the differences.  An extended field is read once, exactly
+    (_axis_sq_distances): the math.isqrt of each squared distance is taken
+    to 32 bits beyond the working precision, and the sum of the roots is
+    divided once.  Every radius is NaN when the field cannot be read.
     """
     bk = zf.params.backend()
-    read = None if bk.is_double else aligned_points(bk, zf.values)
+    read = None if bk.is_double else _axis_sq_distances(zf)
     out: Dict[SubIndex, float] = {}
     with bk.context():
         bits = mp.mp.prec + 32
@@ -483,9 +482,7 @@ def extract_radii(zf: ZField, n_max: Optional[int] = None) -> Dict[SubIndex, flo
             elif read is None:
                 out[sub] = mp.nan
             else:
-                pts, one = read
-                x, y = pts[site]
-                sq = [(pts[nb][0] - x) ** 2 + (pts[nb][1] - y) ** 2 for nb in nbs]
+                sq, one = read[0][site], read[1]
                 g = max(0, bits - max(sq).bit_length() // 2)
                 # the mean is roots / len(sq) * 2**-g / one
                 roots = sum(math.isqrt(d << 2 * g) for d in sq)

@@ -143,23 +143,9 @@ def separatrix_dps(params: RiccatiParams, n_steps: int, margin: int = 30) -> int
     return max(30, int(math.ceil(n_steps * math.log10(growth))) + margin)
 
 
-def p_limit_check(params: RiccatiParams, n_steps: int = 40,
-                  dps: Optional[int] = None) -> float:
-    """p_N of the separatrix run (the limit is 1 on the separatrix)."""
-    if dps is None:
-        dps = separatrix_dps(params, n_steps)
-    traj = trajectory(params, n_steps, dps=dps)
-    return traj.values[-1]
-
-
 # ---------------------------------------------------------------------------
 # hypergeometric series
 # ---------------------------------------------------------------------------
-
-def hyp_f(a, b, cc, z, tol: float = 1e-15):
-    """Gauss series sum_k (a)_k (b)_k / ((cc)_k k!) z^k for |z| < 1."""
-    return _hyp_with_derivative(a, b, cc, z, tol)[0]
-
 
 def _hyp_with_derivative(a, b, cc, z, tol):
     """(F, F') of the Gauss series, F' by term-wise differentiation."""
@@ -193,18 +179,6 @@ def mixture_coefficient(c):
     if isinstance(c, mp.mpf):
         return (2 - c) * mp.cos(mp.pi * c / 2) / mp.sin(mp.pi * c / 2)
     return (2 - c) * math.cos(math.pi * c / 2) / math.sin(math.pi * c / 2)
-
-
-def gamma_ratio(n: int, c):
-    """Gamma(n + 1/2) / Gamma(n + 1 - c/2)."""
-    if isinstance(c, mp.mpf):
-        return mp.gamma(n + mp.mpf(1) / 2) / mp.gamma(n + 1 - c / 2)
-    return math.exp(math.lgamma(n + 0.5) - math.lgamma(n + 1 - c / 2))
-
-
-def stirling_gamma(x: float) -> float:
-    """sqrt(2 pi) e^-x x^(x-1/2), the leading Stirling approximation."""
-    return math.sqrt(2 * math.pi) * math.exp(-x) * x ** (x - 0.5)
 
 
 def _y_dps(params: RiccatiParams, n: int, base_dps: int = 25) -> int:

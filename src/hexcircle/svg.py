@@ -12,8 +12,9 @@ from typing import List, Tuple
 import mpmath as mp
 
 from .document import PatternDocument
-from .lattice import parity, sub_to_vertex
-from .pattern_core import axis_distances, iter_slab_faces
+from .lattice import parity, sub_to_vertex, to_sub
+from .pattern_core import iter_slab_faces
+from .radius_system import extract_radii
 
 
 def _f(x: float) -> str:
@@ -43,11 +44,13 @@ def render_svg(doc: PatternDocument, show: str = "both", scale: float = 100.0,
         if not cmath.isfinite(z):
             raise NonFiniteError(f"vertex {site} is not finite in double: {z}")
     if doc.mode == "sg":
+        radii = extract_radii(doc.zfield())
         for site, z in vertices.items():
-            if parity(site) == 0:
-                dists = [float(d) for d in axis_distances(vertices, site)]
-                if dists:
-                    circles.append((z, sum(dists) / len(dists)))
+            if parity(site) == 0 and to_sub(site) in radii:
+                radius = float(radii[to_sub(site)])
+                if not math.isfinite(radius):
+                    raise NonFiniteError(f"circle at {site} has no finite radius")
+                circles.append((z, radius))
     else:
         pole = set(doc.pole_sites)
         for site, r in sorted(doc.radii.items()):

@@ -5,9 +5,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from . import geometry, lattice, pattern_core, radius_system
+from . import geometry, pattern_core, radius_system
 from .document import PatternDocument
-from .numerics import snapshot, worst_of
+from .numerics import worst_of
 
 DEFAULT_TOLERANCES = {
     "crossratio": 1e-9,
@@ -45,8 +45,10 @@ def applicable_checks(doc: PatternDocument) -> List[str]:
     checks = []
     if doc.vertices:
         checks += ["crossratio", "kite", "immersion"]
-        if doc.mode in ("hex", "sg") and doc.route == "crossratio":
-            checks += ["constraint", "laxzc"]
+        if doc.route == "crossratio" and doc.mode == "hex":
+            checks.append("constraint")
+        if doc.route == "crossratio" and doc.mode in ("hex", "sg"):
+            checks.append("laxzc")
     if doc.radii:
         checks += ["positivity", "radius_eq"]
     return checks
@@ -86,7 +88,7 @@ def _residual(name, doc, zf, rf, notes) -> Optional[float]:
             return None
         return pattern_core.max_face_residual(zf)
     elif name == "constraint":
-        if zf is None or doc.mode in ("log",):
+        if zf is None or doc.mode in ("log", "sg"):
             notes.append("constraint: not applicable")
             return None
         return pattern_core.max_constraint_residual(zf)
@@ -106,8 +108,7 @@ def _residual(name, doc, zf, rf, notes) -> Optional[float]:
             return None
         bad = [s for s, v in rf.values.items()
                if not rf.is_pole(s) and (math.isnan(v) or v < 0
-                                         or (v == 0 and s not in rf.pole_sites
-                                             and doc.mode not in ("z2",)))]
+                                         or (v == 0 and doc.mode != "z2"))]
         return float(len(bad))
     elif name == "immersion":
         if zf is None:
@@ -130,43 +131,29 @@ def _residual(name, doc, zf, rf, notes) -> Optional[float]:
 
 def max_kite_residual(zf) -> float:
     """Worst deviation of the neighbor distances around any center from a
-    common value (max/min ratio minus one).
+    common value: hi/lo - 1 of the largest and smallest distance.
 
-    The squared distances are compared exactly on an extended field (read
-    through numerics.snapshot), and hi/lo - 1 is formed from the gap of the
-    largest and smallest as (hi^2 - lo^2) / ((hi + lo) lo), with only that
-    quotient in double.  A center whose neighbors all coincide with it (the
-    branch point of the c = 2 pattern) is skipped; one with some but not all
-    distances zero is a collapsed edge and gives inf.
+    With the squared distances of radius_system._axis_sq_distances (exact
+    integers on an extended field), gap = (hi^2 - lo^2) / lo^2 is one
+    rounded quotient, and hi/lo - 1 = gap / (sqrt(1 + gap) + 1), which does
+    not depend on the scale of the field.  A center whose neighbors all
+    coincide with it (the branch point of the c = 2 pattern) is skipped; one
+    with some but not all distances zero is a collapsed edge and gives inf.
+    A field that cannot be read gives NaN.
     """
-    bk = zf.params.backend()
+    read = radius_system._axis_sq_distances(zf)
+    if read is None:
+        return math.nan
     spreads = []
-    with bk.context():
-        values = snapshot(bk, zf.values)
-        if values is None:
-            return math.nan
-        for site, z in values.items():
-            if lattice.parity(site) != 0:
-                continue
-            sq = []
-            for nb in lattice.axis_neighbors(site):
-                if nb in values:
-                    d = values[nb] - z
-                    sq.append(d * d.conjugate())
-            if len(sq) < 2:
-                continue
-            # exact differences to the first, rounded once: they order the
-            # squared distances as the exact values would
-            first = sq[0]
-            gaps = [0.0] + [complex(s - first).real for s in sq[1:]]
-            if math.isnan(sum(gaps)):
-                return math.nan
-            hi, lo = sq[gaps.index(max(gaps))], sq[gaps.index(min(gaps))]
-            if not hi:
-                continue
-            if not lo:
-                spreads.append(math.inf)
-                continue
-            r_hi, r_lo = math.sqrt(complex(hi).real), math.sqrt(complex(lo).real)
-            spreads.append(complex(hi - lo).real / ((r_hi + r_lo) * r_lo))
+    for sq in read[0].values():
+        if len(sq) < 2:
+            continue
+        hi, lo = max(sq), min(sq)
+        if not hi:
+            continue
+        if not lo:
+            spreads.append(math.inf)
+            continue
+        gap = (hi - lo) / lo
+        spreads.append(gap / (math.sqrt(1 + gap) + 1))
     return worst_of(spreads)

@@ -369,3 +369,85 @@ def test_cli_nan_vertex_fails_immersion(tmp_path, capsys, kind, precision):
     assert "FAIL" in capsys.readouterr().out
     failures = immersion_check(load_document(str(bad)).zfield()).failures
     assert failures and {kind for _, kind in failures} == {"nonpositive-radius"}
+
+
+def test_cli_z2_and_log_need_c_2(tmp_path, capsys):
+    path = str(tmp_path / "pat.txt")
+    for mode in ("z2", "log"):
+        for c in ("1.5", "0.5"):
+            assert run_cli(["generate", "--c", c, "--n", "4", "--mode", mode,
+                            "--out", path]) == 2
+            assert "needs --c 2" in capsys.readouterr().err
+        assert run_cli(["generate", "--c", "2", "--n", "4", "--mode", mode,
+                        "--out", path]) == 0
+        assert load_document(path).params.c == (2.0 if mode == "z2" else 0.0)
+
+
+def test_constraint_does_not_apply_to_square_grid(tmp_path, capsys):
+    path = str(tmp_path / "sg.txt")
+    assert run_cli(["generate", "--c", "1.5", "--n", "6", "--mode", "sg",
+                    "--out", path]) == 0
+    doc = load_document(path)
+    assert "constraint" not in verify.applicable_checks(doc)
+    assert "laxzc" in verify.applicable_checks(doc)
+    report = verify.run_checks(doc, ["constraint"])
+    assert "constraint" not in report.residuals
+    assert report.notes == ["constraint: not applicable"]
+    capsys.readouterr()
+    assert run_cli(["verify", path]) == 0
+    assert "constraint" not in capsys.readouterr().out
+
+
+def test_extended_square_grid_keeps_working_precision(tmp_path):
+    path = str(tmp_path / "sg.txt")
+    assert run_cli(["generate", "--c", "1.5", "--mode", "sg", "--n", "8",
+                    "--precision", "ext", "--dps", "40", "--out", path]) == 0
+    doc = load_document(path)
+    assert all(s[1] == 0 for s in doc.vertices) and len(doc.vertices) == 45
+    report = verify.run_checks(doc)
+    assert report.ok
+    assert report.residuals["crossratio"] <= 1e-30
+    assert report.residuals["kite"] <= 1e-30
+
+
+def _reference_circles(doc):
+    """Vertices and (center, radius) circles by the renderer's circle rule
+    written out in double: on the square grid the plain mean of the
+    distances to the stored axis neighbors, otherwise the stored radii."""
+    from hexcircle import lattice
+    vertices = {s: complex(z) for s, z in sorted(doc.vertices.items())}
+    circles = []
+    if doc.mode == "sg":
+        for site, z in vertices.items():
+            if lattice.parity(site) == 0:
+                d = [float(abs(vertices[nb] - z)) for nb in lattice.axis_neighbors(site)
+                     if nb in vertices]
+                if d:
+                    circles.append((z, sum(d) / len(d)))
+    else:
+        for sub, r in sorted(doc.radii.items()):
+            v = lattice.sub_to_vertex(sub)
+            if sum(sub) == 0 and sub not in doc.pole_sites and v in vertices:
+                circles.append((vertices[v], float(r)))
+    return vertices, circles
+
+
+def test_render_circles_equal_the_reference_rule(tmp_path):
+    scale, margin = 100.0, 0.6
+    for mode in ("sg", "hex"):
+        pat, svg = str(tmp_path / f"{mode}.txt"), str(tmp_path / f"{mode}.svg")
+        assert run_cli(["generate", "--c", "1.5", "--alpha", "1/6pi,1/3pi,1/2pi",
+                        "--n", "10", "--mode", mode, "--out", pat]) == 0
+        assert run_cli(["render", pat, "--out", svg]) == 0
+        vertices, circles = _reference_circles(load_document(pat))
+        xs = [z.real for z in vertices.values()] + [z.real + s * r for z, r in circles
+                                                    for s in (-1, 1)]
+        ys = [z.imag for z in vertices.values()] + [z.imag + s * r for z, r in circles
+                                                    for s in (-1, 1)]
+        x0, y1 = min(xs) - margin, max(ys) + margin
+        want = [f'<circle cx="{(z.real - x0) * scale:.6f}" cy="{(y1 - z.imag) * scale:.6f}" '
+                f'r="{r * scale:.6f}" fill="none" stroke="black" stroke-width="1.5"/>'
+                for z, r in circles]
+        with open(svg) as fh:
+            got = [ln for ln in fh.read().splitlines() if ln.startswith("<circle")]
+        assert len(want) > 20 and got == want

