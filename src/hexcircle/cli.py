@@ -98,7 +98,7 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     checks = None
-    if args.checks:
+    if args.checks is not None:
         checks = [c.strip() for c in args.checks.split(",") if c.strip()]
         bad = [c for c in checks if c not in ALL_CHECKS]
         if bad:
@@ -106,6 +106,10 @@ def cmd_verify(args) -> int:
                   file=sys.stderr)
             return EXIT_USAGE
     report = run_checks(doc, checks)
+    if not report.residuals:
+        print(*report.notes, "error: no requested check applies to this document",
+              sep="\n", file=sys.stderr)
+        return EXIT_USAGE
     for line in report.lines():
         print(line)
     return EXIT_OK if report.ok else EXIT_MATH
@@ -132,6 +136,11 @@ def cmd_render(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.n < 0 or args.shoot < 0 or not (math.isfinite(args.tol) and args.tol > 0):
+        print("error: need --n >= 0, --shoot >= 0 and a finite --tol > 0",
+              file=sys.stderr)
+        return EXIT_USAGE
+    out = []  # printed only once the whole analysis has succeeded
     try:
         if args.what == "p0":
             rp = riccati.RiccatiParams(c=args.c, alpha=args.alpha)
@@ -143,41 +152,46 @@ def cmd_analyze(args) -> int:
             seeds = radius_system.seeds_from_pattern(params)
             extracted = seeds[(1, 0, -1)] / seeds[(0, 0, 0)]
             dev = max(abs(closed - series), abs(closed - extracted))
-            print(f"p0 closed form   : {closed!r}")
-            print(f"p0 series route  : {series!r}")
-            print(f"p0 from pattern  : {extracted!r}")
-            print(f"max deviation    : {dev:.3e}")
+            out.append(f"p0 closed form   : {closed!r}")
+            out.append(f"p0 series route  : {series!r}")
+            out.append(f"p0 from pattern  : {extracted!r}")
+            out.append(f"max deviation    : {dev:.3e}")
         elif args.what == "riccati":
             rp = riccati.RiccatiParams(c=args.c, alpha=args.alpha)
             dps = riccati.separatrix_dps(rp, args.n)
             traj = riccati.trajectory(rp, args.n, dps=dps)
-            print(f"# separatrix run, dps={dps}")
-            print("#   n        p_n")
+            out.append(f"# separatrix run, dps={dps}")
+            out.append("#   n        p_n")
             for n, p in enumerate(traj.values):
-                print(f"{n:5d}  {p: .12f}")
+                out.append(f"{n:5d}  {p: .12f}")
             if traj.first_nonpositive is not None:
-                print(f"# first nonpositive at n={traj.first_nonpositive}")
+                out.append(f"# first nonpositive at n={traj.first_nonpositive}")
         elif args.what == "painleve":
             beta0 = args.beta0 if args.beta0 is not None else args.c * args.alpha / 2
             bk = Backend(args.precision, args.dps)  # caps dps
             dps = None if bk.is_double else bk.dps
             traj = painleve.run_trajectory(args.c, args.alpha, beta0, args.n, dps=dps)
-            print("#   n      beta_n    sector")
+            out.append("#   n      beta_n    sector")
             for n, (b, s) in enumerate(zip(traj.betas, traj.sectors)):
-                print(f"{n:5d}  {b: .10f}  {s.value}")
+                out.append(f"{n:5d}  {b: .10f}  {s.value}")
             if traj.stayed:
-                print(f"# stayed in A_I through n={traj.steps_in_sector()}")
+                out.append(f"# stayed in A_I through n={traj.steps_in_sector()}")
             else:
-                print(f"# exited A_I at n={traj.exit_index} into {traj.exit_sector.value}")
+                out.append(f"# exited A_I at n={traj.exit_index} "
+                           f"into {traj.exit_sector.value}")
             if args.shoot:
                 lo, hi = painleve.shoot(args.c, args.alpha, args.shoot, args.tol)
-                print(f"# shoot bracket: [{lo!r}, {hi!r}] width={hi - lo:.3e} "
-                      f"target={args.c * args.alpha / 2!r}")
+                out.append(f"# shoot bracket: [{lo!r}, {hi!r}] width={hi - lo:.3e} "
+                           f"target={args.c * args.alpha / 2!r}")
         else:
             raise ValueError(f"unknown analysis {args.what}")
+    except painleve.BracketError as exc:
+        print(f"error: precision exhausted: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    print("\n".join(out))
     return EXIT_OK
 
 

@@ -145,56 +145,13 @@ def worst_of(residuals) -> float:
 MIN_EXP, MAX_EXP = -1074, 1024
 
 
-class ExactComplex:
-    """The exact complex number (x + i y) * 2**e, with Python integers x, y
-    and e: a Gaussian integer scaled by a power of two.
-
-    Every finite float and mpf is m * 2**e, so stored coordinates convert
-    without rounding, and sums, differences and products stay exact (there
-    is no division).  complex() rounds once, to double.  The operands of a
-    sum are aligned to the smaller exponent, so integer widths stay bounded
-    when the inputs lie in a bounded exponent range, which snapshot() ensures.
-    """
-
-    __slots__ = ("x", "y", "e")
-
-    def __init__(self, x: int, y: int, e: int):
-        self.x, self.y, self.e = x, y, e
-
-    def __add__(self, other: "ExactComplex") -> "ExactComplex":
-        d = self.e - other.e
-        if d >= 0:
-            return ExactComplex((self.x << d) + other.x, (self.y << d) + other.y, other.e)
-        return ExactComplex(self.x + (other.x << -d), self.y + (other.y << -d), self.e)
-
-    def __sub__(self, other: "ExactComplex") -> "ExactComplex":
-        d = self.e - other.e
-        if d >= 0:
-            return ExactComplex((self.x << d) - other.x, (self.y << d) - other.y, other.e)
-        return ExactComplex(self.x - (other.x << -d), self.y - (other.y << -d), self.e)
-
-    def __mul__(self, other) -> "ExactComplex":
-        if isinstance(other, int):
-            return ExactComplex(self.x * other, self.y * other, self.e)
-        x, y, u, v = self.x, self.y, other.x, other.y
-        return ExactComplex(x * u - y * v, x * v + y * u, self.e + other.e)
-
-    __rmul__ = __mul__
-
-    def __bool__(self) -> bool:
-        return bool(self.x or self.y)
-
-    def __complex__(self) -> complex:
-        return complex(_ldexp(self.x, self.e), _ldexp(self.y, self.e))
-
-
-def _ldexp(m: int, e: int) -> float:
-    """m * 2**e rounded to double; m may exceed the double range."""
-    shift = m.bit_length() - 1000
-    if shift > 0:
-        m >>= shift
-        e += shift
-    return math.ldexp(m, e)
+def quotient(num, den) -> float:
+    """|num / den| rounded once to double (exactly rounded for integers,
+    with no conversion of either to float); inf past the double range."""
+    try:
+        return abs(num / den)
+    except OverflowError:
+        return math.inf
 
 
 def _from_mpf(t, min_exp: int) -> Optional[Tuple[int, int]]:
@@ -215,7 +172,8 @@ def _from_float(x: float) -> Optional[Tuple[int, int]]:
     return int(m * 2.0 ** 53), e - 53
 
 
-def _exact(z, min_exp: int) -> Optional[ExactComplex]:
+def _exact(z, min_exp: int) -> Optional[Tuple[int, int, int]]:
+    """(x, y, e) with z = (x + i y) * 2**e, or None (see aligned_points)."""
     if isinstance(z, mp.mpc):
         re, im = (_from_mpf(t, min_exp) for t in z._mpc_)
     elif isinstance(z, mp.mpf):
@@ -227,59 +185,47 @@ def _exact(z, min_exp: int) -> Optional[ExactComplex]:
         return None
     (x, ex), (y, ey) = re, im
     if not y:
-        return ExactComplex(x, 0, ex)
+        return x, 0, ex
     if not x:
-        return ExactComplex(0, y, ey)
+        return 0, y, ey
     if ex >= ey:
-        return ExactComplex(x << (ex - ey), y, ey)
-    return ExactComplex(x, y << (ey - ex), ex)
-
-
-def snapshot(bk: Backend, values: Mapping):
-    """The values (mpc, mpf, complex, float or int) read exactly, for the
-    extended-precision sweeps.
-
-    In extended mode each value becomes an ExactComplex, so arithmetic on
-    the snapshot never rounds.  Each nonzero coordinate must lie in
-    2**(MIN_EXP - 4 dps) <= |x| < 2**MAX_EXP: the double range, widened
-    below by the roundoff (10**-dps > 2**(-4 dps) of the field's scale)
-    that extended arithmetic leaves on a coordinate that should be zero.
-    That window bounds the integer widths.  The snapshot is None when some
-    coordinate is not finite or lies outside it, which the sweeps report as
-    NaN.  In double mode the snapshot is the values themselves.
-    """
-    if bk.is_double:
-        return values
-    min_exp = MIN_EXP - 4 * bk.dps
-    out = {}
-    for key, z in values.items():
-        out[key] = ez = _exact(z, min_exp)
-        if ez is None:
-            return None
-    return out
+        return x << (ex - ey), y, ey
+    return x, y << (ey - ex), ex
 
 
 def aligned_points(bk: Backend, values: Mapping):
-    """An extended field's values read exactly, for the sweeps that combine
-    them without a division: (ints, one), each value being (x + i y) * 2**e
-    with (x, y) = ints[key], and the integer one = 2**-e standing for 1,
-    e <= 0 the smallest exponent of the snapshot (whose window bounds the
-    integer widths).  None when some value is not finite or lies outside
-    that window, which the sweeps report as NaN."""
-    snap = snapshot(bk, values)
-    if snap is None:
-        return None
-    e = min([0] + [z.e for z in snap.values()])
-    return {key: (z.x << (z.e - e), z.y << (z.e - e))
-            for key, z in snap.items()}, 1 << -e
+    """The values (mpc, mpf, complex, float or int) read once, for the
+    sweeps that combine them without a division: (points, one), with
+    points[key] = (x, y) the coordinates of values[key] in units of 1/one.
+
+    In extended mode the read is exact: every finite float and mpf is
+    m * 2**e, so x and y are Python integers and one = 2**-e, e <= 0 the
+    smallest exponent of the values; sums, differences and products of the
+    coordinates never round.  Each nonzero coordinate must lie in
+    2**(MIN_EXP - 4 dps) <= |x| < 2**MAX_EXP: the double range, widened
+    below by the roundoff (10**-dps > 2**(-4 dps) of the field's scale)
+    left on a coordinate that should be zero, which bounds the integer
+    widths.  In double mode x and y are the floats, with one = 1.0.  None
+    when some value is not finite or lies outside the window, which the
+    sweeps report as NaN.
+    """
+    if bk.is_double:
+        if not all(map(cmath.isfinite, values.values())):
+            return None
+        return {key: (z.real, z.imag) for key, z in values.items()}, 1.0
+    min_exp = MIN_EXP - 4 * bk.dps
+    read = {}
+    for key, z in values.items():
+        read[key] = xye = _exact(z, min_exp)
+        if xye is None:
+            return None
+    e = min([0] + [xye[2] for xye in read.values()])
+    return {key: (x << (ez - e), y << (ez - e))
+            for key, (x, y, ez) in read.items()}, 1 << -e
 
 
 def aligned_reals(bk: Backend, values: Mapping):
-    """Real values read as by aligned_points, one integer each.  In double
-    mode the values come back as they are, with one = 1.0, or None when
-    some value is not finite."""
-    if bk.is_double:
-        return (values, 1.0) if all(map(math.isfinite, values.values())) else None
+    """Real values read as by aligned_points, one number each."""
     read = aligned_points(bk, values)
     return read and ({key: x for key, (x, _) in read[0].items()}, read[1])
 

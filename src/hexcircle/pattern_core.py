@@ -15,7 +15,8 @@ from fractions import Fraction
 from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 from .lattice import MultiIndex, generation, q_sites
-from .numerics import Backend, ComplexNumber, DOUBLE, snapshot, worst_of
+from .numerics import (Backend, ComplexNumber, DOUBLE, aligned_points, quotient,
+                       worst_of)
 
 ANGLE_SUM_TOL = 1e-12
 
@@ -144,17 +145,30 @@ def face_sites(base: MultiIndex, i: int, j: int) -> Tuple[MultiIndex, ...]:
     return (base, f2, f3, f4)
 
 
+# corners (f2, f3, f4) of the face of each type at the origin
+_FACE_OFFSETS = tuple((t, face_sites((0, 0, 0), i, j)[1:]) for t, (i, j) in FACE_SPAN.items())
+
+
+def _faces(stored: Mapping[MultiIndex, object]):
+    """(type_index, corners, corner values) of every face of stored."""
+    get = stored.get
+    for v, p1 in stored.items():
+        k, l, m = v
+        for t, ((k2, l2, m2), (k3, l3, m3), (k4, l4, m4)) in _FACE_OFFSETS:
+            f2, f3 = (k + k2, l + l2, m + m2), (k + k3, l + l3, m + m3)
+            f4 = (k + k4, l + l4, m + m4)
+            p2, p3, p4 = get(f2), get(f3), get(f4)
+            if p2 is not None and p3 is not None and p4 is not None:
+                yield t, (v, f2, f3, f4), (p1, p2, p3, p4)
+
+
 def iter_faces(zf: ZField) -> Iterator[Tuple[int, Tuple[MultiIndex, ...]]]:
     """Every stored elementary face, once, as (type_index, corners).
 
     Enumerates the orientations of FACE_SPAN; the reversed spans describe
     the same faces.
     """
-    for v in zf.values:
-        for t, (i, j) in FACE_SPAN.items():
-            sites = face_sites(v, i, j)
-            if all(s in zf.values for s in sites):
-                yield t, sites
+    return ((t, sites) for t, sites, _ in _faces(zf.values))
 
 
 def iter_slab_faces(stored: Mapping[MultiIndex, object]) -> Iterator[Tuple[MultiIndex, ...]]:
@@ -232,55 +246,74 @@ def generate_z(params: PatternParams, n_max: int,
     return zf
 
 
-def max_face_residual(zf: ZField) -> float:
-    """Worst |q - exp(-2 i alpha)| over stored faces; faces collapsed onto a
-    point-circle (the c = 2 branch point) carry no cross-ratio and are
-    skipped.  An extended field is read exactly (numerics.snapshot), so the
-    defects carry no rounding before their final conversion to double."""
+def _read(zf: ZField, constants):
+    """The field and constants(params, bk), computed at the working
+    precision, each read once (numerics.aligned_points): (pts, one, k,
+    k_one), or None when the field cannot be read."""
     bk = zf.params.backend()
     with bk.context():
-        values = snapshot(bk, zf.values)
-        if values is None:
-            return math.nan
-        targets = snapshot(bk, face_targets(zf.params, bk))
-        residuals = []
-        for t, sites in iter_faces(zf):
-            face = face_defect([values[s] for s in sites], targets[t])
-            if face is not None:
-                residuals.append(face[0])
-    return worst_of(residuals)
+        k = aligned_points(bk, constants(zf.params, bk))
+    read = aligned_points(bk, zf.values)
+    return read and read + k
 
 
-def face_defect(corners, r):
-    """Cross-ratio defect |q - r| of one face, and the face's edges.
+def _face_terms(pts, r, r_one):
+    """The face kernel of crossratio and laxzc.
 
     With the edges a = zb - za, b = za - zd, c = zb - zc, e = zc - zd of the
-    corners (za, zb, zc, zd), the face cross-ratio is q = a e / (b c), so
-    |q - r| = |a e - r b c| / (|b| |c|).  The numerator carries the
-    cancellation the checks measure and is formed at the working precision
-    of the corners, without a division; the moduli only scale it and are
-    taken in double.  Returns (defect, (a, b, c, e)) with the edges at
-    working precision, or None when an edge is zero.  Extended corners must
-    be passed inside the caller's backend context, or as exact snapshot
-    values (numerics.ExactComplex), on which nothing rounds.
+    corners (za, zb, zc, zd) of a face, its cross-ratio is q = a e / (b c),
+    so |q - r| = |a e - r b c| / (|b| |c|).  Yields per face of the aligned
+    points pts, in the order of iter_faces, the coordinate pairs of
+    r_one (a e - r b c), with r = r[type] in units of 1/r_one, and of
+    a, b, c, e; None for a face with a zero edge.  The first is formed
+    without a division, exactly on an extended field.
     """
-    za, zb, zc, zd = corners
-    a, b, c, e = zb - za, za - zd, zb - zc, zc - zd
-    if not (a and b and c and e):
-        return None
-    n = a * e - r * (b * c)
-    return abs(complex(n)) / (abs(complex(b)) * abs(complex(c))), (a, b, c, e)
+    for t, _, ((xa, ya), (xb, yb), (xc, yc), (xd, yd)) in _faces(pts):
+        ax, ay, bx, by = xb - xa, yb - ya, xa - xd, ya - yd
+        cx, cy, ex, ey = xb - xc, yb - yc, xc - xd, yc - yd
+        if not ((ax or ay) and (bx or by) and (cx or cy) and (ex or ey)):
+            yield None
+            continue
+        rx, ry = r[t]
+        px, py = bx * cx - by * cy, bx * cy + by * cx
+        yield ((r_one * (ax * ex - ay * ey) - (rx * px - ry * py),
+                r_one * (ax * ey + ay * ex) - (rx * py + ry * px)),
+               (ax, ay), (bx, by), (cx, cy), (ex, ey))
+
+
+def max_face_residual(zf: ZField) -> float:
+    """Worst |q - r| of _face_terms over the stored faces, with
+    r = exp(-2 i alpha) of the face type, each one rounded quotient under a
+    square root.  Faces with a zero edge (collapsed onto the point-circle at
+    the c = 2 branch point) carry no cross-ratio and are skipped.  NaN when
+    the field cannot be read."""
+    read = _read(zf, face_targets)
+    if read is None:
+        return math.nan
+    pts, _, r, r_one = read
+    scale = r_one * r_one
+    defects = []
+    for term in _face_terms(pts, r, r_one):
+        if term is not None:
+            (nx, ny), _, (bx, by), (cx, cy), _ = term
+            defects.append(math.sqrt(quotient(
+                nx * nx + ny * ny, scale * (bx * bx + by * by) * (cx * cx + cy * cy))))
+    return worst_of(defects)
+
+
+def _axis_stencil(p: MultiIndex):
+    """(n_j, up_j, down_j) of the constraint at p along each axis j."""
+    k, l, m = p
+    return ((k, (k + 1, l, m), (k - 1, l, m)), (l, (k, l + 1, m), (k, l - 1, m)),
+            (m, (k, l, m + 1), (k, l, m - 1)))
 
 
 def constraint_residual(zf: ZField, p: MultiIndex) -> ComplexNumber:
     """LHS - RHS of the non-autonomous constraint at p (all six neighbors
     must be stored)."""
-    k, l, m = p
     z0 = zf[p]
     res = zf.params.c * z0
-    for j, up, dn in ((k, (k + 1, l, m), (k - 1, l, m)),
-                      (l, (k, l + 1, m), (k, l - 1, m)),
-                      (m, (k, l, m + 1), (k, l, m - 1))):
+    for j, up, dn in _axis_stencil(p):
         zu, zd = zf[up], zf[dn]
         den = zu - zd
         if den == 0:
@@ -295,43 +328,48 @@ def interior_sites(zf: ZField) -> Iterator[MultiIndex]:
             yield (k, l, m)
 
 
-def constraint_defect(values: Mapping[MultiIndex, ComplexNumber], c,
-                      p: MultiIndex) -> float:
-    """|constraint_residual| at p with its three divisions cleared.
-
-    With d_j = zu_j - zd_j and P_j = (zu_j - z0)(z0 - zd_j) for the stencil
-    of each axis j (index n_j = k, l, m), the residual is N / (d_1 d_2 d_3)
-    with N = c z0 d_1 d_2 d_3 - 2 sum_j n_j P_j prod_{i != j} d_i.  N is
-    formed at the precision of the values (exactly on a snapshot) and the
-    moduli in double.  Extended values must be passed inside the caller's
-    backend context.
-    """
-    k, l, m = p
-    try:
-        z0 = values[p]
-        u1, w1 = values[(k + 1, l, m)], values[(k - 1, l, m)]
-        u2, w2 = values[(k, l + 1, m)], values[(k, l - 1, m)]
-        u3, w3 = values[(k, l, m + 1)], values[(k, l, m - 1)]
-    except KeyError as exc:
-        raise IncompleteStencilError(exc.args[0]) from None
-    d1, d2, d3 = u1 - w1, u2 - w2, u3 - w3
-    if not (d1 and d2 and d3):
-        raise DegenerateQuadError(f"collinear stencil degenerate at {p}")
-    num = ((c * z0 * d1 - (u1 - z0) * (z0 - w1) * (2 * k)) * (d2 * d3)
-           - ((u2 - z0) * (z0 - w2) * (2 * l) * d3
-              + (u3 - z0) * (z0 - w3) * (2 * m) * d2) * d1)
-    return abs(complex(num)) / (abs(complex(d1)) * abs(complex(d2)) * abs(complex(d3)))
+def _mul(p, q):
+    """Product of two complex numbers given as coordinate pairs."""
+    (x, y), (u, v) = p, q
+    return x * u - y * v, x * v + y * u
 
 
 def max_constraint_residual(zf: ZField) -> float:
-    """Worst constraint_defect over the interior sites."""
-    bk = zf.params.backend()
-    with bk.context():
-        values = snapshot(bk, zf.values)
-        if values is None:
-            return math.nan
-        c = snapshot(bk, {"c": zf.params.c})["c"]
-        return worst_of(constraint_defect(values, c, p) for p in interior_sites(zf))
+    """Worst |constraint_residual| over the interior sites, with its three
+    divisions cleared: with d_j = zu_j - zd_j and P_j = (zu_j - z0)(z0 - zd_j)
+    along each axis j (index n_j = k, l, m), it is |N| / (|d_1| |d_2| |d_3|)
+    with N = c z0 d_1 d_2 d_3 - 2 sum_j n_j P_j prod_{i != j} d_i, N exact on
+    an extended field (_read) and the ratio one rounded quotient under a
+    square root.  NaN when the field cannot be read; a stencil vertex the
+    field does not store raises IncompleteStencilError, a vanishing d_j
+    DegenerateQuadError.
+    """
+    read = _read(zf, lambda params, bk: {0: params.c})
+    if read is None:
+        return math.nan
+    pts, one, k, k_one = read
+    cc, scale = k[0][0], k_one * k_one * one * one
+    out = []
+    for p in interior_sites(zf):
+        try:
+            ends = [(2 * n * k_one, pts[up], pts[dn]) for n, up, dn in _axis_stencil(p)]
+        except KeyError as exc:
+            raise IncompleteStencilError(exc.args[0]) from None
+        if any(u == w for _, u, w in ends):
+            raise DegenerateQuadError(f"collinear stencil degenerate at {p}")
+        x0, y0 = pts[p]
+        # d_j, and 2 n_j P_j in the units of c
+        d1, d2, d3 = d = [(ux - wx, uy - wy) for _, (ux, uy), (wx, wy) in ends]
+        P = [_mul((ux - x0, uy - y0), (x0 - wx, y0 - wy)) for _, (ux, uy), (wx, wy) in ends]
+        q1, q2, q3 = [(f * px, f * py) for (f, _, _), (px, py) in zip(ends, P)]
+        # N = (c z0 d1 - q1) d2 d3 - (q2 d3 + q3 d2) d1
+        sx, sy = _mul((cc * x0, cc * y0), d1)
+        sx, sy = _mul((sx - q1[0], sy - q1[1]), _mul(d2, d3))
+        t2, t3 = _mul(q2, d3), _mul(q3, d2)
+        tx, ty = _mul((t2[0] + t3[0], t2[1] + t3[1]), d1)
+        dsq = math.prod(dx * dx + dy * dy for dx, dy in d)
+        out.append(math.sqrt(quotient((sx - tx) ** 2 + (sy - ty) ** 2, scale * dsq)))
+    return worst_of(out)
 
 
 # ---------------------------------------------------------------------------
@@ -352,52 +390,46 @@ def lax_deltas(params: PatternParams) -> Dict[int, complex]:
         return {1: d1, 2: d1 / ratios[1], 3: d1 * ratios[3]}
 
 
-def lax_matrix(delta, z_out, z_in, mu):
-    """Edge transport matrix evaluated at the spectral value mu.
-
-    Unit lower/upper triangular with determinant 1 at mu = 0.
-    """
-    d = z_in - z_out
-    if d == 0:
-        raise DegenerateQuadError("degenerate edge in transport matrix")
-    return ((1, d), (mu * delta / d, 1))
-
-
 DEFAULT_MU_SAMPLES = (0.731, -1.2 + 0.4j, 2.3j)
 
 
-def _lax_gap(corners, r, mu_max: float) -> float:
-    """Norm gap of the two transport products around one face, maximized
-    over spectral values of modulus up to mu_max, with r = delta_i / delta_j
-    for the face at base spanning (+e_i, -e_j); the caller holds the backend
-    context.
-
-    Both products of lax_matrix factors are affine in mu with equal mu^0
-    parts.  With the edges a = zb - za, b = za - zd, c = zb - zc,
-    e = zc - zd (so a + b = c + e) and G = delta_i b c - delta_j a e, their
-    entries differ by mu G / (b e), mu G (e - a) / (a b c e) and
-    mu G / (a c), which gives the gap in closed form.  Since |delta_j| = 1,
-    |G| / (|b| |c|) is the face_defect of the face against r.
-    """
-    face = face_defect(corners, r)
-    if face is None:
-        raise DegenerateQuadError("degenerate edge in transport matrix")
-    defect, edges = face
-    a, b, c, e = (complex(x) for x in edges)
-    la, lc, le = abs(a), abs(c), abs(e)
-    return mu_max * defect * max(la * lc, abs(b) * le, abs(e - a)) / (la * le)
+def _lax_ratios(params: PatternParams, bk: Backend) -> Dict[int, ComplexNumber]:
+    """delta_i / delta_j for each face type (i, j) of FACE_SPAN."""
+    deltas = lax_deltas(params)
+    return {t: deltas[i] / deltas[j] for t, (i, j) in FACE_SPAN.items()}
 
 
 def max_zero_curvature_residual(zf: ZField,
                                 mu_samples=DEFAULT_MU_SAMPLES) -> float:
+    """Worst norm gap of the two transport products around a face, over
+    spectral values of modulus up to the largest of mu_samples.
+
+    The transport matrix of the edge from z_out to z_in is
+    [[1, d], [mu delta / d, 1]] with d = z_in - z_out.  Both products are
+    affine in mu with equal mu^0 parts.  For the face at base spanning
+    (+e_i, -e_j), with the edges a, b, c, e of _face_terms (a + b = c + e)
+    and G = delta_i b c - delta_j a e, their entries differ by mu G / (b e),
+    mu G (e - a) / (a b c e) and mu G / (a c).  As |delta_j| = 1, the gap is
+    max|mu| |a e - r b c| / (|b| |c|) max(|c|/|e|, |b|/|a|, |e - a| / (|a| |e|))
+    with r = delta_i / delta_j, every modulus ratio one rounded quotient
+    under a square root.  NaN when the field cannot be read; a zero edge
+    raises DegenerateQuadError.
+    """
     mu_max = max((abs(complex(mu)) for mu in mu_samples), default=0.0)
-    bk = zf.params.backend()
-    with bk.context():
-        values = snapshot(bk, zf.values)
-        if values is None:
-            return math.nan
-        deltas = lax_deltas(zf.params)
-        ratios = snapshot(bk, {t: deltas[i] / deltas[j]
-                               for t, (i, j) in FACE_SPAN.items()})
-        return worst_of(_lax_gap([values[s] for s in sites], ratios[t], mu_max)
-                        for t, sites in iter_faces(zf))
+    read = _read(zf, _lax_ratios)
+    if read is None:
+        return math.nan
+    pts, one, r, r_one = read
+    scale, one_sq = r_one * r_one, one * one
+    gaps = []
+    for term in _face_terms(pts, r, r_one):
+        if term is None:
+            raise DegenerateQuadError("degenerate edge in transport matrix")
+        (gx, gy), (ax, ay), (bx, by), (cx, cy), (ex, ey) = term
+        asq, bsq = ax * ax + ay * ay, bx * bx + by * by
+        csq, esq = cx * cx + cy * cy, ex * ex + ey * ey
+        shape = max(quotient(csq, esq), quotient(bsq, asq),
+                    quotient(one_sq * ((ex - ax) ** 2 + (ey - ay) ** 2), asq * esq))
+        gaps.append(mu_max * math.sqrt(quotient(gx * gx + gy * gy, scale * bsq * csq))
+                    * math.sqrt(shape))
+    return worst_of(gaps)

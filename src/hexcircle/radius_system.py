@@ -11,7 +11,6 @@ immersion property, so sign failures are reported, never clamped.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -23,7 +22,7 @@ from .lattice import (SubIndex, TAG_BORDER, TAG_HEX, TAG_SEED, TAG_TRI,
                       border_fill_stencil, black_fill_stencil,
                       axis_neighbors, fill_dependencies, hex_coefficients,
                       hex_stencil_slots, tri_fill_stencil)
-from .numerics import aligned_points, aligned_reals, worst_of
+from .numerics import aligned_points, aligned_reals, quotient, worst_of
 from .pattern_core import PatternParams, ZField, generate_z
 
 POLE = math.inf
@@ -318,7 +317,7 @@ def equation_defects(rf: RadiusField):
     """Every testable stencil of the three radius relations inside the
     stored field, as (kind, anchor, defect), or None when the radii cannot
     be read (numerics.aligned_reals: a NaN, or an extended value outside
-    the snapshot window).
+    the aligned_points window).
 
     - ("hex", label): |hex_residual|, a pole giving its limit ratio +-1; a
       pair of poles or a missing slot leaves the stencil out;
@@ -375,7 +374,7 @@ def equation_defects(rf: RadiusField):
             if not den:
                 raise DegenerateStencilError(
                     f"six-circle relation at {label} has a vanishing pair sum")
-            out.append(("hex", label, _quotient(num, den * one)))
+            out.append(("hex", label, quotient(num, den * one)))
     # border relations, on both boundary rows
     for site, r1 in r.items():
         K, L, M = site
@@ -389,7 +388,7 @@ def equation_defects(rf: RadiusField):
         num = ((r1 + r2) * (one * (rc * rc - r2 * r3) + rc * (r3 - r2) * t)
                + (r3 + r2) * (one * (rc * rc - r2 * r1) + rc * (r1 - r2) * t))
         scale = max(rc, r_one)
-        out.append(("border", site, _quotient(num, scale * scale * scale * one)))
+        out.append(("border", site, quotient(num, scale * scale * scale * one)))
     # three-circle relations, both parities
     for base, rc in r.items():
         if not rc:
@@ -402,17 +401,8 @@ def equation_defects(rf: RadiusField):
             num = (rc * (r1 * s3 + r2 * s1 + r3 * s2)
                    - (r1 * r2 * s2 + r2 * r3 * s3 + r3 * r1 * s1))
             scale = max(rc, r1, r2, r3, r_one)
-            out.append(("tri", (base, sgn), _quotient(num, scale * scale * one)))
+            out.append(("tri", (base, sgn), quotient(num, scale * scale * one)))
     return out
-
-
-def _quotient(num, den) -> float:
-    """|num / den| rounded once to double (exactly rounded for integers);
-    inf past the double range."""
-    try:
-        return abs(num / den)
-    except OverflowError:
-        return math.inf
 
 
 def max_equation_residual(rf: RadiusField) -> float:
@@ -430,18 +420,12 @@ def _axis_sq_distances(zf: ZField):
     stored neighbor are left out.  On an extended field they are exact
     integers over one**2 (numerics.aligned_points), on a double field
     floats with one = 1.0.  None when the field cannot be read: a value that
-    is not finite, or an extended value outside the snapshot window.
+    is not finite, or an extended value outside the aligned_points window.
     """
-    bk = zf.params.backend()
-    if bk.is_double:
-        if not all(map(cmath.isfinite, zf.values.values())):
-            return None
-        pts, one = {s: (z.real, z.imag) for s, z in zf.values.items()}, 1.0
-    else:
-        read = aligned_points(bk, zf.values)
-        if read is None:
-            return None
-        pts, one = read
+    read = aligned_points(zf.params.backend(), zf.values)
+    if read is None:
+        return None
+    pts, one = read
     out = {}
     for site, (x, y) in pts.items():
         if lattice.parity(site) != 0:

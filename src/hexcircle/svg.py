@@ -31,9 +31,10 @@ def render_svg(doc: PatternDocument, show: str = "both", scale: float = 100.0,
     """SVG 1.1 text for a pattern document.
 
     show selects circles, quads or both; scale sets pixels per unit length.
-    Raises NonFiniteError, naming the site, for a vertex or radius that is
-    not finite in double (an infinite radius is a pole, not drawn; a finite
-    one beyond the double range is an error).
+    Raises ValueError for a scale that is not finite and positive or a
+    canvas whose size overflows, and NonFiniteError, naming the site, for a
+    vertex or radius that is not finite in double (an infinite radius is a
+    pole, not drawn; a finite one beyond the double range is an error).
     """
     if show not in ("circles", "quads", "both"):
         raise ValueError("show must be circles, quads or both")
@@ -82,6 +83,8 @@ def render_svg(doc: PatternDocument, show: str = "both", scale: float = 100.0,
     y0, y1 = min(ys) - margin, max(ys) + margin
     width = (x1 - x0) * scale
     height = (y1 - y0) * scale
+    if not (0 < scale < math.inf and math.isfinite(width + height)):
+        raise ValueError(f"scale {scale} is not finite and positive, or overflows the canvas")
 
     def tx(z: complex) -> Tuple[float, float]:
         # flip the vertical axis so positive orientation reads as usual

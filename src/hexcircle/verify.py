@@ -21,6 +21,10 @@ DEFAULT_TOLERANCES = {
 
 ALL_CHECKS = tuple(DEFAULT_TOLERANCES)
 
+#: what each residual check tests; one that found none of them FAILs
+CHECK_ITEMS = {"crossratio": "faces", "constraint": "interior sites", "laxzc": "faces",
+               "kite": "centers", "radius_eq": "stencils"}
+
 
 @dataclass
 class VerifyReport:
@@ -77,7 +81,22 @@ def run_checks(doc: PatternDocument, checks=None,
             continue
         report.residuals[name] = res
         report.passed[name] = res <= tolerances[name]
+        # a residual above zero proves the check tested something
+        if res == 0.0 and name in CHECK_ITEMS and not _has_items(name, zf, rf):
+            report.notes.append(f"{name}: no {CHECK_ITEMS[name]} to check")
+            report.passed[name] = False
     return report
+
+
+def _has_items(name, zf, rf) -> bool:
+    """Whether a residual check that read 0.0 had anything to test."""
+    if name in ("crossratio", "laxzc"):
+        return next(pattern_core.iter_faces(zf), None) is not None
+    if name == "constraint":
+        return next(pattern_core.interior_sites(zf), None) is not None
+    if name == "kite":
+        return any(len(sq) > 1 for sq in radius_system._axis_sq_distances(zf)[0].values())
+    return bool(radius_system.equation_defects(rf))
 
 
 def _residual(name, doc, zf, rf, notes) -> Optional[float]:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -451,3 +452,54 @@ def test_render_circles_equal_the_reference_rule(tmp_path):
         with open(svg) as fh:
             got = [ln for ln in fh.read().splitlines() if ln.startswith("<circle")]
         assert len(want) > 20 and got == want
+
+
+@pytest.fixture(scope="module")
+def small_documents(tmp_path_factory):
+    work = tmp_path_factory.mktemp("bad-invocations")
+    docs = {"n1": str(work / "n1.txt"), "sg": str(work / "sg.txt")}
+    assert cli.main(["generate", "--c", "1.5", "--n", "1", "--out", docs["n1"]]) == 0
+    assert cli.main(["generate", "--c", "1.5", "--n", "6", "--mode", "sg",
+                     "--out", docs["sg"]]) == 0
+    return work, docs
+
+
+PAINLEVE = ["analyze", "painleve", "--c", "1.5", "--n", "3"]
+BAD_INVOCATIONS = [
+    # a document whose residual checks have nothing to test
+    (["verify", "{n1}"], 3),
+    # no check at all, or none that applies
+    (["verify", "{sg}", "--checks", ","], 2),
+    (["verify", "{sg}", "--checks", ""], 2),
+    (["verify", "{sg}", "--checks", "constraint,constraint"], 2),
+    # shooting below the double resolution, or with a bad tolerance or count
+    ([*PAINLEVE, "--shoot", "5", "--tol", "1e-300"], 2),
+    ([*PAINLEVE, "--shoot", "5", "--tol", "nan"], 2),
+    ([*PAINLEVE, "--shoot", "5", "--tol", "inf"], 2),
+    ([*PAINLEVE, "--tol", "0"], 2),
+    ([*PAINLEVE, "--shoot", "-1"], 2),
+    (["analyze", "painleve", "--c", "1.5", "--n", "-1"], 2),
+    (["analyze", "riccati", "--c", "1.5", "--n", "-5"], 2),
+    # a scale that is not finite and positive, or a canvas that overflows
+    *[(["render", "{sg}", "--out", "{out}", f"--scale={scale}"], 2)
+      for scale in ("nan", "inf", "-inf", "0", "-1", "1e308")],
+]
+
+
+@pytest.mark.parametrize("argv, code", BAD_INVOCATIONS,
+                         ids=[" ".join(a) for a, _ in BAD_INVOCATIONS])
+def test_bad_invocations_exit_2_or_3(small_documents, capsys, argv, code):
+    work, docs = small_documents
+    out = work / "out.svg"
+    argv = [a.format(out=out, **docs) for a in argv]
+    out.unlink(missing_ok=True)
+    capsys.readouterr()
+    assert cli.main(argv) == code  # and no exception escaped main
+    stdout, stderr = capsys.readouterr()
+    if code == 2:
+        assert stdout == "" and stderr.startswith(("error:", "constraint:"))
+    else:
+        for name in ("crossratio", "constraint", "laxzc", "radius_eq"):
+            assert re.search(rf"^{name} .* FAIL$", stdout, re.M)
+            assert f"{name}: no " in stdout
+    assert not out.exists()

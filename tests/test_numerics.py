@@ -1,4 +1,5 @@
-"""Exact snapshot arithmetic (numerics.ExactComplex, numerics.snapshot)."""
+"""The aligned read of a field (numerics.aligned_points, aligned_reals)."""
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexcircle import pattern_core, radius_system, verify
-from hexcircle.numerics import MAX_DPS, Backend, ExactComplex, snapshot
+from hexcircle.numerics import (MAX_DPS, MAX_EXP, MIN_EXP, Backend, aligned_points,
+                                aligned_reals, quotient)
 from hexcircle.pattern_core import generate_z, isotropic_params
 
 EXT = Backend("ext", 40)
@@ -19,11 +21,6 @@ def _fraction(x) -> Fraction:
         value = Fraction(man) * Fraction(2) ** exp
         return -value if x < 0 else value
     return Fraction(x)
-
-
-def _value(z: ExactComplex):
-    scale = Fraction(2) ** z.e
-    return z.x * scale, z.y * scale
 
 
 def _mpf(man, exp):
@@ -46,26 +43,39 @@ numbers = st.one_of(st.builds(complex, floats, floats), st.builds(_mpc, reals, r
 @settings(max_examples=300, deadline=None)
 @given(a=numbers, b=numbers, k=st.integers(-10 ** 6, 10 ** 6))
 def test_exact_arithmetic_matches_fractions(a, b, k):
-    snap = snapshot(EXT, {"a": a, "b": b})
-    ea, eb = snap["a"], snap["b"]
+    pts, one = aligned_points(EXT, {"a": a, "b": b})
+    assert one >= 1 and one & (one - 1) == 0  # a power of two
+    (xa, ya), (xb, yb) = pts["a"], pts["b"]
     ra, ia = _fraction(a.real), _fraction(a.imag)
     rb, ib = _fraction(b.real), _fraction(b.imag)
-    assert _value(ea) == (ra, ia) and _value(eb) == (rb, ib)
-    assert _value(ea + eb) == (ra + rb, ia + ib)
-    assert _value(ea - eb) == (ra - rb, ia - ib)
+
+    def value(x, y, scale=one):
+        return Fraction(x, scale), Fraction(y, scale)
+
+    assert value(xa, ya) == (ra, ia) and value(xb, yb) == (rb, ib)
+    assert value(xa + xb, ya + yb) == (ra + rb, ia + ib)
+    assert value(xa - xb, ya - yb) == (ra - rb, ia - ib)
     product = (ra * rb - ia * ib, ra * ib + ia * rb)
-    assert _value(ea * eb) == product
-    assert _value(ea * k) == _value(k * ea) == (ra * k, ia * k)
-    assert bool(ea) == bool(ra or ia)
-    if max(abs(product[0]), abs(product[1])) < 2 ** 1000:
-        got = complex(ea * eb)
-        assert got.real == pytest.approx(float(product[0]), rel=1e-15, abs=1e-300)
-        assert got.imag == pytest.approx(float(product[1]), rel=1e-15, abs=1e-300)
+    px, py = xa * xb - ya * yb, xa * yb + ya * xb
+    assert value(px, py, one * one) == product
+    assert value(xa * k, ya * k) == (ra * k, ia * k)
+    assert bool(xa or ya) == bool(ra or ia)
+    # the quotients of the sweeps round once, exactly, with no float in between
+    for num, want in ((px, product[0]), (py, product[1])):
+        if abs(want) < 2 ** MAX_EXP * (1 - Fraction(1, 2 ** 54)):
+            assert quotient(num, one * one) == abs(float(want))
+        else:
+            assert quotient(num, one * one) == math.inf
 
 
 def test_double_snapshot_is_the_values():
-    values = {(0, 0, 0): 1 + 2j}
-    assert snapshot(Backend(), values) is values
+    values = {(0, 0, 0): 1 + 2j, (1, 0, 0): 0.5}
+    assert aligned_points(Backend(), values) == ({(0, 0, 0): (1.0, 2.0),
+                                                  (1, 0, 0): (0.5, 0.0)}, 1.0)
+    assert aligned_reals(Backend(), {0: 0.5, 1: -2.0}) == ({0: 0.5, 1: -2.0}, 1.0)
+    for bad in (math.nan, math.inf, complex(1, math.nan)):
+        assert aligned_points(Backend(), {**values, 2: bad}) is None
+    assert aligned_reals(Backend(), {0: 0.5, 1: math.nan}) is None
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e-100000", "1e400000",
@@ -73,9 +83,28 @@ def test_double_snapshot_is_the_values():
 def test_snapshot_rejects_what_it_cannot_read_exactly(bad):
     with mp.workdps(40):
         good = mp.mpc(1, 2)
-        assert snapshot(EXT, {0: good}) is not None
-        assert snapshot(EXT, {0: good, 1: mp.mpc(mp.mpf(bad), 1)}) is None
-        assert snapshot(EXT, {0: good, 1: mp.mpc(1, mp.mpf(bad))}) is None
+        assert aligned_points(EXT, {0: good}) is not None
+        assert aligned_points(EXT, {0: good, 1: mp.mpc(mp.mpf(bad), 1)}) is None
+        assert aligned_points(EXT, {0: good, 1: mp.mpc(1, mp.mpf(bad))}) is None
+        assert aligned_reals(EXT, {0: mp.mpf(1), 1: mp.mpf(bad)}) is None
+
+
+def test_read_window_is_the_double_range_widened_by_4_dps_bits():
+    # nonzero coordinates must lie in 2**(MIN_EXP - 4 dps) <= |x| < 2**MAX_EXP
+    low = MIN_EXP - 4 * EXT.dps
+    with mp.workdps(40):
+        for x, readable in ((mp.ldexp(1, low), True), (-mp.ldexp(1, low), True),
+                            (mp.ldexp(1, low - 1), False),
+                            (mp.ldexp(3, low - 2), False),
+                            (mp.ldexp(1, MAX_EXP) * (1 - mp.mpf(2) ** -100), True),
+                            (mp.ldexp(1, MAX_EXP), False)):
+            for z in (mp.mpc(x, 1), mp.mpc(1, x)):
+                read = aligned_points(EXT, {0: z})
+                assert (read is not None) == readable
+                if readable:
+                    (px, py), one = read[0][0], read[1]
+                    assert (Fraction(px, one), Fraction(py, one)) == (
+                        _fraction(z.real), _fraction(z.imag))
 
 
 def test_exact_sweeps_read_roundoff_below_the_double_range():

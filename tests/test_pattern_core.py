@@ -7,10 +7,10 @@ import pytest
 
 from hexcircle import pattern_core
 from hexcircle.pattern_core import (DEFAULT_MU_SAMPLES, DegenerateQuadError,
-                                    PatternParams, UnsupportedExponentError,
+                                    PatternParams, UnsupportedExponentError, ZField,
                                     axis_next, constraint_residual,
                                     cross_ratio, face_sites, generate_z,
-                                    isotropic_params, lax_deltas, lax_matrix,
+                                    isotropic_params, lax_deltas,
                                     solve_fourth)
 from hexcircle.verify import max_kite_residual
 
@@ -168,16 +168,77 @@ def test_extended_kite_equals_reference_at_twice_the_precision():
     assert mp.isnan(_kite_reference(zf, 80)) and math.isnan(max_kite_residual(zf))
 
 
-def zero_curvature_residual(zf, base, i, j, mu_samples=DEFAULT_MU_SAMPLES,
-                            deltas=None):
+# -- the per-face and per-site formulas of the sweeps, as references --------
+# They run on complex or mpc values at the current precision; the sweeps
+# compute the same quantities on one aligned read of the field.
+
+def face_defect(corners, r):
+    """Cross-ratio defect |q - r| = |a e - r b c| / (|b| |c|) of one face,
+    and its edges a = zb - za, b = za - zd, c = zb - zc, e = zc - zd; None
+    when an edge is zero."""
+    za, zb, zc, zd = corners
+    a, b, c, e = zb - za, za - zd, zb - zc, zc - zd
+    if not (a and b and c and e):
+        return None
+    return abs(a * e - r * (b * c)) / (abs(b) * abs(c)), (a, b, c, e)
+
+
+def lax_gap(corners, r, mu_max):
+    """Closed-form norm gap of the two transport products around one face,
+    with r = delta_i / delta_j for the face spanning (+e_i, -e_j)."""
+    face = face_defect(corners, r)
+    if face is None:
+        raise DegenerateQuadError("degenerate edge in transport matrix")
+    defect, (a, b, c, e) = face
+    la, lc, le = abs(a), abs(c), abs(e)
+    return mu_max * defect * max(la * lc, abs(b) * le, abs(e - a)) / (la * le)
+
+
+def constraint_defect(values, c, p):
+    """|constraint_residual| at p with its three divisions cleared:
+    |c z0 d1 d2 d3 - 2 sum_j n_j P_j prod_{i != j} d_i| / (|d1| |d2| |d3|)."""
+    k, l, m = p
+    z0 = values[p]
+    u1, w1 = values[(k + 1, l, m)], values[(k - 1, l, m)]
+    u2, w2 = values[(k, l + 1, m)], values[(k, l - 1, m)]
+    u3, w3 = values[(k, l, m + 1)], values[(k, l, m - 1)]
+    d1, d2, d3 = u1 - w1, u2 - w2, u3 - w3
+    if not (d1 and d2 and d3):
+        raise DegenerateQuadError(f"collinear stencil degenerate at {p}")
+    num = ((c * z0 * d1 - (u1 - z0) * (z0 - w1) * (2 * k)) * (d2 * d3)
+           - ((u2 - z0) * (z0 - w2) * (2 * l) * d3
+              + (u3 - z0) * (z0 - w3) * (2 * m) * d2) * d1)
+    return abs(num) / (abs(d1) * abs(d2) * abs(d3))
+
+
+def _face_field(zf, sites):
+    """The field restricted to the corners of one face, whose only face it
+    is: a sweep over it gives that face's term."""
+    return ZField(params=zf.params, values={s: zf.values[s] for s in sites},
+                  generation=zf.generation)
+
+
+def _per_face(check, zf):
+    return {sites: check(_face_field(zf, sites))
+            for _, sites in pattern_core.iter_faces(zf)}
+
+
+def _per_site(zf, monkeypatch):
+    """max_constraint_residual's term at each interior site."""
+    out = {}
+    for p in list(pattern_core.interior_sites(zf)):
+        monkeypatch.setattr(pattern_core, "interior_sites", lambda _, p=p: iter([p]))
+        out[p] = pattern_core.max_constraint_residual(zf)
+    monkeypatch.undo()
+    return out
+
+
+def zero_curvature_residual(zf, base, i, j, mu_samples=DEFAULT_MU_SAMPLES):
     """Norm gap of the two transport products around the face at base
     spanning (+e_i, -e_j), maximized over the sampled spectral values: the
     per-face term of max_zero_curvature_residual."""
-    with zf.params.backend().context():
-        deltas = deltas or lax_deltas(zf.params)
-        return pattern_core._lax_gap([zf[s] for s in face_sites(base, i, j)],
-                                     deltas[i] / deltas[j],
-                                     max((abs(complex(mu)) for mu in mu_samples), default=0.0))
+    return pattern_core.max_zero_curvature_residual(
+        _face_field(zf, face_sites(base, i, j)), mu_samples)
 
 
 def test_zero_curvature_on_generated_field():
@@ -200,6 +261,17 @@ def test_zero_curvature_mu_zero_any_values():
         zf.values[site] = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
     res = zero_curvature_residual(zf, (0, 0, -1), 1, 3, mu_samples=(0.0,))
     assert res == 0.0
+
+
+def lax_matrix(delta, z_out, z_in, mu):
+    """Edge transport matrix evaluated at the spectral value mu.
+
+    Unit lower/upper triangular with determinant 1 at mu = 0.
+    """
+    d = z_in - z_out
+    if d == 0:
+        raise DegenerateQuadError("degenerate edge in transport matrix")
+    return ((1, d), (mu * delta / d, 1))
 
 
 def _mat_mul(p, q):
@@ -295,7 +367,6 @@ def test_angle_validation():
 
 
 def test_lax_matrix_mu_zero_unit_triangular():
-    from hexcircle.pattern_core import lax_matrix
     m = lax_matrix(cmath.exp(0.4j), 1 + 2j, -0.5j, 0.0)
     assert m[0][0] == 1 and m[1][1] == 1 and m[1][0] == 0
     det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
@@ -340,48 +411,63 @@ def _corrupted_ext_field():
     return zf
 
 
-def _random_double_field():
+def _random_double_field(n=4):
     rng = random.Random(11)
-    zf = generate_z(isotropic_params(1.5), 4)
+    zf = generate_z(isotropic_params(1.5), n)
     for site in list(zf.values):
         zf.values[site] = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
     return zf
 
 
 def test_face_defect_matches_cross_ratio_reference():
-    # per face, |a e - r b c| / (|b||c|) is |cross_ratio - r|; faces away
-    # from the corrupted vertex sit at the 40-digit roundoff level
+    # per face, the sweep's |a e - r b c| / (|b||c|) is |cross_ratio - r|;
+    # faces away from the corrupted vertex sit at the 40-digit roundoff level
     for zf in (_random_double_field(), _corrupted_ext_field()):
+        got = _per_face(pattern_core.max_face_residual, zf)
         bk = zf.params.backend()
         with bk.context():
             targets = pattern_core.face_targets(zf.params, bk)
-            ref = {}
-            for t, sites in pattern_core.iter_faces(zf):
-                corners = [zf[s] for s in sites]
-                got = pattern_core.face_defect(corners, targets[t])[0]
-                ref[sites] = float(abs(cross_ratio(*corners) - targets[t]))
-                assert got == pytest.approx(ref[sites], rel=1e-9, abs=1e-36)
+            ref = {sites: float(abs(cross_ratio(*(zf[s] for s in sites)) - targets[t]))
+                   for t, sites in pattern_core.iter_faces(zf)}
+        for sites, want in ref.items():
+            assert got[sites] == pytest.approx(want, rel=1e-9, abs=1e-36)
         assert max(ref.values()) >= 1e-5
         assert pattern_core.max_face_residual(zf) == pytest.approx(
             max(ref.values()), rel=1e-9)
 
 
 def test_face_defect_skips_collapsed_faces():
-    assert pattern_core.face_defect([0j, 1 + 0j, 1 + 0j, 1j], 1) is None
+    for precision in ("double", "ext"):
+        params = isotropic_params(1.5, precision=precision, dps=40)
+        with params.backend().context():
+            one = params.backend().exp_i(0)
+            corners = [0 * one, 1 * one, 1 * one, 1j * one]
+        assert face_defect(corners, 1) is None
+        # the one face of this field has a zero edge
+        zf = ZField(params=params, generation=2,
+                    values=dict(zip(face_sites((0, 0, 0), 2, 1), corners)))
+        assert [t for t, _ in pattern_core.iter_faces(zf)] == [1]
+        assert pattern_core.max_face_residual(zf) == 0.0
+        with pytest.raises(DegenerateQuadError):
+            pattern_core.max_zero_curvature_residual(zf)
     zf = generate_z(isotropic_params(1.5), 4)
     zf.values[(2, 0, 0)] = zf.values[(1, 0, 0)]
     assert pattern_core.max_face_residual(zf) > 1e-3
 
 
 def test_zero_curvature_matches_matrix_products_per_face_ext():
-    zf = _corrupted_ext_field()
-    deltas = lax_deltas(zf.params)
-    with zf.params.backend().context():
-        gaps = _explicit_gaps(zf)
-    for (v, i, j), gap in gaps.items():
-        assert zero_curvature_residual(zf, v, i, j, deltas=deltas) == pytest.approx(
-            gap, rel=1e-9, abs=1e-36)
-    assert max(gaps.values()) >= 1e-5
+    # shrunk by 1e-3, the |e - a| / (|a| |e|) term of the shape factor
+    # dominates on 102 of the 105 faces (on none at scale 1)
+    for scale in ("1", "1e-3"):
+        zf = _corrupted_ext_field()
+        with zf.params.backend().context():
+            for site in zf.values:
+                zf.values[site] *= mp.mpf(scale)
+            gaps = _explicit_gaps(zf)
+        for (v, i, j), gap in gaps.items():
+            assert zero_curvature_residual(zf, v, i, j) == pytest.approx(
+                gap, rel=1e-9, abs=1e-36)
+        assert max(gaps.values()) >= 1e-5
 
 
 def test_params_reject_non_finite_angles_and_bad_precision():
@@ -415,52 +501,69 @@ def test_kite_residual_sees_defects_below_double_roundoff():
                                              generation=6)) <= 1e-25
 
 
-def test_snapshot_kernels_match_mpmath_at_twice_the_precision():
-    # the exact face and constraint kernels against the mpmath formulas at
-    # 80 digits, per face and per site, on a field with a corrupted vertex
-    import mpmath as mp
-    from hexcircle.numerics import snapshot
-    zf = _corrupted_ext_field()
+def test_snapshot_kernels_match_mpmath_at_twice_the_precision(monkeypatch):
+    # the crossratio, laxzc and constraint sweeps, per face and per site,
+    # against their formulas in mpmath at twice the working digits (32 for
+    # a double field), on a field with a corrupted vertex (ext) or on
+    # random points (double, where no face sits at roundoff level)
+    for precision in ("double", "ext"):
+        _check_kernels_against_mpmath(precision, monkeypatch)
+
+
+def _check_kernels_against_mpmath(precision, monkeypatch):
+    zf = _corrupted_ext_field() if precision == "ext" else _random_double_field(6)
     bk = zf.params.backend()
+    dps = 2 * (zf.params.dps if precision == "ext" else 16)
     with bk.context():
-        values = snapshot(bk, zf.values)
         targets = pattern_core.face_targets(zf.params, bk)
-        exact_targets = snapshot(bk, targets)
-        c = snapshot(bk, {"c": zf.params.c})["c"]
-    face_refs, site_refs = [], []
-    with mp.workdps(2 * zf.params.dps):
+        deltas = lax_deltas(zf.params)
+        ratios = {t: deltas[i] / deltas[j]
+                  for t, (i, j) in pattern_core.FACE_SPAN.items()}
+    mu_max = max(abs(complex(mu)) for mu in DEFAULT_MU_SAMPLES)
+    faces = _per_face(pattern_core.max_face_residual, zf)
+    gaps = _per_face(pattern_core.max_zero_curvature_residual, zf)
+    sites = _per_site(zf, monkeypatch)
+    face_refs, gap_refs, site_refs = [], [], []
+    with mp.workdps(dps):
+        values = {s: mp.mpc(z) for s, z in zf.values.items()}
         for t, corners in pattern_core.iter_faces(zf):
-            got = pattern_core.face_defect([values[s] for s in corners], exact_targets[t])[0]
-            ref = float(abs(cross_ratio(*(zf[s] for s in corners)) - targets[t]))
-            assert got == pytest.approx(ref, rel=1e-9)
+            points = [values[s] for s in corners]
+            ref = float(face_defect(points, mp.mpc(targets[t]))[0])
+            assert faces[corners] == pytest.approx(ref, rel=1e-9)
             face_refs.append(ref)
-        for p in pattern_core.interior_sites(zf):
-            got = pattern_core.constraint_defect(values, c, p)
-            ref = float(abs(constraint_residual(zf, p)))
+            ref = float(lax_gap(points, mp.mpc(ratios[t]), mu_max))
+            assert gaps[corners] == pytest.approx(ref, rel=1e-9)
+            gap_refs.append(ref)
+        for p, got in sites.items():
+            ref = float(constraint_defect(values, mp.mpf(zf.params.c), p))
             assert got == pytest.approx(ref, rel=1e-9)
             site_refs.append(ref)
     assert len(face_refs) >= 100 and len(site_refs) >= 10
-    # both the corrupted faces and the ones at roundoff level were compared
-    for refs in (face_refs, site_refs):
-        assert max(refs) >= 1e-5 and min(refs) <= 1e-30
-    assert pattern_core.max_constraint_residual(zf) == pytest.approx(max(site_refs), rel=1e-9)
+    refs = (face_refs, gap_refs, site_refs)
+    if precision == "ext":
+        # both the corrupted faces and the ones at roundoff level were compared
+        for r in refs:
+            assert max(r) >= 1e-5 and min(r) <= 1e-30
+    for check, r in zip((pattern_core.max_face_residual,
+                         pattern_core.max_zero_curvature_residual,
+                         pattern_core.max_constraint_residual), refs):
+        assert check(zf) == pytest.approx(max(r), rel=1e-9)
 
 
 def test_constraint_defect_stencil_errors():
-    from hexcircle.numerics import snapshot
     zf = generate_z(isotropic_params(1.5, precision="ext", dps=40), 6)
-    bk = zf.params.backend()
-    values = snapshot(bk, zf.values)
-    c = snapshot(bk, {"c": zf.params.c})["c"]
-    del values[(2, 1, -1)]
-    with pytest.raises(pattern_core.IncompleteStencilError):
-        pattern_core.constraint_defect(values, c, (1, 1, -1))
-    values[(2, 1, -1)] = values[(0, 1, -1)]
-    with pytest.raises(DegenerateQuadError):
-        pattern_core.constraint_defect(values, c, (1, 1, -1))
-    del zf.values[(2, 1, -1)]
+    with zf.params.backend().context():
+        assert constraint_defect(zf.values, zf.params.c, (1, 1, -1)) <= 1e-30
+    moved = zf.values.pop((2, 1, -1))
     with pytest.raises(pattern_core.IncompleteStencilError):
         pattern_core.max_constraint_residual(zf)
+    zf.values[(2, 1, -1)] = zf.values[(0, 1, -1)]
+    with pytest.raises(DegenerateQuadError):
+        pattern_core.max_constraint_residual(zf)
+    with pytest.raises(DegenerateQuadError):
+        constraint_defect(zf.values, zf.params.c, (1, 1, -1))
+    zf.values[(2, 1, -1)] = moved
+    assert pattern_core.max_constraint_residual(zf) <= 1e-27
 
 
 def test_kite_residual_exact_at_80_digits():
