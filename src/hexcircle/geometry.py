@@ -2,10 +2,10 @@
 square-grid slice.
 
 A center and one adjacent circle fix a kite; the angle under which the two
-circles cross is the constant angle of the face between them.  Walking the
-six wedges around each center (half-angle nu = atan2(r_w sin a, r_v +
-r_w cos a)) lays the whole pattern out; closure of the wedge angles around
-every center is exactly the content of the radius equations and is verified
+circles cross is the constant angle of the face between them.  Turning the
+spoke direction wedge by wedge around each center (by q / conj(q), q = r_v +
+r_w e^{ia}) lays the whole pattern out; closure of the turns around every
+center is exactly the content of the radius equations and is verified
 during the walk.  Immersion is certified through uniform orientation of the
 elementary triangles plus a segment-crossing sweep over adjacent faces.
 """
@@ -14,14 +14,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from . import lattice
 from .lattice import MultiIndex, SubIndex
-from .pattern_core import ZField, face_sites, iter_slab_faces
+from .pattern_core import ZField, iter_slab_faces
 from .radius_system import RadiusField, extract_radii
-
-POLE = math.inf
 
 
 class ReconstructionError(ArithmeticError):
@@ -49,146 +47,120 @@ def orientation(z1: complex, z2: complex, z3: complex) -> float:
 # wedge layout
 # ---------------------------------------------------------------------------
 
-# counterclockwise spoke cycle around a center and the face (neighbor offset,
-# angle index) found after each spoke
-_SPOKES = ("+1", "-3", "+2", "-1", "+3", "-2")
-_SPOKE_STEP = {"+1": (1, 0, 0), "-1": (-1, 0, 0), "+2": (0, 1, 0),
-               "-2": (0, -1, 0), "+3": (0, 0, 1), "-3": (0, 0, -1)}
+#: largest |product of the six wedge turns - 1| accepted around a center
+CLOSURE_TOL = 1e-6
+
+# counterclockwise spoke cycle around a center (lattice steps to its
+# intersection points); wedge k lies between spokes k and k + 1
+_SPOKES = ((1, 0, 0), (0, 0, -1), (0, 1, 0), (-1, 0, 0), (0, 0, 1), (0, -1, 0))
+# (neighbor offset, angle index) of each wedge
 _WEDGES = (((1, 0, -1), 3), ((0, 1, -1), 2), ((-1, 1, 0), 1),
            ((-1, 0, 1), 3), ((0, -1, 1), 2), ((1, -1, 0), 1))
+# the face between a center and its neighbor spans +e_i and -e_j, so the
+# center's +e_i spoke is the neighbor's +e_j spoke: per wedge the offset,
+# the angle's position in alphas and those two spoke indices
+_WALK = tuple((off, a - 1, _SPOKES.index(tuple(int(d == 1) for d in off)),
+               _SPOKES.index(tuple(int(d == -1) for d in off)))
+              for off, a in _WEDGES)
 
 
-def wedge_half_angle(r_center: float, r_neighbor: float, alpha: float) -> float:
-    """Half of the angle the face subtends at the center circle."""
-    if math.isinf(r_neighbor):
-        return alpha
-    return math.atan2(r_neighbor * math.sin(alpha),
-                      r_center + r_neighbor * math.cos(alpha))
-
-
-def center_distance(r_a: float, r_b: float, alpha: float) -> float:
-    return math.sqrt(r_a * r_a + r_b * r_b + 2 * r_a * r_b * math.cos(alpha))
-
-
-def _sub_center_sites(rf: RadiusField) -> List[SubIndex]:
-    sites = [s for s in rf.values
-             if s[0] + s[1] + s[2] == 0 and lattice.sub_generation(s) <= rf.generation]
-    sites.sort(key=lambda s: (s[0] + s[1], s))
-    return sites
-
-
-def reconstruct(rf: RadiusField, closure_tol: float = 1e-6) -> ZField:
+def reconstruct(rf: RadiusField) -> ZField:
     """Lay the circles out in the plane and return the vertex map.
 
-    Anchor: the origin circle sits at 0 with its first k-spoke along the
-    positive real axis (a pole at the origin moves the anchor to the next
-    boundary circle).  Every odd vertex reachable from several centers is
-    placed once and re-derivations are compared; the worst mismatch and the
-    worst wedge-closure defect are recorded in the metadata.  Each radius is
-    read as a float once: the layout is a double one, whatever the digits.
+    A center of radius r_c and a neighbor of radius r_n crossing at angle a
+    form a kite: with q = r_c + r_n e^{ia} and u the spoke direction that
+    starts their wedge, the neighbor's center is z_c + u q and the next
+    spoke is u q / conj(q) (u e^{2ia} past a pole).  A placed neighbor's
+    reference spoke is the unit vector to the point it shares with the
+    center that placed it: one abs per neighbor, no angle anywhere.
+
+    Around a complete ring the turns q / conj(q) = e^{2i arg q} must
+    multiply to 1 within CLOSURE_TOL, which is the radius equations' angle
+    sum of 2 pi: each arg q lies in [0, a], so the six turns sum to at most
+    4 pi (and to 0 or 4 pi only if the center or all six neighbors are
+    point circles, or all six are poles), and a product of 1 means 2 pi.
+
+    The origin circle sits at 0 with its first k-spoke along the positive
+    real axis (a pole there moves the anchor to the next boundary circle).
+    Each intersection point is placed once; the worst mismatch of its
+    re-derivations and the worst closure defect go into the metadata.  Each
+    radius is read as a float once: the layout is a double one.
     """
     radii = {site: float(r) for site, r in rf.values.items()}
-    centers = _sub_center_sites(rf)
-    alphas = rf.params.alphas
-    values: Dict[MultiIndex, complex] = {}
-    center_pos: Dict[SubIndex, complex] = {}
-    ref_spoke: Dict[SubIndex, Tuple[str, float]] = {}
-    worst_mismatch = 0.0
-    worst_closure = 0.0
-
-    pole = {s for s in centers if math.isinf(radii[s])}
+    pole = {s for s, r in radii.items() if math.isinf(r)}
+    rot = [cmath.exp(1j * a) for a in rf.params.alphas]
     anchor = (0, 0, 0)
     if anchor in pole or anchor not in radii:
         anchor = (1, 0, -1)
     if anchor not in radii:
         raise ReconstructionError("no anchor circle available")
-    center_pos[anchor] = 0j
-    ref_spoke[anchor] = ("+1", 0.0)
-
-    def spoke_angles(site: SubIndex) -> Dict[str, float]:
-        """All spoke directions derivable from the reference by walking
-        wedges whose neighbor radius is known."""
-        nonlocal worst_closure
+    values: Dict[MultiIndex, complex] = {}
+    center_pos: Dict[SubIndex, complex] = {anchor: 0j}
+    ref_spoke: Dict[SubIndex, Tuple[int, complex]] = {anchor: (0, 1 + 0j)}
+    worst_mismatch = worst_closure = 0.0
+    order = [anchor]
+    for site in order:  # grows breadth first as neighbors are placed
         r_c = radii[site]
-        name0, theta0 = ref_spoke[site]
-        i0 = _SPOKES.index(name0)
-        out = {name0: theta0}
-        wedges: List[Optional[float]] = []
-        for off, aidx in _WEDGES:
-            nb = (site[0] + off[0], site[1] + off[1], site[2] + off[2])
-            if nb in radii:
-                wedges.append(2 * wedge_half_angle(r_c, radii[nb],
-                                                   alphas[aidx - 1]))
-            else:
-                wedges.append(None)
-        theta = theta0
-        for step in range(1, 6):
-            w = wedges[(i0 + step - 1) % 6]
-            if w is None:
-                break
-            theta += w
-            out[_SPOKES[(i0 + step) % 6]] = theta
-        theta = theta0
-        for step in range(1, 6):
-            w = wedges[(i0 - step) % 6]
-            if w is None:
-                break
-            theta -= w
-            name = _SPOKES[(i0 - step) % 6]
-            out.setdefault(name, theta)
-        if all(w is not None for w in wedges):
-            defect = abs(sum(wedges) - 2 * math.pi)
-            worst_closure = max(worst_closure, defect)
-            if defect > closure_tol:
-                raise ReconstructionError(
-                    f"wedge angles around {site} sum to 2*pi + {defect:.3e}")
-        return out
-
-    queue = [anchor]
-    seen = {anchor}
-    while queue:
-        site = queue.pop(0)
-        r_c = radii[site]
-        vertex = lattice.sub_to_vertex(site)
         z_c = center_pos[site]
+        vertex = lattice.sub_to_vertex(site)
         values[vertex] = z_c
-        angles = spoke_angles(site)
+        qs, turns = [], []
+        for off, a, _, _ in _WALK:
+            nb = (site[0] + off[0], site[1] + off[1], site[2] + off[2])
+            q = None
+            if nb in pole:
+                turn = rot[a] * rot[a]
+            elif nb in radii:
+                q = r_c + radii[nb] * rot[a]
+                turn = q / q.conjugate()
+            else:
+                turn = None
+            qs.append(q)
+            turns.append(turn)
+        # spoke directions reachable from the reference through known
+        # wedges: forward over wedge k to spoke k + 1, back over it to k
+        i0, u0 = ref_spoke[site]
+        spokes = {i0: u0}
+        for sign in (1, -1):
+            u, k = u0, i0
+            for _ in range(5):
+                turn = turns[k if sign > 0 else (k - 1) % 6]
+                if turn is None:
+                    break
+                u *= turn if sign > 0 else turn.conjugate()
+                k = (k + sign) % 6
+                spokes.setdefault(k, u)
+        if None not in turns:
+            defect = abs(math.prod(turns) - 1)
+            worst_closure = max(worst_closure, defect)
+            if defect > CLOSURE_TOL:
+                raise ReconstructionError(
+                    f"wedge turns around {site} close up to {defect:.3e}")
         # place intersection points
-        for name, theta in angles.items():
-            step = _SPOKE_STEP[name]
+        for k, u in spokes.items():
+            step = _SPOKES[k]
             odd = (vertex[0] + step[0], vertex[1] + step[1], vertex[2] + step[2])
             if not (odd[0] >= 0 and odd[1] >= 0 and odd[2] <= 0):
                 continue  # outside the octant Q
-            z_p = z_c + r_c * cmath.exp(1j * theta)
+            z_p = z_c + r_c * u
             if odd in values:
                 worst_mismatch = max(worst_mismatch, abs(values[odd] - z_p))
             else:
                 values[odd] = z_p
         # place adjacent centers
-        for idx, (off, aidx) in enumerate(_WEDGES):
+        for idx, ((off, _, shared, back), q) in enumerate(zip(_WALK, qs)):
             nb = (site[0] + off[0], site[1] + off[1], site[2] + off[2])
-            if nb not in radii or nb in pole or nb in seen:
+            if q is None or nb in center_pos or idx not in spokes:
                 continue
-            first = _SPOKES[idx]
-            if first not in angles:
-                continue
-            alpha = alphas[aidx - 1]
-            r_n = radii[nb]
-            nu = wedge_half_angle(r_c, r_n, alpha)
-            z_n = z_c + center_distance(r_c, r_n, alpha) * cmath.exp(
-                1j * (angles[first] + nu))
-            center_pos[nb] = z_n
-            # face between site and nb spans (+e_i, -e_j); the shared
-            # intersection point v+e_i is the +e_j spoke of the neighbor
-            i_dir = [d for d in (1, 2, 3) if off[d - 1] == 1][0]
-            j_dir = [d for d in (1, 2, 3) if off[d - 1] == -1][0]
-            shared_vertex = face_sites(vertex, i_dir, j_dir)[1]
-            back = cmath.phase(values[shared_vertex] - z_n) if shared_vertex in values else None
-            if back is None:
+            z_n = center_pos[nb] = z_c + spokes[idx] * q
+            step = _SPOKES[shared]
+            d = values.get((vertex[0] + step[0], vertex[1] + step[1],
+                            vertex[2] + step[2]))
+            if d is None:
                 raise ReconstructionError(f"missing shared spoke for {nb}")
-            ref_spoke[nb] = (f"+{j_dir}", back)
-            seen.add(nb)
-            queue.append(nb)
+            d -= z_n
+            ref_spoke[nb] = (back, d / abs(d))
+            order.append(nb)
 
     zf = ZField(params=rf.params, values=values, generation=rf.generation)
     zf.meta["route"] = "reconstructed"
@@ -202,21 +174,25 @@ def reconstruct(rf: RadiusField, closure_tol: float = 1e-6) -> ZField:
 # immersion
 # ---------------------------------------------------------------------------
 
-def _flipped(a: complex, b: complex, c: complex, eps_scale: float) -> bool:
+#: relative guard of the triangle test: collapsed edges and clearly negative
+#: orientations are measured against the longest edge
+EPS_SCALE = 1e-12
+
+
+def _flipped(a: complex, b: complex, c: complex) -> bool:
     """A triangle fails when it is clearly negatively oriented or has a
     collapsed edge.  Triangles whose edges all fall below the guard (the
     branch point of the c = 2 pattern) pass; a straight angle (zero area
     with three distinct corners) passes too."""
     edges = (abs(b - a), abs(c - a), abs(c - b))
     edge = max(edges)
-    if edge <= eps_scale:
+    if edge <= EPS_SCALE:
         return False
-    return (min(edges) <= eps_scale * edge
-            or orientation(a, b, c) <= -eps_scale * edge * edge)
+    return (min(edges) <= EPS_SCALE * edge
+            or orientation(a, b, c) <= -EPS_SCALE * edge * edge)
 
 
-def immersion_check(zf: ZField, slab_only: bool = False,
-                    eps_scale: float = 1e-12) -> ImmersionReport:
+def immersion_check(zf: ZField, slab_only: bool = False) -> ImmersionReport:
     """Uniform positive orientation of the three elementary triangles at
     every stored site, plus pairwise interior-disjointness of adjacent
     pattern faces; see _flipped for the triangle test.  Both sweeps run in
@@ -240,7 +216,7 @@ def immersion_check(zf: ZField, slab_only: bool = False,
             if b is None or c_ is None:
                 continue
             report.checked_triangles += 1
-            if _flipped(z0, b, c_, eps_scale):
+            if _flipped(z0, b, c_):
                 report.failures.append(((k, l, m), f"orientation-flip:{name}"))
     # radius positivity (degenerate zero radii at a flagged pole are allowed)
     for sub, r in extract_radii(zf).items():
@@ -302,7 +278,7 @@ def sg_slice(zf: ZField) -> ZField:
                   values={s: z for s, z in zf.values.items() if s[1] == 0})
 
 
-def sg_immersion_check(sg: ZField, eps_scale: float = 1e-12) -> ImmersionReport:
+def sg_immersion_check(sg: ZField) -> ImmersionReport:
     """Orientation sweep of consecutive-neighbor triangles in the l = 0
     plane, with the triangle test of immersion_check."""
     report = ImmersionReport()
@@ -317,7 +293,7 @@ def sg_immersion_check(sg: ZField, eps_scale: float = 1e-12) -> ImmersionReport:
                 continue
             p1, p2 = complex(p1), complex(p2)
             report.checked_triangles += 1
-            if _flipped(z, p1, p2, eps_scale):
+            if _flipped(z, p1, p2):
                 report.failures.append(((k, l, m), "orientation-flip:sg"))
     return report
 

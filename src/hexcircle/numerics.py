@@ -127,6 +127,18 @@ class Backend:
         return 10.0 ** (1 - self.dps)
 
 
+def required_dps(steps: int, growth: float, margin: int) -> int:
+    """Working precision for a run of steps that each amplify an error by
+    growth: margin + ceil(steps * log10(max(growth, 1))) digits.  A plan
+    above MAX_DPS raises ValueError instead of starting a run that cannot
+    finish."""
+    dps = margin + math.ceil(steps * math.log10(max(growth, 1.0)))
+    if dps > MAX_DPS:
+        raise ValueError(f"{steps} steps amplifying errors {growth:.4g}-fold each "
+                         f"need {dps} digits; the cap is dps {MAX_DPS}")
+    return dps
+
+
 def worst_of(residuals) -> float:
     """Largest of some residuals, 0.0 for none; NaN if any is NaN.
 

@@ -18,6 +18,8 @@ from typing import List, Optional, Tuple
 
 import mpmath as mp
 
+from .numerics import required_dps
+
 
 class StepSingularError(ArithmeticError):
     """The Moebius solve for x_{n+1} degenerated."""
@@ -193,9 +195,11 @@ def shoot(c: float, alpha: float, n_stay: int, tol: float,
     """
     if n_stay < 1 or tol <= 0:
         raise ValueError("need n_stay >= 1 and tol > 0")
-    rho = max(growth_rate(c, alpha), 1.5)
-    need = int(math.ceil((n_stay + 10) * math.log10(rho))) + 30
-    dps = dps or need
+    if tol < math.ulp(alpha):
+        # the bracket is returned in doubles, one ulp wider on each side
+        raise ValueError(f"tol {tol!r} is below the double resolution "
+                         f"{math.ulp(alpha)!r} of the angle")
+    dps = dps or required_dps(n_stay + 10, max(growth_rate(c, alpha), 1.5), 30)
     horizon = 2 * n_stay + 80
 
     def classify(beta: float):

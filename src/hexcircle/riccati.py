@@ -30,7 +30,7 @@ from typing import List, Optional
 
 import mpmath as mp
 
-from .pattern_core import PatternParams
+from .numerics import required_dps
 
 
 class ParameterError(ValueError):
@@ -62,10 +62,6 @@ class RiccatiParams:
     @property
     def t(self) -> float:
         return math.cos(self.alpha)
-
-    @classmethod
-    def from_pattern(cls, params: PatternParams, angle_index: int = 3) -> "RiccatiParams":
-        return cls(c=params.c, alpha=params.alphas[angle_index - 1])
 
 
 @dataclass
@@ -138,9 +134,7 @@ def separatrix_dps(params: RiccatiParams, n_steps: int, margin: int = 30) -> int
     """Working precision for which the forward separatrix stays clean for
     n_steps (perturbations grow like ((1+t)/(1-t))^n)."""
     t = params.t
-    ratio = abs(1 + t) / abs(1 - t)
-    growth = max(ratio, 1.0)
-    return max(30, int(math.ceil(n_steps * math.log10(growth))) + margin)
+    return required_dps(n_steps, abs(1 + t) / abs(1 - t), margin)
 
 
 # ---------------------------------------------------------------------------
@@ -175,17 +169,15 @@ def _hyp_with_derivative(a, b, cc, z, tol):
 
 def mixture_coefficient(c):
     """Weight (2-c)*cot(pi c/2) of the second Gauss solution in the
-    separatrix generating function (0 at c = 1, finite as c -> 2)."""
-    if isinstance(c, mp.mpf):
-        return (2 - c) * mp.cos(mp.pi * c / 2) / mp.sin(mp.pi * c / 2)
-    return (2 - c) * math.cos(math.pi * c / 2) / math.sin(math.pi * c / 2)
+    separatrix generating function (0 at c = 1, finite as c -> 2), for an
+    mpf c at the working precision."""
+    return (2 - c) * mp.cos(mp.pi * c / 2) / mp.sin(mp.pi * c / 2)
 
 
-def _y_dps(params: RiccatiParams, n: int, base_dps: int = 25) -> int:
+def _y_dps(params: RiccatiParams, n: int) -> int:
     # B2 cancels terms of relative size ((1+t)/(1-t))^n
     t = params.t
-    ratio = abs(1 + t) / max(abs(1 - t), 1e-30)
-    return base_dps + int(math.ceil((n + 2) * math.log10(max(ratio, 1.0)))) + 10
+    return required_dps(n + 2, abs(1 + t) / max(abs(1 - t), 1e-30), 35)
 
 
 def y_basis(n: int, params: RiccatiParams, which: int,

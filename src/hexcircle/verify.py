@@ -60,15 +60,23 @@ def applicable_checks(doc: PatternDocument) -> List[str]:
 
 def run_checks(doc: PatternDocument, checks=None,
                tolerances: Optional[Dict[str, float]] = None) -> VerifyReport:
+    """Run the requested checks (default: every applicable one); a requested
+    check that applicable_checks leaves out is noted as not applicable."""
     tolerances = {**DEFAULT_TOLERANCES, **(tolerances or {})}
+    applicable = applicable_checks(doc)
     if checks is None:
-        checks = applicable_checks(doc)
+        checks = applicable
     report = VerifyReport()
     zf = doc.zfield() if doc.vertices else None
     rf = doc.radius_field() if doc.radii else None
     for name in checks:
+        if name not in ALL_CHECKS:
+            raise ValueError(f"unknown check {name}")
+        if name not in applicable:
+            report.notes.append(f"{name}: not applicable")
+            continue
         try:
-            res = _residual(name, doc, zf, rf, report.notes)
+            res = _residual(name, doc, zf, rf)
         except ArithmeticError as exc:
             # a degenerate stencil is a failed check, not a crash
             report.notes.append(f"{name}: {exc}")
@@ -77,8 +85,6 @@ def run_checks(doc: PatternDocument, checks=None,
             # so is a stencil the document does not store
             report.notes.append(f"{name}: missing vertex {exc}")
             res = math.inf
-        if res is None:
-            continue
         report.residuals[name] = res
         report.passed[name] = res <= tolerances[name]
         # a residual above zero proves the check tested something
@@ -99,40 +105,22 @@ def _has_items(name, zf, rf) -> bool:
     return bool(radius_system.equation_defects(rf))
 
 
-def _residual(name, doc, zf, rf, notes) -> Optional[float]:
-    """Residual of one check, or None (with a note) when it does not apply."""
+def _residual(name, doc, zf, rf) -> float:
+    """Residual of one applicable check."""
     if name == "crossratio":
-        if zf is None:
-            notes.append("crossratio: no vertices stored")
-            return None
         return pattern_core.max_face_residual(zf)
     elif name == "constraint":
-        if zf is None or doc.mode in ("log", "sg"):
-            notes.append("constraint: not applicable")
-            return None
         return pattern_core.max_constraint_residual(zf)
     elif name == "laxzc":
-        if zf is None:
-            notes.append("laxzc: no vertices stored")
-            return None
         return pattern_core.max_zero_curvature_residual(zf)
     elif name == "kite":
-        if zf is None:
-            notes.append("kite: no vertices stored")
-            return None
         return max_kite_residual(zf)
     elif name == "positivity":
-        if rf is None:
-            notes.append("positivity: no radii stored")
-            return None
         bad = [s for s, v in rf.values.items()
                if not rf.is_pole(s) and (math.isnan(v) or v < 0
                                          or (v == 0 and doc.mode != "z2"))]
         return float(len(bad))
     elif name == "immersion":
-        if zf is None:
-            notes.append("immersion: no vertices stored")
-            return None
         if doc.mode == "sg":
             sg = geometry.sg_slice(zf)
             rep = geometry.sg_immersion_check(sg)
@@ -140,12 +128,7 @@ def _residual(name, doc, zf, rf, notes) -> Optional[float]:
             slab_only = doc.route == "reconstructed" or doc.mode in ("z2", "log")
             rep = geometry.immersion_check(zf, slab_only=slab_only)
         return float(len(rep.failures))
-    elif name == "radius_eq":
-        if rf is None:
-            notes.append("radius_eq: no radii stored")
-            return None
-        return radius_system.max_equation_residual(rf)
-    raise ValueError(f"unknown check {name}")
+    return radius_system.max_equation_residual(rf)  # radius_eq
 
 
 def max_kite_residual(zf) -> float:

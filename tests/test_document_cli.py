@@ -457,10 +457,14 @@ def test_render_circles_equal_the_reference_rule(tmp_path):
 @pytest.fixture(scope="module")
 def small_documents(tmp_path_factory):
     work = tmp_path_factory.mktemp("bad-invocations")
-    docs = {"n1": str(work / "n1.txt"), "sg": str(work / "sg.txt")}
+    docs = {name: str(work / f"{name}.txt") for name in ("n1", "sg", "radius", "z2")}
     assert cli.main(["generate", "--c", "1.5", "--n", "1", "--out", docs["n1"]]) == 0
     assert cli.main(["generate", "--c", "1.5", "--n", "6", "--mode", "sg",
                      "--out", docs["sg"]]) == 0
+    assert cli.main(["generate", "--c", "1.5", "--n", "6", "--route", "radius",
+                     "--out", docs["radius"]]) == 0
+    assert cli.main(["generate", "--c", "2", "--n", "6", "--mode", "z2",
+                     "--out", docs["z2"]]) == 0
     return work, docs
 
 
@@ -472,6 +476,8 @@ BAD_INVOCATIONS = [
     (["verify", "{sg}", "--checks", ","], 2),
     (["verify", "{sg}", "--checks", ""], 2),
     (["verify", "{sg}", "--checks", "constraint,constraint"], 2),
+    (["verify", "{radius}", "--checks", "constraint"], 2),
+    (["verify", "{z2}", "--checks", "constraint,laxzc"], 2),
     # shooting below the double resolution, or with a bad tolerance or count
     ([*PAINLEVE, "--shoot", "5", "--tol", "1e-300"], 2),
     ([*PAINLEVE, "--shoot", "5", "--tol", "nan"], 2),
@@ -480,6 +486,9 @@ BAD_INVOCATIONS = [
     ([*PAINLEVE, "--shoot", "-1"], 2),
     (["analyze", "painleve", "--c", "1.5", "--n", "-1"], 2),
     (["analyze", "riccati", "--c", "1.5", "--n", "-5"], 2),
+    # a precision plan above the dps cap
+    (["analyze", "riccati", "--c", "1.5", "--alpha", "0.3", "--n", "20000"], 2),
+    ([*PAINLEVE, "--alpha", "0.3", "--shoot", "3000"], 2),
     # a scale that is not finite and positive, or a canvas that overflows
     *[(["render", "{sg}", "--out", "{out}", f"--scale={scale}"], 2)
       for scale in ("nan", "inf", "-inf", "0", "-1", "1e308")],

@@ -1,15 +1,16 @@
 import cmath
 import math
 import random
+import re
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import pytest
 
 from hexcircle import lattice
-from hexcircle.geometry import (_WEDGES, erf_radius, immersion_check,
-                                orientation, reconstruct, sg_immersion_check,
-                                sg_radius_residual, sg_slice)
+from hexcircle.geometry import (_WEDGES, ReconstructionError, erf_radius,
+                                immersion_check, orientation, reconstruct,
+                                sg_immersion_check, sg_radius_residual, sg_slice)
 from hexcircle.pattern_core import (PatternParams, ZField, cross_ratio,
                                     generate_z, isotropic_params,
                                     iter_slab_faces)
@@ -202,6 +203,36 @@ def test_reconstruct_roundtrip_radii():
         K, L, M = site
         if K + L + M == 0 or lattice.sub_generation(site) < rf.generation:
             assert site in got
+
+
+def test_reconstruct_refuses_radii_that_do_not_close():
+    rf = generate_radii(isotropic_params(1.5), 6)
+    rf.values[(1, 1, -2)] *= 1.01  # an interior center, complete ring
+    with pytest.raises(ReconstructionError, match=re.escape("(1, 1, -2)")):
+        reconstruct(rf)
+
+
+@pytest.mark.parametrize("field", ["z2", "log", "c1.5"])
+def test_reconstructed_points_lie_on_their_circles(field):
+    """Every placed intersection point lies on the circle of each placed
+    center that spokes to it, whichever center placed it."""
+    if field == "c1.5":
+        rf = generate_radii(isotropic_params(1.5), 8)
+    else:
+        rf = generate_radii(PatternParams(alphas=ISO, c=2.0), 8)
+        rf = dual(rf) if field == "log" else rf
+    zf = reconstruct(rf)
+    checked = 0
+    for site, r in rf.values.items():
+        vertex = lattice.sub_to_vertex(site)
+        if sum(site) != 0 or vertex not in zf.values:
+            continue
+        for odd in lattice.axis_neighbors(vertex):
+            if odd in zf.values:
+                dist = abs(complex(zf[odd]) - complex(zf[vertex]))
+                assert abs(dist - r) <= 1e-9 * r, (site, odd)
+                checked += 1
+    assert checked > 200
 
 
 def test_reconstruct_z2_and_log():

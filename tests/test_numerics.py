@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hexcircle import pattern_core, radius_system, verify
 from hexcircle.numerics import (MAX_DPS, MAX_EXP, MIN_EXP, Backend, aligned_points,
-                                aligned_reals, quotient)
+                                aligned_reals, quotient, required_dps)
 from hexcircle.pattern_core import generate_z, isotropic_params
 
 EXT = Backend("ext", 40)
@@ -66,6 +66,15 @@ def test_exact_arithmetic_matches_fractions(a, b, k):
             assert quotient(num, one * one) == abs(float(want))
         else:
             assert quotient(num, one * one) == math.inf
+
+
+def test_required_dps_plans_growth_and_refuses_past_the_cap():
+    assert required_dps(40, 1.0, 30) == required_dps(40, 0.5, 30) == 30
+    assert required_dps(7, 10.0, 5) == 12
+    assert required_dps(3, 10.5, 0) == 4  # ceil(3.06)
+    assert required_dps(MAX_DPS - 30, 10.0, 30) == MAX_DPS
+    with pytest.raises(ValueError, match="cap"):
+        required_dps(MAX_DPS - 29, 10.0, 30)
 
 
 def test_double_snapshot_is_the_values():

@@ -127,6 +127,13 @@ def test_shoot_width_shrinks_with_stay_requirement():
     assert widths[0] > widths[1] > widths[2] > 0
 
 
+def test_shoot_refuses_a_tolerance_below_the_angle_resolution(monkeypatch):
+    # refused before a single trajectory runs
+    monkeypatch.setattr(painleve, "run_trajectory", None)
+    with pytest.raises(ValueError, match="double resolution"):
+        shoot(1.5, math.pi / 3, 5, 1e-300)
+
+
 def test_run_trajectory_rejects_bad_start():
     with pytest.raises(ValueError):
         run_trajectory(1.3, math.pi / 3, -0.5, 10)
