@@ -6,19 +6,29 @@ Moebius transform (no root choice).  The separatrix x_n = trajectory from
 x_0 = exp(i c a / 2) is the unique one staying in the open sector
 (0, alpha); it is unstable, so runs carry per-precision horizons and the
 shooting construction brackets the initial angle by exit-side bisection.
+
+Double runs step in complex doubles.  Extended runs step on fixed-point
+Gaussian integers (see _fixed_step), with no division but one
+normalisation, and test the sector by the signs of Im x and
+Im(x conj(epsilon)).
 """
 from __future__ import annotations
 
 import cmath
 import math
-from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Tuple
 
 import mpmath as mp
+from mpmath.libmp import dps_to_prec, from_float, mpf_cos_sin, to_fixed
 
 from .numerics import required_dps
+
+#: bits a fixed-point run carries beyond the binary precision of its dps
+GUARD_BITS = 16
+#: growth_rate perturbs the separatrix angle by 10**-PROBE_DIGITS
+PROBE_DIGITS = 30
 
 
 class StepSingularError(ArithmeticError):
@@ -38,6 +48,9 @@ class SectorTag(Enum):
     BOUNDARY_HIGH = "BoundaryHigh"  # x = epsilon
 
 
+_IN_CLOSED = (SectorTag.A_I, SectorTag.BOUNDARY_LOW, SectorTag.BOUNDARY_HIGH)
+
+
 @dataclass
 class PainleveState:
     n: int
@@ -49,12 +62,25 @@ class PainleveState:
 
 @dataclass
 class PainleveTrajectory:
-    betas: List[float]
+    """x_0, x_1, ... as complex doubles, or, when bits is set, as pairs
+    (re, im) of integers over 2**bits."""
+    points: list
     sectors: List[SectorTag]
     exit_index: Optional[int] = None
     exit_sector: Optional[SectorTag] = None
     max_unitarity_drift: float = 0.0
-    meta: dict = field(default_factory=dict)
+    bits: Optional[int] = None
+
+    def beta(self, n: int) -> float:
+        """arg x_n in (-pi, pi], as a double."""
+        if self.bits is None:
+            return cmath.phase(self.points[n])
+        re, im = self.points[n]
+        return _atan2(im, re)
+
+    @property
+    def betas(self) -> List[float]:
+        return [self.beta(n) for n in range(len(self.points))]
 
     @property
     def stayed(self) -> bool:
@@ -63,8 +89,17 @@ class PainleveTrajectory:
     def steps_in_sector(self) -> int:
         """Largest N with x_n in the closed sector for all n <= N."""
         if self.exit_index is None:
-            return len(self.betas) - 1
+            return len(self.points) - 1
         return self.exit_index - 1
+
+
+def check_domain(c: float, alpha: float) -> None:
+    """The source paper's domain, 0 < c <= 2 and 0 < alpha < pi; the sign
+    test of the sector needs alpha < pi too."""
+    if not 0 < c <= 2:
+        raise ValueError(f"the exponent c must satisfy 0 < c <= 2, not {c!r}")
+    if not 0 < alpha < math.pi:
+        raise ValueError(f"the angle alpha must satisfy 0 < alpha < pi, not {alpha!r}")
 
 
 def _step_raw(n: int, x_prev, x_cur, c, eps):
@@ -97,8 +132,7 @@ def dpii_step(state: PainleveState) -> complex:
 
 def x0_closed(c: float, alpha: float) -> complex:
     """The separatrix initial value exp(i c alpha / 2)."""
-    if not (0 < c <= 2):
-        raise ValueError("exponent must satisfy 0 < c <= 2")
+    check_domain(c, alpha)
     return cmath.exp(1j * c * alpha / 2)
 
 
@@ -121,67 +155,189 @@ def sector_of_beta(beta: float, alpha: float) -> SectorTag:
     return SectorTag.A_III
 
 
+def sector_of_signs(im_x, im_x_conj_eps) -> SectorTag:
+    """The sector of a unit x = exp(i beta) from the signs of Im x and
+    Im(x conj(epsilon)) = sin(beta - alpha), for 0 < alpha < pi.
+
+    x is in (0, alpha) iff Im x > 0 > Im(x conj(epsilon)); a zero sign is
+    a boundary ray (x = 1, x = epsilon) or, off the closed sector, the
+    edge x = -1 of A_II or x = -epsilon of A_IV.
+    """
+    if im_x > 0:
+        if im_x_conj_eps < 0:
+            return SectorTag.A_I
+        return SectorTag.BOUNDARY_HIGH if im_x_conj_eps == 0 else SectorTag.A_II
+    if im_x == 0:
+        return SectorTag.BOUNDARY_LOW if im_x_conj_eps < 0 else SectorTag.A_II
+    return SectorTag.A_III if im_x_conj_eps > 0 else SectorTag.A_IV
+
+
+def _atan2(y: int, x: int) -> float:
+    """math.atan2 of two integers of any size, from their top bits (a
+    floor shift keeps the sign of a negative remainder)."""
+    shift = max(abs(x).bit_length(), abs(y).bit_length()) - 1000
+    if shift > 0:
+        y, x = y >> shift, x >> shift
+    return math.atan2(y, x)
+
+
+def _unit(theta, bits: int) -> Tuple[int, int]:
+    """exp(i theta), theta a float or mpf, as integers over 2**bits within
+    one unit: cos and sin are taken to bits + 20 bits, then rounded."""
+    t = theta._mpf_ if isinstance(theta, mp.mpf) else from_float(float(theta))
+    cos, sin = mpf_cos_sin(t, bits + 20)
+    return (to_fixed(cos, bits + 1) + 1) >> 1, (to_fixed(sin, bits + 1) + 1) >> 1
+
+
+def _constants(c: float, alpha: float, bits: int):
+    """epsilon, F = conj(epsilon)**2 and K = c (1 - F) / 2 over 2**bits;
+    F and K are each rounded once from epsilon and the exact float c."""
+    er, ei = _unit(alpha, bits)
+    h = 1 << (bits - 1)
+    fr, fi = (er * er - ei * ei + h) >> bits, -((2 * er * ei + h) >> bits)
+    p, q = float(c).as_integer_ratio()
+    kr, ki = ((p * ((1 << bits) - fr) + q) // (2 * q), (-p * fi + q) // (2 * q))
+    return (er, ei), (fr, fi), (kr, ki)
+
+
+def _fixed_step(n: int, prev, cur, consts, bits: int):
+    """_step_raw on fixed-point Gaussian integers: (x_{n+1}, drift).
+
+    prev, cur and consts (from _constants) are pairs of integers over
+    2**bits = one; prev is ignored for n = 0.  With |epsilon| = 1,
+    1/epsilon = conj(epsilon), and the two quotients of the recurrence are
+    cleared by multiplying b_term by conj(D1) and every term by the
+    positive real |D1|**2, D1 = epsilon + x_prev x (for n = 0, b_term = 0
+    and the factor is 1).  With R = rhs |D1|**2 and A = a_term |D1|**2,
+    x_{n+1} = N / D with N = R epsilon - A x conj(epsilon), D = A - R x,
+    so x_{n+1} is W / |W| for W = N conj(D), and |W| = isqrt(|N|**2 |D|**2).
+
+    Error per operation, in units u = 1/one: each ``>> bits`` rounds one
+    sum of products to the nearest unit, so it adds at most u/2 to that
+    component.  Sums, differences, the integer factors n and n + 1 and the
+    products that form N conj(D), |N|**2 and |D|**2 are exact; isqrt
+    floors |W| by less than one unit, a relative error below 1/|W|; the
+    last quotient rounds each component of x_{n+1} to u/2.  The inputs lie
+    within u of the unit circle, |K| <= 2 and |D1|, |1 - x**2 F|,
+    |x_prev + epsilon x| <= 2, so |R|, |A| <= 8 (n + 1): the roundings
+    leave N and D within O(n) units and x_{n+1} within O(n u / |D|), the
+    condition of the Moebius solve.  The drift is | |N| / |D| - 1 |,
+    formed in doubles from the exact |N|**2 and |D|**2.
+    StepSingularError on an exact zero D1, D or N, as in _step_raw.
+    """
+    (er, ei), (fr, fi), (kr, ki) = consts
+    one = 1 << bits
+    h = one >> 1
+    xr, xi = cur
+    x2r = (xr * xr - xi * xi + h) >> bits
+    x2i = (2 * xr * xi + h) >> bits
+    ar, ai = (n + 1) * (x2r - one), (n + 1) * x2i         # a_term
+    rr = (kr * xr - ki * xi + h) >> bits                    # c_term = K x
+    ri = (kr * xi + ki * xr + h) >> bits
+    if n:
+        pr, pi = prev
+        d1r = er + ((pr * xr - pi * xi + h) >> bits)
+        d1i = ei + ((pr * xi + pi * xr + h) >> bits)
+        if not (d1r or d1i):
+            raise StepSingularError(f"previous-pair pole at n={n}")
+        ur = one - ((x2r * fr - x2i * fi + h) >> bits)      # 1 - x^2 conj(eps)^2
+        ui = -((x2r * fi + x2i * fr + h) >> bits)
+        vr = pr + ((er * xr - ei * xi + h) >> bits)         # x_prev + eps x
+        vi = pi + ((er * xi + ei * xr + h) >> bits)
+        uvr = (ur * vr - ui * vi + h) >> bits
+        uvi = (ur * vi + ui * vr + h) >> bits
+        m = (d1r * d1r + d1i * d1i + h) >> bits             # |D1|^2
+        rr = ((rr * m + n * (uvr * d1r + uvi * d1i)) + h) >> bits
+        ri = ((ri * m + n * (uvi * d1r - uvr * d1i)) + h) >> bits
+        ar = (ar * m + h) >> bits
+        ai = (ai * m + h) >> bits
+    dr = ar - ((rr * xr - ri * xi + h) >> bits)
+    di = ai - ((rr * xi + ri * xr + h) >> bits)
+    if not (dr or di):
+        raise StepSingularError(f"Moebius solve singular at n={n}")
+    cr = (xr * er + xi * ei + h) >> bits                    # x conj(eps)
+    ci = (xi * er - xr * ei + h) >> bits
+    nr = (rr * er - ri * ei - ar * cr + ai * ci + h) >> bits
+    ni = (rr * ei + ri * er - ar * ci - ai * cr + h) >> bits
+    nn, dd = nr * nr + ni * ni, dr * dr + di * di
+    if not nn:
+        raise StepSingularError(f"zero image at n={n}")
+    w2 = 2 * math.isqrt(nn * dd)
+    wr, wi = nr * dr + ni * di, ni * dr - nr * di          # N conj(D)
+    x_next = ((wr << (bits + 1)) + w2 // 2) // w2, ((wi << (bits + 1)) + w2 // 2) // w2
+    return x_next, abs(nn - dd) / dd / (1 + math.sqrt(nn / dd))
+
+
 def run_trajectory(c: float, alpha: float, beta0: float, n_steps: int,
                    dps: Optional[int] = None) -> PainleveTrajectory:
     """Iterate from x_0 = exp(i beta0); record sectors and the first exit
     from the closed sector (the nested-segment sets of the existence
-    argument use the closure).  dps=None runs in doubles."""
+    argument use the closure).  dps=None runs in doubles; a dps runs on
+    integers over 2**bits, bits the binary precision of dps plus
+    GUARD_BITS."""
+    check_domain(c, alpha)
     if not (0 <= beta0 <= alpha):
         raise ValueError("starting angle must lie in [0, alpha]")
-    use_mp = dps is not None
-    with mp.workdps(dps) if use_mp else nullcontext():
-        if use_mp:
-            eps = mp.expj(mp.mpf(alpha))
-            x = mp.expj(mp.mpf(beta0))
-            phase = lambda w: float(mp.arg(w))
-        else:
-            eps = cmath.exp(1j * alpha)
-            x = cmath.exp(1j * beta0)
-            phase = cmath.phase
-        in_closed = (SectorTag.A_I, SectorTag.BOUNDARY_LOW, SectorTag.BOUNDARY_HIGH)
-        betas = [phase(x)]
-        sectors = [sector_of_beta(betas[0], alpha)]
-        exit_index = None
-        exit_sector = None
-        drift = 0.0
-        x_prev = None
-        if sectors[0] not in in_closed:
-            exit_index, exit_sector = 0, sectors[0]
-        else:
-            for n in range(n_steps):
-                x_next, d = _step_raw(n, x_prev if x_prev is not None else 1,
-                                      x, c, eps)
-                drift = max(drift, float(d))
-                x_prev, x = x, x_next
-                betas.append(phase(x))
-                sectors.append(sector_of_beta(betas[-1], alpha))
-                if sectors[-1] not in in_closed:
-                    exit_index, exit_sector = n + 1, sectors[-1]
-                    break
-        return PainleveTrajectory(betas=betas, sectors=sectors,
-                                  exit_index=exit_index, exit_sector=exit_sector,
-                                  max_unitarity_drift=drift)
+    if dps is None:
+        bits = None
+        eps = cmath.exp(1j * alpha)
+        x = cmath.exp(1j * beta0)
+        step = lambda n, prev, cur: _step_raw(n, prev, cur, c, eps)
+        sector = lambda z: sector_of_beta(cmath.phase(z), alpha)
+    else:
+        bits = dps_to_prec(dps) + GUARD_BITS
+        consts = _constants(c, alpha, bits)
+        er, ei = consts[0]
+        x = _unit(beta0, bits)
+        step = lambda n, prev, cur: _fixed_step(n, prev, cur, consts, bits)
+        sector = lambda z: sector_of_signs(z[1], z[1] * er - z[0] * ei)
+    points, sectors = [x], [sector(x)]
+    exit_index = exit_sector = None
+    drift = 0.0
+    if sectors[0] not in _IN_CLOSED:
+        exit_index, exit_sector = 0, sectors[0]
+    else:
+        x_prev = x  # not read by the n = 0 step
+        for n in range(n_steps):
+            x_next, d = step(n, x_prev, x)
+            drift = max(drift, d)
+            x_prev, x = x, x_next
+            points.append(x)
+            sectors.append(sector(x))
+            if sectors[-1] not in _IN_CLOSED:
+                exit_index, exit_sector = n + 1, sectors[-1]
+                break
+    return PainleveTrajectory(points=points, sectors=sectors,
+                              exit_index=exit_index, exit_sector=exit_sector,
+                              max_unitarity_drift=drift, bits=bits)
 
 
 def growth_rate(c: float, alpha: float, probe_steps: int = 10) -> float:
     """Empirical per-step amplification of a small perturbation of the
-    separatrix (used to size precision for shooting and horizons)."""
-    dps = 50
-    with mp.workdps(dps):
-        eps = mp.expj(mp.mpf(alpha))
+    separatrix (used to size precision for shooting and horizons).
+
+    Two fixed-point runs start 10**-PROBE_DIGITS apart in angle; after
+    probe_steps steps their gap is the angle of xb conj(xa).  The roundoff
+    of the first steps grows like the gap, so the gap keeps about
+    dps - PROBE_DIGITS digits.  The planner sizes the run as probe_steps
+    steps of growth up to tenfold beyond PROBE_DIGITS + 10 digits: dps 50
+    for the default ten steps.
+    """
+    check_domain(c, alpha)
+    dps = required_dps(probe_steps, 10, PROBE_DIGITS + 10)
+    bits = dps_to_prec(dps) + GUARD_BITS
+    consts = _constants(c, alpha, bits)
+    with mp.workprec(bits + 20):
         beta = mp.mpf(c) * alpha / 2
-        pert = mp.mpf(10) ** (-30)
-        xa, xb = mp.expj(beta), mp.expj(beta + pert)
-        pa = pb = None
-        for n in range(probe_steps):
-            xa_next, _ = _step_raw(n, pa if pa is not None else 1, xa, c, eps)
-            xb_next, _ = _step_raw(n, pb if pb is not None else 1, xb, c, eps)
-            pa, xa = xa, xa_next
-            pb, xb = xb, xb_next
-        sep = abs(mp.arg(xb) - mp.arg(xa))
-        if sep == 0:
-            return 1.0
-        return float((sep / pert) ** (mp.mpf(1) / probe_steps))
+        xa, xb = _unit(beta, bits), _unit(beta + mp.mpf(10) ** -PROBE_DIGITS, bits)
+    pa, pb = xa, xb
+    for n in range(probe_steps):
+        pa, xa = xa, _fixed_step(n, pa, xa, consts, bits)[0]
+        pb, xb = xb, _fixed_step(n, pb, xb, consts, bits)[0]
+    gap = abs(_atan2(xb[1] * xa[0] - xb[0] * xa[1], xb[0] * xa[0] + xb[1] * xa[1]))
+    if gap == 0:
+        return 1.0
+    return (gap * 10.0 ** PROBE_DIGITS) ** (1 / probe_steps)
 
 
 def shoot(c: float, alpha: float, n_stay: int, tol: float,
@@ -193,6 +349,7 @@ def shoot(c: float, alpha: float, n_stay: int, tol: float,
     steps.  The nested-interval structure mirrors the existence argument:
     exits through the upper boundary steer hi, through the lower steer lo.
     """
+    check_domain(c, alpha)
     if n_stay < 1 or tol <= 0:
         raise ValueError("need n_stay >= 1 and tol > 0")
     if tol < math.ulp(alpha):
@@ -218,7 +375,7 @@ def shoot(c: float, alpha: float, n_stay: int, tol: float,
             return "upper", traj.exit_index
         if sec is SectorTag.A_IV:
             return "lower", traj.exit_index
-        beta_exit = traj.betas[-1]
+        beta_exit = traj.beta(-1)
         near_top = beta_exit + math.pi            # distance to the -pi seam
         near_bottom = (alpha - math.pi) - beta_exit
         return ("upper" if near_top < abs(near_bottom) else "lower",

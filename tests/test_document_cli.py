@@ -356,6 +356,16 @@ def test_cli_analyze_painleve_precision_cap_exits_2_fast(dps):
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_cli_analyze_painleve_at_dps_1000_prints_the_dps_60_lines(capsys):
+    # the angles of the printed steps come from integers of about 3300 bits
+    lines = []
+    for dps in ("60", "1000"):
+        assert run_cli(["analyze", "painleve", "--c", "1.5", "--n", "3",
+                        "--precision", "ext", "--dps", dps]) == 0
+        lines.append(capsys.readouterr().out)
+    assert lines[0] == lines[1] and lines[0].count("  A_I\n") == 4
+
+
 @pytest.mark.parametrize("precision", [["--precision", "double"],
                                        ["--precision", "ext", "--dps", "40"]])
 @pytest.mark.parametrize("kind", [["--c", "1.5"], ["--c", "2", "--mode", "z2"]])
@@ -489,6 +499,11 @@ BAD_INVOCATIONS = [
     # a precision plan above the dps cap
     (["analyze", "riccati", "--c", "1.5", "--alpha", "0.3", "--n", "20000"], 2),
     ([*PAINLEVE, "--alpha", "0.3", "--shoot", "3000"], 2),
+    # outside the paper's domain 0 < c <= 2, 0 < alpha < pi
+    ([*PAINLEVE, "--alpha", "4"], 2),
+    ([*PAINLEVE, "--alpha", repr(math.pi)], 2),
+    (["analyze", "painleve", "--c", "3", "--alpha", "1", "--shoot", "3"], 2),
+    (["analyze", "painleve", "--c", "nan", "--n", "3"], 2),
     # a scale that is not finite and positive, or a canvas that overflows
     *[(["render", "{sg}", "--out", "{out}", f"--scale={scale}"], 2)
       for scale in ("nan", "inf", "-inf", "0", "-1", "1e308")],

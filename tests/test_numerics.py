@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexcircle import pattern_core, radius_system, verify
+from hexcircle import painleve, pattern_core, radius_system, verify
 from hexcircle.numerics import (MAX_DPS, MAX_EXP, MIN_EXP, Backend, aligned_points,
                                 aligned_reals, quotient, required_dps)
 from hexcircle.pattern_core import generate_z, isotropic_params
@@ -142,13 +142,8 @@ _ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul_
                "__neg__", "__lt__", "__le__", "__gt__", "__ge__", "__eq__")
 
 
-def test_extended_sweeps_do_no_mpmath_arithmetic_per_item(monkeypatch):
-    fields = [generate_z(isotropic_params(1.5, precision="ext", dps=40), n)
-              for n in (8, 12)]
-    radius_fields = []
-    for n in (8, 12):
-        rf = radius_system.generate_radii(isotropic_params(2.0, precision="ext", dps=40), n)
-        radius_fields.append((rf, radius_system.dual(rf)))
+def _count_arithmetic(monkeypatch):
+    """A one-item list counting the mpf/mpc operator calls from now on."""
     calls = [0]
 
     def counted(fn):
@@ -161,6 +156,17 @@ def test_extended_sweeps_do_no_mpmath_arithmetic_per_item(monkeypatch):
         for name in _ARITHMETIC:
             if hasattr(cls, name):
                 monkeypatch.setattr(cls, name, counted(getattr(cls, name)))
+    return calls
+
+
+def test_extended_sweeps_do_no_mpmath_arithmetic_per_item(monkeypatch):
+    fields = [generate_z(isotropic_params(1.5, precision="ext", dps=40), n)
+              for n in (8, 12)]
+    radius_fields = []
+    for n in (8, 12):
+        rf = radius_system.generate_radii(isotropic_params(2.0, precision="ext", dps=40), n)
+        radius_fields.append((rf, radius_system.dual(rf)))
+    calls = _count_arithmetic(monkeypatch)
     counts = []
     for zf in fields:
         calls[0] = 0
@@ -177,4 +183,17 @@ def test_extended_sweeps_do_no_mpmath_arithmetic_per_item(monkeypatch):
             assert radius_system.max_equation_residual(field) <= 1e-30
         counts.append(calls[0])
     assert len(radius_fields[1][0].values) > 2 * len(radius_fields[0][0].values)
+    assert counts[0] == counts[1]
+
+
+def test_extended_painleve_runs_do_no_mpmath_arithmetic_per_step(monkeypatch):
+    c, alpha = 1.5, 3 * math.pi / 5  # a separatrix start that stays 60 steps
+    calls = _count_arithmetic(monkeypatch)
+    counts = []
+    for steps in (10, 40):
+        calls[0] = 0
+        traj = painleve.run_trajectory(c, alpha, c * alpha / 2, steps, dps=60)
+        assert traj.steps_in_sector() == steps
+        painleve.growth_rate(c, alpha, probe_steps=steps // 2)
+        counts.append(calls[0])
     assert counts[0] == counts[1]

@@ -2,11 +2,15 @@ import cmath
 import math
 import random
 
+import mpmath as mp
 import pytest
+from mpmath.libmp import dps_to_prec
 
 from hexcircle import painleve
-from hexcircle.painleve import (PainleveState, SectorTag, dpii_step,
-                                run_trajectory, sector_of, shoot, x0_closed)
+from hexcircle.numerics import required_dps
+from hexcircle.painleve import (PainleveState, SectorTag, dpii_step, growth_rate,
+                                run_trajectory, sector_of, sector_of_beta,
+                                sector_of_signs, shoot, x0_closed)
 
 
 def test_x0_closed():
@@ -76,6 +80,7 @@ def test_separatrix_extended_horizon():
     c, alpha = 1.5, 3 * math.pi / 5
     traj = run_trajectory(c, alpha, c * alpha / 2, 60, dps=60)
     assert traj.steps_in_sector() >= 60
+    assert 0 < traj.max_unitarity_drift <= 1e-58
 
 
 def test_perturbed_start_exits_both_sides():
@@ -137,3 +142,109 @@ def test_shoot_refuses_a_tolerance_below_the_angle_resolution(monkeypatch):
 def test_run_trajectory_rejects_bad_start():
     with pytest.raises(ValueError):
         run_trajectory(1.3, math.pi / 3, -0.5, 10)
+
+
+def _mpc(point, bits):
+    return mp.mpc(mp.ldexp(point[0], -bits), mp.ldexp(point[1], -bits))
+
+
+def test_fixed_step_matches_the_mpc_step_at_twice_the_digits():
+    rng = random.Random(11)
+    for k in range(60):
+        c, alpha = rng.uniform(0.05, 2.0), rng.uniform(0.2, 3.0)
+        n, dps = k % 16, rng.choice((30, 60, 150))  # n = 0 included
+        bits = dps_to_prec(dps) + painleve.GUARD_BITS
+        consts = painleve._constants(c, alpha, bits)
+        prev, cur = (painleve._unit(rng.uniform(0.02, 0.98) * alpha, bits)
+                     for _ in range(2))
+        got, drift = painleve._fixed_step(n, prev, cur, consts, bits)
+        with mp.workdps(2 * dps):
+            want, _ = painleve._step_raw(n, _mpc(prev, bits), _mpc(cur, bits), mp.mpf(c),
+                                         mp.expj(mp.mpf(alpha)))
+            err = abs(_mpc(got, bits) - want)
+        assert err <= 10.0 ** (5 - dps), (c, alpha, n, dps)
+        assert drift <= 10.0 ** (5 - dps)
+
+
+def test_fixed_step_raises_at_an_exact_previous_pair_pole():
+    # x_prev x = -epsilon: D1 = epsilon + x_prev x is exactly zero
+    bits = 200
+    consts = painleve._constants(1.3, math.pi / 3, bits)
+    er, ei = consts[0]
+    with pytest.raises(painleve.StepSingularError, match="previous-pair pole"):
+        painleve._fixed_step(2, (1 << bits, 0), (-er, -ei), consts, bits)
+    with mp.workdps(60):
+        eps = _mpc(consts[0], bits)
+        with pytest.raises(painleve.StepSingularError, match="previous-pair pole"):
+            painleve._step_raw(2, mp.mpc(1), -eps, 1.3, eps)
+
+
+def test_sector_of_signs_equals_sector_of_beta():
+    bits = 120
+    for alpha in (0.3, math.pi / 3, math.pi / 2, 2.5, 3.0):
+        er, ei = painleve._unit(alpha, bits)
+        rays = (0.0, alpha, alpha - math.pi, math.pi)
+        for k in range(-180, 181):
+            beta = k * math.pi / 180 + 1e-3
+            if -math.pi < beta <= math.pi and min(abs(beta - r) for r in rays) > 1e-6:
+                xr, xi = painleve._unit(beta, bits)
+                got = sector_of_signs(xi, xi * er - xr * ei)
+                assert got is sector_of_beta(beta, alpha), (alpha, beta)
+        # the points 1, epsilon, -1 and -epsilon, exactly
+        for (xr, xi), beta in (((1 << bits, 0), 0.0), ((er, ei), alpha),
+                               ((-1 << bits, 0), math.pi),
+                               ((-er, -ei), alpha - math.pi)):
+            got = sector_of_signs(xi, xi * er - xr * ei)
+            assert got is sector_of_beta(beta, alpha), (alpha, beta)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: run_trajectory(1.5, 4.0, 0.5, 3),
+    lambda: run_trajectory(1.5, math.pi, 0.5, 3, dps=40),
+    lambda: growth_rate(3.0, 1.0),
+    lambda: shoot(math.nan, 1.0, 3, 1e-3),
+    lambda: x0_closed(0.0, 1.0),
+])
+def test_domain_errors_name_the_parameter(call):
+    with pytest.raises(ValueError, match=r"(exponent c|angle alpha) must satisfy"):
+        call()
+
+
+def test_growth_rate_keeps_the_shoot_precision_plans():
+    plans = [required_dps(20, max(growth_rate(c, alpha), 1.5), 30)
+             for c in (0.5, 1.0, 1.5, 1.9) for alpha in (math.pi / 3, math.pi / 2)]
+    assert plans == [52, 45, 52, 44, 52, 45, 53, 46]
+
+
+# Brackets of the mpc implementation.  c/2 is not dyadic here, so no
+# bisection midpoint is the target itself and no decision rests on rounding.
+SHOOT_PINS = [
+    (1.3, math.pi / 3, (0.6806784082716929, 0.6806784082869318)),
+    (1.3, math.pi / 2, (1.0210175749659798, 1.0210176685927372)),
+    (1.9, math.pi / 3, (0.9948376736356247, 0.9948376736375298)),
+    (1.9, math.pi / 2, (1.4922565034331448, 1.4922565151364897)),
+]
+
+
+@pytest.mark.parametrize("c, alpha, bracket", SHOOT_PINS)
+def test_shoot_brackets_are_pinned_where_c_half_is_not_dyadic(c, alpha, bracket):
+    assert shoot(c, alpha, 10, 1e-6) == bracket
+
+
+# Bracket widths of the mpc implementation where c alpha / 2 is itself a
+# bisection midpoint of [0, alpha]: the run started on it leaves the sector
+# on a side set by rounding, so only the width and the target are kept.
+DYADIC_WIDTHS = [
+    (0.5, math.pi / 3, 7.620e-12), (0.5, math.pi / 2, 4.681e-08),
+    (1.0, math.pi / 3, 7.620e-12), (1.0, math.pi / 2, 9.363e-08),
+    (1.5, math.pi / 3, 7.620e-12), (1.5, math.pi / 2, 4.681e-08),
+]
+
+
+@pytest.mark.parametrize("c, alpha, width", DYADIC_WIDTHS)
+def test_shoot_on_a_dyadic_target_keeps_the_width_with_the_target_at_an_end(c, alpha, width):
+    lo, hi = shoot(c, alpha, 10, 1e-6)
+    target = c * alpha / 2
+    assert hi - lo == pytest.approx(width, rel=1e-3)
+    assert lo <= target <= hi
+    assert min(target - lo, hi - target) <= 4 * math.ulp(target)
