@@ -40,11 +40,8 @@ class PatternDocument:
     tool: str = TOOL_VERSION
 
     def zfield(self) -> ZField:
-        zf = ZField(params=self.params, values=dict(self.vertices),
-                    generation=self.n_max)
-        zf.meta["route"] = self.route
-        zf.meta["mode"] = self.mode
-        return zf
+        return ZField(params=self.params, values=dict(self.vertices),
+                      generation=self.n_max)
 
     def radius_field(self) -> RadiusField:
         return RadiusField(params=self.params, values=dict(self.radii),

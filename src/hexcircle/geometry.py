@@ -163,10 +163,8 @@ def reconstruct(rf: RadiusField) -> ZField:
             order.append(nb)
 
     zf = ZField(params=rf.params, values=values, generation=rf.generation)
-    zf.meta["route"] = "reconstructed"
     zf.meta["placement_mismatch"] = worst_mismatch
     zf.meta["wedge_closure"] = worst_closure
-    zf.meta["pole_sites"] = tuple(pole)
     return zf
 
 
@@ -192,7 +190,7 @@ def _flipped(a: complex, b: complex, c: complex) -> bool:
             or orientation(a, b, c) <= -EPS_SCALE * edge * edge)
 
 
-def immersion_check(zf: ZField, slab_only: bool = False) -> ImmersionReport:
+def immersion_check(zf: ZField) -> ImmersionReport:
     """Uniform positive orientation of the three elementary triangles at
     every stored site, plus pairwise interior-disjointness of adjacent
     pattern faces; see _flipped for the triangle test.  Both sweeps run in
@@ -200,8 +198,6 @@ def immersion_check(zf: ZField, slab_only: bool = False) -> ImmersionReport:
     report = ImmersionReport()
     pts = {site: complex(z) for site, z in zf.values.items()}
     for (k, l, m), z0 in pts.items():
-        if slab_only and abs(k + l + m) > 1:
-            continue
         zk = pts.get((k + 1, l, m))
         zl = pts.get((k, l + 1, m))
         zm = pts.get((k, l, m - 1))

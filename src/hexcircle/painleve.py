@@ -9,7 +9,7 @@ shooting construction brackets the initial angle by exit-side bisection.
 
 Double runs step in complex doubles.  Extended runs step on fixed-point
 Gaussian integers (see _fixed_step), with no division but one
-normalisation, and test the sector by the signs of Im x and
+normalisation.  Both test the sector by the signs of Im x and
 Im(x conj(epsilon)).
 """
 from __future__ import annotations
@@ -29,6 +29,8 @@ from .numerics import required_dps
 GUARD_BITS = 16
 #: growth_rate perturbs the separatrix angle by 10**-PROBE_DIGITS
 PROBE_DIGITS = 30
+#: shoot gives up after this many bisection steps
+MAX_BISECTIONS = 400
 
 
 class StepSingularError(ArithmeticError):
@@ -137,22 +139,9 @@ def x0_closed(c: float, alpha: float) -> complex:
 
 
 def sector_of(x, alpha: float) -> SectorTag:
-    beta = cmath.phase(complex(x)) if not isinstance(x, mp.mpc) else float(mp.arg(x))
-    return sector_of_beta(beta, alpha)
-
-
-def sector_of_beta(beta: float, alpha: float) -> SectorTag:
-    if beta == 0:
-        return SectorTag.BOUNDARY_LOW
-    if beta == alpha:
-        return SectorTag.BOUNDARY_HIGH
-    if 0 < beta < alpha:
-        return SectorTag.A_I
-    if alpha < beta <= math.pi:
-        return SectorTag.A_II
-    if alpha - math.pi <= beta < 0:
-        return SectorTag.A_IV
-    return SectorTag.A_III
+    """The sector of a unit complex x, by sector_of_signs."""
+    x, eps = complex(x), cmath.exp(1j * alpha)
+    return sector_of_signs(x.imag, x.imag * eps.real - x.real * eps.imag)
 
 
 def sector_of_signs(im_x, im_x_conj_eps) -> SectorTag:
@@ -283,7 +272,7 @@ def run_trajectory(c: float, alpha: float, beta0: float, n_steps: int,
         eps = cmath.exp(1j * alpha)
         x = cmath.exp(1j * beta0)
         step = lambda n, prev, cur: _step_raw(n, prev, cur, c, eps)
-        sector = lambda z: sector_of_beta(cmath.phase(z), alpha)
+        sector = lambda z: sector_of(z, alpha)
     else:
         bits = dps_to_prec(dps) + GUARD_BITS
         consts = _constants(c, alpha, bits)
@@ -341,7 +330,7 @@ def growth_rate(c: float, alpha: float, probe_steps: int = 10) -> float:
 
 
 def shoot(c: float, alpha: float, n_stay: int, tol: float,
-          dps: Optional[int] = None, max_iter: int = 400) -> Tuple[float, float]:
+          dps: Optional[int] = None) -> Tuple[float, float]:
     """Bracket the separatrix angle by exit-side bisection.
 
     Returns (lo, hi) with width <= tol such that the endpoint trajectories
@@ -387,7 +376,7 @@ def shoot(c: float, alpha: float, n_stay: int, tol: float,
         side_hi, stay_hi = classify(hi)
         if side_lo != "lower" or side_hi != "upper":
             raise BracketError("endpoints do not exit on opposite sides")
-        for _ in range(max_iter):
+        for _ in range(MAX_BISECTIONS):
             done_width = (hi - lo) <= tol
             done_stay = (stay_lo > n_stay and stay_hi > n_stay)
             if done_width and done_stay:
@@ -405,7 +394,7 @@ def shoot(c: float, alpha: float, n_stay: int, tol: float,
             else:
                 lo, stay_lo = mid, stay
         else:
-            raise BracketError("bisection did not settle within max_iter")
+            raise BracketError(f"bisection did not settle within {MAX_BISECTIONS} steps")
         # widen by one ulp so the float bracket still encloses the target
         return (math.nextafter(float(lo), -math.inf),
                 math.nextafter(float(hi), math.inf))

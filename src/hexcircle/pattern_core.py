@@ -241,9 +241,7 @@ def generate_z(params: PatternParams, n_max: int,
                                        z[(k - 1, l, m)], targets[3])
             else:
                 raise IncompleteStencilError(site)
-    zf = ZField(params=params, values=z, generation=n_max)
-    zf.meta["precision"] = params.precision
-    return zf
+    return ZField(params=params, values=z, generation=n_max)
 
 
 def _read(zf: ZField, constants):

@@ -12,7 +12,7 @@ immersion property, so sign failures are reported, never clamped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import mpmath as mp
@@ -51,9 +51,7 @@ class RadiusField:
     params: PatternParams
     values: Dict[SubIndex, float]
     generation: int
-    normalized: bool = True
     pole_sites: Tuple[SubIndex, ...] = ()
-    meta: dict = field(default_factory=dict)
 
     def __contains__(self, site: SubIndex) -> bool:
         return site in self.values
@@ -279,11 +277,9 @@ def generate_radii(params: PatternParams, n_max: int,
             raise PositivityViolation(site=site, value=val, tag=tag,
                                       upstream=upstream)
         values[site] = val
-    rf = RadiusField(params=params, values=values, generation=n_max,
-                     pole_sites=tuple(pole_sites) + tuple(
-                         s for s, v in seeds.items() if math.isinf(v)))
-    rf.meta["seeds"] = dict(seeds)
-    return rf
+    return RadiusField(params=params, values=values, generation=n_max,
+                       pole_sites=tuple(pole_sites) + tuple(
+                           s for s, v in seeds.items() if math.isinf(v)))
 
 
 def dual(rf: RadiusField) -> RadiusField:
@@ -303,10 +299,8 @@ def dual(rf: RadiusField) -> RadiusField:
                 new_values[site] = 0.0
             else:
                 new_values[site] = 1.0 / v
-    out = RadiusField(params=new_params, values=new_values,
-                      generation=rf.generation, pole_sites=tuple(poles))
-    out.meta["dual_of_c"] = rf.params.c
-    return out
+    return RadiusField(params=new_params, values=new_values,
+                       generation=rf.generation, pole_sites=tuple(poles))
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,10 @@ class SeriesDomainError(ValueError):
     """Hypergeometric series argument outside |z| < 1."""
 
 
-MAX_SERIES_TERMS = 10_000
+#: working digits of the series route p0_via_series
+SERIES_DPS = 30
+#: digits separatrix_dps keeps beyond the separatrix amplification
+SEPARATRIX_MARGIN = 30
 
 
 @dataclass(frozen=True)
@@ -83,8 +86,8 @@ def g(n: int, c: float):
     return (2 * n + c) / den
 
 
-def riccati_step(p, n: int, params: RiccatiParams, t=None):
-    t = params.t if t is None else t
+def riccati_step(p, n: int, params: RiccatiParams):
+    t = params.t
     gn = g(n, params.c) if not isinstance(p, mp.mpf) else g(n, mp.mpf(params.c))
     den = p - t * gn
     if den == 0:
@@ -130,41 +133,11 @@ def trajectory(params: RiccatiParams, n_steps: int, p_start: Optional[float] = N
         return Trajectory(values=values, first_nonpositive=first_bad)
 
 
-def separatrix_dps(params: RiccatiParams, n_steps: int, margin: int = 30) -> int:
+def separatrix_dps(params: RiccatiParams, n_steps: int) -> int:
     """Working precision for which the forward separatrix stays clean for
     n_steps (perturbations grow like ((1+t)/(1-t))^n)."""
     t = params.t
-    return required_dps(n_steps, abs(1 + t) / abs(1 - t), margin)
-
-
-# ---------------------------------------------------------------------------
-# hypergeometric series
-# ---------------------------------------------------------------------------
-
-def _hyp_with_derivative(a, b, cc, z, tol):
-    """(F, F') of the Gauss series, F' by term-wise differentiation."""
-    if abs(z) >= 1:
-        raise SeriesDomainError("series needs |z| < 1")
-    if cc == int(cc) and cc <= 0:
-        raise ParameterError("third parameter is a nonpositive integer")
-    one = z * 0 + 1
-    if z == 0:
-        return one, one * a * b / cc
-    total = one
-    deriv = z * 0
-    term = one
-    small = 0
-    for k in range(MAX_SERIES_TERMS):
-        term = term * (a + k) * (b + k) / ((cc + k) * (k + 1)) * z
-        total += term
-        deriv += term * (k + 1) / z
-        if abs(term) < tol * abs(total):
-            small += 1
-            if small >= 2:
-                return total, deriv
-        else:
-            small = 0
-    raise ArithmeticError("hypergeometric series did not converge")
+    return required_dps(n_steps, abs(1 + t) / abs(1 - t), SEPARATRIX_MARGIN)
 
 
 def mixture_coefficient(c):
@@ -235,29 +208,32 @@ def linear_recurrence_residual(y0: float, y1: float, y2: float, n: int,
     return abs(res) / scale
 
 
-def p0_via_series(params: RiccatiParams, tol: float = 1e-17,
-                  dps: int = 30) -> float:
+def p0_via_series(params: RiccatiParams) -> float:
     """p0 from the series route, independent of the sine quotient.
 
     Evaluates 1 + 2(c-1)z/(2-c) + 4z(z-1) s'(z) / ((2-c) s(z)) at
     z = (1+t)/2, where s is the separatrix generating function: the Gauss
-    series F((3-c)/2, (c-1)/2; 1/2; z) plus the second solution
-    sqrt(z) F((4-c)/2, c/2; 3/2; z) weighted by (2-c)cot(pi c/2).  Both
-    series are summed term by term together with their derivatives.
+    function F((3-c)/2, (c-1)/2; 1/2; z) plus the second solution
+    sqrt(z) F((4-c)/2, c/2; 3/2; z) weighted by (2-c)cot(pi c/2).  Each F
+    is mpmath's hyp2f1 at SERIES_DPS digits, and each derivative comes from
+    the contiguous relation F'(a, b; cc; z) = (ab/cc) F(a+1, b+1; cc+1; z).
     """
-    if not (0 < params.c < 2):
-        raise ParameterError("series route needs 0 < c < 2")
-    with mp.workdps(dps):
+    with mp.workdps(SERIES_DPS):
         c = mp.mpf(params.c)
         t = mp.cos(mp.mpf(params.alpha))
         z = (1 + t) / 2
         if not (0 < z < 1):
             raise SeriesDomainError("z = (1+t)/2 must lie in (0,1)")
+
+        def f_and_derivative(a, b, cc):
+            return (mp.hyp2f1(a, b, cc, z),
+                    a * b / cc * mp.hyp2f1(a + 1, b + 1, cc + 1, z))
+
         a = (3 - c) / 2
         b = (c - 1) / 2
         half = mp.mpf(1) / 2
-        f1, d1 = _hyp_with_derivative(a, b, half, z, tol)
-        f2, d2 = _hyp_with_derivative(a + half, b + half, 3 * half, z, tol)
+        f1, d1 = f_and_derivative(a, b, half)
+        f2, d2 = f_and_derivative(a + half, b + half, 3 * half)
         kappa = mixture_coefficient(c)
         sq = mp.sqrt(z)
         s = f1 + kappa * sq * f2

@@ -22,12 +22,15 @@ def _f(x: float) -> str:
     return "0.000000" if out == "-0.000000" else out
 
 
+#: blank border around the drawing, in pattern units
+MARGIN = 0.6
+
+
 class NonFiniteError(ArithmeticError):
     """A vertex or radius to draw is not a finite double."""
 
 
-def render_svg(doc: PatternDocument, show: str = "both", scale: float = 100.0,
-               margin: float = 0.6) -> str:
+def render_svg(doc: PatternDocument, show: str = "both", scale: float = 100.0) -> str:
     """SVG 1.1 text for a pattern document.
 
     show selects circles, quads or both; scale sets pixels per unit length.
@@ -79,8 +82,8 @@ def render_svg(doc: PatternDocument, show: str = "both", scale: float = 100.0,
          [z.real + s * r for z, r in circles for s in (-1, 1)]
     ys = [z.imag for z in vertices.values()] + \
          [z.imag + s * r for z, r in circles for s in (-1, 1)]
-    x0, x1 = min(xs) - margin, max(xs) + margin
-    y0, y1 = min(ys) - margin, max(ys) + margin
+    x0, x1 = min(xs) - MARGIN, max(xs) + MARGIN
+    y0, y1 = min(ys) - MARGIN, max(ys) + MARGIN
     width = (x1 - x0) * scale
     height = (y1 - y0) * scale
     if not (0 < scale < math.inf and math.isfinite(width + height)):

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from . import geometry, pattern_core, radius_system
 from .document import PatternDocument
@@ -58,11 +58,9 @@ def applicable_checks(doc: PatternDocument) -> List[str]:
     return checks
 
 
-def run_checks(doc: PatternDocument, checks=None,
-               tolerances: Optional[Dict[str, float]] = None) -> VerifyReport:
+def run_checks(doc: PatternDocument, checks=None) -> VerifyReport:
     """Run the requested checks (default: every applicable one); a requested
     check that applicable_checks leaves out is noted as not applicable."""
-    tolerances = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     applicable = applicable_checks(doc)
     if checks is None:
         checks = applicable
@@ -86,7 +84,7 @@ def run_checks(doc: PatternDocument, checks=None,
             report.notes.append(f"{name}: missing vertex {exc}")
             res = math.inf
         report.residuals[name] = res
-        report.passed[name] = res <= tolerances[name]
+        report.passed[name] = res <= DEFAULT_TOLERANCES[name]
         # a residual above zero proves the check tested something
         if res == 0.0 and name in CHECK_ITEMS and not _has_items(name, zf, rf):
             report.notes.append(f"{name}: no {CHECK_ITEMS[name]} to check")
@@ -125,8 +123,7 @@ def _residual(name, doc, zf, rf) -> float:
             sg = geometry.sg_slice(zf)
             rep = geometry.sg_immersion_check(sg)
         else:
-            slab_only = doc.route == "reconstructed" or doc.mode in ("z2", "log")
-            rep = geometry.immersion_check(zf, slab_only=slab_only)
+            rep = geometry.immersion_check(zf)
         return float(len(rep.failures))
     return radius_system.max_equation_residual(rf)  # radius_eq
 

@@ -179,6 +179,22 @@ def test_cli_analyze_runs(capsys):
                     str(math.pi / 3), "--n", "10"]) == 0
 
 
+def test_cli_analyze_p0_at_a_small_angle(capsys):
+    assert run_cli(["analyze", "p0", "--c", "1.5", "--alpha", "0.1"]) == 0
+    out = capsys.readouterr().out
+    dev = float(re.search(r"max deviation\s*: (\S+)", out).group(1))
+    assert dev <= 1e-13
+
+
+def test_cli_analyze_painleve_files_the_image_of_one_in_a_iv(capsys):
+    # from x_0 = 1 the first image is -epsilon, on the closed edge of A_IV
+    assert run_cli(["analyze", "painleve", "--c", "0.5", "--alpha", "0.7",
+                    "--beta0", "0", "--n", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2].split()[0] == "1" and lines[2].endswith("  A_IV")
+    assert "# exited A_I at n=1 into A_IV" in lines
+
+
 def test_document_rejects_garbage(tmp_path):
     path = str(tmp_path / "junk.txt")
     with open(path, "w") as fh:

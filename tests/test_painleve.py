@@ -9,8 +9,23 @@ from mpmath.libmp import dps_to_prec
 from hexcircle import painleve
 from hexcircle.numerics import required_dps
 from hexcircle.painleve import (PainleveState, SectorTag, dpii_step, growth_rate,
-                                run_trajectory, sector_of, sector_of_beta,
-                                sector_of_signs, shoot, x0_closed)
+                                run_trajectory, sector_of, sector_of_signs, shoot,
+                                x0_closed)
+
+
+def sector_of_beta(beta: float, alpha: float) -> SectorTag:
+    """Reference sector test on the angle beta in (-pi, pi] of x."""
+    if beta == 0:
+        return SectorTag.BOUNDARY_LOW
+    if beta == alpha:
+        return SectorTag.BOUNDARY_HIGH
+    if 0 < beta < alpha:
+        return SectorTag.A_I
+    if alpha < beta <= math.pi:
+        return SectorTag.A_II
+    if alpha - math.pi <= beta < 0:
+        return SectorTag.A_IV
+    return SectorTag.A_III
 
 
 def test_x0_closed():

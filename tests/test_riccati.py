@@ -4,8 +4,8 @@ import random
 import pytest
 
 from hexcircle import riccati
-from hexcircle.riccati import (ParameterError, RiccatiParams, _hyp_with_derivative,
-                               g, linear_recurrence_residual, p0_closed,
+from hexcircle.riccati import (ParameterError, RiccatiParams, g,
+                               linear_recurrence_residual, p0_closed,
                                p0_via_series, riccati_step, separatrix_dps,
                                trajectory, y_basis, y_closed)
 
@@ -61,40 +61,6 @@ def test_p0_closed_values():
         0.41421356237309503)
 
 
-def test_hyp_f_at_zero_and_degenerate_parameter():
-    assert _hyp_with_derivative(0.7, 0.2, 0.5, 0.0, 1e-15)[0] == 1.0
-    # numerator parameter zero: the series collapses to 1
-    assert _hyp_with_derivative(1.0, 0.0, 0.5, 0.3, 1e-15)[0] == 1.0
-
-
-def test_hyp_f_domain_guard():
-    with pytest.raises(riccati.SeriesDomainError):
-        _hyp_with_derivative(0.5, 0.5, 0.5, 1.1, 1e-15)
-
-
-def test_hyp_f_large_n_limit():
-    c, t = 1.5, math.cos(math.pi / 3)
-    z1 = (1 - t) / 2
-    vals = [_hyp_with_derivative((3 - c) / 2, (c - 1) / 2, 0.5 - n, z1, 1e-15)[0]
-            for n in (5, 20, 80)]
-    gaps = [abs(v - 1) for v in vals]
-    assert gaps[2] < gaps[1] < gaps[0]
-    assert gaps[2] < 1e-3
-
-
-def test_hyp_f_satisfies_gauss_ode():
-    import mpmath as mp
-    a, b, cc = 0.8, -0.375, 0.5
-    with mp.workdps(30):
-        z = mp.mpf("0.41")
-        f = lambda x: _hyp_with_derivative(a, b, cc, x, 1e-25)[0]
-        f0 = f(z)
-        fp = mp.diff(f, z)
-        fpp = mp.diff(f, z, 2)
-        res = z * (1 - z) * fpp + (cc - (a + b + 1) * z) * fp - a * b * f0
-        assert abs(res) <= 1e-15 ** 0.5
-
-
 def test_y_closed_recurrence_residual():
     rng = random.Random(17)
     for c, alpha in ((1.5, math.pi / 3), (0.6, math.pi / 4), (1.2, 2 * math.pi / 5)):
@@ -141,6 +107,15 @@ def test_p0_series_matches_closed_form_on_grid():
             rp = RiccatiParams(c=c, alpha=alpha)
             worst = max(worst, abs(p0_via_series(rp) - p0_closed(rp)))
     assert worst <= 1e-10
+
+
+def test_p0_series_matches_closed_form_across_the_angle_range():
+    # small angles put z = (1+t)/2 next to 1, where F(a+1, b+1; 3/2; z) grows
+    for alpha in (0.001, 0.01, 0.1, 0.12, math.pi / 3, math.pi / 2, 3.1, 3.14):
+        for c in (0.05, 0.5, 1.5, 1.99):
+            rp = RiccatiParams(c=c, alpha=alpha)
+            closed = p0_closed(rp)
+            assert abs(p0_via_series(rp) - closed) <= 1e-13 * abs(closed), (c, alpha)
 
 
 def test_p0_series_limits():
