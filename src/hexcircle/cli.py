@@ -1,8 +1,8 @@
 """Command line front end: generate, verify, render, analyze.
 
-Exit codes: 0 success, 2 usage or parameter error, 3 mathematical failure
-(positivity violation or failed verification), so automation can tell bugs
-from immersion failures.
+Exit codes: 0 success, 2 usage or parameter error (an unwritable --out
+included), 3 mathematical failure (positivity violation or failed
+verification), so automation can tell bugs from immersion failures.
 """
 from __future__ import annotations
 
@@ -39,7 +39,6 @@ def _build_document(params: PatternParams, n: int, mode: str, route: str) -> Pat
         doc.params = rf.params
         doc.route = "radius"
         doc.radii = dict(rf.values)
-        doc.pole_sites = rf.pole_sites
         zf = geometry.reconstruct(rf)
         doc.vertices = dict(zf.values)
         doc.summary["wedge_closure"] = zf.meta["wedge_closure"]
@@ -244,7 +243,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # an --out that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -36,7 +36,6 @@ class PatternDocument:
     vertices: Dict[MultiIndex, complex] = field(default_factory=dict)
     radii: Dict[SubIndex, float] = field(default_factory=dict)
     summary: Dict[str, float] = field(default_factory=dict)
-    pole_sites: Tuple[SubIndex, ...] = ()
     tool: str = TOOL_VERSION
 
     def zfield(self) -> ZField:
@@ -45,7 +44,7 @@ class PatternDocument:
 
     def radius_field(self) -> RadiusField:
         return RadiusField(params=self.params, values=dict(self.radii),
-                           generation=self.n_max, pole_sites=self.pole_sites)
+                           generation=self.n_max)
 
 
 def _fmt(x: float, precision: str, dps: int) -> str:
@@ -92,8 +91,6 @@ def save_document(doc: PatternDocument, path: str) -> None:
     lines.append(f"precision = {p.precision}")
     lines.append(f"dps = {p.dps}")
     lines.append(f"tool = {doc.tool}")
-    if doc.pole_sites:
-        lines.append("poles = " + ";".join(f"{s[0]} {s[1]} {s[2]}" for s in doc.pole_sites))
     lines.append("[summary]")
     for key in sorted(doc.summary):
         lines.append(f"{key} = {repr(float(doc.summary[key]))}")
@@ -164,14 +161,10 @@ def load_document(path: str) -> PatternDocument:
         params = PatternParams(
             alphas=(float(kv["alpha1"]), float(kv["alpha2"]), float(kv["alpha3"])),
             c=float(kv["c"]), precision=precision, dps=dps, alpha_pi_fracs=fracs)
-        poles: Tuple[SubIndex, ...] = ()
-        if "poles" in kv:
-            poles = tuple(tuple(int(x) for x in part.split())
-                          for part in kv["poles"].split(";") if part)
         doc = PatternDocument(
             params=params, n_max=int(kv["n"]), mode=kv.get("mode", "hex"),
             route=kv.get("route", "crossratio"), summary=summary,
-            pole_sites=poles, tool=kv.get("tool", "unknown"))
+            tool=kv.get("tool", "unknown"))
     except (KeyError, ValueError, ZeroDivisionError) as exc:
         raise DocumentError(f"bad parameter block: {exc}") from exc
     with mp.workdps(dps + 5):

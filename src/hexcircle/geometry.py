@@ -19,7 +19,7 @@ from typing import Dict, List, Tuple
 from . import lattice
 from .lattice import MultiIndex, SubIndex
 from .pattern_core import ZField, iter_slab_faces
-from .radius_system import RadiusField, extract_radii
+from .radius_system import RadiusField, extract_radii, is_pole
 
 
 class ReconstructionError(ArithmeticError):
@@ -87,7 +87,7 @@ def reconstruct(rf: RadiusField) -> ZField:
     radius is read as a float once: the layout is a double one.
     """
     radii = {site: float(r) for site, r in rf.values.items()}
-    pole = {s for s, r in radii.items() if math.isinf(r)}
+    pole = {s for s, r in rf.values.items() if is_pole(r)}
     rot = [cmath.exp(1j * a) for a in rf.params.alphas]
     anchor = (0, 0, 0)
     if anchor in pole or anchor not in radii:
@@ -214,7 +214,7 @@ def immersion_check(zf: ZField) -> ImmersionReport:
             report.checked_triangles += 1
             if _flipped(z0, b, c_):
                 report.failures.append(((k, l, m), f"orientation-flip:{name}"))
-    # radius positivity (degenerate zero radii at a flagged pole are allowed)
+    # radius positivity (a zero radius, the branch point of z^2, is allowed)
     for sub, r in extract_radii(zf).items():
         if math.isnan(r) or r < 0:
             report.failures.append((lattice.sub_to_vertex(sub), "nonpositive-radius"))

@@ -130,9 +130,10 @@ class Backend:
 def required_dps(steps: int, growth: float, margin: int) -> int:
     """Working precision for a run of steps that each amplify an error by
     growth: margin + ceil(steps * log10(max(growth, 1))) digits.  A plan
-    above MAX_DPS raises ValueError instead of starting a run that cannot
-    finish."""
-    dps = margin + math.ceil(steps * math.log10(max(growth, 1.0)))
+    above MAX_DPS, an infinite growth included, raises ValueError instead
+    of starting a run that cannot finish."""
+    digits = steps * math.log10(max(growth, 1.0)) if steps else 0
+    dps = margin + math.ceil(digits) if digits < math.inf else math.inf
     if dps > MAX_DPS:
         raise ValueError(f"{steps} steps amplifying errors {growth:.4g}-fold each "
                          f"need {dps} digits; the cap is dps {MAX_DPS}")

@@ -329,8 +329,7 @@ def growth_rate(c: float, alpha: float, probe_steps: int = 10) -> float:
     return (gap * 10.0 ** PROBE_DIGITS) ** (1 / probe_steps)
 
 
-def shoot(c: float, alpha: float, n_stay: int, tol: float,
-          dps: Optional[int] = None) -> Tuple[float, float]:
+def shoot(c: float, alpha: float, n_stay: int, tol: float) -> Tuple[float, float]:
     """Bracket the separatrix angle by exit-side bisection.
 
     Returns (lo, hi) with width <= tol such that the endpoint trajectories
@@ -345,7 +344,7 @@ def shoot(c: float, alpha: float, n_stay: int, tol: float,
         # the bracket is returned in doubles, one ulp wider on each side
         raise ValueError(f"tol {tol!r} is below the double resolution "
                          f"{math.ulp(alpha)!r} of the angle")
-    dps = dps or required_dps(n_stay + 10, max(growth_rate(c, alpha), 1.5), 30)
+    dps = required_dps(n_stay + 10, max(growth_rate(c, alpha), 1.5), 30)
     horizon = 2 * n_stay + 80
 
     def classify(beta: float):

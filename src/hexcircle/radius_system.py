@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import mpmath as mp
 
@@ -26,6 +26,12 @@ from .numerics import aligned_points, aligned_reals, quotient, worst_of
 from .pattern_core import PatternParams, ZField, generate_z
 
 POLE = math.inf
+
+
+def is_pole(r) -> bool:
+    """Whether a radius (float or mpf) is +inf, the only mark of a pole; a
+    finite one, even past the double range, meets no mpf operator here."""
+    return r == POLE if isinstance(r, float) else mp.isinf(r) and r > 0
 
 
 class DegenerateStencilError(ArithmeticError):
@@ -51,16 +57,12 @@ class RadiusField:
     params: PatternParams
     values: Dict[SubIndex, float]
     generation: int
-    pole_sites: Tuple[SubIndex, ...] = ()
 
     def __contains__(self, site: SubIndex) -> bool:
         return site in self.values
 
     def __getitem__(self, site: SubIndex) -> float:
         return self.values[site]
-
-    def is_pole(self, site: SubIndex) -> bool:
-        return site in self.pole_sites
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +123,7 @@ def hex_solve(K: int, L: int, M: int, *, r1=None, r3=None, r4=None, r5=None,
     if r5 is None:
         raise DegenerateStencilError("missing known slot r5")
     # co_m (r2 - r5)/(r2 + r5) = acc
-    if math.isinf(r5):
+    if is_pole(r5):
         # limit ratio is -1 for finite r2
         if acc == -co_m:
             raise DegenerateStencilError("pole slot leaves r2 undetermined")
@@ -241,7 +243,6 @@ def generate_radii(params: PatternParams, n_max: int,
         else:
             raise ValueError("no seed rule for c = 0; use dual()")
     values: Dict[SubIndex, float] = {}
-    pole_sites: List[SubIndex] = []
     c = params.c
     bk = params.backend()
     ctx = bk.context()
@@ -270,37 +271,31 @@ def generate_radii(params: PatternParams, n_max: int,
                                       values[st["r3"]], params, sines)
             else:
                 raise ValueError(tag)
-        if math.isinf(float(val)):
-            pole_sites.append(site)
-        elif not (val > 0) or math.isnan(float(val)):
+        if not (is_pole(val) or val > 0):
             upstream = {str(dep): values.get(dep) for dep in fill_dependencies(entry)}
             raise PositivityViolation(site=site, value=val, tag=tag,
                                       upstream=upstream)
         values[site] = val
-    return RadiusField(params=params, values=values, generation=n_max,
-                       pole_sites=tuple(pole_sites) + tuple(
-                           s for s, v in seeds.items() if math.isinf(v)))
+    return RadiusField(params=params, values=values, generation=n_max)
 
 
 def dual(rf: RadiusField) -> RadiusField:
-    """Duality transformation r -> 1/r, c -> 2-c; zeros become flagged
-    poles and vice versa."""
+    """Duality transformation r -> 1/r, c -> 2-c; zeros become poles
+    (+inf) and vice versa."""
     new_params = PatternParams(alphas=rf.params.alphas, c=2 - rf.params.c,
                                precision=rf.params.precision, dps=rf.params.dps,
                                alpha_pi_fracs=rf.params.alpha_pi_fracs)
     new_values: Dict[SubIndex, float] = {}
-    poles: List[SubIndex] = []
     with new_params.backend().context():
         for site, v in rf.values.items():
             if v == 0:
                 new_values[site] = POLE
-                poles.append(site)
-            elif math.isinf(v):
+            elif is_pole(v):
                 new_values[site] = 0.0
             else:
                 new_values[site] = 1.0 / v
     return RadiusField(params=new_params, values=new_values,
-                       generation=rf.generation, pole_sites=tuple(poles))
+                       generation=rf.generation)
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +324,7 @@ def equation_defects(rf: RadiusField):
     """
     params = rf.params
     bk = params.backend()
-    # math.isinf would read a finite mpf beyond the double range as a pole
-    isinf = math.isinf if bk.is_double else mp.isinf
-    poles = {s for s, v in rf.values.items() if isinf(v)}
+    poles = {s for s, v in rf.values.items() if is_pole(v)}
     with bk.context():
         sines, cosines = angle_constants(params, bk)
         consts = dict(enumerate(sines + cosines + (bk.real(params.c) - 1,)))
@@ -488,7 +481,7 @@ def compare_routes(params: PatternParams, n_max: int) -> Tuple[float, int]:
     worst, count = 0.0, 0
     with params.backend().context():
         for site, val in rf.values.items():
-            if site in oracle and not math.isinf(float(val)):
+            if site in oracle and not is_pole(val):
                 worst = max(worst, float(abs(val - oracle[site])))
                 count += 1
     return worst, count

@@ -45,7 +45,7 @@ class SeriesDomainError(ValueError):
     """Hypergeometric series argument outside |z| < 1."""
 
 
-#: working digits of the series route p0_via_series
+#: working digits of the series route p0_via_series (more at small angles)
 SERIES_DPS = 30
 #: digits separatrix_dps keeps beyond the separatrix amplification
 SEPARATRIX_MARGIN = 30
@@ -133,11 +133,16 @@ def trajectory(params: RiccatiParams, n_steps: int, p_start: Optional[float] = N
         return Trajectory(values=values, first_nonpositive=first_bad)
 
 
+def separatrix_growth(params: RiccatiParams) -> float:
+    """(1+t)/(1-t) = cot(alpha/2)^2, the growth of a separatrix error per
+    forward step, free of the cancellation in 1 - t; inf past the doubles."""
+    cot = math.cos(params.alpha / 2) / math.sin(params.alpha / 2)
+    return cot * cot
+
+
 def separatrix_dps(params: RiccatiParams, n_steps: int) -> int:
-    """Working precision for which the forward separatrix stays clean for
-    n_steps (perturbations grow like ((1+t)/(1-t))^n)."""
-    t = params.t
-    return required_dps(n_steps, abs(1 + t) / abs(1 - t), SEPARATRIX_MARGIN)
+    """Working precision keeping the forward separatrix clean for n_steps."""
+    return required_dps(n_steps, separatrix_growth(params), SEPARATRIX_MARGIN)
 
 
 def mixture_coefficient(c):
@@ -149,12 +154,10 @@ def mixture_coefficient(c):
 
 def _y_dps(params: RiccatiParams, n: int) -> int:
     # B2 cancels terms of relative size ((1+t)/(1-t))^n
-    t = params.t
-    return required_dps(n + 2, abs(1 + t) / max(abs(1 - t), 1e-30), 35)
+    return required_dps(n + 2, separatrix_growth(params), 35)
 
 
-def y_basis(n: int, params: RiccatiParams, which: int,
-            dps: Optional[int] = None) -> float:
+def y_basis(n: int, params: RiccatiParams, which: int) -> float:
     """Exact solutions of the linearized recurrence (see module docstring).
 
     which=1 is the dominant direction (ratio -> -(1+t)), which=2 the minimal
@@ -162,9 +165,7 @@ def y_basis(n: int, params: RiccatiParams, which: int,
     """
     if n < 0:
         raise ParameterError("index must be nonnegative")
-    if dps is None:
-        dps = _y_dps(params, n)
-    with mp.workdps(dps):
+    with mp.workdps(_y_dps(params, n)):
         c = mp.mpf(params.c)
         t = mp.cos(mp.mpf(params.alpha))
         a = (c - 1) / 2
@@ -188,14 +189,13 @@ def y_basis(n: int, params: RiccatiParams, which: int,
         return float(val)
 
 
-def y_closed(n: int, c1: float, c2: float, params: RiccatiParams,
-             dps: Optional[int] = None) -> float:
+def y_closed(n: int, c1: float, c2: float, params: RiccatiParams) -> float:
     """General solution c1*B1(n) + c2*B2(n) of the linearized recurrence."""
     out = 0.0
     if c1 != 0:
-        out += c1 * y_basis(n, params, 1, dps)
+        out += c1 * y_basis(n, params, 1)
     if c2 != 0:
-        out += c2 * y_basis(n, params, 2, dps)
+        out += c2 * y_basis(n, params, 2)
     return out
 
 
@@ -215,10 +215,12 @@ def p0_via_series(params: RiccatiParams) -> float:
     z = (1+t)/2, where s is the separatrix generating function: the Gauss
     function F((3-c)/2, (c-1)/2; 1/2; z) plus the second solution
     sqrt(z) F((4-c)/2, c/2; 3/2; z) weighted by (2-c)cot(pi c/2).  Each F
-    is mpmath's hyp2f1 at SERIES_DPS digits, and each derivative comes from
-    the contiguous relation F'(a, b; cc; z) = (ab/cc) F(a+1, b+1; cc+1; z).
+    is mpmath's hyp2f1 and each derivative comes from the contiguous
+    relation F'(a, b; cc; z) = (ab/cc) F(a+1, b+1; cc+1; z), at SERIES_DPS
+    digits plus one per decade of 1 - z = sin(alpha/2)^2 below 1e-10.
     """
-    with mp.workdps(SERIES_DPS):
+    lost = -2 * math.log10(math.sin(params.alpha / 2))
+    with mp.workdps(SERIES_DPS + max(0, math.ceil(lost) - 10)):
         c = mp.mpf(params.c)
         t = mp.cos(mp.mpf(params.alpha))
         z = (1 + t) / 2

@@ -9,12 +9,10 @@ import cmath
 import math
 from typing import List, Tuple
 
-import mpmath as mp
-
 from .document import PatternDocument
 from .lattice import parity, sub_to_vertex, to_sub
 from .pattern_core import iter_slab_faces
-from .radius_system import extract_radii
+from .radius_system import extract_radii, is_pole
 
 
 def _f(x: float) -> str:
@@ -56,13 +54,10 @@ def render_svg(doc: PatternDocument, show: str = "both", scale: float = 100.0) -
                     raise NonFiniteError(f"circle at {site} has no finite radius")
                 circles.append((z, radius))
     else:
-        pole = set(doc.pole_sites)
         for site, r in sorted(doc.radii.items()):
-            if sum(site) != 0 or site in pole:
+            if sum(site) != 0 or is_pole(r):
                 continue
             radius = float(r)
-            if math.isinf(radius) and mp.isinf(r):  # a pole, not a huge mpf
-                continue
             if not math.isfinite(radius):
                 raise NonFiniteError(f"radius {site} is not finite in double: {r}")
             v = sub_to_vertex(site)

@@ -114,14 +114,13 @@ def _residual(name, doc, zf, rf) -> float:
     elif name == "kite":
         return max_kite_residual(zf)
     elif name == "positivity":
+        # positive (a pole, +inf, is), or the branch point of z^2
         bad = [s for s, v in rf.values.items()
-               if not rf.is_pole(s) and (math.isnan(v) or v < 0
-                                         or (v == 0 and doc.mode != "z2"))]
+               if not (v > 0 or v == 0 and s == (0, 0, 0) and doc.mode == "z2")]
         return float(len(bad))
     elif name == "immersion":
-        if doc.mode == "sg":
-            sg = geometry.sg_slice(zf)
-            rep = geometry.sg_immersion_check(sg)
+        if doc.mode == "sg":  # the document stores only the l = 0 plane
+            rep = geometry.sg_immersion_check(zf)
         else:
             rep = geometry.immersion_check(zf)
         return float(len(rep.failures))

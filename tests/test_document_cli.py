@@ -186,6 +186,31 @@ def test_cli_analyze_p0_at_a_small_angle(capsys):
     assert dev <= 1e-13
 
 
+@pytest.mark.parametrize("alpha", ["1e-9", "1e-16", "1e-40", "1e-300"])
+def test_cli_analyze_p0_at_a_tiny_angle(capsys, alpha):
+    # z = (1+t)/2 lies within alpha^2/4 of 1
+    assert run_cli(["analyze", "p0", "--c", "1.5", "--alpha", alpha]) == 0
+    out = capsys.readouterr().out
+    closed, series = (float(re.search(rf"p0 {name}\s*: (\S+)", out).group(1))
+                      for name in ("closed form", "series route"))
+    assert abs(series - closed) <= 1e-13 * closed
+
+
+def test_cli_analyze_riccati_at_a_tiny_angle(capsys):
+    # each step amplifies an error cot(alpha/2)^2 = 4e16-fold
+    assert run_cli(["analyze", "riccati", "--c", "1.5", "--alpha", "1e-8",
+                    "--n", "10"]) == 0
+    rows = [ln.split() for ln in capsys.readouterr().out.splitlines()
+            if not ln.startswith("#")]
+    assert len(rows) == 11 and all(float(p) > 0 for _, p in rows)
+
+
+def test_cli_analyze_riccati_with_infinite_growth_exits_2(capsys):
+    assert run_cli(["analyze", "riccati", "--c", "1.5", "--alpha", "1e-300",
+                    "--n", "10"]) == 2
+    assert "the cap is dps" in capsys.readouterr().err
+
+
 def test_cli_analyze_painleve_files_the_image_of_one_in_a_iv(capsys):
     # from x_0 = 1 the first image is -epsilon, on the closed edge of A_IV
     assert run_cli(["analyze", "painleve", "--c", "0.5", "--alpha", "0.7",
@@ -335,6 +360,45 @@ def test_cli_nan_radius_fails_radius_eq(tmp_path, capsys):
     assert "radius_eq    max-residual nan  FAIL" in capsys.readouterr().out
 
 
+def test_cli_positivity_ignores_an_old_poles_line(tmp_path, capsys):
+    # a +inf radius is the only mark of a pole; a listed site is not exempt
+    pat, bad = tmp_path / "r6.txt", tmp_path / "bad.txt"
+    assert run_cli(["generate", "--c", "1.5", "--route", "radius", "--n", "6",
+                    "--out", str(pat)]) == 0
+    _with_radius(pat, bad, (2, 0, -2), "-0.5")
+    bad.write_text(bad.read_text().replace("[summary]", "poles = 2 0 -2\n[summary]"))
+    capsys.readouterr()
+    assert run_cli(["verify", str(bad), "--checks", "positivity"]) == 3
+    assert "positivity   max-residual 1.000e+00  FAIL" in capsys.readouterr().out
+
+
+def test_cli_reads_an_old_poles_line_as_nothing(tmp_path, capsys):
+    pat, old = tmp_path / "log.txt", tmp_path / "old.txt"
+    assert run_cli(["generate", "--c", "2", "--mode", "log", "--n", "6",
+                    "--out", str(pat)]) == 0
+    assert "poles" not in pat.read_text()
+    old.write_text(pat.read_text().replace("[summary]", "poles = 0 0 0\n[summary]"))
+    seen = []
+    for doc in (pat, old):
+        svg = tmp_path / (doc.stem + ".svg")
+        capsys.readouterr()
+        assert run_cli(["verify", str(doc)]) == 0
+        assert run_cli(["render", str(doc), "--out", str(svg)]) == 0
+        seen.append((capsys.readouterr().out.replace(str(svg), ""), svg.read_text()))
+    assert seen[0] == seen[1]
+
+
+def test_cli_positivity_allows_only_the_zero_at_the_origin_of_z2(tmp_path, capsys):
+    pat, bad = tmp_path / "z2.txt", tmp_path / "bad.txt"
+    assert run_cli(["generate", "--c", "2", "--mode", "z2", "--n", "6",
+                    "--out", str(pat)]) == 0
+    assert run_cli(["verify", str(pat), "--checks", "positivity"]) == 0
+    _with_radius(pat, bad, (2, 1, -2), "0.0")
+    capsys.readouterr()
+    assert run_cli(["verify", str(bad), "--checks", "positivity"]) == 3
+    assert "positivity   max-residual 1.000e+00  FAIL" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("value", ["1e-100000", "1e400000"])
 def test_cli_radius_out_of_magnitude_range_exits_3_fast(tmp_path, value):
     import time
@@ -454,7 +518,7 @@ def _reference_circles(doc):
     else:
         for sub, r in sorted(doc.radii.items()):
             v = lattice.sub_to_vertex(sub)
-            if sum(sub) == 0 and sub not in doc.pole_sites and v in vertices:
+            if sum(sub) == 0 and r != math.inf and v in vertices:
                 circles.append((vertices[v], float(r)))
     return vertices, circles
 
@@ -543,3 +607,14 @@ def test_bad_invocations_exit_2_or_3(small_documents, capsys, argv, code):
             assert re.search(rf"^{name} .* FAIL$", stdout, re.M)
             assert f"{name}: no " in stdout
     assert not out.exists()
+
+
+def test_cli_unwritable_out_exits_2(tmp_path, capsys):
+    pat, missing = tmp_path / "d.txt", tmp_path / "missing"
+    assert run_cli(["generate", "--c", "1.5", "--n", "3", "--out", str(pat)]) == 0
+    for argv in (["generate", "--c", "1.5", "--n", "3", "--out", str(missing / "x.pat")],
+                 ["render", str(pat), "--out", str(missing / "x.svg")]):
+        capsys.readouterr()
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+    assert [p.name for p in tmp_path.iterdir()] == ["d.txt"]

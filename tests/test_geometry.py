@@ -543,7 +543,6 @@ def test_reconstruct_gives_the_same_vertices_from_float_radii(dual_of):
     if dual_of:
         rf = dual(rf)
     copy = RadiusField(params=rf.params, generation=rf.generation,
-                       pole_sites=rf.pole_sites,
                        values={s: float(r) for s, r in rf.values.items()})
     zf, ref = reconstruct(rf), reconstruct(copy)
     assert zf.values == ref.values

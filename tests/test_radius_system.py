@@ -14,7 +14,7 @@ from hexcircle.radius_system import (DegenerateStencilError,
                                      border_residual, border_solve,
                                      compare_routes, dual, equation_defects,
                                      extract_radii, generate_radii,
-                                     hex_residual, hex_solve,
+                                     hex_residual, hex_solve, is_pole,
                                      max_equation_residual, seeds_from_pattern,
                                      tri_residual, tri_solve_slot2,
                                      z2_initial)
@@ -217,12 +217,18 @@ def test_z2_field_positive_and_equations():
     assert max_equation_residual(rf) <= 1e-9
 
 
+def test_is_pole_reads_only_plus_infinity():
+    assert is_pole(math.inf) and is_pole(mp.inf)
+    for r in (-math.inf, -mp.inf, math.nan, mp.nan, 0.0, 1.0, mp.mpf("1e400000")):
+        assert not is_pole(r), r
+
+
 def test_dual_involution_and_log():
     params = PatternParams(alphas=ISO, c=2.0)
     rf = generate_radii(params, 8)
     lg = dual(rf)
     assert lg.params.c == 0.0
-    assert lg.pole_sites == ((0, 0, 0),)
+    assert [s for s, v in lg.values.items() if math.isinf(v)] == [(0, 0, 0)]
     assert all(v > 0 for s, v in lg.values.items() if s != (0, 0, 0))
     assert max_equation_residual(lg) <= 1e-9
     back = dual(lg)
