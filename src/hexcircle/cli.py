@@ -116,7 +116,7 @@ def cmd_verify(args) -> int:
 
 def cmd_render(args) -> int:
     try:
-        doc = load_document(args.file)
+        doc = load_document(args.file, doubles=True)
     except DocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -184,7 +184,7 @@ def cmd_analyze(args) -> int:
                            f"target={args.c * args.alpha / 2!r}")
         else:
             raise ValueError(f"unknown analysis {args.what}")
-    except painleve.BracketError as exc:
+    except (painleve.BracketError, painleve.ResolutionError) as exc:
         print(f"error: precision exhausted: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, ArithmeticError) as exc:

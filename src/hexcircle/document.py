@@ -9,11 +9,14 @@ summary within a factor of two.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
 import mpmath as mp
+from mpmath.libmp import normalize, round_nearest
 
 from .lattice import MultiIndex, SubIndex
 from .pattern_core import PatternParams, ZField
@@ -48,26 +51,70 @@ class PatternDocument:
 
 
 def _fmt(x: float, precision: str, dps: int) -> str:
+    # the caller holds the working precision dps + 5
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
     if precision == "double" or isinstance(x, float):
         return repr(float(x))
-    with mp.workdps(dps + 5):
-        return mp.nstr(mp.mpf(x), dps + 5)
+    return mp.nstr(mp.mpf(x), dps + 5)
+
+
+#: a plain decimal token, the form save_document writes
+_PLAIN = re.compile(r"(-?)(\d+)(?:\.(\d*))?(?:e([-+]?\d+))?")
+
+
+def _plain_mpf(s: str, prec: int):
+    """The raw mpf of mp.mpf(s) at prec bits, for a plain decimal token
+    whose effective exponent (the written one less the fraction digits left
+    once trailing zeros go) lies within +-400, where mpmath's from_str rounds
+    correctly; else None.  A quotient of at least prec + 3 bits and a sticky
+    bit for its remainder round once, to nearest, as from_str does."""
+    m = _PLAIN.fullmatch(s)
+    if m is None:
+        return None
+    sign, whole, frac, exp = m.groups()
+    frac = (frac or "").rstrip("0")
+    # int() refuses more than 4300 digits, as it does inside mp.mpf(s)
+    man, e = int(whole + frac), int(exp or 0) - len(frac)
+    if not -400 <= e <= 400:
+        return None
+    num, den = (man * 10 ** e, 1) if e >= 0 else (man, 10 ** -e)
+    shift = max(0, prec + 3 + den.bit_length() - num.bit_length())
+    q, r = divmod(num << shift, den)
+    q = q << 1 | (r != 0)
+    return normalize(1 if sign else 0, q, -shift - 1, q.bit_length(), prec, round_nearest)
 
 
 def _parse_number(s: str, precision: str):
     """One stored number; extended numbers are read at the caller's
-    working precision."""
+    working precision, bit for bit as mp.mpf(s) reads them."""
     if s == "inf":
         return math.inf
     if s == "-inf":
         return -math.inf
     try:
-        return float(s) if precision == "double" else mp.mpf(s)
+        if precision == "double":
+            return float(s)
+        raw = _plain_mpf(s, mp.mp.prec)
+        return mp.mpf(s) if raw is None else mp.make_mpf(raw)
     except (ValueError, ZeroDivisionError):
         # mpmath also reads fractions such as "1/0"
         raise DocumentError(f"bad number: {s}") from None
+
+
+def _parse_double(s: str, precision: str):
+    """float(s), unless float rejects s, or its double is not finite or
+    underflows (zero or subnormal for a nonzero token), or s holds a digit
+    separator, which mpmath refuses: such a token goes to _parse_number."""
+    if "_" not in s:
+        try:
+            x = float(s)
+        except ValueError:
+            x = math.nan
+        if math.isfinite(x) and (abs(x) >= sys.float_info.min or
+                                 not s.lower().partition("e")[0].strip("+-0.")):
+            return x
+    return _parse_number(s, precision)
 
 
 def _parse_site(parts: List[str]) -> MultiIndex:
@@ -95,20 +142,23 @@ def save_document(doc: PatternDocument, path: str) -> None:
     for key in sorted(doc.summary):
         lines.append(f"{key} = {repr(float(doc.summary[key]))}")
     lines.append("[vertices]")
-    for site in sorted(doc.vertices):
-        z = doc.vertices[site]
-        lines.append(f"{site[0]} {site[1]} {site[2]} "
-                     f"{_fmt(z.real, p.precision, p.dps)} {_fmt(z.imag, p.precision, p.dps)}")
-    lines.append("[radii]")
-    for site in sorted(doc.radii):
-        lines.append(f"{site[0]} {site[1]} {site[2]} "
-                     f"{_fmt(doc.radii[site], p.precision, p.dps)}")
+    with mp.workdps(p.dps + 5):
+        for site in sorted(doc.vertices):
+            z = doc.vertices[site]
+            lines.append(f"{site[0]} {site[1]} {site[2]} "
+                         f"{_fmt(z.real, p.precision, p.dps)} {_fmt(z.imag, p.precision, p.dps)}")
+        lines.append("[radii]")
+        for site in sorted(doc.radii):
+            lines.append(f"{site[0]} {site[1]} {site[2]} "
+                         f"{_fmt(doc.radii[site], p.precision, p.dps)}")
     lines.append("[end]")
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_document(path: str) -> PatternDocument:
+def load_document(path: str, doubles: bool = False) -> PatternDocument:
+    """Vertices and radii are read bit for bit as mp.mpf reads them, or,
+    with doubles, as float and complex where a double holds them."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = [ln.rstrip("\n") for ln in fh]
@@ -167,14 +217,17 @@ def load_document(path: str) -> PatternDocument:
             tool=kv.get("tool", "unknown"))
     except (KeyError, ValueError, ZeroDivisionError) as exc:
         raise DocumentError(f"bad parameter block: {exc}") from exc
+    # _parse_number reads a double document with float already
+    read = _parse_double if doubles and precision != "double" else _parse_number
     with mp.workdps(dps + 5):
         for site, (re_s, im_s) in vertices.items():
-            re = _parse_number(re_s, precision)
-            im = _parse_number(im_s, precision)
-            if precision == "double":
-                doc.vertices[site] = complex(re, im)
+            x, y = read(re_s, precision), read(im_s, precision)
+            if precision == "double" or doubles and type(x) is type(y) is float:
+                doc.vertices[site] = complex(x, y)
+            elif type(x) is type(y) is mp.mpf:
+                doc.vertices[site] = mp.make_mpc((x._mpf_, y._mpf_))
             else:
-                doc.vertices[site] = mp.mpc(re, im)
+                doc.vertices[site] = mp.mpc(x, y)
         for site, val in radii.items():
-            doc.radii[site] = _parse_number(val, precision)
+            doc.radii[site] = read(val, precision)
     return doc

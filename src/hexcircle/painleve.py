@@ -41,6 +41,10 @@ class BracketError(RuntimeError):
     """Exit-side bisection could not maintain a valid bracket."""
 
 
+class ResolutionError(ArithmeticError):
+    """The working precision cannot resolve the sector of the start."""
+
+
 class SectorTag(Enum):
     A_I = "A_I"
     A_II = "A_II"
@@ -263,23 +267,35 @@ def run_trajectory(c: float, alpha: float, beta0: float, n_steps: int,
     from the closed sector (the nested-segment sets of the existence
     argument use the closure).  dps=None runs in doubles; a dps runs on
     integers over 2**bits, bits the binary precision of dps plus
-    GUARD_BITS."""
+    GUARD_BITS.
+
+    ResolutionError when the precision cannot resolve the start: Im epsilon,
+    or Im x_0 of a start inside (0, alpha), leaves one unchanged, or the
+    n = 0 solve from such a start is singular."""
     check_domain(c, alpha)
     if not (0 <= beta0 <= alpha):
         raise ValueError("starting angle must lie in [0, alpha]")
     if dps is None:
-        bits = None
+        bits, one, where = None, 1.0, "in double"
         eps = cmath.exp(1j * alpha)
         x = cmath.exp(1j * beta0)
+        im_eps, im_x = eps.imag, x.imag
         step = lambda n, prev, cur: _step_raw(n, prev, cur, c, eps)
         sector = lambda z: sector_of(z, alpha)
     else:
-        bits = dps_to_prec(dps) + GUARD_BITS
+        bits, where = dps_to_prec(dps) + GUARD_BITS, f"at dps {dps}"
+        one = 1 << bits
         consts = _constants(c, alpha, bits)
         er, ei = consts[0]
         x = _unit(beta0, bits)
+        im_eps, im_x = ei, x[1]
         step = lambda n, prev, cur: _fixed_step(n, prev, cur, consts, bits)
         sector = lambda z: sector_of_signs(z[1], z[1] * er - z[0] * ei)
+    # a part of a unit number reads as zero when it leaves one unchanged
+    inside = 0 < beta0 < alpha
+    unresolved = f"alpha = {alpha!r} is not resolved {where}"
+    if one + im_eps == one or inside and one + im_x == one:
+        raise ResolutionError(unresolved)
     points, sectors = [x], [sector(x)]
     exit_index = exit_sector = None
     drift = 0.0
@@ -288,7 +304,14 @@ def run_trajectory(c: float, alpha: float, beta0: float, n_steps: int,
     else:
         x_prev = x  # not read by the n = 0 step
         for n in range(n_steps):
-            x_next, d = step(n, x_prev, x)
+            try:
+                x_next, d = step(n, x_prev, x)
+            except StepSingularError:
+                # in exact arithmetic the n = 0 solve is singular only for
+                # c = 2 from x_0 = epsilon, which is not inside
+                if n == 0 and inside:
+                    raise ResolutionError(unresolved) from None
+                raise
             drift = max(drift, d)
             x_prev, x = x, x_next
             points.append(x)

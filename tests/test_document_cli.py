@@ -1,12 +1,17 @@
 import math
 import re
 
+import mpmath as mp
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hexcircle import cli, verify
+from hexcircle import cli, document, verify
 from hexcircle.document import (DocumentError, PatternDocument, load_document,
                                 save_document)
 from hexcircle.pattern_core import isotropic_params, generate_z
+from hexcircle.svg import render_svg
+from test_numerics import _count_arithmetic
 
 
 def run_cli(argv):
@@ -220,6 +225,20 @@ def test_cli_analyze_painleve_files_the_image_of_one_in_a_iv(capsys):
     assert "# exited A_I at n=1 into A_IV" in lines
 
 
+@pytest.mark.parametrize("alpha, precision, where", [
+    ("1e-20", [], "in double"),
+    ("1e-10", [], "in double"),  # the first image is zero
+    ("1e-300", ["--precision", "ext", "--dps", "60"], "at dps 60"),
+    ("1e-40", ["--precision", "ext", "--dps", "60"], "at dps 60")])  # singular n = 0
+def test_cli_analyze_painleve_names_an_unresolved_angle(capsys, alpha, precision,
+                                                       where):
+    assert run_cli(["analyze", "painleve", "--c", "1.5", "--alpha", alpha,
+                    "--n", "3", *precision]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: precision exhausted: alpha = {float(alpha)!r} is not "
+            f"resolved {where}\n")
+
+
 def test_document_rejects_garbage(tmp_path):
     path = str(tmp_path / "junk.txt")
     with open(path, "w") as fh:
@@ -267,6 +286,81 @@ def test_loader_errors_exit_2(tmp_path, section, bad):
     with pytest.raises(DocumentError):
         load_document(path)
     assert run_cli(["verify", path]) == 2
+
+
+@st.composite
+def plain_tokens(draw):
+    """Plain decimals of 1 to 120 digits, some with trailing zeros, with or
+    without a point, whose effective exponent is often +-400 or +-401."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=120))
+    digits += "0" * draw(st.integers(0, 6))
+    point = draw(st.none() | st.integers(1, len(digits)))
+    token = digits if point is None else f"{digits[:point]}.{digits[point:]}"
+    target = draw(st.none() | st.sampled_from((-401, -400, 400, 401))
+                  | st.integers(-420, 420))
+    if target is not None:  # the effective exponent, less the fraction digits
+        frac = "" if point is None else digits[point:].rstrip("0")
+        token += f"e{target + len(frac)}"
+    return draw(st.sampled_from(("", "-"))) + token
+
+
+@settings(max_examples=400, deadline=None)
+@given(token=plain_tokens(), dps=st.sampled_from((6, 45, 85, 205, 1005)))
+@example(token="0.0", dps=45)
+@example(token="-0.0", dps=45)
+@example(token="-120", dps=6)
+# mpmath's from_str does not round these correctly: the direct parse must
+# leave effective exponents beyond +-400 (here -417, written -386) to it
+@example(token="1.7550977741772720960563446240548e-386", dps=6)
+@example(token="272719128e-401", dps=6)
+@example(token="274218063e401", dps=6)
+def test_verify_read_is_bit_identical_to_mpmath(token, dps):
+    with mp.workdps(dps):
+        assert document._parse_number(token, "ext")._mpf_ == mp.mpf(token)._mpf_
+
+
+@pytest.mark.parametrize("kind", [["--c", "1.5"], ["--c", "1.5", "--mode", "sg"],
+                                  ["--c", "2", "--mode", "z2"],
+                                  ["--c", "2", "--mode", "log"]])
+def test_render_read_builds_no_mpf_and_draws_the_same(tmp_path, monkeypatch, kind):
+    path = str(tmp_path / "p.txt")
+    assert run_cli(["generate", *kind, "--n", "6", "--precision", "ext",
+                    "--dps", "40", "--out", path]) == 0
+    want = render_svg(load_document(path))
+    parse, fallbacks = document._parse_number, []
+
+    def counted_parse(s, precision):
+        if precision != "double":  # not a summary value
+            fallbacks.append(s)
+        return parse(s, precision)
+
+    monkeypatch.setattr(document, "_parse_number", counted_parse)
+    calls = _count_arithmetic(monkeypatch)
+    doc = load_document(path, doubles=True)
+    assert calls[0] == 0 and set(fallbacks) <= {"inf"}  # the pole of log
+    assert {type(z) for z in doc.vertices.values()} == {complex}
+    assert {type(r) for r in doc.radii.values()} == {float}
+    assert render_svg(doc) == want
+
+
+@pytest.mark.parametrize("kind, site, token, code", [
+    (["--c", "2", "--mode", "log"], (1, 1, -1), "1e-100000", 0),
+    (["--c", "2", "--mode", "log"], (2, 0, -2), "1e-100000", 0),
+    (["--c", "2", "--mode", "log"], (1, 1, -1), "1/0", 2),
+    (["--c", "2", "--mode", "log"], (2, 0, -2), "1/0", 2),
+    # a square-grid drawing takes its radii from an exact read of the
+    # vertices, and a coordinate of 1e-100000 lies outside its window
+    (["--c", "1.5", "--mode", "sg"], (2, 0, -1), "1e-100000", 3),
+])
+def test_cli_render_reads_out_of_window_tokens_at_working_precision(tmp_path, kind, site,
+                                                                    token, code):
+    pat, bad, svg = tmp_path / "p.txt", tmp_path / "bad.txt", tmp_path / "bad.svg"
+    assert run_cli(["generate", *kind, "--n", "6", "--precision", "ext",
+                    "--dps", "40", "--out", str(pat)]) == 0
+    edit = _with_radius if sum(site) == 0 else _with_vertex
+    edit(pat, bad, site, token)
+    assert run_cli(["render", str(bad), "--out", str(svg)]) == code
+    assert svg.exists() == (code == 0)
 
 
 def _with_vertex(src, dst, site, re, im="0.0"):
@@ -584,6 +678,14 @@ BAD_INVOCATIONS = [
     ([*PAINLEVE, "--alpha", repr(math.pi)], 2),
     (["analyze", "painleve", "--c", "3", "--alpha", "1", "--shoot", "3"], 2),
     (["analyze", "painleve", "--c", "nan", "--n", "3"], 2),
+    # an angle the working precision cannot resolve: precision exhausted
+    ([*PAINLEVE, "--alpha", "1e-300"], 2),
+    ([*PAINLEVE, "--alpha", "1e-300", "--precision", "ext", "--dps", "60"], 2),
+    ([*PAINLEVE, "--alpha", "1e-20"], 2),
+    ([*PAINLEVE, "--alpha", "1e-40", "--precision", "ext", "--dps", "60"], 2),
+    ([*PAINLEVE, "--alpha", "1", "--beta0", "1e-300"], 2),
+    ([*PAINLEVE, "--alpha", "1e-300", "--beta0", "0", "--precision", "ext",
+      "--dps", "60"], 2),
     # a scale that is not finite and positive, or a canvas that overflows
     *[(["render", "{sg}", "--out", "{out}", f"--scale={scale}"], 2)
       for scale in ("nan", "inf", "-inf", "0", "-1", "1e308")],

@@ -1,19 +1,22 @@
-"""Corrupted pattern documents never crash `hexcircle verify`.
+"""Corrupted pattern documents never crash `hexcircle verify` or
+`hexcircle render`.
 
 Each example applies a few line-level corruptions (delete, duplicate, swap
 or truncate a line, replace one of its tokens, insert a line) to a small
 double or dps-40 document.  The exit code must be 0 (the corruption was
-harmless), 2 (the loader rejected the document) or 3 (a check failed); a
-traceback is a test failure.
+harmless), 2 (the loader rejected the document) or 3 (a check failed, or a
+value cannot be drawn); a traceback is a test failure, and so is an SVG
+written by a render that did not exit 0.
 """
 import contextlib
 import io
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexcircle import cli
+from hexcircle import cli, document
 
 GARBAGE = ("", "x", "=", "nan", "inf", "-inf", "0", "-1", "2.5", "1e400",
            "1e-400", "1e-100000", "1e400000", "1/0", "[end]", "[radii]", "0 0 0",
@@ -72,9 +75,38 @@ def test_corrupted_document_exits_0_2_or_3(documents, name, ops):
     lines = docs[name]
     for op in ops:
         lines = corrupt(lines, op)
-    path = work / "corrupted.txt"
+    path, svg = work / "corrupted.txt", work / "corrupted.svg"
     path.write_text("\n".join(lines) + "\n")
+    svg.unlink(missing_ok=True)
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(["verify", str(path)])
-    assert code in (0, 2, 3)
+        drawn = cli.main(["render", str(path), "--out", str(svg)])
+    assert code in (0, 2, 3) and drawn in (0, 2, 3)
+    assert svg.exists() == (drawn == 0)
+
+
+def _reference(token, precision):
+    """The reference read: float, or mp.mpf at the working precision."""
+    if token in ("inf", "-inf"):
+        return float(token)
+    try:
+        return float(token) if precision == "double" else mp.mpf(token)
+    except (ValueError, ZeroDivisionError):
+        return f"bad number: {token}"
+
+
+@pytest.mark.parametrize("precision", ["double", "ext"])
+@pytest.mark.parametrize("token", GARBAGE + ("1.5_0",))  # float reads "_", mpmath not
+def test_both_reads_of_a_garbage_token_agree(token, precision):
+    # the render read (_parse_double) and the verify read give the value, or
+    # the error, of the reference read
+    with mp.workdps(45):
+        want = _reference(token, precision)
+        for parse in (document._parse_double, document._parse_number):
+            try:
+                got = parse(token, precision)
+            except document.DocumentError as exc:
+                got = str(exc)
+            assert got == want if type(want) is str else \
+                (mp.isnan(got) and mp.isnan(want) or mp.mpf(got) == mp.mpf(want))
