@@ -66,6 +66,10 @@ def cmd_generate(args) -> int:
         print(f"error: --mode {args.mode} is built from the c = 2 pattern and "
               f"needs --c 2", file=sys.stderr)
         return EXIT_USAGE
+    if args.mode == "sg" and args.route == "radius":
+        print("error: --mode sg is the l = 0 plane of the cross-ratio route",
+              file=sys.stderr)
+        return EXIT_USAGE
     if args.mode in ("z2", "log") and args.route == "crossratio":
         args.route = "radius"
     if params.c == 2 and args.route == "crossratio":

@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Tuple, Union
 
 import mpmath as mp
+from mpmath.libmp import dps_to_prec, from_float, mpf_cos_sin, to_fixed
 
 Number = Union[float, "mp.mpf"]
 ComplexNumber = Union[complex, "mp.mpc"]
@@ -29,6 +30,8 @@ DEFAULT_EXT_DPS = 40
 #: and the deepest planned runs (compare_routes, 4n + 4 digits) stay far
 #: below it
 MAX_DPS = 1000
+#: bits a fixed-point run carries beyond the binary precision of its dps
+GUARD_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -243,6 +246,28 @@ def aligned_reals(bk: Backend, values: Mapping):
     return read and ({key: x for key, (x, _) in read[0].items()}, read[1])
 
 
+def fixed_bits(dps: int) -> int:
+    """Width of a fixed-point run at dps: its binary precision + GUARD_BITS."""
+    return dps_to_prec(dps) + GUARD_BITS
+
+
+def fixed_real(x, bits: int) -> int:
+    """x, a float, int or mpf read without rounding, as an integer over
+    2**bits, rounded to nearest; ValueError when x is not finite."""
+    t = x._mpf_ if isinstance(x, mp.mpf) else from_float(float(x))
+    if not t[1] and t[2]:  # mpmath codes inf and nan as man 0
+        raise ValueError(f"{x} is not finite")
+    return (to_fixed(t, bits + 1) + 1) >> 1
+
+
+def fixed_unit(theta, bits: int) -> Tuple[int, int]:
+    """exp(i theta), theta a float or mpf, as integers over 2**bits within
+    one unit: cos and sin are taken to bits + 20 bits, then rounded."""
+    t = theta._mpf_ if isinstance(theta, mp.mpf) else from_float(float(theta))
+    cos, sin = mpf_cos_sin(t, bits + 20)
+    return (to_fixed(cos, bits + 1) + 1) >> 1, (to_fixed(sin, bits + 1) + 1) >> 1
+
+
 def parse_angles(spec: str) -> tuple[tuple[float, float, float],
                                      Optional[tuple[Fraction, Fraction, Fraction]]]:
     """Parse an angle triple.
@@ -262,7 +287,10 @@ def parse_angles(spec: str) -> tuple[tuple[float, float, float],
         fracs = []
         for p in parts:
             body = p[:-2].strip()
-            fracs.append(Fraction(body) if body else Fraction(1))
+            try:
+                fracs.append(Fraction(body) if body else Fraction(1))
+            except ZeroDivisionError:
+                raise ValueError(f"angle {p!r} has a zero denominator") from None
         fr = tuple(fracs)
         return tuple(float(f) * math.pi for f in fr), fr
     return tuple(float(p) for p in parts), None

@@ -21,12 +21,9 @@ from enum import Enum
 from typing import List, Optional, Tuple
 
 import mpmath as mp
-from mpmath.libmp import dps_to_prec, from_float, mpf_cos_sin, to_fixed
 
-from .numerics import required_dps
+from .numerics import fixed_bits, fixed_unit, required_dps
 
-#: bits a fixed-point run carries beyond the binary precision of its dps
-GUARD_BITS = 16
 #: growth_rate perturbs the separatrix angle by 10**-PROBE_DIGITS
 PROBE_DIGITS = 30
 #: shoot gives up after this many bisection steps
@@ -174,18 +171,10 @@ def _atan2(y: int, x: int) -> float:
     return math.atan2(y, x)
 
 
-def _unit(theta, bits: int) -> Tuple[int, int]:
-    """exp(i theta), theta a float or mpf, as integers over 2**bits within
-    one unit: cos and sin are taken to bits + 20 bits, then rounded."""
-    t = theta._mpf_ if isinstance(theta, mp.mpf) else from_float(float(theta))
-    cos, sin = mpf_cos_sin(t, bits + 20)
-    return (to_fixed(cos, bits + 1) + 1) >> 1, (to_fixed(sin, bits + 1) + 1) >> 1
-
-
 def _constants(c: float, alpha: float, bits: int):
     """epsilon, F = conj(epsilon)**2 and K = c (1 - F) / 2 over 2**bits;
     F and K are each rounded once from epsilon and the exact float c."""
-    er, ei = _unit(alpha, bits)
+    er, ei = fixed_unit(alpha, bits)
     h = 1 << (bits - 1)
     fr, fi = (er * er - ei * ei + h) >> bits, -((2 * er * ei + h) >> bits)
     p, q = float(c).as_integer_ratio()
@@ -266,8 +255,7 @@ def run_trajectory(c: float, alpha: float, beta0: float, n_steps: int,
     """Iterate from x_0 = exp(i beta0); record sectors and the first exit
     from the closed sector (the nested-segment sets of the existence
     argument use the closure).  dps=None runs in doubles; a dps runs on
-    integers over 2**bits, bits the binary precision of dps plus
-    GUARD_BITS.
+    integers over 2**bits, bits = numerics.fixed_bits(dps).
 
     ResolutionError when the precision cannot resolve the start: Im epsilon,
     or Im x_0 of a start inside (0, alpha), leaves one unchanged, or the
@@ -283,11 +271,11 @@ def run_trajectory(c: float, alpha: float, beta0: float, n_steps: int,
         step = lambda n, prev, cur: _step_raw(n, prev, cur, c, eps)
         sector = lambda z: sector_of(z, alpha)
     else:
-        bits, where = dps_to_prec(dps) + GUARD_BITS, f"at dps {dps}"
+        bits, where = fixed_bits(dps), f"at dps {dps}"
         one = 1 << bits
         consts = _constants(c, alpha, bits)
         er, ei = consts[0]
-        x = _unit(beta0, bits)
+        x = fixed_unit(beta0, bits)
         im_eps, im_x = ei, x[1]
         step = lambda n, prev, cur: _fixed_step(n, prev, cur, consts, bits)
         sector = lambda z: sector_of_signs(z[1], z[1] * er - z[0] * ei)
@@ -337,11 +325,11 @@ def growth_rate(c: float, alpha: float, probe_steps: int = 10) -> float:
     """
     check_domain(c, alpha)
     dps = required_dps(probe_steps, 10, PROBE_DIGITS + 10)
-    bits = dps_to_prec(dps) + GUARD_BITS
+    bits = fixed_bits(dps)
     consts = _constants(c, alpha, bits)
     with mp.workprec(bits + 20):
         beta = mp.mpf(c) * alpha / 2
-        xa, xb = _unit(beta, bits), _unit(beta + mp.mpf(10) ** -PROBE_DIGITS, bits)
+        xa, xb = fixed_unit(beta, bits), fixed_unit(beta + mp.mpf(10) ** -PROBE_DIGITS, bits)
     pa, pb = xa, xb
     for n in range(probe_steps):
         pa, xa = xa, _fixed_step(n, pa, xa, consts, bits)[0]

@@ -14,9 +14,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterator, Mapping, Optional, Tuple
 
+import mpmath as mp
+from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
+
 from .lattice import MultiIndex, generation, q_sites
-from .numerics import (Backend, ComplexNumber, DOUBLE, aligned_points, quotient,
-                       worst_of)
+from .numerics import (Backend, ComplexNumber, DOUBLE, aligned_points, fixed_bits,
+                       fixed_real, fixed_unit, quotient, worst_of)
 
 ANGLE_SUM_TOL = 1e-12
 
@@ -104,26 +107,60 @@ def cross_ratio(z1, z2, z3, z4) -> ComplexNumber:
     return (z1 - z2) * (z3 - z4) / den
 
 
-def solve_fourth(z1, z2, z3, q_target) -> ComplexNumber:
-    """Fourth vertex with cross_ratio(z1, z2, z3, result) == q_target."""
-    if q_target == 0:
+def _divide(nx, ny, dx, dy) -> Tuple[int, int]:
+    """(nx + i ny) / (dx + i dy) as N conj(D) / |D|**2, each part rounded to nearest."""
+    m = dx * dx + dy * dy
+    return ((2 * (nx * dx + ny * dy) + m) // (2 * m),
+            (2 * (ny * dx - nx * dy) + m) // (2 * m))
+
+
+def solve_fourth(z1, z2, z3, q_target, bits: Optional[int] = None) -> ComplexNumber:
+    """Fourth vertex with cross_ratio(z1, z2, z3, result) == q_target:
+    N / D with a = z1 - z2, b = z2 - z3, D = a + q b, N = a z3 + q b z1.
+
+    With bits, arguments and result are pairs of integers over 2**bits; D
+    and N are exact (over 2**(2 bits), 2**(3 bits)) and N / D is one
+    rounded division per coordinate, within half a unit 2**-bits of the
+    exact fourth vertex of the given points and target."""
+    if bits is None:
+        if q_target == 0:
+            raise DegenerateQuadError("cross-ratio target must be nonzero")
+        a = z1 - z2
+        b = z2 - z3
+        den = a + q_target * b
+        if den == 0:
+            raise DegenerateQuadError("no finite fourth vertex for this target")
+        return (a * z3 + q_target * b * z1) / den
+    (x1, y1), (x2, y2), (x3, y3), (qx, qy) = z1, z2, z3, q_target
+    if not (qx or qy):
         raise DegenerateQuadError("cross-ratio target must be nonzero")
-    a = z1 - z2
-    b = z2 - z3
-    den = a + q_target * b
-    if den == 0:
+    ax, ay, bx, by = x1 - x2, y1 - y2, x2 - x3, y2 - y3
+    qbx, qby = qx * bx - qy * by, qx * by + qy * bx
+    dx, dy = (ax << bits) + qbx, (ay << bits) + qby
+    if not (dx or dy):
         raise DegenerateQuadError("no finite fourth vertex for this target")
-    return (a * z3 + q_target * b * z1) / den
+    return _divide(((ax * x3 - ay * y3) << bits) + qbx * x1 - qby * y1,
+                   ((ax * y3 + ay * x3) << bits) + qbx * y1 + qby * x1, dx, dy)
 
 
-def axis_next(n: int, z_prev, z_cur, c: float) -> ComplexNumber:
+def axis_next(n: int, z_prev, z_cur, c, bits: Optional[int] = None) -> ComplexNumber:
     """Next axis value from the constraint, n = index of z_cur (distance
-    from the origin along the axis)."""
-    d = z_cur - z_prev
-    den = c * z_cur - 2 * n * d
-    if den == 0:
+    from the origin along the axis): z_cur (c z_prev - 2 n d) / (c z_cur - 2 n d),
+    d = z_cur - z_prev.  With bits, c and the points are over 2**bits, and
+    the quotient is exact up to one rounding per coordinate (solve_fourth)."""
+    if bits is None:
+        d = z_cur - z_prev
+        den = c * z_cur - 2 * n * d
+        if den == 0:
+            raise AxisDegeneracyError(f"axis step degenerate at n={n}")
+        return z_cur * (c * z_prev - 2 * n * d) / den
+    (px, py), (x, y) = z_prev, z_cur
+    tx, ty = (2 * n * (x - px)) << bits, (2 * n * (y - py)) << bits
+    dx, dy = c * x - tx, c * y - ty
+    if not (dx or dy):
         raise AxisDegeneracyError(f"axis step degenerate at n={n}")
-    return z_cur * (c * z_prev - 2 * n * d) / den
+    fx, fy = c * px - tx, c * py - ty
+    return _divide(x * fx - y * fy, x * fy + y * fx, dx, dy)
 
 
 # face orientations: (i, j) means the face {v, v+e_i, v+e_i-e_j, v-e_j};
@@ -197,6 +234,13 @@ def generate_z(params: PatternParams, n_max: int,
     solved once, from the first available orientation; the cross-ratio
     system is consistent, so the other orientations agree with it, and
     max_face_residual checks every one of those faces.
+
+    An extended run works on pairs of integers over 2**P, P =
+    numerics.fixed_bits(dps): seeds and targets lie within one unit (their
+    angles are taken to P + 20 bits), an initial_override is rounded to
+    the same integers, axis_next and solve_fourth round once per
+    coordinate, and each coordinate is rounded once more at the end, to the
+    working precision of the field's mpc values.
     """
     if params.c >= 2 or params.c <= 0:
         raise UnsupportedExponentError(
@@ -205,42 +249,55 @@ def generate_z(params: PatternParams, n_max: int,
     if n_max < 1:
         raise ValueError("need at least generation 1")
     bk = params.backend()
-    with bk.context():
-        c = bk.real(params.c)
-        one = bk.real(1.0)
-        a2 = params.exact_angle(1, bk)
-        a3 = params.exact_angle(2, bk)
+    override = initial_override or {}
+    if bk.is_double:
+        bits, c = None, bk.real(params.c)
+        a2, a3 = params.exact_angle(1, bk), params.exact_angle(2, bk)
         z: Dict[MultiIndex, ComplexNumber] = {
-            (0, 0, 0): 0 * bk.exp_i(0),
-            (1, 0, 0): one * bk.exp_i(0),
-            (0, 1, 0): bk.exp_i(params.c * (a2 + a3)),
-            (0, 0, -1): bk.exp_i(params.c * a3),
-        }
-        if initial_override:
-            z.update(initial_override)
-        for n in range(1, n_max):
-            z[(n + 1, 0, 0)] = axis_next(n, z[(n - 1, 0, 0)], z[(n, 0, 0)], c)
-            z[(0, n + 1, 0)] = axis_next(n, z[(0, n - 1, 0)], z[(0, n, 0)], c)
-            z[(0, 0, -n - 1)] = axis_next(n, z[(0, 0, -n + 1)], z[(0, 0, -n)], c)
-
+            (0, 0, 0): 0j, (1, 0, 0): 1 + 0j, (0, 1, 0): bk.exp_i(params.c * (a2 + a3)),
+            (0, 0, -1): bk.exp_i(params.c * a3)}
         targets = face_targets(params, bk)
-        for site in q_sites(n_max):
-            k, l, m = site
-            if site in z or generation(site) < 2:
-                continue
-            # unknown as the top corner of a face of the first available
-            # orientation
-            if k >= 1 and l >= 1:
-                z[site] = solve_fourth(z[(k - 1, l, m)], z[(k - 1, l - 1, m)],
-                                       z[(k, l - 1, m)], targets[1])
-            elif l >= 1 and m <= -1:
-                z[site] = solve_fourth(z[(k, l - 1, m)], z[(k, l - 1, m + 1)],
-                                       z[(k, l, m + 1)], targets[2])
-            elif k >= 1 and m <= -1:
-                z[site] = solve_fourth(z[(k, l, m + 1)], z[(k - 1, l, m + 1)],
-                                       z[(k - 1, l, m)], targets[3])
-            else:
-                raise IncompleteStencilError(site)
+    else:
+        bits, fracs = fixed_bits(params.dps), params.alpha_pi_fracs
+        with mp.workprec(bits + 20):
+            ang = ([mp.pi * f.numerator / f.denominator for f in fracs] if fracs
+                   else [mp.mpf(a) for a in params.alphas])
+            cf = mp.mpf(params.c)
+            z = {(0, 0, 0): (0, 0), (1, 0, 0): (1 << bits, 0),
+                 (0, 1, 0): fixed_unit(cf * (ang[1] + ang[2]), bits),
+                 (0, 0, -1): fixed_unit(cf * ang[2], bits)}
+            targets = {t: fixed_unit(-2 * ang[t - 1], bits) for t in (1, 2, 3)}
+        c = fixed_real(params.c, bits)
+        override = {s: (fixed_real(v.real, bits), fixed_real(v.imag, bits))
+                    for s, v in override.items()}
+    z.update(override)
+    for n in range(1, n_max):
+        z[(n + 1, 0, 0)] = axis_next(n, z[(n - 1, 0, 0)], z[(n, 0, 0)], c, bits)
+        z[(0, n + 1, 0)] = axis_next(n, z[(0, n - 1, 0)], z[(0, n, 0)], c, bits)
+        z[(0, 0, -n - 1)] = axis_next(n, z[(0, 0, -n + 1)], z[(0, 0, -n)], c, bits)
+
+    for site in q_sites(n_max):
+        k, l, m = site
+        if site in z or generation(site) < 2:
+            continue
+        # unknown as the top corner of a face of the first available
+        # orientation
+        if k >= 1 and l >= 1:
+            z[site] = solve_fourth(z[(k - 1, l, m)], z[(k - 1, l - 1, m)],
+                                   z[(k, l - 1, m)], targets[1], bits)
+        elif l >= 1 and m <= -1:
+            z[site] = solve_fourth(z[(k, l - 1, m)], z[(k, l - 1, m + 1)],
+                                   z[(k, l, m + 1)], targets[2], bits)
+        elif k >= 1 and m <= -1:
+            z[site] = solve_fourth(z[(k, l, m + 1)], z[(k - 1, l, m + 1)],
+                                   z[(k - 1, l, m)], targets[3], bits)
+        else:
+            raise IncompleteStencilError(site)
+    if bits is not None:
+        prec = dps_to_prec(params.dps)
+        z = {s: mp.make_mpc((from_man_exp(x, -bits, prec, round_nearest),
+                             from_man_exp(y, -bits, prec, round_nearest)))
+             for s, (x, y) in z.items()}
     return ZField(params=params, values=z, generation=n_max)
 
 

@@ -348,9 +348,11 @@ def test_render_read_builds_no_mpf_and_draws_the_same(tmp_path, monkeypatch, kin
     (["--c", "2", "--mode", "log"], (2, 0, -2), "1e-100000", 0),
     (["--c", "2", "--mode", "log"], (1, 1, -1), "1/0", 2),
     (["--c", "2", "--mode", "log"], (2, 0, -2), "1/0", 2),
-    # a square-grid drawing takes its radii from an exact read of the
-    # vertices, and a coordinate of 1e-100000 lies outside its window
-    (["--c", "1.5", "--mode", "sg"], (2, 0, -1), "1e-100000", 3),
+    # a square-grid drawing takes its radii from the double vertices, where
+    # 1e-100000 reads as 0, as in the drawing of every other mode; a
+    # coordinate past the double range is not finite there
+    (["--c", "1.5", "--mode", "sg"], (2, 0, -1), "1e-100000", 0),
+    (["--c", "1.5", "--mode", "sg"], (2, 0, -1), "1e400000", 3),
 ])
 def test_cli_render_reads_out_of_window_tokens_at_working_precision(tmp_path, kind, site,
                                                                     token, code):
@@ -686,6 +688,10 @@ BAD_INVOCATIONS = [
     ([*PAINLEVE, "--alpha", "1", "--beta0", "1e-300"], 2),
     ([*PAINLEVE, "--alpha", "1e-300", "--beta0", "0", "--precision", "ext",
       "--dps", "60"], 2),
+    # an angle with a zero denominator; a square grid from the radius route
+    (["generate", "--c", "1.5", "--alpha", "1/0pi,1pi,1pi", "--n", "4", "--out", "{out}"], 2),
+    (["generate", "--c", "1.5", "--mode", "sg", "--route", "radius", "--n", "4",
+      "--out", "{out}"], 2),
     # a scale that is not finite and positive, or a canvas that overflows
     *[(["render", "{sg}", "--out", "{out}", f"--scale={scale}"], 2)
       for scale in ("nan", "inf", "-inf", "0", "-1", "1e308")],

@@ -118,8 +118,9 @@ def test_read_window_is_the_double_range_widened_by_4_dps_bits():
 
 def test_exact_sweeps_read_roundoff_below_the_double_range():
     # a coordinate that should be zero carries roundoff near 1e-dps, which at
-    # dps 400 lies below the smallest double; the field still passes
-    zf = generate_z(isotropic_params(1.5, precision="ext", dps=400), 3)
+    # dps 400 lies below the smallest double; the field still passes.  The
+    # seeds are exact to a unit, so the first such roundoff is at n = 4.
+    zf = generate_z(isotropic_params(1.5, precision="ext", dps=400), 4)
     tiny = [abs(x) for z in zf.values.values() for x in (z.real, z.imag)
             if x and abs(x) < 1e-308]
     assert tiny
@@ -196,4 +197,16 @@ def test_extended_painleve_runs_do_no_mpmath_arithmetic_per_step(monkeypatch):
         assert traj.steps_in_sector() == steps
         painleve.growth_rate(c, alpha, probe_steps=steps // 2)
         counts.append(calls[0])
+    assert counts[0] == counts[1]
+
+
+def test_extended_generation_does_no_mpmath_arithmetic_per_site(monkeypatch):
+    params = isotropic_params(1.5, precision="ext", dps=40)
+    calls = _count_arithmetic(monkeypatch)
+    counts, sizes = [], []
+    for n in (8, 12):
+        calls[0] = 0
+        sizes.append(len(generate_z(params, n).values))
+        counts.append(calls[0])
+    assert sizes[1] > 2 * sizes[0]
     assert counts[0] == counts[1]

@@ -4,10 +4,9 @@ import random
 
 import mpmath as mp
 import pytest
-from mpmath.libmp import dps_to_prec
 
 from hexcircle import painleve
-from hexcircle.numerics import required_dps
+from hexcircle.numerics import fixed_bits, fixed_unit, required_dps
 from hexcircle.painleve import (PainleveState, SectorTag, dpii_step, growth_rate,
                                 run_trajectory, sector_of, sector_of_signs, shoot,
                                 x0_closed)
@@ -168,9 +167,9 @@ def test_fixed_step_matches_the_mpc_step_at_twice_the_digits():
     for k in range(60):
         c, alpha = rng.uniform(0.05, 2.0), rng.uniform(0.2, 3.0)
         n, dps = k % 16, rng.choice((30, 60, 150))  # n = 0 included
-        bits = dps_to_prec(dps) + painleve.GUARD_BITS
+        bits = fixed_bits(dps)
         consts = painleve._constants(c, alpha, bits)
-        prev, cur = (painleve._unit(rng.uniform(0.02, 0.98) * alpha, bits)
+        prev, cur = (fixed_unit(rng.uniform(0.02, 0.98) * alpha, bits)
                      for _ in range(2))
         got, drift = painleve._fixed_step(n, prev, cur, consts, bits)
         with mp.workdps(2 * dps):
@@ -197,12 +196,12 @@ def test_fixed_step_raises_at_an_exact_previous_pair_pole():
 def test_sector_of_signs_equals_sector_of_beta():
     bits = 120
     for alpha in (0.3, math.pi / 3, math.pi / 2, 2.5, 3.0):
-        er, ei = painleve._unit(alpha, bits)
+        er, ei = fixed_unit(alpha, bits)
         rays = (0.0, alpha, alpha - math.pi, math.pi)
         for k in range(-180, 181):
             beta = k * math.pi / 180 + 1e-3
             if -math.pi < beta <= math.pi and min(abs(beta - r) for r in rays) > 1e-6:
-                xr, xi = painleve._unit(beta, bits)
+                xr, xi = fixed_unit(beta, bits)
                 got = sector_of_signs(xi, xi * er - xr * ei)
                 assert got is sector_of_beta(beta, alpha), (alpha, beta)
         # the points 1, epsilon, -1 and -epsilon, exactly

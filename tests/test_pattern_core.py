@@ -6,6 +6,7 @@ import mpmath as mp
 import pytest
 
 from hexcircle import pattern_core
+from hexcircle.numerics import fixed_bits, fixed_real, fixed_unit
 from hexcircle.pattern_core import (DEFAULT_MU_SAMPLES, DegenerateQuadError,
                                     PatternParams, UnsupportedExponentError, ZField,
                                     axis_next, constraint_residual,
@@ -595,3 +596,91 @@ def test_kite_residual_is_max_over_min_minus_one(precision):
     with bk.context():
         values[(0, 1, 0)] = math.nan * one
     assert math.isnan(verify.max_kite_residual(zf))
+
+
+# -- the fixed-point kernels of an extended run --------------------------------
+
+def _value(pair, bits):
+    return mp.mpc(mp.ldexp(pair[0], -bits), mp.ldexp(pair[1], -bits))
+
+
+def test_fixed_kernels_match_mpc_at_twice_the_digits():
+    rng = random.Random(5)
+    for k in range(80):
+        dps = rng.choice((30, 40, 60, 150))
+        bits = fixed_bits(dps)
+        pts = [(rng.randrange(-4 << bits, 4 << bits), rng.randrange(-4 << bits, 4 << bits))
+               for _ in range(3)]
+        q = fixed_unit(rng.uniform(-math.pi, math.pi), bits)
+        c = fixed_real(rng.uniform(0.05, 1.95), bits)
+        n = k % 20 + 1
+        got = (solve_fourth(*pts, q, bits), axis_next(n, pts[0], pts[1], c, bits))
+        with mp.workdps(2 * dps):
+            z1, z2, z3, r = (_value(p, bits) for p in (*pts, q))
+            cc = mp.ldexp(c, -bits)
+            want = (solve_fourth(z1, z2, z3, r), axis_next(n, z1, z2, cc))
+            for g, w in zip(got, want):
+                err = _value(g, bits) - w
+                # half a unit of rounding, well inside 2**-(P - 4)
+                assert max(abs(err.real), abs(err.imag)) <= mp.ldexp(1, -bits), (k, dps)
+
+
+def test_fixed_kernels_raise_on_an_exact_zero_denominator():
+    bits = fixed_bits(40)
+    one, zero = (1 << bits, 0), (0, 0)
+    with pytest.raises(DegenerateQuadError, match="nonzero"):
+        solve_fourth(zero, one, (0, one[0]), zero, bits)
+    # q = 1 and z1 = z3: D = a + b = z1 - z3 = 0
+    with pytest.raises(DegenerateQuadError, match="no finite fourth vertex"):
+        solve_fourth(zero, one, zero, one, bits)
+    with pytest.raises(DegenerateQuadError, match="no finite fourth vertex"):
+        solve_fourth(0j, 1 + 0j, 0j, 1.0)
+    # c = 2 at n = 1 from 0 and 1: c z_cur - 2 n d = 0
+    with pytest.raises(pattern_core.AxisDegeneracyError):
+        axis_next(1, zero, one, 2 << bits, bits)
+    with pytest.raises(pattern_core.AxisDegeneracyError):
+        axis_next(1, 0j, 1 + 0j, 2.0)
+
+
+def test_extended_field_is_within_1e_31_of_a_dps_80_run():
+    zf = generate_z(isotropic_params(1.5, precision="ext", dps=40), 24)
+    ref = generate_z(isotropic_params(1.5, precision="ext", dps=80), 24)
+    assert zf.values.keys() == ref.values.keys()
+    with mp.workdps(90):
+        assert max(abs(z - ref.values[s]) for s, z in zf.values.items()) <= 1e-31
+    # every coordinate is rounded once, to the 136 bits of dps 40
+    assert all(isinstance(z, mp.mpc) for z in zf.values.values())
+    assert max(t[3] for z in zf.values.values() for t in z._mpc_) <= 136
+
+
+def test_extended_run_solves_each_site_once(monkeypatch):
+    solve, calls = pattern_core.solve_fourth, []
+
+    def counted(*args):
+        calls.append(args[4])
+        return solve(*args)
+
+    monkeypatch.setattr(pattern_core, "solve_fourth", counted)
+    zf = generate_z(isotropic_params(1.5, precision="ext", dps=40), 10)
+    # every vertex off the three axes is solved, once, on integers
+    assert len(calls) == len(zf.values) - (3 * 10 + 1)
+    assert set(calls) == {fixed_bits(40)}
+
+
+def test_extended_initial_override_is_read_into_the_same_integers():
+    params = isotropic_params(1.5, precision="ext", dps=40)
+    # the seed itself, given to P + 20 bits, rounds to the seed's integers
+    with mp.workprec(fixed_bits(40) + 20):
+        seed = mp.expj(mp.mpf(1.5) * mp.pi / 3)
+    assert (generate_z(params, 8, initial_override={(0, 0, -1): seed}).values
+            == generate_z(params, 8).values)
+    bad = cmath.exp(1j * (1.5 * math.pi / 3 + 0.05))
+    with mp.workdps(40):
+        as_mpc = mp.mpc(bad)
+    fields = [generate_z(params, 8, initial_override={(0, 0, -1): v})
+              for v in (bad, as_mpc)]
+    assert fields[0].values == fields[1].values
+    assert fields[0].values[(0, 0, -1)] == as_mpc  # a double is read exactly
+    assert fields[0].values != generate_z(params, 8).values
+    with pytest.raises(ValueError, match="not finite"):
+        generate_z(params, 3, initial_override={(0, 0, -1): complex(math.nan, 1)})
