@@ -14,8 +14,7 @@ from .radius_system import (RadiusField, PositivityViolation, generate_radii,
                             extract_radii)
 from .riccati import RiccatiParams, g, riccati_step, p0_closed, p0_via_series, y_closed
 from .painleve import dpii_step, x0_closed, sector_of, run_trajectory, shoot
-from .geometry import (reconstruct, immersion_check, sg_slice, erf_radius,
-                       sg_radius_residual)
+from .geometry import reconstruct, immersion_check, sg_slice
 from .document import PatternDocument, save_document, load_document
 from .verify import run_checks, VerifyReport
 
@@ -29,6 +28,6 @@ __all__ = [
     "z2_initial", "border_solve", "hex_solve", "extract_radii", "g",
     "riccati_step", "p0_closed", "p0_via_series", "y_closed", "dpii_step",
     "x0_closed", "sector_of", "run_trajectory", "shoot", "reconstruct",
-    "immersion_check", "sg_slice", "erf_radius", "sg_radius_residual",
+    "immersion_check", "sg_slice",
     "save_document", "load_document", "run_checks",
 ]

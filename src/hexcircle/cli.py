@@ -48,7 +48,7 @@ def _build_document(params: PatternParams, n: int, mode: str, route: str) -> Pat
     else:
         zf = pattern_core.generate_z(params, n)
         doc.vertices = dict((geometry.sg_slice(zf) if mode == "sg" else zf).values)
-        doc.radii = radius_system.extract_radii(zf, n)
+        doc.radii = radius_system.extract_radii(zf)
         doc.summary["crossratio"] = pattern_core.max_face_residual(zf)
         if mode == "hex":
             doc.summary["constraint"] = pattern_core.max_constraint_residual(zf)

@@ -157,8 +157,9 @@ def save_document(doc: PatternDocument, path: str) -> None:
 
 
 def load_document(path: str, doubles: bool = False) -> PatternDocument:
-    """Vertices and radii are read bit for bit as mp.mpf reads them, or,
-    with doubles, as float and complex where a double holds them."""
+    """Vertices and radii are read bit for bit as mp.mpf reads them at the
+    document's dps, whose dps + 5 written digits give back each number made
+    at dps; or, with doubles, as float and complex where a double holds them."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = [ln.rstrip("\n") for ln in fh]
@@ -219,7 +220,7 @@ def load_document(path: str, doubles: bool = False) -> PatternDocument:
         raise DocumentError(f"bad parameter block: {exc}") from exc
     # _parse_number reads a double document with float already
     read = _parse_double if doubles and precision != "double" else _parse_number
-    with mp.workdps(dps + 5):
+    with mp.workdps(dps):
         for site, (re_s, im_s) in vertices.items():
             x, y = read(re_s, precision), read(im_s, precision)
             if precision == "double" or doubles and type(x) is type(y) is float:

@@ -263,7 +263,7 @@ def _sides_cross(xs, ys, sa, a, sb, b) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# square-grid slice and the error-function pattern
+# square-grid slice
 # ---------------------------------------------------------------------------
 
 def sg_slice(zf: ZField) -> ZField:
@@ -293,16 +293,3 @@ def sg_immersion_check(sg: ZField) -> ImmersionReport:
                 report.failures.append(((k, l, m), "orientation-flip:sg"))
     return report
 
-
-def erf_radius(n: int, m: int) -> float:
-    """Radius function exp(n*m) of the square-grid error-function pattern."""
-    return math.exp(n * m)
-
-
-def sg_radius_residual(big_r: float, r1: float, r2: float, r3: float,
-                       r4: float, alpha: float) -> float:
-    """Square-grid radius equation residual; reduces to the orthogonal
-    equation at alpha = pi/2."""
-    return (big_r * big_r * (r1 + r2 + r3 + r4)
-            - (r2 * r3 * r4 + r1 * r3 * r4 + r1 * r2 * r4 + r1 * r2 * r3)
-            + 2 * big_r * math.cos(alpha) * (r1 * r3 - r2 * r4))

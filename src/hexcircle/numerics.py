@@ -1,10 +1,11 @@
-"""Precision backends.
+"""Precision backends and the fixed-point helpers.
 
-All lattice evolutions are plain field arithmetic, so the same code runs on
-Python complex/float or on mpmath mpc/mpf.  A Backend bundles the handful of
-transcendental calls the algorithms actually need.  Angles may be given as
-exact fractions of pi so that extended-precision runs are not limited by a
-double-rounded initial datum.
+Double runs are plain complex/float arithmetic.  Extended cross-ratio
+generation and Painleve runs step on fixed-point Gaussian integers over
+2**fixed_bits(dps), not on mpc; the radius fill runs on mpf, and the checks
+read a field once into aligned integers.  A Backend bundles the
+transcendental calls the rest needs.  Exact pi-fractions of the angles keep
+extended runs free of a double-rounded initial datum.
 """
 from __future__ import annotations
 
@@ -36,7 +37,9 @@ GUARD_BITS = 16
 
 @dataclass(frozen=True)
 class Backend:
-    """Arithmetic context: plain doubles or mpmath with a fixed dps."""
+    """Arithmetic context: plain doubles or mpmath with a fixed dps.  Its
+    sqrt, atan2, phase and eps have no caller in the package; they stay
+    because the benchmark tracer patches them (BACKEND_SCALAR_METHODS)."""
 
     mode: str = DOUBLE
     dps: int = DEFAULT_EXT_DPS

@@ -55,15 +55,6 @@ _IN_CLOSED = (SectorTag.A_I, SectorTag.BOUNDARY_LOW, SectorTag.BOUNDARY_HIGH)
 
 
 @dataclass
-class PainleveState:
-    n: int
-    x_prev: complex
-    x_cur: complex
-    c: float
-    epsilon: complex
-
-
-@dataclass
 class PainleveTrajectory:
     """x_0, x_1, ... as complex doubles, or, when bits is set, as pairs
     (re, im) of integers over 2**bits."""
@@ -126,11 +117,11 @@ def _step_raw(n: int, x_prev, x_cur, c, eps):
     return x_next / mag, abs(mag - 1)
 
 
-def dpii_step(state: PainleveState) -> complex:
-    """x_{n+1} solving the recurrence for the given state, renormalized to
-    unit modulus; for n = 0 the x_prev slot is ignored."""
-    x, _ = _step_raw(state.n, state.x_prev, state.x_cur, state.c, state.epsilon)
-    return x
+def dpii_step(n: int, x_prev: complex, x_cur: complex, c: float,
+              epsilon: complex) -> complex:
+    """x_{n+1} solving the recurrence, renormalized to unit modulus; for
+    n = 0 x_prev is ignored."""
+    return _step_raw(n, x_prev, x_cur, c, epsilon)[0]
 
 
 def x0_closed(c: float, alpha: float) -> complex:

@@ -90,9 +90,6 @@ class ZField:
     generation: int
     meta: dict = field(default_factory=dict)
 
-    def __contains__(self, site: MultiIndex) -> bool:
-        return site in self.values
-
     def __getitem__(self, site: MultiIndex) -> ComplexNumber:
         try:
             return self.values[site]
@@ -445,7 +442,8 @@ def lax_deltas(params: PatternParams) -> Dict[int, complex]:
         return {1: d1, 2: d1 / ratios[1], 3: d1 * ratios[3]}
 
 
-DEFAULT_MU_SAMPLES = (0.731, -1.2 + 0.4j, 2.3j)
+#: largest modulus of the spectral values the zero-curvature check covers
+MU_MAX = 2.3
 
 
 def _lax_ratios(params: PatternParams, bk: Backend) -> Dict[int, ComplexNumber]:
@@ -454,10 +452,9 @@ def _lax_ratios(params: PatternParams, bk: Backend) -> Dict[int, ComplexNumber]:
     return {t: deltas[i] / deltas[j] for t, (i, j) in FACE_SPAN.items()}
 
 
-def max_zero_curvature_residual(zf: ZField,
-                                mu_samples=DEFAULT_MU_SAMPLES) -> float:
+def max_zero_curvature_residual(zf: ZField) -> float:
     """Worst norm gap of the two transport products around a face, over
-    spectral values of modulus up to the largest of mu_samples.
+    spectral values of modulus up to MU_MAX.
 
     The transport matrix of the edge from z_out to z_in is
     [[1, d], [mu delta / d, 1]] with d = z_in - z_out.  Both products are
@@ -465,12 +462,11 @@ def max_zero_curvature_residual(zf: ZField,
     (+e_i, -e_j), with the edges a, b, c, e of _face_terms (a + b = c + e)
     and G = delta_i b c - delta_j a e, their entries differ by mu G / (b e),
     mu G (e - a) / (a b c e) and mu G / (a c).  As |delta_j| = 1, the gap is
-    max|mu| |a e - r b c| / (|b| |c|) max(|c|/|e|, |b|/|a|, |e - a| / (|a| |e|))
+    MU_MAX |a e - r b c| / (|b| |c|) max(|c|/|e|, |b|/|a|, |e - a| / (|a| |e|))
     with r = delta_i / delta_j, every modulus ratio one rounded quotient
     under a square root.  NaN when the field cannot be read; a zero edge
     raises DegenerateQuadError.
     """
-    mu_max = max((abs(complex(mu)) for mu in mu_samples), default=0.0)
     read = _read(zf, _lax_ratios)
     if read is None:
         return math.nan
@@ -485,6 +481,6 @@ def max_zero_curvature_residual(zf: ZField,
         csq, esq = cx * cx + cy * cy, ex * ex + ey * ey
         shape = max(quotient(csq, esq), quotient(bsq, asq),
                     quotient(one_sq * ((ex - ax) ** 2 + (ey - ay) ** 2), asq * esq))
-        gaps.append(mu_max * math.sqrt(quotient(gx * gx + gy * gy, scale * bsq * csq))
+        gaps.append(MU_MAX * math.sqrt(quotient(gx * gx + gy * gy, scale * bsq * csq))
                     * math.sqrt(shape))
     return worst_of(gaps)

@@ -58,12 +58,6 @@ class RadiusField:
     values: Dict[SubIndex, float]
     generation: int
 
-    def __contains__(self, site: SubIndex) -> bool:
-        return site in self.values
-
-    def __getitem__(self, site: SubIndex) -> float:
-        return self.values[site]
-
 
 # ---------------------------------------------------------------------------
 # single-stencil solvers
@@ -427,7 +421,7 @@ def _axis_sq_distances(zf: ZField):
     return out, one
 
 
-def extract_radii(zf: ZField, n_max: Optional[int] = None) -> Dict[SubIndex, float]:
+def extract_radii(zf: ZField) -> Dict[SubIndex, float]:
     """Mean distance from each even vertex to its stored neighbors, keyed
     by sublattice label (the oracle for the recurrence route), at the
     precision of the field.  A double field takes the mean of the built-in
@@ -446,7 +440,7 @@ def extract_radii(zf: ZField, n_max: Optional[int] = None) -> Dict[SubIndex, flo
                 continue
             sub = lattice.to_sub(site)
             nbs = [nb for nb in axis_neighbors(site) if nb in zf.values]
-            if not nbs or n_max is not None and lattice.sub_generation(sub) > n_max:
+            if not nbs:
                 continue
             if bk.is_double:
                 out[sub] = sum(abs(zf.values[nb] - z) for nb in nbs) / len(nbs)

@@ -74,10 +74,6 @@ class Trajectory:
     values: List[float]
     first_nonpositive: Optional[int] = None
 
-    @property
-    def stayed_positive(self) -> bool:
-        return self.first_nonpositive is None
-
 
 def g(n: int, c: float):
     den = 2 * (n + 1) - c
@@ -86,13 +82,20 @@ def g(n: int, c: float):
     return (2 * n + c) / den
 
 
-def riccati_step(p, n: int, params: RiccatiParams):
-    t = params.t
-    gn = g(n, params.c) if not isinstance(p, mp.mpf) else g(n, mp.mpf(params.c))
+def _step(p, n: int, c, t):
+    gn = g(n, c)
     den = p - t * gn
     if den == 0:
         raise StepPoleError(f"step pole at n={n}")
     return (gn - t * p) / den
+
+
+def riccati_step(p, n: int, params: RiccatiParams):
+    """p_{n+1} at the precision of p: an mpf p takes c and t = cos(alpha)
+    at the working precision, any other p the doubles."""
+    if isinstance(p, mp.mpf):
+        return _step(p, n, mp.mpf(params.c), mp.cos(mp.mpf(params.alpha)))
+    return _step(p, n, params.c, params.t)
 
 
 def p0_closed(params: RiccatiParams) -> float:
@@ -112,21 +115,17 @@ def trajectory(params: RiccatiParams, n_steps: int, p_start: Optional[float] = N
             c, t = params.c, params.t
             p = p0_closed(params) if p_start is None else p_start
         else:
-            c = mp.mpf(params.c)
-            t = mp.cos(mp.mpf(params.alpha))
-            if p_start is None:
-                p = mp.sin(c * params.alpha / 2) / mp.sin((2 - c) * params.alpha / 2)
-            else:
-                p = mp.mpf(p_start)
+            c, t = mp.mpf(params.c), mp.cos(mp.mpf(params.alpha))
+            p = (mp.sin(c * params.alpha / 2) / mp.sin((2 - c) * params.alpha / 2)
+                 if p_start is None else mp.mpf(p_start))
         values = [float(p)]
         first_bad = None if p > 0 else 0
         for n in range(n_steps):
-            gn = (2 * n + c) / (2 * (n + 1) - c)
-            den = p - t * gn
-            if den == 0:
+            try:
+                p = _step(p, n, c, t)
+            except StepPoleError:
                 first_bad = first_bad if first_bad is not None else n + 1
                 break
-            p = (gn - t * p) / den
             values.append(float(p))
             if first_bad is None and p <= 0:
                 first_bad = n + 1

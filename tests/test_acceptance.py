@@ -109,7 +109,7 @@ def test_c07_separatrix_uniqueness_probe():
         for alpha in ALPHA_GRID:
             rp = RiccatiParams(c=c, alpha=alpha)
             dps = riccati.separatrix_dps(rp, 40)
-            if not riccati.trajectory(rp, 40, dps=dps).stayed_positive:
+            if riccati.trajectory(rp, 40, dps=dps).first_nonpositive is not None:
                 ok_pos = False
             for fac in (1 + 1e-3, 1 - 1e-3):
                 t = riccati.trajectory(rp, 40, p_start=riccati.p0_closed(rp) * fac,
@@ -173,6 +173,20 @@ def test_c09_z2_and_log():
             f"involution={ok_invol}")
 
 
+def erf_radius(n: int, m: int) -> float:
+    """Radius function exp(n*m) of the square-grid error-function pattern."""
+    return math.exp(n * m)
+
+
+def sg_radius_residual(big_r: float, r1: float, r2: float, r3: float,
+                       r4: float, alpha: float) -> float:
+    """Square-grid radius equation residual; reduces to the orthogonal
+    equation at alpha = pi/2."""
+    return (big_r * big_r * (r1 + r2 + r3 + r4)
+            - (r2 * r3 * r4 + r1 * r3 * r4 + r1 * r2 * r4 + r1 * r2 * r3)
+            + 2 * big_r * math.cos(alpha) * (r1 * r3 - r2 * r4))
+
+
 def test_c10_square_grid_and_erf():
     ok_sg = True
     for c in (0.5, 1.0, 1.5):
@@ -184,10 +198,10 @@ def test_c10_square_grid_and_erf():
     for alpha in (math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2):
         for n in range(-3, 4):
             for m in range(-3, 4):
-                big_r = geometry.erf_radius(n, m)
-                r1, r2 = geometry.erf_radius(n + 1, m), geometry.erf_radius(n, m + 1)
-                r3, r4 = geometry.erf_radius(n - 1, m), geometry.erf_radius(n, m - 1)
-                res = geometry.sg_radius_residual(big_r, r1, r2, r3, r4, alpha)
+                big_r = erf_radius(n, m)
+                r1, r2 = erf_radius(n + 1, m), erf_radius(n, m + 1)
+                r3, r4 = erf_radius(n - 1, m), erf_radius(n, m - 1)
+                res = sg_radius_residual(big_r, r1, r2, r3, r4, alpha)
                 scale = big_r * big_r * (r1 + r2 + r3 + r4)
                 worst_rel = max(worst_rel, abs(res) / scale)
     ok = ok_sg and worst_rel <= 1e-12
@@ -212,8 +226,7 @@ def test_c11_c1_exactness():
         u = cmath.exp(1j * alpha / 2)
         eps = cmath.exp(1j * alpha)
         for n in range(0, 30):
-            out = painleve.dpii_step(painleve.PainleveState(
-                n=n, x_prev=u, x_cur=u, c=1.0, epsilon=eps))
+            out = painleve.dpii_step(n, u, u, 1.0, eps)
             worst_x = max(worst_x, abs(out - u))
     rp = RiccatiParams(c=1.0, alpha=math.pi / 3)
     p = 1.0

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from hexcircle import cli, document, verify
 from hexcircle.document import (DocumentError, PatternDocument, load_document,
                                 save_document)
-from hexcircle.pattern_core import isotropic_params, generate_z
+from hexcircle.geometry import sg_slice
+from hexcircle.pattern_core import generate_z, isotropic_params, max_face_residual
 from hexcircle.svg import render_svg
 from test_numerics import _count_arithmetic
 
@@ -36,7 +37,7 @@ def test_document_roundtrip_extended(tmp_path):
     params = isotropic_params(1.25, precision="ext", dps=30)
     zf = generate_z(params, 4)
     doc = PatternDocument(params=params, n_max=4, vertices=dict(zf.values),
-                          radii=radius_system.extract_radii(zf, 4))
+                          radii=radius_system.extract_radii(zf))
     path = str(tmp_path / "ext.txt")
     save_document(doc, path)
     doc2 = load_document(path)
@@ -57,6 +58,31 @@ def test_reverify_reproduces_summary(tmp_path):
         stored = doc.summary[key]
         redone = report.residuals[key if key != "constraint" else "constraint"]
         assert redone <= 2 * max(stored, 1e-15)
+
+
+@pytest.mark.parametrize("args", [
+    ["--c", "1.5", "--alpha", "iso", "--n", "10", "--dps", "40"],
+    ["--c", "0.7", "--alpha", "1/6pi,1/3pi,1/2pi", "--n", "12", "--dps", "40"],
+    ["--c", "1.9", "--alpha", "1/4pi,1/4pi,1/2pi", "--n", "16", "--dps", "60"],
+    ["--c", "1.5", "--alpha", "iso", "--n", "8", "--dps", "40", "--mode", "sg"],
+])
+def test_extended_verify_reproduces_the_summary_bit_for_bit(tmp_path, args):
+    # the document is read at the dps it was made at, so verify checks the
+    # very numbers generate checked
+    path = str(tmp_path / "pat.txt")
+    assert run_cli(["generate", *args, "--precision", "ext", "--out", path]) == 0
+    doc = load_document(path)
+    report = verify.run_checks(doc)
+    if doc.mode == "hex":
+        for check, key in (("crossratio", "crossratio"), ("constraint", "constraint"),
+                           ("laxzc", "zerocurvature")):
+            assert report.residuals[check] == doc.summary[key], (check, key)
+    else:
+        # an sg summary covers the whole hexagonal field, the document its
+        # l = 0 plane: verify sees the faces of that plane of the same field
+        plane = sg_slice(generate_z(doc.params, doc.n_max))
+        assert report.residuals["crossratio"] == max_face_residual(plane)
+        assert report.residuals["crossratio"] <= doc.summary["crossratio"]
 
 
 def test_cli_generate_verify_all_modes(tmp_path):

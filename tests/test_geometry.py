@@ -8,13 +8,14 @@ from typing import Dict, List, Tuple
 import pytest
 
 from hexcircle import lattice
-from hexcircle.geometry import (_WEDGES, ReconstructionError, erf_radius,
-                                immersion_check, orientation, reconstruct,
-                                sg_immersion_check, sg_radius_residual, sg_slice)
+from hexcircle.geometry import (_WEDGES, ReconstructionError, immersion_check,
+                                orientation, reconstruct, sg_immersion_check,
+                                sg_slice)
 from hexcircle.pattern_core import (PatternParams, ZField, cross_ratio,
                                     generate_z, isotropic_params,
                                     iter_slab_faces)
 from hexcircle.radius_system import RadiusField, dual, extract_radii, generate_radii
+from test_acceptance import sg_radius_residual
 
 ISO = (math.pi / 3,) * 3
 ANISO = (math.pi / 4, math.pi / 4, math.pi / 2)
@@ -85,11 +86,17 @@ def circumcircle(z1: complex, z2: complex, z3: complex) -> Tuple[complex, float]
     return center, abs(z1 - center)
 
 
+def radii_to(zf: ZField, n_max: int):
+    """extract_radii on the sublattice sites of generation up to n_max."""
+    return {s: r for s, r in extract_radii(zf).items()
+            if lattice.sub_generation(s) <= n_max}
+
+
 def pattern_radii(zf: ZField, n_max: int):
-    """extract_radii, plus the sublattice sites whose center vertex is
-    absent (reconstructed fields): those radii are circumradii of the three
-    stored intersection points."""
-    out = extract_radii(zf, n_max)
+    """radii_to, plus the sublattice sites whose center vertex is absent
+    (reconstructed fields): those radii are circumradii of the three stored
+    intersection points."""
+    out = radii_to(zf, n_max)
     for entry in lattice.fill_order(n_max):
         q = entry.site
         if q in out or q[0] + q[1] + q[2] != 1:
@@ -119,7 +126,7 @@ def circle_pattern(zf: ZField, n_max: int) -> CirclePattern:
     """Circles, intersection points and adjacency (site, site, angle index)
     of the hexagonal pattern carried by a field."""
     circles = []
-    for sub, r in sorted(extract_radii(zf, n_max).items()):
+    for sub, r in sorted(radii_to(zf, n_max).items()):
         vertex = lattice.sub_to_vertex(sub)
         if sub[0] + sub[1] + sub[2] == 0 and vertex in zf.values:
             circles.append(Circle(center=complex(zf[vertex]), radius=float(r), site=sub))
@@ -331,24 +338,6 @@ def test_sg_slice_c1_regular():
     assert len(radii) > 20
     for r in radii.values():
         assert r == pytest.approx(1.0, abs=1e-12)
-
-
-def test_erf_radius():
-    assert erf_radius(0, 5) == 1.0
-    assert erf_radius(2, 3) == pytest.approx(math.exp(6))
-    assert erf_radius(3, 2) == erf_radius(2, 3)
-    assert erf_radius(-1, 4) == pytest.approx(math.exp(-4))
-
-
-def test_sg_radius_residual_erf_identity():
-    for alpha in (math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2):
-        for n in range(-3, 4):
-            for m in range(-3, 4):
-                res = sg_radius_residual(
-                    erf_radius(n, m), erf_radius(n + 1, m), erf_radius(n, m + 1),
-                    erf_radius(n - 1, m), erf_radius(n, m - 1), alpha)
-                scale = max(erf_radius(n, m) ** 3, 1.0)
-                assert abs(res) <= 1e-12 * scale
 
 
 def test_sg_radius_residual_constant_and_negative_control():

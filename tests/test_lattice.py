@@ -2,7 +2,8 @@ import pytest
 
 from hexcircle.lattice import (ParityError, TAG_BORDER, TAG_HEX, TAG_SEED,
                                TAG_TRI, canonical_shift, fill_dependencies,
-                               fill_order, from_sub, sub_generation, to_sub)
+                               fill_order, from_sub, parity, q_sites,
+                               sub_generation, to_sub)
 
 
 def test_to_sub_examples():
@@ -14,6 +15,14 @@ def test_to_sub_examples():
 def test_to_sub_odd_parity_raises():
     with pytest.raises(ParityError):
         to_sub((1, 0, 0))
+
+
+def test_even_sites_of_q_lie_within_half_their_generation():
+    # so the even sites of a field of generation n never reach sublattice
+    # generation n, and extract_radii needs no bound
+    for n in range(17):
+        even = [site for site in q_sites(n) if parity(site) == 0]
+        assert even and max(sub_generation(to_sub(site)) for site in even) == n // 2
 
 
 def test_from_sub_examples():

@@ -7,7 +7,7 @@ import pytest
 
 from hexcircle import painleve
 from hexcircle.numerics import fixed_bits, fixed_unit, required_dps
-from hexcircle.painleve import (PainleveState, SectorTag, dpii_step, growth_rate,
+from hexcircle.painleve import (SectorTag, dpii_step, growth_rate,
                                 run_trajectory, sector_of, sector_of_signs, shoot,
                                 x0_closed)
 
@@ -49,7 +49,7 @@ def test_fixed_point_c1_per_step_residual():
     u = cmath.exp(1j * alpha / 2)
     eps = cmath.exp(1j * alpha)
     for n in range(0, 30):
-        out = dpii_step(PainleveState(n=n, x_prev=u, x_cur=u, c=1.0, epsilon=eps))
+        out = dpii_step(n, u, u, 1.0, eps)
         assert abs(out - u) <= 1e-13
 
 
@@ -59,9 +59,9 @@ def test_boundary_continuity_values():
     rng = random.Random(2)
     for n in (1, 3, 7):
         u = cmath.exp(1j * rng.uniform(0.05, alpha - 0.05))
-        hi = dpii_step(PainleveState(n=n, x_prev=u, x_cur=eps, c=1.3, epsilon=eps))
+        hi = dpii_step(n, u, eps, 1.3, eps)
         assert abs(hi - (-1)) <= 1e-12
-        lo = dpii_step(PainleveState(n=n, x_prev=u, x_cur=1.0, c=1.3, epsilon=eps))
+        lo = dpii_step(n, u, 1.0, 1.3, eps)
         assert abs(lo - (-eps)) <= 1e-12
 
 
@@ -75,7 +75,7 @@ def test_one_step_reachability_never_a_iii():
         u = cmath.exp(1j * rng.uniform(1e-6, alpha - 1e-6))
         v = cmath.exp(1j * rng.uniform(1e-6, alpha - 1e-6))
         try:
-            out = dpii_step(PainleveState(n=n, x_prev=u, x_cur=v, c=c, epsilon=eps))
+            out = dpii_step(n, u, v, c, eps)
         except painleve.StepSingularError:
             continue
         assert sector_of(out, alpha) is not SectorTag.A_III

@@ -7,8 +7,8 @@ import pytest
 
 from hexcircle import pattern_core
 from hexcircle.numerics import fixed_bits, fixed_real, fixed_unit
-from hexcircle.pattern_core import (DEFAULT_MU_SAMPLES, DegenerateQuadError,
-                                    PatternParams, UnsupportedExponentError, ZField,
+from hexcircle.pattern_core import (MU_MAX, DegenerateQuadError, PatternParams,
+                                    UnsupportedExponentError, ZField,
                                     axis_next, constraint_residual,
                                     cross_ratio, face_sites, generate_z,
                                     isotropic_params, lax_deltas,
@@ -17,6 +17,9 @@ from hexcircle.verify import max_kite_residual
 
 ISO = (math.pi / 3,) * 3
 ANISO = (math.pi / 4, math.pi / 4, math.pi / 2)
+#: spectral values of the reference transport products; the largest modulus
+#: is MU_MAX, where the affine gap in mu is largest
+MU_SAMPLES = (0.731, -1.2 + 0.4j, 2.3j)
 
 
 def test_cross_ratio_unit_square():
@@ -234,12 +237,12 @@ def _per_site(zf, monkeypatch):
     return out
 
 
-def zero_curvature_residual(zf, base, i, j, mu_samples=DEFAULT_MU_SAMPLES):
+def zero_curvature_residual(zf, base, i, j):
     """Norm gap of the two transport products around the face at base
-    spanning (+e_i, -e_j), maximized over the sampled spectral values: the
-    per-face term of max_zero_curvature_residual."""
+    spanning (+e_i, -e_j), maximized over |mu| <= MU_MAX: the per-face term
+    of max_zero_curvature_residual."""
     return pattern_core.max_zero_curvature_residual(
-        _face_field(zf, face_sites(base, i, j)), mu_samples)
+        _face_field(zf, face_sites(base, i, j)))
 
 
 def test_zero_curvature_on_generated_field():
@@ -255,13 +258,13 @@ def test_zero_curvature_negative_control():
 
 
 def test_zero_curvature_mu_zero_any_values():
+    # distinct Gaussian integers keep every sum of edges exact
     rng = random.Random(3)
-    params = isotropic_params(1.5)
-    zf = generate_z(params, 3)
-    for site in list(zf.values):
-        zf.values[site] = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-    res = zero_curvature_residual(zf, (0, 0, -1), 1, 3, mu_samples=(0.0,))
-    assert res == 0.0
+    zf = generate_z(isotropic_params(1.5), 3)
+    grid = [complex(x, y) for x in range(-9, 10) for y in range(-9, 10)]
+    zf.values = dict(zip(zf.values, rng.sample(grid, len(zf.values))))
+    gaps = _explicit_gaps(zf, mus=(0.0,))
+    assert gaps and all(gap == 0.0 for gap in gaps.values())
 
 
 def lax_matrix(delta, z_out, z_in, mu):
@@ -284,9 +287,9 @@ def _mat_mul(p, q):
     )
 
 
-def _explicit_gaps(zf):
+def _explicit_gaps(zf, mus=MU_SAMPLES):
     """Per face, the largest entrywise gap of the two multiplied-out
-    transport products over DEFAULT_MU_SAMPLES."""
+    transport products over the spectral values mus."""
     deltas = lax_deltas(zf.params)
     gaps = {}
     for v in zf.values:
@@ -296,7 +299,7 @@ def _explicit_gaps(zf):
                 continue
             za, zb, zc, zd = (zf[s] for s in sites)
             worst = 0.0
-            for mu in DEFAULT_MU_SAMPLES:
+            for mu in mus:
                 p1 = _mat_mul(lax_matrix(deltas[i], za, zb, mu),
                               lax_matrix(deltas[j], zd, za, mu))
                 p2 = _mat_mul(lax_matrix(deltas[j], zc, zb, mu),
@@ -520,7 +523,8 @@ def _check_kernels_against_mpmath(precision, monkeypatch):
         deltas = lax_deltas(zf.params)
         ratios = {t: deltas[i] / deltas[j]
                   for t, (i, j) in pattern_core.FACE_SPAN.items()}
-    mu_max = max(abs(complex(mu)) for mu in DEFAULT_MU_SAMPLES)
+    mu_max = max(abs(complex(mu)) for mu in MU_SAMPLES)
+    assert mu_max == MU_MAX
     faces = _per_face(pattern_core.max_face_residual, zf)
     gaps = _per_face(pattern_core.max_zero_curvature_residual, zf)
     sites = _per_site(zf, monkeypatch)

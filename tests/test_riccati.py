@@ -1,6 +1,8 @@
 import math
 import random
+from contextlib import nullcontext
 
+import mpmath as mp
 import pytest
 
 from hexcircle import riccati
@@ -38,6 +40,22 @@ def test_riccati_step_orthogonal_case():
     for n in range(10):
         p = rng.uniform(0.2, 3.0)
         assert riccati_step(p, n, rp) == pytest.approx(g(n, 1.3) / p, rel=1e-13)
+
+
+def test_extended_riccati_step_is_exact_to_the_working_precision():
+    # an mpf p takes cos(alpha) at the working precision, not the double t
+    rng = random.Random(12)
+    for c, alpha in ((1.5, math.pi / 3), (0.5, 1.2), (1.75, 2.5)):
+        rp = RiccatiParams(c=c, alpha=alpha)
+        for n in range(6):
+            p = rng.uniform(0.2, 3.0)
+            with mp.workdps(50):
+                got = riccati_step(mp.mpf(p), n, rp)
+            with mp.workdps(100):
+                t, cc = mp.cos(mp.mpf(alpha)), mp.mpf(c)
+                gn = (2 * n + cc) / (2 * (n + 1) - cc)
+                want = (gn - t * p) / (p - t * gn)
+                assert abs(got - want) <= 1e-45 * abs(want), (c, alpha, n)
 
 
 def test_riccati_cross_ratio_of_four_solutions_constant():
@@ -132,7 +150,7 @@ def test_forward_separatrix_positive_at_extended_precision():
         for alpha in ALPHA_GRID:
             rp = RiccatiParams(c=c, alpha=alpha)
             traj = trajectory(rp, 40, dps=riccati.separatrix_dps(rp, 40))
-            assert traj.stayed_positive, (c, alpha, traj.first_nonpositive)
+            assert traj.first_nonpositive is None, (c, alpha, traj.first_nonpositive)
 
 
 def test_perturbed_p0_loses_positivity():
@@ -175,11 +193,18 @@ def test_consistency_triangle_with_pattern():
 
 
 def test_double_trajectory_is_the_iterated_step():
-    for c, alpha in ((1.5, math.pi / 3), (0.5, 1.2), (1.0, math.pi / 2), (1.75, 2.5)):
-        rp = RiccatiParams(c=c, alpha=alpha)
-        p = p0_closed(rp)
-        expected = [p]
-        for n in range(40):
-            p = riccati_step(p, n, rp)
-            expected.append(p)
-        assert trajectory(rp, 40).values == expected
+    # in doubles, and at dps 50 from the mpf sine quotient
+    for dps in (None, 50):
+        for c, alpha in ((1.5, math.pi / 3), (0.5, 1.2), (1.0, math.pi / 2), (1.75, 2.5)):
+            rp = RiccatiParams(c=c, alpha=alpha)
+            with nullcontext() if dps is None else mp.workdps(dps):
+                if dps is None:
+                    p = p0_closed(rp)
+                else:
+                    cc = mp.mpf(c)
+                    p = mp.sin(cc * alpha / 2) / mp.sin((2 - cc) * alpha / 2)
+                expected = [float(p)]
+                for n in range(40):
+                    p = riccati_step(p, n, rp)
+                    expected.append(float(p))
+            assert trajectory(rp, 40, dps=dps).values == expected, (dps, c, alpha)
