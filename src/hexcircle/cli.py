@@ -47,12 +47,14 @@ def _build_document(params: PatternParams, n: int, mode: str, route: str) -> Pat
         doc.summary["radius_eq"] = radius_system.max_equation_residual(rf)
     else:
         zf = pattern_core.generate_z(params, n)
-        doc.vertices = dict((geometry.sg_slice(zf) if mode == "sg" else zf).values)
-        doc.radii = radius_system.extract_radii(zf)
-        doc.summary["crossratio"] = pattern_core.max_face_residual(zf)
+        # the summary describes the stored field: for sg its l = 0 plane
+        snap = pattern_core.FieldSnapshot(geometry.sg_slice(zf) if mode == "sg" else zf, True)
+        doc.vertices = dict(snap.values)
+        doc.radii = radius_system.extract_radii(zf if mode == "sg" else snap)
+        doc.summary["crossratio"] = pattern_core.max_face_residual(snap)
         if mode == "hex":
-            doc.summary["constraint"] = pattern_core.max_constraint_residual(zf)
-            doc.summary["zerocurvature"] = pattern_core.max_zero_curvature_residual(zf)
+            doc.summary["constraint"] = pattern_core.max_constraint_residual(snap)
+        doc.summary["zerocurvature"] = pattern_core.max_zero_curvature_residual(snap)
     return doc
 
 
@@ -61,6 +63,9 @@ def cmd_generate(args) -> int:
         params = _params_from_args(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.n < 1:
+        print("error: need --n >= 1", file=sys.stderr)
         return EXIT_USAGE
     if args.mode in ("z2", "log") and params.c != 2:
         print(f"error: --mode {args.mode} is built from the c = 2 pattern and "

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import contextlib
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -146,18 +147,18 @@ def required_dps(steps: int, growth: float, margin: int) -> int:
     return dps
 
 
+def worse(worst: float, x: float) -> float:
+    """The larger of a running worst and a residual x; NaN once either is."""
+    return x if x > worst or x != x else worst
+
+
 def worst_of(residuals) -> float:
     """Largest of some residuals, 0.0 for none; NaN if any is NaN.
 
     The built-in max drops a NaN that does not come first, which would let
     a check pass on corrupted data.
     """
-    worst = 0.0
-    for x in residuals:
-        if math.isnan(x):
-            return math.nan
-        worst = max(worst, x)
-    return worst
+    return functools.reduce(worse, residuals, 0.0)
 
 
 #: binary exponents bounding the nonzero doubles: 2**-1074 <= |x| < 2**1024

@@ -9,9 +9,11 @@ cross-ratios, the constraint residual and the zero-curvature identity of the
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 import mpmath as mp
@@ -19,7 +21,7 @@ from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
 
 from .lattice import MultiIndex, generation, q_sites
 from .numerics import (Backend, ComplexNumber, DOUBLE, aligned_points, fixed_bits,
-                       fixed_real, fixed_unit, quotient, worst_of)
+                       fixed_real, fixed_unit, quotient, worse, worst_of)
 
 ANGLE_SUM_TOL = 1e-12
 
@@ -95,6 +97,29 @@ class ZField:
             return self.values[site]
         except KeyError:
             raise IncompleteStencilError(site) from None
+
+
+class FieldSnapshot(ZField):
+    """A read-only copy of a field that keeps the @memoised reads of one
+    command (the aligned points, the axis distances, the face pass): values
+    is a MappingProxyType over a dict of its own, so nothing kept can go
+    stale.  With lax the face pass forms the laxzc terms too."""
+
+    def __init__(self, zf: ZField, lax: bool = False):
+        super().__init__(zf.params, MappingProxyType(dict(zf.values)), zf.generation,
+                         dict(zf.meta))
+        self.lax, self.memo = lax, {}
+
+
+def memoised(fn):
+    """fn(zf, *args), made once per args and kept when zf is a FieldSnapshot."""
+    @functools.wraps(fn)
+    def wrapper(zf, *args):
+        memo, key = zf.memo if isinstance(zf, FieldSnapshot) else {}, (fn, args)
+        if key not in memo:
+            memo[key] = fn(zf, *args)
+        return memo[key]
+    return wrapper
 
 
 def cross_ratio(z1, z2, z3, z4) -> ComplexNumber:
@@ -298,59 +323,66 @@ def generate_z(params: PatternParams, n_max: int,
     return ZField(params=params, values=z, generation=n_max)
 
 
-def _read(zf: ZField, constants):
-    """The field and constants(params, bk), computed at the working
-    precision, each read once (numerics.aligned_points): (pts, one, k,
-    k_one), or None when the field cannot be read."""
-    bk = zf.params.backend()
+@memoised
+def field_points(zf: ZField):
+    """The field read by numerics.aligned_points: (pts, one), or None."""
+    return aligned_points(zf.params.backend(), zf.values)
+
+
+def _constants(params: PatternParams, constants):
+    """constants(params, bk) at the working precision, read by aligned_points."""
+    bk = params.backend()
     with bk.context():
-        k = aligned_points(bk, constants(zf.params, bk))
-    read = aligned_points(bk, zf.values)
-    return read and read + k
+        return aligned_points(bk, constants(params, bk))
 
 
-def _face_terms(pts, r, r_one):
-    """The face kernel of crossratio and laxzc.
-
-    With the edges a = zb - za, b = za - zd, c = zb - zc, e = zc - zd of the
-    corners (za, zb, zc, zd) of a face, its cross-ratio is q = a e / (b c),
-    so |q - r| = |a e - r b c| / (|b| |c|).  Yields per face of the aligned
-    points pts, in the order of iter_faces, the coordinate pairs of
-    r_one (a e - r b c), with r = r[type] in units of 1/r_one, and of
-    a, b, c, e; None for a face with a zero edge.  The first is formed
-    without a division, exactly on an extended field.
-    """
+@memoised
+def _face_pass(zf: ZField, lax: bool):
+    """Worst crossratio defect and, with lax, worst laxzc gap (None if a
+    face has a zero edge) of one traversal of the faces; NaN if the field
+    cannot be read.  With the edges a = zb - za, b = za - zd, c = zb - zc,
+    e = zc - zd of the corners (za, zb, zc, zd) of a face, its cross-ratio
+    is q = a e / (b c), so |q - r| = |a e - r b c| / (|b| |c|).  Each check
+    has its own r (face_targets, _lax_ratios) over its own r_one; both share
+    a e and b c, and form r_one (a e - r b c) without a division, exactly on
+    an extended field."""
+    read = field_points(zf)
+    if read is None:
+        return math.nan, math.nan
+    pts, one = read
+    r, r_one = _constants(zf.params, face_targets)
+    w, w_one = _constants(zf.params, _lax_ratios) if lax else ({}, 1)
+    scale, w_scale, one_sq = r_one * r_one, w_one * w_one, one * one
+    worst, gap, degenerate = 0.0, 0.0, False
     for t, _, ((xa, ya), (xb, yb), (xc, yc), (xd, yd)) in _faces(pts):
         ax, ay, bx, by = xb - xa, yb - ya, xa - xd, ya - yd
         cx, cy, ex, ey = xb - xc, yb - yc, xc - xd, yc - yd
         if not ((ax or ay) and (bx or by) and (cx or cy) and (ex or ey)):
-            yield None
+            degenerate = True
             continue
-        rx, ry = r[t]
+        aex, aey = ax * ex - ay * ey, ax * ey + ay * ex
         px, py = bx * cx - by * cy, bx * cy + by * cx
-        yield ((r_one * (ax * ex - ay * ey) - (rx * px - ry * py),
-                r_one * (ax * ey + ay * ex) - (rx * py + ry * px)),
-               (ax, ay), (bx, by), (cx, cy), (ex, ey))
+        bsq, csq = bx * bx + by * by, cx * cx + cy * cy
+        rx, ry = r[t]
+        nx, ny = r_one * aex - (rx * px - ry * py), r_one * aey - (rx * py + ry * px)
+        worst = worse(worst, math.sqrt(quotient(nx * nx + ny * ny, scale * bsq * csq)))
+        if lax:
+            rx, ry = w[t]
+            gx, gy = w_one * aex - (rx * px - ry * py), w_one * aey - (rx * py + ry * px)
+            asq, esq = ax * ax + ay * ay, ex * ex + ey * ey
+            shape = max(quotient(csq, esq), quotient(bsq, asq),
+                        quotient(one_sq * ((ex - ax) ** 2 + (ey - ay) ** 2), asq * esq))
+            d = MU_MAX * math.sqrt(quotient(gx * gx + gy * gy, w_scale * bsq * csq))
+            gap = worse(gap, d * math.sqrt(shape))
+    return worst, None if degenerate else gap
 
 
 def max_face_residual(zf: ZField) -> float:
-    """Worst |q - r| of _face_terms over the stored faces, with
-    r = exp(-2 i alpha) of the face type, each one rounded quotient under a
-    square root.  Faces with a zero edge (collapsed onto the point-circle at
-    the c = 2 branch point) carry no cross-ratio and are skipped.  NaN when
-    the field cannot be read."""
-    read = _read(zf, face_targets)
-    if read is None:
-        return math.nan
-    pts, _, r, r_one = read
-    scale = r_one * r_one
-    defects = []
-    for term in _face_terms(pts, r, r_one):
-        if term is not None:
-            (nx, ny), _, (bx, by), (cx, cy), _ = term
-            defects.append(math.sqrt(quotient(
-                nx * nx + ny * ny, scale * (bx * bx + by * by) * (cx * cx + cy * cy))))
-    return worst_of(defects)
+    """Worst |q - r| of _face_pass, r = exp(-2 i alpha) of the face type, one
+    rounded quotient under a square root.  Faces with a zero edge (collapsed
+    onto the point-circle at the c = 2 branch point) carry no cross-ratio
+    and are skipped.  NaN when the field cannot be read."""
+    return _face_pass(zf, isinstance(zf, FieldSnapshot) and zf.lax)[0]
 
 
 def _axis_stencil(p: MultiIndex):
@@ -391,15 +423,16 @@ def max_constraint_residual(zf: ZField) -> float:
     divisions cleared: with d_j = zu_j - zd_j and P_j = (zu_j - z0)(z0 - zd_j)
     along each axis j (index n_j = k, l, m), it is |N| / (|d_1| |d_2| |d_3|)
     with N = c z0 d_1 d_2 d_3 - 2 sum_j n_j P_j prod_{i != j} d_i, N exact on
-    an extended field (_read) and the ratio one rounded quotient under a
-    square root.  NaN when the field cannot be read; a stencil vertex the
-    field does not store raises IncompleteStencilError, a vanishing d_j
-    DegenerateQuadError.
+    an extended field (field_points) and the ratio one rounded quotient
+    under a square root.  NaN when the field cannot be read; a stencil
+    vertex the field does not store raises IncompleteStencilError, a
+    vanishing d_j DegenerateQuadError.
     """
-    read = _read(zf, lambda params, bk: {0: params.c})
+    read = field_points(zf)
     if read is None:
         return math.nan
-    pts, one, k, k_one = read
+    pts, one = read
+    k, k_one = _constants(zf.params, lambda params, bk: {0: params.c})
     cc, scale = k[0][0], k_one * k_one * one * one
     out = []
     for p in interior_sites(zf):
@@ -459,7 +492,7 @@ def max_zero_curvature_residual(zf: ZField) -> float:
     The transport matrix of the edge from z_out to z_in is
     [[1, d], [mu delta / d, 1]] with d = z_in - z_out.  Both products are
     affine in mu with equal mu^0 parts.  For the face at base spanning
-    (+e_i, -e_j), with the edges a, b, c, e of _face_terms (a + b = c + e)
+    (+e_i, -e_j), with the edges a, b, c, e of _face_pass (a + b = c + e)
     and G = delta_i b c - delta_j a e, their entries differ by mu G / (b e),
     mu G (e - a) / (a b c e) and mu G / (a c).  As |delta_j| = 1, the gap is
     MU_MAX |a e - r b c| / (|b| |c|) max(|c|/|e|, |b|/|a|, |e - a| / (|a| |e|))
@@ -467,20 +500,7 @@ def max_zero_curvature_residual(zf: ZField) -> float:
     under a square root.  NaN when the field cannot be read; a zero edge
     raises DegenerateQuadError.
     """
-    read = _read(zf, _lax_ratios)
-    if read is None:
-        return math.nan
-    pts, one, r, r_one = read
-    scale, one_sq = r_one * r_one, one * one
-    gaps = []
-    for term in _face_terms(pts, r, r_one):
-        if term is None:
-            raise DegenerateQuadError("degenerate edge in transport matrix")
-        (gx, gy), (ax, ay), (bx, by), (cx, cy), (ex, ey) = term
-        asq, bsq = ax * ax + ay * ay, bx * bx + by * by
-        csq, esq = cx * cx + cy * cy, ex * ex + ey * ey
-        shape = max(quotient(csq, esq), quotient(bsq, asq),
-                    quotient(one_sq * ((ex - ax) ** 2 + (ey - ay) ** 2), asq * esq))
-        gaps.append(MU_MAX * math.sqrt(quotient(gx * gx + gy * gy, scale * bsq * csq))
-                    * math.sqrt(shape))
-    return worst_of(gaps)
+    gap = _face_pass(zf, True)[1]
+    if gap is None:
+        raise DegenerateQuadError("degenerate edge in transport matrix")
+    return gap

@@ -22,8 +22,8 @@ from .lattice import (SubIndex, TAG_BORDER, TAG_HEX, TAG_SEED, TAG_TRI,
                       border_fill_stencil, black_fill_stencil,
                       axis_neighbors, fill_dependencies, hex_coefficients,
                       hex_stencil_slots, tri_fill_stencil)
-from .numerics import aligned_points, aligned_reals, quotient, worst_of
-from .pattern_core import PatternParams, ZField, generate_z
+from .numerics import aligned_reals, quotient, worst_of
+from .pattern_core import PatternParams, ZField, field_points, generate_z, memoised
 
 POLE = math.inf
 
@@ -395,15 +395,16 @@ def max_equation_residual(rf: RadiusField) -> float:
     return worst_of(d for _, _, d in defects)
 
 
+@memoised
 def _axis_sq_distances(zf: ZField):
     """Squared distances from every even site to its stored axis neighbors,
     in axis_neighbors order, as ({site: [sq, ...]}, one); sites without a
     stored neighbor are left out.  On an extended field they are exact
-    integers over one**2 (numerics.aligned_points), on a double field
+    integers over one**2 (pattern_core.field_points), on a double field
     floats with one = 1.0.  None when the field cannot be read: a value that
     is not finite, or an extended value outside the aligned_points window.
     """
-    read = aligned_points(zf.params.backend(), zf.values)
+    read = field_points(zf)
     if read is None:
         return None
     pts, one = read

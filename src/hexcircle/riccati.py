@@ -198,15 +198,6 @@ def y_closed(n: int, c1: float, c2: float, params: RiccatiParams) -> float:
     return out
 
 
-def linear_recurrence_residual(y0: float, y1: float, y2: float, n: int,
-                               params: RiccatiParams) -> float:
-    """Relative residual of y_{n+2} + t(g_{n+1}+1) y_{n+1} + (t^2-1) g_n y_n."""
-    t = params.t
-    res = y2 + t * (g(n + 1, params.c) + 1) * y1 + (t * t - 1) * g(n, params.c) * y0
-    scale = max(abs(y0), abs(y1), abs(y2), 1e-300)
-    return abs(res) / scale
-
-
 def p0_via_series(params: RiccatiParams) -> float:
     """p0 from the series route, independent of the sine quotient.
 

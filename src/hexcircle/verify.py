@@ -65,7 +65,9 @@ def run_checks(doc: PatternDocument, checks=None) -> VerifyReport:
     if checks is None:
         checks = applicable
     report = VerifyReport()
-    zf = doc.zfield() if doc.vertices else None
+    # one snapshot reads the field once for every check
+    lax = "laxzc" in checks and "laxzc" in applicable
+    zf = pattern_core.FieldSnapshot(doc.zfield(), lax) if doc.vertices else None
     rf = doc.radius_field() if doc.radii else None
     for name in checks:
         if name not in ALL_CHECKS:

@@ -132,6 +132,16 @@ def test_c07_separatrix_uniqueness_probe():
             f"double {stay_ext}/60 ext, bracket width {hi - lo:.1e}")
 
 
+def linear_recurrence_residual(y0: float, y1: float, y2: float, n: int,
+                               params: RiccatiParams) -> float:
+    """Relative residual of y_{n+2} + t(g_{n+1}+1) y_{n+1} + (t^2-1) g_n y_n."""
+    t = params.t
+    res = (y2 + t * (riccati.g(n + 1, params.c) + 1) * y1
+           + (t * t - 1) * riccati.g(n, params.c) * y0)
+    scale = max(abs(y0), abs(y1), abs(y2), 1e-300)
+    return abs(res) / scale
+
+
 def test_c08_linearization():
     rng = random.Random(271)
     ok_res = True
@@ -140,7 +150,7 @@ def test_c08_linearization():
         c1, c2 = rng.uniform(-2, 2), rng.uniform(-2, 2)
         ys = [riccati.y_closed(n, c1, c2, rp) for n in range(23)]
         for n in range(21):
-            if riccati.linear_recurrence_residual(ys[n], ys[n + 1], ys[n + 2], n, rp) > 1e-10:
+            if linear_recurrence_residual(ys[n], ys[n + 1], ys[n + 2], n, rp) > 1e-10:
                 ok_res = False
     rp = RiccatiParams(c=1.5, alpha=math.pi / 3)
     t = rp.t

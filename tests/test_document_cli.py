@@ -6,11 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hexcircle import cli, document, verify
+from hexcircle import cli, document, numerics, pattern_core, radius_system, verify
 from hexcircle.document import (DocumentError, PatternDocument, load_document,
                                 save_document)
-from hexcircle.geometry import sg_slice
-from hexcircle.pattern_core import generate_z, isotropic_params, max_face_residual
+from hexcircle.pattern_core import generate_z, isotropic_params
 from hexcircle.svg import render_svg
 from test_numerics import _count_arithmetic
 
@@ -61,28 +60,140 @@ def test_reverify_reproduces_summary(tmp_path):
 
 
 @pytest.mark.parametrize("args", [
-    ["--c", "1.5", "--alpha", "iso", "--n", "10", "--dps", "40"],
-    ["--c", "0.7", "--alpha", "1/6pi,1/3pi,1/2pi", "--n", "12", "--dps", "40"],
-    ["--c", "1.9", "--alpha", "1/4pi,1/4pi,1/2pi", "--n", "16", "--dps", "60"],
-    ["--c", "1.5", "--alpha", "iso", "--n", "8", "--dps", "40", "--mode", "sg"],
+    ["--c", "1.5", "--alpha", "iso", "--n", "10", "--precision", "ext", "--dps", "40"],
+    ["--c", "0.7", "--alpha", "1/6pi,1/3pi,1/2pi", "--n", "12", "--precision", "ext",
+     "--dps", "40"],
+    ["--c", "1.9", "--alpha", "1/4pi,1/4pi,1/2pi", "--n", "16", "--precision", "ext",
+     "--dps", "60"],
+    ["--c", "1.5", "--alpha", "iso", "--n", "8", "--precision", "ext", "--dps", "40",
+     "--mode", "sg"],
+    ["--c", "1.9", "--alpha", "1/4pi,1/4pi,1/2pi", "--n", "12", "--mode", "sg"],
 ])
 def test_extended_verify_reproduces_the_summary_bit_for_bit(tmp_path, args):
     # the document is read at the dps it was made at, so verify checks the
-    # very numbers generate checked
+    # very numbers generate checked; an sg summary describes the l = 0
+    # plane the document stores
     path = str(tmp_path / "pat.txt")
-    assert run_cli(["generate", *args, "--precision", "ext", "--out", path]) == 0
+    assert run_cli(["generate", *args, "--out", path]) == 0
     doc = load_document(path)
     report = verify.run_checks(doc)
+    pairs = [("crossratio", "crossratio"), ("laxzc", "zerocurvature")]
     if doc.mode == "hex":
-        for check, key in (("crossratio", "crossratio"), ("constraint", "constraint"),
-                           ("laxzc", "zerocurvature")):
-            assert report.residuals[check] == doc.summary[key], (check, key)
+        pairs.append(("constraint", "constraint"))
+    assert set(doc.summary) == {key for _, key in pairs}
+    for check, key in pairs:
+        assert report.residuals[check] == doc.summary[key], (check, key)
+
+
+def _check_values(doc, zf, reverse=False):
+    """Every applicable check of doc run on the field zf, in order or
+    reversed: its residual, or the exception it raised, as text."""
+    rf = doc.radius_field() if doc.radii else None
+    out = {}
+    for name in verify.applicable_checks(doc)[::-1 if reverse else 1]:
+        try:
+            out[name] = repr(verify._residual(name, doc, zf, rf))
+        except (ArithmeticError, KeyError) as exc:
+            out[name] = repr(exc)
+    return out
+
+
+@pytest.fixture(scope="module")
+def snapshot_documents(tmp_path_factory):
+    """Documents of every mode in double and at dps 40 and 80, and three
+    corrupted hex fields in double and at dps 40."""
+    work = tmp_path_factory.mktemp("snapshot")
+    docs = {}
+    for mode, c in (("hex", "1.5"), ("sg", "1.5"), ("z2", "2"), ("log", "2")):
+        for prec in (["--precision", "double"], ["--precision", "ext", "--dps", "40"],
+                     ["--precision", "ext", "--dps", "80"]):
+            path = str(work / f"{mode}-{prec[-1]}.txt")
+            assert cli.main(["generate", "--c", c, "--n", "6", "--mode", mode, *prec,
+                             "--out", path]) == 0
+            docs[f"{mode}-{prec[-1]}"] = load_document(path)
+    site, nb = (2, 1, -1), (1, 1, -1)
+    for prec in ("double", "40"):
+        for name, corrupt in (("nan", lambda v: v.update({site: v[site] * math.nan})),
+                              ("zero-edge", lambda v: v.update({site: v[nb]})),
+                              ("missing", lambda v: v.pop(site))):
+            doc = load_document(str(work / f"hex-{prec}.txt"))
+            corrupt(doc.vertices)
+            docs[f"hex-{prec}-{name}"] = doc
+    return docs
+
+
+SNAPSHOT_CASES = [f"{mode}-{prec}" for mode in ("hex", "sg", "z2", "log")
+                  for prec in ("double", "40", "80")]
+SNAPSHOT_CASES += [f"hex-{prec}-{name}" for prec in ("double", "40")
+                   for name in ("nan", "zero-edge", "missing")]
+
+
+@pytest.mark.parametrize("case", SNAPSHOT_CASES)
+def test_snapshot_and_plain_field_give_bit_identical_checks(snapshot_documents, case):
+    doc = snapshot_documents[case]
+    plain = _check_values(doc, doc.zfield())
+    assert set(plain) == set(verify.applicable_checks(doc))
+    for reverse in (False, True):
+        for lax in (False, True):
+            snap = pattern_core.FieldSnapshot(doc.zfield(), lax)
+            assert _check_values(doc, snap, reverse) == plain, (reverse, lax)
+    report = verify.run_checks(doc)
+    for name, value in plain.items():
+        res = report.residuals[name]
+        assert repr(res) == value or (res == math.inf and "Error" in value), name
+    if case.endswith("zero-edge"):
+        # crossratio skips the collapsed faces, laxzc fails on them
+        assert math.isfinite(report.residuals["crossratio"])
+        assert report.residuals["laxzc"] == math.inf
+        assert "laxzc: degenerate edge in transport matrix" in report.notes
+        assert not any(note.startswith("crossratio") for note in report.notes)
+    elif case.endswith("missing"):
+        assert report.notes == ["constraint: missing vertex (2, 1, -1)"]
+    elif case.endswith("nan"):
+        assert all(math.isnan(report.residuals[name])
+                   for name in ("crossratio", "constraint", "laxzc", "kite"))
     else:
-        # an sg summary covers the whole hexagonal field, the document its
-        # l = 0 plane: verify sees the faces of that plane of the same field
-        plane = sg_slice(generate_z(doc.params, doc.n_max))
-        assert report.residuals["crossratio"] == max_face_residual(plane)
-        assert report.residuals["crossratio"] <= doc.summary["crossratio"]
+        assert report.ok
+
+
+def test_one_field_read_and_one_face_pass_per_command(tmp_path, monkeypatch):
+    path = str(tmp_path / "hex.txt")
+    assert run_cli(["generate", "--c", "1.5", "--n", "10", "--precision", "ext",
+                    "--out", path]) == 0
+    doc = load_document(path)
+    reads, passes = [], []
+    read, faces = numerics.aligned_points, pattern_core._faces
+
+    def counting_read(bk, values):
+        if len(values) == len(doc.vertices):  # the field, not a constant
+            reads.append(1)
+        return read(bk, values)
+
+    def counting_faces(stored):
+        passes.append(1)
+        return faces(stored)
+
+    for mod in (numerics, pattern_core, radius_system, verify, cli):
+        if getattr(mod, "aligned_points", None) is read:
+            monkeypatch.setattr(mod, "aligned_points", counting_read)
+    monkeypatch.setattr(pattern_core, "_faces", counting_faces)
+    assert verify.run_checks(doc).ok
+    assert (len(reads), len(passes)) == (1, 1)
+    del reads[:], passes[:]
+    built = cli._build_document(doc.params, doc.n_max, "hex", "crossratio")
+    assert (len(reads), len(passes)) == (1, 1)
+    assert built.summary == doc.summary
+
+
+def test_snapshot_values_are_read_only():
+    zf = generate_z(isotropic_params(1.5), 3)
+    snap = pattern_core.FieldSnapshot(zf)
+    with pytest.raises(TypeError):
+        snap.values[(0, 0, 0)] = 1j
+    with pytest.raises(TypeError):
+        del snap.values[(0, 0, 0)]
+    zf.values[(0, 0, 0)] = 1j  # the snapshot holds a copy of its own
+    assert snap.values[(0, 0, 0)] == 0j
 
 
 def test_cli_generate_verify_all_modes(tmp_path):
@@ -714,6 +825,10 @@ BAD_INVOCATIONS = [
     ([*PAINLEVE, "--alpha", "1", "--beta0", "1e-300"], 2),
     ([*PAINLEVE, "--alpha", "1e-300", "--beta0", "0", "--precision", "ext",
       "--dps", "60"], 2),
+    # no generation to build, on every route
+    (["generate", "--c", "2", "--mode", "z2", "--n", "0", "--out", "{out}"], 2),
+    (["generate", "--c", "1.5", "--route", "radius", "--n", "0", "--out", "{out}"], 2),
+    (["generate", "--c", "2", "--mode", "log", "--n", "0", "--out", "{out}"], 2),
     # an angle with a zero denominator; a square grid from the radius route
     (["generate", "--c", "1.5", "--alpha", "1/0pi,1pi,1pi", "--n", "4", "--out", "{out}"], 2),
     (["generate", "--c", "1.5", "--mode", "sg", "--route", "radius", "--n", "4",

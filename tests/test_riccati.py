@@ -6,10 +6,10 @@ import mpmath as mp
 import pytest
 
 from hexcircle import riccati
-from hexcircle.riccati import (ParameterError, RiccatiParams, g,
-                               linear_recurrence_residual, p0_closed,
+from hexcircle.riccati import (ParameterError, RiccatiParams, g, p0_closed,
                                p0_via_series, riccati_step, separatrix_dps,
                                trajectory, y_basis, y_closed)
+from test_acceptance import linear_recurrence_residual
 
 C_GRID = [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75]
 ALPHA_GRID = [math.pi / 6, math.pi / 4, math.pi / 3, 2 * math.pi / 5]
