@@ -194,7 +194,7 @@ def immersion_check(zf: ZField) -> ImmersionReport:
     """Uniform positive orientation of the three elementary triangles at
     every stored site, plus pairwise interior-disjointness of adjacent
     pattern faces; see _flipped for the triangle test.  Both sweeps run in
-    double on one snapshot of the field."""
+    double on one copy of the field, and the radius pass runs last."""
     report = ImmersionReport()
     pts = {site: complex(z) for site, z in zf.values.items()}
     for (k, l, m), z0 in pts.items():
@@ -214,10 +214,6 @@ def immersion_check(zf: ZField) -> ImmersionReport:
             report.checked_triangles += 1
             if _flipped(z0, b, c_):
                 report.failures.append(((k, l, m), f"orientation-flip:{name}"))
-    # radius positivity (a zero radius, the branch point of z^2, is allowed)
-    for sub, r in extract_radii(zf).items():
-        if math.isnan(r) or r < 0:
-            report.failures.append((lattice.sub_to_vertex(sub), "nonpositive-radius"))
     # adjacent-face overlap sweep: faces that share an edge must not cross
     # along their other sides
     sites = list(pts)
@@ -240,6 +236,11 @@ def immersion_check(zf: ZField) -> ImmersionReport:
                 report.checked_quads += 1
                 if _sides_cross(xs, ys, sides[fa], a, sides[fb], b):
                     report.failures.append((sites[sides[fa][0][0]], "overlapping-quads"))
+    del pts, sites, ids, xs, ys, sides, by_edge  # freed before the radius pass
+    # radius positivity (a zero radius, the branch point of z^2, is allowed)
+    for sub, r in extract_radii(zf).items():
+        if math.isnan(r) or r < 0:
+            report.failures.append((lattice.sub_to_vertex(sub), "nonpositive-radius"))
     return report
 
 

@@ -101,9 +101,8 @@ class ZField:
 
 class FieldSnapshot(ZField):
     """A read-only copy of a field that keeps the @memoised reads of one
-    command (the aligned points, the axis distances, the face pass): values
-    is a MappingProxyType over a dict of its own, so nothing kept can go
-    stale.  With lax the face pass forms the laxzc terms too."""
+    command: values is a MappingProxyType over a dict of its own, so nothing
+    kept can go stale.  With lax the face pass forms the laxzc terms too."""
 
     def __init__(self, zf: ZField, lax: bool = False):
         super().__init__(zf.params, MappingProxyType(dict(zf.values)), zf.generation,
@@ -341,11 +340,9 @@ def _face_pass(zf: ZField, lax: bool):
     """Worst crossratio defect and, with lax, worst laxzc gap (None if a
     face has a zero edge) of one traversal of the faces; NaN if the field
     cannot be read.  With the edges a = zb - za, b = za - zd, c = zb - zc,
-    e = zc - zd of the corners (za, zb, zc, zd) of a face, its cross-ratio
-    is q = a e / (b c), so |q - r| = |a e - r b c| / (|b| |c|).  Each check
-    has its own r (face_targets, _lax_ratios) over its own r_one; both share
-    a e and b c, and form r_one (a e - r b c) without a division, exactly on
-    an extended field."""
+    e = zc - zd of a face, q = a e / (b c) and |q - r| = |a e - r b c| /
+    (|b| |c|); each check has its own r over its own r_one, and forms
+    r_one (a e - r b c) from the shared a e and b c, with no division."""
     read = field_points(zf)
     if read is None:
         return math.nan, math.nan

@@ -138,6 +138,7 @@ def test_snapshot_and_plain_field_give_bit_identical_checks(snapshot_documents, 
             snap = pattern_core.FieldSnapshot(doc.zfield(), lax)
             assert _check_values(doc, snap, reverse) == plain, (reverse, lax)
     report = verify.run_checks(doc)
+    assert list(report.residuals) == list(plain)  # immersion runs first, prints in place
     for name, value in plain.items():
         res = report.residuals[name]
         assert repr(res) == value or (res == math.inf and "Error" in value), name
