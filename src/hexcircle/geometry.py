@@ -18,7 +18,7 @@ from typing import Dict, List, Tuple
 
 from . import lattice
 from .lattice import MultiIndex, SubIndex
-from .pattern_core import ZField, iter_slab_faces
+from .pattern_core import ZField
 from .radius_system import RadiusField, extract_radii, is_pole
 
 
@@ -176,6 +176,14 @@ def reconstruct(rf: RadiusField) -> ZField:
 #: orientations are measured against the longest edge
 EPS_SCALE = 1e-12
 
+# the far corner u + S_j + S_j+1 of kite j around a center u: the neighbor
+# across wedge j
+_RIMS = tuple(off for off, _ in _WEDGES)
+# side pairs (i, j) of the hexagon (u, p, c, q, c', p') of two kites that
+# share the spoke u q, side i running from corner i to i + 1: each side of
+# the first kite but u q with each side of the second that it does not touch
+_HEX_PAIRS = ((0, 3), (0, 4), (1, 3), (1, 4), (1, 5), (2, 4), (2, 5))
+
 
 def _flipped(a: complex, b: complex, c: complex) -> bool:
     """A triangle fails when it is clearly negatively oriented or has a
@@ -194,7 +202,7 @@ def immersion_check(zf: ZField) -> ImmersionReport:
     """Uniform positive orientation of the three elementary triangles at
     every stored site, plus pairwise interior-disjointness of adjacent
     pattern faces; see _flipped for the triangle test.  Both sweeps run in
-    double on one copy of the field, and the radius pass runs last."""
+    double on one copy of the field."""
     report = ImmersionReport()
     pts = {site: complex(z) for site, z in zf.values.items()}
     for (k, l, m), z0 in pts.items():
@@ -214,29 +222,21 @@ def immersion_check(zf: ZField) -> ImmersionReport:
             report.checked_triangles += 1
             if _flipped(z0, b, c_):
                 report.failures.append(((k, l, m), f"orientation-flip:{name}"))
-    # adjacent-face overlap sweep: faces that share an edge must not cross
-    # along their other sides
-    sites = list(pts)
-    ids = {site: i for i, site in enumerate(sites)}
-    xs = [z.real for z in pts.values()]
-    ys = [z.imag for z in pts.values()]
-    sides = []  # per face, per side: its site ids and direction
-    by_edge: Dict[Tuple[int, int], List[int]] = {}  # members 4 * face + side
-    for face in iter_slab_faces(pts):
-        f = [ids[site] for site in face]
-        ends = list(zip(f, f[1:] + f[:1]))
-        for a, (p, q) in enumerate(ends):
-            by_edge.setdefault((p, q) if p < q else (q, p), []).append(4 * len(sides) + a)
-        sides.append(tuple((p, q, xs[q] - xs[p], ys[q] - ys[p]) for p, q in ends))
-    for members in by_edge.values():
-        for ii, ma in enumerate(members):
-            fa, a = divmod(ma, 4)
-            for mb in members[ii + 1:]:
-                fb, b = divmod(mb, 4)
+    # adjacent-face overlap sweep around each center u: kite j of its spoke
+    # ring is (u, u + S_j, u + S_j + S_j+1, u + S_j+1), and kites j - 1 and
+    # j share spoke j.  Every face edge has one center end and lies in at
+    # most two faces, so each pair of faces sharing an edge is met once.
+    for (k, l, m), zu in pts.items():
+        if k + l + m:
+            continue
+        ring = [pts.get((k + a, l + b, m + c)) for a, b, c in _SPOKES]
+        rims = [pts.get((k + a, l + b, m + c)) for a, b, c in _RIMS]
+        kites = [None not in (ring[j], rims[j], ring[j - 5]) for j in range(6)]
+        for j in range(6):
+            if kites[j - 1] and kites[j]:
                 report.checked_quads += 1
-                if _sides_cross(xs, ys, sides[fa], a, sides[fb], b):
-                    report.failures.append((sites[sides[fa][0][0]], "overlapping-quads"))
-    del pts, sites, ids, xs, ys, sides, by_edge  # freed before the radius pass
+                if _kites_cross((zu, ring[j - 1], rims[j - 1], ring[j], rims[j], ring[j - 5])):
+                    report.failures.append(((k, l, m), "overlapping-quads"))
     # radius positivity (a zero radius, the branch point of z^2, is allowed)
     for sub, r in extract_radii(zf).items():
         if math.isnan(r) or r < 0:
@@ -244,22 +244,19 @@ def immersion_check(zf: ZField) -> ImmersionReport:
     return report
 
 
-def _sides_cross(xs, ys, sa, a, sb, b) -> bool:
-    """Whether a side of one face other than its side a properly crosses a
-    side of the other face other than its side b: each side has both ends
-    strictly on opposite sides of the other's line.  Sides sharing a site
-    are skipped, because one of their orientations is exactly 0 (or NaN)."""
-    for k, (p, q, ux, uy) in enumerate(sa):
-        if k == a:
-            continue
-        px, py = xs[p], ys[p]
-        for kk, (r, s, vx, vy) in enumerate(sb):
-            if kk == b or r == p or r == q or s == p or s == q:
-                continue
-            rx, ry = xs[r], ys[r]
-            if (ux * (ry - py) - uy * (rx - px)) * (ux * (ys[s] - py) - uy * (xs[s] - px)) < 0:
-                if (vx * (py - ry) - vy * (px - rx)) * (vx * (ys[q] - ry) - vy * (xs[q] - rx)) < 0:
-                    return True
+def _kites_cross(h) -> bool:
+    """Whether the kites (u, p, c, q) and (u, q, c', p') of the hexagon h
+    overlap: a side pair of _HEX_PAIRS crosses properly, each side having
+    both ends strictly on opposite sides of the other's line.  Sides that
+    share a corner are not paired: one of their orientations is exactly 0
+    (or NaN)."""
+    for a, b in _HEX_PAIRS:
+        (px, py), (qx, qy) = (h[a].real, h[a].imag), (h[a + 1].real, h[a + 1].imag)
+        (rx, ry), (sx, sy) = (h[b].real, h[b].imag), (h[b - 5].real, h[b - 5].imag)
+        ux, uy, vx, vy = qx - px, qy - py, sx - rx, sy - ry
+        if ((ux * (ry - py) - uy * (rx - px)) * (ux * (sy - py) - uy * (sx - px)) < 0
+                and (vx * (py - ry) - vy * (px - rx)) * (vx * (qy - ry) - vy * (qx - rx)) < 0):
+            return True
     return False
 
 
@@ -277,11 +274,15 @@ def sg_slice(zf: ZField) -> ZField:
 
 def sg_immersion_check(sg: ZField) -> ImmersionReport:
     """Orientation sweep of consecutive-neighbor triangles in the l = 0
-    plane, with the triangle test of immersion_check."""
+    plane, with the triangle test of immersion_check; a vertex that is not
+    finite in double is one failure more (the triangle test reads NaN as
+    not flipped)."""
     report = ImmersionReport()
     cycle = ((1, 0), (0, -1), (-1, 0), (0, 1))   # counterclockwise images
     for (k, l, m), z in sg.values.items():
         z = complex(z)
+        if not cmath.isfinite(z):
+            report.failures.append(((k, l, m), "non-finite-vertex"))
         for idx in range(4):
             d1, d2 = cycle[idx], cycle[(idx + 1) % 4]
             p1 = sg.values.get((k + d1[0], l, m + d1[1]))

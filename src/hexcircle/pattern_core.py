@@ -328,13 +328,6 @@ def field_points(zf: ZField):
     return aligned_points(zf.params.backend(), zf.values)
 
 
-def _constants(params: PatternParams, constants):
-    """constants(params, bk) at the working precision, read by aligned_points."""
-    bk = params.backend()
-    with bk.context():
-        return aligned_points(bk, constants(params, bk))
-
-
 @memoised
 def _face_pass(zf: ZField, lax: bool):
     """Worst crossratio defect and, with lax, worst laxzc gap (None if a
@@ -347,8 +340,14 @@ def _face_pass(zf: ZField, lax: bool):
     if read is None:
         return math.nan, math.nan
     pts, one = read
-    r, r_one = _constants(zf.params, face_targets)
-    w, w_one = _constants(zf.params, _lax_ratios) if lax else ({}, 1)
+    bk = zf.params.backend()
+    with bk.context():  # both constants from one set of face targets
+        targets = face_targets(zf.params, bk)
+        r, r_one = aligned_points(bk, targets)
+        w, w_one = {}, 1
+        if lax:  # delta_i / delta_j for each face type (i, j) of FACE_SPAN
+            d = _deltas(targets, bk)
+            w, w_one = aligned_points(bk, {t: d[i] / d[j] for t, (i, j) in FACE_SPAN.items()})
     scale, w_scale, one_sq = r_one * r_one, w_one * w_one, one * one
     worst, gap, degenerate = 0.0, 0.0, False
     for t, _, ((xa, ya), (xb, yb), (xc, yc), (xd, yd)) in _faces(pts):
@@ -429,7 +428,7 @@ def max_constraint_residual(zf: ZField) -> float:
     if read is None:
         return math.nan
     pts, one = read
-    k, k_one = _constants(zf.params, lambda params, bk: {0: params.c})
+    k, k_one = aligned_points(zf.params.backend(), {0: zf.params.c})
     cc, scale = k[0][0], k_one * k_one * one * one
     out = []
     for p in interior_sites(zf):
@@ -467,19 +466,18 @@ def lax_deltas(params: PatternParams) -> Dict[int, complex]:
     """
     bk = params.backend()
     with bk.context():
-        ratios = {t: 1 / r for t, r in face_targets(params, bk).items()}
-        d1 = bk.exp_i(0)
-        return {1: d1, 2: d1 / ratios[1], 3: d1 * ratios[3]}
+        return _deltas(face_targets(params, bk), bk)
+
+
+def _deltas(targets, bk: Backend) -> Dict[int, ComplexNumber]:
+    """lax_deltas from the face targets, in the context of bk."""
+    ratios = {t: 1 / r for t, r in targets.items()}
+    d1 = bk.exp_i(0)
+    return {1: d1, 2: d1 / ratios[1], 3: d1 * ratios[3]}
 
 
 #: largest modulus of the spectral values the zero-curvature check covers
 MU_MAX = 2.3
-
-
-def _lax_ratios(params: PatternParams, bk: Backend) -> Dict[int, ComplexNumber]:
-    """delta_i / delta_j for each face type (i, j) of FACE_SPAN."""
-    deltas = lax_deltas(params)
-    return {t: deltas[i] / deltas[j] for t, (i, j) in FACE_SPAN.items()}
 
 
 def max_zero_curvature_residual(zf: ZField) -> float:

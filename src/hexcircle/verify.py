@@ -68,10 +68,7 @@ def run_checks(doc: PatternDocument, checks=None) -> VerifyReport:
     lax = "laxzc" in checks and "laxzc" in applicable
     zf = pattern_core.FieldSnapshot(doc.zfield(), lax) if doc.vertices else None
     rf = doc.radius_field() if doc.radii else None
-    # immersion runs first: its quad sweep, the largest transient of a check,
-    # ends before the snapshot keeps a read; the lines keep the check order
-    report.residuals = dict.fromkeys(name for name in checks if name in applicable)
-    for name in sorted(checks, key=lambda n: not (n == "immersion" and n in applicable)):
+    for name in checks:
         if name not in ALL_CHECKS:
             raise ValueError(f"unknown check {name}")
         if name not in applicable:

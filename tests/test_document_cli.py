@@ -138,7 +138,7 @@ def test_snapshot_and_plain_field_give_bit_identical_checks(snapshot_documents, 
             snap = pattern_core.FieldSnapshot(doc.zfield(), lax)
             assert _check_values(doc, snap, reverse) == plain, (reverse, lax)
     report = verify.run_checks(doc)
-    assert list(report.residuals) == list(plain)  # immersion runs first, prints in place
+    assert list(report.residuals) == list(plain)  # in the order of the checks
     for name, value in plain.items():
         res = report.residuals[name]
         assert repr(res) == value or (res == math.inf and "Error" in value), name
@@ -682,18 +682,25 @@ def test_cli_analyze_painleve_at_dps_1000_prints_the_dps_60_lines(capsys):
 
 @pytest.mark.parametrize("precision", [["--precision", "double"],
                                        ["--precision", "ext", "--dps", "40"]])
-@pytest.mark.parametrize("kind", [["--c", "1.5"], ["--c", "2", "--mode", "z2"]])
+@pytest.mark.parametrize("kind", [["--c", "1.5"], ["--c", "2", "--mode", "z2"],
+                                  ["--c", "1.5", "--mode", "sg"]])
 def test_cli_nan_vertex_fails_immersion(tmp_path, capsys, kind, precision):
-    from hexcircle.geometry import immersion_check
+    from hexcircle.geometry import immersion_check, sg_immersion_check
     pat, bad = tmp_path / "p.txt", tmp_path / "bad.txt"
     assert run_cli(["generate", *kind, "--n", "6", *precision,
                     "--out", str(pat)]) == 0
-    _with_vertex(pat, bad, (2, 1, -2), "nan", "nan")
+    sg = "sg" in kind  # the sg sweep has no radius pass and reads the l = 0 plane
+    site = (2, 0, -1) if sg else (2, 1, -2)
+    _with_vertex(pat, bad, site, "nan", "nan")
     capsys.readouterr()
     assert run_cli(["verify", str(bad), "--checks", "immersion"]) == 3
     assert "FAIL" in capsys.readouterr().out
-    failures = immersion_check(load_document(str(bad)).zfield()).failures
-    assert failures and {kind for _, kind in failures} == {"nonpositive-radius"}
+    zf = load_document(str(bad)).zfield()
+    if sg:
+        assert sg_immersion_check(zf).failures == [(site, "non-finite-vertex")]
+    else:
+        failures = immersion_check(zf).failures
+        assert failures and {kind for _, kind in failures} == {"nonpositive-radius"}
 
 
 def test_cli_z2_and_log_need_c_2(tmp_path, capsys):

@@ -5,6 +5,7 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+import mpmath as mp
 import pytest
 
 from hexcircle import lattice
@@ -13,8 +14,10 @@ from hexcircle.geometry import (_WEDGES, ReconstructionError, immersion_check,
                                 sg_slice)
 from hexcircle.pattern_core import (PatternParams, ZField, cross_ratio,
                                     generate_z, isotropic_params,
-                                    iter_slab_faces)
+                                    iter_slab_faces, max_constraint_residual,
+                                    max_face_residual)
 from hexcircle.radius_system import RadiusField, dual, extract_radii, generate_radii
+from hexcircle.verify import max_kite_residual
 from test_acceptance import sg_radius_residual
 
 ISO = (math.pi / 3,) * 3
@@ -422,7 +425,8 @@ def _quads_overlap(pts, fa, fb, shared):
 
 def reference_quad_sweep(zf):
     """The quad-overlap sweep tested edge pair by edge pair, every side
-    against every side: (failures, checked_quads)."""
+    against every side: (failures, checked_quads), each failure at the
+    center end of the shared edge, sorted."""
     pts = {site: complex(z) for site, z in zf.values.items()}
     faces = list(iter_slab_faces(pts))
     by_edge = {}
@@ -437,13 +441,14 @@ def reference_quad_sweep(zf):
                 fa, fb = faces[members[ii]], faces[members[jj]]
                 checked += 1
                 if _quads_overlap(pts, fa, fb, edge):
-                    failures.append((fa[0], "overlapping-quads"))
-    return failures, checked
+                    center = next(site for site in edge if sum(site) == 0)
+                    failures.append((center, "overlapping-quads"))
+    return sorted(failures), checked
 
 
 def assert_quad_sweep_matches_reference(zf):
     rep = immersion_check(zf)
-    quads = [f for f in rep.failures if f[1] == "overlapping-quads"]
+    quads = sorted(f for f in rep.failures if f[1] == "overlapping-quads")
     assert (quads, rep.checked_quads) == reference_quad_sweep(zf)
     return quads
 
@@ -521,6 +526,43 @@ def test_quad_sweep_matches_reference_on_loaded_extended_field(tmp_path):
             zf = _perturbed(zf, rng, amplitude)
         found += len(assert_quad_sweep_matches_reference(zf))
     assert found
+
+
+@pytest.mark.parametrize("dual_of", [False, True])
+def test_quad_sweep_matches_reference_on_radius_route_fields(dual_of):
+    # z2 and log fields, whose interior centers have full rings of six kites
+    rf = generate_radii(PatternParams(alphas=ISO, c=2.0, precision="ext", dps=40), 12)
+    zf = reconstruct(dual(rf) if dual_of else rf)
+    assert any(all((k + a, l + b, m + c) in zf.values for (a, b, c), _ in _WEDGES)
+               for k, l, m in zf.values if k + l + m == 0)
+    assert assert_quad_sweep_matches_reference(zf) == []
+    assert immersion_check(zf).checked_quads > 400
+    perturbed = _perturbed(zf, random.Random(12), 0.05)
+    assert assert_quad_sweep_matches_reference(perturbed)
+
+
+def _turned_seed(turn):
+    """The c = 1.5 iso field at dps 60, n = 32, with Z(0, 1, 0) turned by
+    turn radians off the separatrix."""
+    params = isotropic_params(1.5, precision="ext", dps=60)
+    with mp.workdps(60):
+        seed = mp.expj(mp.pi + mp.mpf(turn))  # Z(0, 1, 0) = exp(i c 2 pi / 3)
+    return generate_z(params, 32, initial_override={(0, 1, 0): seed})
+
+
+def test_seed_turn_passes_local_checks_and_fails_immersion():
+    # a 1e-12 turn of one seed leaves every local residual far below its
+    # tolerance; only the immersion check sees the pattern leave the
+    # separatrix
+    zf = _turned_seed("1e-12")
+    assert max_face_residual(zf) < 1e-56
+    assert max_constraint_residual(zf) < 1e-48
+    assert max_kite_residual(zf) < 1e-48
+    rep = immersion_check(zf)
+    kinds = [kind.split(":")[0] for _, kind in rep.failures]
+    assert (kinds.count("orientation-flip"), kinds.count("overlapping-quads")) == (499, 26)
+    assert len(assert_quad_sweep_matches_reference(zf)) == 26
+    assert immersion_check(_turned_seed("1e-20")).ok
 
 
 # -- reconstruct reads the radii as doubles --------------------------------

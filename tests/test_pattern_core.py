@@ -357,6 +357,22 @@ def test_lax_delta_calibration_matches_field_reference():
             assert closure <= tol
 
 
+@pytest.mark.parametrize("precision", ["double", "ext"])
+def test_face_pass_computes_the_face_targets_once(monkeypatch, precision):
+    # float angles, so the laxzc ratio of type 2 carries the angle-sum
+    # calibration of lax_deltas rather than the type-2 target
+    params = PatternParams(alphas=(0.7, 1.1, math.pi - 1.8), c=1.2,
+                           precision=precision, dps=40)
+    zf = generate_z(params, 5)
+    calls, targets = [], pattern_core.face_targets
+    monkeypatch.setattr(pattern_core, "face_targets",
+                        lambda *args: calls.append(1) or targets(*args))
+    snap = pattern_core.FieldSnapshot(zf, lax=True)
+    assert pattern_core.max_face_residual(snap) <= 1e-9
+    assert pattern_core.max_zero_curvature_residual(snap) <= 1e-9
+    assert len(calls) == 1
+
+
 def test_extended_precision_tightens_residuals():
     params = isotropic_params(1.25, precision="ext", dps=30)
     zf = generate_z(params, 5)
