@@ -3,8 +3,10 @@
 Self-describing text format, versioned, with decimal-string numbers so that
 documents survive precision-mode changes.  A document stores the parameters,
 the vertex map, the radius function and the residual summary recorded when
-it was generated; re-verification of a loaded document must reproduce that
-summary within a factor of two.
+it was generated.  Each extended number is written with dps + 5 digits,
+which give it back bit for bit at dps, so re-verifying a fresh cross-ratio
+document reproduces its crossratio, constraint and laxzc summary bit for
+bit.
 """
 from __future__ import annotations
 
@@ -16,7 +18,8 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 import mpmath as mp
-from mpmath.libmp import normalize, round_nearest
+from mpmath.libmp import (dps_to_prec, finf, fninf, normalize, round_nearest,
+                          to_str)
 
 from .lattice import MultiIndex, SubIndex
 from .pattern_core import PatternParams, ZField
@@ -50,13 +53,24 @@ class PatternDocument:
                            generation=self.n_max)
 
 
-def _fmt(x: float, precision: str, dps: int) -> str:
-    # the caller holds the working precision dps + 5
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if precision == "double" or isinstance(x, float):
-        return repr(float(x))
-    return mp.nstr(mp.mpf(x), dps + 5)
+def _fmt(x, prec: int, digits: int) -> str:
+    """One number of an extended document, as mp.nstr(mp.mpf(x), digits)
+    writes it at prec bits, from its raw mpf: a tuple wider than prec is
+    rounded to nearest, as mp.mpf rounds it, and written by the libmp.to_str
+    that nstr calls.  x is a raw mpf, an mpf or any number mp.mpf takes; a
+    float keeps its repr, and a pole is inf."""
+    t = x if type(x) is tuple else getattr(x, "_mpf_", None)
+    if t is None:
+        if isinstance(x, float):
+            return repr(float(x))
+        t = mp.mpf(x, prec=prec)._mpf_
+    if t[3] > prec:
+        t = normalize(t[0], t[1], t[2], t[3], prec, round_nearest)
+    elif t == finf:
+        return "inf"
+    elif t == fninf:
+        return "-inf"
+    return to_str(t, digits)
 
 
 #: a plain decimal token, the form save_document writes
@@ -142,15 +156,18 @@ def save_document(doc: PatternDocument, path: str) -> None:
     for key in sorted(doc.summary):
         lines.append(f"{key} = {repr(float(doc.summary[key]))}")
     lines.append("[vertices]")
-    with mp.workdps(p.dps + 5):
-        for site in sorted(doc.vertices):
-            z = doc.vertices[site]
-            lines.append(f"{site[0]} {site[1]} {site[2]} "
-                         f"{_fmt(z.real, p.precision, p.dps)} {_fmt(z.imag, p.precision, p.dps)}")
-        lines.append("[radii]")
-        for site in sorted(doc.radii):
-            lines.append(f"{site[0]} {site[1]} {site[2]} "
-                         f"{_fmt(doc.radii[site], p.precision, p.dps)}")
+    if p.precision == "double":
+        parts, fmt = (lambda z: (z.real, z.imag)), (lambda x: repr(float(x)))
+    else:  # dps + 5 digits give back each number made at dps
+        prec, digits = dps_to_prec(p.dps + 5), p.dps + 5
+        parts = lambda z: getattr(z, "_mpc_", None) or (z.real, z.imag)
+        fmt = lambda x: _fmt(x, prec, digits)
+    for site in sorted(doc.vertices):
+        x, y = parts(doc.vertices[site])
+        lines.append(f"{site[0]} {site[1]} {site[2]} {fmt(x)} {fmt(y)}")
+    lines.append("[radii]")
+    for site in sorted(doc.radii):
+        lines.append(f"{site[0]} {site[1]} {site[2]} {fmt(doc.radii[site])}")
     lines.append("[end]")
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")

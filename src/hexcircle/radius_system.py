@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import mpmath as mp
+from mpmath.libmp import (dps_to_prec, from_int, from_man_exp, mpf_div,
+                          round_nearest)
 
 from . import lattice
 from .lattice import (SubIndex, TAG_BORDER, TAG_HEX, TAG_SEED, TAG_TRI,
@@ -428,31 +430,31 @@ def extract_radii(zf: ZField) -> Dict[SubIndex, float]:
     precision of the field.  A double field takes the mean of the built-in
     abs of the differences.  An extended field is read once, exactly
     (_axis_sq_distances): the math.isqrt of each squared distance is taken
-    to 32 bits beyond the working precision, and the sum of the roots is
-    divided once.  Every radius is NaN when the field cannot be read.
+    to 32 bits beyond the working precision, and the sum of the roots,
+    over the count, is rounded once to nearest.  Every radius is NaN when
+    the field cannot be read.
     """
     bk = zf.params.backend()
     read = None if bk.is_double else _axis_sq_distances(zf)
     out: Dict[SubIndex, float] = {}
-    with bk.context():
-        bits = mp.mp.prec + 32
+    if read is None:
         for site, z in zf.values.items():
             if lattice.parity(site) != 0:
                 continue
-            sub = lattice.to_sub(site)
             nbs = [nb for nb in axis_neighbors(site) if nb in zf.values]
-            if not nbs:
-                continue
-            if bk.is_double:
-                out[sub] = sum(abs(zf.values[nb] - z) for nb in nbs) / len(nbs)
-            elif read is None:
-                out[sub] = mp.nan
-            else:
-                sq, one = read[0][site], read[1]
-                g = max(0, bits - max(sq).bit_length() // 2)
-                # the mean is roots / len(sq) * 2**-g / one
-                roots = sum(math.isqrt(d << 2 * g) for d in sq)
-                out[sub] = mp.fdiv(roots, len(sq) * one << g)
+            if nbs:
+                out[lattice.to_sub(site)] = (
+                    sum(abs(zf.values[nb] - z) for nb in nbs) / len(nbs)
+                    if bk.is_double else mp.nan)
+        return out
+    prec = dps_to_prec(bk.dps)
+    bits, log_one = prec + 32, read[1].bit_length() - 1
+    for site, sq in read[0].items():
+        g = max(0, bits - max(sq).bit_length() // 2)
+        # the mean is roots / len(sq) * 2**-g / one
+        roots = sum(math.isqrt(d << 2 * g) for d in sq)
+        out[lattice.to_sub(site)] = mp.make_mpf(mpf_div(
+            from_man_exp(roots, -g - log_one), from_int(len(sq)), prec, round_nearest))
     return out
 
 

@@ -5,10 +5,10 @@ import mpmath as mp
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import dps_to_prec, finf, fninf, fnan, from_man_exp, fzero
 
 from hexcircle import cli, document, numerics, pattern_core, radius_system, verify
-from hexcircle.document import (DocumentError, PatternDocument, load_document,
-                                save_document)
+from hexcircle.document import DocumentError, load_document, save_document
 from hexcircle.pattern_core import generate_z, isotropic_params
 from hexcircle.svg import render_svg
 from test_numerics import _count_arithmetic
@@ -31,20 +31,58 @@ def test_document_roundtrip_double(tmp_path):
     assert doc.params == doc2.params
 
 
+def _raw(x):
+    return getattr(x, "_mpc_", None) or getattr(x, "_mpf_", x)
+
+
 def test_document_roundtrip_extended(tmp_path):
-    from hexcircle import radius_system
-    params = isotropic_params(1.25, precision="ext", dps=30)
-    zf = generate_z(params, 4)
-    doc = PatternDocument(params=params, n_max=4, vertices=dict(zf.values),
-                          radii=radius_system.extract_radii(zf))
-    path = str(tmp_path / "ext.txt")
-    save_document(doc, path)
-    doc2 = load_document(path)
-    import mpmath as mp
-    with mp.workdps(40):
-        for site, z in doc.vertices.items():
-            gap = abs(mp.mpc(z) - mp.mpc(doc2.vertices[site]))
-            assert float(gap) <= 10.0 ** (1 - 30)
+    # dps + 5 written digits give back every number made at dps, bit for
+    # bit, and a document read back is saved to the same bytes.  A z2 or
+    # log layout is in doubles, which the first save writes by their repr.
+    for mode, c in (("hex", 1.5), ("sg", 1.5), ("z2", 2.0), ("log", 2.0)):
+        for dps in (40, 80):
+            made = cli._build_document(isotropic_params(c, precision="ext", dps=dps),
+                                       5, mode, "crossratio")
+            paths = [str(tmp_path / f"{mode}-{dps}-{i}.txt") for i in range(3)]
+            save_document(made, paths[0])
+            doc = load_document(paths[0])
+            save_document(doc, paths[1])
+            again = load_document(paths[1])
+            save_document(again, paths[2])
+            for old, new in ((made, doc), (doc, again)):
+                for part in ("vertices", "radii"):
+                    stored, read = getattr(old, part), getattr(new, part)
+                    assert stored.keys() == read.keys() and stored, (mode, dps, part)
+                    for site, value in stored.items():
+                        if not isinstance(value, complex):
+                            assert _raw(read[site]) == _raw(value), (mode, dps, site)
+            assert all(type(z) is mp.mpc for z in doc.vertices.values())
+            with open(paths[1], "rb") as one, open(paths[2], "rb") as two:
+                assert one.read() == two.read(), (mode, dps)
+
+
+def test_save_writes_a_number_past_the_double_range_as_itself(tmp_path):
+    # such a number is finite: only inf is a pole
+    pat, edited, again = tmp_path / "z2.txt", tmp_path / "edited.txt", tmp_path / "again.txt"
+    assert run_cli(["generate", "--c", "2", "--mode", "z2", "--n", "4",
+                    "--precision", "ext", "--dps", "80", "--out", str(pat)]) == 0
+    tokens = {(2, 0, -2): "1.5e400", (2, 2, -4): "-3e500", (4, 0, -4): "1e-400"}
+    src = pat
+    for site, token in tokens.items():
+        _with_radius(src, edited, site, token)
+        src = edited
+    doc = load_document(str(edited))
+    with mp.workdps(80):
+        assert doc.radii[(2, 0, -2)] == mp.mpf("1.5e400")
+    save_document(doc, str(again))
+    written = {tuple(map(int, ln.split()[:3])): ln.split()[3]
+               for ln in again.read_text().split("[radii]")[1].splitlines()[1:-1]}
+    with mp.workdps(85):
+        assert all(written[site] == mp.nstr(mp.mpf(doc.radii[site]), 85) for site in tokens)
+        assert [mp.nstr(mp.mpf(written[site]), 17) for site in tokens] == [
+            "1.5e+400", "-3.0e+500", "1.0e-400"]
+    again_doc = load_document(str(again))
+    assert all(again_doc.radii[site]._mpf_ == doc.radii[site]._mpf_ for site in tokens)
 
 
 def test_reverify_reproduces_summary(tmp_path):
@@ -455,6 +493,65 @@ def plain_tokens(draw):
 def test_verify_read_is_bit_identical_to_mpmath(token, dps):
     with mp.workdps(dps):
         assert document._parse_number(token, "ext")._mpf_ == mp.mpf(token)._mpf_
+
+
+WRITER_DPS = (6, 45, 85, 205, 1005)
+
+
+@st.composite
+def raw_mpfs(draw):
+    """(raw mpf, dps): zero, a mantissa of up to 4000 bits (wider than the
+    precision of any dps here) near a power of ten on either side of
+    to_str's fixed/exponent switch or anywhere, a wide mantissa next to a
+    tie of the written digits, or a run of 9s longer than the written
+    digits, whose carry bumps the exponent; either sign."""
+    dps = draw(st.sampled_from(WRITER_DPS))
+    digits = dps + 5
+    kind = draw(st.sampled_from(("zero", "switch", "any", "nines", "tie")))
+    if kind == "zero":
+        return fzero, dps
+    if kind == "tie":  # a hair off a decimal tie of the written digits, which
+        # only the rounding to the precision of dps + 5 moves across
+        k = draw(st.integers(-60, 60))
+        num = draw(st.integers(10 ** (digits - 1), 10 ** digits - 1)) * 10 + 5
+        num, den = (num * 10 ** k, 1) if k >= 0 else (num, 10 ** -k)
+        bits = 4 * abs(k) + draw(st.integers(16, 200))
+        man = (num << bits) // den + draw(st.integers(-2, 2))
+        return from_man_exp(-man if draw(st.booleans()) else man, -bits), dps
+    bits = draw(st.integers(1, 4000))
+    man = draw(st.integers(1 << bits - 1, (1 << bits) - 1))
+    if kind == "nines":
+        n = draw(st.integers(digits - 2, digits + 60))
+        if draw(st.booleans()):  # the integer 10**n - r
+            man, exp = 10 ** n - draw(st.integers(1, 9)), 0
+        else:  # just below one
+            man, exp = ((10 ** n - 1) << bits) // 10 ** n, -bits
+    elif kind == "switch":  # to_str writes 10**k in fixed form for min_fixed < k < digits
+        k = draw(st.sampled_from((digits - 1, digits, min(-(digits // 3), -5),
+                                  min(-(digits // 3), -5) + 1, 0)))
+        exp = math.floor(k * math.log2(10)) - bits + draw(st.integers(-4, 4))
+    else:
+        exp = draw(st.integers(-5000, 5000))
+    return from_man_exp(-man if draw(st.booleans()) else man, exp), dps
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=raw_mpfs())
+@example(case=(fzero, 45))
+@example(case=(from_man_exp(-(10 ** 60 - 1), 0), 45))
+def test_writer_token_is_mp_nstr_of_mp_mpf(case):
+    t, dps = case
+    prec = dps_to_prec(dps + 5)
+    with mp.workdps(dps + 5):
+        want = mp.nstr(mp.mpf(mp.make_mpf(t)), dps + 5)
+    assert document._fmt(t, prec, dps + 5) == want
+    assert document._fmt(mp.make_mpf(t), prec, dps + 5) == want
+
+
+def test_writer_marks_only_infinities_as_poles():
+    assert [document._fmt(t, 153, 45) for t in (finf, fninf, fnan)] == ["inf", "-inf", "nan"]
+    assert [document._fmt(x, 153, 45) for x in (math.inf, -math.inf, 0.1, 3)] == [
+        "inf", "-inf", "0.1", "3.0"]
 
 
 @pytest.mark.parametrize("kind", [["--c", "1.5"], ["--c", "1.5", "--mode", "sg"],

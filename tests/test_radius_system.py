@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from hexcircle import lattice
+from hexcircle import lattice, radius_system
 from hexcircle.lattice import border_fill_stencil, hex_stencil_slots
 from hexcircle.pattern_core import PatternParams, generate_z, isotropic_params
 from hexcircle.radius_system import (DegenerateStencilError,
@@ -442,17 +442,53 @@ def test_extract_radii_matches_reference_at_twice_the_precision(dps):
         assert all(abs(got[s] - ref[s]) <= ref[s] * mp.mpf(10) ** -dps for s in ref)
 
 
+def _fdiv_radii(zf):
+    """extract_radii's extended mean as an mpf division: per even site with
+    a stored neighbor, mp.fdiv of the integer sum of roots by the integer
+    count * one * 2**g, at the working precision."""
+    sq_of, one = radius_system._axis_sq_distances(zf)
+    out = {}
+    with zf.params.backend().context():
+        bits = mp.mp.prec + 32
+        for site in zf.values:
+            nbs = [nb for nb in lattice.axis_neighbors(site) if nb in zf.values]
+            if lattice.parity(site) != 0 or not nbs:
+                continue
+            sq = sq_of[site]
+            assert len(sq) == len(nbs)
+            g = max(0, bits - max(sq).bit_length() // 2)
+            roots = sum(math.isqrt(d << 2 * g) for d in sq)
+            out[lattice.to_sub(site)] = mp.fdiv(roots, len(sq) * one << g)
+    return out
+
+
+@pytest.mark.parametrize("dps", [40, 80])
+@pytest.mark.parametrize("mode", ["hex", "z2", "log"])
+def test_extract_radii_rounds_as_one_mpf_division(mode, dps):
+    if mode == "hex":
+        zf = generate_z(_ext_params(1.37, dps), 10)
+    else:
+        from hexcircle.geometry import reconstruct
+        rf = generate_radii(isotropic_params(2.0, precision="ext", dps=dps), 8)
+        zf = reconstruct(dual(rf) if mode == "log" else rf)
+    got, want = extract_radii(zf), _fdiv_radii(zf)
+    assert list(got) == list(want) and len(got) > 40
+    assert all(type(got[s]) is mp.mpf and got[s]._mpf_ == want[s]._mpf_ for s in want)
+
+
 def test_extract_radii_double_is_the_axis_distance_mean():
     for c in (0.5, 1.37):
         zf = generate_z(PatternParams(alphas=DISTINCT, c=c), 10)
-        got = {s: r for s, r in extract_radii(zf).items() if lattice.sub_generation(s) <= 4}
+        got = extract_radii(zf)
         want = {}
         for site, z in zf.values.items():
-            if lattice.parity(site) == 0 and lattice.sub_generation(lattice.to_sub(site)) <= 4:
+            if lattice.parity(site) == 0:
                 d = [abs(zf.values[nb] - z) for nb in lattice.axis_neighbors(site)
                      if nb in zf.values]
-                want[lattice.to_sub(site)] = sum(d) / len(d)
-        assert got == want and all(type(r) is float for r in got.values())
+                if d:
+                    want[lattice.to_sub(site)] = sum(d) / len(d)
+        assert list(got) == list(want) and all(type(r) is float for r in got.values())
+        assert got == want
 
 
 @pytest.mark.parametrize("bad", ["nan", "1e400000", "1e-100000"])
@@ -460,10 +496,11 @@ def test_extract_radii_unreadable_field_gives_nan(bad):
     from hexcircle.geometry import immersion_check
     params = isotropic_params(1.5, precision="ext", dps=40)
     zf = generate_z(params, 6)
-    count = len(extract_radii(zf))
+    readable = extract_radii(zf)
     with mp.workdps(40):
         zf.values[(3, 2, -1)] = mp.mpc(mp.mpf(bad), 1)
     radii = extract_radii(zf)
-    assert len(radii) == count and all(mp.isnan(r) for r in radii.values())
+    # every site with a stored neighbor, as in the readable field
+    assert list(radii) == list(readable) and all(mp.isnan(r) for r in radii.values())
     assert any(kind == "nonpositive-radius"
                for _, kind in immersion_check(zf).failures)
