@@ -12,8 +12,9 @@ import sys
 from typing import Optional
 
 from . import geometry, pattern_core, radius_system, riccati, painleve
-from .document import DocumentError, PatternDocument, load_document, save_document
-from .numerics import Backend, parse_angles
+from .document import (MODES, ROUTES, DocumentError, PatternDocument, check_layout,
+                       load_document, save_document)
+from .numerics import DEFAULT_EXT_DPS, Backend, parse_angles
 from .pattern_core import PatternParams
 from .radius_system import PositivityViolation
 from .svg import NonFiniteError, render_svg
@@ -67,21 +68,11 @@ def cmd_generate(args) -> int:
     if args.n < 1:
         print("error: need --n >= 1", file=sys.stderr)
         return EXIT_USAGE
-    if args.mode in ("z2", "log") and params.c != 2:
-        print(f"error: --mode {args.mode} is built from the c = 2 pattern and "
-              f"needs --c 2", file=sys.stderr)
-        return EXIT_USAGE
-    if args.mode == "sg" and args.route == "radius":
-        print("error: --mode sg is the l = 0 plane of the cross-ratio route",
-              file=sys.stderr)
-        return EXIT_USAGE
     if args.mode in ("z2", "log") and args.route == "crossratio":
         args.route = "radius"
-    if params.c == 2 and args.route == "crossratio":
-        print("error: c = 2 requires the radius route (--route radius or "
-              "--mode z2)", file=sys.stderr)
-        return EXIT_USAGE
     try:
+        # the log document stores the dual exponent 2 - c
+        check_layout(args.mode, args.route, 2 - params.c if args.mode == "log" else params.c)
         doc = _build_document(params, args.n, args.mode, args.route)
     except PositivityViolation as exc:
         print(f"positivity failure: {exc}", file=sys.stderr)
@@ -215,10 +206,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help='"iso", three floats "a1,a2,a3", or pi fractions '
                         '"1/4pi,1/4pi,1/2pi"')
     g.add_argument("--n", type=int, required=True)
-    g.add_argument("--mode", choices=("hex", "sg", "log", "z2"), default="hex")
-    g.add_argument("--route", choices=("crossratio", "radius"), default="crossratio")
+    g.add_argument("--mode", choices=MODES, default="hex")
+    g.add_argument("--route", choices=ROUTES, default="crossratio")
     g.add_argument("--precision", choices=("double", "ext"), default="double")
-    g.add_argument("--dps", type=int, default=40)
+    g.add_argument("--dps", type=int, default=DEFAULT_EXT_DPS)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_generate)
 
@@ -242,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--n", type=int, default=25)
     a.add_argument("--beta0", type=float, default=None)
     a.add_argument("--precision", choices=("double", "ext"), default="double")
-    a.add_argument("--dps", type=int, default=40)
+    a.add_argument("--dps", type=int, default=DEFAULT_EXT_DPS)
     a.add_argument("--shoot", type=int, default=0,
                    help="also bracket the initial angle with this stay count")
     a.add_argument("--tol", type=float, default=1e-6)

@@ -22,6 +22,7 @@ from mpmath.libmp import (dps_to_prec, finf, fninf, normalize, round_nearest,
                           to_str)
 
 from .lattice import MultiIndex, SubIndex
+from .numerics import DEFAULT_EXT_DPS
 from .pattern_core import PatternParams, ZField
 from .radius_system import RadiusField
 
@@ -29,8 +30,31 @@ FORMAT_HEADER = "hexcircle-pattern v1"
 TOOL_VERSION = "hexcircle 0.1.0"
 
 
+#: the stored patterns: hexagonal, its l = 0 square-grid plane, z^2, log
+MODES = ("hex", "sg", "log", "z2")
+ROUTES = ("crossratio", "radius")
+
+
 class DocumentError(ValueError):
     """Malformed or unreadable pattern document."""
+
+
+def check_layout(mode: str, route: str, c: float) -> None:
+    """ValueError unless generate writes this mode and route with stored exponent
+    c (in [0, 2] by PatternParams): hex and sg on the cross-ratio route with
+    0 < c < 2; on the radius route hex with 0 < c <= 2, z2 (c = 2), log (c = 0)."""
+    if mode not in MODES or route not in ROUTES:
+        raise ValueError(f"unknown layout: mode {mode!r}, route {route!r}")
+    if mode == "z2" and c != 2 or mode == "log" and c != 0:
+        raise ValueError(f"--mode {mode} is built from the c = 2 pattern and "
+                         f"needs --c 2")
+    if mode == "sg" and route == "radius":
+        raise ValueError("--mode sg is the l = 0 plane of the cross-ratio route")
+    if c == 2 and route == "crossratio":
+        raise ValueError("c = 2 requires the radius route (--route radius or "
+                         "--mode z2)")
+    if c == 0 and (mode, route) != ("log", "radius"):
+        raise ValueError("c = 0 is the dual of the c = 2 pattern: use --mode log --c 2")
 
 
 @dataclass
@@ -222,7 +246,7 @@ def load_document(path: str, doubles: bool = False) -> PatternDocument:
             raise DocumentError(f"content outside any section: {ln}")
     try:
         precision = kv.get("precision", "double")
-        dps = int(kv.get("dps", "40"))
+        dps = int(kv.get("dps", DEFAULT_EXT_DPS))
         fracs = None
         if "alpha_pi_fracs" in kv:
             fracs = tuple(Fraction(s) for s in kv["alpha_pi_fracs"].split(","))
@@ -233,6 +257,7 @@ def load_document(path: str, doubles: bool = False) -> PatternDocument:
             params=params, n_max=int(kv["n"]), mode=kv.get("mode", "hex"),
             route=kv.get("route", "crossratio"), summary=summary,
             tool=kv.get("tool", "unknown"))
+        check_layout(doc.mode, doc.route, params.c)
     except (KeyError, ValueError, ZeroDivisionError) as exc:
         raise DocumentError(f"bad parameter block: {exc}") from exc
     # _parse_number reads a double document with float already

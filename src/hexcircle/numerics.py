@@ -4,8 +4,11 @@ Double runs are plain complex/float arithmetic.  Extended cross-ratio
 generation and Painleve runs step on fixed-point Gaussian integers over
 2**fixed_bits(dps), not on mpc; the radius fill runs on mpf, and the checks
 read a field once into aligned integers.  A Backend bundles the
-transcendental calls the rest needs.  Exact pi-fractions of the angles keep
-extended runs free of a double-rounded initial datum.
+transcendental calls the rest needs, each by one rule (_lifted): math or
+cmath on floats in double mode, else mpmath at the backend's dps.  Its
+sqrt, atan2, phase and eps have no caller; the benchmark tracer patches
+them.  Exact pi-fractions of the angles keep extended runs free of a
+double-rounded initial datum.
 """
 from __future__ import annotations
 
@@ -34,13 +37,23 @@ DEFAULT_EXT_DPS = 40
 MAX_DPS = 1000
 #: bits a fixed-point run carries beyond the binary precision of its dps
 GUARD_BITS = 16
+#: bits beyond a fixed-point run's width at which it takes angles, cos and sin
+ANGLE_GUARD_BITS = 20
+
+
+def _lifted(double, ext):
+    """A Backend method: double(*args) in double mode, else ext(*args) at dps."""
+    def method(self, *args):
+        if self.is_double:
+            return double(*args)
+        with mp.workdps(self.dps):
+            return ext(*args)
+    return method
 
 
 @dataclass(frozen=True)
 class Backend:
-    """Arithmetic context: plain doubles or mpmath with a fixed dps.  Its
-    sqrt, atan2, phase and eps have no caller in the package; they stay
-    because the benchmark tracer patches them (BACKEND_SCALAR_METHODS)."""
+    """Arithmetic context: plain doubles or mpmath with a fixed dps."""
 
     mode: str = DOUBLE
     dps: int = DEFAULT_EXT_DPS
@@ -67,65 +80,22 @@ class Backend:
             return contextlib.nullcontext()
         return mp.workdps(self.dps)
 
-    def real(self, x) -> Number:
-        if self.is_double:
-            return float(x)
-        with mp.workdps(self.dps):
-            return mp.mpf(x)
-
-    def pi_times(self, frac: Fraction) -> Number:
-        if self.is_double:
-            return math.pi * float(frac)
-        with mp.workdps(self.dps):
-            return mp.pi * mp.mpf(frac.numerator) / frac.denominator
+    real = _lifted(float, mp.mpf)
+    pi_times = _lifted(lambda frac: math.pi * float(frac),
+                       lambda frac: mp.pi * mp.mpf(frac.numerator) / frac.denominator)
+    exp_i = _lifted(lambda theta: cmath.exp(1j * float(theta)), mp.expj)
+    cos = _lifted(lambda x: math.cos(float(x)), mp.cos)
+    sin = _lifted(lambda x: math.sin(float(x)), mp.sin)
+    sqrt = _lifted(lambda x: math.sqrt(float(x)), mp.sqrt)
+    atan2 = _lifted(lambda y, x: math.atan2(float(y), float(x)), mp.atan2)
+    phase = _lifted(cmath.phase, mp.arg)
+    abs = _lifted(lambda z: abs(complex(z) if isinstance(z, complex) else float(z)), abs)
 
     def angle(self, value: float, pi_frac: Optional[Fraction]) -> Number:
         """High-precision angle when an exact pi-fraction is known."""
         if pi_frac is not None:
             return self.pi_times(pi_frac)
         return self.real(value)
-
-    def exp_i(self, theta) -> ComplexNumber:
-        if self.is_double:
-            return cmath.exp(1j * float(theta))
-        with mp.workdps(self.dps):
-            return mp.expj(theta)
-
-    def cos(self, x) -> Number:
-        if self.is_double:
-            return math.cos(float(x))
-        with mp.workdps(self.dps):
-            return mp.cos(x)
-
-    def sin(self, x) -> Number:
-        if self.is_double:
-            return math.sin(float(x))
-        with mp.workdps(self.dps):
-            return mp.sin(x)
-
-    def sqrt(self, x) -> Number:
-        if self.is_double:
-            return math.sqrt(float(x))
-        with mp.workdps(self.dps):
-            return mp.sqrt(x)
-
-    def atan2(self, y, x) -> Number:
-        if self.is_double:
-            return math.atan2(float(y), float(x))
-        with mp.workdps(self.dps):
-            return mp.atan2(y, x)
-
-    def phase(self, z) -> Number:
-        if self.is_double:
-            return cmath.phase(z)
-        with mp.workdps(self.dps):
-            return mp.arg(z)
-
-    def abs(self, z) -> Number:
-        if self.is_double:
-            return abs(complex(z)) if isinstance(z, complex) else abs(float(z))
-        with mp.workdps(self.dps):
-            return abs(z)
 
     def eps(self) -> float:
         """Unit roundoff of the active mode."""
@@ -266,9 +236,10 @@ def fixed_real(x, bits: int) -> int:
 
 def fixed_unit(theta, bits: int) -> Tuple[int, int]:
     """exp(i theta), theta a float or mpf, as integers over 2**bits within
-    one unit: cos and sin are taken to bits + 20 bits, then rounded."""
+    one unit: cos and sin are taken to bits + ANGLE_GUARD_BITS bits, then
+    rounded."""
     t = theta._mpf_ if isinstance(theta, mp.mpf) else from_float(float(theta))
-    cos, sin = mpf_cos_sin(t, bits + 20)
+    cos, sin = mpf_cos_sin(t, bits + ANGLE_GUARD_BITS)
     return (to_fixed(cos, bits + 1) + 1) >> 1, (to_fixed(sin, bits + 1) + 1) >> 1
 
 

@@ -22,7 +22,7 @@ from typing import List, Optional, Tuple
 
 import mpmath as mp
 
-from .numerics import fixed_bits, fixed_unit, required_dps
+from .numerics import ANGLE_GUARD_BITS, fixed_bits, fixed_unit, required_dps
 
 #: growth_rate perturbs the separatrix angle by 10**-PROBE_DIGITS
 PROBE_DIGITS = 30
@@ -318,7 +318,7 @@ def growth_rate(c: float, alpha: float, probe_steps: int = 10) -> float:
     dps = required_dps(probe_steps, 10, PROBE_DIGITS + 10)
     bits = fixed_bits(dps)
     consts = _constants(c, alpha, bits)
-    with mp.workprec(bits + 20):
+    with mp.workprec(bits + ANGLE_GUARD_BITS):
         beta = mp.mpf(c) * alpha / 2
         xa, xb = fixed_unit(beta, bits), fixed_unit(beta + mp.mpf(10) ** -PROBE_DIGITS, bits)
     pa, pb = xa, xb

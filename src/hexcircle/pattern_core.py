@@ -20,8 +20,9 @@ import mpmath as mp
 from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
 
 from .lattice import MultiIndex, generation, q_sites
-from .numerics import (Backend, ComplexNumber, DOUBLE, aligned_points, fixed_bits,
-                       fixed_real, fixed_unit, quotient, worse, worst_of)
+from .numerics import (ANGLE_GUARD_BITS, DEFAULT_EXT_DPS, DOUBLE, Backend,
+                       ComplexNumber, aligned_points, fixed_bits, fixed_real,
+                       fixed_unit, quotient, worse, worst_of)
 
 ANGLE_SUM_TOL = 1e-12
 
@@ -49,7 +50,7 @@ class PatternParams:
     alphas: Tuple[float, float, float]
     c: float
     precision: str = DOUBLE
-    dps: int = 40
+    dps: int = DEFAULT_EXT_DPS
     alpha_pi_fracs: Optional[Tuple[Fraction, Fraction, Fraction]] = None
 
     def __post_init__(self):
@@ -77,7 +78,8 @@ class PatternParams:
         return bk.angle(self.alphas[i], frac)
 
 
-def isotropic_params(c: float, precision: str = DOUBLE, dps: int = 40) -> PatternParams:
+def isotropic_params(c: float, precision: str = DOUBLE,
+                     dps: int = DEFAULT_EXT_DPS) -> PatternParams:
     third = Fraction(1, 3)
     return PatternParams(alphas=(math.pi / 3,) * 3, c=c, precision=precision,
                          dps=dps, alpha_pi_fracs=(third, third, third))
@@ -258,8 +260,8 @@ def generate_z(params: PatternParams, n_max: int,
 
     An extended run works on pairs of integers over 2**P, P =
     numerics.fixed_bits(dps): seeds and targets lie within one unit (their
-    angles are taken to P + 20 bits), an initial_override is rounded to
-    the same integers, axis_next and solve_fourth round once per
+    angles are taken to P + ANGLE_GUARD_BITS bits), an initial_override is
+    rounded to the same integers, axis_next and solve_fourth round once per
     coordinate, and each coordinate is rounded once more at the end, to the
     working precision of the field's mpc values.
     """
@@ -280,7 +282,7 @@ def generate_z(params: PatternParams, n_max: int,
         targets = face_targets(params, bk)
     else:
         bits, fracs = fixed_bits(params.dps), params.alpha_pi_fracs
-        with mp.workprec(bits + 20):
+        with mp.workprec(bits + ANGLE_GUARD_BITS):
             ang = ([mp.pi * f.numerator / f.denominator for f in fracs] if fracs
                    else [mp.mpf(a) for a in params.alphas])
             cf = mp.mpf(params.c)

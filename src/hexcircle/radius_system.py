@@ -24,7 +24,7 @@ from .lattice import (SubIndex, TAG_BORDER, TAG_HEX, TAG_SEED, TAG_TRI,
                       border_fill_stencil, black_fill_stencil,
                       axis_neighbors, fill_dependencies, hex_coefficients,
                       hex_stencil_slots, tri_fill_stencil)
-from .numerics import aligned_reals, quotient, worst_of
+from .numerics import DEFAULT_EXT_DPS, aligned_reals, quotient, worst_of
 from .pattern_core import PatternParams, ZField, field_points, generate_z, memoised
 
 POLE = math.inf
@@ -470,7 +470,7 @@ def compare_routes(params: PatternParams, n_max: int) -> Tuple[float, int]:
     depth = 2 * n_max + 2
     if depth > 12 and params.precision == "double":
         params = PatternParams(alphas=params.alphas, c=params.c,
-                               precision="ext", dps=max(40, 2 * depth),
+                               precision="ext", dps=max(DEFAULT_EXT_DPS, 2 * depth),
                                alpha_pi_fracs=params.alpha_pi_fracs)
     rf = generate_radii(params, n_max)
     zf = generate_z(params, depth)

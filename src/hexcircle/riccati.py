@@ -24,7 +24,6 @@ The same admixture enters the generating function of the p0 series formula.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -103,21 +102,14 @@ def p0_closed(params: RiccatiParams) -> float:
 
 
 def trajectory(params: RiccatiParams, n_steps: int, p_start: Optional[float] = None,
-               dps: Optional[int] = None) -> Trajectory:
-    """Iterate the step forward, recording the first nonpositive value.
-
-    The separatrix is unstable whenever |1+t| > |1-t|; dps selects an mpmath
-    working precision (None = double).  A step pole is recorded as a sign
-    failure at the following index.
-    """
-    with nullcontext() if dps is None else mp.workdps(dps):
-        if dps is None:
-            c, t = params.c, params.t
-            p = p0_closed(params) if p_start is None else p_start
-        else:
-            c, t = mp.mpf(params.c), mp.cos(mp.mpf(params.alpha))
-            p = (mp.sin(c * params.alpha / 2) / mp.sin((2 - c) * params.alpha / 2)
-                 if p_start is None else mp.mpf(p_start))
+               *, dps: int) -> Trajectory:
+    """Iterate the step forward at working precision dps (separatrix_dps plans
+    it: the separatrix is unstable whenever |1+t| > |1-t|), recording the first
+    nonpositive value; a step pole is a sign failure at the following index."""
+    with mp.workdps(dps):
+        c, t = mp.mpf(params.c), mp.cos(mp.mpf(params.alpha))
+        p = (mp.sin(c * params.alpha / 2) / mp.sin((2 - c) * params.alpha / 2)
+             if p_start is None else mp.mpf(p_start))
         values = [float(p)]
         first_bad = None if p > 0 else 0
         for n in range(n_steps):

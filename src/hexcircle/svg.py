@@ -10,9 +10,9 @@ import math
 from typing import List, Tuple
 
 from .document import PatternDocument
-from .lattice import axis_neighbors, parity, sub_to_vertex
-from .pattern_core import iter_slab_faces
-from .radius_system import is_pole
+from .lattice import parity, sub_to_vertex, to_sub
+from .pattern_core import PatternParams, ZField, iter_slab_faces
+from .radius_system import extract_radii, is_pole
 
 
 def _f(x: float) -> str:
@@ -46,13 +46,12 @@ def render_svg(doc: PatternDocument, show: str = "both", scale: float = 100.0) -
         if not cmath.isfinite(z):
             raise NonFiniteError(f"vertex {site} is not finite in double: {z}")
     if doc.mode == "sg":
-        # the mean distance to the stored axis neighbours (extract_radii)
+        # the mean distance to the stored axis neighbours, in doubles
+        double = PatternParams(doc.params.alphas, doc.params.c)
+        radii = extract_radii(ZField(double, vertices, doc.n_max))
         for site, z in vertices.items():
-            if parity(site) != 0:
-                continue
-            nbs = [vertices[nb] for nb in axis_neighbors(site) if nb in vertices]
-            if nbs:
-                radius = sum(abs(w - z) for w in nbs) / len(nbs)
+            if parity(site) == 0 and to_sub(site) in radii:
+                radius = radii[to_sub(site)]
                 if not math.isfinite(radius):
                     raise NonFiniteError(f"circle at {site} has no finite radius")
                 circles.append((z, radius))

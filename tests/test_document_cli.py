@@ -464,6 +464,54 @@ def test_loader_errors_exit_2(tmp_path, section, bad):
     assert run_cli(["verify", path]) == 2
 
 
+HEADER_MUTATIONS = [
+    {"mode = hex": "mode = bogus"},
+    {"route = crossratio": "route = bogus"},
+    {"mode = hex": "mode = z2"},
+    {"mode = hex": "mode = log"},
+    {"route = crossratio": "route = radius", "mode = hex": "mode = sg"},
+    {"c = 1.5": "c = 2.0"},
+    {"c = 1.5": "c = 0.0"},
+]
+
+
+@pytest.mark.parametrize("mutation", HEADER_MUTATIONS,
+                         ids=[", ".join(m.values()) for m in HEADER_MUTATIONS])
+def test_loader_refuses_a_layout_generate_never_writes(tmp_path, capsys, mutation):
+    path = str(tmp_path / "pat.txt")
+    assert run_cli(["generate", "--c", "1.5", "--n", "3", "--out", path]) == 0
+    with open(path) as fh:
+        text = fh.read()
+    for old, new in mutation.items():
+        assert f"\n{old}\n" in text
+        text = text.replace(f"\n{old}\n", f"\n{new}\n")
+    with open(path, "w") as fh:
+        fh.write(text)
+    with pytest.raises(DocumentError):
+        load_document(path)
+    capsys.readouterr()
+    assert run_cli(["verify", path]) == 2
+    assert run_cli(["render", path, "--out", str(tmp_path / "pat.svg")]) == 2
+    stdout, stderr = capsys.readouterr()
+    assert stdout == "" and stderr.count("error: bad parameter block:") == 2
+    assert not (tmp_path / "pat.svg").exists()
+
+
+def test_loader_accepts_exactly_what_generate_writes(tmp_path):
+    path = str(tmp_path / "pat.txt")
+    written = set()
+    for mode in document.MODES:
+        for route in document.ROUTES:
+            for c in ("0", "0.5", "2"):
+                if run_cli(["generate", "--c", c, "--n", "2", "--mode", mode,
+                            "--route", route, "--out", path]) == 0:
+                    doc = load_document(path)
+                    written.add((doc.mode, doc.route, doc.params.c))
+    assert written == {("hex", "crossratio", 0.5), ("sg", "crossratio", 0.5),
+                       ("hex", "radius", 0.5), ("hex", "radius", 2.0),
+                       ("z2", "radius", 2.0), ("log", "radius", 0.0)}
+
+
 @st.composite
 def plain_tokens(draw):
     """Plain decimals of 1 to 120 digits, some with trailing zeros, with or
@@ -863,12 +911,14 @@ def _reference_circles(doc):
 
 def test_render_circles_equal_the_reference_rule(tmp_path):
     scale, margin = 100.0, 0.6
-    for mode in ("sg", "hex"):
-        pat, svg = str(tmp_path / f"{mode}.txt"), str(tmp_path / f"{mode}.svg")
+    for i, kind in enumerate((["--mode", "sg"], ["--mode", "hex"],
+                              ["--mode", "sg", "--precision", "ext", "--dps", "40"])):
+        pat, svg = str(tmp_path / f"{i}.txt"), str(tmp_path / f"{i}.svg")
         assert run_cli(["generate", "--c", "1.5", "--alpha", "1/6pi,1/3pi,1/2pi",
-                        "--n", "10", "--mode", mode, "--out", pat]) == 0
+                        "--n", "10", *kind, "--out", pat]) == 0
         assert run_cli(["render", pat, "--out", svg]) == 0
-        vertices, circles = _reference_circles(load_document(pat))
+        # render reads doubles
+        vertices, circles = _reference_circles(load_document(pat, doubles=True))
         xs = [z.real for z in vertices.values()] + [z.real + s * r for z, r in circles
                                                     for s in (-1, 1)]
         ys = [z.imag for z in vertices.values()] + [z.imag + s * r for z, r in circles

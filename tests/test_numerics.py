@@ -1,6 +1,9 @@
-"""The aligned read of a field (numerics.aligned_points, aligned_reals)."""
+"""The aligned read of a field (numerics.aligned_points, aligned_reals) and
+the Backend's scalar methods."""
+import cmath
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -134,6 +137,125 @@ def test_backend_caps_the_working_precision():
     for dps in (MAX_DPS + 1, 5000, 200000):
         with pytest.raises(ValueError):
             Backend("ext", dps)
+
+
+class _BranchedBackend:
+    """The Backend scalar methods as each wrote out its own double/mpmath
+    branch, the reference for the one lifting rule."""
+
+    def __init__(self, bk):
+        self.is_double, self.dps = bk.is_double, bk.dps
+
+    def real(self, x):
+        if self.is_double:
+            return float(x)
+        with mp.workdps(self.dps):
+            return mp.mpf(x)
+
+    def pi_times(self, frac):
+        if self.is_double:
+            return math.pi * float(frac)
+        with mp.workdps(self.dps):
+            return mp.pi * mp.mpf(frac.numerator) / frac.denominator
+
+    def angle(self, value, pi_frac):
+        if pi_frac is not None:
+            return self.pi_times(pi_frac)
+        return self.real(value)
+
+    def exp_i(self, theta):
+        if self.is_double:
+            return cmath.exp(1j * float(theta))
+        with mp.workdps(self.dps):
+            return mp.expj(theta)
+
+    def cos(self, x):
+        if self.is_double:
+            return math.cos(float(x))
+        with mp.workdps(self.dps):
+            return mp.cos(x)
+
+    def sin(self, x):
+        if self.is_double:
+            return math.sin(float(x))
+        with mp.workdps(self.dps):
+            return mp.sin(x)
+
+    def sqrt(self, x):
+        if self.is_double:
+            return math.sqrt(float(x))
+        with mp.workdps(self.dps):
+            return mp.sqrt(x)
+
+    def atan2(self, y, x):
+        if self.is_double:
+            return math.atan2(float(y), float(x))
+        with mp.workdps(self.dps):
+            return mp.atan2(y, x)
+
+    def phase(self, z):
+        if self.is_double:
+            return cmath.phase(z)
+        with mp.workdps(self.dps):
+            return mp.arg(z)
+
+    def abs(self, z):
+        if self.is_double:
+            return abs(complex(z)) if isinstance(z, complex) else abs(float(z))
+        with mp.workdps(self.dps):
+            return abs(z)
+
+    def eps(self):
+        if self.is_double:
+            return 2.220446049250313e-16
+        return 10.0 ** (1 - self.dps)
+
+
+def _bits(x):
+    """Everything that tells two results apart: the type and the exact bits."""
+    if isinstance(x, (mp.mpf, mp.mpc)):
+        return type(x), getattr(x, "_mpf_", None) or x._mpc_
+    if isinstance(x, complex):
+        return type(x), x.real.hex(), x.imag.hex()
+    return type(x), float(x).hex()
+
+
+with mp.workdps(250):  # inputs wider than every working precision below
+    _THIRD, _E = mp.mpf(1) / 3, mp.e
+    _REALS = (0.7, -2.5, 3, 0, _THIRD, -_E)
+    _COMPLEX = (0.3 - 1.25j, -2j, mp.mpc(_THIRD, -_E), mp.mpc(-1, 0))
+_FRACS = (Fraction(1, 3), Fraction(-5, 7), Fraction(0), Fraction(22, 1))
+_BACKEND_CASES = [
+    ("real", (x,)) for x in _REALS] + [
+    ("pi_times", (f,)) for f in _FRACS] + [
+    ("angle", (1.1, f)) for f in _FRACS[:2]] + [
+    ("angle", (x, None)) for x in _REALS] + [
+    (name, (x,)) for name in ("exp_i", "cos", "sin") for x in _REALS] + [
+    ("sqrt", (x,)) for x in _REALS if x >= 0] + [
+    ("atan2", (y, x)) for y in _REALS[:5:2] for x in _REALS[1::2]] + [
+    (name, (z,)) for name in ("phase", "abs") for z in _REALS + _COMPLEX] + [
+    ("eps", ())]
+
+
+@pytest.mark.parametrize("bk", [Backend(), Backend("ext", 40), Backend("ext", 200)],
+                         ids=["double", "dps40", "dps200"])
+def test_backend_methods_are_the_branched_formulas(bk):
+    ref, dps = _BranchedBackend(bk), mp.mp.dps
+    for name, args in _BACKEND_CASES:
+        try:
+            want = getattr(ref, name)(*args)
+        except (TypeError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                getattr(bk, name)(*args)
+            continue
+        assert _bits(getattr(bk, name)(*args)) == _bits(want), (name, args)
+    assert mp.mp.dps == dps  # each call restored the working precision
+
+
+def test_tracer_patches_backend_methods_in_the_class_dict(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from tracer import BACKEND_SCALAR_METHODS
+    assert set(BACKEND_SCALAR_METHODS) <= set(Backend.__dict__)
 
 
 # -- no per-item mpmath in the sweeps ----------------------------------------

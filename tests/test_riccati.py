@@ -1,6 +1,5 @@
 import math
 import random
-from contextlib import nullcontext
 
 import mpmath as mp
 import pytest
@@ -193,18 +192,14 @@ def test_consistency_triangle_with_pattern():
 
 
 def test_double_trajectory_is_the_iterated_step():
-    # in doubles, and at dps 50 from the mpf sine quotient
-    for dps in (None, 50):
-        for c, alpha in ((1.5, math.pi / 3), (0.5, 1.2), (1.0, math.pi / 2), (1.75, 2.5)):
-            rp = RiccatiParams(c=c, alpha=alpha)
-            with nullcontext() if dps is None else mp.workdps(dps):
-                if dps is None:
-                    p = p0_closed(rp)
-                else:
-                    cc = mp.mpf(c)
-                    p = mp.sin(cc * alpha / 2) / mp.sin((2 - cc) * alpha / 2)
-                expected = [float(p)]
-                for n in range(40):
-                    p = riccati_step(p, n, rp)
-                    expected.append(float(p))
-            assert trajectory(rp, 40, dps=dps).values == expected, (dps, c, alpha)
+    # the float values of the iterated step at dps 50, from the mpf sine quotient
+    for c, alpha in ((1.5, math.pi / 3), (0.5, 1.2), (1.0, math.pi / 2), (1.75, 2.5)):
+        rp = RiccatiParams(c=c, alpha=alpha)
+        with mp.workdps(50):
+            cc = mp.mpf(c)
+            p = mp.sin(cc * alpha / 2) / mp.sin((2 - cc) * alpha / 2)
+            expected = [float(p)]
+            for n in range(40):
+                p = riccati_step(p, n, rp)
+                expected.append(float(p))
+        assert trajectory(rp, 40, dps=50).values == expected, (c, alpha)
