@@ -33,12 +33,11 @@ def _params_from_args(args) -> PatternParams:
 
 def _build_document(params: PatternParams, n: int, mode: str, route: str) -> PatternDocument:
     doc = PatternDocument(params=params, n_max=n, mode=mode, route=route)
-    if mode in ("z2", "log") or route == "radius":
+    if route == "radius":
         rf = radius_system.generate_radii(params, n)
         if mode == "log":
             rf = radius_system.dual(rf)
         doc.params = rf.params
-        doc.route = "radius"
         doc.radii = dict(rf.values)
         zf = geometry.reconstruct(rf)
         doc.vertices = dict(zf.values)

@@ -2,8 +2,9 @@
 
 Double runs are plain complex/float arithmetic.  Extended cross-ratio
 generation and Painleve runs step on fixed-point Gaussian integers over
-2**fixed_bits(dps), not on mpc; the radius fill runs on mpf, and the checks
-read a field once into aligned integers.  A Backend bundles the
+2**fixed_bits(dps), not on mpc, the extended radius fill on real integers
+over the same power of two, not on mpf; the checks read a field once into
+aligned integers.  A Backend bundles the
 transcendental calls the rest needs, each by one rule (_lifted): math or
 cmath on floats in double mode, else mpmath at the backend's dps.  Its
 sqrt, atan2, phase and eps have no caller; the benchmark tracer patches

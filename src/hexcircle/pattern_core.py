@@ -248,6 +248,15 @@ def face_targets(params: PatternParams, bk: Optional[Backend] = None):
     return {t: bk.exp_i(-2 * params.exact_angle(t - 1, bk)) for t in (1, 2, 3)}
 
 
+def guarded_angles(params: PatternParams, bits: int):
+    """The three exact angles as mpf to bits + ANGLE_GUARD_BITS bits, the
+    angles a fixed-point run of width bits takes its unit vectors from."""
+    with mp.workprec(bits + ANGLE_GUARD_BITS):
+        fracs = params.alpha_pi_fracs
+        return ([mp.pi * f.numerator / f.denominator for f in fracs] if fracs
+                else [mp.mpf(a) for a in params.alphas])
+
+
 def generate_z(params: PatternParams, n_max: int,
                initial_override: Optional[dict] = None) -> ZField:
     """Fill Q up to generation n_max from the closed-form initial data.
@@ -281,10 +290,9 @@ def generate_z(params: PatternParams, n_max: int,
             (0, 0, -1): bk.exp_i(params.c * a3)}
         targets = face_targets(params, bk)
     else:
-        bits, fracs = fixed_bits(params.dps), params.alpha_pi_fracs
+        bits = fixed_bits(params.dps)
+        ang = guarded_angles(params, bits)
         with mp.workprec(bits + ANGLE_GUARD_BITS):
-            ang = ([mp.pi * f.numerator / f.denominator for f in fracs] if fracs
-                   else [mp.mpf(a) for a in params.alphas])
             cf = mp.mpf(params.c)
             z = {(0, 0, 0): (0, 0), (1, 0, 0): (1 << bits, 0),
                  (0, 1, 0): fixed_unit(cf * (ang[1] + ang[2]), bits),

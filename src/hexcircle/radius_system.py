@@ -8,6 +8,12 @@ pairwise intersection points of three others.  Seeded with the closed-form
 initial data, replaying the lattice fill order reproduces the radii the
 evolved map would produce; positivity of every value is exactly the
 immersion property, so sign failures are reported, never clamped.
+
+A double fill runs the solvers on floats.  An extended fill runs them on
+integers over 2**P, P = numerics.fixed_bits(dps), as extended generate_z
+does: each solve forms its numerator and denominator exactly and divides
+once, so each site carries one rounding of at most half a unit in 2**-P,
+and the values are rounded once more, to mpf at the working precision.
 """
 from __future__ import annotations
 
@@ -24,16 +30,19 @@ from .lattice import (SubIndex, TAG_BORDER, TAG_HEX, TAG_SEED, TAG_TRI,
                       border_fill_stencil, black_fill_stencil,
                       axis_neighbors, fill_dependencies, hex_coefficients,
                       hex_stencil_slots, tri_fill_stencil)
-from .numerics import DEFAULT_EXT_DPS, aligned_reals, quotient, worst_of
-from .pattern_core import PatternParams, ZField, field_points, generate_z, memoised
+from .numerics import (DEFAULT_EXT_DPS, aligned_reals, fixed_bits, fixed_real,
+                       fixed_unit, quotient, worst_of)
+from .pattern_core import (PatternParams, ZField, field_points, generate_z,
+                           guarded_angles, memoised)
 
 POLE = math.inf
 
 
 def is_pole(r) -> bool:
-    """Whether a radius (float or mpf) is +inf, the only mark of a pole; a
-    finite one, even past the double range, meets no mpf operator here."""
-    return r == POLE if isinstance(r, float) else mp.isinf(r) and r > 0
+    """Whether a radius (float, int or mpf) is +inf, the only mark of a
+    pole; a finite one, even past the double range, meets no mpf operator
+    here."""
+    return r == POLE if isinstance(r, (float, int)) else mp.isinf(r) and r > 0
 
 
 class DegenerateStencilError(ArithmeticError):
@@ -95,39 +104,64 @@ def hex_residual(label: SubIndex, values: Dict[SubIndex, float], c: float) -> Op
     return total - (c - 1)
 
 
+def _div_nearest(num: int, den: int) -> int:
+    """num / den for integers, den != 0, rounded to nearest (ties up)."""
+    if den < 0:
+        num, den = -num, -den
+    return (2 * num + den) // (2 * den)
+
+
 def hex_solve(K: int, L: int, M: int, *, r1=None, r3=None, r4=None, r5=None,
-              r6=None, c: float) -> float:
+              r6=None, c: float, bits: Optional[int] = None) -> float:
     """Solve the six-circle relation at label (K, L, M) for the r2 slot.
 
     The five other slots are the knowns; slots whose coefficient vanishes
     may be omitted.  Specializing the label to (K, L, -K-1) reproduces the
     border reduction, and to (K, K, -K-1) the diagonal recurrence
     r2 = r5 (2K+c)/(2K+2-c).
+
+    With bits, c and the radii are integers over 2**bits, POLE aside.  The
+    balance acc is A / S with S = 2**bits prod(ra + rb) and A exact over
+    the active pairs, and r2 = r5 (co_m S + A) / (co_m S - A) is one
+    rounded division, within half a unit 2**-bits of the exact solve of
+    the given integers.  A pole in a pair gives NaN, as the mpf route does.
     """
     co_k, co_l, co_m = hex_coefficients((K, L, M))
     if co_m == 0:
         raise DegenerateStencilError("unknown slot has zero coefficient")
-    acc = c - 1
+    # the balance left for the unknown pair, co_m (r2 - r5)/(r2 + r5) = acc,
+    # is acc = num / den (den = 1 without bits)
+    den = 1 if bits is None else 1 << bits
+    num, finite = c - den, True
     for cf, ra, rb, names in ((co_k, r4, r1, "r4/r1"), (co_l, r6, r3, "r6/r3")):
         if cf == 0:
             continue
         if ra is None or rb is None:
             raise DegenerateStencilError(f"missing known slots {names}")
-        if ra + rb == 0:
+        pair = ra + rb
+        if pair == 0:
             raise DegenerateStencilError(f"degenerate pair {names}")
-        acc -= cf * (ra - rb) / (ra + rb)
+        if bits is None:
+            num -= cf * (ra - rb) / pair
+        elif type(pair) is int:
+            num, den = num * pair - cf * (ra - rb) * den, den * pair
+        else:
+            finite = False
     if r5 is None:
         raise DegenerateStencilError("missing known slot r5")
-    # co_m (r2 - r5)/(r2 + r5) = acc
     if is_pole(r5):
         # limit ratio is -1 for finite r2
-        if acc == -co_m:
+        if finite and num == -co_m * den:
             raise DegenerateStencilError("pole slot leaves r2 undetermined")
         raise DegenerateStencilError("pole in r5 with inconsistent balance")
-    den = co_m - acc
-    if den == 0:
+    if bits is not None and not (finite and type(r5) is int):
+        return math.nan
+    s = co_m * den
+    if s == num:
         return POLE
-    return r5 * (co_m + acc) / den
+    if bits is None:
+        return r5 * (s + num) / (s - num)
+    return _div_nearest(r5 * (s + num), s - num)
 
 
 def border_residual(r: float, r1: float, r2: float, r3: float,
@@ -139,30 +173,46 @@ def border_residual(r: float, r1: float, r2: float, r3: float,
 
 
 def border_solve(r: float, r2: float, r3: float, angle_index: int,
-                 params: PatternParams, cosines=None) -> float:
+                 params: PatternParams, cosines=None,
+                 bits: Optional[int] = None) -> float:
     """Solve the border relation for the r1 slot (the next boundary circle).
 
     r is the current boundary circle, r3 the previous one, r2 the adjacent
     circle of the inner row; angle_index in {2, 3} picks the intersection
     angle of the corresponding boundary faces.  cosines are the angle
     cosines of angle_constants, computed here when not passed.
+
+    With bits, the radii and cosines are integers over 2**bits, and the
+    numerator (over 2**(4 bits)) and denominator (over 2**(3 bits)) are
+    exact, so r1 is one rounded division, within half a unit 2**-bits of
+    the exact solve of the given integers.  A pole among the radii gives
+    NaN, as the mpf route does.
     """
     if angle_index not in (2, 3):
         raise ValueError("angle_index must be 2 or 3")
     if cosines is None:
-        cosines = angle_constants(params)[1]
+        cosines = angle_constants(params, bits=bits)[1]
     t = cosines[angle_index - 1]
+    if bits is not None and not type(r) is type(r2) is type(r3) is int:
+        return math.nan
+    one = 1 if bits is None else 1 << bits
     # linear in r1: r1 * [A + (r3+r2)(r t - r2)] + r2 A + (r3+r2) r (r - r2 t) = 0
-    a_fac = r * r - r2 * r3 + r * (r3 - r2) * t
-    den = a_fac + (r3 + r2) * (r * t - r2)
+    a_fac = (r * r - r2 * r3) * one + r * (r3 - r2) * t
+    den = a_fac + (r3 + r2) * (r * t - r2 * one)
     if den == 0:
         raise DegenerateStencilError("border relation degenerate")
-    return -(r2 * a_fac + (r3 + r2) * r * (r - r2 * t)) / den
+    num = -(r2 * a_fac + (r3 + r2) * r * (r * one - r2 * t))
+    return num / den if bits is None else _div_nearest(num, den)
 
 
-def angle_constants(params: PatternParams, bk=None):
+def angle_constants(params: PatternParams, bk=None, bits: Optional[int] = None):
     """(sines, cosines) of the three intersection angles at the working
-    precision, from the exact angles."""
+    precision, from the exact angles.  With bits, integers over 2**bits
+    within one unit: numerics.fixed_unit of the angles taken to
+    bits + ANGLE_GUARD_BITS bits."""
+    if bits is not None:
+        cosines, sines = zip(*(fixed_unit(a, bits) for a in guarded_angles(params, bits)))
+        return sines, cosines
     bk = bk or params.backend()
     angles = [params.exact_angle(i, bk) for i in range(3)]
     return tuple(bk.sin(a) for a in angles), tuple(bk.cos(a) for a in angles)
@@ -176,16 +226,27 @@ def tri_residual(r: float, r1: float, r2: float, r3: float,
 
 
 def tri_solve_slot2(r: float, r1: float, r3: float,
-                    params: PatternParams, sines=None) -> float:
+                    params: PatternParams, sines=None,
+                    bits: Optional[int] = None) -> float:
     """Solve the three-circle relation for its r2 slot given the base and
     the other two circles (the direction used by the interior fill).
     sines are the angle sines of angle_constants, computed here when not
-    passed."""
-    s1, s2, s3 = sines if sines is not None else angle_constants(params)[0]
+    passed.
+
+    With bits, the radii and sines are integers over 2**bits, and the
+    quotient of the exact numerator (over 2**(3 bits)) and denominator
+    (over 2**(2 bits)) is rounded once, within half a unit 2**-bits of the
+    exact solve of the given integers.  A pole among the radii gives NaN,
+    as the mpf route does.
+    """
+    s1, s2, s3 = sines if sines is not None else angle_constants(params, bits=bits)[0]
+    if bits is not None and not type(r) is type(r1) is type(r3) is int:
+        return math.nan
     den = r * s1 - r1 * s2 - r3 * s3
     if den == 0:
         raise DegenerateStencilError("three-circle slot solve degenerate")
-    return (r1 * r3 * s1 - r * (r1 * s3 + r3 * s2)) / den
+    num = r1 * r3 * s1 - r * (r1 * s3 + r3 * s2)
+    return num / den if bits is None else _div_nearest(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +291,14 @@ def generate_radii(params: PatternParams, n_max: int,
     Every computed value must be positive; a sign failure raises
     PositivityViolation carrying the site and its upstream values.  c = 2
     uses the renormalized seeds (with the extra black seed) automatically.
+
+    An extended fill runs on integers over 2**P, P = numerics.fixed_bits(dps):
+    the seeds and c are rounded to them once, the angle constants lie
+    within one unit (angle_constants with bits), and each solve rounds
+    once, by at most half a unit.  Every computed value is rounded once
+    more at the end, to an mpf at the working precision; the seeds are
+    kept as given.  On an extended fill a seed that is neither finite nor
+    a pole raises ValueError.
     """
     if seeds is None:
         if params.c == 2:
@@ -238,40 +307,50 @@ def generate_radii(params: PatternParams, n_max: int,
             seeds = seeds_from_pattern(params)
         else:
             raise ValueError("no seed rule for c = 0; use dual()")
-    values: Dict[SubIndex, float] = {}
-    c = params.c
     bk = params.backend()
-    ctx = bk.context()
-    sines, cosines = angle_constants(params, bk)
+    values: Dict[SubIndex, float] = {}
+    if bk.is_double:
+        bits, c, read, to_real = None, params.c, seeds, None
+    else:
+        bits, prec = fixed_bits(params.dps), dps_to_prec(params.dps)
+        c = fixed_real(params.c, bits)
+        read = {s: POLE if is_pole(v) else fixed_real(v, bits) for s, v in seeds.items()}
+
+        def to_real(x):
+            return (mp.make_mpf(from_man_exp(x, -bits, prec, round_nearest))
+                    if type(x) is int else x)
+    sines, cosines = angle_constants(params, bk, bits)
     for entry in lattice.fill_order(n_max):
         site, tag = entry.site, entry.tag
         if site in seeds:
-            values[site] = seeds[site]
+            values[site] = read[site]
             continue
         if tag == TAG_SEED:
             raise ValueError(f"missing seed value for {site}")
-        with ctx:
-            if tag == TAG_HEX:
-                label, slots = black_fill_stencil(site)
-                known = {name: values.get(slots[name]) for name in
-                         ("r1", "r3", "r4", "r5", "r6")}
-                val = hex_solve(*label, c=c, **known)
-            elif tag == TAG_BORDER:
-                st = border_fill_stencil(site)
-                val = border_solve(values[st["r"]], values[st["r2"]],
-                                   values[st["r3"]], st["angle_index"], params,
-                                   cosines)
-            elif tag == TAG_TRI:
-                st = tri_fill_stencil(site)
-                val = tri_solve_slot2(values[st["r"]], values[st["r1"]],
-                                      values[st["r3"]], params, sines)
-            else:
-                raise ValueError(tag)
-        if not (is_pole(val) or val > 0):
+        if tag == TAG_HEX:
+            label, slots = black_fill_stencil(site)
+            known = {name: values.get(slots[name]) for name in
+                     ("r1", "r3", "r4", "r5", "r6")}
+            val = hex_solve(*label, c=c, bits=bits, **known)
+        elif tag == TAG_BORDER:
+            st = border_fill_stencil(site)
+            val = border_solve(values[st["r"]], values[st["r2"]], values[st["r3"]],
+                               st["angle_index"], params, cosines, bits)
+        elif tag == TAG_TRI:
+            st = tri_fill_stencil(site)
+            val = tri_solve_slot2(values[st["r"]], values[st["r1"]],
+                                  values[st["r3"]], params, sines, bits)
+        else:
+            raise ValueError(tag)
+        if not val > 0:  # a pole is +inf, NaN fails
             upstream = {str(dep): values.get(dep) for dep in fill_dependencies(entry)}
+            if to_real:
+                val, upstream = to_real(val), {k: to_real(v) for k, v in upstream.items()}
             raise PositivityViolation(site=site, value=val, tag=tag,
                                       upstream=upstream)
         values[site] = val
+    if to_real:
+        values = {s: seeds[s] if s in seeds else to_real(v) for s, v in values.items()}
     return RadiusField(params=params, values=values, generation=n_max)
 
 

@@ -41,8 +41,9 @@ def test_document_roundtrip_extended(tmp_path):
     # log layout is in doubles, which the first save writes by their repr.
     for mode, c in (("hex", 1.5), ("sg", 1.5), ("z2", 2.0), ("log", 2.0)):
         for dps in (40, 80):
+            route = "crossratio" if mode in ("hex", "sg") else "radius"
             made = cli._build_document(isotropic_params(c, precision="ext", dps=dps),
-                                       5, mode, "crossratio")
+                                       5, mode, route)
             paths = [str(tmp_path / f"{mode}-{dps}-{i}.txt") for i in range(3)]
             save_document(made, paths[0])
             doc = load_document(paths[0])

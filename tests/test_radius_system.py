@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
 
 from hexcircle import lattice, radius_system
 from hexcircle.lattice import border_fill_stencil, hex_stencil_slots
+from hexcircle.numerics import fixed_bits, fixed_real
 from hexcircle.pattern_core import PatternParams, generate_z, isotropic_params
 from hexcircle.radius_system import (DegenerateStencilError,
                                      PositivityViolation, angle_constants,
@@ -383,26 +385,216 @@ def test_fill_computes_its_angle_constants_once(monkeypatch):
     assert counts[0] == counts[1]
 
 
+def _replayed_fill(params, n, bits=None, seeds=None):
+    """The fill replayed stencil by stencil with the single-stencil solvers,
+    each taking its angle constants itself: with bits on integers over
+    2**bits, else with the mpf solvers at the working precision, as the
+    fill ran before the fixed-point route.  ({site: value}, solves per tag)."""
+    if seeds is None:
+        seeds = z2_initial(params) if params.c == 2 else seeds_from_pattern(params)
+    read = (lambda x: x) if bits is None else (lambda x: fixed_real(x, bits))
+    c, out, counts = read(params.c), {}, Counter()
+    with params.backend().context():
+        for entry in lattice.fill_order(n):
+            site = entry.site
+            if site in seeds:
+                out[site] = read(seeds[site])
+                continue
+            if entry.tag == lattice.TAG_HEX:
+                label, slots = lattice.black_fill_stencil(site)
+                out[site] = hex_solve(*label, c=c, bits=bits, **{
+                    name: out.get(slots[name]) for name in ("r1", "r3", "r4", "r5", "r6")})
+            elif entry.tag == lattice.TAG_BORDER:
+                st = border_fill_stencil(site)
+                out[site] = border_solve(out[st["r"]], out[st["r2"]], out[st["r3"]],
+                                         st["angle_index"], params, bits=bits)
+            else:
+                st = lattice.tri_fill_stencil(site)
+                out[site] = tri_solve_slot2(out[st["r"]], out[st["r1"]], out[st["r3"]],
+                                            params, bits=bits)
+            if not out[site] > 0:
+                raise PositivityViolation(site=site, value=out[site], tag=entry.tag,
+                                          upstream={})
+            counts[entry.tag] += 1
+    return out, counts
+
+
+def _mpf_fill(params, n, seeds=None):
+    return _replayed_fill(params, n, seeds=seeds)[0]
+
+
 def test_fill_values_are_the_single_stencil_solves():
-    # the once-per-fill constants leave every radius bit-identical
+    # the once-per-fill constants leave every radius bit-identical to the
+    # integer solves, each rounded once to the working precision
     params = _ext_params(2.0)
     rf = generate_radii(params, 10)
-    v = rf.values
-    checked = 0
+    bits, prec = fixed_bits(params.dps), dps_to_prec(params.dps)
+    fixed, counts = _replayed_fill(params, 10, bits)
+    assert list(fixed) == list(rf.values)
+    for site, x in fixed.items():
+        assert type(x) is int and type(rf.values[site]) is mp.mpf
+        assert rf.values[site]._mpf_ == from_man_exp(x, -bits, prec, round_nearest), site
+    assert min(counts.values()) >= 10 and sum(counts.values()) >= 60
+
+
+BITS = fixed_bits(40)
+
+
+def _fixed(x):
+    return fixed_real(x, BITS)
+
+
+def _within_half_unit(got, exact):
+    assert type(got) is int
+    assert abs(got - exact * 2 ** BITS) <= Fraction(1, 2), (got, exact)
+
+
+def _exact_hex(label, c, r5, pairs):
+    """r2 of the six-circle relation in Fractions, radii over 2**BITS."""
+    co = lattice.hex_coefficients(label)
+    acc = Fraction(c, 2 ** BITS) - 1
+    for cf, (ra, rb) in zip(co, pairs):
+        if cf:
+            acc -= cf * Fraction(ra - rb, ra + rb)
+    return Fraction(r5, 2 ** BITS) * (co[2] + acc) / (co[2] - acc)
+
+
+def test_integer_solves_are_within_half_a_unit_of_the_exact_solves():
+    rng = random.Random(41)
+    params = _ext_params(1.37)
+    sines, cosines = angle_constants(params, bits=BITS)
+    assert all(type(x) is int for x in sines + cosines)
+    pairs_seen = Counter()
+    for _ in range(200):
+        radii = [_fixed(rng.uniform(0.1, 30.0)) for _ in range(6)]
+        r1, r2, r3, r4, r5, r6 = radii
+        c = _fixed(rng.choice((0.5, 1.37, 2.0)))
+        # (K, L, -K-1) has one active pair, (2, 1, -4) and (1, 3, -6) two
+        label = rng.choice(((2, 1, -3), (1, 3, -5), (2, 1, -4), (1, 3, -6)))
+        co = lattice.hex_coefficients(label)
+        pairs_seen[sum(map(bool, co[:2]))] += 1
+        got = hex_solve(*label, r1=r1, r3=r3, r4=r4, r5=r5, r6=r6, c=c, bits=BITS)
+        _within_half_unit(got, _exact_hex(label, c, r5, ((r4, r1), (r6, r3))))
+        for idx in (2, 3):
+            t = Fraction(cosines[idx - 1], 2 ** BITS)
+            fr, f2, f3 = (Fraction(x, 2 ** BITS) for x in (r1, r2, r3))
+            a_fac = fr * fr - f2 * f3 + fr * (f3 - f2) * t
+            exact = -(f2 * a_fac + (f3 + f2) * fr * (fr - f2 * t)) / (
+                a_fac + (f3 + f2) * (fr * t - f2))
+            _within_half_unit(border_solve(r1, r2, r3, idx, params, cosines, BITS), exact)
+        # the cosines taken by the solve itself are the same integers
+        assert border_solve(r1, r2, r3, 2, params, bits=BITS) == border_solve(
+            r1, r2, r3, 2, params, cosines, BITS)
+        s1, s2, s3 = (Fraction(x, 2 ** BITS) for x in sines)
+        fr, f1, f3 = (Fraction(x, 2 ** BITS) for x in (r4, r5, r6))
+        exact = (f1 * f3 * s1 - fr * (f1 * s3 + f3 * s2)) / (fr * s1 - f1 * s2 - f3 * s3)
+        _within_half_unit(tri_solve_slot2(r4, r5, r6, params, sines, BITS), exact)
+        assert tri_solve_slot2(r4, r5, r6, params, bits=BITS) == tri_solve_slot2(
+            r4, r5, r6, params, sines, BITS)
+    assert pairs_seen[1] > 30 and pairs_seen[2] > 30
+    # the constants lie within one unit of the working-precision ones
+    with mp.workdps(60):
+        for got, want in zip(sines + cosines, sum(angle_constants(_ext_params(1.37, 60)), ())):
+            assert abs(got - want * 2 ** BITS) <= 1
+
+
+def test_integer_solves_degenerate_denominators():
+    one, params = 1 << BITS, _ext_params(1.37)
+    # zero pairs at the diagonal label; c = 2 leaves co_m - acc = 0
+    assert hex_solve(0, 0, -1, r5=3 * one, c=2 * one, bits=BITS) == radius_system.POLE
+    assert hex_solve(0, 0, -1, r5=3.0, c=2.0) == radius_system.POLE
+    # border: with t = 0, r = 2, r2 = 1 and r3 = 3/2 zero the denominator
+    with pytest.raises(DegenerateStencilError):
+        border_solve(2 * one, one, 3 * one // 2, 3, params, (0, 0, 0), BITS)
+    with pytest.raises(DegenerateStencilError):
+        border_solve(2.0, 1.0, 1.5, 3, params, (0.0, 0.0, 0.0))
+    # three-circle: equal sines and r = r1 + r3
+    with pytest.raises(DegenerateStencilError):
+        tri_solve_slot2(3 * one, one, 2 * one, params, (one, one, one), BITS)
+    with pytest.raises(DegenerateStencilError):
+        tri_solve_slot2(3.0, 1.0, 2.0, params, (1.0, 1.0, 1.0))
+    # a vanishing pair sum
+    with pytest.raises(DegenerateStencilError):
+        hex_solve(2, 1, -3, r1=one, r4=-one, r5=one, c=one, bits=BITS)
+
+
+def test_pole_slots_keep_the_mpf_outcome():
+    params = _ext_params(1.37)
+    one, pole = 1 << BITS, radius_system.POLE
+    sines, cosines = angle_constants(params, bits=BITS)
     with params.backend().context():
-        for entry in lattice.fill_order(10):
-            if entry.tag == lattice.TAG_BORDER:
-                st = border_fill_stencil(entry.site)
-                got = border_solve(v[st["r"]], v[st["r2"]], v[st["r3"]],
-                                   st["angle_index"], params)
-            elif entry.tag == lattice.TAG_TRI:
-                st = lattice.tri_fill_stencil(entry.site)
-                got = tri_solve_slot2(v[st["r"]], v[st["r1"]], v[st["r3"]], params)
-            else:
-                continue
-            assert got == v[entry.site]
-            checked += 1
-    assert checked >= 60
+        msin, mcos = angle_constants(params)
+        m = mp.mpf(1)
+        # r5: both raise
+        for r5, c, kw in ((pole, 2 * one, {"bits": BITS}), (pole, 2.0, {})):
+            with pytest.raises(DegenerateStencilError):
+                hex_solve(0, 0, -1, r5=r5, c=c, **kw)
+            with pytest.raises(DegenerateStencilError):
+                hex_solve(2, 1, -4, r1=pole, r3=one if kw else m, r4=one if kw else m,
+                          r5=r5, r6=one if kw else m, c=c, **kw)
+        # any other slot: NaN on both routes
+        for slot in ("r1", "r3", "r4", "r6"):
+            ints = {"r1": one, "r3": 2 * one, "r4": 3 * one, "r5": one, "r6": one, slot: pole}
+            mpfs = {k: v if v == pole else mp.mpf(v) / one for k, v in ints.items()}
+            assert math.isnan(hex_solve(2, 1, -4, c=one, bits=BITS, **ints))
+            assert mp.isnan(hex_solve(2, 1, -4, c=1.0, **mpfs))
+        for i in range(3):
+            ints = [one, 2 * one, 3 * one]
+            ints[i] = pole
+            mpfs = [v if v == pole else mp.mpf(v) / one for v in ints]
+            for idx in (2, 3):
+                assert math.isnan(border_solve(*ints, idx, params, cosines, BITS))
+                assert mp.isnan(border_solve(*mpfs, idx, params, mcos))
+            assert math.isnan(tri_solve_slot2(*ints, params, sines, BITS))
+            assert mp.isnan(tri_solve_slot2(*mpfs, params, msin))
+    # and through the fill: a pole seed under a three-circle and border solve
+    seeds = seeds_from_pattern(params)
+    seeds[(1, 0, -1)] = pole
+    for fill in (generate_radii, _mpf_fill):
+        with pytest.raises(PositivityViolation) as err:
+            fill(params, 4, seeds=seeds)
+        assert err.value.site == (1, 1, -2) and mp.isnan(err.value.value)
+    seeds[(1, 0, -1)], seeds[(0, 0, 0)] = seeds[(0, 0, 0)], pole
+    for fill in (generate_radii, _mpf_fill):
+        with pytest.raises(DegenerateStencilError):
+            fill(params, 4, seeds=seeds)
+
+
+def test_perturbed_seed_breaks_positivity_extended():
+    params = isotropic_params(1.5, precision="ext", dps=40)
+    seeds = seeds_from_pattern(params)
+    for fac in ("1.001", "0.999"):
+        bad = dict(seeds)
+        with mp.workdps(40):
+            bad[(1, 0, -1)] = seeds[(1, 0, -1)] * mp.mpf(fac)
+        with pytest.raises(PositivityViolation) as err:
+            generate_radii(params, 16, seeds=bad)
+        assert err.value.site is not None and not err.value.value > 0
+        assert type(err.value.value) is mp.mpf
+        assert err.value.upstream and all(type(v) is mp.mpf
+                                           for v in err.value.upstream.values())
+        with pytest.raises(PositivityViolation) as ref:
+            _mpf_fill(params, 16, seeds=bad)
+        assert ref.value.site == err.value.site
+
+
+@pytest.mark.parametrize("c, dps", [(2.0, 80), (1.5, 40)])
+def test_fixed_point_fill_is_as_accurate_as_the_mpf_fill(c, dps):
+    # against a fill at 2 dps + 40 digits; the seeds, rounded at dps, set
+    # most of both errors, so with the reference on the same seeds the
+    # fill's own rounding shows: far below that of the mpf solves
+    n, wide = 12, 2 * dps + 40
+    params = isotropic_params(c, precision="ext", dps=dps)
+    seeds = z2_initial(params) if c == 2 else seeds_from_pattern(params)
+    got, mpf_route = generate_radii(params, n).values, _mpf_fill(params, n)
+    wide_params = isotropic_params(c, precision="ext", dps=wide)
+    with mp.workdps(wide):
+        for ref, factor in ((generate_radii(wide_params, n).values, 1),
+                            (generate_radii(wide_params, n, seeds=seeds).values, 1000)):
+            def err(values):
+                return max(abs(values[s] - r) / r for s, r in ref.items() if r)
+            assert factor * err(got) <= err(mpf_route)
+            assert err(got) <= mp.mpf(10) ** (30 - dps)
 
 
 # -- extract_radii ---------------------------------------------------------
