@@ -8,12 +8,20 @@ r_w e^{ia}) lays the whole pattern out; closure of the turns around every
 center is exactly the content of the radius equations and is verified
 during the walk.  Immersion is certified through uniform orientation of the
 elementary triangles plus a segment-crossing sweep over adjacent faces.
+
+Two adjacent faces share a spoke u q.  When the four orientations of their
+other corners against u -> q each exceed Shewchuk's stage-A orient2d error
+bound (Adaptive precision floating-point arithmetic and fast robust
+geometric predicates, 1997) and put the two faces on opposite sides, the
+signs are exact and the faces cannot cross; only the other pairs, and every
+pair with a non-finite coordinate, run the seven side-pair crossing tests.
 """
 from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, Tuple
 
 from . import lattice
@@ -176,9 +184,18 @@ def reconstruct(rf: RadiusField) -> ZField:
 #: orientations are measured against the longest edge
 EPS_SCALE = 1e-12
 
-# the far corner u + S_j + S_j+1 of kite j around a center u: the neighbor
-# across wedge j
-_RIMS = tuple(off for off, _ in _WEDGES)
+# the spokes S_j (0-5) of a center u and its rims (6-11): the far corner
+# u + S_j + S_j+1 of kite j is the neighbor across wedge j.  Per spoke j,
+# the corners (p, c, q, c', p') of the kites (u, p, c, q), (u, q, c', p')
+# that share it
+_RING = _SPOKES + tuple(off for off, _ in _WEDGES)
+_KITE_PAIRS = tuple(itemgetter((j - 1) % 6, 6 + (j - 1) % 6, j, 6 + j, (j + 1) % 6)
+                    for j in range(6))
+#: Shewchuk's stage-A error bound of orient2d, relative to |detleft| +
+#: |detright|: a computed orientation larger than this has the exact sign
+CCW_BOUND = (3 + 16 * 2.0 ** -53) * 2.0 ** -53
+# absolute slack of the bound for a product that underflows
+_CCW_TINY = 2.0 ** -960
 # side pairs (i, j) of the hexagon (u, p, c, q, c', p') of two kites that
 # share the spoke u q, side i running from corner i to i + 1: each side of
 # the first kite but u q with each side of the second that it does not touch
@@ -202,10 +219,16 @@ def immersion_check(zf: ZField) -> ImmersionReport:
     """Uniform positive orientation of the three elementary triangles at
     every stored site, plus pairwise interior-disjointness of adjacent
     pattern faces; see _flipped for the triangle test.  Both sweeps run in
-    double on one copy of the field."""
+    double on one copy of the field, and a vertex that is not finite there
+    is one failure more (non-finite-vertex, as in sg_immersion_check).  A
+    pair of adjacent faces that the line of their shared spoke separates
+    (_spoke_separates) passes; every other pair is tested side by side
+    (_kites_cross)."""
     report = ImmersionReport()
     pts = {site: complex(z) for site, z in zf.values.items()}
     for (k, l, m), z0 in pts.items():
+        if not cmath.isfinite(z0):
+            report.failures.append(((k, l, m), "non-finite-vertex"))
         zk = pts.get((k + 1, l, m))
         zl = pts.get((k, l + 1, m))
         zm = pts.get((k, l, m - 1))
@@ -226,22 +249,46 @@ def immersion_check(zf: ZField) -> ImmersionReport:
     # ring is (u, u + S_j, u + S_j + S_j+1, u + S_j+1), and kites j - 1 and
     # j share spoke j.  Every face edge has one center end and lies in at
     # most two faces, so each pair of faces sharing an edge is met once.
+    get = pts.get
     for (k, l, m), zu in pts.items():
         if k + l + m:
             continue
-        ring = [pts.get((k + a, l + b, m + c)) for a, b, c in _SPOKES]
-        rims = [pts.get((k + a, l + b, m + c)) for a, b, c in _RIMS]
-        kites = [None not in (ring[j], rims[j], ring[j - 5]) for j in range(6)]
-        for j in range(6):
-            if kites[j - 1] and kites[j]:
-                report.checked_quads += 1
-                if _kites_cross((zu, ring[j - 1], rims[j - 1], ring[j], rims[j], ring[j - 5])):
-                    report.failures.append(((k, l, m), "overlapping-quads"))
+        ring = [get((k + a, l + b, m + c)) for a, b, c in _RING]
+        for corners in _KITE_PAIRS:
+            h = corners(ring)
+            if None in h:
+                continue
+            report.checked_quads += 1
+            if not _spoke_separates(zu, *h) and _kites_cross((zu, *h)):
+                report.failures.append(((k, l, m), "overlapping-quads"))
     # radius positivity (a zero radius, the branch point of z^2, is allowed)
     for sub, r in extract_radii(zf).items():
         if math.isnan(r) or r < 0:
             report.failures.append((lattice.sub_to_vertex(sub), "nonpositive-radius"))
     return report
+
+
+def _spoke_separates(u: complex, p: complex, c: complex, q: complex,
+                     c2: complex, p2: complex) -> bool:
+    """Whether the line of the shared spoke u q certainly separates the
+    kites (u, p, c, q) and (u, q, c2, p2): p and c strictly on one side of
+    it, c2 and p2 strictly on the other, each of the four orientations
+    against u -> q certified by CCW_BOUND (plus _CCW_TINY for underflow).
+    Then every side but u q lies in one open half plane but for its end on
+    the line, so no side pair crosses properly in exact arithmetic.  A
+    non-finite coordinate is never certified: NaN and inf fail the bound."""
+    ux, uy = u.real, u.imag
+    wx, wy = q.real - ux, q.imag - uy
+    l1, r1 = wx * (p.imag - uy), wy * (p.real - ux)
+    l2, r2 = wx * (c.imag - uy), wy * (c.real - ux)
+    l3, r3 = wx * (c2.imag - uy), wy * (c2.real - ux)
+    l4, r4 = wx * (p2.imag - uy), wy * (p2.real - ux)
+    d1, d2, d3, d4 = l1 - r1, l2 - r2, l3 - r3, l4 - r4
+    return (abs(d1) > CCW_BOUND * (abs(l1) + abs(r1)) + _CCW_TINY
+            and abs(d2) > CCW_BOUND * (abs(l2) + abs(r2)) + _CCW_TINY
+            and abs(d3) > CCW_BOUND * (abs(l3) + abs(r3)) + _CCW_TINY
+            and abs(d4) > CCW_BOUND * (abs(l4) + abs(r4)) + _CCW_TINY
+            and (d1 > 0) == (d2 > 0) != (d3 > 0) == (d4 > 0))
 
 
 def _kites_cross(h) -> bool:

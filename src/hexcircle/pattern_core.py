@@ -231,16 +231,26 @@ def iter_faces(zf: ZField) -> Iterator[Tuple[int, Tuple[MultiIndex, ...]]]:
     return ((t, sites) for t, sites, _ in _faces(zf.values))
 
 
+# corners (f2, f3, f4) of the slab faces spanning (1,2), (1,3), (2,3) at the origin
+_SLAB_OFFSETS = tuple(face_sites((0, 0, 0), i, j)[1:] for i, j in ((1, 2), (1, 3), (2, 3)))
+
+
 def iter_slab_faces(stored: Mapping[MultiIndex, object]) -> Iterator[Tuple[MultiIndex, ...]]:
     """Corners of the faces of the hexagonal pattern, in the order of stored:
-    the faces spanning (1,2), (1,3), (2,3) at every vertex with k+l+m = 0."""
+    the faces spanning (1,2), (1,3), (2,3) at every vertex with k+l+m = 0
+    whose four corners are all stored."""
     for v in stored:
-        if v[0] + v[1] + v[2] != 0:
+        k, l, m = v
+        if k + l + m:
             continue
-        for (i, j) in ((1, 2), (1, 3), (2, 3)):
-            sites = face_sites(v, i, j)
-            if all(s in stored for s in sites):
-                yield sites
+        for (k2, l2, m2), (k3, l3, m3), (k4, l4, m4) in _SLAB_OFFSETS:
+            f2 = (k + k2, l + l2, m + m2)
+            if f2 in stored:
+                f3 = (k + k3, l + l3, m + m3)
+                if f3 in stored:
+                    f4 = (k + k4, l + l4, m + m4)
+                    if f4 in stored:
+                        yield v, f2, f3, f4
 
 
 def face_targets(params: PatternParams, bk: Optional[Backend] = None):
@@ -280,17 +290,31 @@ def generate_z(params: PatternParams, n_max: int,
             "dual are built through the renormalized radius route")
     if n_max < 1:
         raise ValueError("need at least generation 1")
-    bk = params.backend()
+    bits = None if params.backend().is_double else fixed_bits(params.dps)
+    z = evolve(params, n_max, bits, initial_override)
+    if bits is not None:
+        prec = dps_to_prec(params.dps)
+        z = {s: mp.make_mpc((from_man_exp(x, -bits, prec, round_nearest),
+                             from_man_exp(y, -bits, prec, round_nearest)))
+             for s, (x, y) in z.items()}
+    return ZField(params=params, values=z, generation=n_max)
+
+
+def evolve(params: PatternParams, n_max: int, bits: Optional[int] = None,
+           initial_override: Optional[dict] = None) -> Dict[MultiIndex, ComplexNumber]:
+    """The fill of generate_z, unrounded: complex doubles without bits,
+    else pairs of integers over 2**bits for any width bits, whatever the
+    precision of params."""
     override = initial_override or {}
-    if bk.is_double:
-        bits, c = None, bk.real(params.c)
+    if bits is None:
+        bk = params.backend()
+        c = bk.real(params.c)
         a2, a3 = params.exact_angle(1, bk), params.exact_angle(2, bk)
         z: Dict[MultiIndex, ComplexNumber] = {
             (0, 0, 0): 0j, (1, 0, 0): 1 + 0j, (0, 1, 0): bk.exp_i(params.c * (a2 + a3)),
             (0, 0, -1): bk.exp_i(params.c * a3)}
         targets = face_targets(params, bk)
     else:
-        bits = fixed_bits(params.dps)
         ang = guarded_angles(params, bits)
         with mp.workprec(bits + ANGLE_GUARD_BITS):
             cf = mp.mpf(params.c)
@@ -324,12 +348,7 @@ def generate_z(params: PatternParams, n_max: int,
                                    z[(k - 1, l, m)], targets[3], bits)
         else:
             raise IncompleteStencilError(site)
-    if bits is not None:
-        prec = dps_to_prec(params.dps)
-        z = {s: mp.make_mpc((from_man_exp(x, -bits, prec, round_nearest),
-                             from_man_exp(y, -bits, prec, round_nearest)))
-             for s, (x, y) in z.items()}
-    return ZField(params=params, values=z, generation=n_max)
+    return z
 
 
 @memoised

@@ -11,9 +11,11 @@ immersion property, so sign failures are reported, never clamped.
 
 A double fill runs the solvers on floats.  An extended fill runs them on
 integers over 2**P, P = numerics.fixed_bits(dps), as extended generate_z
-does: each solve forms its numerator and denominator exactly and divides
-once, so each site carries one rounding of at most half a unit in 2**-P,
-and the values are rounded once more, to mpf at the working precision.
+does: its seeds are taken beyond P bits and rounded once to those
+integers, each solve forms its numerator and denominator exactly and
+divides once, so each site carries one rounding of at most half a unit in
+2**-P, and the values are rounded once more, to mpf at the working
+precision.
 """
 from __future__ import annotations
 
@@ -30,10 +32,10 @@ from .lattice import (SubIndex, TAG_BORDER, TAG_HEX, TAG_SEED, TAG_TRI,
                       border_fill_stencil, black_fill_stencil,
                       axis_neighbors, fill_dependencies, hex_coefficients,
                       hex_stencil_slots, tri_fill_stencil)
-from .numerics import (DEFAULT_EXT_DPS, aligned_reals, fixed_bits, fixed_real,
-                       fixed_unit, quotient, worst_of)
-from .pattern_core import (PatternParams, ZField, field_points, generate_z,
-                           guarded_angles, memoised)
+from .numerics import (ANGLE_GUARD_BITS, DEFAULT_EXT_DPS, aligned_reals,
+                       fixed_bits, fixed_real, fixed_unit, quotient, worst_of)
+from .pattern_core import (PatternParams, ZField, evolve, field_points,
+                           generate_z, guarded_angles, memoised)
 
 POLE = math.inf
 
@@ -253,11 +255,17 @@ def tri_solve_slot2(r: float, r1: float, r3: float,
 # seeds and the full fill
 # ---------------------------------------------------------------------------
 
-def z2_initial(params: PatternParams) -> Dict[SubIndex, float]:
+def z2_initial(params: PatternParams, bits: Optional[int] = None) -> Dict[SubIndex, float]:
     """Renormalized initial data of the c = 2 pattern (origin is a pole of
-    the dual, a zero here)."""
+    the dual, a zero here).  With bits, as integers over 2**bits: each
+    sin(a)/a is taken to bits + ANGLE_GUARD_BITS bits and rounded once."""
     if min(params.alphas) <= 0:
         raise ValueError("angles must be positive")
+    if bits is not None:
+        _, a2, a3 = guarded_angles(params, bits)
+        with mp.workprec(bits + ANGLE_GUARD_BITS):
+            return {(0, 0, 0): 0, (1, 0, -1): fixed_real(mp.sin(a3) / a3, bits),
+                    (0, 1, -1): fixed_real(mp.sin(a2) / a2, bits), (1, 1, -1): 1 << bits}
     bk = params.backend()
     with bk.context():
         a2 = params.exact_angle(1, bk)
@@ -271,17 +279,27 @@ def z2_initial(params: PatternParams) -> Dict[SubIndex, float]:
         }
 
 
-def seeds_from_pattern(params: PatternParams) -> Dict[SubIndex, float]:
+# the seed radii of 0 < c < 2 as vertex pairs of a depth-2 run
+_SEED_SPOKES = {(0, 0, 0): ((1, 0, 0), (0, 0, 0)), (1, 0, -1): ((1, 0, -1), (1, 0, 0)),
+                (0, 1, -1): ((0, 1, -1), (0, 1, 0))}
+
+
+def seeds_from_pattern(params: PatternParams, bits: Optional[int] = None) -> Dict[SubIndex, float]:
     """Seed radii for 0 < c < 2, extracted from a depth-2 run of the evolved
-    map (the initial data is given for z, not for r)."""
+    map (the initial data is given for z, not for r).  With bits, as
+    integers over 2**bits: the run goes on integers over 2**W, W = bits +
+    ANGLE_GUARD_BITS, and each distance is taken to W bits and rounded once."""
+    if bits is not None:
+        wide = bits + ANGLE_GUARD_BITS
+        z = evolve(params, 2, wide)
+        with mp.workprec(wide):
+            return {s: fixed_real(mp.ldexp(mp.sqrt((z[a][0] - z[b][0]) ** 2
+                                                   + (z[a][1] - z[b][1]) ** 2), -wide), bits)
+                    for s, (a, b) in _SEED_SPOKES.items()}
     zf = generate_z(params, 2)
     bk = params.backend()
     with bk.context():
-        return {
-            (0, 0, 0): bk.abs(zf[(1, 0, 0)] - zf[(0, 0, 0)]),
-            (1, 0, -1): bk.abs(zf[(1, 0, -1)] - zf[(1, 0, 0)]),
-            (0, 1, -1): bk.abs(zf[(0, 1, -1)] - zf[(0, 1, 0)]),
-        }
+        return {s: bk.abs(zf[a] - zf[b]) for s, (a, b) in _SEED_SPOKES.items()}
 
 
 def generate_radii(params: PatternParams, n_max: int,
@@ -295,18 +313,23 @@ def generate_radii(params: PatternParams, n_max: int,
     An extended fill runs on integers over 2**P, P = numerics.fixed_bits(dps):
     the seeds and c are rounded to them once, the angle constants lie
     within one unit (angle_constants with bits), and each solve rounds
-    once, by at most half a unit.  Every computed value is rounded once
-    more at the end, to an mpf at the working precision; the seeds are
-    kept as given.  On an extended fill a seed that is neither finite nor
-    a pole raises ValueError.
+    once, by at most half a unit.  Without given seeds, the seed rule is
+    taken beyond P bits (z2_initial or seeds_from_pattern with bits), so
+    the fill does not start from seeds rounded at the working precision.
+    Every computed value is rounded once more at the end, to an mpf at the
+    working precision; the stored seeds are the given ones or the seed
+    rule's at the working precision.  On an extended fill a seed that is
+    neither finite nor a pole raises ValueError.
     """
+    rule = None
     if seeds is None:
         if params.c == 2:
-            seeds = z2_initial(params)
+            rule = z2_initial
         elif 0 < params.c < 2:
-            seeds = seeds_from_pattern(params)
+            rule = seeds_from_pattern
         else:
             raise ValueError("no seed rule for c = 0; use dual()")
+        seeds = rule(params)
     bk = params.backend()
     values: Dict[SubIndex, float] = {}
     if bk.is_double:
@@ -314,7 +337,8 @@ def generate_radii(params: PatternParams, n_max: int,
     else:
         bits, prec = fixed_bits(params.dps), dps_to_prec(params.dps)
         c = fixed_real(params.c, bits)
-        read = {s: POLE if is_pole(v) else fixed_real(v, bits) for s, v in seeds.items()}
+        read = (rule(params, bits) if rule else
+                {s: POLE if is_pole(v) else fixed_real(v, bits) for s, v in seeds.items()})
 
         def to_real(x):
             return (mp.make_mpf(from_man_exp(x, -bits, prec, round_nearest))

@@ -11,6 +11,7 @@ from hexcircle import cli, document, numerics, pattern_core, radius_system, veri
 from hexcircle.document import DocumentError, load_document, save_document
 from hexcircle.pattern_core import generate_z, isotropic_params
 from hexcircle.svg import render_svg
+from test_geometry import reference_quad_sweep
 from test_numerics import _count_arithmetic
 
 
@@ -845,8 +846,15 @@ def test_cli_nan_vertex_fails_immersion(tmp_path, capsys, kind, precision):
     if sg:
         assert sg_immersion_check(zf).failures == [(site, "non-finite-vertex")]
     else:
-        failures = immersion_check(zf).failures
-        assert failures and {kind for _, kind in failures} == {"nonpositive-radius"}
+        # named at its site, whatever the radius pass makes of it; the quad
+        # sweep reads NaN as no crossing, as its reference does
+        rep = immersion_check(zf)
+        assert [f for f in rep.failures if f[1] == "non-finite-vertex"] == [
+            (site, "non-finite-vertex")]
+        quads = sorted(f for f in rep.failures if f[1] == "overlapping-quads")
+        assert (quads, rep.checked_quads) == reference_quad_sweep(zf)
+        assert {kind for _, kind in rep.failures} <= {"non-finite-vertex",
+                                                      "nonpositive-radius"}
 
 
 def test_cli_z2_and_log_need_c_2(tmp_path, capsys):

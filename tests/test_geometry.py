@@ -3,15 +3,16 @@ import math
 import random
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, List, Tuple
 
 import mpmath as mp
 import pytest
 
 from hexcircle import lattice
-from hexcircle.geometry import (_WEDGES, ReconstructionError, immersion_check,
-                                orientation, reconstruct, sg_immersion_check,
-                                sg_slice)
+from hexcircle.geometry import (_WEDGES, ReconstructionError, _spoke_separates,
+                                immersion_check, orientation, reconstruct,
+                                sg_immersion_check, sg_slice)
 from hexcircle.pattern_core import (PatternParams, ZField, cross_ratio,
                                     generate_z, isotropic_params,
                                     iter_slab_faces, max_constraint_residual,
@@ -539,6 +540,157 @@ def test_quad_sweep_matches_reference_on_radius_route_fields(dual_of):
     assert immersion_check(zf).checked_quads > 400
     perturbed = _perturbed(zf, random.Random(12), 0.05)
     assert assert_quad_sweep_matches_reference(perturbed)
+
+
+# -- the shared-spoke decision against exact arithmetic --------------------
+
+def _exact_points(h):
+    """The corners as integer pairs over one common denominator: each float
+    coordinate is a Fraction with a power-of-two denominator."""
+    xy = [(Fraction(z.real), Fraction(z.imag)) for z in h]
+    den = max(f.denominator for pt in xy for f in pt)
+    return [(int(x * den), int(y * den)) for x, y in xy]
+
+
+def _exact_orient(a, b, c):
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def _exact_kites_cross(h):
+    """Whether a side of (u, p, c, q) other than u q crosses a side of
+    (u, q, c', p') other than u q properly, in exact arithmetic of the
+    float coordinates."""
+    pts = _exact_points(h)
+
+    def proper(a1, a2, b1, b2):
+        return (_exact_orient(a1, a2, b1) * _exact_orient(a1, a2, b2) < 0
+                and _exact_orient(b1, b2, a1) * _exact_orient(b1, b2, a2) < 0)
+
+    first = [(pts[i], pts[i + 1]) for i in range(3)]
+    second = [(pts[i], pts[(i + 1) % 6]) for i in range(3, 6)]
+    return any(proper(*a, *b) for a in first for b in second)
+
+
+def _exact_spoke_sides(h):
+    """The exact signs of p, c, c', p' against u -> q."""
+    pts = _exact_points(h)
+    return [(d > 0) - (d < 0) for d in
+            (_exact_orient(pts[0], pts[3], pts[i]) for i in (1, 2, 4, 5))]
+
+
+def _kite_pair(rng):
+    """Corners (u, p, c, q, c', p') of two kites sharing the spoke u q,
+    roughly as a pattern lays them out: three spokes counterclockwise, each
+    rim near the far corner of its rhombus; sometimes wildly off."""
+    u = complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
+    theta = rng.uniform(0, 2 * math.pi)
+    gaps = [rng.uniform(0.05, 2.5) for _ in range(2)]
+    p, q, p2 = (u + rng.uniform(0.1, 3) * cmath.exp(1j * t)
+                for t in (theta, theta + gaps[0], theta + gaps[0] + gaps[1]))
+    spread = rng.choice([0.0, 0.1, 1.0])
+    c = p + q - u + spread * complex(rng.gauss(0, 1), rng.gauss(0, 1))
+    c2 = q + p2 - u + spread * complex(rng.gauss(0, 1), rng.gauss(0, 1))
+    return [u, p, c, q, c2, p2]
+
+
+def _near_line(rng, h, idx):
+    """Corner idx moved onto the line u q, or a few units off it."""
+    u, q = h[0], h[3]
+    off = rng.choice([0.0, 1e-17, 1e-16, 1e-15, 1e-12]) * rng.choice([-1, 1])
+    h[idx] = u + rng.uniform(-1, 2) * (q - u) + off * 1j * (q - u)
+    return h
+
+
+def _flat(rng, h):
+    """All four corners but u and q moved to within a few rounding units of
+    the line u q, where the computed orientations lose their signs."""
+    u, q = h[0], h[3]
+    for idx in (1, 2, 4, 5):
+        off = rng.choice([0.0, 1e-17, 1e-16, 3e-16, 1e-15, 1e-14]) * rng.choice([-1, 1])
+        h[idx] = u + rng.uniform(-0.5, 1.5) * (q - u) + off * 1j * (q - u)
+    return h
+
+
+def _straddling(rng, off=1e-16):
+    """c and c' about off |q - u| or less off the spoke line, p and p' far
+    out on either side, so that the sides p c and c' p' cross whenever c'
+    lies beyond c on its side: at off = 1e-16 only the computed signs of c
+    and c' tell the two cases apart."""
+    # u no farther out than q - u, or the differences are exact and the
+    # computed signs seldom flip
+    u = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    w = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+    q, n, t = u + w, 1j * w, rng.uniform(0.3, 0.7)
+    c = u + t * w + rng.choice([0, 0, 0.1, -1, 1]) * off * n
+    c2 = u + (t + rng.uniform(0, 10 * off)) * w + rng.choice([0, 0, 0.1, -1, 1]) * off * n
+    size = rng.uniform(0.2, 2)
+    return [u, c + size * (w + n), c, q, c2, c2 - size * (w + 0.1 * n)]
+
+
+def _drawn_pairs(rng, count):
+    kinds = ["pattern", "near-line", "flat", "straddling", "snapped", "grid",
+             "random", "tiny", "huge", "non-finite"]
+    for i in range(count):
+        kind = kinds[i % len(kinds)]
+        h = _kite_pair(rng)
+        if kind == "near-line":
+            h = _near_line(rng, h, rng.choice([1, 2, 4, 5]))
+        elif kind == "flat":
+            h = _flat(rng, h)
+        elif kind == "straddling":
+            h = _straddling(rng)
+        elif kind == "snapped":
+            i, j = rng.sample(range(6), 2)
+            h[i] = h[j]
+        elif kind == "grid":
+            h = [complex(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(6)]
+        elif kind == "random":
+            h = [complex(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(6)]
+        elif kind in ("tiny", "huge"):
+            # products near and below the smallest normal double, where
+            # they keep fewer bits, and past the largest
+            scale = rng.choice([1e-140, 1e-150, 2.0 ** -515, 2.0 ** -530, 1e-300,
+                                2.0 ** -1060] if kind == "tiny" else [1e150, 1e300])
+            shape = rng.choice([list, lambda h: _near_line(rng, h, 2),
+                                lambda h: _flat(rng, h), lambda h: _straddling(rng),
+                                lambda h: _straddling(rng, 1e-13)])
+            h = [z * scale for z in shape(h)]
+        elif kind == "non-finite":
+            idx, bad = rng.randrange(6), rng.choice([math.nan, math.inf, -math.inf])
+            h[idx] = complex(bad, h[idx].imag) if rng.random() < 0.5 else complex(h[idx].real, bad)
+        yield kind, tuple(h)
+
+
+def test_spoke_separation_holds_in_exact_arithmetic():
+    rng = random.Random(1997)
+    passed, drawn = {}, {}
+    for kind, h in _drawn_pairs(rng, 12000):
+        drawn[kind] = drawn.get(kind, 0) + 1
+        if _spoke_separates(*h):
+            passed[kind] = passed.get(kind, 0) + 1
+            # every certified sign is the exact one, so no side pair crosses
+            assert _exact_spoke_sides(h) in ([1, 1, -1, -1], [-1, -1, 1, 1]), (kind, h)
+            assert not _exact_kites_cross(h), (kind, h)
+    assert sum(drawn.values()) >= 10 ** 4
+    assert "non-finite" not in passed
+    # the decision is not vacuous: most pattern-like pairs pass, and so do
+    # some of every other finite kind
+    assert passed["pattern"] > 0.6 * drawn["pattern"]
+    assert all(passed.get(kind) for kind in drawn if kind != "non-finite"), passed
+
+
+def test_spoke_separation_is_exact_on_collinear_and_straddling_corners():
+    u, q = 0j, 1 + 1j
+    kites = (u, 1 + 0j, 2 + 0.5j, q, 0.5 + 2j, 1j)
+    assert _spoke_separates(*kites) and _spoke_separates(*reversed(kites))
+    # a corner on the spoke line, however far out, is never certified
+    for on_line in (0.5 + 0.5j, 3 + 3j, -1e-300 - 1e-300j):
+        for idx in (1, 2, 4, 5):
+            h = list(kites)
+            h[idx] = on_line
+            assert not _spoke_separates(*h)
+    # p and c on different sides: left to the side-pair test
+    assert not _spoke_separates(u, 1 + 0j, 0 + 2j, q, 0.5 + 2j, 1j)
 
 
 def _turned_seed(turn):

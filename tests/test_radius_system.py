@@ -388,17 +388,19 @@ def test_fill_computes_its_angle_constants_once(monkeypatch):
 def _replayed_fill(params, n, bits=None, seeds=None):
     """The fill replayed stencil by stencil with the single-stencil solvers,
     each taking its angle constants itself: with bits on integers over
-    2**bits, else with the mpf solvers at the working precision, as the
-    fill ran before the fixed-point route.  ({site: value}, solves per tag)."""
-    if seeds is None:
-        seeds = z2_initial(params) if params.c == 2 else seeds_from_pattern(params)
+    2**bits (from the seed rule's integers unless seeds are given), else
+    with the mpf solvers at the working precision, as the fill ran before
+    the fixed-point route.  ({site: value}, solves per tag)."""
     read = (lambda x: x) if bits is None else (lambda x: fixed_real(x, bits))
+    read_seed = read if seeds else (lambda x: x)
+    if seeds is None:
+        seeds = (z2_initial if params.c == 2 else seeds_from_pattern)(params, bits)
     c, out, counts = read(params.c), {}, Counter()
     with params.backend().context():
         for entry in lattice.fill_order(n):
             site = entry.site
             if site in seeds:
-                out[site] = read(seeds[site])
+                out[site] = read_seed(seeds[site])
                 continue
             if entry.tag == lattice.TAG_HEX:
                 label, slots = lattice.black_fill_stencil(site)
@@ -425,15 +427,19 @@ def _mpf_fill(params, n, seeds=None):
 
 def test_fill_values_are_the_single_stencil_solves():
     # the once-per-fill constants leave every radius bit-identical to the
-    # integer solves, each rounded once to the working precision
+    # integer solves, each rounded once to the working precision; the
+    # stored seeds are the seed rule's at the working precision
     params = _ext_params(2.0)
     rf = generate_radii(params, 10)
     bits, prec = fixed_bits(params.dps), dps_to_prec(params.dps)
     fixed, counts = _replayed_fill(params, 10, bits)
     assert list(fixed) == list(rf.values)
+    seeds = z2_initial(params)
     for site, x in fixed.items():
         assert type(x) is int and type(rf.values[site]) is mp.mpf
-        assert rf.values[site]._mpf_ == from_man_exp(x, -bits, prec, round_nearest), site
+        want = seeds[site]._mpf_ if site in seeds else from_man_exp(x, -bits, prec,
+                                                                    round_nearest)
+        assert rf.values[site]._mpf_ == want, site
     assert min(counts.values()) >= 10 and sum(counts.values()) >= 60
 
 
@@ -580,21 +586,46 @@ def test_perturbed_seed_breaks_positivity_extended():
 
 @pytest.mark.parametrize("c, dps", [(2.0, 80), (1.5, 40)])
 def test_fixed_point_fill_is_as_accurate_as_the_mpf_fill(c, dps):
-    # against a fill at 2 dps + 40 digits; the seeds, rounded at dps, set
-    # most of both errors, so with the reference on the same seeds the
-    # fill's own rounding shows: far below that of the mpf solves
+    # against a fill at 2 dps + 40 digits.  From the seeds rounded at dps,
+    # which set most of the mpf route's error, and with the reference on
+    # the same seeds, the fill's own rounding shows: far below that of the
+    # mpf solves
     n, wide = 12, 2 * dps + 40
     params = isotropic_params(c, precision="ext", dps=dps)
     seeds = z2_initial(params) if c == 2 else seeds_from_pattern(params)
     got, mpf_route = generate_radii(params, n).values, _mpf_fill(params, n)
+    same_seeds = generate_radii(params, n, seeds=seeds).values
     wide_params = isotropic_params(c, precision="ext", dps=wide)
     with mp.workdps(wide):
-        for ref, factor in ((generate_radii(wide_params, n).values, 1),
-                            (generate_radii(wide_params, n, seeds=seeds).values, 1000)):
+        for ref, values, factor in (
+                (generate_radii(wide_params, n).values, got, 1),
+                (generate_radii(wide_params, n, seeds=seeds).values, same_seeds, 1000)):
             def err(values):
                 return max(abs(values[s] - r) / r for s, r in ref.items() if r)
-            assert factor * err(got) <= err(mpf_route)
-            assert err(got) <= mp.mpf(10) ** (30 - dps)
+            assert factor * err(values) <= err(mpf_route)
+            assert err(values) <= mp.mpf(10) ** (30 - dps)
+
+
+@pytest.mark.parametrize("c, dps, n", [(1.5, 40, 12), (2.0, 80, 48)])
+def test_fill_seeds_are_taken_beyond_the_fill_width(c, dps, n):
+    # the seed rule at 2**-P brings the fill at least 1000 times closer to
+    # a fill at 2 dps + 40 digits than a start from the seeds at dps (as
+    # the fill read them before); the stored seeds stay those at dps
+    params = isotropic_params(c, precision="ext", dps=dps)
+    rule = z2_initial if c == 2 else seeds_from_pattern
+    seeds, bits = rule(params), fixed_bits(dps)
+    got = generate_radii(params, n).values
+    from_dps_seeds = generate_radii(params, n, seeds=seeds).values
+    ref = generate_radii(isotropic_params(c, precision="ext", dps=2 * dps + 40), n).values
+    assert all(got[s] == seeds[s] for s in seeds)
+    with mp.workdps(2 * dps + 40):
+        fixed = rule(params, bits)
+        assert all(abs(mp.ldexp(fixed[s], -bits) - ref[s]) <= mp.ldexp(1, -bits)
+                   for s in seeds)
+
+        def err(values):
+            return max(abs(values[s] - r) / r for s, r in ref.items() if r and not mp.isinf(r))
+        assert 1000 * err(got) <= err(from_dps_seeds)
 
 
 # -- extract_radii ---------------------------------------------------------
