@@ -12,8 +12,8 @@ from .pattern_core import (PatternParams, ZField, cross_ratio, solve_fourth,
 from .radius_system import (RadiusField, PositivityViolation, generate_radii,
                             dual, z2_initial, border_solve, hex_solve,
                             extract_radii)
-from .riccati import RiccatiParams, g, riccati_step, p0_closed, p0_via_series, y_closed
-from .painleve import dpii_step, x0_closed, sector_of, run_trajectory, shoot
+from .riccati import Boundary, g, riccati_step, p0_closed, p0_via_series, y_closed
+from .painleve import dpii_step, sector_of, run_trajectory, shoot
 from .geometry import reconstruct, immersion_check, sg_slice
 from .document import PatternDocument, save_document, load_document
 from .verify import run_checks, VerifyReport
@@ -21,13 +21,13 @@ from .verify import run_checks, VerifyReport
 __version__ = "0.1.0"
 
 __all__ = [
-    "PatternParams", "ZField", "RadiusField", "RiccatiParams",
+    "PatternParams", "ZField", "RadiusField", "Boundary",
     "PatternDocument", "VerifyReport", "PositivityViolation",
     "cross_ratio", "solve_fourth", "axis_next", "generate_z",
     "constraint_residual", "isotropic_params", "generate_radii", "dual",
     "z2_initial", "border_solve", "hex_solve", "extract_radii", "g",
     "riccati_step", "p0_closed", "p0_via_series", "y_closed", "dpii_step",
-    "x0_closed", "sector_of", "run_trajectory", "shoot", "reconstruct",
+    "sector_of", "run_trajectory", "shoot", "reconstruct",
     "immersion_check", "sg_slice",
     "save_document", "load_document", "run_checks",
 ]

@@ -14,7 +14,7 @@ from typing import Optional
 from . import geometry, pattern_core, radius_system, riccati, painleve
 from .document import (MODES, ROUTES, DocumentError, PatternDocument, check_layout,
                        load_document, save_document)
-from .numerics import DEFAULT_EXT_DPS, Backend, parse_angles
+from .numerics import DEFAULT_EXT_DPS, Backend, parse_angle, parse_angles
 from .pattern_core import PatternParams
 from .radius_system import PositivityViolation
 from .svg import NonFiniteError, render_svg
@@ -25,10 +25,9 @@ EXIT_USAGE = 2
 EXIT_MATH = 3
 
 
-def _params_from_args(args) -> PatternParams:
-    alphas, fracs = parse_angles(args.alpha)
-    return PatternParams(alphas=alphas, c=args.c, precision=args.precision,
-                         dps=args.dps, alpha_pi_fracs=fracs)
+def _fail(message: str, code: int = EXIT_USAGE) -> int:
+    print(message, file=sys.stderr)
+    return code
 
 
 def _build_document(params: PatternParams, n: int, mode: str, route: str) -> PatternDocument:
@@ -60,13 +59,13 @@ def _build_document(params: PatternParams, n: int, mode: str, route: str) -> Pat
 
 def cmd_generate(args) -> int:
     try:
-        params = _params_from_args(args)
+        alphas, fracs = parse_angles(args.alpha)
+        params = PatternParams(alphas=alphas, c=args.c, precision=args.precision,
+                               dps=args.dps, alpha_pi_fracs=fracs)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(f"error: {exc}")
     if args.n < 1:
-        print("error: need --n >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail("error: need --n >= 1")
     if args.mode in ("z2", "log") and args.route == "crossratio":
         args.route = "radius"
     try:
@@ -74,15 +73,12 @@ def cmd_generate(args) -> int:
         check_layout(args.mode, args.route, 2 - params.c if args.mode == "log" else params.c)
         doc = _build_document(params, args.n, args.mode, args.route)
     except PositivityViolation as exc:
-        print(f"positivity failure: {exc}", file=sys.stderr)
-        return EXIT_MATH
+        return _fail(f"positivity failure: {exc}", EXIT_MATH)
     except ArithmeticError as exc:
         # a degenerate stencil, an overflow or a layout that fails to close
-        print(f"mathematical failure: {exc}", file=sys.stderr)
-        return EXIT_MATH
+        return _fail(f"mathematical failure: {exc}", EXIT_MATH)
     except (pattern_core.UnsupportedExponentError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(f"error: {exc}")
     save_document(doc, args.out)
     print(f"wrote {args.out}: mode={doc.mode} route={doc.route} "
           f"N={doc.n_max} vertices={len(doc.vertices)} radii={len(doc.radii)}")
@@ -93,21 +89,17 @@ def cmd_verify(args) -> int:
     try:
         doc = load_document(args.file)
     except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(f"error: {exc}")
     checks = None
     if args.checks is not None:
         checks = [c.strip() for c in args.checks.split(",") if c.strip()]
         bad = [c for c in checks if c not in ALL_CHECKS]
         if bad:
-            print(f"error: unknown checks {bad}; available: {ALL_CHECKS}",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            return _fail(f"error: unknown checks {bad}; available: {ALL_CHECKS}")
     report = run_checks(doc, checks)
     if not report.residuals:
-        print(*report.notes, "error: no requested check applies to this document",
-              sep="\n", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail("\n".join([*report.notes,
+                                 "error: no requested check applies to this document"]))
     for line in report.lines():
         print(line)
     return EXIT_OK if report.ok else EXIT_MATH
@@ -117,16 +109,13 @@ def cmd_render(args) -> int:
     try:
         doc = load_document(args.file, doubles=True)
     except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(f"error: {exc}")
     try:
         text = render_svg(doc, show=args.show, scale=args.scale)
     except NonFiniteError as exc:
-        print(f"mathematical failure: {exc}", file=sys.stderr)
-        return EXIT_MATH
+        return _fail(f"mathematical failure: {exc}", EXIT_MATH)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(f"error: {exc}")
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write(text)
     print(f"wrote {args.out}")
@@ -135,60 +124,48 @@ def cmd_render(args) -> int:
 
 def cmd_analyze(args) -> int:
     if args.n < 0 or args.shoot < 0 or not (math.isfinite(args.tol) and args.tol > 0):
-        print("error: need --n >= 0, --shoot >= 0 and a finite --tol > 0",
-              file=sys.stderr)
-        return EXIT_USAGE
+        return _fail("error: need --n >= 0, --shoot >= 0 and a finite --tol > 0")
     out = []  # printed only once the whole analysis has succeeded
     try:
+        b = riccati.Boundary(args.c, *parse_angle(args.alpha))
         if args.what == "p0":
-            rp = riccati.RiccatiParams(c=args.c, alpha=args.alpha)
-            closed = riccati.p0_closed(rp)
-            series = riccati.p0_via_series(rp)
-            alphas = ((math.pi - args.alpha) / 2, (math.pi - args.alpha) / 2,
-                      args.alpha)
-            params = PatternParams(alphas=alphas, c=args.c)
+            closed, series = riccati.p0_closed(b), riccati.p0_via_series(b)
+            half, f = (math.pi - b.alpha) / 2, b.alpha_pi_frac
+            params = PatternParams(alphas=(half, half, b.alpha), c=args.c,
+                                   alpha_pi_fracs=f and ((1 - f) / 2, (1 - f) / 2, f))
             seeds = radius_system.seeds_from_pattern(params)
             extracted = seeds[(1, 0, -1)] / seeds[(0, 0, 0)]
             dev = max(abs(closed - series), abs(closed - extracted))
-            out.append(f"p0 closed form   : {closed!r}")
-            out.append(f"p0 series route  : {series!r}")
-            out.append(f"p0 from pattern  : {extracted!r}")
-            out.append(f"max deviation    : {dev:.3e}")
+            out += [f"p0 closed form   : {closed!r}", f"p0 series route  : {series!r}",
+                    f"p0 from pattern  : {extracted!r}", f"max deviation    : {dev:.3e}"]
         elif args.what == "riccati":
-            rp = riccati.RiccatiParams(c=args.c, alpha=args.alpha)
-            dps = riccati.separatrix_dps(rp, args.n)
-            traj = riccati.trajectory(rp, args.n, dps=dps)
-            out.append(f"# separatrix run, dps={dps}")
-            out.append("#   n        p_n")
-            for n, p in enumerate(traj.values):
-                out.append(f"{n:5d}  {p: .12f}")
+            dps = riccati.separatrix_dps(b, args.n)
+            traj = riccati.trajectory(b, args.n, dps=dps)
+            out += [f"# separatrix run, dps={dps}", "#   n        p_n"]
+            out += [f"{n:5d}  {p: .12f}" for n, p in enumerate(traj.values)]
             if traj.first_nonpositive is not None:
                 out.append(f"# first nonpositive at n={traj.first_nonpositive}")
-        elif args.what == "painleve":
-            beta0 = args.beta0 if args.beta0 is not None else args.c * args.alpha / 2
+        else:  # painleve
             bk = Backend(args.precision, args.dps)  # caps dps
             dps = None if bk.is_double else bk.dps
-            traj = painleve.run_trajectory(args.c, args.alpha, beta0, args.n, dps=dps)
+            # no --beta0: the separatrix start, at the run's width
+            traj = painleve.run_trajectory(b, args.beta0, args.n, dps=dps)
             out.append("#   n      beta_n    sector")
-            for n, (b, s) in enumerate(zip(traj.betas, traj.sectors)):
-                out.append(f"{n:5d}  {b: .10f}  {s.value}")
+            for n, (beta, s) in enumerate(zip(traj.betas, traj.sectors)):
+                out.append(f"{n:5d}  {beta: .10f}  {s.value}")
             if traj.stayed:
                 out.append(f"# stayed in A_I through n={traj.steps_in_sector()}")
             else:
                 out.append(f"# exited A_I at n={traj.exit_index} "
                            f"into {traj.exit_sector.value}")
             if args.shoot:
-                lo, hi = painleve.shoot(args.c, args.alpha, args.shoot, args.tol)
+                lo, hi = painleve.shoot(b, args.shoot, args.tol)
                 out.append(f"# shoot bracket: [{lo!r}, {hi!r}] width={hi - lo:.3e} "
-                           f"target={args.c * args.alpha / 2!r}")
-        else:
-            raise ValueError(f"unknown analysis {args.what}")
+                           f"target={b.beta0()!r}")
     except (painleve.BracketError, painleve.ResolutionError) as exc:
-        print(f"error: precision exhausted: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(f"error: precision exhausted: {exc}")
     except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(f"error: {exc}")
     print("\n".join(out))
     return EXIT_OK
 
@@ -228,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("analyze", help="boundary analyses")
     a.add_argument("what", choices=("painleve", "riccati", "p0"))
     a.add_argument("--c", type=float, required=True)
-    a.add_argument("--alpha", type=float, default=math.pi / 3)
+    a.add_argument("--alpha", default=repr(math.pi / 3),
+                   help='a float, or a pi fraction "1/3pi"')
     a.add_argument("--n", type=int, default=25)
     a.add_argument("--beta0", type=float, default=None)
     a.add_argument("--precision", choices=("double", "ext"), default="double")
@@ -245,8 +223,7 @@ def main(argv: Optional[list] = None) -> int:
     try:
         return args.func(args)
     except OSError as exc:  # an --out that cannot be written
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(f"error: {exc}")
 
 
 if __name__ == "__main__":

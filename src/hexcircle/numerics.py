@@ -244,29 +244,28 @@ def fixed_unit(theta, bits: int) -> Tuple[int, int]:
     return (to_fixed(cos, bits + 1) + 1) >> 1, (to_fixed(sin, bits + 1) + 1) >> 1
 
 
-def parse_angles(spec: str) -> tuple[tuple[float, float, float],
-                                     Optional[tuple[Fraction, Fraction, Fraction]]]:
-    """Parse an angle triple.
+def parse_angle(spec: str) -> Tuple[float, Optional[Fraction]]:
+    """Parse one angle: a float, or a pi-fraction like "1/4pi" ("pi" alone
+    is 1pi).  Returns the float value and, when exact, the fraction of pi."""
+    spec = spec.strip().lower()
+    if not spec.endswith("pi"):
+        return float(spec), None
+    try:
+        frac = Fraction(spec[:-2].strip() or 1)
+    except ZeroDivisionError:
+        raise ValueError(f"angle {spec!r} has a zero denominator") from None
+    return float(frac) * math.pi, frac
 
-    Accepts "iso", a comma list of floats, or a comma list of pi-fractions
-    like "1/4pi,1/4pi,1/2pi".  Returns the float values and, when exact,
-    the fractions of pi.
-    """
+
+def parse_angles(spec: str) -> tuple[tuple[float, ...], Optional[tuple[Fraction, ...]]]:
+    """Parse an angle triple: "iso", or three comma-separated angles, each
+    by parse_angle.  Returns the float values and, when all three are
+    exact, their fractions of pi."""
     spec = spec.strip().lower()
     if spec == "iso":
-        fr = (Fraction(1, 3),) * 3
-        return tuple(math.pi / 3 for _ in range(3)), fr
-    parts = [p.strip() for p in spec.split(",")]
+        return (math.pi / 3,) * 3, (Fraction(1, 3),) * 3
+    parts = spec.split(",")
     if len(parts) != 3:
         raise ValueError("need three comma-separated angles")
-    if all(p.endswith("pi") for p in parts):
-        fracs = []
-        for p in parts:
-            body = p[:-2].strip()
-            try:
-                fracs.append(Fraction(body) if body else Fraction(1))
-            except ZeroDivisionError:
-                raise ValueError(f"angle {p!r} has a zero denominator") from None
-        fr = tuple(fracs)
-        return tuple(float(f) * math.pi for f in fr), fr
-    return tuple(float(p) for p in parts), None
+    alphas, fracs = zip(*map(parse_angle, parts))
+    return alphas, None if None in fracs else fracs

@@ -7,6 +7,8 @@ x_0 = exp(i c a / 2) is the unique one staying in the open sector
 (0, alpha); it is unstable, so runs carry per-precision horizons and the
 shooting construction brackets the initial angle by exit-side bisection.
 
+Every run takes (c, alpha) as one riccati.Boundary, and its start, alpha
+and epsilon from it at the run's width, an exact pi-fraction exactly.
 Double runs step in complex doubles.  Extended runs step on fixed-point
 Gaussian integers (see _fixed_step), with no division but one
 normalisation.  Both test the sector by the signs of Im x and
@@ -23,6 +25,7 @@ from typing import List, Optional, Tuple
 import mpmath as mp
 
 from .numerics import ANGLE_GUARD_BITS, fixed_bits, fixed_unit, required_dps
+from .riccati import Boundary
 
 #: growth_rate perturbs the separatrix angle by 10**-PROBE_DIGITS
 PROBE_DIGITS = 30
@@ -82,18 +85,7 @@ class PainleveTrajectory:
 
     def steps_in_sector(self) -> int:
         """Largest N with x_n in the closed sector for all n <= N."""
-        if self.exit_index is None:
-            return len(self.points) - 1
-        return self.exit_index - 1
-
-
-def check_domain(c: float, alpha: float) -> None:
-    """The source paper's domain, 0 < c <= 2 and 0 < alpha < pi; the sign
-    test of the sector needs alpha < pi too."""
-    if not 0 < c <= 2:
-        raise ValueError(f"the exponent c must satisfy 0 < c <= 2, not {c!r}")
-    if not 0 < alpha < math.pi:
-        raise ValueError(f"the angle alpha must satisfy 0 < alpha < pi, not {alpha!r}")
+        return len(self.points) - 1 if self.exit_index is None else self.exit_index - 1
 
 
 def _step_raw(n: int, x_prev, x_cur, c, eps):
@@ -124,15 +116,9 @@ def dpii_step(n: int, x_prev: complex, x_cur: complex, c: float,
     return _step_raw(n, x_prev, x_cur, c, epsilon)[0]
 
 
-def x0_closed(c: float, alpha: float) -> complex:
-    """The separatrix initial value exp(i c alpha / 2)."""
-    check_domain(c, alpha)
-    return cmath.exp(1j * c * alpha / 2)
-
-
-def sector_of(x, alpha: float) -> SectorTag:
+def sector_of(x, b: Boundary) -> SectorTag:
     """The sector of a unit complex x, by sector_of_signs."""
-    x, eps = complex(x), cmath.exp(1j * alpha)
+    x, eps = complex(x), b.eps()
     return sector_of_signs(x.imag, x.imag * eps.real - x.real * eps.imag)
 
 
@@ -162,13 +148,13 @@ def _atan2(y: int, x: int) -> float:
     return math.atan2(y, x)
 
 
-def _constants(c: float, alpha: float, bits: int):
+def _constants(b: Boundary, bits: int):
     """epsilon, F = conj(epsilon)**2 and K = c (1 - F) / 2 over 2**bits;
     F and K are each rounded once from epsilon and the exact float c."""
-    er, ei = fixed_unit(alpha, bits)
+    er, ei = b.eps(bits)
     h = 1 << (bits - 1)
     fr, fi = (er * er - ei * ei + h) >> bits, -((2 * er * ei + h) >> bits)
-    p, q = float(c).as_integer_ratio()
+    p, q = float(b.c).as_integer_ratio()
     kr, ki = ((p * ((1 << bits) - fr) + q) // (2 * q), (-p * fi + q) // (2 * q))
     return (er, ei), (fr, fi), (kr, ki)
 
@@ -241,40 +227,49 @@ def _fixed_step(n: int, prev, cur, consts, bits: int):
     return x_next, abs(nn - dd) / dd / (1 + math.sqrt(nn / dd))
 
 
-def run_trajectory(c: float, alpha: float, beta0: float, n_steps: int,
+def _refuse_pole_start(b: Boundary, beta0, alpha) -> None:
+    """The n = 0 solve is 0/0 in exact arithmetic only for c = 2 from
+    x_0 = epsilon: refuse it at every precision, not let rounding decide."""
+    if b.c == 2 and beta0 == alpha:
+        raise StepSingularError("Moebius solve singular at n=0")
+
+
+def run_trajectory(b: Boundary, beta0, n_steps: int,
                    dps: Optional[int] = None) -> PainleveTrajectory:
-    """Iterate from x_0 = exp(i beta0); record sectors and the first exit
-    from the closed sector (the nested-segment sets of the existence
-    argument use the closure).  dps=None runs in doubles; a dps runs on
-    integers over 2**bits, bits = numerics.fixed_bits(dps).
+    """Iterate from x_0 = exp(i beta0), beta0 None the separatrix start of
+    b at the run's width; record sectors and the first exit from the closed
+    sector (the nested-segment sets of the existence argument use the
+    closure).  dps=None runs in doubles; a dps runs on integers over
+    2**bits, bits = numerics.fixed_bits(dps).
 
     ResolutionError when the precision cannot resolve the start: Im epsilon,
     or Im x_0 of a start inside (0, alpha), leaves one unchanged, or the
     n = 0 solve from such a start is singular."""
-    check_domain(c, alpha)
+    bits = None if dps is None else fixed_bits(dps)
+    prec = None if dps is None else bits + ANGLE_GUARD_BITS
+    alpha = b.angle(prec)
+    beta0 = b.beta0(prec) if beta0 is None else beta0
     if not (0 <= beta0 <= alpha):
         raise ValueError("starting angle must lie in [0, alpha]")
     if dps is None:
-        bits, one, where = None, 1.0, "in double"
-        eps = cmath.exp(1j * alpha)
-        x = cmath.exp(1j * beta0)
+        one, where, eps, x = 1.0, "in double", b.eps(), cmath.exp(1j * beta0)
         im_eps, im_x = eps.imag, x.imag
-        step = lambda n, prev, cur: _step_raw(n, prev, cur, c, eps)
-        sector = lambda z: sector_of(z, alpha)
+        step = lambda n, prev, cur: _step_raw(n, prev, cur, b.c, eps)
+        sector = lambda z: sector_of(z, b)
     else:
-        bits, where = fixed_bits(dps), f"at dps {dps}"
-        one = 1 << bits
-        consts = _constants(c, alpha, bits)
-        er, ei = consts[0]
-        x = fixed_unit(beta0, bits)
+        one, where = 1 << bits, f"at dps {dps}"
+        consts = _constants(b, bits)
+        (er, ei), x = consts[0], fixed_unit(beta0, bits)
         im_eps, im_x = ei, x[1]
         step = lambda n, prev, cur: _fixed_step(n, prev, cur, consts, bits)
         sector = lambda z: sector_of_signs(z[1], z[1] * er - z[0] * ei)
     # a part of a unit number reads as zero when it leaves one unchanged
     inside = 0 < beta0 < alpha
-    unresolved = f"alpha = {alpha!r} is not resolved {where}"
+    unresolved = f"alpha = {b.alpha!r} is not resolved {where}"
     if one + im_eps == one or inside and one + im_x == one:
         raise ResolutionError(unresolved)
+    if n_steps:
+        _refuse_pole_start(b, beta0, alpha)
     points, sectors = [x], [sector(x)]
     exit_index = exit_sector = None
     drift = 0.0
@@ -286,8 +281,8 @@ def run_trajectory(c: float, alpha: float, beta0: float, n_steps: int,
             try:
                 x_next, d = step(n, x_prev, x)
             except StepSingularError:
-                # in exact arithmetic the n = 0 solve is singular only for
-                # c = 2 from x_0 = epsilon, which is not inside
+                # from a start inside, the n = 0 solve is singular only by
+                # rounding (see _refuse_pole_start)
                 if n == 0 and inside:
                     raise ResolutionError(unresolved) from None
                 raise
@@ -303,7 +298,7 @@ def run_trajectory(c: float, alpha: float, beta0: float, n_steps: int,
                               max_unitarity_drift=drift, bits=bits)
 
 
-def growth_rate(c: float, alpha: float, probe_steps: int = 10) -> float:
+def growth_rate(b: Boundary, probe_steps: int = 10) -> float:
     """Empirical per-step amplification of a small perturbation of the
     separatrix (used to size precision for shooting and horizons).
 
@@ -314,24 +309,23 @@ def growth_rate(c: float, alpha: float, probe_steps: int = 10) -> float:
     steps of growth up to tenfold beyond PROBE_DIGITS + 10 digits: dps 50
     for the default ten steps.
     """
-    check_domain(c, alpha)
     dps = required_dps(probe_steps, 10, PROBE_DIGITS + 10)
     bits = fixed_bits(dps)
-    consts = _constants(c, alpha, bits)
-    with mp.workprec(bits + ANGLE_GUARD_BITS):
-        beta = mp.mpf(c) * alpha / 2
-        xa, xb = fixed_unit(beta, bits), fixed_unit(beta + mp.mpf(10) ** -PROBE_DIGITS, bits)
+    prec = bits + ANGLE_GUARD_BITS
+    beta = b.beta0(prec)
+    _refuse_pole_start(b, beta, b.angle(prec))
+    consts = _constants(b, bits)
+    with mp.workprec(prec):
+        xa, xb = b.x0(bits), fixed_unit(beta + mp.mpf(10) ** -PROBE_DIGITS, bits)
     pa, pb = xa, xb
     for n in range(probe_steps):
         pa, xa = xa, _fixed_step(n, pa, xa, consts, bits)[0]
         pb, xb = xb, _fixed_step(n, pb, xb, consts, bits)[0]
     gap = abs(_atan2(xb[1] * xa[0] - xb[0] * xa[1], xb[0] * xa[0] + xb[1] * xa[1]))
-    if gap == 0:
-        return 1.0
-    return (gap * 10.0 ** PROBE_DIGITS) ** (1 / probe_steps)
+    return 1.0 if gap == 0 else (gap * 10.0 ** PROBE_DIGITS) ** (1 / probe_steps)
 
 
-def shoot(c: float, alpha: float, n_stay: int, tol: float) -> Tuple[float, float]:
+def shoot(b: Boundary, n_stay: int, tol: float) -> Tuple[float, float]:
     """Bracket the separatrix angle by exit-side bisection.
 
     Returns (lo, hi) with width <= tol such that the endpoint trajectories
@@ -339,14 +333,14 @@ def shoot(c: float, alpha: float, n_stay: int, tol: float) -> Tuple[float, float
     steps.  The nested-interval structure mirrors the existence argument:
     exits through the upper boundary steer hi, through the lower steer lo.
     """
-    check_domain(c, alpha)
     if n_stay < 1 or tol <= 0:
         raise ValueError("need n_stay >= 1 and tol > 0")
+    alpha = b.alpha
     if tol < math.ulp(alpha):
         # the bracket is returned in doubles, one ulp wider on each side
         raise ValueError(f"tol {tol!r} is below the double resolution "
                          f"{math.ulp(alpha)!r} of the angle")
-    dps = required_dps(n_stay + 10, max(growth_rate(c, alpha), 1.5), 30)
+    dps = required_dps(n_stay + 10, max(growth_rate(b), 1.5), 30)
     horizon = 2 * n_stay + 80
 
     def classify(beta: float):
@@ -357,7 +351,7 @@ def shoot(c: float, alpha: float, n_stay: int, tol: float) -> Tuple[float, float
         -epsilon (A_IV, or A_III just past alpha-pi).  A_III exits are
         assigned by proximity to the two accumulation points.
         """
-        traj = run_trajectory(c, alpha, beta, horizon, dps=dps)
+        traj = run_trajectory(b, beta, horizon, dps=dps)
         if traj.stayed:
             return None, horizon
         sec = traj.exit_sector
@@ -372,7 +366,8 @@ def shoot(c: float, alpha: float, n_stay: int, tol: float) -> Tuple[float, float
                 traj.exit_index)
 
     with mp.workdps(dps):
-        lo, hi = mp.mpf(0), mp.mpf(alpha)
+        # alpha as run_trajectory compares with it
+        lo, hi = mp.mpf(0), b.angle(fixed_bits(dps) + ANGLE_GUARD_BITS)
         side_lo, stay_lo = classify(lo)
         side_hi, stay_hi = classify(hi)
         if side_lo != "lower" or side_hi != "upper":

@@ -20,16 +20,22 @@ kappa(c) = (2-c) cot(pi c / 2).  B1 is the dominant direction; the
 second-solution admixture in B2 is exactly what cancels the dominant part,
 making B2 the minimal (separatrix) direction with B2(n+1)/B2(n) -> 1-t.
 The same admixture enters the generating function of the p0 series formula.
+
+Boundary holds (c, alpha) for this module and painleve, and gives every
+value derived from them in double or at a width.  The recurrence here
+refuses c = 2, where g_0 and p0 have their pole.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Optional
 
 import mpmath as mp
 
-from .numerics import required_dps
+from .numerics import ANGLE_GUARD_BITS, fixed_unit, required_dps
 
 
 class ParameterError(ValueError):
@@ -40,36 +46,69 @@ class StepPoleError(ArithmeticError):
     """The linear-fractional step was evaluated at its pole."""
 
 
-class SeriesDomainError(ValueError):
-    """Hypergeometric series argument outside |z| < 1."""
-
-
 #: working digits of the series route p0_via_series (more at small angles)
 SERIES_DPS = 30
 #: digits separatrix_dps keeps beyond the separatrix amplification
 SEPARATRIX_MARGIN = 30
 
 
+def _lifted(double, ext):
+    """A Boundary value: double(b) for prec None, else ext(b, prec) at prec bits."""
+    def value(self, prec: Optional[int] = None):
+        if prec is None:
+            return double(self)
+        with mp.workprec(prec):
+            return ext(self, prec)
+    return value
+
+
 @dataclass(frozen=True)
-class RiccatiParams:
+class Boundary:
+    """(c, alpha) in the source paper's domain 0 < c <= 2, 0 < alpha < pi,
+    checked once; alpha_pi_frac, when set, is alpha / pi exactly.  angle,
+    t = cos(alpha), beta0 = c alpha / 2 and p0 are doubles, or mpf to prec
+    bits with a pi-fraction taken exactly (as pattern_core.guarded_angles);
+    eps and x0 = exp(i beta0) complex doubles, or integers over 2**bits from
+    their angles to bits + ANGLE_GUARD_BITS bits."""
+
     c: float
     alpha: float
+    alpha_pi_frac: Optional[Fraction] = None
 
     def __post_init__(self):
-        if not (0 < self.c < 2):
-            raise ParameterError("exponent must satisfy 0 < c < 2")
-        if not (0 < self.alpha < math.pi):
-            raise ParameterError("angle must lie in (0, pi)")
+        if not 0 < self.c <= 2:
+            raise ParameterError(f"the exponent c must satisfy 0 < c <= 2, not {self.c!r}")
+        if not 0 < self.alpha < math.pi:
+            raise ParameterError(
+                f"the angle alpha must satisfy 0 < alpha < pi, not {self.alpha!r}")
 
-    @property
-    def t(self) -> float:
-        return math.cos(self.alpha)
+    def angle(self, prec: Optional[int] = None):
+        """A float alpha is itself at any prec: exact, and cheap per run."""
+        f = self.alpha_pi_frac
+        if prec is None or f is None:
+            return self.alpha
+        with mp.workprec(prec):
+            return mp.pi * f.numerator / f.denominator
+
+    t = _lifted(lambda b: math.cos(b.alpha), lambda b, prec: mp.cos(b.angle(prec)))
+    beta0 = _lifted(lambda b: b.c * b.alpha / 2,
+                    lambda b, prec: mp.mpf(b.c) * b.angle(prec) / 2)
+    p0 = _lifted(lambda b: math.sin(b.beta0()) / math.sin((2 - b.c) * b.alpha / 2),
+                 lambda b, prec: (mp.sin(b.beta0(prec))
+                                  / mp.sin((2 - mp.mpf(b.c)) * b.angle(prec) / 2)))
+
+    def eps(self, bits: Optional[int] = None):
+        return (cmath.exp(1j * self.alpha) if bits is None
+                else fixed_unit(self.angle(bits + ANGLE_GUARD_BITS), bits))
+
+    def x0(self, bits: Optional[int] = None):
+        return (cmath.exp(1j * self.beta0()) if bits is None
+                else fixed_unit(self.beta0(bits + ANGLE_GUARD_BITS), bits))
 
 
 @dataclass
 class Trajectory:
     """Recorded forward iteration with the first sign failure, if any."""
-
     values: List[float]
     first_nonpositive: Optional[int] = None
 
@@ -89,27 +128,33 @@ def _step(p, n: int, c, t):
     return (gn - t * p) / den
 
 
-def riccati_step(p, n: int, params: RiccatiParams):
+def _data(b: Boundary, prec: Optional[int] = None):
+    """c and t = cos(alpha), as doubles or mpf at prec bits; refuses c = 2."""
+    if b.c == 2:
+        raise ParameterError("the ratio recurrence needs c < 2: g_0 and p0 "
+                             "have their pole at c = 2")
+    return (b.c, b.t()) if prec is None else (mp.mpf(b.c), b.t(prec))
+
+
+def riccati_step(p, n: int, b: Boundary):
     """p_{n+1} at the precision of p: an mpf p takes c and t = cos(alpha)
     at the working precision, any other p the doubles."""
-    if isinstance(p, mp.mpf):
-        return _step(p, n, mp.mpf(params.c), mp.cos(mp.mpf(params.alpha)))
-    return _step(p, n, params.c, params.t)
+    return _step(p, n, *_data(b, mp.mp.prec if isinstance(p, mp.mpf) else None))
 
 
-def p0_closed(params: RiccatiParams) -> float:
-    return math.sin(params.c * params.alpha / 2) / math.sin((2 - params.c) * params.alpha / 2)
+def p0_closed(b: Boundary) -> float:
+    _data(b)  # refuses c = 2
+    return b.p0()
 
 
-def trajectory(params: RiccatiParams, n_steps: int, p_start: Optional[float] = None,
+def trajectory(b: Boundary, n_steps: int, p_start: Optional[float] = None,
                *, dps: int) -> Trajectory:
     """Iterate the step forward at working precision dps (separatrix_dps plans
     it: the separatrix is unstable whenever |1+t| > |1-t|), recording the first
     nonpositive value; a step pole is a sign failure at the following index."""
     with mp.workdps(dps):
-        c, t = mp.mpf(params.c), mp.cos(mp.mpf(params.alpha))
-        p = (mp.sin(c * params.alpha / 2) / mp.sin((2 - c) * params.alpha / 2)
-             if p_start is None else mp.mpf(p_start))
+        c, t = _data(b, mp.mp.prec)
+        p = b.p0(mp.mp.prec) if p_start is None else mp.mpf(p_start)
         values = [float(p)]
         first_bad = None if p > 0 else 0
         for n in range(n_steps):
@@ -124,16 +169,16 @@ def trajectory(params: RiccatiParams, n_steps: int, p_start: Optional[float] = N
         return Trajectory(values=values, first_nonpositive=first_bad)
 
 
-def separatrix_growth(params: RiccatiParams) -> float:
+def separatrix_growth(b: Boundary) -> float:
     """(1+t)/(1-t) = cot(alpha/2)^2, the growth of a separatrix error per
     forward step, free of the cancellation in 1 - t; inf past the doubles."""
-    cot = math.cos(params.alpha / 2) / math.sin(params.alpha / 2)
+    cot = math.cos(b.alpha / 2) / math.sin(b.alpha / 2)
     return cot * cot
 
 
-def separatrix_dps(params: RiccatiParams, n_steps: int) -> int:
+def separatrix_dps(b: Boundary, n_steps: int) -> int:
     """Working precision keeping the forward separatrix clean for n_steps."""
-    return required_dps(n_steps, separatrix_growth(params), SEPARATRIX_MARGIN)
+    return required_dps(n_steps, separatrix_growth(b), SEPARATRIX_MARGIN)
 
 
 def mixture_coefficient(c):
@@ -143,12 +188,7 @@ def mixture_coefficient(c):
     return (2 - c) * mp.cos(mp.pi * c / 2) / mp.sin(mp.pi * c / 2)
 
 
-def _y_dps(params: RiccatiParams, n: int) -> int:
-    # B2 cancels terms of relative size ((1+t)/(1-t))^n
-    return required_dps(n + 2, separatrix_growth(params), 35)
-
-
-def y_basis(n: int, params: RiccatiParams, which: int) -> float:
+def y_basis(n: int, boundary: Boundary, which: int) -> float:
     """Exact solutions of the linearized recurrence (see module docstring).
 
     which=1 is the dominant direction (ratio -> -(1+t)), which=2 the minimal
@@ -156,19 +196,16 @@ def y_basis(n: int, params: RiccatiParams, which: int) -> float:
     """
     if n < 0:
         raise ParameterError("index must be nonnegative")
-    with mp.workdps(_y_dps(params, n)):
-        c = mp.mpf(params.c)
-        t = mp.cos(mp.mpf(params.alpha))
-        a = (c - 1) / 2
-        b = (3 - c) / 2
-        pref = mp.gamma(n + mp.mpf(1) / 2) / mp.gamma(n + 1 - c / 2)
+    # B2 cancels terms of relative size ((1+t)/(1-t))^n
+    with mp.workdps(required_dps(n + 2, separatrix_growth(boundary), 35)):
+        c, t = _data(boundary, mp.mp.prec)
+        a, b, half = (c - 1) / 2, (3 - c) / 2, mp.mpf(1) / 2
+        pref = mp.gamma(n + half) / mp.gamma(n + 1 - c / 2)
         if which == 1:
-            z1 = (1 - t) / 2
-            val = pref * (-(1 + t)) ** n * mp.hyp2f1(a, b, mp.mpf(1) / 2 - n, z1)
+            val = pref * (-(1 + t)) ** n * mp.hyp2f1(a, b, half - n, (1 - t) / 2)
         elif which == 2:
             z2 = (1 + t) / 2
-            f_part = mp.hyp2f1(a, b, mp.mpf(1) / 2 - n, z2)
-            half = mp.mpf(1) / 2
+            f_part = mp.hyp2f1(a, b, half - n, z2)
             poch = (mp.rf(a + half, n) * mp.rf(b + half, n)
                     / (mp.rf(half, n) * mp.rf(3 * half, n)))
             w_part = (mp.power(z2, n + half)
@@ -180,17 +217,12 @@ def y_basis(n: int, params: RiccatiParams, which: int) -> float:
         return float(val)
 
 
-def y_closed(n: int, c1: float, c2: float, params: RiccatiParams) -> float:
+def y_closed(n: int, c1: float, c2: float, b: Boundary) -> float:
     """General solution c1*B1(n) + c2*B2(n) of the linearized recurrence."""
-    out = 0.0
-    if c1 != 0:
-        out += c1 * y_basis(n, params, 1)
-    if c2 != 0:
-        out += c2 * y_basis(n, params, 2)
-    return out
+    return sum((k * y_basis(n, b, which) for k, which in ((c1, 1), (c2, 2)) if k), 0.0)
 
 
-def p0_via_series(params: RiccatiParams) -> float:
+def p0_via_series(boundary: Boundary) -> float:
     """p0 from the series route, independent of the sine quotient.
 
     Evaluates 1 + 2(c-1)z/(2-c) + 4z(z-1) s'(z) / ((2-c) s(z)) at
@@ -201,13 +233,10 @@ def p0_via_series(params: RiccatiParams) -> float:
     relation F'(a, b; cc; z) = (ab/cc) F(a+1, b+1; cc+1; z), at SERIES_DPS
     digits plus one per decade of 1 - z = sin(alpha/2)^2 below 1e-10.
     """
-    lost = -2 * math.log10(math.sin(params.alpha / 2))
+    lost = -2 * math.log10(math.sin(boundary.alpha / 2))
     with mp.workdps(SERIES_DPS + max(0, math.ceil(lost) - 10)):
-        c = mp.mpf(params.c)
-        t = mp.cos(mp.mpf(params.alpha))
-        z = (1 + t) / 2
-        if not (0 < z < 1):
-            raise SeriesDomainError("z = (1+t)/2 must lie in (0,1)")
+        c, t = _data(boundary, mp.mp.prec)
+        z = (1 + t) / 2  # in (0, 1) for 0 < alpha < pi
 
         def f_and_derivative(a, b, cc):
             return (mp.hyp2f1(a, b, cc, z),

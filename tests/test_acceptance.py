@@ -12,7 +12,7 @@ import pytest
 
 from hexcircle import geometry, painleve, pattern_core, radius_system, riccati
 from hexcircle.pattern_core import PatternParams, generate_z, isotropic_params
-from hexcircle.riccati import RiccatiParams
+from hexcircle.riccati import Boundary
 
 ISO = (math.pi / 3,) * 3
 ANISO = (math.pi / 4, math.pi / 4, math.pi / 2)
@@ -87,7 +87,7 @@ def test_c06_p0_closed_vs_series_vs_pattern():
     worst_pattern = 0.0
     for c in C_FULL:
         for alpha in ALPHA_GRID:
-            rp = RiccatiParams(c=c, alpha=alpha)
+            rp = Boundary(c, alpha)
             closed = riccati.p0_closed(rp)
             worst_series = max(worst_series, abs(riccati.p0_via_series(rp) - closed))
             params = PatternParams(
@@ -107,7 +107,7 @@ def test_c07_separatrix_uniqueness_probe():
     ok_pert = True
     for c in C_FULL:
         for alpha in ALPHA_GRID:
-            rp = RiccatiParams(c=c, alpha=alpha)
+            rp = Boundary(c, alpha)
             dps = riccati.separatrix_dps(rp, 40)
             if riccati.trajectory(rp, 40, dps=dps).first_nonpositive is not None:
                 ok_pos = False
@@ -121,9 +121,9 @@ def test_c07_separatrix_uniqueness_probe():
     # at alpha3 = pi/3 the measured amplification ~12.6/step caps double
     # precision near n ~ 15 for any implementation)
     c7, a7 = 1.5, 3 * math.pi / 5
-    stay_double = painleve.run_trajectory(c7, a7, c7 * a7 / 2, 30).steps_in_sector()
-    stay_ext = painleve.run_trajectory(c7, a7, c7 * a7 / 2, 60, dps=60).steps_in_sector()
-    lo, hi = painleve.shoot(1.5, math.pi / 3, 15, 1e-6)
+    stay_double = painleve.run_trajectory(Boundary(c7, a7), c7 * a7 / 2, 30).steps_in_sector()
+    stay_ext = painleve.run_trajectory(Boundary(c7, a7), c7 * a7 / 2, 60, dps=60).steps_in_sector()
+    lo, hi = painleve.shoot(Boundary(1.5, math.pi / 3), 15, 1e-6)
     target = 1.5 * (math.pi / 3) / 2
     ok_shoot = (hi - lo) <= 1e-6 and lo <= target <= hi
     ok = ok_pos and ok_pert and stay_double >= 25 and stay_ext >= 60 and ok_shoot
@@ -133,9 +133,9 @@ def test_c07_separatrix_uniqueness_probe():
 
 
 def linear_recurrence_residual(y0: float, y1: float, y2: float, n: int,
-                               params: RiccatiParams) -> float:
+                               params: Boundary) -> float:
     """Relative residual of y_{n+2} + t(g_{n+1}+1) y_{n+1} + (t^2-1) g_n y_n."""
-    t = params.t
+    t = params.t()
     res = (y2 + t * (riccati.g(n + 1, params.c) + 1) * y1
            + (t * t - 1) * riccati.g(n, params.c) * y0)
     scale = max(abs(y0), abs(y1), abs(y2), 1e-300)
@@ -146,14 +146,14 @@ def test_c08_linearization():
     rng = random.Random(271)
     ok_res = True
     for c, alpha in ((1.5, math.pi / 3), (0.75, math.pi / 4), (1.25, 2 * math.pi / 5)):
-        rp = RiccatiParams(c=c, alpha=alpha)
+        rp = Boundary(c, alpha)
         c1, c2 = rng.uniform(-2, 2), rng.uniform(-2, 2)
         ys = [riccati.y_closed(n, c1, c2, rp) for n in range(23)]
         for n in range(21):
             if linear_recurrence_residual(ys[n], ys[n + 1], ys[n + 2], n, rp) > 1e-10:
                 ok_res = False
-    rp = RiccatiParams(c=1.5, alpha=math.pi / 3)
-    t = rp.t
+    rp = Boundary(1.5, math.pi / 3)
+    t = rp.t()
     ratio = riccati.y_basis(101, rp, 2) / riccati.y_basis(100, rp, 2)
     ok_ratio = abs(ratio / (1 - t) - 1) <= 0.01
     y40, y41 = riccati.y_basis(40, rp, 2), riccati.y_basis(41, rp, 2)
@@ -238,7 +238,7 @@ def test_c11_c1_exactness():
         for n in range(0, 30):
             out = painleve.dpii_step(n, u, u, 1.0, eps)
             worst_x = max(worst_x, abs(out - u))
-    rp = RiccatiParams(c=1.0, alpha=math.pi / 3)
+    rp = Boundary(1.0, math.pi / 3)
     p = 1.0
     exact_riccati = True
     for n in range(40):

@@ -417,6 +417,44 @@ def test_cli_analyze_painleve_names_an_unresolved_angle(capsys, alpha, precision
             f"resolved {where}\n")
 
 
+@pytest.mark.parametrize("alpha", ["1/3pi", repr(math.pi / 3)])
+def test_cli_extended_painleve_exit_grows_with_dps(capsys, alpha):
+    # the start c alpha / 2 is taken at the run's width, not rounded to a
+    # double first: that rounding alone made the run leave at n = 15 at
+    # every dps
+    exits = []
+    for dps in ("40", "60", "100"):
+        assert run_cli(["analyze", "painleve", "--c", "1.5", "--alpha", alpha,
+                        "--n", "150", "--precision", "ext", "--dps", dps]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        exits.append(int(re.fullmatch(r"# exited A_I at n=(\d+) into \S+", last).group(1)))
+    assert 40 <= exits[0] < exits[1] < exits[2], exits
+
+
+@pytest.mark.parametrize("precision", [[], ["--precision", "ext", "--dps", "40"],
+                                       ["--precision", "ext", "--dps", "60"],
+                                       ["--precision", "ext", "--dps", "100"]])
+@pytest.mark.parametrize("alpha", ["1", "1/3pi"])
+def test_cli_painleve_c_2_from_epsilon_exits_2_at_every_precision(capsys, precision, alpha):
+    assert run_cli(["analyze", "painleve", "--c", "2", "--alpha", alpha, "--n", "3",
+                    *precision]) == 2
+    assert capsys.readouterr() == ("", "error: Moebius solve singular at n=0\n")
+
+
+def test_cli_analyze_p0_takes_a_pi_fraction_exactly(capsys, monkeypatch):
+    from fractions import Fraction
+    seen = []
+    seeds = radius_system.seeds_from_pattern
+    monkeypatch.setattr(radius_system, "seeds_from_pattern",
+                        lambda params: seen.append(params) or seeds(params))
+    assert run_cli(["analyze", "p0", "--c", "1.5", "--alpha", "1/2pi"]) == 0
+    assert seen[0].alpha_pi_fracs == (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))
+    dev = float(re.search(r"max deviation\s*: (\S+)", capsys.readouterr().out).group(1))
+    assert dev <= 1e-13
+    assert run_cli(["analyze", "p0", "--c", "1.5", "--alpha", repr(math.pi / 2)]) == 0
+    assert seen[1].alpha_pi_fracs is None
+
+
 def test_document_rejects_garbage(tmp_path):
     path = str(tmp_path / "junk.txt")
     with open(path, "w") as fh:
@@ -995,6 +1033,11 @@ BAD_INVOCATIONS = [
     (["generate", "--c", "2", "--mode", "log", "--n", "0", "--out", "{out}"], 2),
     # an angle with a zero denominator; a square grid from the radius route
     (["generate", "--c", "1.5", "--alpha", "1/0pi,1pi,1pi", "--n", "4", "--out", "{out}"], 2),
+    (["analyze", "p0", "--c", "1.5", "--alpha", "1/0pi"], 2),
+    ([*PAINLEVE, "--alpha", "1/0pi"], 2),
+    # the ratio recurrence has its pole at c = 2
+    (["analyze", "p0", "--c", "2"], 2),
+    (["analyze", "riccati", "--c", "2", "--alpha", "1/3pi", "--n", "5"], 2),
     (["generate", "--c", "1.5", "--mode", "sg", "--route", "radius", "--n", "4",
       "--out", "{out}"], 2),
     # a scale that is not finite and positive, or a canvas that overflows

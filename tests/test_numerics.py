@@ -14,6 +14,7 @@ from hexcircle import painleve, pattern_core, radius_system, verify
 from hexcircle.numerics import (MAX_DPS, MAX_EXP, MIN_EXP, Backend, aligned_points,
                                 aligned_reals, quotient, required_dps)
 from hexcircle.pattern_core import generate_z, isotropic_params
+from hexcircle.riccati import Boundary
 
 EXT = Backend("ext", 40)
 
@@ -315,9 +316,9 @@ def test_extended_painleve_runs_do_no_mpmath_arithmetic_per_step(monkeypatch):
     counts = []
     for steps in (10, 40):
         calls[0] = 0
-        traj = painleve.run_trajectory(c, alpha, c * alpha / 2, steps, dps=60)
+        traj = painleve.run_trajectory(Boundary(c, alpha), c * alpha / 2, steps, dps=60)
         assert traj.steps_in_sector() == steps
-        painleve.growth_rate(c, alpha, probe_steps=steps // 2)
+        painleve.growth_rate(Boundary(c, alpha), probe_steps=steps // 2)
         counts.append(calls[0])
     assert counts[0] == counts[1]
 
@@ -332,3 +333,30 @@ def test_extended_generation_does_no_mpmath_arithmetic_per_site(monkeypatch):
         counts.append(calls[0])
     assert sizes[1] > 2 * sizes[0]
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("spec, value, frac", [
+    ("1/3pi", float(Fraction(1, 3)) * math.pi, Fraction(1, 3)),
+    (" 1/4PI ", math.pi / 4, Fraction(1, 4)),
+    ("pi", math.pi, Fraction(1)),
+    ("0.5pi", math.pi / 2, Fraction(1, 2)),
+    ("1.0471975511965976", math.pi / 3, None),
+    ("0.7", 0.7, None)])
+def test_parse_angle_reads_a_float_or_a_pi_fraction(spec, value, frac):
+    from hexcircle.numerics import parse_angle
+    got = parse_angle(spec)
+    assert got == (value, frac) and type(got[0]) is float
+
+
+def test_parse_angles_is_parse_angle_three_times():
+    from hexcircle.numerics import parse_angle, parse_angles
+    for spec in ("1/4pi,1/4pi,1/2pi", "1/6pi, 1/3pi ,1/2pi", "0.5,1.0,1.6415926535897931",
+                 "1/4pi,0.7853981633974483,1/2pi"):
+        alphas, fracs = zip(*(parse_angle(p) for p in spec.split(",")))
+        assert parse_angles(spec) == (alphas, None if None in fracs else fracs)
+    assert parse_angles("iso") == ((math.pi / 3,) * 3, (Fraction(1, 3),) * 3)
+    for bad in ("1/0pi", "1/4pi,1/0pi,1/2pi"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_angles(bad) if "," in bad else parse_angle(bad)
+    with pytest.raises(ValueError, match="three"):
+        parse_angles("1/2pi,1/2pi")

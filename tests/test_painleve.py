@@ -8,8 +8,8 @@ import pytest
 from hexcircle import painleve
 from hexcircle.numerics import fixed_bits, fixed_unit, required_dps
 from hexcircle.painleve import (SectorTag, dpii_step, growth_rate,
-                                run_trajectory, sector_of, sector_of_signs, shoot,
-                                x0_closed)
+                                run_trajectory, sector_of, sector_of_signs, shoot)
+from hexcircle.riccati import Boundary
 
 
 def sector_of_beta(beta: float, alpha: float) -> SectorTag:
@@ -28,20 +28,21 @@ def sector_of_beta(beta: float, alpha: float) -> SectorTag:
 
 
 def test_x0_closed():
-    assert x0_closed(1.0, 1.1) == pytest.approx(cmath.exp(1j * 0.55))
-    assert x0_closed(1.5, math.pi / 3) == pytest.approx(cmath.exp(1j * math.pi / 4))
+    assert Boundary(1.0, 1.1).x0() == pytest.approx(cmath.exp(1j * 0.55))
+    assert Boundary(1.5, math.pi / 3).x0() == pytest.approx(cmath.exp(1j * math.pi / 4))
     for c in (0.1, 0.7, 1.3, 1.9):
-        beta = cmath.phase(x0_closed(c, 1.0))
+        beta = cmath.phase(Boundary(c, 1.0).x0())
         assert 0 < beta < 1.0
 
 
 def test_sector_of():
     alpha = math.pi / 3
-    assert sector_of(cmath.exp(1j * alpha / 2), alpha) is SectorTag.A_I
-    assert sector_of(cmath.exp(1j * (alpha + 0.1)), alpha) is SectorTag.A_II
-    assert sector_of(cmath.exp(-0.1j), alpha) is SectorTag.A_IV
-    assert sector_of(cmath.exp(1j * (alpha - math.pi - 0.2)), alpha) is SectorTag.A_III
-    assert sector_of(1.0, alpha) is SectorTag.BOUNDARY_LOW
+    b = Boundary(1.0, alpha)
+    assert sector_of(cmath.exp(1j * alpha / 2), b) is SectorTag.A_I
+    assert sector_of(cmath.exp(1j * (alpha + 0.1)), b) is SectorTag.A_II
+    assert sector_of(cmath.exp(-0.1j), b) is SectorTag.A_IV
+    assert sector_of(cmath.exp(1j * (alpha - math.pi - 0.2)), b) is SectorTag.A_III
+    assert sector_of(1.0, b) is SectorTag.BOUNDARY_LOW
 
 
 def test_fixed_point_c1_per_step_residual():
@@ -78,29 +79,29 @@ def test_one_step_reachability_never_a_iii():
             out = dpii_step(n, u, v, c, eps)
         except painleve.StepSingularError:
             continue
-        assert sector_of(out, alpha) is not SectorTag.A_III
+        assert sector_of(out, Boundary(c, alpha)) is not SectorTag.A_III
 
 
 def test_separatrix_stays_at_double_for_measured_horizon():
     # alpha = 3*pi/5 keeps the per-step amplification low enough for 25+
     # double-precision steps (smaller angles drift out earlier)
     c, alpha = 1.5, 3 * math.pi / 5
-    traj = run_trajectory(c, alpha, c * alpha / 2, 30)
+    traj = run_trajectory(Boundary(c, alpha), c * alpha / 2, 30)
     assert traj.steps_in_sector() >= 25
     assert traj.max_unitarity_drift <= 1e-12
 
 
 def test_separatrix_extended_horizon():
     c, alpha = 1.5, 3 * math.pi / 5
-    traj = run_trajectory(c, alpha, c * alpha / 2, 60, dps=60)
+    traj = run_trajectory(Boundary(c, alpha), c * alpha / 2, 60, dps=60)
     assert traj.steps_in_sector() >= 60
     assert 0 < traj.max_unitarity_drift <= 1e-58
 
 
 def test_perturbed_start_exits_both_sides():
     c, alpha = 1.5, math.pi / 3
-    up = run_trajectory(c, alpha, c * alpha / 2 + 1e-3, 60)
-    dn = run_trajectory(c, alpha, c * alpha / 2 - 1e-3, 60)
+    up = run_trajectory(Boundary(c, alpha), c * alpha / 2 + 1e-3, 60)
+    dn = run_trajectory(Boundary(c, alpha), c * alpha / 2 - 1e-3, 60)
     assert not up.stayed and not dn.stayed
     assert up.exit_sector is SectorTag.A_II
     assert dn.exit_sector is SectorTag.A_IV
@@ -112,7 +113,7 @@ def test_trajectory_against_pattern_boundary_ratio():
     c, alpha = 1.4, math.pi / 3
     params = hc.PatternParams(alphas=((math.pi - alpha) / 2,) * 2 + (alpha,), c=c)
     zf = hc.generate_z(params, 9)
-    traj = run_trajectory(c, alpha, c * alpha / 2, 4)
+    traj = run_trajectory(Boundary(c, alpha), c * alpha / 2, 4)
     for n in range(4):
         num = complex(zf[(n, 0, -n - 1)] - zf[(n, 0, -n)])
         den = complex(zf[(n + 1, 0, -n)] - zf[(n, 0, -n)])
@@ -123,14 +124,14 @@ def test_trajectory_against_pattern_boundary_ratio():
 def test_shoot_bracket_contains_closed_form_angle():
     for c in (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75):
         for alpha in (math.pi / 6, math.pi / 4, math.pi / 3, 2 * math.pi / 5):
-            lo, hi = shoot(c, alpha, 8, 1e-5)
+            lo, hi = shoot(Boundary(c, alpha), 8, 1e-5)
             target = c * alpha / 2
             assert lo <= target <= hi
             assert hi - lo <= 1e-5 + 1e-12
 
 
 def test_shoot_c1_collapses_on_alpha_half():
-    lo, hi = shoot(1.0, math.pi / 3, 10, 1e-6)
+    lo, hi = shoot(Boundary(1.0, math.pi / 3), 10, 1e-6)
     assert lo <= math.pi / 6 <= hi
     assert hi - lo <= 1e-6 + 1e-12
 
@@ -141,7 +142,7 @@ def test_shoot_width_shrinks_with_stay_requirement():
     c, alpha = 1.5, math.pi / 3
     widths = []
     for n_stay in (4, 8, 13):
-        lo, hi = shoot(c, alpha, n_stay, tol=1.0)
+        lo, hi = shoot(Boundary(c, alpha), n_stay, tol=1.0)
         widths.append(hi - lo)
     assert widths[0] > widths[1] > widths[2] > 0
 
@@ -150,12 +151,12 @@ def test_shoot_refuses_a_tolerance_below_the_angle_resolution(monkeypatch):
     # refused before a single trajectory runs
     monkeypatch.setattr(painleve, "run_trajectory", None)
     with pytest.raises(ValueError, match="double resolution"):
-        shoot(1.5, math.pi / 3, 5, 1e-300)
+        shoot(Boundary(1.5, math.pi / 3), 5, 1e-300)
 
 
 def test_run_trajectory_rejects_bad_start():
     with pytest.raises(ValueError):
-        run_trajectory(1.3, math.pi / 3, -0.5, 10)
+        run_trajectory(Boundary(1.3, math.pi / 3), -0.5, 10)
 
 
 def _mpc(point, bits):
@@ -168,7 +169,7 @@ def test_fixed_step_matches_the_mpc_step_at_twice_the_digits():
         c, alpha = rng.uniform(0.05, 2.0), rng.uniform(0.2, 3.0)
         n, dps = k % 16, rng.choice((30, 60, 150))  # n = 0 included
         bits = fixed_bits(dps)
-        consts = painleve._constants(c, alpha, bits)
+        consts = painleve._constants(Boundary(c, alpha), bits)
         prev, cur = (fixed_unit(rng.uniform(0.02, 0.98) * alpha, bits)
                      for _ in range(2))
         got, drift = painleve._fixed_step(n, prev, cur, consts, bits)
@@ -183,7 +184,7 @@ def test_fixed_step_matches_the_mpc_step_at_twice_the_digits():
 def test_fixed_step_raises_at_an_exact_previous_pair_pole():
     # x_prev x = -epsilon: D1 = epsilon + x_prev x is exactly zero
     bits = 200
-    consts = painleve._constants(1.3, math.pi / 3, bits)
+    consts = painleve._constants(Boundary(1.3, math.pi / 3), bits)
     er, ei = consts[0]
     with pytest.raises(painleve.StepSingularError, match="previous-pair pole"):
         painleve._fixed_step(2, (1 << bits, 0), (-er, -ei), consts, bits)
@@ -213,11 +214,11 @@ def test_sector_of_signs_equals_sector_of_beta():
 
 
 @pytest.mark.parametrize("call", [
-    lambda: run_trajectory(1.5, 4.0, 0.5, 3),
-    lambda: run_trajectory(1.5, math.pi, 0.5, 3, dps=40),
-    lambda: growth_rate(3.0, 1.0),
-    lambda: shoot(math.nan, 1.0, 3, 1e-3),
-    lambda: x0_closed(0.0, 1.0),
+    lambda: run_trajectory(Boundary(1.5, 4.0), 0.5, 3),
+    lambda: run_trajectory(Boundary(1.5, math.pi), 0.5, 3, dps=40),
+    lambda: growth_rate(Boundary(3.0, 1.0)),
+    lambda: shoot(Boundary(math.nan, 1.0), 3, 1e-3),
+    lambda: Boundary(0.0, 1.0).x0(),
 ])
 def test_domain_errors_name_the_parameter(call):
     with pytest.raises(ValueError, match=r"(exponent c|angle alpha) must satisfy"):
@@ -225,7 +226,7 @@ def test_domain_errors_name_the_parameter(call):
 
 
 def test_growth_rate_keeps_the_shoot_precision_plans():
-    plans = [required_dps(20, max(growth_rate(c, alpha), 1.5), 30)
+    plans = [required_dps(20, max(growth_rate(Boundary(c, alpha)), 1.5), 30)
              for c in (0.5, 1.0, 1.5, 1.9) for alpha in (math.pi / 3, math.pi / 2)]
     assert plans == [52, 45, 52, 44, 52, 45, 53, 46]
 
@@ -242,7 +243,7 @@ SHOOT_PINS = [
 
 @pytest.mark.parametrize("c, alpha, bracket", SHOOT_PINS)
 def test_shoot_brackets_are_pinned_where_c_half_is_not_dyadic(c, alpha, bracket):
-    assert shoot(c, alpha, 10, 1e-6) == bracket
+    assert shoot(Boundary(c, alpha), 10, 1e-6) == bracket
 
 
 # Bracket widths of the mpc implementation where c alpha / 2 is itself a
@@ -257,8 +258,49 @@ DYADIC_WIDTHS = [
 
 @pytest.mark.parametrize("c, alpha, width", DYADIC_WIDTHS)
 def test_shoot_on_a_dyadic_target_keeps_the_width_with_the_target_at_an_end(c, alpha, width):
-    lo, hi = shoot(c, alpha, 10, 1e-6)
+    lo, hi = shoot(Boundary(c, alpha), 10, 1e-6)
     target = c * alpha / 2
     assert hi - lo == pytest.approx(width, rel=1e-3)
     assert lo <= target <= hi
     assert min(target - lo, hi - target) <= 4 * math.ulp(target)
+
+
+def test_the_exact_start_holds_the_digits_of_its_width():
+    # The exact-start tie the boundary check of a document builds on: from
+    # the pi-fraction, a dps-60 run from the separatrix start stays within
+    # 1e-44 of a dps-120 run through n = 19 (2.9e-67 at n = 0, 1.7e-46 at
+    # n = 19, the separatrix growth of its rounding).  From the double angle
+    # it follows the separatrix of that rounded angle, about 6e-17 away at
+    # every n, which shows the tie can tell the two starts apart.
+    from fractions import Fraction
+    exact = Boundary(1.5, math.pi / 3, Fraction(1, 3))
+    ref = run_trajectory(exact, None, 19, dps=120)
+    runs = {"exact": run_trajectory(exact, None, 19, dps=60),
+            "float": run_trajectory(Boundary(1.5, math.pi / 3), None, 19, dps=60)}
+    with mp.workdps(150):
+        gaps = {name: [abs(_mpc(p, t.bits) - _mpc(q, ref.bits))
+                       for p, q in zip(t.points, ref.points)] for name, t in runs.items()}
+    assert len(ref.points) == 20 and all(len(g) == 20 for g in gaps.values())
+    assert max(gaps["exact"]) <= 1e-44 and gaps["exact"][0] <= 1e-66
+    assert all(1e-17 <= g <= 1e-16 for g in gaps["float"])
+
+
+@pytest.mark.parametrize("alpha", [0.7, 1.0, math.pi / 3, 2.0])
+def test_c_2_from_epsilon_is_refused_at_every_precision(alpha):
+    # the n = 0 solve is 0/0 there: rounding alone once picked A_II, A_III,
+    # a singular solve or a zero image, a different one per precision
+    from fractions import Fraction
+    b = Boundary(2.0, alpha)
+    exact = Boundary(2.0, math.pi / 3, Fraction(1, 3))
+    for dps in (None, 40, 60, 100):
+        width = None if dps is None else fixed_bits(dps) + painleve.ANGLE_GUARD_BITS
+        for bd, beta0 in ((b, None), (b, alpha), (exact, None), (exact, exact.angle(width))):
+            with pytest.raises(painleve.StepSingularError,
+                               match=r"^Moebius solve singular at n=0$"):
+                run_trajectory(bd, beta0, 3, dps=dps)
+        # with no step there is no solve: the start is the ray x = epsilon
+        assert run_trajectory(b, None, 0, dps=dps).sectors == [SectorTag.BOUNDARY_HIGH]
+    for call in (lambda: growth_rate(b), lambda: shoot(b, 5, 1e-3)):
+        with pytest.raises(painleve.StepSingularError,
+                           match=r"^Moebius solve singular at n=0$"):
+            call()

@@ -189,13 +189,13 @@ def test_perturbed_seed_breaks_positivity():
 
 
 def test_seed_ratio_matches_closed_form():
-    from hexcircle.riccati import RiccatiParams, p0_closed
+    from hexcircle.riccati import Boundary, p0_closed
     params = PatternParams(alphas=DISTINCT, c=1.37)
     seeds = seeds_from_pattern(params)
     assert seeds[(1, 0, -1)] / seeds[(0, 0, 0)] == pytest.approx(
-        p0_closed(RiccatiParams(c=1.37, alpha=DISTINCT[2])), abs=1e-12)
+        p0_closed(Boundary(1.37, DISTINCT[2])), abs=1e-12)
     assert seeds[(0, 1, -1)] / seeds[(0, 0, 0)] == pytest.approx(
-        p0_closed(RiccatiParams(c=1.37, alpha=DISTINCT[1])), abs=1e-12)
+        p0_closed(Boundary(1.37, DISTINCT[1])), abs=1e-12)
 
 
 def test_z2_initial_values():

@@ -5,7 +5,7 @@ import mpmath as mp
 import pytest
 
 from hexcircle import riccati
-from hexcircle.riccati import (ParameterError, RiccatiParams, g, p0_closed,
+from hexcircle.riccati import (ParameterError, Boundary, g, p0_closed,
                                p0_via_series, riccati_step, separatrix_dps,
                                trajectory, y_basis, y_closed)
 from test_acceptance import linear_recurrence_residual
@@ -26,7 +26,7 @@ def test_g_pole():
 
 
 def test_riccati_step_fixed_point_c1():
-    rp = RiccatiParams(c=1.0, alpha=1.1)
+    rp = Boundary(1.0, 1.1)
     p = 1.0
     for n in range(40):
         p = riccati_step(p, n, rp)
@@ -34,7 +34,7 @@ def test_riccati_step_fixed_point_c1():
 
 
 def test_riccati_step_orthogonal_case():
-    rp = RiccatiParams(c=1.3, alpha=math.pi / 2)
+    rp = Boundary(1.3, math.pi / 2)
     rng = random.Random(5)
     for n in range(10):
         p = rng.uniform(0.2, 3.0)
@@ -45,7 +45,7 @@ def test_extended_riccati_step_is_exact_to_the_working_precision():
     # an mpf p takes cos(alpha) at the working precision, not the double t
     rng = random.Random(12)
     for c, alpha in ((1.5, math.pi / 3), (0.5, 1.2), (1.75, 2.5)):
-        rp = RiccatiParams(c=c, alpha=alpha)
+        rp = Boundary(c, alpha)
         for n in range(6):
             p = rng.uniform(0.2, 3.0)
             with mp.workdps(50):
@@ -58,7 +58,7 @@ def test_extended_riccati_step_is_exact_to_the_working_precision():
 
 
 def test_riccati_cross_ratio_of_four_solutions_constant():
-    rp = RiccatiParams(c=1.4, alpha=math.pi / 3)
+    rp = Boundary(1.4, math.pi / 3)
     rng = random.Random(9)
     ps = [rng.uniform(0.3, 4.0) for _ in range(4)]
     def xr(vals):
@@ -71,17 +71,17 @@ def test_riccati_cross_ratio_of_four_solutions_constant():
 
 
 def test_p0_closed_values():
-    assert p0_closed(RiccatiParams(c=1.0, alpha=0.8)) == pytest.approx(1.0)
-    assert p0_closed(RiccatiParams(c=1.5, alpha=math.pi / 3)) == pytest.approx(
+    assert p0_closed(Boundary(1.0, 0.8)) == pytest.approx(1.0)
+    assert p0_closed(Boundary(1.5, math.pi / 3)) == pytest.approx(
         math.sin(math.pi / 4) / math.sin(math.pi / 12))
-    assert p0_closed(RiccatiParams(c=0.5, alpha=math.pi / 2)) == pytest.approx(
+    assert p0_closed(Boundary(0.5, math.pi / 2)) == pytest.approx(
         0.41421356237309503)
 
 
 def test_y_closed_recurrence_residual():
     rng = random.Random(17)
     for c, alpha in ((1.5, math.pi / 3), (0.6, math.pi / 4), (1.2, 2 * math.pi / 5)):
-        rp = RiccatiParams(c=c, alpha=alpha)
+        rp = Boundary(c, alpha)
         c1, c2 = rng.uniform(-2, 2), rng.uniform(-2, 2)
         ys = [y_closed(n, c1, c2, rp) for n in range(23)]
         for n in range(21):
@@ -90,8 +90,8 @@ def test_y_closed_recurrence_residual():
 
 def test_y_minimal_branch_positivity_and_p0():
     for c, alpha in ((1.5, math.pi / 3), (0.75, math.pi / 4)):
-        rp = RiccatiParams(c=c, alpha=alpha)
-        t = rp.t
+        rp = Boundary(c, alpha)
+        t = rp.t()
         ys = [y_basis(n, rp, 2) for n in range(42)]
         ps = [ys[n + 1] / ys[n] + t * g(n, c) for n in range(41)]
         assert all(p > 0 for p in ps)
@@ -100,8 +100,8 @@ def test_y_minimal_branch_positivity_and_p0():
 
 
 def test_y_basis_asymptotic_ratios():
-    rp = RiccatiParams(c=1.5, alpha=math.pi / 3)
-    t = rp.t
+    rp = Boundary(1.5, math.pi / 3)
+    t = rp.t()
     r_min = y_basis(101, rp, 2) / y_basis(100, rp, 2)
     assert r_min == pytest.approx(1 - t, rel=0.01)
     r_dom = y_basis(101, rp, 1) / y_basis(100, rp, 1)
@@ -109,8 +109,8 @@ def test_y_basis_asymptotic_ratios():
 
 
 def test_ansatz_identity_against_forward_iteration():
-    rp = RiccatiParams(c=1.3, alpha=math.pi / 3)
-    t = rp.t
+    rp = Boundary(1.3, math.pi / 3)
+    t = rp.t()
     traj = trajectory(rp, 20, dps=60)
     for n in range(20):
         y0, y1 = y_basis(n, rp, 2), y_basis(n + 1, rp, 2)
@@ -121,7 +121,7 @@ def test_p0_series_matches_closed_form_on_grid():
     worst = 0.0
     for c in C_GRID:
         for alpha in ALPHA_GRID:
-            rp = RiccatiParams(c=c, alpha=alpha)
+            rp = Boundary(c, alpha)
             worst = max(worst, abs(p0_via_series(rp) - p0_closed(rp)))
     assert worst <= 1e-10
 
@@ -130,31 +130,31 @@ def test_p0_series_matches_closed_form_across_the_angle_range():
     # small angles put z = (1+t)/2 next to 1, where F(a+1, b+1; 3/2; z) grows
     for alpha in (0.001, 0.01, 0.1, 0.12, math.pi / 3, math.pi / 2, 3.1, 3.14):
         for c in (0.05, 0.5, 1.5, 1.99):
-            rp = RiccatiParams(c=c, alpha=alpha)
+            rp = Boundary(c, alpha)
             closed = p0_closed(rp)
             assert abs(p0_via_series(rp) - closed) <= 1e-13 * abs(closed), (c, alpha)
 
 
 def test_p0_series_limits():
     # z -> 0 corresponds to alpha -> pi
-    rp = RiccatiParams(c=0.7, alpha=math.pi - 1e-5)
+    rp = Boundary(0.7, math.pi - 1e-5)
     assert p0_via_series(rp) == pytest.approx(1.0, abs=1e-4)
     # c = 1 gives exactly 1 for any angle
     for alpha in ALPHA_GRID:
-        assert p0_via_series(RiccatiParams(c=1.0, alpha=alpha)) == pytest.approx(1.0, abs=1e-14)
+        assert p0_via_series(Boundary(1.0, alpha)) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_forward_separatrix_positive_at_extended_precision():
     for c in C_GRID:
         for alpha in ALPHA_GRID:
-            rp = RiccatiParams(c=c, alpha=alpha)
+            rp = Boundary(c, alpha)
             traj = trajectory(rp, 40, dps=riccati.separatrix_dps(rp, 40))
             assert traj.first_nonpositive is None, (c, alpha, traj.first_nonpositive)
 
 
 def test_perturbed_p0_loses_positivity():
     for c, alpha in ((1.5, math.pi / 3), (0.5, math.pi / 4)):
-        rp = RiccatiParams(c=c, alpha=alpha)
+        rp = Boundary(c, alpha)
         for fac in (1 + 1e-3, 1 - 1e-3):
             traj = trajectory(rp, 40, p_start=p0_closed(rp) * fac,
                               dps=riccati.separatrix_dps(rp, 40))
@@ -165,13 +165,13 @@ def test_perturbed_p0_loses_positivity():
 def test_p_limit_check():
     # p_N of the separatrix run tends to 1
     for c, tol in ((1.5, 0.05), (1.0, 1e-12)):
-        rp = RiccatiParams(c=c, alpha=math.pi / 3)
+        rp = Boundary(c, math.pi / 3)
         p_n = trajectory(rp, 40, dps=separatrix_dps(rp, 40)).values[-1]
         assert p_n == pytest.approx(1.0, abs=tol)
 
 
 def test_perturbed_run_approaches_minus_one_region():
-    rp = RiccatiParams(c=1.5, alpha=math.pi / 3)
+    rp = Boundary(1.5, math.pi / 3)
     traj = trajectory(rp, 40, p_start=p0_closed(rp) * (1 - 1e-3),
                       dps=riccati.separatrix_dps(rp, 40))
     assert min(traj.values) < 0
@@ -182,7 +182,7 @@ def test_consistency_triangle_with_pattern():
     from hexcircle.radius_system import seeds_from_pattern
     for c in (0.5, 1.5):
         for alpha in (math.pi / 3, 2 * math.pi / 5):
-            rp = RiccatiParams(c=c, alpha=alpha)
+            rp = Boundary(c, alpha)
             params = PatternParams(
                 alphas=((math.pi - alpha) / 2, (math.pi - alpha) / 2, alpha), c=c)
             seeds = seeds_from_pattern(params)
@@ -194,7 +194,7 @@ def test_consistency_triangle_with_pattern():
 def test_double_trajectory_is_the_iterated_step():
     # the float values of the iterated step at dps 50, from the mpf sine quotient
     for c, alpha in ((1.5, math.pi / 3), (0.5, 1.2), (1.0, math.pi / 2), (1.75, 2.5)):
-        rp = RiccatiParams(c=c, alpha=alpha)
+        rp = Boundary(c, alpha)
         with mp.workdps(50):
             cc = mp.mpf(c)
             p = mp.sin(cc * alpha / 2) / mp.sin((2 - cc) * alpha / 2)
@@ -203,3 +203,70 @@ def test_double_trajectory_is_the_iterated_step():
                 p = riccati_step(p, n, rp)
                 expected.append(float(p))
         assert trajectory(rp, 40, dps=50).values == expected, (c, alpha)
+
+
+BOUNDARY_GRID = [(c, alpha) for c in (0.25, 0.5, 1.0, 1.37, 1.5, 1.9)
+                 for alpha in (0.1, math.pi / 3, 1.2, math.pi / 2, 2.5)]
+
+
+@pytest.mark.parametrize("c, alpha", BOUNDARY_GRID)
+def test_boundary_doubles_are_the_double_formulas_bit_for_bit(c, alpha):
+    import cmath
+    b = Boundary(c, alpha)
+    assert b.angle() == alpha and b.t() == math.cos(alpha)
+    assert b.beta0() == c * alpha / 2
+    assert b.p0() == math.sin(c * alpha / 2) / math.sin((2 - c) * alpha / 2)
+    assert b.eps() == cmath.exp(1j * alpha)
+    assert b.x0() == cmath.exp(1j * c * alpha / 2)
+
+
+@pytest.mark.parametrize("c, alpha", BOUNDARY_GRID)
+def test_boundary_at_a_width_takes_the_float_angle_exactly(c, alpha):
+    from hexcircle.numerics import ANGLE_GUARD_BITS, fixed_unit
+    b, prec, bits = Boundary(c, alpha), 200, 180
+    with mp.workprec(prec):
+        cc = mp.mpf(c)
+        assert b.angle(prec) == alpha
+        assert b.t(prec) == mp.cos(mp.mpf(alpha))
+        assert b.beta0(prec) == cc * alpha / 2
+        assert b.p0(prec) == mp.sin(cc * alpha / 2) / mp.sin((2 - cc) * alpha / 2)
+    assert b.eps(bits) == fixed_unit(alpha, bits)
+    with mp.workprec(bits + ANGLE_GUARD_BITS):
+        assert b.x0(bits) == fixed_unit(mp.mpf(c) * alpha / 2, bits)
+
+
+def test_boundary_takes_a_pi_fraction_as_generation_does():
+    from fractions import Fraction
+    from hexcircle.pattern_core import PatternParams, guarded_angles
+    params = PatternParams(alphas=(math.pi / 4, math.pi / 4, math.pi / 2), c=1.5,
+                           alpha_pi_fracs=(Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
+    bits = 150
+    exact = guarded_angles(params, bits)
+    for alpha, frac, want in zip(params.alphas, params.alpha_pi_fracs, exact):
+        b = Boundary(1.5, alpha, frac)
+        assert b.angle(bits + 20) == want
+        assert b.angle() == alpha  # the double is the given float
+    b = Boundary(1.5, math.pi / 3, Fraction(1, 3))
+    with mp.workdps(60):
+        assert abs(b.t(mp.mp.prec) - mp.mpf(1) / 2) <= mp.mpf(10) ** -59
+        assert abs(Boundary(1.5, math.pi / 3).t(mp.mp.prec) - mp.mpf(1) / 2) > 1e-17
+
+
+@pytest.mark.parametrize("c, alpha, name", [
+    (0.0, 1.0, "exponent c"), (-1.0, 1.0, "exponent c"), (2.5, 1.0, "exponent c"),
+    (math.nan, 1.0, "exponent c"), (1.5, 0.0, "angle alpha"),
+    (1.5, math.pi, "angle alpha"), (1.5, 4.0, "angle alpha"),
+    (1.5, math.nan, "angle alpha")])
+def test_boundary_checks_the_domain_once(c, alpha, name):
+    with pytest.raises(ParameterError, match=f"the {name} must satisfy"):
+        Boundary(c, alpha)
+
+
+def test_ratio_recurrence_refuses_c_2_everywhere():
+    b = Boundary(2.0, math.pi / 3)  # in the Painleve domain
+    calls = [lambda: p0_closed(b), lambda: p0_via_series(b),
+             lambda: trajectory(b, 5, dps=40), lambda: y_basis(3, b, 2),
+             lambda: riccati_step(1.0, 3, b), lambda: riccati_step(mp.mpf(1), 3, b)]
+    for call in calls:
+        with pytest.raises(ParameterError, match="needs c < 2"):
+            call()
