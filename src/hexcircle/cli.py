@@ -127,6 +127,7 @@ def cmd_analyze(args) -> int:
         return _fail("error: need --n >= 0, --shoot >= 0 and a finite --tol > 0")
     out = []  # printed only once the whole analysis has succeeded
     try:
+        bk = Backend(args.precision, args.dps)  # caps dps, for every analysis
         b = riccati.Boundary(args.c, *parse_angle(args.alpha))
         if args.what == "p0":
             closed, series = riccati.p0_closed(b), riccati.p0_via_series(b)
@@ -146,7 +147,6 @@ def cmd_analyze(args) -> int:
             if traj.first_nonpositive is not None:
                 out.append(f"# first nonpositive at n={traj.first_nonpositive}")
         else:  # painleve
-            bk = Backend(args.precision, args.dps)  # caps dps
             dps = None if bk.is_double else bk.dps
             # no --beta0: the separatrix start, at the run's width
             traj = painleve.run_trajectory(b, args.beta0, args.n, dps=dps)

@@ -226,6 +226,11 @@ def fixed_bits(dps: int) -> int:
     return dps_to_prec(dps) + GUARD_BITS
 
 
+def div_nearest(num: int, den: int) -> int:
+    """num / den for integers, den != 0, rounded to nearest (ties up)."""
+    return (2 * num + den) // (2 * den) if den > 0 else (-2 * num - den) // (-2 * den)
+
+
 def fixed_real(x, bits: int) -> int:
     """x, a float, int or mpf read without rounding, as an integer over
     2**bits, rounded to nearest; ValueError when x is not finite."""

@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 
 import mpmath as mp
 
-from .numerics import ANGLE_GUARD_BITS, fixed_bits, fixed_unit, required_dps
+from .numerics import ANGLE_GUARD_BITS, div_nearest, fixed_bits, fixed_unit, required_dps
 from .riccati import Boundary
 
 #: growth_rate perturbs the separatrix angle by 10**-PROBE_DIGITS
@@ -155,7 +155,7 @@ def _constants(b: Boundary, bits: int):
     h = 1 << (bits - 1)
     fr, fi = (er * er - ei * ei + h) >> bits, -((2 * er * ei + h) >> bits)
     p, q = float(b.c).as_integer_ratio()
-    kr, ki = ((p * ((1 << bits) - fr) + q) // (2 * q), (-p * fi + q) // (2 * q))
+    kr, ki = div_nearest(p * ((1 << bits) - fr), 2 * q), div_nearest(-p * fi, 2 * q)
     return (er, ei), (fr, fi), (kr, ki)
 
 
@@ -221,9 +221,8 @@ def _fixed_step(n: int, prev, cur, consts, bits: int):
     nn, dd = nr * nr + ni * ni, dr * dr + di * di
     if not nn:
         raise StepSingularError(f"zero image at n={n}")
-    w2 = 2 * math.isqrt(nn * dd)
-    wr, wi = nr * dr + ni * di, ni * dr - nr * di          # N conj(D)
-    x_next = ((wr << (bits + 1)) + w2 // 2) // w2, ((wi << (bits + 1)) + w2 // 2) // w2
+    w, wr, wi = math.isqrt(nn * dd), nr * dr + ni * di, ni * dr - nr * di  # |W|, N conj(D)
+    x_next = div_nearest(wr << bits, w), div_nearest(wi << bits, w)
     return x_next, abs(nn - dd) / dd / (1 + math.sqrt(nn / dd))
 
 

@@ -21,8 +21,8 @@ from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
 
 from .lattice import MultiIndex, generation, q_sites
 from .numerics import (ANGLE_GUARD_BITS, DEFAULT_EXT_DPS, DOUBLE, Backend,
-                       ComplexNumber, aligned_points, fixed_bits, fixed_real,
-                       fixed_unit, quotient, worse, worst_of)
+                       ComplexNumber, aligned_points, div_nearest, fixed_bits,
+                       fixed_real, fixed_unit, quotient, worse, worst_of)
 
 ANGLE_SUM_TOL = 1e-12
 
@@ -133,8 +133,7 @@ def cross_ratio(z1, z2, z3, z4) -> ComplexNumber:
 def _divide(nx, ny, dx, dy) -> Tuple[int, int]:
     """(nx + i ny) / (dx + i dy) as N conj(D) / |D|**2, each part rounded to nearest."""
     m = dx * dx + dy * dy
-    return ((2 * (nx * dx + ny * dy) + m) // (2 * m),
-            (2 * (ny * dx - nx * dy) + m) // (2 * m))
+    return div_nearest(nx * dx + ny * dy, m), div_nearest(ny * dx - nx * dy, m)
 
 
 def solve_fourth(z1, z2, z3, q_target, bits: Optional[int] = None) -> ComplexNumber:

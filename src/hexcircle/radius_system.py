@@ -15,7 +15,7 @@ does: its seeds are taken beyond P bits and rounded once to those
 integers, each solve forms its numerator and denominator exactly and
 divides once, so each site carries one rounding of at most half a unit in
 2**-P, and the values are rounded once more, to mpf at the working
-precision.
+precision: the stored seeds are that one rounding of its integer seeds.
 """
 from __future__ import annotations
 
@@ -32,8 +32,9 @@ from .lattice import (SubIndex, TAG_BORDER, TAG_HEX, TAG_SEED, TAG_TRI,
                       border_fill_stencil, black_fill_stencil,
                       axis_neighbors, fill_dependencies, hex_coefficients,
                       hex_stencil_slots, tri_fill_stencil)
-from .numerics import (ANGLE_GUARD_BITS, DEFAULT_EXT_DPS, aligned_reals,
-                       fixed_bits, fixed_real, fixed_unit, quotient, worst_of)
+from .numerics import (ANGLE_GUARD_BITS, DEFAULT_EXT_DPS, GUARD_BITS, aligned_reals,
+                       div_nearest, fixed_bits, fixed_real, fixed_unit, quotient,
+                       worst_of)
 from .pattern_core import (PatternParams, ZField, evolve, field_points,
                            generate_z, guarded_angles, memoised)
 
@@ -106,13 +107,6 @@ def hex_residual(label: SubIndex, values: Dict[SubIndex, float], c: float) -> Op
     return total - (c - 1)
 
 
-def _div_nearest(num: int, den: int) -> int:
-    """num / den for integers, den != 0, rounded to nearest (ties up)."""
-    if den < 0:
-        num, den = -num, -den
-    return (2 * num + den) // (2 * den)
-
-
 def hex_solve(K: int, L: int, M: int, *, r1=None, r3=None, r4=None, r5=None,
               r6=None, c: float, bits: Optional[int] = None) -> float:
     """Solve the six-circle relation at label (K, L, M) for the r2 slot.
@@ -163,7 +157,7 @@ def hex_solve(K: int, L: int, M: int, *, r1=None, r3=None, r4=None, r5=None,
         return POLE
     if bits is None:
         return r5 * (s + num) / (s - num)
-    return _div_nearest(r5 * (s + num), s - num)
+    return div_nearest(r5 * (s + num), s - num)
 
 
 def border_residual(r: float, r1: float, r2: float, r3: float,
@@ -204,7 +198,7 @@ def border_solve(r: float, r2: float, r3: float, angle_index: int,
     if den == 0:
         raise DegenerateStencilError("border relation degenerate")
     num = -(r2 * a_fac + (r3 + r2) * r * (r * one - r2 * t))
-    return num / den if bits is None else _div_nearest(num, den)
+    return num / den if bits is None else div_nearest(num, den)
 
 
 def angle_constants(params: PatternParams, bk=None, bits: Optional[int] = None):
@@ -248,38 +242,42 @@ def tri_solve_slot2(r: float, r1: float, r3: float,
     if den == 0:
         raise DegenerateStencilError("three-circle slot solve degenerate")
     num = r1 * r3 * s1 - r * (r1 * s3 + r3 * s2)
-    return num / den if bits is None else _div_nearest(num, den)
+    return num / den if bits is None else div_nearest(num, den)
 
 
 # ---------------------------------------------------------------------------
 # seeds and the full fill
 # ---------------------------------------------------------------------------
 
+def _to_real(x, bits: Optional[int], bk):
+    """x, an integer over 2**bits, rounded once to a float or to an mpf at
+    the dps of bk; a pole, a NaN, or any x without bits, as it is."""
+    if bits is None or type(x) is not int:
+        return x
+    return (x / (1 << bits) if bk.is_double else
+            mp.make_mpf(from_man_exp(x, -bits, dps_to_prec(bk.dps), round_nearest)))
+
+
 def z2_initial(params: PatternParams, bits: Optional[int] = None) -> Dict[SubIndex, float]:
     """Renormalized initial data of the c = 2 pattern (origin is a pole of
     the dual, a zero here).  With bits, as integers over 2**bits: each
-    sin(a)/a is taken to bits + ANGLE_GUARD_BITS bits and rounded once."""
+    sin(a)/a is taken to bits + ANGLE_GUARD_BITS bits and rounded once.
+    Without, those integers at the fill's width, each rounded once by
+    _to_real."""
     if min(params.alphas) <= 0:
         raise ValueError("angles must be positive")
-    if bits is not None:
-        _, a2, a3 = guarded_angles(params, bits)
-        with mp.workprec(bits + ANGLE_GUARD_BITS):
-            return {(0, 0, 0): 0, (1, 0, -1): fixed_real(mp.sin(a3) / a3, bits),
-                    (0, 1, -1): fixed_real(mp.sin(a2) / a2, bits), (1, 1, -1): 1 << bits}
-    bk = params.backend()
-    with bk.context():
-        a2 = params.exact_angle(1, bk)
-        a3 = params.exact_angle(2, bk)
-        one = bk.real(1.0)
-        return {
-            (0, 0, 0): 0 * one,
-            (1, 0, -1): bk.sin(a3) / a3,
-            (0, 1, -1): bk.sin(a2) / a2,
-            (1, 1, -1): one,
-        }
+    if bits is None:  # a double PatternParams does not check its dps
+        bk = params.backend()
+        bits = 53 + GUARD_BITS if bk.is_double else fixed_bits(params.dps)
+        return {s: _to_real(v, bits, bk) for s, v in z2_initial(params, bits).items()}
+    _, a2, a3 = guarded_angles(params, bits)
+    with mp.workprec(bits + ANGLE_GUARD_BITS):
+        return {(0, 0, 0): 0, (1, 0, -1): fixed_real(mp.sin(a3) / a3, bits),
+                (0, 1, -1): fixed_real(mp.sin(a2) / a2, bits), (1, 1, -1): 1 << bits}
 
 
-# the seed radii of 0 < c < 2 as vertex pairs of a depth-2 run
+# the seed radii of 0 < c < 2 as vertex pairs of a depth-2 run; the even
+# one is the center, at the vertex of the seed's sublattice label
 _SEED_SPOKES = {(0, 0, 0): ((1, 0, 0), (0, 0, 0)), (1, 0, -1): ((1, 0, -1), (1, 0, 0)),
                 (0, 1, -1): ((0, 1, -1), (0, 1, 0))}
 
@@ -288,18 +286,23 @@ def seeds_from_pattern(params: PatternParams, bits: Optional[int] = None) -> Dic
     """Seed radii for 0 < c < 2, extracted from a depth-2 run of the evolved
     map (the initial data is given for z, not for r).  With bits, as
     integers over 2**bits: the run goes on integers over 2**W, W = bits +
-    ANGLE_GUARD_BITS, and each distance is taken to W bits and rounded once."""
+    ANGLE_GUARD_BITS, and each seed is the mean distance from its center to
+    its stored axis neighbors (all equal in exact arithmetic), the roots
+    taken to W bits (_root_mean), rounded once.  Without bits, those
+    integers at the fill's width, each rounded once by _to_real; a double
+    pattern keeps the spokes of a double run, whose other distances carry
+    more rounding."""
+    bk = params.backend()
     if bits is not None:
         wide = bits + ANGLE_GUARD_BITS
-        z = evolve(params, 2, wide)
-        with mp.workprec(wide):
-            return {s: fixed_real(mp.ldexp(mp.sqrt((z[a][0] - z[b][0]) ** 2
-                                                   + (z[a][1] - z[b][1]) ** 2), -wide), bits)
-                    for s, (a, b) in _SEED_SPOKES.items()}
-    zf = generate_z(params, 2)
-    bk = params.backend()
-    with bk.context():
+        sq_of = _sq_distances(evolve(params, 2, wide))
+        means = {s: _root_mean(sq_of[s], wide) for s in _SEED_SPOKES}
+        return {s: div_nearest(num, den << (wide - bits)) for s, (num, den) in means.items()}
+    if bk.is_double:
+        zf = generate_z(params, 2)
         return {s: bk.abs(zf[a] - zf[b]) for s, (a, b) in _SEED_SPOKES.items()}
+    bits = fixed_bits(params.dps)
+    return {s: _to_real(v, bits, bk) for s, v in seeds_from_pattern(params, bits).items()}
 
 
 def generate_radii(params: PatternParams, n_max: int,
@@ -313,40 +316,31 @@ def generate_radii(params: PatternParams, n_max: int,
     An extended fill runs on integers over 2**P, P = numerics.fixed_bits(dps):
     the seeds and c are rounded to them once, the angle constants lie
     within one unit (angle_constants with bits), and each solve rounds
-    once, by at most half a unit.  Without given seeds, the seed rule is
-    taken beyond P bits (z2_initial or seeds_from_pattern with bits), so
-    the fill does not start from seeds rounded at the working precision.
-    Every computed value is rounded once more at the end, to an mpf at the
-    working precision; the stored seeds are the given ones or the seed
-    rule's at the working precision.  On an extended fill a seed that is
+    once, by at most half a unit.  Without given seeds, the seed rule gives
+    its integers over 2**P, called once.  Every value is rounded once more,
+    to an mpf at the working precision (_to_real); the stored seeds are the
+    given ones or the seed rule's.  On an extended fill a seed that is
     neither finite nor a pole raises ValueError.
     """
     rule = None
     if seeds is None:
-        if params.c == 2:
-            rule = z2_initial
-        elif 0 < params.c < 2:
-            rule = seeds_from_pattern
-        else:
+        if not 0 < params.c <= 2:
             raise ValueError("no seed rule for c = 0; use dual()")
-        seeds = rule(params)
+        rule = z2_initial if params.c == 2 else seeds_from_pattern
     bk = params.backend()
     values: Dict[SubIndex, float] = {}
     if bk.is_double:
-        bits, c, read, to_real = None, params.c, seeds, None
+        bits, c = None, params.c
+        read = rule(params) if rule else seeds
     else:
-        bits, prec = fixed_bits(params.dps), dps_to_prec(params.dps)
+        bits = fixed_bits(params.dps)
         c = fixed_real(params.c, bits)
         read = (rule(params, bits) if rule else
                 {s: POLE if is_pole(v) else fixed_real(v, bits) for s, v in seeds.items()})
-
-        def to_real(x):
-            return (mp.make_mpf(from_man_exp(x, -bits, prec, round_nearest))
-                    if type(x) is int else x)
     sines, cosines = angle_constants(params, bk, bits)
     for entry in lattice.fill_order(n_max):
         site, tag = entry.site, entry.tag
-        if site in seeds:
+        if site in read:
             values[site] = read[site]
             continue
         if tag == TAG_SEED:
@@ -368,13 +362,14 @@ def generate_radii(params: PatternParams, n_max: int,
             raise ValueError(tag)
         if not val > 0:  # a pole is +inf, NaN fails
             upstream = {str(dep): values.get(dep) for dep in fill_dependencies(entry)}
-            if to_real:
-                val, upstream = to_real(val), {k: to_real(v) for k, v in upstream.items()}
+            val, upstream = _to_real(val, bits, bk), {k: _to_real(v, bits, bk)
+                                                      for k, v in upstream.items()}
             raise PositivityViolation(site=site, value=val, tag=tag,
                                       upstream=upstream)
         values[site] = val
-    if to_real:
-        values = {s: seeds[s] if s in seeds else to_real(v) for s, v in values.items()}
+    # given seeds are stored as given
+    values = {s: seeds[s] if seeds and s in seeds else _to_real(v, bits, bk)
+              for s, v in values.items()}
     return RadiusField(params=params, values=values, generation=n_max)
 
 
@@ -500,65 +495,65 @@ def max_equation_residual(rf: RadiusField) -> float:
     return worst_of(d for _, _, d in defects)
 
 
-@memoised
-def _axis_sq_distances(zf: ZField):
-    """Squared distances from every even site to its stored axis neighbors,
-    in axis_neighbors order, as ({site: [sq, ...]}, one); sites without a
-    stored neighbor are left out.  On an extended field they are exact
-    integers over one**2 (pattern_core.field_points), on a double field
-    floats with one = 1.0.  None when the field cannot be read: a value that
-    is not finite, or an extended value outside the aligned_points window.
-    """
-    read = field_points(zf)
-    if read is None:
-        return None
-    pts, one = read
+def _sq_distances(pts) -> Dict:
+    """Squared distances from every even site of pts ({site: (x, y)}) to
+    its axis neighbors in pts, in axis_neighbors order; sites without one
+    are left out."""
     out = {}
     for site, (x, y) in pts.items():
-        if lattice.parity(site) != 0:
-            continue
-        sq = []
-        for nb in axis_neighbors(site):
-            if nb in pts:
-                dx, dy = pts[nb][0] - x, pts[nb][1] - y
-                sq.append(dx * dx + dy * dy)
-        if sq:
-            out[site] = sq
-    return out, one
+        if lattice.parity(site) == 0:
+            sq = []
+            for p in map(pts.get, axis_neighbors(site)):
+                if p:
+                    dx, dy = p[0] - x, p[1] - y
+                    sq.append(dx * dx + dy * dy)
+            if sq:
+                out[site] = sq
+    return out
+
+
+@memoised
+def axis_sq_distances(zf: ZField):
+    """The one read of the distances to the axis neighbors, behind
+    extract_radii and kite: (_sq_distances of the stored points, one).  On
+    an extended field they are exact integers over one**2
+    (pattern_core.field_points), on a double field floats with one = 1.0.
+    None when the field cannot be read: a value that is not finite, or an
+    extended value outside the aligned_points window.
+    """
+    read = field_points(zf)
+    return read and (_sq_distances(read[0]), read[1])
+
+
+def _root_mean(sq, bits: int) -> Tuple[int, int]:
+    """The mean of the square roots of the integers sq as (num, den), den =
+    len(sq) 2**g: each root floored by math.isqrt, the largest taken to at
+    least bits bits."""
+    g = max(0, bits - max(sq).bit_length() // 2)
+    return sum(math.isqrt(d << 2 * g) for d in sq), len(sq) << g
 
 
 def extract_radii(zf: ZField) -> Dict[SubIndex, float]:
     """Mean distance from each even vertex to its stored neighbors, keyed
     by sublattice label (the oracle for the recurrence route), at the
-    precision of the field.  A double field takes the mean of the built-in
-    abs of the differences.  An extended field is read once, exactly
-    (_axis_sq_distances): the math.isqrt of each squared distance is taken
-    to 32 bits beyond the working precision, and the sum of the roots,
-    over the count, is rounded once to nearest.  Every radius is NaN when
-    the field cannot be read.
+    precision of the field, from axis_sq_distances.  A double field takes
+    the mean of the math.sqrt of the squares.  On an extended field the
+    roots are taken to 32 bits beyond the working precision (_root_mean),
+    and their sum, over the count, is rounded once to nearest.  Every
+    radius is NaN when the field cannot be read.
     """
     bk = zf.params.backend()
-    read = None if bk.is_double else _axis_sq_distances(zf)
-    out: Dict[SubIndex, float] = {}
-    if read is None:
-        for site, z in zf.values.items():
-            if lattice.parity(site) != 0:
-                continue
-            nbs = [nb for nb in axis_neighbors(site) if nb in zf.values]
-            if nbs:
-                out[lattice.to_sub(site)] = (
-                    sum(abs(zf.values[nb] - z) for nb in nbs) / len(nbs)
-                    if bk.is_double else mp.nan)
-        return out
-    prec = dps_to_prec(bk.dps)
-    bits, log_one = prec + 32, read[1].bit_length() - 1
-    for site, sq in read[0].items():
-        g = max(0, bits - max(sq).bit_length() // 2)
-        # the mean is roots / len(sq) * 2**-g / one
-        roots = sum(math.isqrt(d << 2 * g) for d in sq)
-        out[lattice.to_sub(site)] = mp.make_mpf(mpf_div(
-            from_man_exp(roots, -g - log_one), from_int(len(sq)), prec, round_nearest))
-    return out
+    read = axis_sq_distances(zf)
+    if read is None:  # NaN at the sites of a readable field
+        return dict.fromkeys(map(lattice.to_sub, _sq_distances(dict.fromkeys(zf.values, (0, 0)))),
+                             math.nan if bk.is_double else mp.nan)
+    sq_of, one = read
+    if bk.is_double:
+        return {lattice.to_sub(s): sum(map(math.sqrt, sq)) / len(sq) for s, sq in sq_of.items()}
+    prec, log_one = dps_to_prec(bk.dps), one.bit_length() - 1
+    means = {lattice.to_sub(s): _root_mean(sq, prec + 32) for s, sq in sq_of.items()}
+    return {s: mp.make_mpf(mpf_div(from_man_exp(num, -log_one), from_int(den), prec,
+                                   round_nearest)) for s, (num, den) in means.items()}
 
 
 def compare_routes(params: PatternParams, n_max: int) -> Tuple[float, int]:

@@ -100,7 +100,7 @@ def _has_items(name, zf, rf) -> bool:
     if name == "constraint":
         return next(pattern_core.interior_sites(zf), None) is not None
     if name == "kite":
-        return any(len(sq) > 1 for sq in radius_system._axis_sq_distances(zf)[0].values())
+        return any(len(sq) > 1 for sq in radius_system.axis_sq_distances(zf)[0].values())
     return bool(radius_system.equation_defects(rf))
 
 
@@ -132,7 +132,7 @@ def max_kite_residual(zf) -> float:
     """Worst deviation of the neighbor distances around any center from a
     common value: hi/lo - 1 of the largest and smallest distance.
 
-    With the squared distances of radius_system._axis_sq_distances (exact
+    With the squared distances of radius_system.axis_sq_distances (exact
     integers on an extended field), gap = (hi^2 - lo^2) / lo^2 is one
     rounded quotient, and hi/lo - 1 = gap / (sqrt(1 + gap) + 1), which does
     not depend on the scale of the field.  A center whose neighbors all
@@ -140,7 +140,7 @@ def max_kite_residual(zf) -> float:
     with some but not all distances zero is a collapsed edge and gives inf.
     A field that cannot be read gives NaN.
     """
-    read = radius_system._axis_sq_distances(zf)
+    read = radius_system.axis_sq_distances(zf)
     if read is None:
         return math.nan
     spreads = []

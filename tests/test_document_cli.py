@@ -362,6 +362,21 @@ def test_cli_analyze_runs(capsys):
                     str(math.pi / 3), "--n", "10"]) == 0
 
 
+@pytest.mark.parametrize("analysis", [["p0"], ["riccati", "--n", "3"], ["painleve", "--n", "3"]])
+def test_cli_every_analysis_checks_its_precision_flags(capsys, analysis):
+    argv = ["analyze", *analysis, "--c", "1.5"]
+    for dps in ("0", "99999"):
+        assert run_cli([*argv, "--precision", "ext", "--dps", dps]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: extended precision needs 1 <= dps <= {numerics.MAX_DPS}, not {dps}\n")
+    # valid flags are taken; p0 and riccati print what they print without them
+    outs = []
+    for flags in ([], ["--precision", "ext", "--dps", "60"]):
+        assert run_cli([*argv, *flags]) == 0
+        outs.append(capsys.readouterr().out)
+    assert analysis[0] == "painleve" or outs[0] == outs[1]
+
+
 def test_cli_analyze_p0_at_a_small_angle(capsys):
     assert run_cli(["analyze", "p0", "--c", "1.5", "--alpha", "0.1"]) == 0
     out = capsys.readouterr().out

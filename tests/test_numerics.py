@@ -2,6 +2,7 @@
 the Backend's scalar methods."""
 import cmath
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from hexcircle import painleve, pattern_core, radius_system, verify
 from hexcircle.numerics import (MAX_DPS, MAX_EXP, MIN_EXP, Backend, aligned_points,
-                                aligned_reals, quotient, required_dps)
+                                aligned_reals, div_nearest, quotient, required_dps)
 from hexcircle.pattern_core import generate_z, isotropic_params
 from hexcircle.riccati import Boundary
 
@@ -360,3 +361,16 @@ def test_parse_angles_is_parse_angle_three_times():
             parse_angles(bad) if "," in bad else parse_angle(bad)
     with pytest.raises(ValueError, match="three"):
         parse_angles("1/2pi,1/2pi")
+
+
+def test_div_nearest_rounds_half_up_on_integers_of_every_sign_and_size():
+    rng = random.Random(24)
+    half = Fraction(1, 2)
+    for _ in range(3000):
+        num = rng.choice((-1, 1)) * rng.getrandbits(rng.randrange(1, 400))
+        den = rng.choice((-1, 1)) * (rng.getrandbits(rng.randrange(1, 400)) or 1)
+        assert div_nearest(num, den) == math.floor(Fraction(num, den) + half), (num, den)
+        # and an exact tie k + 1/2 at the same sizes goes up, to k + 1
+        k, d = num // 2, 2 * abs(den)
+        for sign in (-1, 1):
+            assert div_nearest(sign * (k * d + d // 2), sign * d) == k + 1

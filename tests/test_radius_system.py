@@ -9,7 +9,7 @@ from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
 
 from hexcircle import lattice, radius_system
 from hexcircle.lattice import border_fill_stencil, hex_stencil_slots
-from hexcircle.numerics import fixed_bits, fixed_real
+from hexcircle.numerics import fixed_bits, fixed_real, parse_angles
 from hexcircle.pattern_core import PatternParams, generate_z, isotropic_params
 from hexcircle.radius_system import (DegenerateStencilError,
                                      PositivityViolation, angle_constants,
@@ -628,6 +628,41 @@ def test_fill_seeds_are_taken_beyond_the_fill_width(c, dps, n):
         assert 1000 * err(got) <= err(from_dps_seeds)
 
 
+SEED_TRIPLES = ("iso", "1/4pi,1/4pi,1/2pi", "1/6pi,1/3pi,1/2pi", "1/6pi,1/6pi,2/3pi",
+                "1/5pi,7/20pi,9/20pi")
+
+
+def _reference_seeds(params, dps):
+    """The seeds of params at dps digits: sin(a)/a for c = 2, else the
+    spokes |Z(a) - Z(b)| of a depth-2 run."""
+    fracs = params.alpha_pi_fracs
+    if params.c == 2:
+        with mp.workdps(dps):
+            a2, a3 = (mp.pi * f.numerator / f.denominator for f in fracs[1:])
+            return {(0, 0, 0): mp.mpf(0), (1, 0, -1): mp.sin(a3) / a3,
+                    (0, 1, -1): mp.sin(a2) / a2, (1, 1, -1): mp.mpf(1)}
+    z = generate_z(PatternParams(params.alphas, params.c, precision="ext", dps=dps,
+                                 alpha_pi_fracs=fracs), 2).values
+    with mp.workdps(dps):
+        return {s: abs(z[a] - z[b]) for s, (a, b) in radius_system._SEED_SPOKES.items()}
+
+
+@pytest.mark.parametrize("c", [2.0, 0.5, 1.5, 1.9])
+def test_stored_extended_seeds_are_correctly_rounded(c):
+    # each stored seed is the one rounding of the fill's integer seed, and
+    # so the working-precision rounding of the seed at 4 times the digits
+    for spec in SEED_TRIPLES:
+        alphas, fracs = parse_angles(spec)
+        for dps in (10, 15, 20, 40, 60, 80, 100, 200):
+            params = PatternParams(alphas, c, precision="ext", dps=dps, alpha_pi_fracs=fracs)
+            stored = generate_radii(params, 1).values
+            ref = _reference_seeds(params, 4 * dps)
+            rule = z2_initial if c == 2 else seeds_from_pattern
+            assert rule(params) == {s: stored[s] for s in ref}
+            with mp.workprec(dps_to_prec(dps)):
+                assert all(stored[s] == +r for s, r in ref.items()), (spec, dps)
+
+
 # -- extract_radii ---------------------------------------------------------
 
 def _reference_radii(zf, dps):
@@ -669,7 +704,7 @@ def _fdiv_radii(zf):
     """extract_radii's extended mean as an mpf division: per even site with
     a stored neighbor, mp.fdiv of the integer sum of roots by the integer
     count * one * 2**g, at the working precision."""
-    sq_of, one = radius_system._axis_sq_distances(zf)
+    sq_of, one = radius_system.axis_sq_distances(zf)
     out = {}
     with zf.params.backend().context():
         bits = mp.mp.prec + 32
@@ -700,18 +735,43 @@ def test_extract_radii_rounds_as_one_mpf_division(mode, dps):
 
 
 def test_extract_radii_double_is_the_axis_distance_mean():
+    # the math.sqrt of the squares of the one distance read, not the
+    # built-in abs (a hypot) of the differences
     for c in (0.5, 1.37):
         zf = generate_z(PatternParams(alphas=DISTINCT, c=c), 10)
         got = extract_radii(zf)
         want = {}
         for site, z in zf.values.items():
             if lattice.parity(site) == 0:
-                d = [abs(zf.values[nb] - z) for nb in lattice.axis_neighbors(site)
-                     if nb in zf.values]
+                dz = [zf.values[nb] - z for nb in lattice.axis_neighbors(site)
+                      if nb in zf.values]
+                d = [math.sqrt(w.real * w.real + w.imag * w.imag) for w in dz]
                 if d:
                     want[lattice.to_sub(site)] = sum(d) / len(d)
         assert list(got) == list(want) and all(type(r) is float for r in got.values())
         assert got == want
+
+
+def test_one_verify_of_a_double_hex_document_forms_the_distances_once(tmp_path, monkeypatch):
+    # kite and immersion's radius pass share the one memoised read: it runs
+    # once, and it looks up the axis neighbors of each center once
+    from hexcircle import cli, verify
+    from hexcircle.document import load_document
+    from hexcircle.pattern_core import memoised
+    path = str(tmp_path / "hex.pat")
+    assert cli.main(["generate", "--c", "1.5", "--n", "12", "--out", path]) == 0
+    doc = load_document(path)
+    reads, lookups = [], Counter()
+    read, neighbors = radius_system.axis_sq_distances.__wrapped__, radius_system.axis_neighbors
+    monkeypatch.setattr(radius_system, "axis_sq_distances",
+                        memoised(lambda zf: reads.append(zf) or read(zf)))
+    monkeypatch.setattr(radius_system, "axis_neighbors",
+                        lambda site: lookups.update([site]) or neighbors(site))
+    report = verify.run_checks(doc)
+    assert report.ok and {"kite", "immersion"} <= set(report.residuals)
+    assert len(reads) == 1
+    centers = [s for s in doc.vertices if lattice.parity(s) == 0]
+    assert sorted(lookups) == sorted(centers) and set(lookups.values()) == {1}
 
 
 @pytest.mark.parametrize("bad", ["nan", "1e400000", "1e-100000"])
