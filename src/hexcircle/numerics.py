@@ -62,8 +62,9 @@ class Backend:
     def __post_init__(self):
         if self.mode not in (DOUBLE, EXTENDED):
             raise ValueError(f"unknown precision mode {self.mode!r}")
-        if self.mode == EXTENDED and not 1 <= self.dps <= MAX_DPS:
-            raise ValueError(f"extended precision needs 1 <= dps <= {MAX_DPS}, "
+        if not 1 <= self.dps <= MAX_DPS:
+            name = "double" if self.is_double else "extended"
+            raise ValueError(f"{name} precision needs 1 <= dps <= {MAX_DPS}, "
                              f"not {self.dps}")
 
     @property

@@ -356,6 +356,87 @@ def field_points(zf: ZField):
     return aligned_points(zf.params.backend(), zf.values)
 
 
+#: an estimate below another one times this factor proves its residual
+#: the smaller (_ScreenedWorst)
+SCREEN_MARGIN = 1 - 2.0 ** -40
+
+
+class _ScreenedWorst:
+    """The worst of a sweep's residuals, rounding only those that could be it.
+
+    The sweep gives each residual as an estimate est and holds it, with the
+    parts that exact(*parts) rounds it from, unless an estimate held before
+    screens it: an estimate in (1e-300, inf) below another one times
+    SCREEN_MARGIN = 1 - 2**-40 proves its rounded residual below the
+    other's.  result() rounds the held residuals that the largest held
+    estimate does not screen, which gives the worst of every residual
+    rounded, bit for bit.  Any other estimate never screens: NaN, where a
+    float conversion overflowed, and 0 or inf, where the estimate left the
+    float range.
+
+    The bound.  On an extended field a sweep forms each numerator exactly,
+    as an integer, and estimates the residual in floats.  Each modulus is
+    math.hypot of two integers, both converted by a correctly rounded
+    float() and the result within one ulp, so within 2**-51 of the true
+    modulus.  An estimate is made of chains: each starts from a modulus,
+    multiplies by factors >= 1 (MU_MAX, a unit of the read, a power of two
+    converted exactly) and then divides by moduli and units, each >= 1 since
+    the integers are nonzero.  So each value of a chain lies above its end
+    or above 1, and a chain that ends above 1e-300 never left the normal
+    range.  The laxzc estimate multiplies one chain by the largest of three
+    and counts only when both factors end above 1e-300; a chain that ends
+    below stands for a value below 1e-300 too.  With at most seven moduli
+    and eight products and quotients (each within 2**-53), an estimate lies
+    within 7 * 2**-51 + 8 * 2**-53 < 2**-47 of its residual, and the exact
+    formula's rounded quotients under square roots within 2**-50.
+    """
+
+    def __init__(self, exact):
+        self.exact, self.bar, self.held = exact, 0.0, []
+
+    def screens(self, est: float) -> bool:
+        """Whether est proves its residual below one held already."""
+        return 1e-300 < est < self.bar * SCREEN_MARGIN
+
+    def hold(self, est: float, *parts) -> None:
+        """Keep a residual that its estimate est does not screen."""
+        self.held.append((est, parts))
+        if 1e-300 < est < math.inf:
+            self.bar = max(self.bar, est)
+
+    def result(self) -> float:
+        """The worst residual, rounding the held ones no estimate screens."""
+        return worst_of([self.exact(*parts) for est, parts in self.held
+                         if not self.screens(est)])
+
+
+def _float_units(bk: Backend, *ones):
+    """The units ones of a read as floats (powers of two, so exact), for
+    the estimates of _ScreenedWorst; None on a double read, whose sweeps
+    round every residual, or when a unit overflows a float."""
+    if bk.is_double:
+        return None
+    try:
+        return [float(u) for u in ones]
+    except OverflowError:
+        return None
+
+
+def _face_defect(scale, nx, ny, bsq, csq) -> float:
+    """|n| / (sqrt(scale) |b| |c|), one rounded quotient under a square root."""
+    return math.sqrt(quotient(nx * nx + ny * ny, scale * bsq * csq))
+
+
+def _lax_gap(w_scale, one_sq, gx, gy, ax, ay, ex, ey, bsq, csq) -> float:
+    """MU_MAX |g| / (sqrt(w_scale) |b| |c|) times the shape weight
+    max(|c|/|e|, |b|/|a|, |e - a| / (|a| |e|)), each ratio one rounded
+    quotient under a square root (max_zero_curvature_residual)."""
+    asq, esq = ax * ax + ay * ay, ex * ex + ey * ey
+    shape = max(quotient(csq, esq), quotient(bsq, asq),
+                quotient(one_sq * ((ex - ax) ** 2 + (ey - ay) ** 2), asq * esq))
+    return MU_MAX * math.sqrt(quotient(gx * gx + gy * gy, w_scale * bsq * csq)) * math.sqrt(shape)
+
+
 @memoised
 def _face_pass(zf: ZField, lax: bool):
     """Worst crossratio defect and, with lax, worst laxzc gap (None if a
@@ -363,7 +444,14 @@ def _face_pass(zf: ZField, lax: bool):
     cannot be read.  With the edges a = zb - za, b = za - zd, c = zb - zc,
     e = zc - zd of a face, q = a e / (b c) and |q - r| = |a e - r b c| /
     (|b| |c|); each check has its own r over its own r_one, and forms
-    r_one (a e - r b c) from the shared a e and b c, with no division."""
+    r_one (a e - r b c) from the shared a e and b c, with no division.
+
+    On an extended field only these numerators are exact at every face:
+    each check rounds the quotients of a face only when the face's float
+    estimate, within 2**-47 relative of its residual, is not below the
+    largest estimate by the margin 2**-40 (_ScreenedWorst), and its worst
+    is the one every face rounded gives, bit for bit.  A double field
+    rounds every face."""
     read = field_points(zf)
     if read is None:
         return math.nan, math.nan
@@ -377,6 +465,9 @@ def _face_pass(zf: ZField, lax: bool):
             d = _deltas(targets, bk)
             w, w_one = aligned_points(bk, {t: d[i] / d[j] for t, (i, j) in FACE_SPAN.items()})
     scale, w_scale, one_sq = r_one * r_one, w_one * w_one, one * one
+    cr = _ScreenedWorst(functools.partial(_face_defect, scale))
+    zc = _ScreenedWorst(functools.partial(_lax_gap, w_scale, one_sq))
+    units, hypot = _float_units(bk, r_one, w_one, one), math.hypot
     worst, gap, degenerate = 0.0, 0.0, False
     for t, _, ((xa, ya), (xb, yb), (xc, yc), (xd, yd)) in _faces(pts):
         ax, ay, bx, by = xb - xa, yb - ya, xa - xd, ya - yd
@@ -386,26 +477,49 @@ def _face_pass(zf: ZField, lax: bool):
             continue
         aex, aey = ax * ex - ay * ey, ax * ey + ay * ex
         px, py = bx * cx - by * cy, bx * cy + by * cx
-        bsq, csq = bx * bx + by * by, cx * cx + cy * cy
         rx, ry = r[t]
         nx, ny = r_one * aex - (rx * px - ry * py), r_one * aey - (rx * py + ry * px)
-        worst = worse(worst, math.sqrt(quotient(nx * nx + ny * ny, scale * bsq * csq)))
         if lax:
             rx, ry = w[t]
             gx, gy = w_one * aex - (rx * px - ry * py), w_one * aey - (rx * py + ry * px)
-            asq, esq = ax * ax + ay * ay, ex * ex + ey * ey
-            shape = max(quotient(csq, esq), quotient(bsq, asq),
-                        quotient(one_sq * ((ex - ax) ** 2 + (ey - ay) ** 2), asq * esq))
-            d = MU_MAX * math.sqrt(quotient(gx * gx + gy * gy, w_scale * bsq * csq))
-            gap = worse(gap, d * math.sqrt(shape))
-    return worst, None if degenerate else gap
+        if not units:
+            # a double read, or one past the float range, rounds every face
+            # here, by _face_defect and _lax_gap written out: a call per
+            # face would cost a double read about 5%
+            bsq, csq = bx * bx + by * by, cx * cx + cy * cy
+            worst = worse(worst, math.sqrt(quotient(nx * nx + ny * ny, scale * bsq * csq)))
+            if lax:
+                asq, esq = ax * ax + ay * ay, ex * ex + ey * ey
+                shape = max(quotient(csq, esq), quotient(bsq, asq),
+                            quotient(one_sq * ((ex - ax) ** 2 + (ey - ay) ** 2), asq * esq))
+                d = MU_MAX * math.sqrt(quotient(gx * gx + gy * gy, w_scale * bsq * csq))
+                gap = worse(gap, d * math.sqrt(shape))
+            continue
+        (fr, fw, fo), est = units, math.nan
+        try:
+            lb, lc = hypot(bx, by), hypot(cx, cy)
+            est = hypot(nx, ny) / fr / lb / lc
+            if lax:  # the defect against w times the shape weight
+                la, le = hypot(ax, ay), hypot(ex, ey)
+                dw = MU_MAX * hypot(gx, gy) / fw / lb / lc
+                shape = max(lc / le, lb / la, fo * hypot(ex - ax, ey - ay) / la / le)
+                lax_est = dw * shape if min(dw, shape) > 1e-300 else math.nan
+        except OverflowError:  # so will most numerators: round every face from here
+            units, lax_est = None, math.nan
+        if not cr.screens(est):
+            cr.hold(est, nx, ny, bx * bx + by * by, cx * cx + cy * cy)
+        if lax and not zc.screens(lax_est):
+            zc.hold(lax_est, gx, gy, ax, ay, ex, ey, bx * bx + by * by, cx * cx + cy * cy)
+    return worse(worst, cr.result()), None if degenerate else worse(gap, zc.result())
 
 
 def max_face_residual(zf: ZField) -> float:
     """Worst |q - r| of _face_pass, r = exp(-2 i alpha) of the face type, one
-    rounded quotient under a square root.  Faces with a zero edge (collapsed
-    onto the point-circle at the c = 2 branch point) carry no cross-ratio
-    and are skipped.  NaN when the field cannot be read."""
+    rounded quotient under a square root; on an extended field only the
+    faces whose estimate (within 2**-47) is not 2**-40 below the largest
+    are rounded (_ScreenedWorst), with the same result.  Faces with a zero
+    edge (collapsed onto the point-circle at the c = 2 branch point) carry
+    no cross-ratio and are skipped.  NaN when the field cannot be read."""
     return _face_pass(zf, isinstance(zf, FieldSnapshot) and zf.lax)[0]
 
 
@@ -448,17 +562,23 @@ def max_constraint_residual(zf: ZField) -> float:
     along each axis j (index n_j = k, l, m), it is |N| / (|d_1| |d_2| |d_3|)
     with N = c z0 d_1 d_2 d_3 - 2 sum_j n_j P_j prod_{i != j} d_i, N exact on
     an extended field (field_points) and the ratio one rounded quotient
-    under a square root.  NaN when the field cannot be read; a stencil
-    vertex the field does not store raises IncompleteStencilError, a
-    vanishing d_j DegenerateQuadError.
+    under a square root.  On an extended field that quotient is taken only
+    at the sites whose float estimate, within 2**-47 of the residual, is not
+    2**-40 below the largest (_ScreenedWorst), with the same result.  NaN
+    when the field cannot be read; a stencil vertex the field does not
+    store raises IncompleteStencilError, a vanishing d_j
+    DegenerateQuadError.
     """
     read = field_points(zf)
     if read is None:
         return math.nan
     pts, one = read
-    k, k_one = aligned_points(zf.params.backend(), {0: zf.params.c})
-    cc, scale = k[0][0], k_one * k_one * one * one
-    out = []
+    bk = zf.params.backend()
+    k, k_one = aligned_points(bk, {0: zf.params.c})
+    cc, unit = k[0][0], k_one * one
+    scale = unit * unit
+    screen = _ScreenedWorst(functools.partial(_site_defect, scale))
+    units, hypot, worst = _float_units(bk, unit), math.hypot, 0.0
     for p in interior_sites(zf):
         try:
             ends = [(2 * n * k_one, pts[up], pts[dn]) for n, up, dn in _axis_stencil(p)]
@@ -476,9 +596,24 @@ def max_constraint_residual(zf: ZField) -> float:
         sx, sy = _mul((sx - q1[0], sy - q1[1]), _mul(d2, d3))
         t2, t3 = _mul(q2, d3), _mul(q3, d2)
         tx, ty = _mul((t2[0] + t3[0], t2[1] + t3[1]), d1)
-        dsq = math.prod(dx * dx + dy * dy for dx, dy in d)
-        out.append(math.sqrt(quotient((sx - tx) ** 2 + (sy - ty) ** 2, scale * dsq)))
-    return worst_of(out)
+        nx, ny = sx - tx, sy - ty
+        if not units:  # a double read, or one past the float range
+            worst = worse(worst, _site_defect(scale, nx, ny, d))
+            continue
+        try:
+            est = hypot(nx, ny) / units[0] / hypot(*d1) / hypot(*d2) / hypot(*d3)
+        except OverflowError:  # so will most numerators: round every site from here
+            units, est = None, math.nan
+        if not screen.screens(est):
+            screen.hold(est, nx, ny, d)
+    return worse(worst, screen.result())
+
+
+def _site_defect(scale, nx, ny, d) -> float:
+    """|n| / (sqrt(scale) |d_1| |d_2| |d_3|), one rounded quotient under a
+    square root."""
+    return math.sqrt(quotient(nx ** 2 + ny ** 2,
+                              scale * math.prod(dx * dx + dy * dy for dx, dy in d)))
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +655,10 @@ def max_zero_curvature_residual(zf: ZField) -> float:
     mu G (e - a) / (a b c e) and mu G / (a c).  As |delta_j| = 1, the gap is
     MU_MAX |a e - r b c| / (|b| |c|) max(|c|/|e|, |b|/|a|, |e - a| / (|a| |e|))
     with r = delta_i / delta_j, every modulus ratio one rounded quotient
-    under a square root.  NaN when the field cannot be read; a zero edge
-    raises DegenerateQuadError.
+    under a square root.  On an extended field only the faces whose
+    estimate (within 2**-47) is not 2**-40 below the largest are rounded
+    (_ScreenedWorst), with the same result.  NaN when the field cannot be
+    read; a zero edge raises DegenerateQuadError.
     """
     gap = _face_pass(zf, True)[1]
     if gap is None:

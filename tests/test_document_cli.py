@@ -369,6 +369,9 @@ def test_cli_every_analysis_checks_its_precision_flags(capsys, analysis):
         assert run_cli([*argv, "--precision", "ext", "--dps", dps]) == 2
         assert capsys.readouterr() == (
             "", f"error: extended precision needs 1 <= dps <= {numerics.MAX_DPS}, not {dps}\n")
+        assert run_cli([*argv, "--dps", dps]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: double precision needs 1 <= dps <= {numerics.MAX_DPS}, not {dps}\n")
     # valid flags are taken; p0 and riccati print what they print without them
     outs = []
     for flags in ([], ["--precision", "ext", "--dps", "60"]):
@@ -492,6 +495,18 @@ def test_cli_generate_rejects_nonpositive_dps(tmp_path):
                         "ext", "--dps", dps, "--out", path]) == 2
 
 
+def test_cli_double_generate_checks_its_dps(tmp_path, capsys):
+    # a double document records its dps, so generate refuses the values
+    # that --precision ext refuses, and writes nothing
+    path = tmp_path / "x.txt"
+    for dps in ("0", "-5", str(numerics.MAX_DPS + 1), "99999"):
+        assert run_cli(["generate", "--c", "1.5", "--n", "4", "--dps", dps,
+                        "--out", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: double precision needs 1 <= dps <= {numerics.MAX_DPS}, not {dps}\n")
+    assert not path.exists()
+
+
 def test_cli_generate_maps_arithmetic_failure_to_exit_3(tmp_path, monkeypatch):
     from hexcircle import pattern_core
 
@@ -527,6 +542,8 @@ HEADER_MUTATIONS = [
     {"route = crossratio": "route = radius", "mode = hex": "mode = sg"},
     {"c = 1.5": "c = 2.0"},
     {"c = 1.5": "c = 0.0"},
+    {"dps = 40": "dps = 0"},
+    {"dps = 40": "dps = 1001"},
 ]
 
 

@@ -135,10 +135,12 @@ def test_exact_sweeps_read_roundoff_below_the_double_range():
 
 
 def test_backend_caps_the_working_precision():
-    assert Backend("ext", MAX_DPS).dps == MAX_DPS
-    for dps in (MAX_DPS + 1, 5000, 200000):
-        with pytest.raises(ValueError):
-            Backend("ext", dps)
+    # one rule in both modes: a double run records its dps too
+    for mode in ("ext", "double"):
+        assert Backend(mode, MAX_DPS).dps == MAX_DPS and Backend(mode, 1).dps == 1
+        for dps in (MAX_DPS + 1, 5000, 200000, 0, -5):
+            with pytest.raises(ValueError):
+                Backend(mode, dps)
 
 
 class _BranchedBackend:

@@ -1,12 +1,14 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
 from hexcircle import pattern_core
-from hexcircle.numerics import fixed_bits, fixed_real, fixed_unit
+from hexcircle.numerics import (aligned_points, fixed_bits, fixed_real, fixed_unit,
+                                quotient, worse, worst_of)
 from hexcircle.pattern_core import (MU_MAX, DegenerateQuadError, PatternParams,
                                     UnsupportedExponentError, ZField,
                                     axis_next, constraint_residual,
@@ -616,6 +618,186 @@ def test_kite_residual_is_max_over_min_minus_one(precision):
     with bk.context():
         values[(0, 1, 0)] = math.nan * one
     assert math.isnan(verify.max_kite_residual(zf))
+
+
+# -- the exhaustive sweeps, the reference of the screened ones -----------------
+# They round every face and every site; the screened sweeps must give their
+# worsts bit for bit.
+
+def exhaustive_face_pass(zf, lax):
+    """Worst crossratio defect and, with lax, worst laxzc gap (None if a face
+    has a zero edge), one rounded quotient per ratio at every face."""
+    read = pattern_core.field_points(zf)
+    if read is None:
+        return math.nan, math.nan
+    pts, one = read
+    bk = zf.params.backend()
+    with bk.context():
+        targets = pattern_core.face_targets(zf.params, bk)
+        r, r_one = aligned_points(bk, targets)
+        w, w_one = {}, 1
+        if lax:
+            d = pattern_core._deltas(targets, bk)
+            w, w_one = aligned_points(bk, {t: d[i] / d[j]
+                                           for t, (i, j) in pattern_core.FACE_SPAN.items()})
+    scale, w_scale, one_sq = r_one * r_one, w_one * w_one, one * one
+    worst, gap, degenerate = 0.0, 0.0, False
+    for t, _, ((xa, ya), (xb, yb), (xc, yc), (xd, yd)) in pattern_core._faces(pts):
+        ax, ay, bx, by = xb - xa, yb - ya, xa - xd, ya - yd
+        cx, cy, ex, ey = xb - xc, yb - yc, xc - xd, yc - yd
+        if not ((ax or ay) and (bx or by) and (cx or cy) and (ex or ey)):
+            degenerate = True
+            continue
+        aex, aey = ax * ex - ay * ey, ax * ey + ay * ex
+        px, py = bx * cx - by * cy, bx * cy + by * cx
+        bsq, csq = bx * bx + by * by, cx * cx + cy * cy
+        rx, ry = r[t]
+        nx, ny = r_one * aex - (rx * px - ry * py), r_one * aey - (rx * py + ry * px)
+        worst = worse(worst, math.sqrt(quotient(nx * nx + ny * ny, scale * bsq * csq)))
+        if lax:
+            rx, ry = w[t]
+            gx, gy = w_one * aex - (rx * px - ry * py), w_one * aey - (rx * py + ry * px)
+            asq, esq = ax * ax + ay * ay, ex * ex + ey * ey
+            shape = max(quotient(csq, esq), quotient(bsq, asq),
+                        quotient(one_sq * ((ex - ax) ** 2 + (ey - ay) ** 2), asq * esq))
+            d = MU_MAX * math.sqrt(quotient(gx * gx + gy * gy, w_scale * bsq * csq))
+            gap = worse(gap, d * math.sqrt(shape))
+    return worst, None if degenerate else gap
+
+
+def exhaustive_constraint(zf):
+    """max_constraint_residual with one rounded quotient at every site."""
+    read = pattern_core.field_points(zf)
+    if read is None:
+        return math.nan
+    pts, one = read
+    k, k_one = aligned_points(zf.params.backend(), {0: zf.params.c})
+    cc, scale = k[0][0], k_one * k_one * one * one
+    mul = pattern_core._mul
+    out = []
+    for p in pattern_core.interior_sites(zf):
+        try:
+            ends = [(2 * n * k_one, pts[up], pts[dn])
+                    for n, up, dn in pattern_core._axis_stencil(p)]
+        except KeyError as exc:
+            raise pattern_core.IncompleteStencilError(exc.args[0]) from None
+        if any(u == w for _, u, w in ends):
+            raise DegenerateQuadError(f"collinear stencil degenerate at {p}")
+        x0, y0 = pts[p]
+        d1, d2, d3 = d = [(ux - wx, uy - wy) for _, (ux, uy), (wx, wy) in ends]
+        P = [mul((ux - x0, uy - y0), (x0 - wx, y0 - wy)) for _, (ux, uy), (wx, wy) in ends]
+        q1, q2, q3 = [(f * px, f * py) for (f, _, _), (px, py) in zip(ends, P)]
+        sx, sy = mul((cc * x0, cc * y0), d1)
+        sx, sy = mul((sx - q1[0], sy - q1[1]), mul(d2, d3))
+        t2, t3 = mul(q2, d3), mul(q3, d2)
+        tx, ty = mul((t2[0] + t3[0], t2[1] + t3[1]), d1)
+        dsq = math.prod(dx * dx + dy * dy for dx, dy in d)
+        out.append(math.sqrt(quotient((sx - tx) ** 2 + (sy - ty) ** 2, scale * dsq)))
+    return worst_of(out)
+
+
+def _outcome(sweep, *args):
+    """repr of what sweep(*args) returns (so NaN equals NaN), or the type
+    and message of the error it raises."""
+    try:
+        return repr(sweep(*args))
+    except (ArithmeticError, KeyError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _dragged(dps, by):
+    """The c = 1.5 iso field at dps, n = 10, with one vertex moved by the
+    relative amount by: the vertex whose first face comes last in _faces
+    order."""
+    zf = generate_z(isotropic_params(1.5, precision="ext", dps=dps), 10)
+    first = {}
+    for i, (_, sites) in enumerate(pattern_core.iter_faces(zf)):
+        for s in sites:
+            first.setdefault(s, i)
+    site = max(first, key=first.get)
+    with mp.workdps(dps):
+        zf.values[site] *= 1 + mp.mpf(by)
+    return zf
+
+
+def _screen_fields():
+    from test_geometry import _turned_seed
+    iso40 = generate_z(isotropic_params(1.5, precision="ext", dps=40), 10)
+    zero_edge = generate_z(isotropic_params(1.5, precision="ext", dps=40), 6)
+    zero_edge.values[(2, 1, -1)] = zero_edge.values[(1, 1, -1)]
+    nan = generate_z(isotropic_params(1.5, precision="ext", dps=40), 6)
+    with mp.workdps(40):
+        nan.values[(3, 2, -1)] = mp.mpc(mp.nan, 1)
+    fields = {"iso40": iso40,
+              "iso80": generate_z(isotropic_params(0.7, precision="ext", dps=80), 10),
+              "dragged-1e-20": _dragged(40, "1e-20"),
+              "dragged-3e-39": _dragged(40, "3e-39"),
+              "dragged-80": _dragged(80, "1e-70"),
+              "seed-turn-1e-12": _turned_seed("1e-12"),
+              "zero-edge": zero_edge,
+              "dps400": generate_z(isotropic_params(1.5, precision="ext", dps=400), 4),
+              "dps200": _dragged(200, "1e-100"),  # its estimates overflow a float
+              "nan": nan,
+              "double": generate_z(PatternParams(alphas=ANISO, c=0.8), 8),
+              "double-random": _random_double_field(6)}
+    for dps in (40, 80):
+        fields[f"pi-fracs-{dps}"] = generate_z(PatternParams(
+            alphas=ANISO, c=1.2, precision="ext", dps=dps,
+            alpha_pi_fracs=(Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))), 10)
+        fields[f"float-angles-{dps}"] = generate_z(PatternParams(
+            alphas=(1.0, 1.2, math.pi - 2.2), c=1.5, precision="ext", dps=dps), 10)
+    return fields
+
+
+def test_screened_sweeps_equal_the_exhaustive_ones_bit_for_bit():
+    fields = _screen_fields()
+    for name, zf in fields.items():
+        faces = pattern_core._face_pass(zf, False), pattern_core._face_pass(zf, True)
+        ref = exhaustive_face_pass(zf, False), exhaustive_face_pass(zf, True)
+        assert repr(faces) == repr(ref), name
+        assert _outcome(pattern_core.max_face_residual, zf) == repr(ref[0][0]), name
+        assert _outcome(pattern_core.max_zero_curvature_residual, zf) == (
+            "DegenerateQuadError: degenerate edge in transport matrix"
+            if ref[1][1] is None else repr(ref[1][1])), name
+        assert (_outcome(pattern_core.max_constraint_residual, zf)
+                == _outcome(exhaustive_constraint, zf)), name
+    # the cases do what they are named for
+    worst_at = [exhaustive_face_pass(_face_field(fields["dragged-1e-20"], sites), False)[0]
+                for _, sites in pattern_core.iter_faces(fields["dragged-1e-20"])]
+    assert worst_at.index(max(worst_at)) >= 0.9 * len(worst_at)
+    assert max(worst_at) >= 1e-21
+    assert 1e-40 < exhaustive_face_pass(fields["dragged-3e-39"], False)[0] < 1e-37
+    assert exhaustive_face_pass(fields["zero-edge"], True)[1] is None
+    with pytest.raises(OverflowError):
+        float(pattern_core.field_points(fields["dps400"])[1])
+    assert exhaustive_face_pass(fields["dps400"], False)[0] <= 1e-300
+    assert 1e-102 < exhaustive_face_pass(fields["dps200"], False)[0] < 1e-98
+    assert pattern_core.field_points(fields["nan"]) is None
+    assert math.isnan(exhaustive_constraint(fields["nan"]))
+
+
+def test_screened_sweeps_round_few_residuals(monkeypatch):
+    # the exact quotients are the cost the screen saves: on a dps-40 field in
+    # the order generate_z stores it, at most 2% of the faces and of the
+    # interior sites take them, at least one each
+    zf = generate_z(isotropic_params(1.5, precision="ext", dps=40), 12)
+    faces = sum(1 for _ in pattern_core.iter_faces(zf))
+    sites = sum(1 for _ in pattern_core.interior_sites(zf))
+    assert (faces, sites) == (858, 165)
+    calls = {}
+    for name in ("_face_defect", "_lax_gap", "_site_defect"):
+        def counted(*args, kernel=getattr(pattern_core, name), name=name):
+            calls[name] += 1
+            return kernel(*args)
+        monkeypatch.setattr(pattern_core, name, counted)
+    for sweep, name, total in ((pattern_core.max_face_residual, "_face_defect", faces),
+                               (pattern_core.max_zero_curvature_residual, "_lax_gap", faces),
+                               (pattern_core.max_constraint_residual, "_site_defect", sites)):
+        calls.update(_face_defect=0, _lax_gap=0, _site_defect=0)
+        got = sweep(zf)
+        assert 1 <= calls[name] <= 0.02 * total, (name, calls)
+    monkeypatch.undo()
+    assert got == exhaustive_constraint(zf)
 
 
 # -- the fixed-point kernels of an extended run --------------------------------
