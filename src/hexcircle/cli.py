@@ -170,56 +170,65 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("generate", "verify", "render", "analyze")
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of command only, which parses its argv alike."""
     ap = argparse.ArgumentParser(prog="hexcircle",
                                  description="hexagonal circle patterns of the "
                                              "discrete power map")
-    sub = ap.add_subparsers(dest="command", required=True)
+    # the usage of an error past the command names every command either way
+    sub = ap.add_subparsers(dest="command", required=True,
+                            metavar=command and "{" + ",".join(COMMANDS) + "}")
 
-    g = sub.add_parser("generate", help="generate a pattern document")
-    g.add_argument("--c", type=float, required=True)
-    g.add_argument("--alpha", default="iso",
-                   help='"iso", three floats "a1,a2,a3", or pi fractions '
-                        '"1/4pi,1/4pi,1/2pi"')
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--mode", choices=MODES, default="hex")
-    g.add_argument("--route", choices=ROUTES, default="crossratio")
-    g.add_argument("--precision", choices=("double", "ext"), default="double")
-    g.add_argument("--dps", type=int, default=DEFAULT_EXT_DPS)
-    g.add_argument("--out", required=True)
-    g.set_defaults(func=cmd_generate)
-
-    v = sub.add_parser("verify", help="re-verify a pattern document")
-    v.add_argument("file")
-    v.add_argument("--checks", default=None,
-                   help="comma list from: " + ",".join(ALL_CHECKS))
-    v.set_defaults(func=cmd_verify)
-
-    r = sub.add_parser("render", help="render a document to SVG")
-    r.add_argument("file")
-    r.add_argument("--out", required=True)
-    r.add_argument("--show", choices=("circles", "quads", "both"), default="both")
-    r.add_argument("--scale", type=float, default=100.0)
-    r.set_defaults(func=cmd_render)
-
-    a = sub.add_parser("analyze", help="boundary analyses")
-    a.add_argument("what", choices=("painleve", "riccati", "p0"))
-    a.add_argument("--c", type=float, required=True)
-    a.add_argument("--alpha", default=repr(math.pi / 3),
-                   help='a float, or a pi fraction "1/3pi"')
-    a.add_argument("--n", type=int, default=25)
-    a.add_argument("--beta0", type=float, default=None)
-    a.add_argument("--precision", choices=("double", "ext"), default="double")
-    a.add_argument("--dps", type=int, default=DEFAULT_EXT_DPS)
-    a.add_argument("--shoot", type=int, default=0,
-                   help="also bracket the initial angle with this stay count")
-    a.add_argument("--tol", type=float, default=1e-6)
-    a.set_defaults(func=cmd_analyze)
+    if command in (None, "generate"):
+        g = sub.add_parser("generate", help="generate a pattern document")
+        g.add_argument("--c", type=float, required=True)
+        g.add_argument("--alpha", default="iso",
+                       help='"iso", three floats "a1,a2,a3", or pi fractions '
+                            '"1/4pi,1/4pi,1/2pi"')
+        g.add_argument("--n", type=int, required=True)
+        g.add_argument("--mode", choices=MODES, default="hex")
+        g.add_argument("--route", choices=ROUTES, default="crossratio")
+        g.add_argument("--precision", choices=("double", "ext"), default="double")
+        g.add_argument("--dps", type=int, default=DEFAULT_EXT_DPS)
+        g.add_argument("--out", required=True)
+        g.set_defaults(func=cmd_generate)
+    if command in (None, "verify"):
+        v = sub.add_parser("verify", help="re-verify a pattern document")
+        v.add_argument("file")
+        v.add_argument("--checks", default=None,
+                       help="comma list from: " + ",".join(ALL_CHECKS))
+        v.set_defaults(func=cmd_verify)
+    if command in (None, "render"):
+        r = sub.add_parser("render", help="render a document to SVG")
+        r.add_argument("file")
+        r.add_argument("--out", required=True)
+        r.add_argument("--show", choices=("circles", "quads", "both"), default="both")
+        r.add_argument("--scale", type=float, default=100.0)
+        r.set_defaults(func=cmd_render)
+    if command in (None, "analyze"):
+        a = sub.add_parser("analyze", help="boundary analyses")
+        a.add_argument("what", choices=("painleve", "riccati", "p0"))
+        a.add_argument("--c", type=float, required=True)
+        a.add_argument("--alpha", default=repr(math.pi / 3),
+                       help='a float, or a pi fraction "1/3pi"')
+        a.add_argument("--n", type=int, default=25)
+        a.add_argument("--beta0", type=float, default=None)
+        a.add_argument("--precision", choices=("double", "ext"), default="double")
+        a.add_argument("--dps", type=int, default=DEFAULT_EXT_DPS)
+        a.add_argument("--shoot", type=int, default=0,
+                       help="also bracket the initial angle with this stay count")
+        a.add_argument("--tol", type=float, default=1e-6)
+        a.set_defaults(func=cmd_analyze)
     return ap
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a known command needs only its own parser; help and errors get them all
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
     except OSError as exc:  # an --out that cannot be written

@@ -10,15 +10,15 @@ bit.
 """
 from __future__ import annotations
 
+import functools
 import math
-import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
 import mpmath as mp
-from mpmath.libmp import (dps_to_prec, finf, fninf, normalize, round_nearest,
+from mpmath.libmp import (dps_to_prec, finf, fninf, fzero, normalize, round_nearest,
                           to_str)
 
 from .lattice import MultiIndex, SubIndex
@@ -77,50 +77,76 @@ class PatternDocument:
                            generation=self.n_max)
 
 
+#: 10**k: the scale of a token, the decimal shift of the writer
+_ten = functools.cache(lambda k: 10 ** k)
+#: the float mpmath's to_digits_exp converts bits and digits by
+_LOG2_10 = math.log(10, 2)
+
+
+def _read(s: str, prec: int):
+    r"""The raw mpf of mp.mpf(s) at prec bits for a token -?\d+(\.\d*)?(e[-+]?\d+)?
+    whose effective exponent (the written one less the fraction digits left
+    once trailing zeros go) lies within +-400, where from_str rounds right;
+    else None.  Its digits over the power of ten, a quotient of at least
+    prec + 3 bits and its remainder, round once to nearest (ties to even) at
+    prec bits, as from_str does."""
+    s, sep, e = s.partition("e")
+    whole, _, frac = s.partition(".")
+    sign = 1 if whole[:1] == "-" else 0
+    whole, frac = whole[sign:], frac.rstrip("0")
+    digits = whole + frac
+    if not whole or not digits.isdigit() or \
+            sep and not (e[1:] if e[:1] in "+-" else e).isdigit():
+        return None
+    try:
+        man, e = int(digits), (int(e) if sep else 0) - len(frac)
+    except ValueError:  # past int()'s 4300 digits, which mp.mpf(s) refuses too
+        return None
+    if not -400 <= e <= 400:
+        return None
+    if not man:
+        return fzero
+    num, den = (man * _ten(e), 1) if e >= 0 else (man, _ten(-e))
+    shift = max(0, prec + 3 + den.bit_length() - num.bit_length())
+    q, r = divmod(num << shift, den)
+    n = q.bit_length() - prec  # at least 3: the rounding bit and two below it
+    t = q >> (n - 1)
+    man = (t >> 1) + 1 if t & 1 and (t & 2 or r or q & ((1 << (n - 1)) - 1)) else t >> 1
+    z = (man & -man).bit_length() - 1  # the trailing zero bits, which mpmath strips
+    return sign, man >> z, n - shift + z, man.bit_length() - z
+
+
 def _fmt(x, prec: int, digits: int) -> str:
-    """One number of an extended document, as mp.nstr(mp.mpf(x), digits)
-    writes it at prec bits, from its raw mpf: a tuple wider than prec is
-    rounded to nearest, as mp.mpf rounds it, and written by the libmp.to_str
-    that nstr calls.  x is a raw mpf, an mpf or any number mp.mpf takes; a
-    float keeps its repr, and a pole is inf."""
+    """mp.nstr(mp.mpf(x), digits) at prec bits, from the raw mpf of x (a raw
+    mpf, an mpf or any number mp.mpf takes), rounded to nearest if wider:
+    libmp.to_str's rule on the floor digits of its to_digits_exp, formed on
+    the integers by the same float expressions (to_str itself where that
+    takes logs, |exp + bc| > 3500).  A float keeps its repr; a pole is inf."""
     t = x if type(x) is tuple else getattr(x, "_mpf_", None)
     if t is None:
         if isinstance(x, float):
             return repr(float(x))
         t = mp.mpf(x, prec=prec)._mpf_
-    if t[3] > prec:
-        t = normalize(t[0], t[1], t[2], t[3], prec, round_nearest)
-    elif t == finf:
-        return "inf"
-    elif t == fninf:
-        return "-inf"
-    return to_str(t, digits)
-
-
-#: a plain decimal token, the form save_document writes
-_PLAIN = re.compile(r"(-?)(\d+)(?:\.(\d*))?(?:e([-+]?\d+))?")
-
-
-def _plain_mpf(s: str, prec: int):
-    """The raw mpf of mp.mpf(s) at prec bits, for a plain decimal token
-    whose effective exponent (the written one less the fraction digits left
-    once trailing zeros go) lies within +-400, where mpmath's from_str rounds
-    correctly; else None.  A quotient of at least prec + 3 bits and a sticky
-    bit for its remainder round once, to nearest, as from_str does."""
-    m = _PLAIN.fullmatch(s)
-    if m is None:
-        return None
-    sign, whole, frac, exp = m.groups()
-    frac = (frac or "").rstrip("0")
-    # int() refuses more than 4300 digits, as it does inside mp.mpf(s)
-    man, e = int(whole + frac), int(exp or 0) - len(frac)
-    if not -400 <= e <= 400:
-        return None
-    num, den = (man * 10 ** e, 1) if e >= 0 else (man, 10 ** -e)
-    shift = max(0, prec + 3 + den.bit_length() - num.bit_length())
-    q, r = divmod(num << shift, den)
-    q = q << 1 | (r != 0)
-    return normalize(1 if sign else 0, q, -shift - 1, q.bit_length(), prec, round_nearest)
+    sign, man, exp, bc = t
+    if not man:  # zero, or mpmath's inf and nan
+        return "inf" if t == finf else "-inf" if t == fninf else to_str(t, digits)
+    if bc > prec:
+        sign, man, exp, bc = normalize(sign, man, exp, bc, prec, round_nearest)
+    if abs(exp + bc) > 3500:
+        return to_str((sign, man, exp, bc), digits)
+    fixprec = max(int((digits + 3) * _LOG2_10) + 10 - exp - bc, 0)
+    fixdps, shift = int(fixprec / _LOG2_10 + 0.5), exp + fixprec
+    d = str((man << shift if shift >= 0 else man >> -shift) * _ten(fixdps) >> fixprec)
+    point = len(d) - fixdps - 1  # the decimal exponent of the first digit
+    if len(d) > digits and d[digits] in "56789":  # round up, carrying through 9s
+        d = str(int(d[:digits]) + 1)
+        point += len(d) > digits
+    d, split = d[:digits], 1
+    if min(-(digits // 3), -5) < point < digits:
+        d, split, point = "0" * -point + d, max(point, 0) + 1, 0
+    d = (d[:split] + "." + d[split:]).rstrip("0")
+    d = ("-" if sign else "") + (d + "0" if d[-1] == "." else d)
+    return d if not point else f"{d}e+{point}" if point > 0 else f"{d}e{point}"
 
 
 def _parse_number(s: str, precision: str):
@@ -133,7 +159,7 @@ def _parse_number(s: str, precision: str):
     try:
         if precision == "double":
             return float(s)
-        raw = _plain_mpf(s, mp.mp.prec)
+        raw = _read(s, mp.mp.prec)
         return mp.mpf(s) if raw is None else mp.make_mpf(raw)
     except (ValueError, ZeroDivisionError):
         # mpmath also reads fractions such as "1/0"
@@ -263,14 +289,20 @@ def load_document(path: str, doubles: bool = False) -> PatternDocument:
     # _parse_number reads a double document with float already
     read = _parse_double if doubles and precision != "double" else _parse_number
     with mp.workdps(dps):
-        for site, (re_s, im_s) in vertices.items():
-            x, y = read(re_s, precision), read(im_s, precision)
-            if precision == "double" or doubles and type(x) is type(y) is float:
-                doc.vertices[site] = complex(x, y)
-            elif type(x) is type(y) is mp.mpf:
-                doc.vertices[site] = mp.make_mpc((x._mpf_, y._mpf_))
-            else:
-                doc.vertices[site] = mp.mpc(x, y)
+        if precision != "double" and not doubles:  # each mpc from two raw tuples
+            prec = mp.mp.prec
+            raw = lambda s: _read(s, prec) or mp.mpf(read(s, precision))._mpf_  # noqa: E731
+            doc.vertices = {site: mp.make_mpc((raw(re_s), raw(im_s)))
+                            for site, (re_s, im_s) in vertices.items()}
+        else:
+            for site, (re_s, im_s) in vertices.items():
+                x, y = read(re_s, precision), read(im_s, precision)
+                if precision == "double" or doubles and type(x) is type(y) is float:
+                    doc.vertices[site] = complex(x, y)
+                elif type(x) is type(y) is mp.mpf:
+                    doc.vertices[site] = mp.make_mpc((x._mpf_, y._mpf_))
+                else:
+                    doc.vertices[site] = mp.mpc(x, y)
         for site, val in radii.items():
             doc.radii[site] = read(val, precision)
     return doc

@@ -67,11 +67,6 @@ def generation(p: MultiIndex) -> int:
     return p[0] + p[1] - p[2]
 
 
-def sub_generation(q: SubIndex) -> int:
-    """max-norm generation used as the sublattice fill bound."""
-    return max(abs(q[0]), abs(q[1]), abs(q[2]))
-
-
 # ---------------------------------------------------------------------------
 # fill order for the radius function on TildeQ_H
 # ---------------------------------------------------------------------------

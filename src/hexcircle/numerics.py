@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Tuple, Union
 
 import mpmath as mp
-from mpmath.libmp import dps_to_prec, from_float, mpf_cos_sin, to_fixed
+from mpmath.libmp import dps_to_prec, from_float, fzero, mpf_cos_sin, to_fixed
 
 Number = Union[float, "mp.mpf"]
 ComplexNumber = Union[complex, "mp.mpc"]
@@ -146,43 +146,11 @@ def quotient(num, den) -> float:
         return math.inf
 
 
-def _from_mpf(t, min_exp: int) -> Optional[Tuple[int, int]]:
-    """(m, e) with m * 2**e the mpf of the raw tuple t, or None when it is
-    not finite or lies outside 2**min_exp <= |x| < 2**MAX_EXP."""
-    sign, man, exp, bc = t
-    if not man:
-        return None if exp else (0, 0)  # mpmath codes inf and nan as man 0
-    if not min_exp < exp + bc <= MAX_EXP:
-        return None
-    return (-man if sign else man), exp
-
-
 def _from_float(x: float) -> Optional[Tuple[int, int]]:
     if not math.isfinite(x):
         return None
     m, e = math.frexp(x)
     return int(m * 2.0 ** 53), e - 53
-
-
-def _exact(z, min_exp: int) -> Optional[Tuple[int, int, int]]:
-    """(x, y, e) with z = (x + i y) * 2**e, or None (see aligned_points)."""
-    if isinstance(z, mp.mpc):
-        re, im = (_from_mpf(t, min_exp) for t in z._mpc_)
-    elif isinstance(z, mp.mpf):
-        re, im = _from_mpf(z._mpf_, min_exp), (0, 0)
-    else:
-        z = complex(z)
-        re, im = _from_float(z.real), _from_float(z.imag)
-    if re is None or im is None:
-        return None
-    (x, ex), (y, ey) = re, im
-    if not y:
-        return x, 0, ex
-    if not x:
-        return 0, y, ey
-    if ex >= ey:
-        return x << (ex - ey), y, ey
-    return x, y << (ey - ex), ex
 
 
 def aligned_points(bk: Backend, values: Mapping):
@@ -205,15 +173,27 @@ def aligned_points(bk: Backend, values: Mapping):
         if not all(map(cmath.isfinite, values.values())):
             return None
         return {key: (z.real, z.imag) for key, z in values.items()}, 1.0
-    min_exp = MIN_EXP - 4 * bk.dps
-    read = {}
+    min_exp, e, read = MIN_EXP - 4 * bk.dps, 0, {}
+    mpc, mpf = mp.mpc, mp.mpf
     for key, z in values.items():
-        read[key] = xye = _exact(z, min_exp)
-        if xye is None:
-            return None
-    e = min([0] + [xye[2] for xye in read.values()])
-    return {key: (x << (ez - e), y << (ez - e))
-            for key, (x, y, ez) in read.items()}, 1 << -e
+        if type(z) is mpc or type(z) is mpf:  # raw tuples; mpmath codes inf and nan as man 0
+            (xs, x, ex, xb), (ys, y, ey, yb) = z._mpc_ if type(z) is mpc else (z._mpf_, fzero)
+            if ((not min_exp < ex + xb <= MAX_EXP) if x else ex) or \
+                    ((not min_exp < ey + yb <= MAX_EXP) if y else ey):
+                return None
+            x, y = -x if xs else x, -y if ys else y
+        else:  # a float or complex, its parts as frexp gives them
+            z = complex(z)
+            re, im = _from_float(z.real), _from_float(z.imag)
+            if re is None or im is None:
+                return None
+            # a zero part takes the other's exponent; x's, when both are zero
+            (x, ex), (y, ey) = re, im
+            ex, ey = (ex, ex) if not y else (ey, ey) if not x else (ex, ey)
+        e = min(e, ex, ey)
+        read[key] = x, ex, y, ey
+    return {key: (x << (ex - e), y << (ey - e))
+            for key, (x, ex, y, ey) in read.items()}, 1 << -e
 
 
 def aligned_reals(bk: Backend, values: Mapping):
@@ -225,6 +205,13 @@ def aligned_reals(bk: Backend, values: Mapping):
 def fixed_bits(dps: int) -> int:
     """Width of a fixed-point run at dps: its binary precision + GUARD_BITS."""
     return dps_to_prec(dps) + GUARD_BITS
+
+
+def top_bits(x: int, y: int) -> Tuple[int, int, int]:
+    """(x >> s, y >> s, s): integers of any size cut by one floor shift s >= 0
+    (signs kept) to the top 1000 bits of the wider, as floats within 2**-990."""
+    s = max(0, abs(x).bit_length() - 1000, abs(y).bit_length() - 1000)
+    return x >> s, y >> s, s
 
 
 def div_nearest(num: int, den: int) -> int:

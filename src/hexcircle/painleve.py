@@ -24,7 +24,8 @@ from typing import List, Optional, Tuple
 
 import mpmath as mp
 
-from .numerics import ANGLE_GUARD_BITS, div_nearest, fixed_bits, fixed_unit, required_dps
+from .numerics import (ANGLE_GUARD_BITS, div_nearest, fixed_bits, fixed_unit, required_dps,
+                       top_bits)
 from .riccati import Boundary
 
 #: growth_rate perturbs the separatrix angle by 10**-PROBE_DIGITS
@@ -140,11 +141,8 @@ def sector_of_signs(im_x, im_x_conj_eps) -> SectorTag:
 
 
 def _atan2(y: int, x: int) -> float:
-    """math.atan2 of two integers of any size, from their top bits (a
-    floor shift keeps the sign of a negative remainder)."""
-    shift = max(abs(x).bit_length(), abs(y).bit_length()) - 1000
-    if shift > 0:
-        y, x = y >> shift, x >> shift
+    """math.atan2 of two integers of any size, from their top bits."""
+    y, x, _ = top_bits(y, x)
     return math.atan2(y, x)
 
 

@@ -22,7 +22,7 @@ from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
 from .lattice import MultiIndex, generation, q_sites
 from .numerics import (ANGLE_GUARD_BITS, DEFAULT_EXT_DPS, DOUBLE, Backend,
                        ComplexNumber, aligned_points, div_nearest, fixed_bits,
-                       fixed_real, fixed_unit, quotient, worse, worst_of)
+                       fixed_real, fixed_unit, quotient, top_bits, worse, worst_of)
 
 ANGLE_SUM_TOL = 1e-12
 
@@ -370,9 +370,8 @@ class _ScreenedWorst:
     SCREEN_MARGIN = 1 - 2**-40 proves its rounded residual below the
     other's.  result() rounds the held residuals that the largest held
     estimate does not screen, which gives the worst of every residual
-    rounded, bit for bit.  Any other estimate never screens: NaN, where a
-    float conversion overflowed, and 0 or inf, where the estimate left the
-    float range.
+    rounded, bit for bit.  Any other estimate never screens: NaN, and 0 or
+    inf, where the estimate left the float range.
 
     The bound.  On an extended field a sweep forms each numerator exactly,
     as an integer, and estimates the residual in floats.  Each modulus is
@@ -388,7 +387,10 @@ class _ScreenedWorst:
     below stands for a value below 1e-300 too.  With at most seven moduli
     and eight products and quotients (each within 2**-53), an estimate lies
     within 7 * 2**-51 + 8 * 2**-53 < 2**-47 of its residual, and the exact
-    formula's rounded quotients under square roots within 2**-50.
+    formula's rounded quotients under square roots within 2**-50.  Past the
+    float range (_big_estimate) each modulus is taken from top_bits, 2**-990
+    more, and the chains divide mantissas in [0.5, 1), the powers of two
+    applied once, exactly, by ldexp: the same bound.
     """
 
     def __init__(self, exact):
@@ -420,6 +422,23 @@ def _float_units(bk: Backend, *ones):
         return [float(u) for u in ones]
     except OverflowError:
         return None
+
+
+def _big_estimate(unit: int, num, *dens) -> float:
+    """hypot(*num) / unit / prod(hypot(*d) for d in dens) for integer pairs
+    past the float range and a power of two unit: the moduli of top_bits as
+    frexp mantissas divided in floats, their powers of two summed apart."""
+    x, y, k = top_bits(*num)
+    m, e = math.frexp(math.hypot(x, y))
+    k += e + 1 - unit.bit_length()
+    for d in dens:
+        x, y, s = top_bits(*d)
+        md, e = math.frexp(math.hypot(x, y))
+        m, k = m / md, k - s - e
+    try:
+        return math.ldexp(m, k)
+    except OverflowError:
+        return math.inf
 
 
 def _face_defect(scale, nx, ny, bsq, csq) -> float:
@@ -504,8 +523,14 @@ def _face_pass(zf: ZField, lax: bool):
                 dw = MU_MAX * hypot(gx, gy) / fw / lb / lc
                 shape = max(lc / le, lb / la, fo * hypot(ex - ax, ey - ay) / la / le)
                 lax_est = dw * shape if min(dw, shape) > 1e-300 else math.nan
-        except OverflowError:  # so will most numerators: round every face from here
-            units, lax_est = None, math.nan
+        except OverflowError:  # a modulus past the float range: from its top bits
+            est = _big_estimate(r_one, (nx, ny), (bx, by), (cx, cy))
+            if lax:
+                dw = MU_MAX * _big_estimate(w_one, (gx, gy), (bx, by), (cx, cy))
+                shape = max(
+                    _big_estimate(1, (cx, cy), (ex, ey)), _big_estimate(1, (bx, by), (ax, ay)),
+                    _big_estimate(1, (one * (ex - ax), one * (ey - ay)), (ax, ay), (ex, ey)))
+                lax_est = dw * shape if min(dw, shape) > 1e-300 else math.nan
         if not cr.screens(est):
             cr.hold(est, nx, ny, bx * bx + by * by, cx * cx + cy * cy)
         if lax and not zc.screens(lax_est):
@@ -602,8 +627,8 @@ def max_constraint_residual(zf: ZField) -> float:
             continue
         try:
             est = hypot(nx, ny) / units[0] / hypot(*d1) / hypot(*d2) / hypot(*d3)
-        except OverflowError:  # so will most numerators: round every site from here
-            units, est = None, math.nan
+        except OverflowError:  # a modulus past the float range: from its top bits
+            est = _big_estimate(unit, (nx, ny), *d)
         if not screen.screens(est):
             screen.hold(est, nx, ny, d)
     return worse(worst, screen.result())

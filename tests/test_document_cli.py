@@ -584,6 +584,49 @@ def test_loader_accepts_exactly_what_generate_writes(tmp_path):
                        ("z2", "radius", 2.0), ("log", "radius", 0.0)}
 
 
+def _first_fault(lines):
+    """What load_document raises on a dps-40 document, as text, or "ok"."""
+    def edit(path):
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            load_document(str(path))
+        except DocumentError as exc:
+            return str(exc)
+        return "ok"
+    return edit
+
+
+def test_loader_reports_the_first_fault_in_file_order(tmp_path):
+    # a bad number never hides a bad line, the last line of a site wins,
+    # and a line error before a bad parameter block or a later bad line
+    # comes first
+    path = tmp_path / "p.txt"
+    assert run_cli(["generate", "--c", "1.5", "--n", "3", "--precision", "ext",
+                    "--dps", "40", "--out", str(path)]) == 0
+    lines = path.read_text().splitlines()
+    v, r = lines.index("[vertices]") + 1, lines.index("[radii]") + 1
+    c = lines.index("c = 1.5")
+    site = " ".join(lines[v].split()[:3])
+    bad_number = f"{site} x 0.0"
+    cases = [
+        (lines[:v] + [bad_number] + lines[v:], "ok"),  # replaced by the next line
+        (lines[:v + 1] + [bad_number] + lines[v + 1:], "bad number: x"),
+        (lines[:c] + ["c = x"] + lines[c + 1:v] + ["1 2"] + lines[v:], "bad vertex line: 1 2"),
+        (lines[:v] + [bad_number] + lines[v + 1:r] + ["1 y 0 2.0"] + lines[r:],
+         "bad site index: 1 y 0"),
+        (lines[:c] + lines[c + 1:r] + ["c = 1.5"] + lines[r:], "bad radius line: c = 1.5"),
+        (lines[:c] + ["c = 1.5e"] + lines[c + 1:], "bad parameter block: could not convert "
+                                                   "string to float: '1.5e'"),
+    ]
+    # the radii before the vertices: the first bad line in the file comes first
+    end = lines.index("[end]")
+    swapped = lines[:v - 1] + lines[r - 1:end] + ["1 1 1"] + lines[v - 1:r - 1]
+    cases += [(swapped + ["0 0 0 1.0", "[end]"], "bad radius line: 1 1 1"),
+              (swapped[:-len(lines[v - 1:r - 1]) - 1] + lines[v - 1:r - 1] + ["0 0 0 1.0"],
+               "bad vertex line: 0 0 0 1.0")]
+    assert [_first_fault(doc)(path) for doc, _ in cases] == [want for _, want in cases]
+
+
 @st.composite
 def plain_tokens(draw):
     """Plain decimals of 1 to 120 digits, some with trailing zeros, with or
@@ -600,19 +643,69 @@ def plain_tokens(draw):
     return draw(st.sampled_from(("", "-"))) + token
 
 
-@settings(max_examples=400, deadline=None)
-@given(token=plain_tokens(), dps=st.sampled_from((6, 45, 85, 205, 1005)))
-@example(token="0.0", dps=45)
-@example(token="-0.0", dps=45)
-@example(token="-120", dps=6)
+@st.composite
+def workload_tokens(draw):
+    """(token, dps) in the shapes the workloads write: the 17-digit repr of
+    a random double (a radius-route vertex) read at dps 80; the dps + 5
+    digits that mp.nstr writes of a number at dps 40 or 80; zero of either
+    sign; an exponent token such as 1.2e-16, which repr gives small
+    coordinates."""
+    kind = draw(st.sampled_from(("repr", "digits", "zero", "exponent")))
+    dps = draw(st.sampled_from((40, 80)))
+    if kind == "repr":
+        return repr(draw(st.floats(allow_nan=False, allow_infinity=False))), 80
+    if kind == "zero":
+        return draw(st.sampled_from(("0.0", "-0.0"))), dps
+    if kind == "exponent":
+        digits = draw(st.text("0123456789", max_size=16))
+        return (f"{draw(st.sampled_from(('', '-')))}{draw(st.integers(1, 9))}"
+                f"{'.' if digits else ''}{digits}e-{draw(st.integers(5, 330))}"), dps
+    bits = dps_to_prec(dps)
+    man = draw(st.integers(1, (1 << bits) - 1)) * draw(st.sampled_from((1, -1)))
+    with mp.workdps(dps + 5):
+        return mp.nstr(mp.mpf(from_man_exp(man, draw(st.integers(-bits - 40, 8)))), dps + 5), dps
+
+
+@settings(max_examples=800, deadline=None)
+@given(case=st.tuples(plain_tokens(), st.sampled_from((6, 45, 85, 205, 1005)))
+       | workload_tokens())
+@example(case=("0.0", 45))
+@example(case=("-0.0", 45))
+@example(case=("-120", 6))
+# exact ties at 23 bits, which round to the even neighbour: down, then up
+@example(case=("4194304.5", 6))
+@example(case=("-4194305.5", 6))
 # mpmath's from_str does not round these correctly: the direct parse must
 # leave effective exponents beyond +-400 (here -417, written -386) to it
-@example(token="1.7550977741772720960563446240548e-386", dps=6)
-@example(token="272719128e-401", dps=6)
-@example(token="274218063e401", dps=6)
-def test_verify_read_is_bit_identical_to_mpmath(token, dps):
+@example(case=("1.7550977741772720960563446240548e-386", 6))
+@example(case=("272719128e-401", 6))
+@example(case=("274218063e401", 6))
+def test_verify_read_is_bit_identical_to_mpmath(case):
+    token, dps = case
     with mp.workdps(dps):
         assert document._parse_number(token, "ext")._mpf_ == mp.mpf(token)._mpf_
+
+
+@pytest.mark.parametrize("kind, dps", [(["--c", "1.5"], 40),
+                                       (["--c", "2", "--mode", "z2"], 80),
+                                       (["--c", "2", "--mode", "log"], 80)])
+def test_every_number_of_an_extended_document_loads_as_mp_mpf(tmp_path, kind, dps):
+    path = tmp_path / "p.txt"
+    assert run_cli(["generate", *kind, "--n", "8", "--precision", "ext",
+                    "--dps", str(dps), "--out", str(path)]) == 0
+    doc, rows = load_document(str(path)), {}
+    text = path.read_text().split("[vertices]\n")[1].split("[end]")[0]
+    vertices, radii = (block.splitlines() for block in text.split("[radii]\n"))
+    with mp.workdps(dps):
+        for ln in vertices:
+            k, l, m, x, y = ln.split()
+            rows[k, l, m] = doc.vertices[int(k), int(l), int(m)]
+            assert rows[k, l, m]._mpc_ == (mp.mpf(x)._mpf_, mp.mpf(y)._mpf_), ln
+        for ln in radii:
+            k, l, m, r = ln.split()
+            got = doc.radii[int(k), int(l), int(m)]
+            assert got == math.inf if r == "inf" else got._mpf_ == mp.mpf(r)._mpf_, ln
+    assert len(rows) == len(doc.vertices) and len(radii) == len(doc.radii)
 
 
 WRITER_DPS = (6, 45, 85, 205, 1005)
@@ -1106,3 +1199,46 @@ def test_cli_unwritable_out_exits_2(tmp_path, capsys):
         assert run_cli(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
     assert [p.name for p in tmp_path.iterdir()] == ["d.txt"]
+
+
+PARSER_CASES = [[command, "--help"] for command in cli.COMMANDS] + [
+    ["generate", "--c", "1.5", "--out", "p.txt"],  # a missing required flag
+    ["generate", "--c", "1.5", "--n", "2", "--mode", "cube", "--out", "p.txt"],  # bad choices
+    ["analyze", "spiral", "--c", "1.5"],
+    ["render", "p.txt", "--out", "p.svg", "--show", "lines"],
+    ["verify", "p.txt", "--bogus"],  # an error of the top-level parser
+    ["verify", "--n", "x"],
+    ["mystery"],  # an unknown command
+    [],
+    ["--help"],
+]
+
+
+def _parsed(parse, argv, capsys):
+    try:
+        code = parse(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_main_parses_with_its_command_alone_as_the_full_parser_does(argv, capsys):
+    # main builds only the parser of a known command: the same help, usage,
+    # errors and exit codes as the parser of every command
+    full = _parsed(cli.build_parser().parse_args, argv, capsys)
+    assert full[0] in (0, 2) and full[1] + full[2]
+    assert _parsed(cli.main, argv, capsys) == full
+
+
+def test_main_builds_the_parser_of_its_command_alone(monkeypatch, capsys):
+    assert cli.build_parser("verify").parse_args(["verify", "p.txt"]).func is cli.cmd_verify
+    with pytest.raises(SystemExit):
+        cli.build_parser("verify").parse_args(["analyze", "p0", "--c", "1.5"])
+    built, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command)
+                        or build(command))
+    for argv in (["analyze", "--help"], ["verify", "--help"], ["--help"], ["mystery"], []):
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+    assert built == ["analyze", "verify", None, None, None]

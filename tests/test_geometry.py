@@ -20,6 +20,7 @@ from hexcircle.pattern_core import (PatternParams, ZField, cross_ratio,
 from hexcircle.radius_system import RadiusField, dual, extract_radii, generate_radii
 from hexcircle.verify import max_kite_residual
 from test_acceptance import sg_radius_residual
+from test_lattice import sub_generation
 
 ISO = (math.pi / 3,) * 3
 ANISO = (math.pi / 4, math.pi / 4, math.pi / 2)
@@ -93,7 +94,7 @@ def circumcircle(z1: complex, z2: complex, z3: complex) -> Tuple[complex, float]
 def radii_to(zf: ZField, n_max: int):
     """extract_radii on the sublattice sites of generation up to n_max."""
     return {s: r for s, r in extract_radii(zf).items()
-            if lattice.sub_generation(s) <= n_max}
+            if sub_generation(s) <= n_max}
 
 
 def pattern_radii(zf: ZField, n_max: int):
@@ -212,7 +213,7 @@ def test_reconstruct_roundtrip_radii():
     # of their three intersection points and are the only permitted gaps
     for site, want in rf.values.items():
         K, L, M = site
-        if K + L + M == 0 or lattice.sub_generation(site) < rf.generation:
+        if K + L + M == 0 or sub_generation(site) < rf.generation:
             assert site in got
 
 

@@ -1,9 +1,13 @@
 import pytest
 
 from hexcircle.lattice import (ParityError, TAG_BORDER, TAG_HEX, TAG_SEED,
-                               TAG_TRI, canonical_shift, fill_dependencies,
-                               fill_order, from_sub, parity, q_sites,
-                               sub_generation, to_sub)
+                               TAG_TRI, SubIndex, canonical_shift, fill_dependencies,
+                               fill_order, from_sub, parity, q_sites, to_sub)
+
+
+def sub_generation(q: SubIndex) -> int:
+    """max-norm generation used as the sublattice fill bound."""
+    return max(abs(q[0]), abs(q[1]), abs(q[2]))
 
 
 def test_to_sub_examples():

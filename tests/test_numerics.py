@@ -73,6 +73,55 @@ def test_exact_arithmetic_matches_fractions(a, b, k):
             assert quotient(num, one * one) == math.inf
 
 
+def _per_value_read(bk, values):
+    """The extended read as aligned_points made it value by value: each
+    value to (x, y, e) by its type, x and y at the smaller exponent of its
+    nonzero parts, then all at the smallest; the reference of its one loop
+    over the raw tuples."""
+    min_exp = MIN_EXP - 4 * bk.dps
+
+    def part(t):
+        sign, man, exp, bc = t
+        if not man:
+            return None if exp else (0, 0)
+        if not min_exp < exp + bc <= MAX_EXP:
+            return None
+        return (-man if sign else man), exp
+
+    def floating(x):
+        if not math.isfinite(x):
+            return None
+        m, e = math.frexp(x)
+        return int(m * 2.0 ** 53), e - 53
+
+    read = {}
+    for key, z in values.items():
+        if isinstance(z, mp.mpc):
+            re, im = (part(t) for t in z._mpc_)
+        elif isinstance(z, mp.mpf):
+            re, im = part(z._mpf_), (0, 0)
+        else:
+            re, im = floating(complex(z).real), floating(complex(z).imag)
+        if re is None or im is None:
+            return None
+        (x, ex), (y, ey) = re, im
+        e = ex if not y else ey if not x else min(ex, ey)
+        read[key] = x << (ex - e) if x else 0, y << (ey - e) if y else 0, e
+    e = min([0] + [e for _, _, e in read.values()])
+    return {key: (x << (ez - e), y << (ez - e)) for key, (x, y, ez) in read.items()}, 1 << -e
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(numbers | reals | st.integers(-2 ** 70, 2 ** 70) | st.sampled_from(
+           (0j, 0.0, -0.0, 1.5, mp.mpf(0), mp.mpc(0), mp.mpf("inf"), mp.mpc(0, mp.nan),
+            math.nan, complex(math.inf, 1))), max_size=5),
+       dps=st.sampled_from((15, 40, 80)))
+def test_aligned_points_is_the_per_value_read(values, dps):
+    bk = Backend("ext", dps)
+    values = dict(enumerate(values))
+    assert aligned_points(bk, values) == _per_value_read(bk, values)
+
+
 def test_required_dps_plans_growth_and_refuses_past_the_cap():
     assert required_dps(40, 1.0, 30) == required_dps(40, 0.5, 30) == 30
     assert required_dps(7, 10.0, 5) == 12

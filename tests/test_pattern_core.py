@@ -737,6 +737,9 @@ def _screen_fields():
               "zero-edge": zero_edge,
               "dps400": generate_z(isotropic_params(1.5, precision="ext", dps=400), 4),
               "dps200": _dragged(200, "1e-100"),  # its estimates overflow a float
+              "iso120": generate_z(isotropic_params(1.5, precision="ext", dps=120), 10),
+              "dragged-120": _dragged(120, "1e-60"),
+              "iso200": generate_z(isotropic_params(1.5, precision="ext", dps=200), 10),
               "nan": nan,
               "double": generate_z(PatternParams(alphas=ANISO, c=0.8), 8),
               "double-random": _random_double_field(6)}
@@ -776,16 +779,13 @@ def test_screened_sweeps_equal_the_exhaustive_ones_bit_for_bit():
     assert math.isnan(exhaustive_constraint(fields["nan"]))
 
 
-def test_screened_sweeps_round_few_residuals(monkeypatch):
-    # the exact quotients are the cost the screen saves: on a dps-40 field in
-    # the order generate_z stores it, at most 2% of the faces and of the
-    # interior sites take them, at least one each
-    zf = generate_z(isotropic_params(1.5, precision="ext", dps=40), 12)
+def _screened_calls(monkeypatch, zf):
+    """Per sweep of zf: (kernel, exact evaluations, faces or sites, calls of
+    _big_estimate), and the constraint sweep's result."""
     faces = sum(1 for _ in pattern_core.iter_faces(zf))
     sites = sum(1 for _ in pattern_core.interior_sites(zf))
-    assert (faces, sites) == (858, 165)
-    calls = {}
-    for name in ("_face_defect", "_lax_gap", "_site_defect"):
+    calls, out = {}, []
+    for name in ("_face_defect", "_lax_gap", "_site_defect", "_big_estimate"):
         def counted(*args, kernel=getattr(pattern_core, name), name=name):
             calls[name] += 1
             return kernel(*args)
@@ -793,11 +793,95 @@ def test_screened_sweeps_round_few_residuals(monkeypatch):
     for sweep, name, total in ((pattern_core.max_face_residual, "_face_defect", faces),
                                (pattern_core.max_zero_curvature_residual, "_lax_gap", faces),
                                (pattern_core.max_constraint_residual, "_site_defect", sites)):
-        calls.update(_face_defect=0, _lax_gap=0, _site_defect=0)
+        calls.update(_face_defect=0, _lax_gap=0, _site_defect=0, _big_estimate=0)
         got = sweep(zf)
-        assert 1 <= calls[name] <= 0.02 * total, (name, calls)
+        out.append((name, calls[name], total, calls["_big_estimate"]))
     monkeypatch.undo()
+    return out, got
+
+
+def test_screened_sweeps_round_few_residuals(monkeypatch):
+    # the exact quotients are the cost the screen saves: on a dps-40 field in
+    # the order generate_z stores it, at most 2% of the faces and of the
+    # interior sites take them, at least one each
+    zf = generate_z(isotropic_params(1.5, precision="ext", dps=40), 12)
+    calls, got = _screened_calls(monkeypatch, zf)
+    assert [total for _, _, total, _ in calls] == [858, 858, 165]
+    for name, exact, total, _ in calls:
+        assert 1 <= exact <= 0.02 * total, (name, calls)
     assert got == exhaustive_constraint(zf)
+
+
+@pytest.mark.parametrize("dps", [120, 200])
+def test_screens_hold_where_the_numerators_overflow_a_float(monkeypatch, dps):
+    # the constraint numerators pass the float range from dps 90, the face
+    # numerators from dps 150: their estimates, from the integers' top bits,
+    # still screen all but at most 2% of the faces and interior sites
+    zf = generate_z(isotropic_params(1.5, precision="ext", dps=dps), 10)
+    calls, got = _screened_calls(monkeypatch, zf)
+    assert [total for _, _, total, _ in calls] == [495, 495, 84]
+    for name, exact, total, _ in calls:
+        assert 1 <= exact <= 0.02 * total, (name, calls)
+    assert [big > 0 for *_, big in calls] == [dps > 150] * 2 + [True]
+    assert got == exhaustive_constraint(zf)
+
+
+def test_big_estimate_is_the_quotient_of_moduli_within_the_screen_bound():
+    # an estimate from the top bits meets the float estimates of the same
+    # sweep, so it must keep their scale: within 2**-47 of |num| / unit /
+    # prod |d|, for integers inside and past the float range
+    rng = random.Random(26)
+
+    def part(bits):
+        return rng.choice((-1, 1)) * rng.randrange(2 ** bits)
+    checked = past = 0
+    for _ in range(2000):
+        num, *dens = [(part(rng.randrange(1, 1600)), part(rng.randrange(1, 1600)) or 1)
+                      for _ in range(rng.randrange(2, 5))]
+        unit = 1 << rng.randrange(1200)
+        with mp.workprec(120):
+            want = mp.hypot(*num) / unit / mp.fprod(mp.hypot(*d) for d in dens)
+        if 1e-300 < want < 1e300:
+            got = pattern_core._big_estimate(unit, num, *dens)
+            assert abs(got / want - 1) < 2 ** -47, (num, dens, unit)
+            checked += 1
+            past += max(abs(v) for p in (num, *dens) for v in p).bit_length() > 1024
+    assert checked > 300 and past > 100
+
+
+class _Overflowing(float):
+    """A float unit that overflows when a modulus is divided by it."""
+    def __rtruediv__(self, other):
+        raise OverflowError
+
+
+def test_top_bit_estimates_are_the_float_ones(monkeypatch):
+    # forced on dps-40 fields, where both can be taken, the estimates from
+    # the top bits are face by face and site by site the float ones within
+    # twice the screen's 2**-47, and the sweeps' results stay; shrunk by
+    # 2**-20, the field's laxzc shape weight is the one * |e - a| term
+    zf = generate_z(isotropic_params(1.5, precision="ext", dps=40), 6)
+    with mp.workdps(40):
+        small = ZField(params=zf.params, generation=zf.generation,
+                       values={p: mp.ldexp(z.real, -20) + 1j * mp.ldexp(z.imag, -20)
+                               for p, z in zf.values.items()})
+    seen, screens = [], pattern_core._ScreenedWorst.screens
+    monkeypatch.setattr(pattern_core._ScreenedWorst, "screens",
+                        lambda self, est: seen.append(est) or screens(self, est))
+    runs = []
+    for force in (False, True):
+        if force:
+            monkeypatch.setattr(pattern_core, "_float_units",
+                                lambda bk, *ones: [_Overflowing()] * len(ones))
+        seen.clear()
+        results = [sweep(field) for field in (zf, small)
+                   for sweep in (pattern_core.max_zero_curvature_residual,
+                                 pattern_core.max_constraint_residual)]
+        runs.append((list(seen), results))
+    (floats, want), (tops, got) = runs
+    assert got == want and len(tops) == len(floats) > 0
+    for a, b in zip(floats, tops):
+        assert a == b or abs(b / a - 1) < 2 ** -46 or math.isnan(a) and math.isnan(b)
 
 
 # -- the fixed-point kernels of an extended run --------------------------------
