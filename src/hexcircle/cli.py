@@ -140,9 +140,8 @@ def cmd_analyze(args) -> int:
             out += [f"p0 closed form   : {closed!r}", f"p0 series route  : {series!r}",
                     f"p0 from pattern  : {extracted!r}", f"max deviation    : {dev:.3e}"]
         elif args.what == "riccati":
-            dps = riccati.separatrix_dps(b, args.n)
-            traj = riccati.trajectory(b, args.n, dps=dps)
-            out += [f"# separatrix run, dps={dps}", "#   n        p_n"]
+            traj = riccati.trajectory(b, args.n)
+            out += ["# separatrix run, double", "#   n        p_n"]
             out += [f"{n:5d}  {p: .12f}" for n, p in enumerate(traj.values)]
             if traj.first_nonpositive is not None:
                 out.append(f"# first nonpositive at n={traj.first_nonpositive}")

@@ -112,6 +112,8 @@ def _read(s: str, prec: int):
     n = q.bit_length() - prec  # at least 3: the rounding bit and two below it
     t = q >> (n - 1)
     man = (t >> 1) + 1 if t & 1 and (t & 2 or r or q & ((1 << (n - 1)) - 1)) else t >> 1
+    if man & 1:  # prec bits, none of them trailing zeros: bc is prec itself
+        return sign, man, n - shift, prec
     z = (man & -man).bit_length() - 1  # the trailing zero bits, which mpmath strips
     return sign, man >> z, n - shift + z, man.bit_length() - z
 

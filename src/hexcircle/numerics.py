@@ -146,6 +146,21 @@ def quotient(num, den) -> float:
         return math.inf
 
 
+def root_quotient(num, den) -> float:
+    """sqrt(quotient(num, den)), a residual whose square num / den is formed
+    exactly.  Integers whose quotient lies below the normal doubles (their
+    bit lengths differ by more than 1022) take the root of num 4**k / den
+    times 2**-k, so the residual keeps its value down to the double range
+    instead of its square underflowing; floats, and every quotient that is
+    a normal double, take the plain formula."""
+    if isinstance(num, int) and isinstance(den, int):
+        e = num.bit_length() - den.bit_length()  # num / den < 2**(e + 1)
+        if e < -1022:
+            k = -e // 2
+            return math.ldexp(math.sqrt(quotient(num << 2 * k, den)), -k)
+    return math.sqrt(quotient(num, den))
+
+
 def _from_float(x: float) -> Optional[Tuple[int, int]]:
     if not math.isfinite(x):
         return None

@@ -22,7 +22,8 @@ from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
 from .lattice import MultiIndex, generation, q_sites
 from .numerics import (ANGLE_GUARD_BITS, DEFAULT_EXT_DPS, DOUBLE, Backend,
                        ComplexNumber, aligned_points, div_nearest, fixed_bits,
-                       fixed_real, fixed_unit, quotient, top_bits, worse, worst_of)
+                       fixed_real, fixed_unit, quotient, root_quotient, top_bits, worse,
+                       worst_of)
 
 ANGLE_SUM_TOL = 1e-12
 
@@ -443,7 +444,7 @@ def _big_estimate(unit: int, num, *dens) -> float:
 
 def _face_defect(scale, nx, ny, bsq, csq) -> float:
     """|n| / (sqrt(scale) |b| |c|), one rounded quotient under a square root."""
-    return math.sqrt(quotient(nx * nx + ny * ny, scale * bsq * csq))
+    return root_quotient(nx * nx + ny * ny, scale * bsq * csq)
 
 
 def _lax_gap(w_scale, one_sq, gx, gy, ax, ay, ex, ey, bsq, csq) -> float:
@@ -453,7 +454,7 @@ def _lax_gap(w_scale, one_sq, gx, gy, ax, ay, ex, ey, bsq, csq) -> float:
     asq, esq = ax * ax + ay * ay, ex * ex + ey * ey
     shape = max(quotient(csq, esq), quotient(bsq, asq),
                 quotient(one_sq * ((ex - ax) ** 2 + (ey - ay) ** 2), asq * esq))
-    return MU_MAX * math.sqrt(quotient(gx * gx + gy * gy, w_scale * bsq * csq)) * math.sqrt(shape)
+    return MU_MAX * root_quotient(gx * gx + gy * gy, w_scale * bsq * csq) * math.sqrt(shape)
 
 
 @memoised
@@ -637,8 +638,7 @@ def max_constraint_residual(zf: ZField) -> float:
 def _site_defect(scale, nx, ny, d) -> float:
     """|n| / (sqrt(scale) |d_1| |d_2| |d_3|), one rounded quotient under a
     square root."""
-    return math.sqrt(quotient(nx ** 2 + ny ** 2,
-                              scale * math.prod(dx * dx + dy * dy for dx, dy in d)))
+    return root_quotient(nx ** 2 + ny ** 2, scale * math.prod(dx * dx + dy * dy for dx, dy in d))
 
 
 # ---------------------------------------------------------------------------

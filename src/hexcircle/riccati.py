@@ -28,6 +28,7 @@ refuses c = 2, where g_0 and p0 have their pole.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +36,7 @@ from typing import List, Optional
 
 import mpmath as mp
 
-from .numerics import ANGLE_GUARD_BITS, fixed_unit, required_dps
+from .numerics import ANGLE_GUARD_BITS, GUARD_BITS, fixed_unit, required_dps
 
 
 class ParameterError(ValueError):
@@ -48,8 +49,6 @@ class StepPoleError(ArithmeticError):
 
 #: working digits of the series route p0_via_series (more at small angles)
 SERIES_DPS = 30
-#: digits separatrix_dps keeps beyond the separatrix amplification
-SEPARATRIX_MARGIN = 30
 
 
 def _lifted(double, ext):
@@ -108,7 +107,7 @@ class Boundary:
 
 @dataclass
 class Trajectory:
-    """Recorded forward iteration with the first sign failure, if any."""
+    """A recorded run with its first sign failure, if any."""
     values: List[float]
     first_nonpositive: Optional[int] = None
 
@@ -147,26 +146,36 @@ def p0_closed(b: Boundary) -> float:
     return b.p0()
 
 
+def ratio_run(b: Boundary, n_steps: int, p_start=None, dps: Optional[int] = None) -> list:
+    """p_0 .. p_n_steps as floats, or mpf at dps digits.  From p_start the
+    step runs forward, up to a step pole; errors grow by separatrix_growth
+    per step.  Else the separatrix: forward from the exact p0 where that
+    loses at most 4 bits (n_steps log2 growth <= 4: alpha >= about pi/2), or
+    Miller's backward sweep p_n = g_n (1 + t p_{n+1}) / (p_{n+1} + t) from
+    p_{n+K} = 1, positive, whose K steps past n_steps divide the start's error
+    by growth**K >= 2**(P + GUARD_BITS) at P bits (at growth inf: p_n = g_n)."""
+    with contextlib.nullcontext() if dps is None else mp.workdps(dps):
+        prec, lg = dps and mp.mp.prec, math.log2(separatrix_growth(b))
+        c, t = _data(b, prec)
+        if p_start is None and n_steps * lg > 4:
+            k = max(1, math.ceil(((prec or 53) + GUARD_BITS) / lg))
+            p = [mp.mpf(1) if prec else 1.0]
+            for n in reversed(range(n_steps + k)):
+                p.append(g(n, c) * (1 + t * p[-1]) / (p[-1] + t))
+            return p[:-n_steps - 2:-1]
+        p = [b.p0(prec) if p_start is None else (mp.mpf if prec else float)(p_start)]
+        with contextlib.suppress(StepPoleError):
+            for n in range(n_steps):
+                p.append(_step(p[-1], n, c, t))
+        return p
+
+
 def trajectory(b: Boundary, n_steps: int, p_start: Optional[float] = None,
-               *, dps: int) -> Trajectory:
-    """Iterate the step forward at working precision dps (separatrix_dps plans
-    it: the separatrix is unstable whenever |1+t| > |1-t|), recording the first
-    nonpositive value; a step pole is a sign failure at the following index."""
-    with mp.workdps(dps):
-        c, t = _data(b, mp.mp.prec)
-        p = b.p0(mp.mp.prec) if p_start is None else mp.mpf(p_start)
-        values = [float(p)]
-        first_bad = None if p > 0 else 0
-        for n in range(n_steps):
-            try:
-                p = _step(p, n, c, t)
-            except StepPoleError:
-                first_bad = first_bad if first_bad is not None else n + 1
-                break
-            values.append(float(p))
-            if first_bad is None and p <= 0:
-                first_bad = n + 1
-        return Trajectory(values=values, first_nonpositive=first_bad)
+               *, dps: Optional[int] = None) -> Trajectory:
+    """ratio_run as floats, and its first nonpositive index or its pole's."""
+    p = ratio_run(b, n_steps, p_start, dps)
+    bad = next((n for n, x in enumerate(p) if not x > 0), None if len(p) > n_steps else len(p))
+    return Trajectory([float(x) for x in p], bad)
 
 
 def separatrix_growth(b: Boundary) -> float:
@@ -174,11 +183,6 @@ def separatrix_growth(b: Boundary) -> float:
     forward step, free of the cancellation in 1 - t; inf past the doubles."""
     cot = math.cos(b.alpha / 2) / math.sin(b.alpha / 2)
     return cot * cot
-
-
-def separatrix_dps(b: Boundary, n_steps: int) -> int:
-    """Working precision keeping the forward separatrix clean for n_steps."""
-    return required_dps(n_steps, separatrix_growth(b), SEPARATRIX_MARGIN)
 
 
 def mixture_coefficient(c):
@@ -206,8 +210,7 @@ def y_basis(n: int, boundary: Boundary, which: int) -> float:
         elif which == 2:
             z2 = (1 + t) / 2
             f_part = mp.hyp2f1(a, b, half - n, z2)
-            poch = (mp.rf(a + half, n) * mp.rf(b + half, n)
-                    / (mp.rf(half, n) * mp.rf(3 * half, n)))
+            poch = mp.rf(a + half, n) * mp.rf(b + half, n) / (mp.rf(half, n) * mp.rf(3 * half, n))
             w_part = (mp.power(z2, n + half)
                       * mp.hyp2f1(a + n + half, b + n + half, n + 3 * half, z2))
             kappa = mixture_coefficient(c)
@@ -242,9 +245,7 @@ def p0_via_series(boundary: Boundary) -> float:
             return (mp.hyp2f1(a, b, cc, z),
                     a * b / cc * mp.hyp2f1(a + 1, b + 1, cc + 1, z))
 
-        a = (3 - c) / 2
-        b = (c - 1) / 2
-        half = mp.mpf(1) / 2
+        a, b, half = (3 - c) / 2, (c - 1) / 2, mp.mpf(1) / 2
         f1, d1 = f_and_derivative(a, b, half)
         f2, d2 = f_and_derivative(a + half, b + half, 3 * half)
         kappa = mixture_coefficient(c)

@@ -9,8 +9,10 @@ import random
 import time
 
 import pytest
+from mpmath.libmp import dps_to_prec
 
 from hexcircle import geometry, painleve, pattern_core, radius_system, riccati
+from hexcircle.numerics import required_dps
 from hexcircle.pattern_core import PatternParams, generate_z, isotropic_params
 from hexcircle.riccati import Boundary
 
@@ -108,8 +110,8 @@ def test_c07_separatrix_uniqueness_probe():
     for c in C_FULL:
         for alpha in ALPHA_GRID:
             rp = Boundary(c, alpha)
-            dps = riccati.separatrix_dps(rp, 40)
-            if riccati.trajectory(rp, 40, dps=dps).first_nonpositive is not None:
+            dps = planned_dps(rp, 40)
+            if forward_separatrix(rp, 40).first_nonpositive is not None:
                 ok_pos = False
             for fac in (1 + 1e-3, 1 - 1e-3):
                 t = riccati.trajectory(rp, 40, p_start=riccati.p0_closed(rp) * fac,
@@ -130,6 +132,18 @@ def test_c07_separatrix_uniqueness_probe():
     _report(7, "separatrix uniqueness probe", ok,
             f"riccati pos={ok_pos} pert={ok_pert}, stays {stay_double}/25 "
             f"double {stay_ext}/60 ext, bracket width {hi - lo:.1e}")
+
+
+def planned_dps(b: Boundary, n: int) -> int:
+    """Digits that keep a forward run of n steps from p0 clean: n log10 of the
+    separatrix growth, plus 30."""
+    return required_dps(n, riccati.separatrix_growth(b), 30)
+
+
+def forward_separatrix(b: Boundary, n: int):
+    """The step run forward from the exact p0 at planned_dps digits."""
+    dps = planned_dps(b, n)
+    return riccati.trajectory(b, n, p_start=b.p0(dps_to_prec(dps)), dps=dps)
 
 
 def linear_recurrence_residual(y0: float, y1: float, y2: float, n: int,

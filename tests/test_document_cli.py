@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import dps_to_prec, finf, fninf, fnan, from_man_exp, fzero
 
-from hexcircle import cli, document, numerics, pattern_core, radius_system, verify
+from hexcircle import cli, document, numerics, pattern_core, radius_system, riccati, verify
 from hexcircle.document import DocumentError, load_document, save_document
 from hexcircle.pattern_core import generate_z, isotropic_params
 from hexcircle.svg import render_svg
@@ -406,10 +406,24 @@ def test_cli_analyze_riccati_at_a_tiny_angle(capsys):
     assert len(rows) == 11 and all(float(p) > 0 for _, p in rows)
 
 
-def test_cli_analyze_riccati_with_infinite_growth_exits_2(capsys):
+def test_cli_analyze_riccati_with_infinite_growth_prints_g_n(capsys):
+    # cot(alpha/2)^2 overflows and t = 1: the backward sweep gives p_n = g_n
     assert run_cli(["analyze", "riccati", "--c", "1.5", "--alpha", "1e-300",
-                    "--n", "10"]) == 2
-    assert "the cap is dps" in capsys.readouterr().err
+                    "--n", "10"]) == 0
+    rows = [ln.split() for ln in capsys.readouterr().out.splitlines()
+            if not ln.startswith("#")]
+    assert rows == [[str(n), f"{riccati.g(n, 1.5):.12f}"] for n in range(11)]
+
+
+@pytest.mark.parametrize("alpha, n", [("0.3", 20000), ("0.01", 500)])
+def test_cli_analyze_riccati_runs_past_the_old_precision_cap(capsys, alpha, n):
+    # a forward run of n steps would need 32856 and 2332 digits
+    assert run_cli(["analyze", "riccati", "--c", "1.5", "--alpha", alpha,
+                    "--n", str(n)]) == 0
+    rows = [ln.split() for ln in capsys.readouterr().out.splitlines()
+            if not ln.startswith("#")]
+    assert [int(k) for k, _ in rows] == list(range(n + 1))
+    assert all(float(p) > 0 for _, p in rows)
 
 
 def test_cli_analyze_painleve_files_the_image_of_one_in_a_iv(capsys):
@@ -684,6 +698,19 @@ def test_verify_read_is_bit_identical_to_mpmath(case):
     token, dps = case
     with mp.workdps(dps):
         assert document._parse_number(token, "ext")._mpf_ == mp.mpf(token)._mpf_
+
+
+def test_read_of_a_full_width_mantissa_keeps_the_callers_prec():
+    # an odd rounded mantissa has prec bits and no trailing zeros: the raw
+    # tuple takes man and the caller's prec object, with no new bc
+    prec = dps_to_prec(80)  # 269: an int that Python does not cache
+    with mp.workdps(85):
+        token = mp.nstr(mp.mpf(1) / 3, 85)
+    with mp.workdps(80):
+        want = mp.mpf(token)._mpf_
+    got = document._read(token, prec)
+    assert want[1] & 1 and got == want and got[3] is prec
+    assert document._read("0.75", prec)[3] == 2  # trailing zeros stripped as before
 
 
 @pytest.mark.parametrize("kind, dps", [(["--c", "1.5"], 40),
@@ -1137,7 +1164,6 @@ BAD_INVOCATIONS = [
     (["analyze", "painleve", "--c", "1.5", "--n", "-1"], 2),
     (["analyze", "riccati", "--c", "1.5", "--n", "-5"], 2),
     # a precision plan above the dps cap
-    (["analyze", "riccati", "--c", "1.5", "--alpha", "0.3", "--n", "20000"], 2),
     ([*PAINLEVE, "--alpha", "0.3", "--shoot", "3000"], 2),
     # outside the paper's domain 0 < c <= 2, 0 < alpha < pi
     ([*PAINLEVE, "--alpha", "4"], 2),

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from hexcircle import painleve, pattern_core, radius_system, verify
 from hexcircle.numerics import (MAX_DPS, MAX_EXP, MIN_EXP, Backend, aligned_points,
-                                aligned_reals, div_nearest, quotient, required_dps)
+                                aligned_reals, div_nearest, quotient, required_dps,
+                                root_quotient)
 from hexcircle.pattern_core import generate_z, isotropic_params
 from hexcircle.riccati import Boundary
 
@@ -120,6 +121,32 @@ def test_aligned_points_is_the_per_value_read(values, dps):
     bk = Backend("ext", dps)
     values = dict(enumerate(values))
     assert aligned_points(bk, values) == _per_value_read(bk, values)
+
+
+def test_root_quotient_is_the_plain_root_down_to_the_double_range():
+    rng = random.Random(27)
+    below = 0
+    for _ in range(3000):
+        num = rng.randrange(1 << rng.randrange(1, 2400))
+        den = rng.randrange(1, 1 << rng.randrange(1, 2400))
+        plain = math.sqrt(quotient(num, den))
+        got = root_quotient(num, den)
+        if plain and quotient(num, den) >= 2.0 ** -1022:  # a normal square: bit for bit
+            assert got == plain, (num, den)
+        with mp.workprec(200):
+            want = mp.sqrt(mp.mpf(num) / den)
+        if 2.0 ** -1022 < want < 2.0 ** 511:
+            assert abs(got / want - 1) <= 2 ** -52, (num, den)
+            below += quotient(num, den) < 2.0 ** -1022
+        elif want <= 2.0 ** -1075:
+            assert got == 0.0
+        elif want >= 2.0 ** 513:  # a square past the doubles is inf, as before
+            assert got == math.inf
+    assert below > 300
+    assert root_quotient(0, 1 << 3000) == 0.0
+    assert root_quotient(1, 1 << 2000) == 2.0 ** -1000  # its square underflows
+    for num, den in ((2.5e-300, 7e300), (0.0, 3.0), (9.0, 4.0)):  # floats: the plain root
+        assert root_quotient(num, den) == math.sqrt(quotient(num, den))
 
 
 def test_required_dps_plans_growth_and_refuses_past_the_cap():

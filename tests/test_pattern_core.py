@@ -8,7 +8,7 @@ import pytest
 
 from hexcircle import pattern_core
 from hexcircle.numerics import (aligned_points, fixed_bits, fixed_real, fixed_unit,
-                                quotient, worse, worst_of)
+                                quotient, root_quotient, worse, worst_of)
 from hexcircle.pattern_core import (MU_MAX, DegenerateQuadError, PatternParams,
                                     UnsupportedExponentError, ZField,
                                     axis_next, constraint_residual,
@@ -653,14 +653,14 @@ def exhaustive_face_pass(zf, lax):
         bsq, csq = bx * bx + by * by, cx * cx + cy * cy
         rx, ry = r[t]
         nx, ny = r_one * aex - (rx * px - ry * py), r_one * aey - (rx * py + ry * px)
-        worst = worse(worst, math.sqrt(quotient(nx * nx + ny * ny, scale * bsq * csq)))
+        worst = worse(worst, root_quotient(nx * nx + ny * ny, scale * bsq * csq))
         if lax:
             rx, ry = w[t]
             gx, gy = w_one * aex - (rx * px - ry * py), w_one * aey - (rx * py + ry * px)
             asq, esq = ax * ax + ay * ay, ex * ex + ey * ey
             shape = max(quotient(csq, esq), quotient(bsq, asq),
                         quotient(one_sq * ((ex - ax) ** 2 + (ey - ay) ** 2), asq * esq))
-            d = MU_MAX * math.sqrt(quotient(gx * gx + gy * gy, w_scale * bsq * csq))
+            d = MU_MAX * root_quotient(gx * gx + gy * gy, w_scale * bsq * csq)
             gap = worse(gap, d * math.sqrt(shape))
     return worst, None if degenerate else gap
 
@@ -692,7 +692,7 @@ def exhaustive_constraint(zf):
         t2, t3 = mul(q2, d3), mul(q3, d2)
         tx, ty = mul((t2[0] + t3[0], t2[1] + t3[1]), d1)
         dsq = math.prod(dx * dx + dy * dy for dx, dy in d)
-        out.append(math.sqrt(quotient((sx - tx) ** 2 + (sy - ty) ** 2, scale * dsq)))
+        out.append(root_quotient((sx - tx) ** 2 + (sy - ty) ** 2, scale * dsq))
     return worst_of(out)
 
 
@@ -777,6 +777,40 @@ def test_screened_sweeps_equal_the_exhaustive_ones_bit_for_bit():
     assert 1e-102 < exhaustive_face_pass(fields["dps200"], False)[0] < 1e-98
     assert pattern_core.field_points(fields["nan"]) is None
     assert math.isnan(exhaustive_constraint(fields["nan"]))
+
+
+def _mp_residuals(zf, digits):
+    """crossratio, laxzc and constraint of zf by their formulas in mpmath at
+    digits, from the stored vertices and the targets read at the field's
+    dps: |a e - r b c| / (|b| |c|) per face, MU_MAX |a e - w b c| / (|b| |c|)
+    times its shape weight, |constraint_residual| per interior site."""
+    bk = zf.params.backend()
+    with bk.context():
+        targets = pattern_core.face_targets(zf.params, bk)
+        d = pattern_core._deltas(targets, bk)
+        w = {t: d[i] / d[j] for t, (i, j) in pattern_core.FACE_SPAN.items()}
+    cr, lax = [], []
+    with mp.workdps(digits):
+        for t, sites in pattern_core.iter_faces(zf):
+            za, zb, zc, zd = (zf.values[s] for s in sites)
+            a, b, c, e = zb - za, za - zd, zb - zc, zc - zd
+            cr.append(abs(a * e - targets[t] * b * c) / (abs(b) * abs(c)))
+            shape = max(abs(c) / abs(e), abs(b) / abs(a), abs(e - a) / (abs(a) * abs(e)))
+            lax.append(MU_MAX * abs(a * e - w[t] * b * c) / (abs(b) * abs(c)) * shape)
+        sites = [abs(constraint_residual(zf, p)) for p in pattern_core.interior_sites(zf)]
+        return max(cr), max(lax), max(sites)
+
+
+def test_residuals_keep_their_value_below_the_square_root_of_the_double_range():
+    # at dps 200 every residual is near 1e-200: its square, the quotient each
+    # check rounds, lies below the doubles, but the residual does not
+    zf = generate_z(isotropic_params(1.5, precision="ext", dps=200), 10)
+    got = (pattern_core.max_face_residual(zf), pattern_core.max_zero_curvature_residual(zf),
+           pattern_core.max_constraint_residual(zf))
+    want = _mp_residuals(zf, 450)
+    for name, x, ref in zip(("crossratio", "laxzc", "constraint"), got, want):
+        assert 1e-215 < ref < 1e-190, name
+        assert abs(x / ref - 1) <= 1e-12, (name, x, ref)
 
 
 def _screened_calls(monkeypatch, zf):

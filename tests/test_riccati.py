@@ -5,10 +5,11 @@ import mpmath as mp
 import pytest
 
 from hexcircle import riccati
+from hexcircle.numerics import required_dps
 from hexcircle.riccati import (ParameterError, Boundary, g, p0_closed,
-                               p0_via_series, riccati_step, separatrix_dps,
-                               trajectory, y_basis, y_closed)
-from test_acceptance import linear_recurrence_residual
+                               p0_via_series, ratio_run, riccati_step,
+                               separatrix_growth, trajectory, y_basis, y_closed)
+from test_acceptance import forward_separatrix, linear_recurrence_residual, planned_dps
 
 C_GRID = [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75]
 ALPHA_GRID = [math.pi / 6, math.pi / 4, math.pi / 3, 2 * math.pi / 5]
@@ -148,7 +149,7 @@ def test_forward_separatrix_positive_at_extended_precision():
     for c in C_GRID:
         for alpha in ALPHA_GRID:
             rp = Boundary(c, alpha)
-            traj = trajectory(rp, 40, dps=riccati.separatrix_dps(rp, 40))
+            traj = forward_separatrix(rp, 40)
             assert traj.first_nonpositive is None, (c, alpha, traj.first_nonpositive)
 
 
@@ -157,7 +158,7 @@ def test_perturbed_p0_loses_positivity():
         rp = Boundary(c, alpha)
         for fac in (1 + 1e-3, 1 - 1e-3):
             traj = trajectory(rp, 40, p_start=p0_closed(rp) * fac,
-                              dps=riccati.separatrix_dps(rp, 40))
+                              dps=planned_dps(rp, 40))
             assert traj.first_nonpositive is not None
             assert traj.first_nonpositive <= 40
 
@@ -166,14 +167,14 @@ def test_p_limit_check():
     # p_N of the separatrix run tends to 1
     for c, tol in ((1.5, 0.05), (1.0, 1e-12)):
         rp = Boundary(c, math.pi / 3)
-        p_n = trajectory(rp, 40, dps=separatrix_dps(rp, 40)).values[-1]
+        p_n = trajectory(rp, 40).values[-1]
         assert p_n == pytest.approx(1.0, abs=tol)
 
 
 def test_perturbed_run_approaches_minus_one_region():
     rp = Boundary(1.5, math.pi / 3)
     traj = trajectory(rp, 40, p_start=p0_closed(rp) * (1 - 1e-3),
-                      dps=riccati.separatrix_dps(rp, 40))
+                      dps=planned_dps(rp, 40))
     assert min(traj.values) < 0
 
 
@@ -203,6 +204,75 @@ def test_double_trajectory_is_the_iterated_step():
                 p = riccati_step(p, n, rp)
                 expected.append(float(p))
         assert trajectory(rp, 40, dps=50).values == expected, (c, alpha)
+
+
+# (c, alpha, n, backward): the sweep runs backward where a forward run from
+# p0 would lose more than 4 bits, forward at and past pi/2
+SWEEP_POINTS = [(1.5, math.pi / 3, 40, True), (0.5, math.pi / 3, 100, True),
+                (1.9, 2 * math.pi / 5, 40, True), (1.5, 0.1, 100, True),
+                (1.5, math.pi / 2, 100, False), (1.5, 2.0, 40, False)]
+
+
+def _forward_reference(b, n, digits):
+    """The step run forward from the exact p0 at digits, as mpf."""
+    return ratio_run(b, n, b.p0(mp.libmp.dps_to_prec(digits)), dps=digits)
+
+
+@pytest.mark.parametrize("c, alpha, n, backward", SWEEP_POINTS)
+def test_separatrix_sweep_matches_the_planned_forward_run(c, alpha, n, backward):
+    b = Boundary(c, alpha)
+    assert (n * math.log2(separatrix_growth(b)) > 4) == backward
+    # a forward run at planned digits is clean to about 1e-30, one 60 digits
+    # deeper to about 1e-90
+    for dps, digits, tol in ((None, planned_dps(b, n), 4e-15),
+                             (60, required_dps(n, separatrix_growth(b), 90), 1e-58)):
+        ref = _forward_reference(b, n, digits)
+        got = ratio_run(b, n, dps=dps)
+        assert len(got) == n + 1 and all(isinstance(p, mp.mpf) == bool(dps) for p in got)
+        with mp.workdps(digits):
+            gap = max(abs(p / r - 1) for p, r in zip(got, ref))
+        assert gap <= tol, (c, alpha, dps, gap)
+    assert trajectory(b, n).values == [float(p) for p in ratio_run(b, n)]
+
+
+@pytest.mark.parametrize("dps", [None, 40])
+def test_separatrix_at_a_tiny_angle_is_g(dps):
+    # t = cos(1e-300) is 1 at either width and the growth inf: p_n = g_n
+    b = Boundary(1.5, 1e-300)
+    assert separatrix_growth(b) == math.inf
+    traj = trajectory(b, 30, dps=dps)
+    assert traj.values == [g(n, 1.5) for n in range(31)]
+    assert traj.first_nonpositive is None
+
+
+def test_separatrix_sweep_runs_where_the_forward_plan_needed_2332_digits():
+    # alpha = 0.01: a forward run of 500 steps loses cot(alpha/2)^2 = 4e4 per step
+    b = Boundary(1.5, 0.01)
+    traj = trajectory(b, 500)
+    assert len(traj.values) == 501 and min(traj.values) > 0
+    assert traj.first_nonpositive is None
+    assert abs(traj.values[0] / p0_closed(b) - 1) <= 4e-16
+    with mp.workdps(60):
+        assert abs(ratio_run(b, 500, dps=60)[0] / b.p0(mp.mp.prec) - 1) <= 1e-58
+
+
+def test_double_separatrix_enters_no_mpmath_context(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a double separatrix run entered mpmath")
+    for name in ("workdps", "workprec"):
+        monkeypatch.setattr(mp, name, refuse)
+    monkeypatch.setattr(riccati, "required_dps", refuse)
+    for c, alpha, n in ((1.5, math.pi / 3, 40), (1.5, 2.0, 40), (1.5, 0.01, 500)):
+        values = trajectory(Boundary(c, alpha), n).values
+        assert len(values) == n + 1 and all(type(p) is float and p > 0 for p in values)
+
+
+def test_forward_run_stops_at_a_step_pole():
+    # at c = 1, t = cos(alpha): p = t g_0 = t is the pole of the first step
+    b = Boundary(1.0, math.pi / 3)
+    traj = trajectory(b, 5, p_start=b.t())
+    assert traj.values == [b.t()] and traj.first_nonpositive == 1
+    assert trajectory(b, 5, p_start=-1.0).first_nonpositive == 0
 
 
 BOUNDARY_GRID = [(c, alpha) for c in (0.25, 0.5, 1.0, 1.37, 1.5, 1.9)
@@ -265,7 +335,8 @@ def test_boundary_checks_the_domain_once(c, alpha, name):
 def test_ratio_recurrence_refuses_c_2_everywhere():
     b = Boundary(2.0, math.pi / 3)  # in the Painleve domain
     calls = [lambda: p0_closed(b), lambda: p0_via_series(b),
-             lambda: trajectory(b, 5, dps=40), lambda: y_basis(3, b, 2),
+             lambda: trajectory(b, 5), lambda: trajectory(b, 5, dps=40),
+             lambda: trajectory(b, 5, p_start=1.0), lambda: y_basis(3, b, 2),
              lambda: riccati_step(1.0, 3, b), lambda: riccati_step(mp.mpf(1), 3, b)]
     for call in calls:
         with pytest.raises(ParameterError, match="needs c < 2"):
