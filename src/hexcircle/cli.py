@@ -143,8 +143,6 @@ def cmd_analyze(args) -> int:
             traj = riccati.trajectory(b, args.n)
             out += ["# separatrix run, double", "#   n        p_n"]
             out += [f"{n:5d}  {p: .12f}" for n, p in enumerate(traj.values)]
-            if traj.first_nonpositive is not None:
-                out.append(f"# first nonpositive at n={traj.first_nonpositive}")
         else:  # painleve
             dps = None if bk.is_double else bk.dps
             # no --beta0: the separatrix start, at the run's width

@@ -7,19 +7,19 @@ three-term recurrence has hypergeometric solutions evaluated here, and the
 unique initial value keeping every p_n positive is
 p0 = sin(c a/2)/sin((2-c) a/2).
 
-Note on the hypergeometric basis: with a = (c-1)/2, b = (3-c)/2 the two
-exact solutions are
+The linearized recurrence y_{n+2} + t(g_{n+1}+1) y_{n+1} + (t^2-1) g_n y_n = 0
+has the solution
 
-    B1(n) = G(n) * (-(1+t))^n * F(a, b; 1/2-n; (1-t)/2)
-    B2(n) = G(n) * (1-t)^n   * [ F(a, b; 1/2-n; z)
-              + kappa * (-1)^n * ((a+1/2)_n (b+1/2)_n)/((1/2)_n (3/2)_n)
-                * z^(n+1/2) * F(a+n+1/2, b+n+1/2; n+3/2; z) ],
+    R(n, c, s) = (2s)^n (n+1-c/2) Gamma(n+c/2)/Gamma(n+3/2)
+                 * F((c-1)/2, (3-c)/2; n+3/2; s)
 
-with z = (1+t)/2, G(n) = Gamma(n+1/2)/Gamma(n+1-c/2) and
-kappa(c) = (2-c) cot(pi c / 2).  B1 is the dominant direction; the
-second-solution admixture in B2 is exactly what cancels the dominant part,
-making B2 the minimal (separatrix) direction with B2(n+1)/B2(n) -> 1-t.
-The same admixture enters the generating function of the p0 series formula.
+at s = sin(alpha/2)^2 = (1-t)/2: the Gauss function regular at alpha = 0,
+and the minimal (separatrix) solution, with R(n+1)/R(n) -> 1-t.  By the
+connection formula (DLMF 15.10) it is the Gauss solution at z = (1+t)/2
+plus the second one there weighted by (2-c) cot(pi c/2), summed here
+without that cancellation.  Its mirror under alpha -> pi - alpha,
+(-1)^n R(n, c, cos(alpha/2)^2), is a second solution (ratio -> -(1+t)),
+regular at alpha = pi.
 
 Boundary holds (c, alpha) for this module and painleve, and gives every
 value derived from them in double or at a width.  The recurrence here
@@ -36,7 +36,7 @@ from typing import List, Optional
 
 import mpmath as mp
 
-from .numerics import ANGLE_GUARD_BITS, GUARD_BITS, fixed_unit, required_dps
+from .numerics import ANGLE_GUARD_BITS, GUARD_BITS, fixed_unit
 
 
 class ParameterError(ValueError):
@@ -47,8 +47,8 @@ class StepPoleError(ArithmeticError):
     """The linear-fractional step was evaluated at its pole."""
 
 
-#: working digits of the series route p0_via_series (more at small angles)
-SERIES_DPS = 30
+#: working digits of the hypergeometric routes y_basis and p0_via_series
+SERIES_DPS = 35
 
 
 def _lifted(double, ext):
@@ -185,72 +185,39 @@ def separatrix_growth(b: Boundary) -> float:
     return cot * cot
 
 
-def mixture_coefficient(c):
-    """Weight (2-c)*cot(pi c/2) of the second Gauss solution in the
-    separatrix generating function (0 at c = 1, finite as c -> 2), for an
-    mpf c at the working precision."""
-    return (2 - c) * mp.cos(mp.pi * c / 2) / mp.sin(mp.pi * c / 2)
+def _regular(n: int, c, s):
+    """R(n, c, s) of the module docstring at the working precision.  Past
+    the first, the terms of its Gauss series share one sign for 0 <= s < 1."""
+    return ((2 * s) ** n * (n + 1 - c / 2) * mp.gamma(n + c / 2) / mp.gamma(n + 1.5)
+            * mp.hyp2f1((c - 1) / 2, (3 - c) / 2, n + 1.5, s))
 
 
 def y_basis(n: int, boundary: Boundary, which: int) -> float:
-    """Exact solutions of the linearized recurrence (see module docstring).
-
-    which=1 is the dominant direction (ratio -> -(1+t)), which=2 the minimal
-    separatrix direction (ratio -> 1-t).
-    """
+    """Exact solutions of the linearized recurrence at SERIES_DPS digits,
+    rounded once: which=2 the separatrix R(n, c, sin(alpha/2)^2), which=1
+    its mirror (-1)^n R(n, c, cos(alpha/2)^2) (see module docstring)."""
     if n < 0:
         raise ParameterError("index must be nonnegative")
-    # B2 cancels terms of relative size ((1+t)/(1-t))^n
-    with mp.workdps(required_dps(n + 2, separatrix_growth(boundary), 35)):
-        c, t = _data(boundary, mp.mp.prec)
-        a, b, half = (c - 1) / 2, (3 - c) / 2, mp.mpf(1) / 2
-        pref = mp.gamma(n + half) / mp.gamma(n + 1 - c / 2)
-        if which == 1:
-            val = pref * (-(1 + t)) ** n * mp.hyp2f1(a, b, half - n, (1 - t) / 2)
-        elif which == 2:
-            z2 = (1 + t) / 2
-            f_part = mp.hyp2f1(a, b, half - n, z2)
-            poch = mp.rf(a + half, n) * mp.rf(b + half, n) / (mp.rf(half, n) * mp.rf(3 * half, n))
-            w_part = (mp.power(z2, n + half)
-                      * mp.hyp2f1(a + n + half, b + n + half, n + 3 * half, z2))
-            kappa = mixture_coefficient(c)
-            val = pref * (1 - t) ** n * (f_part + kappa * (-1) ** n * poch * w_part)
-        else:
-            raise ValueError("which must be 1 or 2")
-        return float(val)
+    if which not in (1, 2):
+        raise ValueError("which must be 1 or 2")
+    with mp.workdps(SERIES_DPS):
+        c, _ = _data(boundary, mp.mp.prec)
+        half = boundary.angle(mp.mp.prec) / 2
+        if which == 2:
+            return float(_regular(n, c, mp.sin(half) ** 2))
+        return float((-1) ** n * _regular(n, c, mp.cos(half) ** 2))
 
 
 def y_closed(n: int, c1: float, c2: float, b: Boundary) -> float:
-    """General solution c1*B1(n) + c2*B2(n) of the linearized recurrence."""
+    """c1 y_basis(n, b, 1) + c2 y_basis(n, b, 2): the general solution."""
     return sum((k * y_basis(n, b, which) for k, which in ((c1, 1), (c2, 2)) if k), 0.0)
 
 
 def p0_via_series(boundary: Boundary) -> float:
-    """p0 from the series route, independent of the sine quotient.
-
-    Evaluates 1 + 2(c-1)z/(2-c) + 4z(z-1) s'(z) / ((2-c) s(z)) at
-    z = (1+t)/2, where s is the separatrix generating function: the Gauss
-    function F((3-c)/2, (c-1)/2; 1/2; z) plus the second solution
-    sqrt(z) F((4-c)/2, c/2; 3/2; z) weighted by (2-c)cot(pi c/2).  Each F
-    is mpmath's hyp2f1 and each derivative comes from the contiguous
-    relation F'(a, b; cc; z) = (ab/cc) F(a+1, b+1; cc+1; z), at SERIES_DPS
-    digits plus one per decade of 1 - z = sin(alpha/2)^2 below 1e-10.
-    """
-    lost = -2 * math.log10(math.sin(boundary.alpha / 2))
-    with mp.workdps(SERIES_DPS + max(0, math.ceil(lost) - 10)):
+    """p0 from the series route, independent of the sine quotient:
+    y_1/y_0 + t g_0 on the separatrix y_n = R(n, c, sin(alpha/2)^2), at
+    SERIES_DPS digits, rounded once."""
+    with mp.workdps(SERIES_DPS):
         c, t = _data(boundary, mp.mp.prec)
-        z = (1 + t) / 2  # in (0, 1) for 0 < alpha < pi
-
-        def f_and_derivative(a, b, cc):
-            return (mp.hyp2f1(a, b, cc, z),
-                    a * b / cc * mp.hyp2f1(a + 1, b + 1, cc + 1, z))
-
-        a, b, half = (3 - c) / 2, (c - 1) / 2, mp.mpf(1) / 2
-        f1, d1 = f_and_derivative(a, b, half)
-        f2, d2 = f_and_derivative(a + half, b + half, 3 * half)
-        kappa = mixture_coefficient(c)
-        sq = mp.sqrt(z)
-        s = f1 + kappa * sq * f2
-        sp = d1 + kappa * (f2 / (2 * sq) + sq * d2)
-        p0 = 1 + 2 * (c - 1) * z / (2 - c) + 4 * z * (z - 1) * sp / ((2 - c) * s)
-        return float(p0)
+        s = mp.sin(boundary.angle(mp.mp.prec) / 2) ** 2
+        return float(_regular(1, c, s) / _regular(0, c, s) + t * g(0, c))

@@ -415,9 +415,11 @@ def test_cli_analyze_riccati_with_infinite_growth_prints_g_n(capsys):
     assert rows == [[str(n), f"{riccati.g(n, 1.5):.12f}"] for n in range(11)]
 
 
-@pytest.mark.parametrize("alpha, n", [("0.3", 20000), ("0.01", 500)])
+@pytest.mark.parametrize("alpha, n", [("0.3", 20000), ("0.01", 500), ("1.5", 100),
+                                      (repr(math.pi / 2), 100), ("1.6", 100), ("3.1", 100)])
 def test_cli_analyze_riccati_runs_past_the_old_precision_cap(capsys, alpha, n):
-    # a forward run of n steps would need 32856 and 2332 digits
+    # a forward run of n steps would need 32856 and 2332 digits at 0.3 and
+    # 0.01; the sweep runs backward at 1.5 and forward from pi/2 on
     assert run_cli(["analyze", "riccati", "--c", "1.5", "--alpha", alpha,
                     "--n", str(n)]) == 0
     rows = [ln.split() for ln in capsys.readouterr().out.splitlines()

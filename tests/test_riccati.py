@@ -4,7 +4,7 @@ import random
 import mpmath as mp
 import pytest
 
-from hexcircle import riccati
+from hexcircle import numerics
 from hexcircle.numerics import required_dps
 from hexcircle.riccati import (ParameterError, Boundary, g, p0_closed,
                                p0_via_series, ratio_run, riccati_step,
@@ -116,6 +116,45 @@ def test_ansatz_identity_against_forward_iteration():
     for n in range(20):
         y0, y1 = y_basis(n, rp, 2), y_basis(n + 1, rp, 2)
         assert y1 / y0 + t * g(n, rp.c) == pytest.approx(traj.values[n], rel=1e-8)
+    # deep in the run, on both sides of the forward/backward rule of ratio_run
+    for c in (0.5, 1.5, 1.9):
+        for alpha in (math.pi / 3, math.pi / 2):
+            rp = Boundary(c, alpha)
+            p = y_basis(101, rp, 2) / y_basis(100, rp, 2) + rp.t() * g(100, c)
+            assert p == pytest.approx(ratio_run(rp, 101)[100], rel=1e-13), (c, alpha)
+
+
+@pytest.mark.parametrize("alpha", [math.pi / 3, math.pi / 2, 2.0])
+@pytest.mark.parametrize("c", [0.5, 1.5, 1.9])
+def test_both_bases_satisfy_the_recurrence_deep_in_the_run(c, alpha):
+    rp = Boundary(c, alpha)
+    for which in (1, 2):
+        for n in (98, 248):
+            ys = [y_basis(n + k, rp, which) for k in range(3)]
+            assert linear_recurrence_residual(*ys, n, rp) <= 1e-12, (which, n)
+
+
+def _admixture_separatrix(n, c, alpha):
+    """The separatrix as the Gauss solution at z = (1+t)/2 plus the second
+    solution there weighted by (2-c) cot(pi c/2), at 300 digits."""
+    with mp.workdps(300):
+        c, t, half = mp.mpf(c), mp.cos(mp.mpf(alpha)), mp.mpf(1) / 2
+        a, b, z = (c - 1) / 2, (3 - c) / 2, (1 + t) / 2
+        kappa = (2 - c) * mp.cot(mp.pi * c / 2)
+        poch = (mp.rf(a + half, n) * mp.rf(b + half, n)
+                / (mp.rf(half, n) * mp.rf(3 * half, n)))
+        second = z ** (n + half) * mp.hyp2f1(a + n + half, b + n + half, n + 3 * half, z)
+        return (mp.gamma(n + half) / mp.gamma(n + 1 - c / 2) * (1 - t) ** n
+                * (mp.hyp2f1(a, b, half - n, z) + kappa * (-1) ** n * poch * second))
+
+
+@pytest.mark.parametrize("alpha", [math.pi / 3, 2.0])
+@pytest.mark.parametrize("c", [0.5, 1.5, 1.9])
+def test_separatrix_basis_keeps_the_admixture_normalisation(c, alpha):
+    rp = Boundary(c, alpha)
+    for n in range(41):
+        want = _admixture_separatrix(n, c, alpha)
+        assert abs(y_basis(n, rp, 2) / want - 1) <= 1e-15, n
 
 
 def test_p0_series_matches_closed_form_on_grid():
@@ -128,7 +167,8 @@ def test_p0_series_matches_closed_form_on_grid():
 
 
 def test_p0_series_matches_closed_form_across_the_angle_range():
-    # small angles put z = (1+t)/2 next to 1, where F(a+1, b+1; 3/2; z) grows
+    # the separatrix series at s = sin(alpha/2)^2: near 0 at small angles,
+    # near 1, where it converges slowest, as alpha nears pi
     for alpha in (0.001, 0.01, 0.1, 0.12, math.pi / 3, math.pi / 2, 3.1, 3.14):
         for c in (0.05, 0.5, 1.5, 1.99):
             rp = Boundary(c, alpha)
@@ -261,7 +301,7 @@ def test_double_separatrix_enters_no_mpmath_context(monkeypatch):
         raise AssertionError("a double separatrix run entered mpmath")
     for name in ("workdps", "workprec"):
         monkeypatch.setattr(mp, name, refuse)
-    monkeypatch.setattr(riccati, "required_dps", refuse)
+    monkeypatch.setattr(numerics, "required_dps", refuse)
     for c, alpha, n in ((1.5, math.pi / 3, 40), (1.5, 2.0, 40), (1.5, 0.01, 500)):
         values = trajectory(Boundary(c, alpha), n).values
         assert len(values) == n + 1 and all(type(p) is float and p > 0 for p in values)
