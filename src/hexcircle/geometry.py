@@ -19,6 +19,7 @@ pair with a non-finite coordinate, run the seven side-pair crossing tests.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -26,7 +27,7 @@ from typing import Dict, List, Tuple
 
 from . import lattice
 from .lattice import MultiIndex, SubIndex
-from .pattern_core import ZField
+from .pattern_core import ZField, field_points
 from .radius_system import RadiusField, extract_radii, is_pole
 
 
@@ -215,6 +216,17 @@ def _flipped(a: complex, b: complex, c: complex) -> bool:
             or orientation(a, b, c) <= -EPS_SCALE * edge * edge)
 
 
+def _double_points(zf: ZField) -> Dict[MultiIndex, complex]:
+    """complex(z) of every vertex: x / one of the field_points read, rounded
+    once to nearest as mpmath rounds a normal double, where one <= 2**1022
+    leaves no subnormal (mpmath rounds those twice); else complex(z)."""
+    pts, one = field_points(zf) or (None, None)
+    with contextlib.suppress(OverflowError):
+        if pts is not None and one <= 2 ** 1022:
+            return {site: complex(x / one, y / one) for site, (x, y) in pts.items()}
+    return {site: complex(z) for site, z in zf.values.items()}
+
+
 def immersion_check(zf: ZField) -> ImmersionReport:
     """Uniform positive orientation of the three elementary triangles at
     every stored site, plus pairwise interior-disjointness of adjacent
@@ -225,7 +237,7 @@ def immersion_check(zf: ZField) -> ImmersionReport:
     (_spoke_separates) passes; every other pair is tested side by side
     (_kites_cross)."""
     report = ImmersionReport()
-    pts = {site: complex(z) for site, z in zf.values.items()}
+    pts = _double_points(zf)
     for (k, l, m), z0 in pts.items():
         if not cmath.isfinite(z0):
             report.failures.append(((k, l, m), "non-finite-vertex"))
@@ -326,17 +338,16 @@ def sg_immersion_check(sg: ZField) -> ImmersionReport:
     not flipped)."""
     report = ImmersionReport()
     cycle = ((1, 0), (0, -1), (-1, 0), (0, 1))   # counterclockwise images
-    for (k, l, m), z in sg.values.items():
-        z = complex(z)
+    pts = _double_points(sg)
+    for (k, l, m), z in pts.items():
         if not cmath.isfinite(z):
             report.failures.append(((k, l, m), "non-finite-vertex"))
         for idx in range(4):
             d1, d2 = cycle[idx], cycle[(idx + 1) % 4]
-            p1 = sg.values.get((k + d1[0], l, m + d1[1]))
-            p2 = sg.values.get((k + d2[0], l, m + d2[1]))
+            p1 = pts.get((k + d1[0], l, m + d1[1]))
+            p2 = pts.get((k + d2[0], l, m + d2[1]))
             if p1 is None or p2 is None:
                 continue
-            p1, p2 = complex(p1), complex(p2)
             report.checked_triangles += 1
             if _flipped(z, p1, p2):
                 report.failures.append(((k, l, m), "orientation-flip:sg"))

@@ -193,16 +193,10 @@ _E = {1: (1, 0, 0), 2: (0, 1, 0), 3: (0, 0, 1)}
 FACE_SPAN = {1: (2, 1), 2: (3, 2), 3: (1, 3)}
 
 
-def _shift(p: MultiIndex, d: Tuple[int, int, int], s: int = 1) -> MultiIndex:
-    return (p[0] + s * d[0], p[1] + s * d[1], p[2] + s * d[2])
-
-
 def face_sites(base: MultiIndex, i: int, j: int) -> Tuple[MultiIndex, ...]:
     """Corners (f1, f2, f3, f4) of the face at base spanning +e_i, -e_j."""
-    f2 = _shift(base, _E[i])
-    f3 = _shift(f2, _E[j], -1)
-    f4 = _shift(base, _E[j], -1)
-    return (base, f2, f3, f4)
+    (k, l, m), (a, b, c), (d, e, f) = base, _E[i], _E[j]
+    return base, (k + a, l + b, m + c), (k + a - d, l + b - e, m + c - f), (k - d, l - e, m - f)
 
 
 # corners (f2, f3, f4) of the face of each type at the origin
@@ -360,19 +354,21 @@ def field_points(zf: ZField):
 #: an estimate below another one times this factor proves its residual
 #: the smaller (_ScreenedWorst)
 SCREEN_MARGIN = 1 - 2.0 ** -40
+#: the slack that moves a bound made of float estimates past its residual
+SLACK = 2.0 ** -44
 
 
 class _ScreenedWorst:
     """The worst of a sweep's residuals, rounding only those that could be it.
 
     The sweep gives each residual as an estimate est and holds it, with the
-    parts that exact(*parts) rounds it from, unless an estimate held before
-    screens it: an estimate in (1e-300, inf) below another one times
-    SCREEN_MARGIN = 1 - 2**-40 proves its rounded residual below the
-    other's.  result() rounds the held residuals that the largest held
-    estimate does not screen, which gives the worst of every residual
-    rounded, bit for bit.  Any other estimate never screens: NaN, and 0 or
-    inf, where the estimate left the float range.
+    parts that exact(*parts) rounds it from, unless the bar, the largest
+    estimate held before, screens it: an estimate in (1e-300, inf) below
+    the bar times SCREEN_MARGIN = 1 - 2**-40 proves its rounded residual
+    below the other's.  result() rounds the held residuals that the final
+    bar does not screen, which gives the worst of every residual rounded,
+    bit for bit.  Any other estimate never screens: NaN, and 0 or inf,
+    where the estimate left the float range.
 
     The bound.  On an extended field a sweep forms each numerator exactly,
     as an integer, and estimates the residual in floats.  Each modulus is
@@ -392,23 +388,42 @@ class _ScreenedWorst:
     float range (_big_estimate) each modulus is taken from top_bits, 2**-990
     more, and the chains divide mantissas in [0.5, 1), the powers of two
     applied once, exactly, by ldexp: the same bound.
+
+    Bounds.  The proof asks of est only not to lie 2**-47 below its
+    residual, and of the bar not to lie 2**-47 above a held one: a sweep
+    may hold an upper bound with a lower bound low= for the bar, and
+    result() first refines those the bar does not screen, largest first,
+    by refine(*parts) to an estimate and its parts.  In _face_pass, |q -
+    w_t| is within delta_t = |w_t - r_t| of |q - r_t|, so that ub = MU_MAX
+    (est + delta_t) shape (1 + SLACK) and low = MU_MAX max(est (1 - SLACK)
+    - delta_t, delta_t - est (1 + SLACK)) shape (1 - SLACK), est and shape
+    within 2**-47 and delta_t rounded outward, lie beyond 1 +- 2**-45 times
+    the laxzc residual MU_MAX |q - w_t| S, past its rounding (2**-50); each
+    counts only when its factors end above 1e-300 (an absolute error below
+    2**-1070 moves it by less than 2**-70).
     """
 
-    def __init__(self, exact):
-        self.exact, self.bar, self.held = exact, 0.0, []
+    def __init__(self, exact, refine=None):
+        self.exact, self.refine, self.bar, self.held = exact, refine, 0.0, []
 
     def screens(self, est: float) -> bool:
         """Whether est proves its residual below one held already."""
         return 1e-300 < est < self.bar * SCREEN_MARGIN
 
-    def hold(self, est: float, *parts) -> None:
-        """Keep a residual that its estimate est does not screen."""
+    def hold(self, est: float, *parts, low: Optional[float] = None) -> None:
+        """Keep a residual its estimate or upper bound est does not screen."""
         self.held.append((est, parts))
-        if 1e-300 < est < math.inf:
-            self.bar = max(self.bar, est)
+        low = est if low is None else low
+        if 1e-300 < low < math.inf:
+            self.bar = max(self.bar, low)
 
     def result(self) -> float:
         """The worst residual, rounding the held ones no estimate screens."""
+        if self.refine:  # the held upper bounds, from the largest down
+            held, self.held = sorted(self.held, key=lambda h: h[0], reverse=True), []
+            for ub, parts in held:
+                if not self.screens(ub):
+                    self.hold(*self.refine(*parts))
         return worst_of([self.exact(*parts) for est, parts in self.held
                          if not self.screens(est)])
 
@@ -457,6 +472,20 @@ def _lax_gap(w_scale, one_sq, gx, gy, ax, ay, ex, ey, bsq, csq) -> float:
     return MU_MAX * root_quotient(gx * gx + gy * gy, w_scale * bsq * csq) * math.sqrt(shape)
 
 
+def _lax_estimate(w, w_one, fw, t, aex, aey, px, py, ax, ay, ex, ey, bx, by, cx, cy,
+                  shape, lb, lc):
+    """The laxzc estimate of a face from g = w_one a e - w_t b c (top bits
+    past the float range, and at lb = 0.0), with the parts _lax_gap rounds."""
+    rx, ry = w[t]
+    gx, gy = w_one * aex - (rx * px - ry * py), w_one * aey - (rx * py + ry * px)
+    try:
+        dw = MU_MAX * math.hypot(gx, gy) / fw / lb / lc
+    except ArithmeticError:
+        dw = MU_MAX * _big_estimate(w_one, (gx, gy), (bx, by), (cx, cy))
+    return (dw * shape if min(dw, shape) > 1e-300 else math.nan,
+            gx, gy, ax, ay, ex, ey, bx * bx + by * by, cx * cx + cy * cy)
+
+
 @memoised
 def _face_pass(zf: ZField, lax: bool):
     """Worst crossratio defect and, with lax, worst laxzc gap (None if a
@@ -466,12 +495,11 @@ def _face_pass(zf: ZField, lax: bool):
     (|b| |c|); each check has its own r over its own r_one, and forms
     r_one (a e - r b c) from the shared a e and b c, with no division.
 
-    On an extended field only these numerators are exact at every face:
-    each check rounds the quotients of a face only when the face's float
-    estimate, within 2**-47 relative of its residual, is not below the
-    largest estimate by the margin 2**-40 (_ScreenedWorst), and its worst
-    is the one every face rounded gives, bit for bit.  A double field
-    rounds every face."""
+    On an extended field only the crossratio numerator is exact at every
+    face, the laxzc one only where its bounds from the crossratio estimate
+    do not rule the face out; each check rounds only the faces that no
+    estimate rules out (_ScreenedWorst), and its worst is the one every
+    face rounded gives, bit for bit.  A double field rounds every face."""
     read = field_points(zf)
     if read is None:
         return math.nan, math.nan
@@ -485,10 +513,16 @@ def _face_pass(zf: ZField, lax: bool):
             d = _deltas(targets, bk)
             w, w_one = aligned_points(bk, {t: d[i] / d[j] for t, (i, j) in FACE_SPAN.items()})
     scale, w_scale, one_sq = r_one * r_one, w_one * w_one, one * one
+    # delta_t = |w_t / w_one - r_t / r_one| rounded up (_ScreenedWorst)
+    delta = {t: root_quotient((wx * r_one - r[t][0] * w_one) ** 2
+                              + (wy * r_one - r[t][1] * w_one) ** 2, (w_one * r_one) ** 2)
+             * (1 + 2 ** -50) for t, (wx, wy) in w.items()}
     cr = _ScreenedWorst(functools.partial(_face_defect, scale))
-    zc = _ScreenedWorst(functools.partial(_lax_gap, w_scale, one_sq))
     units, hypot = _float_units(bk, r_one, w_one, one), math.hypot
+    zc = _ScreenedWorst(functools.partial(_lax_gap, w_scale, one_sq),
+                        functools.partial(_lax_estimate, w, w_one, units and units[1]))
     worst, gap, degenerate = 0.0, 0.0, False
+    mu_up, mu_down = MU_MAX * (1 + SLACK), MU_MAX * (1 - SLACK)
     for t, _, ((xa, ya), (xb, yb), (xc, yc), (xd, yd)) in _faces(pts):
         ax, ay, bx, by = xb - xa, yb - ya, xa - xd, ya - yd
         cx, cy, ex, ey = xb - xc, yb - yc, xc - xd, yc - yd
@@ -499,9 +533,6 @@ def _face_pass(zf: ZField, lax: bool):
         px, py = bx * cx - by * cy, bx * cy + by * cx
         rx, ry = r[t]
         nx, ny = r_one * aex - (rx * px - ry * py), r_one * aey - (rx * py + ry * px)
-        if lax:
-            rx, ry = w[t]
-            gx, gy = w_one * aex - (rx * px - ry * py), w_one * aey - (rx * py + ry * px)
         if not units:
             # a double read, or one past the float range, rounds every face
             # here, by _face_defect and _lax_gap written out: a call per
@@ -509,41 +540,45 @@ def _face_pass(zf: ZField, lax: bool):
             bsq, csq = bx * bx + by * by, cx * cx + cy * cy
             worst = worse(worst, math.sqrt(quotient(nx * nx + ny * ny, scale * bsq * csq)))
             if lax:
+                rx, ry = w[t]
+                gx, gy = w_one * aex - (rx * px - ry * py), w_one * aey - (rx * py + ry * px)
                 asq, esq = ax * ax + ay * ay, ex * ex + ey * ey
                 shape = max(quotient(csq, esq), quotient(bsq, asq),
                             quotient(one_sq * ((ex - ax) ** 2 + (ey - ay) ** 2), asq * esq))
                 d = MU_MAX * math.sqrt(quotient(gx * gx + gy * gy, w_scale * bsq * csq))
                 gap = worse(gap, d * math.sqrt(shape))
             continue
-        (fr, fw, fo), est = units, math.nan
+        fr, _, fo = units
         try:
             lb, lc = hypot(bx, by), hypot(cx, cy)
             est = hypot(nx, ny) / fr / lb / lc
-            if lax:  # the defect against w times the shape weight
+            if lax:  # the shape weight
                 la, le = hypot(ax, ay), hypot(ex, ey)
-                dw = MU_MAX * hypot(gx, gy) / fw / lb / lc
                 shape = max(lc / le, lb / la, fo * hypot(ex - ax, ey - ay) / la / le)
-                lax_est = dw * shape if min(dw, shape) > 1e-300 else math.nan
         except OverflowError:  # a modulus past the float range: from its top bits
+            lb = lc = 0.0  # and so is the laxzc estimate (_lax_estimate)
             est = _big_estimate(r_one, (nx, ny), (bx, by), (cx, cy))
             if lax:
-                dw = MU_MAX * _big_estimate(w_one, (gx, gy), (bx, by), (cx, cy))
                 shape = max(
                     _big_estimate(1, (cx, cy), (ex, ey)), _big_estimate(1, (bx, by), (ax, ay)),
                     _big_estimate(1, (one * (ex - ax), one * (ey - ay)), (ax, ay), (ex, ey)))
-                lax_est = dw * shape if min(dw, shape) > 1e-300 else math.nan
         if not cr.screens(est):
             cr.hold(est, nx, ny, bx * bx + by * by, cx * cx + cy * cy)
-        if lax and not zc.screens(lax_est):
-            zc.hold(lax_est, gx, gy, ax, ay, ex, ey, bx * bx + by * by, cx * cx + cy * cy)
+        if lax:  # bounds (_ScreenedWorst): only the faces zc refines form g
+            hi = est + delta[t]
+            ub = mu_up * hi * shape if hi > 1e-300 and shape > 1e-300 else math.nan
+            if not zc.screens(ub):  # delta_t rounded down: times 1 - 2**-49
+                dt = delta[t]
+                lo = max(est * (1 - SLACK) - dt, dt * (1 - 2 ** -49) - est * (1 + SLACK))
+                zc.hold(ub, t, aex, aey, px, py, ax, ay, ex, ey, bx, by, cx, cy, shape, lb, lc,
+                        low=mu_down * lo * shape if lo > 1e-300 and shape > 1e-300 else 0.0)
     return worse(worst, cr.result()), None if degenerate else worse(gap, zc.result())
 
 
 def max_face_residual(zf: ZField) -> float:
     """Worst |q - r| of _face_pass, r = exp(-2 i alpha) of the face type, one
-    rounded quotient under a square root; on an extended field only the
-    faces whose estimate (within 2**-47) is not 2**-40 below the largest
-    are rounded (_ScreenedWorst), with the same result.  Faces with a zero
+    rounded quotient under a square root, on an extended field only where
+    _ScreenedWorst does not rule the face out.  Faces with a zero
     edge (collapsed onto the point-circle at the c = 2 branch point) carry
     no cross-ratio and are skipped.  NaN when the field cannot be read."""
     return _face_pass(zf, isinstance(zf, FieldSnapshot) and zf.lax)[0]
@@ -576,62 +611,65 @@ def interior_sites(zf: ZField) -> Iterator[MultiIndex]:
             yield (k, l, m)
 
 
-def _mul(p, q):
-    """Product of two complex numbers given as coordinate pairs."""
-    (x, y), (u, v) = p, q
-    return x * u - y * v, x * v + y * u
-
-
 def max_constraint_residual(zf: ZField) -> float:
     """Worst |constraint_residual| over the interior sites, with its three
     divisions cleared: with d_j = zu_j - zd_j and P_j = (zu_j - z0)(z0 - zd_j)
     along each axis j (index n_j = k, l, m), it is |N| / (|d_1| |d_2| |d_3|)
     with N = c z0 d_1 d_2 d_3 - 2 sum_j n_j P_j prod_{i != j} d_i, N exact on
     an extended field (field_points) and the ratio one rounded quotient
-    under a square root.  On an extended field that quotient is taken only
-    at the sites whose float estimate, within 2**-47 of the residual, is not
-    2**-40 below the largest (_ScreenedWorst), with the same result.  NaN
-    when the field cannot be read; a stencil vertex the field does not
-    store raises IncompleteStencilError, a vanishing d_j
-    DegenerateQuadError.
+    under a square root, on an extended field only where _ScreenedWorst
+    does not rule the site out.  NaN when the field cannot be read; a
+    stencil vertex the field does not store raises IncompleteStencilError,
+    a vanishing d_j DegenerateQuadError.
     """
     read = field_points(zf)
     if read is None:
         return math.nan
     pts, one = read
     bk = zf.params.backend()
-    k, k_one = aligned_points(bk, {0: zf.params.c})
-    cc, unit = k[0][0], k_one * one
+    kc, k_one = aligned_points(bk, {0: zf.params.c})
+    cc, unit = kc[0][0], k_one * one
     scale = unit * unit
     screen = _ScreenedWorst(functools.partial(_site_defect, scale))
     units, hypot, worst = _float_units(bk, unit), math.hypot, 0.0
     for p in interior_sites(zf):
-        try:
-            ends = [(2 * n * k_one, pts[up], pts[dn]) for n, up, dn in _axis_stencil(p)]
+        k, l, m = p
+        try:  # the ends u_j, w_j of the stencil along each axis
+            (u1x, u1y), (w1x, w1y), (u2x, u2y), (w2x, w2y), (u3x, u3y), (w3x, w3y) = (
+                pts[k + 1, l, m], pts[k - 1, l, m], pts[k, l + 1, m], pts[k, l - 1, m],
+                pts[k, l, m + 1], pts[k, l, m - 1])
         except KeyError as exc:
             raise IncompleteStencilError(exc.args[0]) from None
-        if any(u == w for _, u, w in ends):
+        d1x, d1y, d2x, d2y = u1x - w1x, u1y - w1y, u2x - w2x, u2y - w2y
+        d3x, d3y = u3x - w3x, u3y - w3y
+        if not ((d1x or d1y) and (d2x or d2y) and (d3x or d3y)):
             raise DegenerateQuadError(f"collinear stencil degenerate at {p}")
         x0, y0 = pts[p]
-        # d_j, and 2 n_j P_j in the units of c
-        d1, d2, d3 = d = [(ux - wx, uy - wy) for _, (ux, uy), (wx, wy) in ends]
-        P = [_mul((ux - x0, uy - y0), (x0 - wx, y0 - wy)) for _, (ux, uy), (wx, wy) in ends]
-        q1, q2, q3 = [(f * px, f * py) for (f, _, _), (px, py) in zip(ends, P)]
+        # q_j = 2 n_j P_j in the units of c, in the float order of a double read
+        f, ax, ay, bx, by = 2 * k * k_one, u1x - x0, u1y - y0, x0 - w1x, y0 - w1y
+        q1x, q1y = f * (ax * bx - ay * by), f * (ax * by + ay * bx)
+        f, ax, ay, bx, by = 2 * l * k_one, u2x - x0, u2y - y0, x0 - w2x, y0 - w2y
+        q2x, q2y = f * (ax * bx - ay * by), f * (ax * by + ay * bx)
+        f, ax, ay, bx, by = 2 * m * k_one, u3x - x0, u3y - y0, x0 - w3x, y0 - w3y
+        q3x, q3y = f * (ax * bx - ay * by), f * (ax * by + ay * bx)
         # N = (c z0 d1 - q1) d2 d3 - (q2 d3 + q3 d2) d1
-        sx, sy = _mul((cc * x0, cc * y0), d1)
-        sx, sy = _mul((sx - q1[0], sy - q1[1]), _mul(d2, d3))
-        t2, t3 = _mul(q2, d3), _mul(q3, d2)
-        tx, ty = _mul((t2[0] + t3[0], t2[1] + t3[1]), d1)
-        nx, ny = sx - tx, sy - ty
+        ax, ay = cc * x0, cc * y0
+        ax, ay = ax * d1x - ay * d1y - q1x, ax * d1y + ay * d1x - q1y
+        bx, by = d2x * d3x - d2y * d3y, d2x * d3y + d2y * d3x
+        tx = q2x * d3x - q2y * d3y + (q3x * d2x - q3y * d2y)
+        ty = q2x * d3y + q2y * d3x + (q3x * d2y + q3y * d2x)
+        nx = ax * bx - ay * by - (tx * d1x - ty * d1y)
+        ny = ax * by + ay * bx - (tx * d1y + ty * d1x)
         if not units:  # a double read, or one past the float range
+            d = (d1x, d1y), (d2x, d2y), (d3x, d3y)
             worst = worse(worst, _site_defect(scale, nx, ny, d))
             continue
         try:
-            est = hypot(nx, ny) / units[0] / hypot(*d1) / hypot(*d2) / hypot(*d3)
+            est = hypot(nx, ny) / units[0] / hypot(d1x, d1y) / hypot(d2x, d2y) / hypot(d3x, d3y)
         except OverflowError:  # a modulus past the float range: from its top bits
-            est = _big_estimate(unit, (nx, ny), *d)
+            est = _big_estimate(unit, (nx, ny), (d1x, d1y), (d2x, d2y), (d3x, d3y))
         if not screen.screens(est):
-            screen.hold(est, nx, ny, d)
+            screen.hold(est, nx, ny, ((d1x, d1y), (d2x, d2y), (d3x, d3y)))
     return worse(worst, screen.result())
 
 
@@ -680,10 +718,9 @@ def max_zero_curvature_residual(zf: ZField) -> float:
     mu G (e - a) / (a b c e) and mu G / (a c).  As |delta_j| = 1, the gap is
     MU_MAX |a e - r b c| / (|b| |c|) max(|c|/|e|, |b|/|a|, |e - a| / (|a| |e|))
     with r = delta_i / delta_j, every modulus ratio one rounded quotient
-    under a square root.  On an extended field only the faces whose
-    estimate (within 2**-47) is not 2**-40 below the largest are rounded
-    (_ScreenedWorst), with the same result.  NaN when the field cannot be
-    read; a zero edge raises DegenerateQuadError.
+    under a square root, on an extended field only where _face_pass does
+    not rule the face out.  NaN when the field cannot be read; a zero edge
+    raises DegenerateQuadError.
     """
     gap = _face_pass(zf, True)[1]
     if gap is None:

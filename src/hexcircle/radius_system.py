@@ -80,6 +80,9 @@ class RadiusField:
 #: the slot pairs (ra, rb) of the six-circle relation, in the order of
 #: hex_coefficients
 _HEX_PAIRS = (("r4", "r1"), ("r6", "r3"), ("r2", "r5"))
+#: those slots as offsets from the site (K, L, M) of label (K - 1, L - 1, M)
+_HEX_OFFSETS = tuple((slots[pa], slots[pb]) for slots in [hex_stencil_slots((-1, -1, 0))]
+                     for pa, pb in _HEX_PAIRS)
 
 
 def hex_residual(label: SubIndex, values: Dict[SubIndex, float], c: float) -> Optional[float]:
@@ -430,28 +433,27 @@ def equation_defects(rf: RadiusField):
     r, r_one = read_r
     k, one = read_k
     s1, s2, s3, *cos, c1 = k.values()
-    out = []
-    # six-circle relations: labels with slot sums inside {0, 1}
+    out, get = [], r.get
+    # six-circle relations: labels with slot sums inside {0, 1} (_HEX_OFFSETS)
     for (K, L, M) in rf.values:
-        label = (K - 1, L - 1, M)
-        slots = hex_stencil_slots(label)
         num, den = -c1, 1
-        for cf, (pa, pb) in zip(hex_coefficients(label), _HEX_PAIRS):
+        for cf, ((ka, la, ma), (kb, lb, mb)) in zip((L + M, M + K, K + L - 1), _HEX_OFFSETS):
             if cf == 0:
                 continue
-            sa, sb = slots[pa], slots[pb]
-            if sa in r and sb in r:
-                ra, rb = r[sa], r[sb]
+            sa, sb = (K + ka, L + la, M + ma), (K + kb, L + lb, M + mb)
+            ra, rb = get(sa), get(sb)
+            if ra is not None and rb is not None:
                 pair = ra + rb
                 num = num * pair + cf * one * (ra - rb) * den
                 den *= pair
-            elif sa in poles and sb in r:
+            elif rb is not None and sa in poles:
                 num += cf * one * den
-            elif sb in poles and sa in r:
+            elif ra is not None and sb in poles:
                 num -= cf * one * den
             else:
                 break
         else:
+            label = (K - 1, L - 1, M)
             if not den:
                 raise DegenerateStencilError(
                     f"six-circle relation at {label} has a vanishing pair sum")
@@ -462,7 +464,7 @@ def equation_defects(rf: RadiusField):
         if not ((L == 0 and M == -K and K >= 2) or (K == 0 and M == -L and L >= 2)):
             continue
         st = border_fill_stencil(site)
-        rc, r2, r3 = (r.get(st[name]) for name in ("r", "r2", "r3"))
+        rc, r2, r3 = (get(st[name]) for name in ("r", "r2", "r3"))
         if not (r1 and rc and r2 and r3):
             continue
         t = cos[st["angle_index"] - 1]
@@ -476,7 +478,7 @@ def equation_defects(rf: RadiusField):
             continue
         K, L, M = base
         for sgn in (1, -1):
-            r1, r2, r3 = r.get((K, L - sgn, M)), r.get((K, L, M - sgn)), r.get((K - sgn, L, M))
+            r1, r2, r3 = get((K, L - sgn, M)), get((K, L, M - sgn)), get((K - sgn, L, M))
             if not (r1 and r2 and r3):
                 continue
             num = (rc * (r1 * s3 + r2 * s1 + r3 * s2)

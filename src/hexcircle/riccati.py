@@ -92,7 +92,16 @@ class Boundary:
     t = _lifted(lambda b: math.cos(b.alpha), lambda b, prec: mp.cos(b.angle(prec)))
     beta0 = _lifted(lambda b: b.c * b.alpha / 2,
                     lambda b, prec: mp.mpf(b.c) * b.angle(prec) / 2)
-    p0 = _lifted(lambda b: math.sin(b.beta0()) / math.sin((2 - b.c) * b.alpha / 2),
+
+    def _p0_double(self) -> float:
+        """sin(x) / sin(y), x = c alpha / 2, y = (2 - c) alpha / 2; one past pi/2
+        as sin((pi - alpha) + the other), pi - alpha from alpha_pi_frac or two-part pi."""
+        x, y, f = self.c * self.alpha / 2, (2 - self.c) * self.alpha / 2, self.alpha_pi_frac
+        pa = float(1 - f) * math.pi if f else (math.pi - self.alpha) + 1.2246467991473532e-16
+        return ((math.sin(x) if x <= math.pi / 2 else math.sin(pa + y))
+                / (math.sin(y) if y <= math.pi / 2 else math.sin(pa + x)))
+
+    p0 = _lifted(_p0_double,
                  lambda b, prec: (mp.sin(b.beta0(prec))
                                   / mp.sin((2 - mp.mpf(b.c)) * b.angle(prec) / 2)))
 

@@ -395,6 +395,37 @@ def test_immersion_on_extended_radius_document_matches_complex_copy(tmp_path):
     assert rep.checked_quads > 100
 
 
+def test_double_copy_of_the_read_is_complex_of_every_vertex(tmp_path):
+    # immersion_check takes its double copy from field_points as x / one,
+    # rounded once to nearest as mpmath rounds a normal double; a read that
+    # could hold a subnormal, or overflows, falls back to complex(z)
+    from hexcircle import cli, geometry, pattern_core
+    from hexcircle.document import load_document
+    path = str(tmp_path / "z2.txt")
+    assert cli.main(["generate", "--c", "2", "--mode", "z2", "--n", "8",
+                     "--precision", "ext", "--dps", "80", "--out", path]) == 0
+    fields = [load_document(path).zfield(),
+              generate_z(isotropic_params(1.5, precision="ext", dps=40), 6),
+              generate_z(isotropic_params(1.5), 6)]
+    # halfway between two subnormals plus 2**-1150: mpmath rounds it to 53
+    # bits, onto the tie, then in ldexp to even, one unit below x / one
+    with mp.workdps(40):
+        tie = mp.ldexp((2 ** 52 + 1) * 2 ** 75 + 1, -1150)
+        top = mp.ldexp(2 ** 136 - 1, 888)  # rounds to 2**1024
+        for value in (mp.mpc(1, tie), mp.mpc(top, 1)):
+            zf = generate_z(isotropic_params(1.5, precision="ext", dps=40), 4)
+            zf.values[(1, 1, -1)] = value
+            fields.append(zf)
+    (pts, one), (top_pts, top_one) = (pattern_core.field_points(zf) for zf in fields[-2:])
+    assert pts[(1, 1, -1)][1] / one != complex(fields[-2].values[(1, 1, -1)]).imag
+    with pytest.raises(OverflowError):
+        top_pts[(1, 1, -1)][0] / top_one
+    for zf in fields:
+        want = {s: complex(z) for s, z in zf.values.items()}
+        assert repr(geometry._double_points(zf)) == repr(want)
+    assert not immersion_check(fields[-1]).ok
+
+
 def test_immersion_detects_overlapping_quads_on_extended_field():
     params = isotropic_params(1.25, precision="ext", dps=40)
     zf = generate_z(params, 7)

@@ -673,7 +673,9 @@ def exhaustive_constraint(zf):
     pts, one = read
     k, k_one = aligned_points(zf.params.backend(), {0: zf.params.c})
     cc, scale = k[0][0], k_one * k_one * one * one
-    mul = pattern_core._mul
+    def mul(p, q):
+        (x, y), (u, v) = p, q
+        return x * u - y * v, x * v + y * u
     out = []
     for p in pattern_core.interior_sites(zf):
         try:
@@ -749,6 +751,9 @@ def _screen_fields():
             alpha_pi_fracs=(Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))), 10)
         fields[f"float-angles-{dps}"] = generate_z(PatternParams(
             alphas=(1.0, 1.2, math.pi - 2.2), c=1.5, precision="ext", dps=dps), 10)
+    for dps in (16, 40, 120):  # laxzc targets 1e-13 off the crossratio ones
+        fields[f"angle-sum-defect-{dps}"] = generate_z(PatternParams(
+            alphas=(1.0, 1.2, math.pi - 2.2 + 1e-13), c=1.5, precision="ext", dps=dps), 10)
     return fields
 
 
@@ -844,6 +849,24 @@ def test_screened_sweeps_round_few_residuals(monkeypatch):
     for name, exact, total, _ in calls:
         assert 1 <= exact <= 0.02 * total, (name, calls)
     assert got == exhaustive_constraint(zf)
+
+
+@pytest.mark.parametrize("order", ["generated", "sorted"])
+def test_laxzc_forms_few_numerators(monkeypatch, order):
+    # the laxzc numerator g is formed only at the faces whose bounds from
+    # the crossratio estimate leave them a chance to be the worst: at most
+    # 1% of the faces, in the order generate_z stores them and in the
+    # sorted order of a document
+    zf = generate_z(isotropic_params(1.5, precision="ext", dps=40), 12)
+    if order == "sorted":
+        zf = ZField(params=zf.params, generation=zf.generation,
+                    values=dict(sorted(zf.values.items())))
+    formed, estimate = [], pattern_core._lax_estimate
+    monkeypatch.setattr(pattern_core, "_lax_estimate",
+                        lambda *args: formed.append(args) or estimate(*args))
+    assert pattern_core.max_zero_curvature_residual(zf) == exhaustive_face_pass(zf, True)[1]
+    assert sum(1 for _ in pattern_core.iter_faces(zf)) == 858
+    assert 1 <= len(formed) <= 0.01 * 858
 
 
 @pytest.mark.parametrize("dps", [120, 200])

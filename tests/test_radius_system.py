@@ -317,6 +317,17 @@ def test_radius_sweep_matches_reference_at_twice_the_precision(mode):
         assert 1e-14 <= worst <= 1e-10  # the corrupted radius
 
 
+def test_six_circle_offsets_are_the_stencil_slots_of_the_label():
+    # equation_defects reads the slot pairs of the label (K - 1, L - 1, M),
+    # and its coefficients, from the site (K, L, M)
+    for K, L, M in ((0, 0, 0), (3, 5, -7), (1, 2, 1), (-2, 4, 0)):
+        slots = hex_stencil_slots((K - 1, L - 1, M))
+        assert [tuple((K + k, L + l, M + m) for k, l, m in pair)
+                for pair in radius_system._HEX_OFFSETS] == [
+            (slots[a], slots[b]) for a, b in radius_system._HEX_PAIRS]
+        assert lattice.hex_coefficients((K - 1, L - 1, M)) == (L + M, M + K, K + L - 1)
+
+
 def test_radius_sweep_reads_working_precision():
     # the relations of a dps-40 fill hold far below double roundoff
     rf = generate_radii(_ext_params(2.0), 8)

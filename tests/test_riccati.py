@@ -176,6 +176,23 @@ def test_p0_series_matches_closed_form_across_the_angle_range():
             assert abs(p0_via_series(rp) - closed) <= 1e-13 * abs(closed), (c, alpha)
 
 
+@pytest.mark.parametrize("c", [0.001, 0.01, 0.5, 1.5, 1.9, 1.9999])
+def test_p0_closed_keeps_its_digits_as_alpha_nears_pi(c):
+    # sin((2 - c) alpha / 2) nears sin(pi) as c and pi - alpha shrink, and
+    # sin(c alpha / 2) as c nears 2: an argument past pi/2 takes its sine
+    # from its supplement, so the double quotient stays within two units of
+    # the quotient at 100 digits, a pi-fraction of alpha taken exactly
+    from fractions import Fraction
+    for alpha, frac in ((2.0, None), (3.0, None), (3.1, None), (3.14, None),
+                        (3.14159, None), (math.pi - 1e-9, None),
+                        (0.999 * math.pi, Fraction(999, 1000)), (math.pi / 2, Fraction(1, 2))):
+        got = Boundary(c, alpha, frac).p0()
+        with mp.workdps(100):
+            a = mp.pi * frac.numerator / frac.denominator if frac else mp.mpf(alpha)
+            want = mp.sin(c * a / 2) / mp.sin((2 - mp.mpf(c)) * a / 2)
+            assert abs(got / want - 1) <= 4.5e-16, (c, alpha, frac)
+
+
 def test_p0_series_limits():
     # z -> 0 corresponds to alpha -> pi
     rp = Boundary(0.7, math.pi - 1e-5)
@@ -325,7 +342,11 @@ def test_boundary_doubles_are_the_double_formulas_bit_for_bit(c, alpha):
     b = Boundary(c, alpha)
     assert b.angle() == alpha and b.t() == math.cos(alpha)
     assert b.beta0() == c * alpha / 2
-    assert b.p0() == math.sin(c * alpha / 2) / math.sin((2 - c) * alpha / 2)
+    # p0 = sin(x) / sin(y), an argument past pi/2 by its supplement, from
+    # pi - alpha with pi in two parts
+    x, y, rest = c * alpha / 2, (2 - c) * alpha / 2, (math.pi - alpha) + 1.2246467991473532e-16
+    assert b.p0() == ((math.sin(x) if x <= math.pi / 2 else math.sin(rest + y))
+                      / (math.sin(y) if y <= math.pi / 2 else math.sin(rest + x)))
     assert b.eps() == cmath.exp(1j * alpha)
     assert b.x0() == cmath.exp(1j * c * alpha / 2)
 
