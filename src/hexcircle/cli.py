@@ -1,8 +1,9 @@
 """Command line front end: generate, verify, render, analyze.
 
 Exit codes: 0 success, 2 usage or parameter error (an unwritable --out
-included), 3 mathematical failure (positivity violation or failed
-verification), so automation can tell bugs from immersion failures.
+included), 3 mathematical failure (positivity violation, failed
+verification or a shoot bracket that misses the separatrix angle), so
+automation can tell bugs from immersion failures.
 """
 from __future__ import annotations
 
@@ -157,6 +158,9 @@ def cmd_analyze(args) -> int:
                            f"into {traj.exit_sector.value}")
             if args.shoot:
                 lo, hi = painleve.shoot(b, args.shoot, args.tol)
+                if not lo <= b.beta0() <= hi:
+                    return _fail(f"mathematical failure: shoot bracket [{lo!r}, {hi!r}] "
+                                 f"misses the separatrix angle {b.beta0()!r}", EXIT_MATH)
                 out.append(f"# shoot bracket: [{lo!r}, {hi!r}] width={hi - lo:.3e} "
                            f"target={b.beta0()!r}")
     except (painleve.BracketError, painleve.ResolutionError) as exc:

@@ -9,6 +9,8 @@ shooting construction brackets the initial angle by exit-side bisection.
 
 Every run takes (c, alpha) as one riccati.Boundary, and its start, alpha
 and epsilon from it at the run's width, an exact pi-fraction exactly.
+What the runs of one Boundary at one width share is built once, as a
+RunSetup; shoot walks every bisection start on one.
 Double runs step in complex doubles.  Extended runs step on fixed-point
 Gaussian integers (see _fixed_step), with no division but one
 normalisation.  Both test the sector by the signs of Im x and
@@ -32,6 +34,8 @@ from .riccati import Boundary
 PROBE_DIGITS = 30
 #: shoot gives up after this many bisection steps
 MAX_BISECTIONS = 400
+#: shoot refuses a run of more steps than this per start (see shoot_horizon)
+MAX_HORIZON = 10_000
 
 
 class StepSingularError(ArithmeticError):
@@ -231,68 +235,95 @@ def _refuse_pole_start(b: Boundary, beta0, alpha) -> None:
         raise StepSingularError("Moebius solve singular at n=0")
 
 
+class RunSetup:
+    """What every run of b at one width shares, built once: the width's bits
+    and unit one, alpha at that width, epsilon (with F and K, _constants,
+    on integers), whether Im epsilon is resolved, and the step and sector
+    rules.  walk runs one start through them.  dps=None runs in doubles; a
+    dps runs on integers over 2**bits, bits = numerics.fixed_bits(dps),
+    with angles taken to prec = bits + ANGLE_GUARD_BITS bits."""
+
+    def __init__(self, b: Boundary, dps: Optional[int] = None):
+        self.b = b
+        self.bits = None if dps is None else fixed_bits(dps)
+        self.prec = None if dps is None else self.bits + ANGLE_GUARD_BITS
+        self.alpha = b.angle(self.prec)
+        if dps is None:
+            self.one, where, eps = 1.0, "in double", b.eps()
+            er, ei = eps.real, eps.imag
+            self.step = lambda n, prev, cur: _step_raw(n, prev, cur, b.c, eps)
+            # sector_of's signs, with epsilon taken once
+            self.sector = lambda z: sector_of_signs(z.imag, z.imag * er - z.real * ei)
+        else:
+            bits = self.bits
+            self.one, where = 1 << bits, f"at dps {dps}"
+            consts = _constants(b, bits)
+            er, ei = consts[0]
+            self.step = lambda n, prev, cur: _fixed_step(n, prev, cur, consts, bits)
+            self.sector = lambda z: sector_of_signs(z[1], z[1] * er - z[0] * ei)
+        self.unresolved = f"alpha = {b.alpha!r} is not resolved {where}"
+        # a part of a unit number reads as zero when it leaves one unchanged
+        self.eps_resolved = self.one + ei != self.one
+
+    def walk(self, beta0, n_steps: int) -> PainleveTrajectory:
+        """run_trajectory from x_0 = exp(i beta0) on this set-up."""
+        alpha, one, bits = self.alpha, self.one, self.bits
+        beta0 = self.b.beta0(self.prec) if beta0 is None else beta0
+        if not (0 <= beta0 <= alpha):
+            raise ValueError("starting angle must lie in [0, alpha]")
+        if bits is None:
+            x = cmath.exp(1j * beta0)
+            im_x = x.imag
+        else:
+            x = fixed_unit(beta0, bits)
+            im_x = x[1]
+        inside = 0 < beta0 < alpha
+        if not self.eps_resolved or inside and one + im_x == one:
+            raise ResolutionError(self.unresolved)
+        if n_steps:
+            _refuse_pole_start(self.b, beta0, alpha)
+        step, sector = self.step, self.sector
+        points, sectors = [x], [sector(x)]
+        exit_index = exit_sector = None
+        drift = 0.0
+        if sectors[0] not in _IN_CLOSED:
+            exit_index, exit_sector = 0, sectors[0]
+        else:
+            x_prev = x  # not read by the n = 0 step
+            for n in range(n_steps):
+                try:
+                    x_next, d = step(n, x_prev, x)
+                except StepSingularError:
+                    # from a start inside, the n = 0 solve is singular only
+                    # by rounding (see _refuse_pole_start)
+                    if n == 0 and inside:
+                        raise ResolutionError(self.unresolved) from None
+                    raise
+                drift = max(drift, d)
+                x_prev, x = x, x_next
+                points.append(x)
+                sectors.append(sector(x))
+                if sectors[-1] not in _IN_CLOSED:
+                    exit_index, exit_sector = n + 1, sectors[-1]
+                    break
+        return PainleveTrajectory(points=points, sectors=sectors,
+                                  exit_index=exit_index, exit_sector=exit_sector,
+                                  max_unitarity_drift=drift, bits=bits)
+
+
 def run_trajectory(b: Boundary, beta0, n_steps: int,
                    dps: Optional[int] = None) -> PainleveTrajectory:
     """Iterate from x_0 = exp(i beta0), beta0 None the separatrix start of
     b at the run's width; record sectors and the first exit from the closed
     sector (the nested-segment sets of the existence argument use the
     closure).  dps=None runs in doubles; a dps runs on integers over
-    2**bits, bits = numerics.fixed_bits(dps).
+    2**bits, bits = numerics.fixed_bits(dps).  One RunSetup(b, dps), walked
+    once.
 
     ResolutionError when the precision cannot resolve the start: Im epsilon,
     or Im x_0 of a start inside (0, alpha), leaves one unchanged, or the
     n = 0 solve from such a start is singular."""
-    bits = None if dps is None else fixed_bits(dps)
-    prec = None if dps is None else bits + ANGLE_GUARD_BITS
-    alpha = b.angle(prec)
-    beta0 = b.beta0(prec) if beta0 is None else beta0
-    if not (0 <= beta0 <= alpha):
-        raise ValueError("starting angle must lie in [0, alpha]")
-    if dps is None:
-        one, where, eps, x = 1.0, "in double", b.eps(), cmath.exp(1j * beta0)
-        im_eps, im_x = eps.imag, x.imag
-        step = lambda n, prev, cur: _step_raw(n, prev, cur, b.c, eps)
-        sector = lambda z: sector_of(z, b)
-    else:
-        one, where = 1 << bits, f"at dps {dps}"
-        consts = _constants(b, bits)
-        (er, ei), x = consts[0], fixed_unit(beta0, bits)
-        im_eps, im_x = ei, x[1]
-        step = lambda n, prev, cur: _fixed_step(n, prev, cur, consts, bits)
-        sector = lambda z: sector_of_signs(z[1], z[1] * er - z[0] * ei)
-    # a part of a unit number reads as zero when it leaves one unchanged
-    inside = 0 < beta0 < alpha
-    unresolved = f"alpha = {b.alpha!r} is not resolved {where}"
-    if one + im_eps == one or inside and one + im_x == one:
-        raise ResolutionError(unresolved)
-    if n_steps:
-        _refuse_pole_start(b, beta0, alpha)
-    points, sectors = [x], [sector(x)]
-    exit_index = exit_sector = None
-    drift = 0.0
-    if sectors[0] not in _IN_CLOSED:
-        exit_index, exit_sector = 0, sectors[0]
-    else:
-        x_prev = x  # not read by the n = 0 step
-        for n in range(n_steps):
-            try:
-                x_next, d = step(n, x_prev, x)
-            except StepSingularError:
-                # from a start inside, the n = 0 solve is singular only by
-                # rounding (see _refuse_pole_start)
-                if n == 0 and inside:
-                    raise ResolutionError(unresolved) from None
-                raise
-            drift = max(drift, d)
-            x_prev, x = x, x_next
-            points.append(x)
-            sectors.append(sector(x))
-            if sectors[-1] not in _IN_CLOSED:
-                exit_index, exit_sector = n + 1, sectors[-1]
-                break
-    return PainleveTrajectory(points=points, sectors=sectors,
-                              exit_index=exit_index, exit_sector=exit_sector,
-                              max_unitarity_drift=drift, bits=bits)
+    return RunSetup(b, dps).walk(beta0, n_steps)
 
 
 def growth_rate(b: Boundary, probe_steps: int = 10) -> float:
@@ -306,20 +337,36 @@ def growth_rate(b: Boundary, probe_steps: int = 10) -> float:
     steps of growth up to tenfold beyond PROBE_DIGITS + 10 digits: dps 50
     for the default ten steps.
     """
-    dps = required_dps(probe_steps, 10, PROBE_DIGITS + 10)
-    bits = fixed_bits(dps)
-    prec = bits + ANGLE_GUARD_BITS
-    beta = b.beta0(prec)
-    _refuse_pole_start(b, beta, b.angle(prec))
-    consts = _constants(b, bits)
-    with mp.workprec(prec):
+    run = RunSetup(b, required_dps(probe_steps, 10, PROBE_DIGITS + 10))
+    bits, step = run.bits, run.step
+    beta = b.beta0(run.prec)
+    _refuse_pole_start(b, beta, run.alpha)
+    with mp.workprec(run.prec):
         xa, xb = b.x0(bits), fixed_unit(beta + mp.mpf(10) ** -PROBE_DIGITS, bits)
     pa, pb = xa, xb
     for n in range(probe_steps):
-        pa, xa = xa, _fixed_step(n, pa, xa, consts, bits)[0]
-        pb, xb = xb, _fixed_step(n, pb, xb, consts, bits)[0]
+        pa, xa = xa, step(n, pa, xa)[0]
+        pb, xb = xb, step(n, pb, xb)[0]
     gap = abs(_atan2(xb[1] * xa[0] - xb[0] * xa[1], xb[0] * xa[0] + xb[1] * xa[1]))
     return 1.0 if gap == 0 else (gap * 10.0 ** PROBE_DIGITS) ** (1 / probe_steps)
+
+
+def shoot_horizon(alpha: float, growth: float, n_stay: int, tol: float) -> int:
+    """Steps shoot runs each start for: max(2 n_stay + 80,
+    ceil(ln(2 alpha / tol) / ln growth) + n_stay + 20).  A start tol off
+    the separatrix leaves the sector once its gap, growing growth-fold a
+    step, reaches the sector's width, so near alpha = pi, where the
+    separatrix is only weakly unstable, the horizon grows past the floor.
+    BracketError when growth <= 1 or the horizon passes MAX_HORIZON."""
+    if not growth > 1:
+        raise BracketError(f"growth rate {growth!r} <= 1: no shoot horizon lets "
+                           "starts off the separatrix exit")
+    exit_steps = math.ceil(math.log(2 * alpha / tol) / math.log(growth))
+    horizon = max(2 * n_stay + 80, exit_steps + n_stay + 20)
+    if horizon > MAX_HORIZON:
+        raise BracketError(f"shoot horizon of {horizon} steps at growth rate "
+                           f"{growth:.8g} passes MAX_HORIZON = {MAX_HORIZON}")
+    return horizon
 
 
 def shoot(b: Boundary, n_stay: int, tol: float) -> Tuple[float, float]:
@@ -329,6 +376,8 @@ def shoot(b: Boundary, n_stay: int, tol: float) -> Tuple[float, float]:
     leave the sector on opposite sides after at least n_stay in-sector
     steps.  The nested-interval structure mirrors the existence argument:
     exits through the upper boundary steer hi, through the lower steer lo.
+    Every start is walked on one RunSetup at the planned dps, for
+    shoot_horizon steps sized from the same growth rate as the dps.
     """
     if n_stay < 1 or tol <= 0:
         raise ValueError("need n_stay >= 1 and tol > 0")
@@ -337,10 +386,12 @@ def shoot(b: Boundary, n_stay: int, tol: float) -> Tuple[float, float]:
         # the bracket is returned in doubles, one ulp wider on each side
         raise ValueError(f"tol {tol!r} is below the double resolution "
                          f"{math.ulp(alpha)!r} of the angle")
-    dps = required_dps(n_stay + 10, max(growth_rate(b), 1.5), 30)
-    horizon = 2 * n_stay + 80
+    growth = growth_rate(b)
+    dps = required_dps(n_stay + 10, max(growth, 1.5), 30)
+    horizon = shoot_horizon(alpha, growth, n_stay, tol)
+    run = RunSetup(b, dps)
 
-    def classify(beta: float):
+    def classify(beta):
         """('upper'|'lower'|None, exit index).
 
         Exits through the top boundary land near -1 (sector A_II, or A_III
@@ -348,7 +399,7 @@ def shoot(b: Boundary, n_stay: int, tol: float) -> Tuple[float, float]:
         -epsilon (A_IV, or A_III just past alpha-pi).  A_III exits are
         assigned by proximity to the two accumulation points.
         """
-        traj = run_trajectory(b, beta, horizon, dps=dps)
+        traj = run.walk(beta, horizon)
         if traj.stayed:
             return None, horizon
         sec = traj.exit_sector
@@ -363,8 +414,8 @@ def shoot(b: Boundary, n_stay: int, tol: float) -> Tuple[float, float]:
                 traj.exit_index)
 
     with mp.workdps(dps):
-        # alpha as run_trajectory compares with it
-        lo, hi = mp.mpf(0), b.angle(fixed_bits(dps) + ANGLE_GUARD_BITS)
+        # alpha as the runs compare with it
+        lo, hi = mp.mpf(0), run.alpha
         side_lo, stay_lo = classify(lo)
         side_hi, stay_hi = classify(hi)
         if side_lo != "lower" or side_hi != "upper":

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import dps_to_prec, finf, fninf, fnan, from_man_exp, fzero
 
-from hexcircle import cli, document, numerics, pattern_core, radius_system, riccati, verify
+from hexcircle import (cli, document, numerics, painleve, pattern_core, radius_system, riccati,
+                       verify)
 from hexcircle.document import DocumentError, load_document, save_document
 from hexcircle.pattern_core import generate_z, isotropic_params
 from hexcircle.svg import render_svg
@@ -473,6 +474,29 @@ def test_cli_painleve_c_2_from_epsilon_exits_2_at_every_precision(capsys, precis
     assert run_cli(["analyze", "painleve", "--c", "2", "--alpha", alpha, "--n", "3",
                     *precision]) == 2
     assert capsys.readouterr() == ("", "error: Moebius solve singular at n=0\n")
+
+
+def test_cli_shoot_near_pi_brackets_the_separatrix_or_names_the_horizon(capsys):
+    argv = ["analyze", "painleve", "--c", "1.5", "--n", "3", "--shoot", "5"]
+    assert run_cli([*argv, "--alpha", "0.98pi"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    lo, hi, target = map(float, re.fullmatch(
+        r"# shoot bracket: \[(\S+), (\S+)\] width=\S+ target=(\S+)", last).groups())
+    assert lo <= target <= hi
+    # at 0.999 pi a start 1e-6 off the separatrix needs about 3.8e5 steps to exit
+    assert run_cli([*argv, "--alpha", "0.999pi"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: precision exhausted: shoot horizon of ")
+    assert err.endswith(f"passes MAX_HORIZON = {painleve.MAX_HORIZON}\n")
+
+
+def test_cli_shoot_bracket_that_misses_the_separatrix_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(painleve, "shoot", lambda b, n_stay, tol: (0.5, 0.6))
+    assert run_cli(["analyze", "painleve", "--c", "1.5", "--alpha", "1/3pi", "--n", "3",
+                    "--shoot", "5"]) == 3
+    assert capsys.readouterr() == (
+        "", "mathematical failure: shoot bracket [0.5, 0.6] misses the separatrix "
+            f"angle {math.pi / 4!r}\n")
 
 
 def test_cli_analyze_p0_takes_a_pi_fraction_exactly(capsys, monkeypatch):

@@ -7,8 +7,9 @@ import pytest
 
 from hexcircle import painleve
 from hexcircle.numerics import fixed_bits, fixed_unit, required_dps
-from hexcircle.painleve import (SectorTag, dpii_step, growth_rate,
-                                run_trajectory, sector_of, sector_of_signs, shoot)
+from hexcircle.painleve import (BracketError, RunSetup, SectorTag, dpii_step, growth_rate,
+                                run_trajectory, sector_of, sector_of_signs, shoot,
+                                shoot_horizon)
 from hexcircle.riccati import Boundary
 
 
@@ -148,8 +149,9 @@ def test_shoot_width_shrinks_with_stay_requirement():
 
 
 def test_shoot_refuses_a_tolerance_below_the_angle_resolution(monkeypatch):
-    # refused before a single trajectory runs
+    # refused before a single trajectory runs or a run is set up
     monkeypatch.setattr(painleve, "run_trajectory", None)
+    monkeypatch.setattr(painleve, "RunSetup", None)
     with pytest.raises(ValueError, match="double resolution"):
         shoot(Boundary(1.5, math.pi / 3), 5, 1e-300)
 
@@ -244,6 +246,87 @@ SHOOT_PINS = [
 @pytest.mark.parametrize("c, alpha, bracket", SHOOT_PINS)
 def test_shoot_brackets_are_pinned_where_c_half_is_not_dyadic(c, alpha, bracket):
     assert shoot(Boundary(c, alpha), 10, 1e-6) == bracket
+
+
+# The brackets of the double-sweep benchmark's (c, alpha) points, as the
+# shoot that set up a run per bisection start gave them.
+DOUBLE_SWEEP_PINS = [
+    (0.5, math.pi / 3, (0.26179938779914935, 0.2617993878067688)),
+    (0.5, math.pi / 2, (0.3926990816987241, 0.39269912851210276)),
+    (1.0, math.pi / 3, (0.5235987755906794, 0.5235987755982989)),
+    (1.0, math.pi / 2, (0.7853981633974482, 0.7853982570242055)),
+    (1.5, math.pi / 3, (0.7853981633898287, 0.7853981633974484)),
+    (1.5, math.pi / 2, (1.1780971982827937, 1.1780972450961726)),
+    (1.9, math.pi / 3, (0.9948376736356247, 0.9948376736375298)),
+    (1.9, math.pi / 2, (1.4922565034331448, 1.4922565151364897)),
+]
+
+
+@pytest.mark.parametrize("c, alpha, bracket", DOUBLE_SWEEP_PINS)
+def test_shoot_brackets_of_the_double_sweep_points_are_pinned(c, alpha, bracket):
+    b = Boundary(c, alpha)
+    assert shoot(b, 10, 1e-6) == bracket
+    # their horizon is the floor 2 n_stay + 80
+    assert shoot_horizon(alpha, growth_rate(b), 10, 1e-6) == 100
+
+
+def test_shoot_sets_up_one_run_for_all_its_starts(monkeypatch):
+    # _constants is built once by growth_rate and once for every bisection
+    # start, where a set-up per start built it 27 to 42 times in all at the
+    # double-sweep points
+    calls = []
+    constants = painleve._constants
+    monkeypatch.setattr(painleve, "_constants", lambda *a: calls.append(a) or constants(*a))
+    monkeypatch.setattr(painleve, "run_trajectory", None)
+    walks = []
+    walk = RunSetup.walk
+    monkeypatch.setattr(RunSetup, "walk", lambda self, *a: walks.append(a) or walk(self, *a))
+    assert shoot(Boundary(1.5, math.pi / 3), 10, 1e-6) == DOUBLE_SWEEP_PINS[4][2]
+    assert len(calls) == 2 and len(walks) > 20
+    assert calls[0][1] < calls[1][1]  # growth_rate's width, then the planned one
+
+
+def test_walks_of_one_set_up_are_the_runs_of_their_own():
+    for dps in (None, 40):
+        b = Boundary(1.3, math.pi / 3)
+        run = RunSetup(b, dps)
+        for beta0 in (None, 0.0, 0.3, 0.6806784082716929, b.alpha):
+            a, r = run.walk(beta0, 30), run_trajectory(b, beta0, 30, dps=dps)
+            assert (a.points, a.sectors, a.exit_index, a.max_unitarity_drift) == (
+                r.points, r.sectors, r.exit_index, r.max_unitarity_drift)
+
+
+# Near alpha = pi the separatrix is only weakly unstable: a start 1e-6 off
+# it needs ceil(ln(2 alpha / tol) / ln g) steps to exit (204 at c = 1.5,
+# 0.95 pi; 1025 at 0.98 pi), past the floor of 100 steps.  With the floor
+# alone, each of these brackets missed the separatrix angle.
+@pytest.mark.parametrize("c, frac", [(0.5, 0.95), (0.5, 0.98), (1.5, 0.95), (1.5, 0.98),
+                                     (1.9, 0.99)])
+def test_shoot_brackets_the_separatrix_near_pi(c, frac):
+    b = Boundary(c, frac * math.pi)
+    lo, hi = shoot(b, 10, 1e-6)
+    assert lo <= b.beta0() <= hi and hi - lo <= 1e-6 + 1e-12
+    assert shoot_horizon(b.alpha, growth_rate(b), 10, 1e-6) > 100
+
+
+def test_shoot_horizon_rule():
+    assert shoot_horizon(math.pi / 3, 12.6, 10, 1e-6) == 100
+    # ceil(ln(2 pi / 1e-6) / ln 1.1) = 165 steps to exit
+    assert shoot_horizon(math.pi, 1.1, 10, 1e-6) == 165 + 10 + 20
+    with pytest.raises(BracketError, match="MAX_HORIZON"):
+        shoot_horizon(0.999 * math.pi, 1.0000407, 10, 1e-6)
+    for growth in (1.0, 0.5):
+        with pytest.raises(BracketError, match="growth rate"):
+            shoot_horizon(math.pi / 2, growth, 10, 1e-6)
+
+
+def test_shoot_refuses_a_horizon_past_the_cap_before_any_run(monkeypatch):
+    b = Boundary(1.5, 0.999 * math.pi)
+    growth = growth_rate(b)
+    monkeypatch.setattr(painleve, "growth_rate", lambda b: growth)
+    monkeypatch.setattr(painleve, "RunSetup", None)
+    with pytest.raises(BracketError, match=r"horizon of 3\d{5} steps"):
+        shoot(b, 10, 1e-6)
 
 
 # Bracket widths of the mpc implementation where c alpha / 2 is itself a
