@@ -13,8 +13,8 @@ import sys
 from typing import Optional
 
 from . import geometry, pattern_core, radius_system, riccati, painleve
-from .document import (MODES, ROUTES, DocumentError, PatternDocument, check_layout,
-                       load_document, save_document)
+from .document import (MODES, ROUTES, DocumentError, PatternDocument, check_depth,
+                       check_layout, load_document, save_document)
 from .numerics import DEFAULT_EXT_DPS, Backend, parse_angle, parse_angles
 from .pattern_core import PatternParams
 from .radius_system import PositivityViolation
@@ -63,10 +63,9 @@ def cmd_generate(args) -> int:
         alphas, fracs = parse_angles(args.alpha)
         params = PatternParams(alphas=alphas, c=args.c, precision=args.precision,
                                dps=args.dps, alpha_pi_fracs=fracs)
+        check_depth(args.n)
     except ValueError as exc:
         return _fail(f"error: {exc}")
-    if args.n < 1:
-        return _fail("error: need --n >= 1")
     if args.mode in ("z2", "log") and args.route == "crossratio":
         args.route = "radius"
     try:

@@ -10,6 +10,7 @@ bit.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import sys
@@ -17,12 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-import mpmath as mp
-from mpmath.libmp import (dps_to_prec, finf, fninf, fzero, normalize, round_nearest,
-                          to_str)
-
 from .lattice import MultiIndex, SubIndex
-from .numerics import DEFAULT_EXT_DPS
+from .numerics import DEFAULT_EXT_DPS, mp
 from .pattern_core import PatternParams, ZField
 from .radius_system import RadiusField
 
@@ -55,6 +52,13 @@ def check_layout(mode: str, route: str, c: float) -> None:
                          "--mode z2)")
     if c == 0 and (mode, route) != ("log", "radius"):
         raise ValueError("c = 0 is the dual of the c = 2 pattern: use --mode log --c 2")
+
+
+def check_depth(n: int) -> None:
+    """ValueError unless n >= 1: the last generation of a pattern, which
+    generate builds and a document stores."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, not {n}")
 
 
 @dataclass
@@ -105,7 +109,7 @@ def _read(s: str, prec: int):
     if not -400 <= e <= 400:
         return None
     if not man:
-        return fzero
+        return mp.libmp.fzero
     num, den = (man * _ten(e), 1) if e >= 0 else (man, _ten(-e))
     shift = max(0, prec + 3 + den.bit_length() - num.bit_length())
     q, r = divmod(num << shift, den)
@@ -131,11 +135,13 @@ def _fmt(x, prec: int, digits: int) -> str:
         t = mp.mpf(x, prec=prec)._mpf_
     sign, man, exp, bc = t
     if not man:  # zero, or mpmath's inf and nan
-        return "inf" if t == finf else "-inf" if t == fninf else to_str(t, digits)
+        libmp = mp.libmp
+        return ("inf" if t == libmp.finf else "-inf" if t == libmp.fninf
+                else libmp.to_str(t, digits))
     if bc > prec:
-        sign, man, exp, bc = normalize(sign, man, exp, bc, prec, round_nearest)
+        sign, man, exp, bc = mp.libmp.normalize(sign, man, exp, bc, prec, mp.libmp.round_nearest)
     if abs(exp + bc) > 3500:
-        return to_str((sign, man, exp, bc), digits)
+        return mp.libmp.to_str((sign, man, exp, bc), digits)
     fixprec = max(int((digits + 3) * _LOG2_10) + 10 - exp - bc, 0)
     fixdps, shift = int(fixprec / _LOG2_10 + 0.5), exp + fixprec
     d = str((man << shift if shift >= 0 else man >> -shift) * _ten(fixdps) >> fixprec)
@@ -211,7 +217,7 @@ def save_document(doc: PatternDocument, path: str) -> None:
     if p.precision == "double":
         parts, fmt = (lambda z: (z.real, z.imag)), (lambda x: repr(float(x)))
     else:  # dps + 5 digits give back each number made at dps
-        prec, digits = dps_to_prec(p.dps + 5), p.dps + 5
+        prec, digits = mp.libmp.dps_to_prec(p.dps + 5), p.dps + 5
         parts = lambda z: getattr(z, "_mpc_", None) or (z.real, z.imag)
         fmt = lambda x: _fmt(x, prec, digits)
     for site in sorted(doc.vertices):
@@ -286,11 +292,12 @@ def load_document(path: str, doubles: bool = False) -> PatternDocument:
             route=kv.get("route", "crossratio"), summary=summary,
             tool=kv.get("tool", "unknown"))
         check_layout(doc.mode, doc.route, params.c)
+        check_depth(doc.n_max)
     except (KeyError, ValueError, ZeroDivisionError) as exc:
         raise DocumentError(f"bad parameter block: {exc}") from exc
     # _parse_number reads a double document with float already
     read = _parse_double if doubles and precision != "double" else _parse_number
-    with mp.workdps(dps):
+    with contextlib.nullcontext() if precision == "double" else mp.workdps(dps):
         if precision != "double" and not doubles:  # each mpc from two raw tuples
             prec = mp.mp.prec
             raw = lambda s: _read(s, prec) or mp.mpf(read(s, precision))._mpf_  # noqa: E731

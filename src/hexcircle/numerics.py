@@ -10,19 +10,41 @@ cmath on floats in double mode, else mpmath at the backend's dps.  Its
 sqrt, atan2, phase and eps have no caller; the benchmark tracer patches
 them.  Exact pi-fractions of the angles keep extended runs free of a
 double-rounded initial datum.
+
+mp is the package's one handle on mpmath.  An mpmath already imported is
+reused; else the module is executed at its first attribute access, so the
+double paths, which never touch it, start without its import.  Every use
+reads mp at call time, libmp's functions through mp.libmp.
 """
 from __future__ import annotations
 
 import cmath
 import contextlib
 import functools
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Tuple, Union
 
-import mpmath as mp
-from mpmath.libmp import dps_to_prec, from_float, fzero, mpf_cos_sin, to_fixed
+
+def _lazy_import(name: str):
+    """The module name: the one in sys.modules, else one executed at its
+    first attribute access."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+mp = _lazy_import("mpmath")
 
 Number = Union[float, "mp.mpf"]
 ComplexNumber = Union[complex, "mp.mpc"]
@@ -82,15 +104,16 @@ class Backend:
             return contextlib.nullcontext()
         return mp.workdps(self.dps)
 
-    real = _lifted(float, mp.mpf)
+    # the mpmath sides read mp at the call: a double run never loads it
+    real = _lifted(float, lambda x: mp.mpf(x))
     pi_times = _lifted(lambda frac: math.pi * float(frac),
                        lambda frac: mp.pi * mp.mpf(frac.numerator) / frac.denominator)
-    exp_i = _lifted(lambda theta: cmath.exp(1j * float(theta)), mp.expj)
-    cos = _lifted(lambda x: math.cos(float(x)), mp.cos)
-    sin = _lifted(lambda x: math.sin(float(x)), mp.sin)
-    sqrt = _lifted(lambda x: math.sqrt(float(x)), mp.sqrt)
-    atan2 = _lifted(lambda y, x: math.atan2(float(y), float(x)), mp.atan2)
-    phase = _lifted(cmath.phase, mp.arg)
+    exp_i = _lifted(lambda theta: cmath.exp(1j * float(theta)), lambda theta: mp.expj(theta))
+    cos = _lifted(lambda x: math.cos(float(x)), lambda x: mp.cos(x))
+    sin = _lifted(lambda x: math.sin(float(x)), lambda x: mp.sin(x))
+    sqrt = _lifted(lambda x: math.sqrt(float(x)), lambda x: mp.sqrt(x))
+    atan2 = _lifted(lambda y, x: math.atan2(float(y), float(x)), lambda y, x: mp.atan2(y, x))
+    phase = _lifted(cmath.phase, lambda z: mp.arg(z))
     abs = _lifted(lambda z: abs(complex(z) if isinstance(z, complex) else float(z)), abs)
 
     def angle(self, value: float, pi_frac: Optional[Fraction]) -> Number:
@@ -189,7 +212,7 @@ def aligned_points(bk: Backend, values: Mapping):
             return None
         return {key: (z.real, z.imag) for key, z in values.items()}, 1.0
     min_exp, e, read = MIN_EXP - 4 * bk.dps, 0, {}
-    mpc, mpf = mp.mpc, mp.mpf
+    mpc, mpf, fzero = mp.mpc, mp.mpf, mp.libmp.fzero
     for key, z in values.items():
         if type(z) is mpc or type(z) is mpf:  # raw tuples; mpmath codes inf and nan as man 0
             (xs, x, ex, xb), (ys, y, ey, yb) = z._mpc_ if type(z) is mpc else (z._mpf_, fzero)
@@ -219,7 +242,7 @@ def aligned_reals(bk: Backend, values: Mapping):
 
 def fixed_bits(dps: int) -> int:
     """Width of a fixed-point run at dps: its binary precision + GUARD_BITS."""
-    return dps_to_prec(dps) + GUARD_BITS
+    return mp.libmp.dps_to_prec(dps) + GUARD_BITS
 
 
 def top_bits(x: int, y: int) -> Tuple[int, int, int]:
@@ -237,19 +260,21 @@ def div_nearest(num: int, den: int) -> int:
 def fixed_real(x, bits: int) -> int:
     """x, a float, int or mpf read without rounding, as an integer over
     2**bits, rounded to nearest; ValueError when x is not finite."""
-    t = x._mpf_ if isinstance(x, mp.mpf) else from_float(float(x))
+    libmp = mp.libmp
+    t = x._mpf_ if isinstance(x, mp.mpf) else libmp.from_float(float(x))
     if not t[1] and t[2]:  # mpmath codes inf and nan as man 0
         raise ValueError(f"{x} is not finite")
-    return (to_fixed(t, bits + 1) + 1) >> 1
+    return (libmp.to_fixed(t, bits + 1) + 1) >> 1
 
 
 def fixed_unit(theta, bits: int) -> Tuple[int, int]:
     """exp(i theta), theta a float or mpf, as integers over 2**bits within
     one unit: cos and sin are taken to bits + ANGLE_GUARD_BITS bits, then
     rounded."""
-    t = theta._mpf_ if isinstance(theta, mp.mpf) else from_float(float(theta))
-    cos, sin = mpf_cos_sin(t, bits + ANGLE_GUARD_BITS)
-    return (to_fixed(cos, bits + 1) + 1) >> 1, (to_fixed(sin, bits + 1) + 1) >> 1
+    libmp = mp.libmp
+    t = theta._mpf_ if isinstance(theta, mp.mpf) else libmp.from_float(float(theta))
+    cos, sin = libmp.mpf_cos_sin(t, bits + ANGLE_GUARD_BITS)
+    return (libmp.to_fixed(cos, bits + 1) + 1) >> 1, (libmp.to_fixed(sin, bits + 1) + 1) >> 1
 
 
 def parse_angle(spec: str) -> Tuple[float, Optional[Fraction]]:

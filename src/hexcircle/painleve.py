@@ -24,10 +24,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Tuple
 
-import mpmath as mp
-
-from .numerics import (ANGLE_GUARD_BITS, div_nearest, fixed_bits, fixed_unit, required_dps,
-                       top_bits)
+from .numerics import (ANGLE_GUARD_BITS, div_nearest, fixed_bits, fixed_unit, mp,
+                       required_dps, top_bits)
 from .riccati import Boundary
 
 #: growth_rate perturbs the separatrix angle by 10**-PROBE_DIGITS

@@ -16,13 +16,10 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Dict, Iterator, Mapping, Optional, Tuple
 
-import mpmath as mp
-from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
-
 from .lattice import MultiIndex, generation, q_sites
 from .numerics import (ANGLE_GUARD_BITS, DEFAULT_EXT_DPS, DOUBLE, Backend,
                        ComplexNumber, aligned_points, div_nearest, fixed_bits,
-                       fixed_real, fixed_unit, quotient, root_quotient, top_bits, worse,
+                       fixed_real, fixed_unit, mp, quotient, root_quotient, top_bits, worse,
                        worst_of)
 
 ANGLE_SUM_TOL = 1e-12
@@ -287,9 +284,11 @@ def generate_z(params: PatternParams, n_max: int,
     bits = None if params.backend().is_double else fixed_bits(params.dps)
     z = evolve(params, n_max, bits, initial_override)
     if bits is not None:
-        prec = dps_to_prec(params.dps)
-        z = {s: mp.make_mpc((from_man_exp(x, -bits, prec, round_nearest),
-                             from_man_exp(y, -bits, prec, round_nearest)))
+        libmp = mp.libmp
+        make_mpc, from_man_exp, nearest = mp.make_mpc, libmp.from_man_exp, libmp.round_nearest
+        prec = libmp.dps_to_prec(params.dps)
+        z = {s: make_mpc((from_man_exp(x, -bits, prec, nearest),
+                          from_man_exp(y, -bits, prec, nearest)))
              for s, (x, y) in z.items()}
     return ZField(params=params, values=z, generation=n_max)
 

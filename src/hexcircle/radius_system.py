@@ -23,17 +23,13 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-import mpmath as mp
-from mpmath.libmp import (dps_to_prec, from_int, from_man_exp, mpf_div,
-                          round_nearest)
-
 from . import lattice
 from .lattice import (SubIndex, TAG_BORDER, TAG_HEX, TAG_SEED, TAG_TRI,
                       border_fill_stencil, black_fill_stencil,
                       axis_neighbors, fill_dependencies, hex_coefficients,
                       hex_stencil_slots, tri_fill_stencil)
 from .numerics import (ANGLE_GUARD_BITS, DEFAULT_EXT_DPS, GUARD_BITS, aligned_reals,
-                       div_nearest, fixed_bits, fixed_real, fixed_unit, quotient,
+                       div_nearest, fixed_bits, fixed_real, fixed_unit, mp, quotient,
                        worst_of)
 from .pattern_core import (PatternParams, ZField, evolve, field_points,
                            generate_z, guarded_angles, memoised)
@@ -252,13 +248,18 @@ def tri_solve_slot2(r: float, r1: float, r3: float,
 # seeds and the full fill
 # ---------------------------------------------------------------------------
 
-def _to_real(x, bits: Optional[int], bk):
-    """x, an integer over 2**bits, rounded once to a float or to an mpf at
-    the dps of bk; a pole, a NaN, or any x without bits, as it is."""
-    if bits is None or type(x) is not int:
-        return x
-    return (x / (1 << bits) if bk.is_double else
-            mp.make_mpf(from_man_exp(x, -bits, dps_to_prec(bk.dps), round_nearest)))
+def _rounding(bits: Optional[int], bk):
+    """The rounding of a fill's values: x, an integer over 2**bits, rounded
+    once to a float or to an mpf at the dps of bk; a pole, a NaN, or any x
+    without bits, as it is."""
+    if bits is None:
+        return lambda x: x
+    if bk.is_double:
+        return lambda x: x / (1 << bits) if type(x) is int else x
+    libmp = mp.libmp
+    make_mpf, from_man_exp, nearest = mp.make_mpf, libmp.from_man_exp, libmp.round_nearest
+    prec = libmp.dps_to_prec(bk.dps)
+    return lambda x: make_mpf(from_man_exp(x, -bits, prec, nearest)) if type(x) is int else x
 
 
 def z2_initial(params: PatternParams, bits: Optional[int] = None) -> Dict[SubIndex, float]:
@@ -266,13 +267,14 @@ def z2_initial(params: PatternParams, bits: Optional[int] = None) -> Dict[SubInd
     the dual, a zero here).  With bits, as integers over 2**bits: each
     sin(a)/a is taken to bits + ANGLE_GUARD_BITS bits and rounded once.
     Without, those integers at the fill's width, each rounded once by
-    _to_real."""
+    _rounding."""
     if min(params.alphas) <= 0:
         raise ValueError("angles must be positive")
     if bits is None:  # a double PatternParams does not check its dps
         bk = params.backend()
         bits = 53 + GUARD_BITS if bk.is_double else fixed_bits(params.dps)
-        return {s: _to_real(v, bits, bk) for s, v in z2_initial(params, bits).items()}
+        rounded = _rounding(bits, bk)
+        return {s: rounded(v) for s, v in z2_initial(params, bits).items()}
     _, a2, a3 = guarded_angles(params, bits)
     with mp.workprec(bits + ANGLE_GUARD_BITS):
         return {(0, 0, 0): 0, (1, 0, -1): fixed_real(mp.sin(a3) / a3, bits),
@@ -292,7 +294,7 @@ def seeds_from_pattern(params: PatternParams, bits: Optional[int] = None) -> Dic
     ANGLE_GUARD_BITS, and each seed is the mean distance from its center to
     its stored axis neighbors (all equal in exact arithmetic), the roots
     taken to W bits (_root_mean), rounded once.  Without bits, those
-    integers at the fill's width, each rounded once by _to_real; a double
+    integers at the fill's width, each rounded once by _rounding; a double
     pattern keeps the spokes of a double run, whose other distances carry
     more rounding."""
     bk = params.backend()
@@ -305,7 +307,8 @@ def seeds_from_pattern(params: PatternParams, bits: Optional[int] = None) -> Dic
         zf = generate_z(params, 2)
         return {s: bk.abs(zf[a] - zf[b]) for s, (a, b) in _SEED_SPOKES.items()}
     bits = fixed_bits(params.dps)
-    return {s: _to_real(v, bits, bk) for s, v in seeds_from_pattern(params, bits).items()}
+    rounded = _rounding(bits, bk)
+    return {s: rounded(v) for s, v in seeds_from_pattern(params, bits).items()}
 
 
 def generate_radii(params: PatternParams, n_max: int,
@@ -321,7 +324,7 @@ def generate_radii(params: PatternParams, n_max: int,
     within one unit (angle_constants with bits), and each solve rounds
     once, by at most half a unit.  Without given seeds, the seed rule gives
     its integers over 2**P, called once.  Every value is rounded once more,
-    to an mpf at the working precision (_to_real); the stored seeds are the
+    to an mpf at the working precision (_rounding); the stored seeds are the
     given ones or the seed rule's.  On an extended fill a seed that is
     neither finite nor a pole raises ValueError.
     """
@@ -341,6 +344,7 @@ def generate_radii(params: PatternParams, n_max: int,
         read = (rule(params, bits) if rule else
                 {s: POLE if is_pole(v) else fixed_real(v, bits) for s, v in seeds.items()})
     sines, cosines = angle_constants(params, bk, bits)
+    rounded = _rounding(bits, bk)
     for entry in lattice.fill_order(n_max):
         site, tag = entry.site, entry.tag
         if site in read:
@@ -365,14 +369,12 @@ def generate_radii(params: PatternParams, n_max: int,
             raise ValueError(tag)
         if not val > 0:  # a pole is +inf, NaN fails
             upstream = {str(dep): values.get(dep) for dep in fill_dependencies(entry)}
-            val, upstream = _to_real(val, bits, bk), {k: _to_real(v, bits, bk)
-                                                      for k, v in upstream.items()}
+            val, upstream = rounded(val), {k: rounded(v) for k, v in upstream.items()}
             raise PositivityViolation(site=site, value=val, tag=tag,
                                       upstream=upstream)
         values[site] = val
     # given seeds are stored as given
-    values = {s: seeds[s] if seeds and s in seeds else _to_real(v, bits, bk)
-              for s, v in values.items()}
+    values = {s: seeds[s] if seeds and s in seeds else rounded(v) for s, v in values.items()}
     return RadiusField(params=params, values=values, generation=n_max)
 
 
@@ -552,10 +554,13 @@ def extract_radii(zf: ZField) -> Dict[SubIndex, float]:
     sq_of, one = read
     if bk.is_double:
         return {lattice.to_sub(s): sum(map(math.sqrt, sq)) / len(sq) for s, sq in sq_of.items()}
-    prec, log_one = dps_to_prec(bk.dps), one.bit_length() - 1
+    libmp = mp.libmp
+    make_mpf, mpf_div, from_man_exp, from_int, nearest = (
+        mp.make_mpf, libmp.mpf_div, libmp.from_man_exp, libmp.from_int, libmp.round_nearest)
+    prec, log_one = libmp.dps_to_prec(bk.dps), one.bit_length() - 1
     means = {lattice.to_sub(s): _root_mean(sq, prec + 32) for s, sq in sq_of.items()}
-    return {s: mp.make_mpf(mpf_div(from_man_exp(num, -log_one), from_int(den), prec,
-                                   round_nearest)) for s, (num, den) in means.items()}
+    return {s: make_mpf(mpf_div(from_man_exp(num, -log_one), from_int(den), prec, nearest))
+            for s, (num, den) in means.items()}
 
 
 def compare_routes(params: PatternParams, n_max: int) -> Tuple[float, int]:

@@ -34,9 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
 
-import mpmath as mp
-
-from .numerics import ANGLE_GUARD_BITS, GUARD_BITS, fixed_unit
+from .numerics import ANGLE_GUARD_BITS, GUARD_BITS, fixed_unit, mp
 
 
 class ParameterError(ValueError):

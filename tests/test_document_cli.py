@@ -609,6 +609,26 @@ def test_loader_refuses_a_layout_generate_never_writes(tmp_path, capsys, mutatio
     assert not (tmp_path / "pat.svg").exists()
 
 
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_a_document_below_generation_1_is_a_bad_parameter_block(tmp_path, capsys, depth):
+    # generate refuses --n < 1 by the same rule, check_depth
+    path, svg = str(tmp_path / "pat.txt"), tmp_path / "pat.svg"
+    assert run_cli(["generate", "--c", "1.5", "--n", "12", "--out", path]) == 0
+    with open(path) as fh:
+        text = fh.read()
+    assert "\nn = 12\n" in text
+    with open(path, "w") as fh:
+        fh.write(text.replace("\nn = 12\n", f"\nn = {depth}\n"))
+    capsys.readouterr()
+    assert run_cli(["verify", path]) == 2
+    assert run_cli(["render", path, "--out", str(svg)]) == 2
+    stdout, stderr = capsys.readouterr()
+    assert stdout == "" and not svg.exists()
+    assert stderr == f"error: bad parameter block: need n >= 1, not {depth}\n" * 2
+    assert run_cli(["generate", "--c", "1.5", "--n", depth, "--out", path]) == 2
+    assert capsys.readouterr().err == f"error: need n >= 1, not {depth}\n"
+
+
 def test_loader_accepts_exactly_what_generate_writes(tmp_path):
     path = str(tmp_path / "pat.txt")
     written = set()
