@@ -140,8 +140,9 @@ def cmd_analyze(args) -> int:
             out += [f"p0 closed form   : {closed!r}", f"p0 series route  : {series!r}",
                     f"p0 from pattern  : {extracted!r}", f"max deviation    : {dev:.3e}"]
         elif args.what == "riccati":
-            traj = riccati.trajectory(b, args.n)
-            out += ["# separatrix run, double", "#   n        p_n"]
+            traj = riccati.trajectory(b, args.n, dps=None if bk.is_double else bk.dps)
+            width = "double" if bk.is_double else f"dps={bk.dps}"
+            out += [f"# separatrix run, {width}", "#   n        p_n"]
             out += [f"{n:5d}  {p: .12f}" for n, p in enumerate(traj.values)]
         else:  # painleve
             dps = None if bk.is_double else bk.dps

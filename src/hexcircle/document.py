@@ -14,12 +14,11 @@ import contextlib
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .lattice import MultiIndex, SubIndex
-from .numerics import DEFAULT_EXT_DPS, mp
+from .numerics import DEFAULT_EXT_DPS, Record, mp
 from .pattern_core import PatternParams, ZField
 from .radius_system import RadiusField
 
@@ -61,16 +60,18 @@ def check_depth(n: int) -> None:
         raise ValueError(f"need n >= 1, not {n}")
 
 
-@dataclass
-class PatternDocument:
-    params: PatternParams
-    n_max: int
-    mode: str = "hex"
-    route: str = "crossratio"
-    vertices: Dict[MultiIndex, complex] = field(default_factory=dict)
-    radii: Dict[SubIndex, float] = field(default_factory=dict)
-    summary: Dict[str, float] = field(default_factory=dict)
-    tool: str = TOOL_VERSION
+class PatternDocument(Record):
+    _fields = ("params", "n_max", "mode", "route", "vertices", "radii", "summary", "tool")
+
+    def __init__(self, params: PatternParams, n_max: int, mode: str = "hex",
+                 route: str = "crossratio", vertices: Optional[Dict[MultiIndex, complex]] = None,
+                 radii: Optional[Dict[SubIndex, float]] = None,
+                 summary: Optional[Dict[str, float]] = None, tool: str = TOOL_VERSION):
+        self.params, self.n_max, self.mode, self.route = params, n_max, mode, route
+        self.vertices = {} if vertices is None else vertices
+        self.radii = {} if radii is None else radii
+        self.summary = {} if summary is None else summary
+        self.tool = tool
 
     def zfield(self) -> ZField:
         return ZField(params=self.params, values=dict(self.vertices),

@@ -21,12 +21,12 @@ from __future__ import annotations
 import cmath
 import contextlib
 import math
-from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import lattice
 from .lattice import MultiIndex, SubIndex
+from .numerics import Record
 from .pattern_core import ZField, field_points
 from .radius_system import RadiusField, extract_radii, is_pole
 
@@ -35,11 +35,13 @@ class ReconstructionError(ArithmeticError):
     """Wedge layout failed to close around a vertex."""
 
 
-@dataclass
-class ImmersionReport:
-    failures: List[Tuple[MultiIndex, str]] = field(default_factory=list)
-    checked_triangles: int = 0
-    checked_quads: int = 0
+class ImmersionReport(Record):
+    _fields = ("failures", "checked_triangles", "checked_quads")
+
+    def __init__(self, failures: Optional[List[Tuple[MultiIndex, str]]] = None,
+                 checked_triangles: int = 0, checked_quads: int = 0):
+        self.failures = [] if failures is None else failures
+        self.checked_triangles, self.checked_quads = checked_triangles, checked_quads
 
     @property
     def ok(self) -> bool:

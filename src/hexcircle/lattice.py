@@ -9,9 +9,8 @@ radius recurrences, tagging every site with the equation that computes it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, NamedTuple, Tuple
 
 MultiIndex = Tuple[int, int, int]
 SubIndex = Tuple[int, int, int]
@@ -77,8 +76,7 @@ TAG_BORDER = "border"       # white border sites
 TAG_TRI = "three-circle"    # white interior sites
 
 
-@dataclass(frozen=True)
-class FillEntry:
+class FillEntry(NamedTuple):
     site: SubIndex
     tag: str
 

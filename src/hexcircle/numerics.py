@@ -24,7 +24,7 @@ import functools
 import importlib.util
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Mapping, Optional, Tuple, Union
 
@@ -74,20 +74,43 @@ def _lifted(double, ext):
     return method
 
 
-@dataclass(frozen=True)
-class Backend:
+class Record:
+    """A mutable record: the __eq__ and __repr__ that @dataclass writes, over
+    the attributes _fields names; equal only to its own class, unhashable.
+    The immutable records are named tuples: no module imports dataclasses,
+    whose import (inspect, ast) and generated methods slowed every start."""
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Backend(namedtuple("Backend", "mode dps")):
     """Arithmetic context: plain doubles or mpmath with a fixed dps."""
 
-    mode: str = DOUBLE
-    dps: int = DEFAULT_EXT_DPS
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, mode: str = DOUBLE, dps: int = DEFAULT_EXT_DPS):
+        self = super().__new__(cls, mode, dps)
         if self.mode not in (DOUBLE, EXTENDED):
             raise ValueError(f"unknown precision mode {self.mode!r}")
         if not 1 <= self.dps <= MAX_DPS:
             name = "double" if self.is_double else "extended"
             raise ValueError(f"{name} precision needs 1 <= dps <= {MAX_DPS}, "
                              f"not {self.dps}")
+        return self
 
     @property
     def is_double(self) -> bool:

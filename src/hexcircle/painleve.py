@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Tuple
 
-from .numerics import (ANGLE_GUARD_BITS, div_nearest, fixed_bits, fixed_unit, mp,
+from .numerics import (ANGLE_GUARD_BITS, Record, div_nearest, fixed_bits, fixed_unit, mp,
                        required_dps, top_bits)
 from .riccati import Boundary
 
@@ -60,16 +59,18 @@ class SectorTag(Enum):
 _IN_CLOSED = (SectorTag.A_I, SectorTag.BOUNDARY_LOW, SectorTag.BOUNDARY_HIGH)
 
 
-@dataclass
-class PainleveTrajectory:
+class PainleveTrajectory(Record):
     """x_0, x_1, ... as complex doubles, or, when bits is set, as pairs
     (re, im) of integers over 2**bits."""
-    points: list
-    sectors: List[SectorTag]
-    exit_index: Optional[int] = None
-    exit_sector: Optional[SectorTag] = None
-    max_unitarity_drift: float = 0.0
-    bits: Optional[int] = None
+    _fields = ("points", "sectors", "exit_index", "exit_sector", "max_unitarity_drift",
+               "bits")
+
+    def __init__(self, points: list, sectors: List[SectorTag],
+                 exit_index: Optional[int] = None, exit_sector: Optional[SectorTag] = None,
+                 max_unitarity_drift: float = 0.0, bits: Optional[int] = None):
+        self.points, self.sectors, self.exit_index = points, sectors, exit_index
+        self.exit_sector, self.max_unitarity_drift, self.bits = (
+            exit_sector, max_unitarity_drift, bits)
 
     def beta(self, n: int) -> float:
         """arg x_n in (-pi, pi], as a double."""

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 from .lattice import MultiIndex, generation, q_sites
 from .numerics import (ANGLE_GUARD_BITS, DEFAULT_EXT_DPS, DOUBLE, Backend,
-                       ComplexNumber, aligned_points, div_nearest, fixed_bits,
+                       ComplexNumber, Record, aligned_points, div_nearest, fixed_bits,
                        fixed_real, fixed_unit, mp, quotient, root_quotient, top_bits, worse,
                        worst_of)
 
@@ -41,17 +41,15 @@ class UnsupportedExponentError(ValueError):
     """The cross-ratio route needs 0 < c < 2; c = 2 uses the radius route."""
 
 
-@dataclass(frozen=True)
-class PatternParams:
+class PatternParams(namedtuple("PatternParams", "alphas c precision dps alpha_pi_fracs")):
     """Intersection angles, exponent and working precision of one pattern."""
 
-    alphas: Tuple[float, float, float]
-    c: float
-    precision: str = DOUBLE
-    dps: int = DEFAULT_EXT_DPS
-    alpha_pi_fracs: Optional[Tuple[Fraction, Fraction, Fraction]] = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, alphas: Tuple[float, float, float], c: float, precision: str = DOUBLE,
+                dps: int = DEFAULT_EXT_DPS,
+                alpha_pi_fracs: Optional[Tuple[Fraction, Fraction, Fraction]] = None):
+        self = super().__new__(cls, alphas, c, precision, dps, alpha_pi_fracs)
         a1, a2, a3 = self.alphas
         if not all(math.isfinite(a) for a in self.alphas):
             raise ValueError("intersection angles must be finite")
@@ -66,13 +64,19 @@ class PatternParams:
                                                 or sum(self.alpha_pi_fracs) != 1):
             raise ValueError("need three pi-fractions of the angles summing to 1")
         self.backend()  # rejects an unknown precision mode or dps
+        return self
 
     def backend(self) -> Backend:
         return Backend(self.precision, self.dps)
 
     def exact_angle(self, i: int, bk: Optional[Backend] = None):
+        """Angle i at bk's precision; an extended run of a float triple
+        closes it there, alpha3 = pi - alpha1 - alpha2 (as guarded_angles)."""
         bk = bk or self.backend()
         frac = self.alpha_pi_fracs[i] if self.alpha_pi_fracs else None
+        if i == 2 and frac is None and not bk.is_double:
+            with bk.context():
+                return mp.pi - mp.mpf(self.alphas[0]) - mp.mpf(self.alphas[1])
         return bk.angle(self.alphas[i], frac)
 
 
@@ -83,14 +87,15 @@ def isotropic_params(c: float, precision: str = DOUBLE,
                          dps=dps, alpha_pi_fracs=(third, third, third))
 
 
-@dataclass
-class ZField:
+class ZField(Record):
     """Discrete map on Q up to a generation bound."""
 
-    params: PatternParams
-    values: Dict[MultiIndex, ComplexNumber]
-    generation: int
-    meta: dict = field(default_factory=dict)
+    _fields = ("params", "values", "generation", "meta")
+
+    def __init__(self, params: PatternParams, values: Dict[MultiIndex, ComplexNumber],
+                 generation: int, meta: Optional[dict] = None):
+        self.params, self.values, self.generation = params, values, generation
+        self.meta = {} if meta is None else meta
 
     def __getitem__(self, site: MultiIndex) -> ComplexNumber:
         try:
@@ -251,11 +256,15 @@ def face_targets(params: PatternParams, bk: Optional[Backend] = None):
 
 def guarded_angles(params: PatternParams, bits: int):
     """The three exact angles as mpf to bits + ANGLE_GUARD_BITS bits, the
-    angles a fixed-point run of width bits takes its unit vectors from."""
+    angles a fixed-point run of width bits takes its unit vectors from.  An
+    extended float triple closes at that width: alpha3 = pi - alpha1 - alpha2;
+    a double one keeps its three floats."""
     with mp.workprec(bits + ANGLE_GUARD_BITS):
         fracs = params.alpha_pi_fracs
-        return ([mp.pi * f.numerator / f.denominator for f in fracs] if fracs
-                else [mp.mpf(a) for a in params.alphas])
+        if fracs:
+            return [mp.pi * f.numerator / f.denominator for f in fracs]
+        a1, a2, a3 = map(mp.mpf, params.alphas)
+        return [a1, a2, a3 if params.precision == DOUBLE else mp.pi - a1 - a2]
 
 
 def generate_z(params: PatternParams, n_max: int,

@@ -20,7 +20,6 @@ precision: the stored seeds are that one rounding of its integer seeds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from . import lattice
@@ -28,7 +27,7 @@ from .lattice import (SubIndex, TAG_BORDER, TAG_HEX, TAG_SEED, TAG_TRI,
                       border_fill_stencil, black_fill_stencil,
                       axis_neighbors, fill_dependencies, hex_coefficients,
                       hex_stencil_slots, tri_fill_stencil)
-from .numerics import (ANGLE_GUARD_BITS, DEFAULT_EXT_DPS, GUARD_BITS, aligned_reals,
+from .numerics import (ANGLE_GUARD_BITS, DEFAULT_EXT_DPS, GUARD_BITS, Record, aligned_reals,
                        div_nearest, fixed_bits, fixed_real, fixed_unit, mp, quotient,
                        worst_of)
 from .pattern_core import (PatternParams, ZField, evolve, field_points,
@@ -48,25 +47,24 @@ class DegenerateStencilError(ArithmeticError):
     """A radius solve hit a vanishing denominator."""
 
 
-@dataclass
-class PositivityViolation(ArithmeticError):
+class PositivityViolation(Record, ArithmeticError):
     """Sign failure during the fill: the immersion-failure signal."""
 
-    site: SubIndex
-    value: float
-    tag: str
-    upstream: dict
+    _fields = ("site", "value", "tag", "upstream")
+
+    def __init__(self, site: SubIndex, value: float, tag: str, upstream: dict):
+        self.site, self.value, self.tag, self.upstream = site, value, tag, upstream
 
     def __str__(self):
         return (f"nonpositive radius {self.value!r} at {self.site} "
                 f"({self.tag}; upstream {self.upstream})")
 
 
-@dataclass
-class RadiusField:
-    params: PatternParams
-    values: Dict[SubIndex, float]
-    generation: int
+class RadiusField(Record):
+    _fields = ("params", "values", "generation")
+
+    def __init__(self, params: PatternParams, values: Dict[SubIndex, float], generation: int):
+        self.params, self.values, self.generation = params, values, generation
 
 
 # ---------------------------------------------------------------------------

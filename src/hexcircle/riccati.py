@@ -30,11 +30,11 @@ from __future__ import annotations
 import cmath
 import contextlib
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import List, Optional
 
-from .numerics import ANGLE_GUARD_BITS, GUARD_BITS, fixed_unit, mp
+from .numerics import ANGLE_GUARD_BITS, GUARD_BITS, Record, fixed_unit, mp
 
 
 class ParameterError(ValueError):
@@ -59,8 +59,7 @@ def _lifted(double, ext):
     return value
 
 
-@dataclass(frozen=True)
-class Boundary:
+class Boundary(namedtuple("Boundary", "c alpha alpha_pi_frac")):
     """(c, alpha) in the source paper's domain 0 < c <= 2, 0 < alpha < pi,
     checked once; alpha_pi_frac, when set, is alpha / pi exactly.  angle,
     t = cos(alpha), beta0 = c alpha / 2 and p0 are doubles, or mpf to prec
@@ -68,16 +67,16 @@ class Boundary:
     eps and x0 = exp(i beta0) complex doubles, or integers over 2**bits from
     their angles to bits + ANGLE_GUARD_BITS bits."""
 
-    c: float
-    alpha: float
-    alpha_pi_frac: Optional[Fraction] = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, c: float, alpha: float, alpha_pi_frac: Optional[Fraction] = None):
+        self = super().__new__(cls, c, alpha, alpha_pi_frac)
         if not 0 < self.c <= 2:
             raise ParameterError(f"the exponent c must satisfy 0 < c <= 2, not {self.c!r}")
         if not 0 < self.alpha < math.pi:
             raise ParameterError(
                 f"the angle alpha must satisfy 0 < alpha < pi, not {self.alpha!r}")
+        return self
 
     def angle(self, prec: Optional[int] = None):
         """A float alpha is itself at any prec: exact, and cheap per run."""
@@ -112,11 +111,12 @@ class Boundary:
                 else fixed_unit(self.beta0(bits + ANGLE_GUARD_BITS), bits))
 
 
-@dataclass
-class Trajectory:
+class Trajectory(Record):
     """A recorded run with its first sign failure, if any."""
-    values: List[float]
-    first_nonpositive: Optional[int] = None
+    _fields = ("values", "first_nonpositive")
+
+    def __init__(self, values: List[float], first_nonpositive: Optional[int] = None):
+        self.values, self.first_nonpositive = values, first_nonpositive
 
 
 def g(n: int, c: float):

@@ -2,12 +2,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from . import geometry, pattern_core, radius_system
 from .document import PatternDocument
-from .numerics import worst_of
+from .numerics import Record, worst_of
 
 DEFAULT_TOLERANCES = {
     "crossratio": 1e-9,
@@ -26,11 +25,14 @@ CHECK_ITEMS = {"crossratio": "faces", "constraint": "interior sites", "laxzc": "
                "kite": "centers", "radius_eq": "stencils"}
 
 
-@dataclass
-class VerifyReport:
-    residuals: Dict[str, float] = field(default_factory=dict)
-    passed: Dict[str, bool] = field(default_factory=dict)
-    notes: List[str] = field(default_factory=list)
+class VerifyReport(Record):
+    _fields = ("residuals", "passed", "notes")
+
+    def __init__(self, residuals: Optional[Dict[str, float]] = None,
+                 passed: Optional[Dict[str, bool]] = None, notes: Optional[List[str]] = None):
+        self.residuals = {} if residuals is None else residuals
+        self.passed = {} if passed is None else passed
+        self.notes = [] if notes is None else notes
 
     @property
     def ok(self) -> bool:

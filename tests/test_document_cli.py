@@ -373,12 +373,14 @@ def test_cli_every_analysis_checks_its_precision_flags(capsys, analysis):
         assert run_cli([*argv, "--dps", dps]) == 2
         assert capsys.readouterr() == (
             "", f"error: double precision needs 1 <= dps <= {numerics.MAX_DPS}, not {dps}\n")
-    # valid flags are taken; p0 and riccati print what they print without them
+    # valid flags are taken; p0 prints what it prints without them, and
+    # riccati the same rows under a header that names the run's width
     outs = []
     for flags in ([], ["--precision", "ext", "--dps", "60"]):
         assert run_cli([*argv, *flags]) == 0
         outs.append(capsys.readouterr().out)
-    assert analysis[0] == "painleve" or outs[0] == outs[1]
+    assert analysis[0] == "painleve" or outs[1] == outs[0].replace(
+        "# separatrix run, double", "# separatrix run, dps=60")
 
 
 def test_cli_analyze_p0_at_a_small_angle(capsys):
@@ -427,6 +429,43 @@ def test_cli_analyze_riccati_runs_past_the_old_precision_cap(capsys, alpha, n):
             if not ln.startswith("#")]
     assert [int(k) for k, _ in rows] == list(range(n + 1))
     assert all(float(p) > 0 for _, p in rows)
+
+
+def test_cli_analyze_riccati_runs_at_the_requested_dps(capsys, monkeypatch):
+    widths = []
+    run = riccati.trajectory
+    monkeypatch.setattr(riccati, "trajectory",
+                        lambda b, n, **kw: widths.append(kw.get("dps")) or run(b, n, **kw))
+    argv = ["analyze", "riccati", "--c", "1.5", "--alpha", "1/3pi", "--n", "40"]
+    assert run_cli(argv) == 0
+    double = capsys.readouterr().out.splitlines()
+    assert run_cli([*argv, "--precision", "ext", "--dps", "60"]) == 0
+    ext = capsys.readouterr().out.splitlines()
+    assert widths == [None, 60]
+    assert double[0] == "# separatrix run, double" and ext[0] == "# separatrix run, dps=60"
+    b = riccati.Boundary(1.5, *numerics.parse_angle("1/3pi"))
+    assert ext[2:] == [f"{n:5d}  {p: .12f}"
+                       for n, p in enumerate(riccati.trajectory(b, 40, dps=60).values)]
+
+
+def test_an_extended_run_closes_a_float_angle_triple_at_its_width(tmp_path, capsys):
+    # alpha3 = pi - alpha1 - alpha2 to 1e-16 only: taken as given, its sum
+    # defect capped every residual near 1e-14
+    triple = "1.0,1.2,0.9415926535897931"
+    for mode, c, tiny in (("hex", "1.5", verify.ALL_CHECKS), ("z2", "2", ["radius_eq"])):
+        path = str(tmp_path / f"{mode}.pat")
+        assert run_cli(["generate", "--c", c, "--alpha", triple, "--n", "8", "--mode", mode,
+                        "--precision", "ext", "--dps", "40", "--out", path]) == 0
+        assert load_document(path).params.alphas == (1.0, 1.2, 0.9415926535897931)
+        capsys.readouterr()
+        assert run_cli(["verify", path]) == 0
+        read = {ln.split()[0]: float(ln.split()[2])
+                for ln in capsys.readouterr().out.splitlines()}
+        assert all(read[name] < 1e-39 for name in tiny if name in read), (mode, read)
+    # a double run keeps its three floats, as given
+    params = pattern_core.PatternParams((1.0, 1.2, 0.9415926535897931), 1.5)
+    assert pattern_core.guarded_angles(params, 69)[2] == mp.mpf(0.9415926535897931)
+    assert params.exact_angle(2) == 0.9415926535897931
 
 
 def test_cli_analyze_painleve_files_the_image_of_one_in_a_iv(capsys):
