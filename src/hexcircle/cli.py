@@ -15,7 +15,7 @@ from typing import Optional
 from . import geometry, pattern_core, radius_system, riccati, painleve
 from .document import (MODES, ROUTES, DocumentError, PatternDocument, check_depth,
                        check_layout, load_document, save_document)
-from .numerics import DEFAULT_EXT_DPS, Backend, parse_angle, parse_angles
+from .numerics import DEFAULT_EXT_DPS, Backend, mp, parse_angle, parse_angles
 from .pattern_core import PatternParams
 from .radius_system import PositivityViolation
 from .svg import NonFiniteError, render_svg
@@ -143,7 +143,9 @@ def cmd_analyze(args) -> int:
             traj = riccati.trajectory(b, args.n, dps=None if bk.is_double else bk.dps)
             width = "double" if bk.is_double else f"dps={bk.dps}"
             out += [f"# separatrix run, {width}", "#   n        p_n"]
-            out += [f"{n:5d}  {p: .12f}" for n, p in enumerate(traj.values)]
+            out += [f"{n:5d}  {p: .12f}" if bk.is_double else
+                    f"{n:5d}  {' ' * (p >= 0)}{mp.nstr(p, bk.dps)}"
+                    for n, p in enumerate(traj.values)]
         else:  # painleve
             dps = None if bk.is_double else bk.dps
             # no --beta0: the separatrix start, at the run's width

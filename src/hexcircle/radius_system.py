@@ -9,13 +9,13 @@ initial data, replaying the lattice fill order reproduces the radii the
 evolved map would produce; positivity of every value is exactly the
 immersion property, so sign failures are reported, never clamped.
 
-A double fill runs the solvers on floats.  An extended fill runs them on
-integers over 2**P, P = numerics.fixed_bits(dps), as extended generate_z
-does: its seeds are taken beyond P bits and rounded once to those
-integers, each solve forms its numerator and denominator exactly and
-divides once, so each site carries one rounding of at most half a unit in
-2**-P, and the values are rounded once more, to mpf at the working
-precision: the stored seeds are that one rounding of its integer seeds.
+Positivity holds only on an unstable separatrix, so rounding decides it,
+and every fill runs the solvers on integers over 2**P (_rounding): its
+seeds are taken beyond P bits and rounded once to those integers, each
+solve forms its numerator and denominator exactly and divides once, so
+each site carries one rounding of at most half a unit in 2**-P, and the
+values are rounded once more, to floats or mpf at the working precision:
+the stored seeds are that one rounding of its integer seeds.
 """
 from __future__ import annotations
 
@@ -27,9 +27,9 @@ from .lattice import (SubIndex, TAG_BORDER, TAG_HEX, TAG_SEED, TAG_TRI,
                       border_fill_stencil, black_fill_stencil,
                       axis_neighbors, fill_dependencies, hex_coefficients,
                       hex_stencil_slots, tri_fill_stencil)
-from .numerics import (ANGLE_GUARD_BITS, DEFAULT_EXT_DPS, GUARD_BITS, Record, aligned_reals,
-                       div_nearest, fixed_bits, fixed_real, fixed_unit, mp, quotient,
-                       worst_of)
+from .numerics import (ANGLE_GUARD_BITS, DEFAULT_EXT_DPS, DOUBLE, GUARD_BITS, Record,
+                       aligned_reals, div_nearest, fixed_bits, fixed_real, fixed_unit, mp,
+                       quotient, worst_of)
 from .pattern_core import (PatternParams, ZField, evolve, field_points,
                            generate_z, guarded_angles, memoised)
 
@@ -117,7 +117,8 @@ def hex_solve(K: int, L: int, M: int, *, r1=None, r3=None, r4=None, r5=None,
     balance acc is A / S with S = 2**bits prod(ra + rb) and A exact over
     the active pairs, and r2 = r5 (co_m S + A) / (co_m S - A) is one
     rounded division, within half a unit 2**-bits of the exact solve of
-    the given integers.  A pole in a pair gives NaN, as the mpf route does.
+    the given integers.  A pole in a pair gives NaN, as the mpf route does:
+    the solve without bits, kept as the reference the tests replay.
     """
     co_k, co_l, co_m = hex_coefficients((K, L, M))
     if co_m == 0:
@@ -179,7 +180,7 @@ def border_solve(r: float, r2: float, r3: float, angle_index: int,
     numerator (over 2**(4 bits)) and denominator (over 2**(3 bits)) are
     exact, so r1 is one rounded division, within half a unit 2**-bits of
     the exact solve of the given integers.  A pole among the radii gives
-    NaN, as the mpf route does.
+    NaN, as the mpf reference route (without bits, see hex_solve) does.
     """
     if angle_index not in (2, 3):
         raise ValueError("angle_index must be 2 or 3")
@@ -230,7 +231,7 @@ def tri_solve_slot2(r: float, r1: float, r3: float,
     quotient of the exact numerator (over 2**(3 bits)) and denominator
     (over 2**(2 bits)) is rounded once, within half a unit 2**-bits of the
     exact solve of the given integers.  A pole among the radii gives NaN,
-    as the mpf route does.
+    as the mpf reference route (without bits, see hex_solve) does.
     """
     s1, s2, s3 = sines if sines is not None else angle_constants(params, bits=bits)[0]
     if bits is not None and not type(r) is type(r1) is type(r3) is int:
@@ -246,18 +247,18 @@ def tri_solve_slot2(r: float, r1: float, r3: float,
 # seeds and the full fill
 # ---------------------------------------------------------------------------
 
-def _rounding(bits: Optional[int], bk):
-    """The rounding of a fill's values: x, an integer over 2**bits, rounded
-    once to a float or to an mpf at the dps of bk; a pole, a NaN, or any x
-    without bits, as it is."""
-    if bits is None:
-        return lambda x: x
-    if bk.is_double:
-        return lambda x: x / (1 << bits) if type(x) is int else x
-    libmp = mp.libmp
+def _rounding(params: PatternParams):
+    """(P, rounding) of a fill and its seed rules: P = 53 + GUARD_BITS for
+    double (whose PatternParams does not check its dps), else
+    numerics.fixed_bits(dps); x, an integer over 2**P, rounded once to a
+    float or to an mpf at the working precision; a pole or a NaN as it is."""
+    if params.precision == DOUBLE:
+        bits = 53 + GUARD_BITS
+        return bits, lambda x: x / (1 << bits) if type(x) is int else x
+    libmp, bits = mp.libmp, fixed_bits(params.dps)
     make_mpf, from_man_exp, nearest = mp.make_mpf, libmp.from_man_exp, libmp.round_nearest
-    prec = libmp.dps_to_prec(bk.dps)
-    return lambda x: make_mpf(from_man_exp(x, -bits, prec, nearest)) if type(x) is int else x
+    prec = libmp.dps_to_prec(params.dps)
+    return bits, lambda x: make_mpf(from_man_exp(x, -bits, prec, nearest)) if type(x) is int else x
 
 
 def z2_initial(params: PatternParams, bits: Optional[int] = None) -> Dict[SubIndex, float]:
@@ -268,10 +269,8 @@ def z2_initial(params: PatternParams, bits: Optional[int] = None) -> Dict[SubInd
     _rounding."""
     if min(params.alphas) <= 0:
         raise ValueError("angles must be positive")
-    if bits is None:  # a double PatternParams does not check its dps
-        bk = params.backend()
-        bits = 53 + GUARD_BITS if bk.is_double else fixed_bits(params.dps)
-        rounded = _rounding(bits, bk)
+    if bits is None:
+        bits, rounded = _rounding(params)
         return {s: rounded(v) for s, v in z2_initial(params, bits).items()}
     _, a2, a3 = guarded_angles(params, bits)
     with mp.workprec(bits + ANGLE_GUARD_BITS):
@@ -293,8 +292,8 @@ def seeds_from_pattern(params: PatternParams, bits: Optional[int] = None) -> Dic
     its stored axis neighbors (all equal in exact arithmetic), the roots
     taken to W bits (_root_mean), rounded once.  Without bits, those
     integers at the fill's width, each rounded once by _rounding; a double
-    pattern keeps the spokes of a double run, whose other distances carry
-    more rounding."""
+    pattern keeps the spokes of a double run, for analyze p0 alone: at
+    --alpha 1e-300 a run on integers has no finite fourth vertex."""
     bk = params.backend()
     if bits is not None:
         wide = bits + ANGLE_GUARD_BITS
@@ -304,8 +303,7 @@ def seeds_from_pattern(params: PatternParams, bits: Optional[int] = None) -> Dic
     if bk.is_double:
         zf = generate_z(params, 2)
         return {s: bk.abs(zf[a] - zf[b]) for s, (a, b) in _SEED_SPOKES.items()}
-    bits = fixed_bits(params.dps)
-    rounded = _rounding(bits, bk)
+    bits, rounded = _rounding(params)
     return {s: rounded(v) for s, v in seeds_from_pattern(params, bits).items()}
 
 
@@ -317,32 +315,26 @@ def generate_radii(params: PatternParams, n_max: int,
     PositivityViolation carrying the site and its upstream values.  c = 2
     uses the renormalized seeds (with the extra black seed) automatically.
 
-    An extended fill runs on integers over 2**P, P = numerics.fixed_bits(dps):
-    the seeds and c are rounded to them once, the angle constants lie
-    within one unit (angle_constants with bits), and each solve rounds
+    The fill runs on integers over 2**P (P of _rounding) at either
+    precision: the seeds and c are rounded to them once, the angle constants
+    lie within one unit (angle_constants with bits), and each solve rounds
     once, by at most half a unit.  Without given seeds, the seed rule gives
     its integers over 2**P, called once.  Every value is rounded once more,
-    to an mpf at the working precision (_rounding); the stored seeds are the
-    given ones or the seed rule's.  On an extended fill a seed that is
-    neither finite nor a pole raises ValueError.
+    to a float or to an mpf at the working precision (_rounding); the stored
+    seeds are the given ones or the seed rule's.  A seed that is neither
+    finite nor a pole raises ValueError.
     """
     rule = None
     if seeds is None:
         if not 0 < params.c <= 2:
             raise ValueError("no seed rule for c = 0; use dual()")
         rule = z2_initial if params.c == 2 else seeds_from_pattern
-    bk = params.backend()
+    bits, rounded = _rounding(params)
+    c = fixed_real(params.c, bits)
+    read = (rule(params, bits) if rule else
+            {s: POLE if is_pole(v) else fixed_real(v, bits) for s, v in seeds.items()})
+    sines, cosines = angle_constants(params, bits=bits)
     values: Dict[SubIndex, float] = {}
-    if bk.is_double:
-        bits, c = None, params.c
-        read = rule(params) if rule else seeds
-    else:
-        bits = fixed_bits(params.dps)
-        c = fixed_real(params.c, bits)
-        read = (rule(params, bits) if rule else
-                {s: POLE if is_pole(v) else fixed_real(v, bits) for s, v in seeds.items()})
-    sines, cosines = angle_constants(params, bk, bits)
-    rounded = _rounding(bits, bk)
     for entry in lattice.fill_order(n_max):
         site, tag = entry.site, entry.tag
         if site in read:
@@ -566,9 +558,9 @@ def compare_routes(params: PatternParams, n_max: int) -> Tuple[float, int]:
     TildeQ_H; returns (max_gap, sites_compared).
 
     Both routes follow the same unstable separatrix; the comparison reaches
-    evolution depth 2*n_max + 2, so past the double-precision depth both
-    routes switch to extended precision (the fill mirrors the evolution's
-    precision policy).
+    evolution depth 2*n_max + 2, so past depth 12 both routes switch to
+    extended precision: there a double evolution, the oracle, loses its
+    digits, though the double fill holds to n_max = 20 at c = 1.5.
     """
     depth = 2 * n_max + 2
     if depth > 12 and params.precision == "double":

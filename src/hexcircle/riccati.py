@@ -179,10 +179,11 @@ def ratio_run(b: Boundary, n_steps: int, p_start=None, dps: Optional[int] = None
 
 def trajectory(b: Boundary, n_steps: int, p_start: Optional[float] = None,
                *, dps: Optional[int] = None) -> Trajectory:
-    """ratio_run as floats, and its first nonpositive index or its pole's."""
+    """ratio_run at its width (floats, or mpf at dps digits), and its first
+    nonpositive index or its pole's."""
     p = ratio_run(b, n_steps, p_start, dps)
     bad = next((n for n, x in enumerate(p) if not x > 0), None if len(p) > n_steps else len(p))
-    return Trajectory([float(x) for x in p], bad)
+    return Trajectory(p, bad)
 
 
 def separatrix_growth(b: Boundary) -> float:

@@ -374,13 +374,22 @@ def test_cli_every_analysis_checks_its_precision_flags(capsys, analysis):
         assert capsys.readouterr() == (
             "", f"error: double precision needs 1 <= dps <= {numerics.MAX_DPS}, not {dps}\n")
     # valid flags are taken; p0 prints what it prints without them, and
-    # riccati the same rows under a header that names the run's width
+    # riccati the double's rows to 60 digits under a header that names the
+    # run's width
     outs = []
     for flags in ([], ["--precision", "ext", "--dps", "60"]):
         assert run_cli([*argv, *flags]) == 0
-        outs.append(capsys.readouterr().out)
-    assert analysis[0] == "painleve" or outs[1] == outs[0].replace(
-        "# separatrix run, double", "# separatrix run, dps=60")
+        outs.append(capsys.readouterr().out.splitlines())
+    if analysis[0] == "p0":
+        assert outs[1] == outs[0]
+    elif analysis[0] == "riccati":
+        (head, cols, *double), (ext_head, ext_cols, *ext) = outs
+        assert (head, ext_head) == ("# separatrix run, double", "# separatrix run, dps=60")
+        assert ext_cols == cols and len(ext) == len(double) == 4
+        for row, ext_row in zip(double, ext):
+            (n, p), (ext_n, ext_p) = row.split(), ext_row.split()
+            assert n == ext_n and len(ext_p.replace(".", "")) == 60
+            assert abs(mp.mpf(ext_p) - mp.mpf(p)) <= 5e-13
 
 
 def test_cli_analyze_p0_at_a_small_angle(capsys):
@@ -444,8 +453,9 @@ def test_cli_analyze_riccati_runs_at_the_requested_dps(capsys, monkeypatch):
     assert widths == [None, 60]
     assert double[0] == "# separatrix run, double" and ext[0] == "# separatrix run, dps=60"
     b = riccati.Boundary(1.5, *numerics.parse_angle("1/3pi"))
-    assert ext[2:] == [f"{n:5d}  {p: .12f}"
-                       for n, p in enumerate(riccati.trajectory(b, 40, dps=60).values)]
+    values = riccati.trajectory(b, 40, dps=60).values
+    assert all(type(p) is mp.mpf for p in values)
+    assert ext[2:] == [f"{n:5d}   {mp.nstr(p, 60)}" for n, p in enumerate(values)]
 
 
 def test_an_extended_run_closes_a_float_angle_triple_at_its_width(tmp_path, capsys):
@@ -1014,6 +1024,36 @@ def test_cli_nan_radius_fails_radius_eq(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli(["verify", str(bad), "--checks", "radius_eq"]) == 3
     assert "radius_eq    max-residual nan  FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--c", "1.5", "--route", "radius", "--n", "20"],
+    ["--c", "2", "--mode", "z2", "--n", "16"], ["--c", "2", "--mode", "z2", "--n", "20"],
+    ["--c", "2", "--mode", "log", "--n", "16"], ["--c", "2", "--mode", "log", "--n", "20"]])
+def test_cli_double_radius_route_fills_past_the_roundoff_of_float_solves(tmp_path, argv):
+    # on float solvers these stopped on a nonpositive radius: hex at
+    # (1, 16, -17), z2 and log at (16, 0, -16)
+    pat = str(tmp_path / "r.pat")
+    assert run_cli(["generate", *argv, "--out", pat]) == 0
+    assert run_cli(["verify", pat]) == 0
+
+
+def test_cli_double_radius_route_first_fails_at_n_24(tmp_path, capsys):
+    assert run_cli(["generate", "--c", "1.5", "--route", "radius", "--n", "24",
+                    "--out", str(tmp_path / "r.pat")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("positivity failure: nonpositive radius ") and " at (21, 0, -21) " in err
+
+
+@pytest.mark.parametrize("mode, c", [("hex", "1.5"), ("z2", "2"), ("log", "2")])
+def test_cli_double_radius_route_at_n_12_keeps_its_digits(tmp_path, mode, c):
+    # float solves read crossratio 1.7e-10 to 4.0e-10 and radius_eq up to 2.8e-10
+    pat = str(tmp_path / "r.pat")
+    assert run_cli(["generate", "--c", c, "--mode", mode, "--route", "radius", "--n", "12",
+                    "--out", pat]) == 0
+    report = verify.run_checks(load_document(pat))
+    assert report.ok, report.residuals
+    assert report.residuals["crossratio"] <= 1e-12 and report.residuals["radius_eq"] <= 1e-13
 
 
 def test_cli_positivity_ignores_an_old_poles_line(tmp_path, capsys):

@@ -9,7 +9,7 @@ from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
 
 from hexcircle import lattice, radius_system
 from hexcircle.lattice import border_fill_stencil, hex_stencil_slots
-from hexcircle.numerics import fixed_bits, fixed_real, parse_angles
+from hexcircle.numerics import GUARD_BITS, fixed_bits, fixed_real, parse_angles
 from hexcircle.pattern_core import PatternParams, generate_z, isotropic_params
 from hexcircle.radius_system import (DegenerateStencilError,
                                      PositivityViolation, angle_constants,
@@ -452,6 +452,19 @@ def test_fill_values_are_the_single_stencil_solves():
                                                                     round_nearest)
         assert rf.values[site]._mpf_ == want, site
     assert min(counts.values()) >= 10 and sum(counts.values()) >= 60
+    # a double fill is the same integer solves at 53 + GUARD_BITS bits, each
+    # value rounded once to a float
+    for c in (2.0, 1.5):
+        params, bits = isotropic_params(c), 53 + GUARD_BITS
+        rf = generate_radii(params, 10)
+        fixed, counts = _replayed_fill(params, 10, bits)
+        assert list(fixed) == list(rf.values)
+        seeds = (z2_initial if c == 2 else seeds_from_pattern)(params, bits)
+        for site, x in fixed.items():
+            assert type(x) is int and type(rf.values[site]) is float
+            assert rf.values[site] == x / 2 ** bits, site
+            assert site not in seeds or x == seeds[site]
+        assert min(counts.values()) >= 10 and sum(counts.values()) >= 60
 
 
 BITS = fixed_bits(40)
@@ -575,6 +588,31 @@ def test_pole_slots_keep_the_mpf_outcome():
     for fill in (generate_radii, _mpf_fill):
         with pytest.raises(DegenerateStencilError):
             fill(params, 4, seeds=seeds)
+
+
+@pytest.mark.parametrize("precision", ["double", "ext"])
+def test_a_seed_neither_finite_nor_a_pole_is_refused(precision):
+    # a NaN or -inf seed raises before the fill; +inf is a pole, which the
+    # fill takes, and fails positivity on
+    params = isotropic_params(1.5, precision=precision, dps=40)
+    for bad in (math.nan, -math.inf, mp.nan, mp.ninf):
+        seeds = seeds_from_pattern(params)
+        seeds[(1, 0, -1)] = bad
+        with pytest.raises(ValueError, match="is not finite"):
+            generate_radii(params, 4, seeds=seeds)
+    seeds[(1, 0, -1)] = radius_system.POLE
+    with pytest.raises(PositivityViolation):
+        generate_radii(params, 4, seeds=seeds)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_double_fill_at_c_1_is_exactly_the_unit_radii(n):
+    # the integer seeds round to 1 exactly; spokes' means of a double run
+    # were 2.6e-9 off at n = 8
+    for spec in ("iso", "0.7,1.1,1.3415926535897931"):
+        alphas, fracs = parse_angles(spec)
+        params = PatternParams(alphas, 1.0, alpha_pi_fracs=fracs)
+        assert set(generate_radii(params, n).values.values()) == {1.0}, spec
 
 
 def test_perturbed_seed_breaks_positivity_extended():

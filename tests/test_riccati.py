@@ -260,7 +260,9 @@ def test_double_trajectory_is_the_iterated_step():
             for n in range(40):
                 p = riccati_step(p, n, rp)
                 expected.append(float(p))
-        assert trajectory(rp, 40, dps=50).values == expected, (c, alpha)
+        values = trajectory(rp, 40, dps=50).values
+        assert all(type(p) is mp.mpf for p in values)
+        assert [float(p) for p in values] == expected, (c, alpha)
 
 
 # (c, alpha, n, backward): the sweep runs backward where a forward run from
@@ -298,7 +300,9 @@ def test_separatrix_at_a_tiny_angle_is_g(dps):
     b = Boundary(1.5, 1e-300)
     assert separatrix_growth(b) == math.inf
     traj = trajectory(b, 30, dps=dps)
-    assert traj.values == [g(n, 1.5) for n in range(31)]
+    with mp.workdps(dps or 15):
+        c = 1.5 if dps is None else mp.mpf(1.5)
+        assert traj.values == [g(n, c) for n in range(31)]
     assert traj.first_nonpositive is None
 
 
