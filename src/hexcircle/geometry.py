@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import lattice
 from .lattice import MultiIndex, SubIndex
-from .numerics import Record
+from .numerics import Record, nearest_double
 from .pattern_core import ZField, field_points
 from .radius_system import RadiusField, extract_radii, is_pole
 
@@ -95,10 +95,11 @@ def reconstruct(rf: RadiusField) -> ZField:
     real axis (a pole there moves the anchor to the next boundary circle).
     Each intersection point is placed once; the worst mismatch of its
     re-derivations and the worst closure defect go into the metadata.  Each
-    radius is read as a float once: the layout is a double one.
+    radius is read as a float once (numerics.nearest_double): the layout is
+    a double one.
     """
-    radii = {site: float(r) for site, r in rf.values.items()}
-    pole = {s for s, r in rf.values.items() if is_pole(r)}
+    radii = {site: nearest_double(r) for site, r in rf.values.items()}
+    pole = {s for s, r in radii.items() if r == math.inf and is_pole(rf.values[s])}
     rot = [cmath.exp(1j * a) for a in rf.params.alphas]
     anchor = (0, 0, 0)
     if anchor in pole or anchor not in radii:

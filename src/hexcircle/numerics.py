@@ -4,12 +4,13 @@ Double runs are plain complex/float arithmetic.  Extended cross-ratio
 generation and Painleve runs step on fixed-point Gaussian integers over
 2**fixed_bits(dps), not on mpc, the extended radius fill on real integers
 over the same power of two, not on mpf; the checks read a field once into
-aligned integers.  A Backend bundles the
-transcendental calls the rest needs, each by one rule (_lifted): math or
-cmath on floats in double mode, else mpmath at the backend's dps.  Its
-sqrt, atan2, phase and eps have no caller; the benchmark tracer patches
-them.  Exact pi-fractions of the angles keep extended runs free of a
-double-rounded initial datum.
+aligned integers.  Integers become mpf by one rounding (raw_mpf), and an
+mpf is read back by its raw tuple (nearest_double), not by mpf operators.
+A Backend bundles the transcendental calls the rest needs, each by one
+rule (_lifted): math or cmath on floats in double mode, else mpmath at the
+backend's dps.  Its sqrt, atan2, phase and eps have no caller; the
+benchmark tracer patches them.  Exact pi-fractions of the angles keep
+extended runs free of a double-rounded initial datum.
 
 mp is the package's one handle on mpmath.  An mpmath already imported is
 reused; else the module is executed at its first attribute access, so the
@@ -258,7 +259,21 @@ def aligned_points(bk: Backend, values: Mapping):
 
 
 def aligned_reals(bk: Backend, values: Mapping):
-    """Real values read as by aligned_points, one number each."""
+    """Real values read as by aligned_points, one number each.  An extended
+    read whose values are all mpf takes each raw tuple once."""
+    if not bk.is_double:
+        mpf, min_exp, e, read = mp.mpf, MIN_EXP - 4 * bk.dps, 0, {}
+        for key, x in values.items():
+            if type(x) is not mpf:
+                break
+            sign, man, ex, bc = x._mpf_
+            if (not min_exp < ex + bc <= MAX_EXP) if man else ex:
+                return None
+            read[key] = -man if sign else man, ex
+            if ex < e:
+                e = ex
+        else:
+            return {key: x << (ex - e) for key, (x, ex) in read.items()}, 1 << -e
     read = aligned_points(bk, values)
     return read and ({key: x for key, (x, _) in read[0].items()}, read[1])
 
@@ -278,6 +293,48 @@ def top_bits(x: int, y: int) -> Tuple[int, int, int]:
 def div_nearest(num: int, den: int) -> int:
     """num / den for integers, den != 0, rounded to nearest (ties up)."""
     return (2 * num + den) // (2 * den) if den > 0 else (-2 * num - den) // (-2 * den)
+
+
+def raw_mpf(man: int, exp: int, prec: int, den: int = 1) -> Tuple[int, int, int, int]:
+    """The raw mpf nearest man / den * 2**exp at prec bits, den > 0, ties to
+    even: libmp's from_man_exp(man, exp, prec, round_nearest) for den = 1,
+    else its mpf_div of the two, one correctly rounded division (a quotient
+    of at least prec + 2 bits and a sticky bit for its remainder)."""
+    sign = 1 if man < 0 else 0
+    if sign:
+        man = -man
+    elif not man:
+        return 0, 0, 0, 0  # libmp's fzero
+    if den != 1:
+        shift = max(0, prec + 2 + den.bit_length() - man.bit_length())
+        man, rem = divmod(man << shift, den)
+        man, exp = man << 1 | (rem > 0), exp - shift - 1
+    n = man.bit_length() - prec
+    if n > 0:
+        t = man >> (n - 1)
+        man = (t >> 1) + 1 if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)) else t >> 1
+        exp += n
+    zeros = (man & -man).bit_length() - 1
+    man >>= zeros
+    return sign, man, exp + zeros, man.bit_length()
+
+
+def nearest_double(x) -> float:
+    """x, a float, int or mpf, rounded once to the nearest double, ties to
+    even: float(x), an mpf read from its raw tuple as float() does at
+    mpmath's default rounding (libmp's to_float with round_nearest; its
+    default rounds toward zero)."""
+    if isinstance(x, (float, int)):
+        return float(x)
+    t = x._mpf_
+    sign, man, exp, bc = t
+    if not man or bc > 1000:  # zero, inf, nan, or a mantissa float() cannot take
+        return mp.libmp.to_float(t, rnd=mp.libmp.round_nearest)
+    try:
+        d = math.ldexp(float(man), exp)
+    except OverflowError:
+        d = math.inf
+    return -d if sign else d
 
 
 def fixed_real(x, bits: int) -> int:

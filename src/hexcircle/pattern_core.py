@@ -19,8 +19,8 @@ from typing import Dict, Iterator, Mapping, Optional, Tuple
 from .lattice import MultiIndex, generation, q_sites
 from .numerics import (ANGLE_GUARD_BITS, DEFAULT_EXT_DPS, DOUBLE, Backend,
                        ComplexNumber, Record, aligned_points, div_nearest, fixed_bits,
-                       fixed_real, fixed_unit, mp, quotient, root_quotient, top_bits, worse,
-                       worst_of)
+                       fixed_real, fixed_unit, mp, quotient, raw_mpf, root_quotient, top_bits,
+                       worse, worst_of)
 
 ANGLE_SUM_TOL = 1e-12
 
@@ -282,7 +282,7 @@ def generate_z(params: PatternParams, n_max: int,
     angles are taken to P + ANGLE_GUARD_BITS bits), an initial_override is
     rounded to the same integers, axis_next and solve_fourth round once per
     coordinate, and each coordinate is rounded once more at the end, to the
-    working precision of the field's mpc values.
+    working precision of the field's mpc values (numerics.raw_mpf).
     """
     if params.c >= 2 or params.c <= 0:
         raise UnsupportedExponentError(
@@ -293,11 +293,8 @@ def generate_z(params: PatternParams, n_max: int,
     bits = None if params.backend().is_double else fixed_bits(params.dps)
     z = evolve(params, n_max, bits, initial_override)
     if bits is not None:
-        libmp = mp.libmp
-        make_mpc, from_man_exp, nearest = mp.make_mpc, libmp.from_man_exp, libmp.round_nearest
-        prec = libmp.dps_to_prec(params.dps)
-        z = {s: make_mpc((from_man_exp(x, -bits, prec, nearest),
-                          from_man_exp(y, -bits, prec, nearest)))
+        make_mpc, prec = mp.make_mpc, mp.libmp.dps_to_prec(params.dps)
+        z = {s: make_mpc((raw_mpf(x, -bits, prec), raw_mpf(y, -bits, prec)))
              for s, (x, y) in z.items()}
     return ZField(params=params, values=z, generation=n_max)
 

@@ -15,7 +15,10 @@ seeds are taken beyond P bits and rounded once to those integers, each
 solve forms its numerator and denominator exactly and divides once, so
 each site carries one rounding of at most half a unit in 2**-P, and the
 values are rounded once more, to floats or mpf at the working precision:
-the stored seeds are that one rounding of its integer seeds.
+the stored seeds are that one rounding of its integer seeds.  The passes
+over an extended field's radii (dual, equation_defects, the positivity
+check and the layout's reads) take each mpf by its raw tuple, with no mpf
+operator per radius.
 """
 from __future__ import annotations
 
@@ -24,12 +27,11 @@ from typing import Dict, Optional, Tuple
 
 from . import lattice
 from .lattice import (SubIndex, TAG_BORDER, TAG_HEX, TAG_SEED, TAG_TRI,
-                      border_fill_stencil, black_fill_stencil,
-                      axis_neighbors, fill_dependencies, hex_coefficients,
-                      hex_stencil_slots, tri_fill_stencil)
+                      border_fill_stencil, axis_neighbors, fill_dependencies,
+                      hex_coefficients, hex_stencil_slots)
 from .numerics import (ANGLE_GUARD_BITS, DEFAULT_EXT_DPS, DOUBLE, GUARD_BITS, Record,
                        aligned_reals, div_nearest, fixed_bits, fixed_real, fixed_unit, mp,
-                       quotient, worst_of)
+                       quotient, raw_mpf, worst_of)
 from .pattern_core import (PatternParams, ZField, evolve, field_points,
                            generate_z, guarded_angles, memoised)
 
@@ -38,9 +40,17 @@ POLE = math.inf
 
 def is_pole(r) -> bool:
     """Whether a radius (float, int or mpf) is +inf, the only mark of a
-    pole; a finite one, even past the double range, meets no mpf operator
-    here."""
-    return r == POLE if isinstance(r, (float, int)) else mp.isinf(r) and r > 0
+    pole: an mpf by its raw tuple, libmp's finf, with no mpf operator."""
+    return r == POLE if isinstance(r, (float, int)) else r._mpf_ == mp.libmp.finf
+
+
+def is_positive(r) -> bool:
+    """Whether a radius (float, int or mpf) is positive, a pole included: an
+    mpf by the sign and the mantissa or infinity code of its raw tuple."""
+    if isinstance(r, (float, int)):
+        return r > 0
+    t = r._mpf_
+    return not t[0] and (t[1] != 0 or t == mp.libmp.finf)
 
 
 class DegenerateStencilError(ArithmeticError):
@@ -124,9 +134,8 @@ def hex_solve(K: int, L: int, M: int, *, r1=None, r3=None, r4=None, r5=None,
     if co_m == 0:
         raise DegenerateStencilError("unknown slot has zero coefficient")
     # the balance left for the unknown pair, co_m (r2 - r5)/(r2 + r5) = acc,
-    # is acc = num / den (den = 1 without bits)
-    den = 1 if bits is None else 1 << bits
-    num, finite = c - den, True
+    # is acc = num / S, S = den 2**bits (S = 1 without bits)
+    num, den, finite = c - (1 if bits is None else 1 << bits), 1, True
     for cf, ra, rb, names in ((co_k, r4, r1, "r4/r1"), (co_l, r6, r3, "r6/r3")):
         if cf == 0:
             continue
@@ -138,19 +147,19 @@ def hex_solve(K: int, L: int, M: int, *, r1=None, r3=None, r4=None, r5=None,
         if bits is None:
             num -= cf * (ra - rb) / pair
         elif type(pair) is int:
-            num, den = num * pair - cf * (ra - rb) * den, den * pair
+            num, den = num * pair - (cf * (ra - rb) * den << bits), den * pair
         else:
             finite = False
     if r5 is None:
         raise DegenerateStencilError("missing known slot r5")
+    s = co_m if bits is None else co_m * den << bits
     if is_pole(r5):
         # limit ratio is -1 for finite r2
-        if finite and num == -co_m * den:
+        if finite and num == -s:
             raise DegenerateStencilError("pole slot leaves r2 undetermined")
         raise DegenerateStencilError("pole in r5 with inconsistent balance")
     if bits is not None and not (finite and type(r5) is int):
         return math.nan
-    s = co_m * den
     if s == num:
         return POLE
     if bits is None:
@@ -251,14 +260,13 @@ def _rounding(params: PatternParams):
     """(P, rounding) of a fill and its seed rules: P = 53 + GUARD_BITS for
     double (whose PatternParams does not check its dps), else
     numerics.fixed_bits(dps); x, an integer over 2**P, rounded once to a
-    float or to an mpf at the working precision; a pole or a NaN as it is."""
+    float or to an mpf at the working precision (numerics.raw_mpf); a pole
+    or a NaN as it is."""
     if params.precision == DOUBLE:
         bits = 53 + GUARD_BITS
         return bits, lambda x: x / (1 << bits) if type(x) is int else x
-    libmp, bits = mp.libmp, fixed_bits(params.dps)
-    make_mpf, from_man_exp, nearest = mp.make_mpf, libmp.from_man_exp, libmp.round_nearest
-    prec = libmp.dps_to_prec(params.dps)
-    return bits, lambda x: make_mpf(from_man_exp(x, -bits, prec, nearest)) if type(x) is int else x
+    bits, make_mpf, prec = fixed_bits(params.dps), mp.make_mpf, mp.libmp.dps_to_prec(params.dps)
+    return bits, lambda x: make_mpf(raw_mpf(x, -bits, prec)) if type(x) is int else x
 
 
 def z2_initial(params: PatternParams, bits: Optional[int] = None) -> Dict[SubIndex, float]:
@@ -335,26 +343,31 @@ def generate_radii(params: PatternParams, n_max: int,
             {s: POLE if is_pole(v) else fixed_real(v, bits) for s, v in seeds.items()})
     sines, cosines = angle_constants(params, bits=bits)
     values: Dict[SubIndex, float] = {}
+    get = values.get
+    # the slots of lattice's black_fill_stencil, border_fill_stencil and
+    # tri_fill_stencil, written out on the site
     for entry in lattice.fill_order(n_max):
-        site, tag = entry.site, entry.tag
+        site, tag = entry
         if site in read:
             values[site] = read[site]
             continue
-        if tag == TAG_SEED:
+        K, L, M = site
+        if tag == TAG_HEX:  # r2 of the six-circle stencil at (K - 1, L - 1, M)
+            val = hex_solve(K - 1, L - 1, M, r1=get((K, L - 1, M)), r3=get((K - 1, L, M)),
+                            r4=get((K - 1, L, M + 1)), r5=get((K - 1, L - 1, M + 1)),
+                            r6=get((K, L - 1, M + 1)), c=c, bits=bits)
+        elif tag == TAG_TRI:  # r2 of the three-circle stencil at (K, L, M + 1)
+            val = tri_solve_slot2(values[K, L, M + 1], values[K, L - 1, M + 1],
+                                  values[K - 1, L, M + 1], params, sines, bits)
+        elif tag == TAG_BORDER:  # r1 of the border relation, on the row l = 0 or k = 0
+            if L == 0:
+                val = border_solve(values[K - 1, 0, M + 1], values[K - 1, 1, M + 1],
+                                   values[K - 2, 0, M + 2], 3, params, cosines, bits)
+            else:
+                val = border_solve(values[0, L - 1, M + 1], values[1, L - 1, M + 1],
+                                   values[0, L - 2, M + 2], 2, params, cosines, bits)
+        elif tag == TAG_SEED:
             raise ValueError(f"missing seed value for {site}")
-        if tag == TAG_HEX:
-            label, slots = black_fill_stencil(site)
-            known = {name: values.get(slots[name]) for name in
-                     ("r1", "r3", "r4", "r5", "r6")}
-            val = hex_solve(*label, c=c, bits=bits, **known)
-        elif tag == TAG_BORDER:
-            st = border_fill_stencil(site)
-            val = border_solve(values[st["r"]], values[st["r2"]], values[st["r3"]],
-                               st["angle_index"], params, cosines, bits)
-        elif tag == TAG_TRI:
-            st = tri_fill_stencil(site)
-            val = tri_solve_slot2(values[st["r"]], values[st["r1"]],
-                                  values[st["r3"]], params, sines, bits)
         else:
             raise ValueError(tag)
         if not val > 0:  # a pole is +inf, NaN fails
@@ -370,14 +383,22 @@ def generate_radii(params: PatternParams, n_max: int,
 
 def dual(rf: RadiusField) -> RadiusField:
     """Duality transformation r -> 1/r, c -> 2-c; zeros become poles
-    (+inf) and vice versa."""
+    (+inf) and vice versa.  An extended field's finite nonzero mpf is read
+    by its raw tuple, its reciprocal one correctly rounded division at the
+    working precision (numerics.raw_mpf), as 1.0 / v gives."""
     new_params = PatternParams(alphas=rf.params.alphas, c=2 - rf.params.c,
                                precision=rf.params.precision, dps=rf.params.dps,
                                alpha_pi_fracs=rf.params.alpha_pi_fracs)
+    bk = new_params.backend()
+    mpf, make_mpf, prec = ((None,) * 3 if bk.is_double else
+                           (mp.mpf, mp.make_mpf, mp.libmp.dps_to_prec(bk.dps)))
     new_values: Dict[SubIndex, float] = {}
-    with new_params.backend().context():
+    with bk.context():
         for site, v in rf.values.items():
-            if v == 0:
+            t = v._mpf_ if type(v) is mpf else None
+            if t and t[1]:  # 1.0 / v, one rounded division
+                new_values[site] = make_mpf(raw_mpf(-1 if t[0] else 1, -t[2], prec, t[1]))
+            elif v == 0:
                 new_values[site] = POLE
             elif is_pole(v):
                 new_values[site] = 0.0
@@ -406,9 +427,11 @@ def equation_defects(rf: RadiusField):
 
     Border and three-circle stencils touching a pole or a zero are left
     out.  The radii and the working-precision sines, cosines and c - 1 are
-    read once as integers over one power of two (floats on a double field),
-    the six-circle balance is multiplied through by its pair sums, and only
-    the final quotient is rounded to double.  A vanishing pair sum raises
+    read once as integers over powers of two (floats on a double field),
+    the poles by their raw tuples; the six-circle balance starts at -(c -
+    1) over the constants' unit and is multiplied through by its pair sums,
+    the other relations take that unit as a shift, and only the final
+    quotient is rounded to double.  A vanishing pair sum raises
     DegenerateStencilError.
     """
     params = rf.params
@@ -425,10 +448,13 @@ def equation_defects(rf: RadiusField):
     r, r_one = read_r
     k, one = read_k
     s1, s2, s3, *cos, c1 = k.values()
+    # x * one: a shift on an extended read, whose one is a power of two
+    unit = (lambda x, k=one.bit_length() - 1: x << k) if type(one) is int else (lambda x: x * one)
     out, get = [], r.get
-    # six-circle relations: labels with slot sums inside {0, 1} (_HEX_OFFSETS)
+    # six-circle relations: labels with slot sums inside {0, 1} (_HEX_OFFSETS);
+    # the balance num / den starts at -(c - 1) = -c1 / one
     for (K, L, M) in rf.values:
-        num, den = -c1, 1
+        num, den = -c1, one
         for cf, ((ka, la, ma), (kb, lb, mb)) in zip((L + M, M + K, K + L - 1), _HEX_OFFSETS):
             if cf == 0:
                 continue
@@ -436,12 +462,12 @@ def equation_defects(rf: RadiusField):
             ra, rb = get(sa), get(sb)
             if ra is not None and rb is not None:
                 pair = ra + rb
-                num = num * pair + cf * one * (ra - rb) * den
+                num = num * pair + cf * (ra - rb) * den
                 den *= pair
             elif rb is not None and sa in poles:
-                num += cf * one * den
+                num += cf * den
             elif ra is not None and sb in poles:
-                num -= cf * one * den
+                num -= cf * den
             else:
                 break
         else:
@@ -449,7 +475,7 @@ def equation_defects(rf: RadiusField):
             if not den:
                 raise DegenerateStencilError(
                     f"six-circle relation at {label} has a vanishing pair sum")
-            out.append(("hex", label, quotient(num, den * one)))
+            out.append(("hex", label, quotient(num, den)))
     # border relations, on both boundary rows
     for site, r1 in r.items():
         K, L, M = site
@@ -460,23 +486,26 @@ def equation_defects(rf: RadiusField):
         if not (r1 and rc and r2 and r3):
             continue
         t = cos[st["angle_index"] - 1]
-        num = ((r1 + r2) * (one * (rc * rc - r2 * r3) + rc * (r3 - r2) * t)
-               + (r3 + r2) * (one * (rc * rc - r2 * r1) + rc * (r1 - r2) * t))
+        num = ((r1 + r2) * (unit(rc * rc - r2 * r3) + rc * (r3 - r2) * t)
+               + (r3 + r2) * (unit(rc * rc - r2 * r1) + rc * (r1 - r2) * t))
         scale = max(rc, r_one)
-        out.append(("border", site, quotient(num, scale * scale * scale * one)))
+        out.append(("border", site, quotient(num, unit(scale * scale * scale))))
     # three-circle relations, both parities
     for base, rc in r.items():
         if not rc:
             continue
         K, L, M = base
         for sgn in (1, -1):
-            r1, r2, r3 = get((K, L - sgn, M)), get((K, L, M - sgn)), get((K - sgn, L, M))
-            if not (r1 and r2 and r3):
+            r1 = get((K, L - sgn, M))
+            if not r1:
+                continue
+            r2, r3 = get((K, L, M - sgn)), get((K - sgn, L, M))
+            if not (r2 and r3):
                 continue
             num = (rc * (r1 * s3 + r2 * s1 + r3 * s2)
                    - (r1 * r2 * s2 + r2 * r3 * s3 + r3 * r1 * s1))
             scale = max(rc, r1, r2, r3, r_one)
-            out.append(("tri", (base, sgn), quotient(num, scale * scale * one)))
+            out.append(("tri", (base, sgn), quotient(num, unit(scale * scale))))
     return out
 
 
@@ -533,7 +562,8 @@ def extract_radii(zf: ZField) -> Dict[SubIndex, float]:
     precision of the field, from axis_sq_distances.  A double field takes
     the mean of the math.sqrt of the squares.  On an extended field the
     roots are taken to 32 bits beyond the working precision (_root_mean),
-    and their sum, over the count, is rounded once to nearest.  Every
+    and their sum, over the count, is rounded once to nearest
+    (numerics.raw_mpf).  Every
     radius is NaN when the field cannot be read.
     """
     bk = zf.params.backend()
@@ -544,13 +574,9 @@ def extract_radii(zf: ZField) -> Dict[SubIndex, float]:
     sq_of, one = read
     if bk.is_double:
         return {lattice.to_sub(s): sum(map(math.sqrt, sq)) / len(sq) for s, sq in sq_of.items()}
-    libmp = mp.libmp
-    make_mpf, mpf_div, from_man_exp, from_int, nearest = (
-        mp.make_mpf, libmp.mpf_div, libmp.from_man_exp, libmp.from_int, libmp.round_nearest)
-    prec, log_one = libmp.dps_to_prec(bk.dps), one.bit_length() - 1
+    make_mpf, prec, log_one = mp.make_mpf, mp.libmp.dps_to_prec(bk.dps), one.bit_length() - 1
     means = {lattice.to_sub(s): _root_mean(sq, prec + 32) for s, sq in sq_of.items()}
-    return {s: make_mpf(mpf_div(from_man_exp(num, -log_one), from_int(den), prec, nearest))
-            for s, (num, den) in means.items()}
+    return {s: make_mpf(raw_mpf(num, -log_one, prec, den)) for s, (num, den) in means.items()}
 
 
 def compare_routes(params: PatternParams, n_max: int) -> Tuple[float, int]:

@@ -117,9 +117,11 @@ def _residual(name, doc, zf, rf) -> float:
     elif name == "kite":
         return max_kite_residual(zf)
     elif name == "positivity":
-        # positive (a pole, +inf, is), or the branch point of z^2
+        # positive (a pole, +inf, is), or the branch point of the c = 2
+        # pattern, whatever the mode that labels it
+        branch = doc.route == "radius" and doc.params.c == 2
         bad = [s for s, v in rf.values.items()
-               if not (v > 0 or v == 0 and s == (0, 0, 0) and doc.mode == "z2")]
+               if not (radius_system.is_positive(v) or v == 0 and s == (0, 0, 0) and branch)]
         return float(len(bad))
     elif name == "immersion":
         if doc.mode == "sg":  # the document stores only the l = 0 plane

@@ -1095,6 +1095,65 @@ def test_cli_positivity_allows_only_the_zero_at_the_origin_of_z2(tmp_path, capsy
     assert "positivity   max-residual 1.000e+00  FAIL" in capsys.readouterr().out
 
 
+def test_cli_positivity_exempts_the_zero_of_every_c_2_radius_document(tmp_path, capsys):
+    # the c = 2 field labelled hex is the z2 field: the same vertices and
+    # radii, and the same zero at the origin
+    hex2, z2 = tmp_path / "hex2.txt", tmp_path / "z2.txt"
+    for path, mode in ((hex2, "hex"), (z2, "z2")):
+        assert run_cli(["generate", "--c", "2", "--route", "radius", "--mode", mode, "--n", "4",
+                        "--out", str(path)]) == 0
+    docs = [load_document(str(path)) for path in (hex2, z2)]
+    assert docs[0].mode == "hex" and docs[0].vertices == docs[1].vertices
+    assert docs[0].radii == docs[1].radii and docs[0].radii[0, 0, 0] == 0
+    capsys.readouterr()
+    assert run_cli(["verify", str(hex2)]) == 0
+    assert "positivity   max-residual 0.000e+00  pass" in capsys.readouterr().out
+    # a zero away from the origin still fails
+    bad = tmp_path / "bad.txt"
+    _with_radius(hex2, bad, (2, 1, -2), "0.0")
+    assert run_cli(["verify", str(bad), "--checks", "positivity"]) == 3
+    assert "positivity   max-residual 1.000e+00  FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("c", ["1.5", "1.9"])
+def test_cli_positivity_keeps_a_zero_at_the_origin_below_c_2(tmp_path, capsys, c):
+    pat, bad = tmp_path / "r.txt", tmp_path / "bad.txt"
+    assert run_cli(["generate", "--c", c, "--route", "radius", "--n", "4",
+                    "--out", str(pat)]) == 0
+    _with_radius(pat, bad, (0, 0, 0), "0.0")
+    capsys.readouterr()
+    assert run_cli(["verify", str(bad), "--checks", "positivity"]) == 3
+    assert "positivity   max-residual 1.000e+00  FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mode", ["z2", "log"])
+def test_extended_radius_route_calls_no_mpf_operator_per_radius(tmp_path, monkeypatch, mode):
+    # the fill, dual, the layout's reads, radius_eq and the writer take
+    # each radius as an integer or a raw tuple: n = 16 has more than twice
+    # the radii of n = 8 and makes the same calls
+    calls = _count_arithmetic(monkeypatch)
+    isinf, to_float = mp.isinf, mp.mpf.__float__
+
+    def counted(fn):
+        def wrapper(x):
+            calls[0] += 1
+            return fn(x)
+        return wrapper
+
+    monkeypatch.setattr(mp, "isinf", counted(isinf))
+    monkeypatch.setattr(mp.mpf, "__float__", counted(to_float))
+    counts, sizes = [], []
+    for n in ("8", "16"):
+        calls[0] = 0
+        pat = tmp_path / f"{mode}{n}.txt"
+        assert run_cli(["generate", "--c", "2", "--mode", mode, "--n", n, "--precision", "ext",
+                        "--dps", "40", "--out", str(pat)]) == 0
+        counts.append(calls[0])
+        sizes.append(len(load_document(str(pat)).radii))
+    assert sizes[1] > 2 * sizes[0]
+    assert counts[0] == counts[1]
+
+
 @pytest.mark.parametrize("value", ["1e-100000", "1e400000"])
 def test_cli_radius_out_of_magnitude_range_exits_3_fast(tmp_path, value):
     import time

@@ -8,13 +8,14 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import from_int, from_man_exp, mpf_div, round_nearest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexcircle import painleve, pattern_core, radius_system, verify
 from hexcircle.numerics import (MAX_DPS, MAX_EXP, MIN_EXP, Backend, aligned_points,
-                                aligned_reals, div_nearest, quotient, required_dps,
-                                root_quotient)
+                                aligned_reals, div_nearest, nearest_double, quotient, raw_mpf,
+                                required_dps, root_quotient)
 from hexcircle.pattern_core import generate_z, isotropic_params
 from hexcircle.riccati import Boundary
 
@@ -121,6 +122,65 @@ def test_aligned_points_is_the_per_value_read(values, dps):
     bk = Backend("ext", dps)
     values = dict(enumerate(values))
     assert aligned_points(bk, values) == _per_value_read(bk, values)
+
+
+mpf_reals = st.one_of(
+    st.builds(_mpf, st.integers(-2 ** 140, 2 ** 140), st.integers(-1000, 880)),
+    st.sampled_from((mp.mpf(0), mp.mpf("inf"), mp.mpf("-inf"), mp.mpf("nan"),
+                     _mpf(1, 1100), _mpf(-3, -1500))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(mpf_reals, max_size=5) | st.lists(
+           mpf_reals | reals | st.integers(-2 ** 70, 2 ** 70) | st.just(math.nan), max_size=5),
+       dps=st.sampled_from((15, 40, 80)))
+def test_aligned_reals_is_the_real_part_of_the_per_value_read(values, dps):
+    # an extended read of mpf values alone takes one pass over the raw tuples
+    bk = Backend("ext", dps)
+    values = dict(enumerate(values))
+    want = _per_value_read(bk, values)
+    want = want and ({key: x for key, (x, _) in want[0].items()}, want[1])
+    assert aligned_reals(bk, values) == want
+
+
+def _ties(rng, prec):
+    """A mantissa of prec bits followed by a tie, or by a tie and a last bit."""
+    low = rng.randint(1, 40)
+    return (rng.getrandbits(prec) << low) | (1 << (low - 1)) | rng.choice((0, 0, 1))
+
+
+def test_raw_mpf_is_libmps_rounding_to_nearest():
+    rng = random.Random(34)
+    for _ in range(20000):
+        prec = rng.choice((1, 2, 3, 53, 69, 133, 269, 1000))
+        man = rng.choice((rng.getrandbits(rng.randint(0, 600)), _ties(rng, prec),
+                          (1 << rng.randint(0, 400)) - rng.choice((0, 1, 2))))
+        man, exp = rng.choice((man, -man)), rng.randint(-500, 500)
+        got = raw_mpf(man, exp, prec)
+        assert got == from_man_exp(man, exp, prec, round_nearest), (man, exp, prec)
+        assert all(type(x) is int for x in got)
+        den = rng.choice((1, 3, rng.getrandbits(rng.randint(1, 300)) | 1,
+                          rng.getrandbits(100) + 1, 1 << rng.randint(0, 100)))
+        assert raw_mpf(man, exp, prec, den) == mpf_div(
+            from_man_exp(man, exp), from_int(den), prec, round_nearest), (man, exp, prec, den)
+
+
+def test_nearest_double_is_float_of_the_mpf():
+    rng = random.Random(35)
+    values = [mp.mpf(x) for x in ("0", "inf", "-inf", "nan")]
+    for _ in range(20000):
+        bits = rng.choice((1, 53, 54, 60, 269, 1000, 1001, 1200))
+        man = rng.choice((rng.getrandbits(bits) | 1, _ties(rng, 53)))
+        exp = rng.randint(-1200, 1100) - man.bit_length()
+        values.append(mp.make_mpf(from_man_exp(rng.choice((man, -man)), exp)))
+    for x in values:
+        want = float(x)  # rounds to nearest at mpmath's default rounding
+        got = nearest_double(x)
+        assert got == want or want != want and got != got, x
+        assert math.copysign(1, got) == math.copysign(1, want)
+    assert nearest_double(0.1) == 0.1 and nearest_double(3) == 3.0
+    assert sum(math.isinf(nearest_double(x)) for x in values) > 100
+    assert sum(0 < abs(nearest_double(x)) < 2.0 ** -1022 for x in values) > 100
 
 
 def test_root_quotient_is_the_plain_root_down_to_the_double_range():

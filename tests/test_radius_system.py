@@ -11,12 +11,12 @@ from hexcircle import lattice, radius_system
 from hexcircle.lattice import border_fill_stencil, hex_stencil_slots
 from hexcircle.numerics import GUARD_BITS, fixed_bits, fixed_real, parse_angles
 from hexcircle.pattern_core import PatternParams, generate_z, isotropic_params
-from hexcircle.radius_system import (DegenerateStencilError,
+from hexcircle.radius_system import (POLE, DegenerateStencilError,
                                      PositivityViolation, angle_constants,
                                      border_residual, border_solve,
                                      compare_routes, dual, equation_defects,
                                      extract_radii, generate_radii,
-                                     hex_residual, hex_solve, is_pole,
+                                     hex_residual, hex_solve, is_pole, is_positive,
                                      max_equation_residual, seeds_from_pattern,
                                      tri_residual, tri_solve_slot2,
                                      z2_initial)
@@ -223,6 +223,36 @@ def test_is_pole_reads_only_plus_infinity():
     assert is_pole(math.inf) and is_pole(mp.inf)
     for r in (-math.inf, -mp.inf, math.nan, mp.nan, 0.0, 1.0, mp.mpf("1e400000")):
         assert not is_pole(r), r
+
+
+def test_is_positive_reads_the_sign_and_the_infinity_code():
+    for r in (math.inf, mp.inf, 1e-300, 3, mp.mpf("1e-400000"), mp.mpf("1e400000")):
+        assert is_positive(r), r
+    for r in (0.0, 0, mp.mpf(0), -1.0, mp.mpf(-2), -math.inf, -mp.inf, math.nan, mp.nan):
+        assert not is_positive(r), r
+
+
+def _dual_by_mpf_operators(v):
+    """dual's value as the mpf operators gave it, inside its context."""
+    return POLE if v == 0 else 0.0 if is_pole(v) else 1.0 / v
+
+
+@pytest.mark.parametrize("dps", [15, 40, 80])
+def test_extended_dual_is_one_rounded_reciprocal_per_radius(dps):
+    rf = generate_radii(_ext_params(2.0, dps), 10)
+    extra = {(20, 0, -20): mp.mpf(-2), (21, 0, -21): mp.nan, (22, 0, -22): -mp.inf,
+             (23, 0, -23): 0.0, (24, 0, -24): POLE, (25, 0, -25): 3}
+    with mp.workdps(dps):
+        extra[26, 0, -26] = mp.mpf(1) / 3
+    rf.values.update(extra)
+    lg = dual(rf)
+    with mp.workdps(dps):
+        for site, v in rf.values.items():
+            want, got = _dual_by_mpf_operators(v), lg.values[site]
+            assert type(got) is type(want) and repr(got) == repr(want), site
+            if type(want) is mp.mpf:
+                assert got._mpf_ == want._mpf_, site
+    assert lg.values[0, 0, 0] == POLE and sum(map(is_pole, lg.values.values())) == 2
 
 
 def test_dual_involution_and_log():
