@@ -12,8 +12,8 @@ from .pattern_core import (PatternParams, ZField, cross_ratio, solve_fourth,
 from .radius_system import (RadiusField, PositivityViolation, generate_radii,
                             dual, z2_initial, border_solve, hex_solve,
                             extract_radii)
-from .riccati import Boundary, g, riccati_step, p0_closed, p0_via_series, y_closed
-from .painleve import dpii_step, sector_of, run_trajectory, shoot
+from .riccati import Boundary, g, p0_closed, p0_via_series
+from .painleve import sector_of, run_trajectory, shoot
 from .geometry import reconstruct, immersion_check, sg_slice
 from .document import PatternDocument, save_document, load_document
 from .verify import run_checks, VerifyReport
@@ -26,8 +26,7 @@ __all__ = [
     "cross_ratio", "solve_fourth", "axis_next", "generate_z",
     "constraint_residual", "isotropic_params", "generate_radii", "dual",
     "z2_initial", "border_solve", "hex_solve", "extract_radii", "g",
-    "riccati_step", "p0_closed", "p0_via_series", "y_closed", "dpii_step",
-    "sector_of", "run_trajectory", "shoot", "reconstruct",
-    "immersion_check", "sg_slice",
+    "p0_closed", "p0_via_series", "sector_of", "run_trajectory", "shoot",
+    "reconstruct", "immersion_check", "sg_slice",
     "save_document", "load_document", "run_checks",
 ]

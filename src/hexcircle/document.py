@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .lattice import MultiIndex, SubIndex
-from .numerics import DEFAULT_EXT_DPS, Record, mp
+from .numerics import DEFAULT_EXT_DPS, Record, mp, raw_mpf
 from .pattern_core import PatternParams, ZField
 from .radius_system import RadiusField
 
@@ -92,9 +92,8 @@ def _read(s: str, prec: int):
     r"""The raw mpf of mp.mpf(s) at prec bits for a token -?\d+(\.\d*)?(e[-+]?\d+)?
     whose effective exponent (the written one less the fraction digits left
     once trailing zeros go) lies within +-400, where from_str rounds right;
-    else None.  Its digits over the power of ten, a quotient of at least
-    prec + 3 bits and its remainder, round once to nearest (ties to even) at
-    prec bits, as from_str does."""
+    else None.  Its digits over the power of ten round once to nearest at
+    prec bits (numerics.raw_mpf), as from_str does."""
     s, sep, e = s.partition("e")
     whole, _, frac = s.partition(".")
     sign = 1 if whole[:1] == "-" else 0
@@ -109,18 +108,8 @@ def _read(s: str, prec: int):
         return None
     if not -400 <= e <= 400:
         return None
-    if not man:
-        return mp.libmp.fzero
     num, den = (man * _ten(e), 1) if e >= 0 else (man, _ten(-e))
-    shift = max(0, prec + 3 + den.bit_length() - num.bit_length())
-    q, r = divmod(num << shift, den)
-    n = q.bit_length() - prec  # at least 3: the rounding bit and two below it
-    t = q >> (n - 1)
-    man = (t >> 1) + 1 if t & 1 and (t & 2 or r or q & ((1 << (n - 1)) - 1)) else t >> 1
-    if man & 1:  # prec bits, none of them trailing zeros: bc is prec itself
-        return sign, man, n - shift, prec
-    z = (man & -man).bit_length() - 1  # the trailing zero bits, which mpmath strips
-    return sign, man >> z, n - shift + z, man.bit_length() - z
+    return raw_mpf(-num if sign else num, 0, prec, den)
 
 
 def _fmt(x, prec: int, digits: int) -> str:
@@ -140,7 +129,7 @@ def _fmt(x, prec: int, digits: int) -> str:
         return ("inf" if t == libmp.finf else "-inf" if t == libmp.fninf
                 else libmp.to_str(t, digits))
     if bc > prec:
-        sign, man, exp, bc = mp.libmp.normalize(sign, man, exp, bc, prec, mp.libmp.round_nearest)
+        sign, man, exp, bc = raw_mpf(-man if sign else man, exp, prec)
     if abs(exp + bc) > 3500:
         return mp.libmp.to_str((sign, man, exp, bc), digits)
     fixprec = max(int((digits + 3) * _LOG2_10) + 10 - exp - bc, 0)

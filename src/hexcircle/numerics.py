@@ -299,21 +299,25 @@ def raw_mpf(man: int, exp: int, prec: int, den: int = 1) -> Tuple[int, int, int,
     """The raw mpf nearest man / den * 2**exp at prec bits, den > 0, ties to
     even: libmp's from_man_exp(man, exp, prec, round_nearest) for den = 1,
     else its mpf_div of the two, one correctly rounded division (a quotient
-    of at least prec + 2 bits and a sticky bit for its remainder)."""
-    sign = 1 if man < 0 else 0
+    of at least prec + 3 bits, its remainder the sticky bit).  The one
+    rounding of extended numbers, behind the fills, dual, extract_radii and
+    the document reader and writer."""
+    sign, rem = 1 if man < 0 else 0, 0
     if sign:
         man = -man
     elif not man:
         return 0, 0, 0, 0  # libmp's fzero
     if den != 1:
-        shift = max(0, prec + 2 + den.bit_length() - man.bit_length())
+        shift = max(0, prec + 3 + den.bit_length() - man.bit_length())
         man, rem = divmod(man << shift, den)
-        man, exp = man << 1 | (rem > 0), exp - shift - 1
+        exp -= shift
     n = man.bit_length() - prec
     if n > 0:
         t = man >> (n - 1)
-        man = (t >> 1) + 1 if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)) else t >> 1
+        man = (t >> 1) + 1 if t & 1 and (t & 2 or rem or man & ((1 << (n - 1)) - 1)) else t >> 1
         exp += n
+    if man & 1 and n >= 0:  # prec bits, none of them trailing zeros: bc is the
+        return sign, man, exp, prec  # caller's prec, no new int per number
     zeros = (man & -man).bit_length() - 1
     man >>= zeros
     return sign, man, exp + zeros, man.bit_length()

@@ -17,7 +17,7 @@ from types import MappingProxyType
 from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 from .lattice import MultiIndex, generation, q_sites
-from .numerics import (ANGLE_GUARD_BITS, DEFAULT_EXT_DPS, DOUBLE, Backend,
+from .numerics import (ANGLE_GUARD_BITS, DEFAULT_EXT_DPS, DOUBLE, MAX_EXP, Backend,
                        ComplexNumber, Record, aligned_points, div_nearest, fixed_bits,
                        fixed_real, fixed_unit, mp, quotient, raw_mpf, root_quotient, top_bits,
                        worse, worst_of)
@@ -435,14 +435,12 @@ class _ScreenedWorst:
 
 def _float_units(bk: Backend, *ones):
     """The units ones of a read as floats (powers of two, so exact), for
-    the estimates of _ScreenedWorst; None on a double read, whose sweeps
-    round every residual, or when a unit overflows a float."""
+    the estimates of _ScreenedWorst; a unit past the float range stays an
+    integer, so that each estimate's division by it overflows into
+    _big_estimate.  None on a double read, whose sweeps round every residual."""
     if bk.is_double:
         return None
-    try:
-        return [float(u) for u in ones]
-    except OverflowError:
-        return None
+    return [float(u) if u.bit_length() <= MAX_EXP else u for u in ones]
 
 
 def _big_estimate(unit: int, num, *dens) -> float:
@@ -539,9 +537,8 @@ def _face_pass(zf: ZField, lax: bool):
         rx, ry = r[t]
         nx, ny = r_one * aex - (rx * px - ry * py), r_one * aey - (rx * py + ry * px)
         if not units:
-            # a double read, or one past the float range, rounds every face
-            # here, by _face_defect and _lax_gap written out: a call per
-            # face would cost a double read about 5%
+            # a double read rounds every face here, by _face_defect and
+            # _lax_gap written out: a call per face would cost it about 5%
             bsq, csq = bx * bx + by * by, cx * cx + cy * cy
             worst = worse(worst, math.sqrt(quotient(nx * nx + ny * ny, scale * bsq * csq)))
             if lax:
@@ -665,7 +662,7 @@ def max_constraint_residual(zf: ZField) -> float:
         ty = q2x * d3y + q2y * d3x + (q3x * d2y + q3y * d2x)
         nx = ax * bx - ay * by - (tx * d1x - ty * d1y)
         ny = ax * by + ay * bx - (tx * d1y + ty * d1x)
-        if not units:  # a double read, or one past the float range
+        if not units:  # a double read rounds every site
             d = (d1x, d1y), (d2x, d2y), (d3x, d3y)
             worst = worse(worst, _site_defect(scale, nx, ny, d))
             continue

@@ -1,5 +1,6 @@
 import math
 import re
+from decimal import Decimal
 
 import mpmath as mp
 import pytest
@@ -793,6 +794,14 @@ def test_verify_read_is_bit_identical_to_mpmath(case):
     token, dps = case
     with mp.workdps(dps):
         assert document._parse_number(token, "ext")._mpf_ == mp.mpf(token)._mpf_
+    # the reader's rounding is raw_mpf's, of the digits over their power of ten
+    prec = dps_to_prec(dps)
+    raw = document._read(token, prec)
+    if raw is not None:
+        sign, digits, exp = Decimal(token).as_tuple()
+        man = int("".join(map(str, digits))) * (-1 if sign else 1)
+        assert raw == (numerics.raw_mpf(man * 10 ** exp, 0, prec) if exp >= 0
+                       else numerics.raw_mpf(man, 0, prec, 10 ** -exp))
 
 
 def test_read_of_a_full_width_mantissa_keeps_the_callers_prec():

@@ -163,6 +163,16 @@ def test_raw_mpf_is_libmps_rounding_to_nearest():
                           rng.getrandbits(100) + 1, 1 << rng.randint(0, 100)))
         assert raw_mpf(man, exp, prec, den) == mpf_div(
             from_man_exp(man, exp), from_int(den), prec, round_nearest), (man, exp, prec, den)
+    # a mantissa of prec bits, odd as every raw mantissa, keeps the caller's
+    # prec object as bc, so a loaded document holds no int per number for it
+    prec, full = 269, 0  # an int that Python does not cache
+    for _ in range(400):
+        man, den = rng.getrandbits(rng.randint(269, 600)) | 1 << 268, rng.choice((1, 3, 10 ** 90))
+        got = raw_mpf(rng.choice((man, -man)), -300, prec, den)
+        if got[1].bit_length() == prec:
+            full += 1
+            assert got[3] is prec, (man, den)
+    assert full > 100
 
 
 def test_nearest_double_is_float_of_the_mpf():
