@@ -12,14 +12,13 @@ import math
 import sys
 from typing import Optional
 
-from . import geometry, pattern_core, radius_system, riccati, painleve
+from . import geometry, pattern_core, radius_system, riccati, painleve, verify
 from .document import (MODES, ROUTES, DocumentError, PatternDocument, check_depth,
                        check_layout, load_document, save_document)
 from .numerics import DEFAULT_EXT_DPS, Backend, mp, parse_angle, parse_angles
 from .pattern_core import PatternParams
 from .radius_system import PositivityViolation
 from .svg import NonFiniteError, render_svg
-from .verify import ALL_CHECKS, run_checks
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -43,18 +42,13 @@ def _build_document(params: PatternParams, n: int, mode: str, route: str) -> Pat
         doc.vertices = dict(zf.values)
         doc.summary["wedge_closure"] = zf.meta["wedge_closure"]
         doc.summary["placement_mismatch"] = zf.meta["placement_mismatch"]
-        doc.summary["crossratio"] = pattern_core.max_face_residual(zf)
-        doc.summary["radius_eq"] = radius_system.max_equation_residual(rf)
     else:
-        zf = pattern_core.generate_z(params, n)
+        field, rf = pattern_core.generate_z(params, n), None
         # the summary describes the stored field: for sg its l = 0 plane
-        snap = pattern_core.FieldSnapshot(geometry.sg_slice(zf) if mode == "sg" else zf, True)
-        doc.vertices = dict(snap.values)
-        doc.radii = radius_system.extract_radii(zf if mode == "sg" else snap)
-        doc.summary["crossratio"] = pattern_core.max_face_residual(snap)
-        if mode == "hex":
-            doc.summary["constraint"] = pattern_core.max_constraint_residual(snap)
-        doc.summary["zerocurvature"] = pattern_core.max_zero_curvature_residual(snap)
+        zf = pattern_core.FieldSnapshot(geometry.sg_slice(field) if mode == "sg" else field, True)
+        doc.vertices = dict(zf.values)
+        doc.radii = radius_system.extract_radii(field if mode == "sg" else zf)
+    doc.summary.update(verify.summary(doc, zf, rf))
     return doc
 
 
@@ -92,11 +86,12 @@ def cmd_verify(args) -> int:
         return _fail(f"error: {exc}")
     checks = None
     if args.checks is not None:
-        checks = [c.strip() for c in args.checks.split(",") if c.strip()]
-        bad = [c for c in checks if c not in ALL_CHECKS]
+        # each name once, where it first appears
+        checks = list(dict.fromkeys(c.strip() for c in args.checks.split(",") if c.strip()))
+        bad = [c for c in checks if c not in verify.ALL_CHECKS]
         if bad:
-            return _fail(f"error: unknown checks {bad}; available: {ALL_CHECKS}")
-    report = run_checks(doc, checks)
+            return _fail(f"error: unknown checks {bad}; available: {verify.ALL_CHECKS}")
+    report = verify.run_checks(doc, checks)
     if not report.residuals:
         return _fail("\n".join([*report.notes,
                                  "error: no requested check applies to this document"]))
@@ -202,7 +197,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         v = sub.add_parser("verify", help="re-verify a pattern document")
         v.add_argument("file")
         v.add_argument("--checks", default=None,
-                       help="comma list from: " + ",".join(ALL_CHECKS))
+                       help="comma list from: " + ",".join(verify.ALL_CHECKS))
         v.set_defaults(func=cmd_verify)
     if command in (None, "render"):
         r = sub.add_parser("render", help="render a document to SVG")

@@ -1,28 +1,12 @@
-"""Verification engine for pattern documents."""
+"""Verification engine for pattern documents: one row of CHECKS per check."""
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from . import geometry, pattern_core, radius_system
 from .document import PatternDocument
 from .numerics import Record, worst_of
-
-DEFAULT_TOLERANCES = {
-    "crossratio": 1e-9,
-    "constraint": 1e-9,
-    "laxzc": 1e-9,
-    "kite": 1e-9,
-    "positivity": 0.0,
-    "immersion": 0.0,
-    "radius_eq": 1e-9,
-}
-
-ALL_CHECKS = tuple(DEFAULT_TOLERANCES)
-
-#: what each residual check tests; one that found none of them FAILs
-CHECK_ITEMS = {"crossratio": "faces", "constraint": "interior sites", "laxzc": "faces",
-               "kite": "centers", "radius_eq": "stencils"}
 
 
 class VerifyReport(Record):
@@ -47,17 +31,76 @@ class VerifyReport(Record):
         return out
 
 
+class Check(NamedTuple):
+    """One check: tolerance, whether it applies to a document, the noun for
+    what it tests, and its sweep (doc, zf, rf) -> (residual, items), with
+    items a lazy iterable read only when the residual is 0 (a check that
+    tested nothing FAILs).  Sweeps look their functions up when they run."""
+    tolerance: float
+    applies: Callable[[PatternDocument], bool]
+    noun: str
+    sweep: Callable
+
+
+def _stores(part: str, *modes: str) -> Callable[[PatternDocument], bool]:
+    """Documents that store part and, given modes, are of the cross-ratio route in one of them."""
+    return lambda doc: bool(getattr(doc, part)) and (
+        not modes or doc.route == "crossratio" and doc.mode in modes)
+
+
+def _later(make):
+    """The items of make(), made at the first one asked for."""
+    yield from make()
+
+
+def _positivity(doc, zf, rf):
+    # positive (a pole, +inf, is), or the branch point of the c = 2
+    # pattern, whatever the mode that labels it
+    branch = doc.route == "radius" and doc.params.c == 2
+    bad = [s for s, v in rf.values.items()
+           if not (radius_system.is_positive(v) or v == 0 and s == (0, 0, 0) and branch)]
+    return float(len(bad)), rf.values
+
+
+def _immersion(doc, zf, rf):
+    # an sg document stores only the l = 0 plane
+    rep = (geometry.sg_immersion_check if doc.mode == "sg" else geometry.immersion_check)(zf)
+    return float(len(rep.failures)), range(rep.checked_triangles + rep.checked_quads)
+
+
+#: every check, in the order of a default run
+CHECKS: Dict[str, Check] = {
+    "crossratio": Check(1e-9, _stores("vertices"), "faces", lambda doc, zf, rf: (
+        pattern_core.max_face_residual(zf), _later(lambda: pattern_core.iter_faces(zf)))),
+    # a center with one neighbor distance has no spread to test
+    "kite": Check(1e-9, _stores("vertices"), "centers", lambda doc, zf, rf: (
+        max_kite_residual(zf), _later(lambda: (
+            sq for sq in radius_system.axis_sq_distances(zf)[0].values() if len(sq) > 1)))),
+    "immersion": Check(0.0, _stores("vertices"), "triangles or quads", _immersion),
+    "constraint": Check(1e-9, _stores("vertices", "hex"), "interior sites", lambda doc, zf, rf: (
+        pattern_core.max_constraint_residual(zf), pattern_core.interior_sites(zf))),
+    "laxzc": Check(1e-9, _stores("vertices", "hex", "sg"), "faces", lambda doc, zf, rf: (
+        pattern_core.max_zero_curvature_residual(zf),
+        _later(lambda: pattern_core.iter_faces(zf)))),
+    "positivity": Check(0.0, _stores("radii"), "radii", _positivity),
+    "radius_eq": Check(1e-9, _stores("radii"), "stencils", lambda doc, zf, rf: (
+        radius_system.max_equation_residual(rf),
+        _later(lambda: radius_system.equation_defects(rf)))),
+}
+ALL_CHECKS = tuple(CHECKS)
+#: the checks generate records in a document's summary, per route
+SUMMARY_CHECKS = {"crossratio": ("crossratio", "constraint", "laxzc"),
+                  "radius": ("crossratio", "radius_eq")}
+
+
 def applicable_checks(doc: PatternDocument) -> List[str]:
-    checks = []
-    if doc.vertices:
-        checks += ["crossratio", "kite", "immersion"]
-        if doc.route == "crossratio" and doc.mode == "hex":
-            checks.append("constraint")
-        if doc.route == "crossratio" and doc.mode in ("hex", "sg"):
-            checks.append("laxzc")
-    if doc.radii:
-        checks += ["positivity", "radius_eq"]
-    return checks
+    return [name for name, check in CHECKS.items() if check.applies(doc)]
+
+
+def summary(doc: PatternDocument, zf, rf) -> Dict[str, float]:
+    """The residuals of doc's SUMMARY_CHECKS that apply, laxzc as zerocurvature."""
+    return {"zerocurvature" if name == "laxzc" else name: CHECKS[name].sweep(doc, zf, rf)[0]
+            for name in SUMMARY_CHECKS[doc.route] if CHECKS[name].applies(doc)}
 
 
 def run_checks(doc: PatternDocument, checks=None) -> VerifyReport:
@@ -71,13 +114,13 @@ def run_checks(doc: PatternDocument, checks=None) -> VerifyReport:
     zf = pattern_core.FieldSnapshot(doc.zfield(), lax) if doc.vertices else None
     rf = doc.radius_field() if doc.radii else None
     for name in checks:
-        if name not in ALL_CHECKS:
+        if name not in CHECKS:
             raise ValueError(f"unknown check {name}")
         if name not in applicable:
             report.notes.append(f"{name}: not applicable")
             continue
         try:
-            res = _residual(name, doc, zf, rf)
+            res, items = CHECKS[name].sweep(doc, zf, rf)
         except ArithmeticError as exc:
             # a degenerate stencil is a failed check, not a crash
             report.notes.append(f"{name}: {exc}")
@@ -87,49 +130,11 @@ def run_checks(doc: PatternDocument, checks=None) -> VerifyReport:
             report.notes.append(f"{name}: missing vertex {exc}")
             res = math.inf
         report.residuals[name] = res
-        report.passed[name] = res <= DEFAULT_TOLERANCES[name]
-        # a residual above zero proves the check tested something
-        if res == 0.0 and name in CHECK_ITEMS and not _has_items(name, zf, rf):
-            report.notes.append(f"{name}: no {CHECK_ITEMS[name]} to check")
+        report.passed[name] = res <= CHECKS[name].tolerance
+        if res == 0.0 and next(iter(items), None) is None:
+            report.notes.append(f"{name}: no {CHECKS[name].noun} to check")
             report.passed[name] = False
     return report
-
-
-def _has_items(name, zf, rf) -> bool:
-    """Whether a residual check that read 0.0 had anything to test."""
-    if name in ("crossratio", "laxzc"):
-        return next(pattern_core.iter_faces(zf), None) is not None
-    if name == "constraint":
-        return next(pattern_core.interior_sites(zf), None) is not None
-    if name == "kite":
-        return any(len(sq) > 1 for sq in radius_system.axis_sq_distances(zf)[0].values())
-    return bool(radius_system.equation_defects(rf))
-
-
-def _residual(name, doc, zf, rf) -> float:
-    """Residual of one applicable check."""
-    if name == "crossratio":
-        return pattern_core.max_face_residual(zf)
-    elif name == "constraint":
-        return pattern_core.max_constraint_residual(zf)
-    elif name == "laxzc":
-        return pattern_core.max_zero_curvature_residual(zf)
-    elif name == "kite":
-        return max_kite_residual(zf)
-    elif name == "positivity":
-        # positive (a pole, +inf, is), or the branch point of the c = 2
-        # pattern, whatever the mode that labels it
-        branch = doc.route == "radius" and doc.params.c == 2
-        bad = [s for s, v in rf.values.items()
-               if not (radius_system.is_positive(v) or v == 0 and s == (0, 0, 0) and branch)]
-        return float(len(bad))
-    elif name == "immersion":
-        if doc.mode == "sg":  # the document stores only the l = 0 plane
-            rep = geometry.sg_immersion_check(zf)
-        else:
-            rep = geometry.immersion_check(zf)
-        return float(len(rep.failures))
-    return radius_system.max_equation_residual(rf)  # radius_eq
 
 
 def max_kite_residual(zf) -> float:

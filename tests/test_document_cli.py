@@ -134,7 +134,7 @@ def _check_values(doc, zf, reverse=False):
     out = {}
     for name in verify.applicable_checks(doc)[::-1 if reverse else 1]:
         try:
-            out[name] = repr(verify._residual(name, doc, zf, rf))
+            out[name] = repr(verify.CHECKS[name].sweep(doc, zf, rf)[0])
         except (ArithmeticError, KeyError) as exc:
             out[name] = repr(exc)
     return out
