@@ -113,19 +113,6 @@ def _step_raw(n: int, x_prev, x_cur, c, eps):
     return x_next / mag, abs(mag - 1)
 
 
-def dpii_step(n: int, x_prev: complex, x_cur: complex, c: float,
-              epsilon: complex) -> complex:
-    """x_{n+1} solving the recurrence, renormalized to unit modulus; for
-    n = 0 x_prev is ignored."""
-    return _step_raw(n, x_prev, x_cur, c, epsilon)[0]
-
-
-def sector_of(x, b: Boundary) -> SectorTag:
-    """The sector of a unit complex x, by sector_of_signs."""
-    x, eps = complex(x), b.eps()
-    return sector_of_signs(x.imag, x.imag * eps.real - x.real * eps.imag)
-
-
 def sector_of_signs(im_x, im_x_conj_eps) -> SectorTag:
     """The sector of a unit x = exp(i beta) from the signs of Im x and
     Im(x conj(epsilon)) = sin(beta - alpha), for 0 < alpha < pi.
@@ -251,7 +238,7 @@ class RunSetup:
             self.one, where, eps = 1.0, "in double", b.eps()
             er, ei = eps.real, eps.imag
             self.step = lambda n, prev, cur: _step_raw(n, prev, cur, b.c, eps)
-            # sector_of's signs, with epsilon taken once
+            # sector_of_signs, with epsilon taken once
             self.sector = lambda z: sector_of_signs(z.imag, z.imag * er - z.real * ei)
         else:
             bits = self.bits

@@ -80,13 +80,6 @@ class PatternParams(namedtuple("PatternParams", "alphas c precision dps alpha_pi
         return bk.angle(self.alphas[i], frac)
 
 
-def isotropic_params(c: float, precision: str = DOUBLE,
-                     dps: int = DEFAULT_EXT_DPS) -> PatternParams:
-    third = Fraction(1, 3)
-    return PatternParams(alphas=(math.pi / 3,) * 3, c=c, precision=precision,
-                         dps=dps, alpha_pi_fracs=(third, third, third))
-
-
 class ZField(Record):
     """Discrete map on Q up to a generation bound."""
 
@@ -126,13 +119,6 @@ def memoised(fn):
     return wrapper
 
 
-def cross_ratio(z1, z2, z3, z4) -> ComplexNumber:
-    den = (z2 - z3) * (z4 - z1)
-    if den == 0:
-        raise DegenerateQuadError("coincident points in cross-ratio")
-    return (z1 - z2) * (z3 - z4) / den
-
-
 def _divide(nx, ny, dx, dy) -> Tuple[int, int]:
     """(nx + i ny) / (dx + i dy) as N conj(D) / |D|**2, each part rounded to nearest."""
     m = dx * dx + dy * dy
@@ -140,8 +126,9 @@ def _divide(nx, ny, dx, dy) -> Tuple[int, int]:
 
 
 def solve_fourth(z1, z2, z3, q_target, bits: Optional[int] = None) -> ComplexNumber:
-    """Fourth vertex with cross_ratio(z1, z2, z3, result) == q_target:
-    N / D with a = z1 - z2, b = z2 - z3, D = a + q b, N = a z3 + q b z1.
+    """Fourth vertex z4 with cross-ratio (z1 - z2)(z3 - z4) / ((z2 - z3)(z4 - z1))
+    equal to q_target: N / D with a = z1 - z2, b = z2 - z3, D = a + q b,
+    N = a z3 + q b z1.
 
     With bits, arguments and result are pairs of integers over 2**bits; D
     and N are exact (over 2**(2 bits), 2**(3 bits)) and N / D is one
@@ -586,27 +573,6 @@ def max_face_residual(zf: ZField) -> float:
     return _face_pass(zf, isinstance(zf, FieldSnapshot) and zf.lax)[0]
 
 
-def _axis_stencil(p: MultiIndex):
-    """(n_j, up_j, down_j) of the constraint at p along each axis j."""
-    k, l, m = p
-    return ((k, (k + 1, l, m), (k - 1, l, m)), (l, (k, l + 1, m), (k, l - 1, m)),
-            (m, (k, l, m + 1), (k, l, m - 1)))
-
-
-def constraint_residual(zf: ZField, p: MultiIndex) -> ComplexNumber:
-    """LHS - RHS of the non-autonomous constraint at p (all six neighbors
-    must be stored)."""
-    z0 = zf[p]
-    res = zf.params.c * z0
-    for j, up, dn in _axis_stencil(p):
-        zu, zd = zf[up], zf[dn]
-        den = zu - zd
-        if den == 0:
-            raise DegenerateQuadError(f"collinear stencil degenerate at {p}")
-        res = res - 2 * j * (zu - z0) * (z0 - zd) / den
-    return res
-
-
 def interior_sites(zf: ZField) -> Iterator[MultiIndex]:
     for (k, l, m) in zf.values:
         if k >= 1 and l >= 1 and m <= -1 and generation((k, l, m)) <= zf.generation - 1:
@@ -614,9 +580,9 @@ def interior_sites(zf: ZField) -> Iterator[MultiIndex]:
 
 
 def max_constraint_residual(zf: ZField) -> float:
-    """Worst |constraint_residual| over the interior sites, with its three
-    divisions cleared: with d_j = zu_j - zd_j and P_j = (zu_j - z0)(z0 - zd_j)
-    along each axis j (index n_j = k, l, m), it is |N| / (|d_1| |d_2| |d_3|)
+    """Worst |LHS - RHS| of the non-autonomous constraint over the interior
+    sites, with its three divisions cleared: with d_j = zu_j - zd_j and
+    P_j = (zu_j - z0)(z0 - zd_j) along each axis j (index n_j = k, l, m), it is |N| / (|d_1| |d_2| |d_3|)
     with N = c z0 d_1 d_2 d_3 - 2 sum_j n_j P_j prod_{i != j} d_i, N exact on
     an extended field (field_points) and the ratio one rounded quotient
     under a square root, on an extended field only where _ScreenedWorst
@@ -685,20 +651,14 @@ def _site_defect(scale, nx, ny, d) -> float:
 # transport matrices and the zero-curvature check
 # ---------------------------------------------------------------------------
 
-def lax_deltas(params: PatternParams) -> Dict[int, complex]:
-    """Unit-modulus edge constants from the prescribed face values.
+def _deltas(targets, bk: Backend) -> Dict[int, ComplexNumber]:
+    """Unit-modulus edge constants from the face targets, in the context of
+    bk.
 
     The compatibility of two transport products around a face forces the
     ratio delta_j/delta_i to equal the inverse cross-ratio of that face, so
     the ratios are the inverse targets, with delta_1 = 1 frozen.
     """
-    bk = params.backend()
-    with bk.context():
-        return _deltas(face_targets(params, bk), bk)
-
-
-def _deltas(targets, bk: Backend) -> Dict[int, ComplexNumber]:
-    """lax_deltas from the face targets, in the context of bk."""
     ratios = {t: 1 / r for t, r in targets.items()}
     d1 = bk.exp_i(0)
     return {1: d1, 2: d1 / ratios[1], 3: d1 * ratios[3]}

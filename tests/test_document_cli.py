@@ -11,8 +11,9 @@ from mpmath.libmp import dps_to_prec, finf, fninf, fnan, from_man_exp, fzero
 from hexcircle import (cli, document, numerics, painleve, pattern_core, radius_system, riccati,
                        verify)
 from hexcircle.document import DocumentError, load_document, save_document
-from hexcircle.pattern_core import generate_z, isotropic_params
+from hexcircle.pattern_core import generate_z
 from hexcircle.svg import render_svg
+from oracle import isotropic_params
 from test_geometry import reference_quad_sweep
 from test_numerics import _count_arithmetic
 

@@ -13,12 +13,11 @@ from hexcircle import lattice
 from hexcircle.geometry import (_WEDGES, ReconstructionError, _spoke_separates,
                                 immersion_check, orientation, reconstruct,
                                 sg_immersion_check, sg_slice)
-from hexcircle.pattern_core import (PatternParams, ZField, cross_ratio,
-                                    generate_z, isotropic_params,
-                                    iter_slab_faces, max_constraint_residual,
-                                    max_face_residual)
+from hexcircle.pattern_core import (PatternParams, ZField, generate_z, iter_slab_faces,
+                                    max_constraint_residual, max_face_residual)
 from hexcircle.radius_system import RadiusField, dual, extract_radii, generate_radii
 from hexcircle.verify import max_kite_residual
+from oracle import cross_ratio, isotropic_params
 from test_acceptance import sg_radius_residual
 from test_lattice import sub_generation
 

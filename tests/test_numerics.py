@@ -16,8 +16,9 @@ from hexcircle import painleve, pattern_core, radius_system, verify
 from hexcircle.numerics import (MAX_DPS, MAX_EXP, MIN_EXP, Backend, aligned_points,
                                 aligned_reals, div_nearest, nearest_double, quotient, raw_mpf,
                                 required_dps, root_quotient)
-from hexcircle.pattern_core import generate_z, isotropic_params
+from hexcircle.pattern_core import generate_z
 from hexcircle.riccati import Boundary
+from oracle import isotropic_params
 
 EXT = Backend("ext", 40)
 

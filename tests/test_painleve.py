@@ -7,10 +7,10 @@ import pytest
 
 from hexcircle import painleve
 from hexcircle.numerics import fixed_bits, fixed_unit, required_dps
-from hexcircle.painleve import (BracketError, RunSetup, SectorTag, dpii_step, growth_rate,
-                                run_trajectory, sector_of, sector_of_signs, shoot,
-                                shoot_horizon)
+from hexcircle.painleve import (BracketError, RunSetup, SectorTag, growth_rate,
+                                run_trajectory, sector_of_signs, shoot, shoot_horizon)
 from hexcircle.riccati import Boundary
+from oracle import dpii_step, sector_of
 
 
 def sector_of_beta(beta: float, alpha: float) -> SectorTag:

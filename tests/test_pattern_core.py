@@ -11,11 +11,10 @@ from hexcircle.numerics import (aligned_points, fixed_bits, fixed_real, fixed_un
                                 quotient, root_quotient, worse, worst_of)
 from hexcircle.pattern_core import (MU_MAX, DegenerateQuadError, PatternParams,
                                     UnsupportedExponentError, ZField,
-                                    axis_next, constraint_residual,
-                                    cross_ratio, face_sites, generate_z,
-                                    isotropic_params, lax_deltas,
+                                    axis_next, face_sites, generate_z,
                                     solve_fourth)
 from hexcircle.verify import max_kite_residual
+from oracle import axis_stencil, constraint_residual, cross_ratio, isotropic_params, lax_deltas
 
 ISO = (math.pi / 3,) * 3
 ANISO = (math.pi / 4, math.pi / 4, math.pi / 2)
@@ -680,7 +679,7 @@ def exhaustive_constraint(zf):
     for p in pattern_core.interior_sites(zf):
         try:
             ends = [(2 * n * k_one, pts[up], pts[dn])
-                    for n, up, dn in pattern_core._axis_stencil(p)]
+                    for n, up, dn in axis_stencil(p)]
         except KeyError as exc:
             raise pattern_core.IncompleteStencilError(exc.args[0]) from None
         if any(u == w for _, u, w in ends):

@@ -10,19 +10,43 @@ from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
 from hexcircle import lattice, radius_system
 from hexcircle.lattice import border_fill_stencil, hex_stencil_slots
 from hexcircle.numerics import GUARD_BITS, fixed_bits, fixed_real, parse_angles
-from hexcircle.pattern_core import PatternParams, generate_z, isotropic_params
+from hexcircle.pattern_core import PatternParams, generate_z
 from hexcircle.radius_system import (POLE, DegenerateStencilError,
                                      PositivityViolation, angle_constants,
-                                     border_residual, border_solve,
-                                     compare_routes, dual, equation_defects,
-                                     extract_radii, generate_radii,
-                                     hex_residual, hex_solve, is_pole, is_positive,
+                                     border_solve, compare_routes, dual,
+                                     equation_defects, extract_radii, generate_radii,
+                                     hex_solve, is_pole, is_positive,
                                      max_equation_residual, seeds_from_pattern,
-                                     tri_residual, tri_solve_slot2,
-                                     z2_initial)
+                                     tri_solve_slot2, z2_initial)
+
+import oracle
+from oracle import border_residual, hex_residual, isotropic_params, tri_residual
 
 ISO = (math.pi / 3,) * 3
 DISTINCT = (0.7, 1.1, math.pi - 1.8)
+BITS = fixed_bits(40)
+
+
+def _fixed(x):
+    return fixed_real(x, BITS)
+
+
+def _on_integers(solve):
+    """An integer solver of the package read through floats: its float
+    arguments (the radii and c) rounded to integers over 2**BITS, the
+    result divided back."""
+    def run(*args, **kw):
+        def read(x):
+            return _fixed(x) if type(x) is float else x
+        return solve(*map(read, args), bits=BITS,
+                     **{k: read(v) for k, v in kw.items()}) / 2 ** BITS
+    return run
+
+
+def _forms(name):
+    """The radius solver name in the oracle's float form and as the
+    package's integer solver at BITS."""
+    return getattr(oracle, name), _on_integers(getattr(radius_system, name))
 
 
 @pytest.fixture(scope="module")
@@ -34,62 +58,66 @@ def oracle_field():
 
 def test_border_solve_constant_solution():
     params = PatternParams(alphas=ISO, c=1.2)
-    for rho in (0.5, 1.0, 2.5):
-        for idx in (2, 3):
-            assert border_solve(rho, rho, rho, idx, params) == pytest.approx(rho)
+    for solve in _forms("border_solve"):
+        for rho in (0.5, 1.0, 2.5):
+            for idx in (2, 3):
+                assert solve(rho, rho, rho, idx, params) == pytest.approx(rho)
 
 
 def test_border_solve_matches_oracle(oracle_field):
     params, rr = oracle_field
-    for n in range(1, 5):
-        got = border_solve(rr[(n, 0, -n)], rr[(n, 1, -n)], rr[(n - 1, 0, -n + 1)],
-                           3, params)
-        assert got == pytest.approx(rr[(n + 1, 0, -n - 1)], abs=1e-9)
-        got = border_solve(rr[(0, n, -n)], rr[(1, n, -n)], rr[(0, n - 1, -n + 1)],
-                           2, params)
-        assert got == pytest.approx(rr[(0, n + 1, -n - 1)], abs=1e-9)
+    for solve in _forms("border_solve"):
+        for n in range(1, 5):
+            got = solve(rr[(n, 0, -n)], rr[(n, 1, -n)], rr[(n - 1, 0, -n + 1)], 3, params)
+            assert got == pytest.approx(rr[(n + 1, 0, -n - 1)], abs=1e-9)
+            got = solve(rr[(0, n, -n)], rr[(1, n, -n)], rr[(0, n - 1, -n + 1)], 2, params)
+            assert got == pytest.approx(rr[(0, n + 1, -n - 1)], abs=1e-9)
 
 
 def test_border_solve_self_consistency_random():
     params = PatternParams(alphas=DISTINCT, c=0.9)
-    rng = random.Random(23)
     t3 = math.cos(DISTINCT[2])
-    checked = 0
-    for _ in range(200):
-        r, r2, r3 = (rng.uniform(0.2, 3.0) for _ in range(3))
-        r1 = border_solve(r, r2, r3, 3, params)
-        if r1 > 0:
-            checked += 1
-            assert abs(border_residual(r, r1, r2, r3, t3)) <= 1e-12 * max(r, r1, r2, r3) ** 3
-    assert checked > 50
+    for solve in _forms("border_solve"):
+        rng = random.Random(23)
+        checked = 0
+        for _ in range(200):
+            r, r2, r3 = (rng.uniform(0.2, 3.0) for _ in range(3))
+            r1 = solve(r, r2, r3, 3, params)
+            if r1 > 0:
+                checked += 1
+                assert abs(border_residual(r, r1, r2, r3, t3)) <= 1e-12 * max(r, r1, r2, r3) ** 3
+        assert checked > 50
 
 
 def test_hex_solve_constant_at_c1():
-    for rho in (0.3, 1.0, 4.0):
-        out = hex_solve(2, 1, -3, r1=rho, r3=rho, r4=rho, r5=rho, r6=rho, c=1.0)
-        assert out == pytest.approx(rho)
+    for solve in _forms("hex_solve"):
+        for rho in (0.3, 1.0, 4.0):
+            out = solve(2, 1, -3, r1=rho, r3=rho, r4=rho, r5=rho, r6=rho, c=1.0)
+            assert out == pytest.approx(rho)
 
 
 def test_hex_solve_diagonal_recurrence():
     # label (K,K,-K-1) couples only the unknown pair: r2 = r5 (2K+c)/(2K+2-c)
-    for c in (0.5, 1.5):
-        for K in range(0, 4):
-            out = hex_solve(K, K, -K - 1, r5=1.7, c=c)
-            assert out == pytest.approx(1.7 * (2 * K + c) / (2 * K + 2 - c))
-    assert hex_solve(0, 0, -1, r5=1.0, c=1.5) == pytest.approx(3.0)
+    for solve in _forms("hex_solve"):
+        for c in (0.5, 1.5):
+            for K in range(0, 4):
+                out = solve(K, K, -K - 1, r5=1.7, c=c)
+                assert out == pytest.approx(1.7 * (2 * K + c) / (2 * K + 2 - c))
+        assert solve(0, 0, -1, r5=1.0, c=1.5) == pytest.approx(3.0)
 
 
 def test_hex_solve_border_reduction_formula():
     # label (K,L,-K-1): r2 = r5 ((2L+c) r1 + (2K+c) r4)/((2K+2-c) r1 + (2L+2-c) r4)
-    rng = random.Random(4)
-    for _ in range(40):
-        K, L = rng.randint(0, 5), rng.randint(0, 5)
-        c = rng.uniform(0.2, 1.8)
-        r1, r4, r5 = (rng.uniform(0.2, 3.0) for _ in range(3))
-        got = hex_solve(K, L, -K - 1, r1=r1, r4=r4, r5=r5, c=c)
-        want = r5 * ((2 * L + c) * r1 + (2 * K + c) * r4) / (
-            (2 * K + 2 - c) * r1 + (2 * L + 2 - c) * r4)
-        assert got == pytest.approx(want, rel=1e-12)
+    for solve in _forms("hex_solve"):
+        rng = random.Random(4)
+        for _ in range(40):
+            K, L = rng.randint(0, 5), rng.randint(0, 5)
+            c = rng.uniform(0.2, 1.8)
+            r1, r4, r5 = (rng.uniform(0.2, 3.0) for _ in range(3))
+            got = solve(K, L, -K - 1, r1=r1, r4=r4, r5=r5, c=c)
+            want = r5 * ((2 * L + c) * r1 + (2 * K + c) * r4) / (
+                (2 * K + 2 - c) * r1 + (2 * L + 2 - c) * r4)
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_hex_residual_on_oracle(oracle_field):
@@ -135,8 +163,8 @@ def test_tri_relations_on_oracle(oracle_field):
             r1, r2, r3 = (rr[s] for s in minus)
             assert abs(tri_residual(rr[(K, L, M)], r1, r2, r3, params)) <= 1e-8
             # slot-2 rearrangement used by the fill
-            assert tri_solve_slot2(rr[(K, L, M)], r1, r3, params) == pytest.approx(
-                r2, abs=1e-8)
+            for solve in _forms("tri_solve_slot2"):
+                assert solve(rr[(K, L, M)], r1, r3, params) == pytest.approx(r2, abs=1e-8)
     assert hits > 30
 
 
@@ -162,6 +190,15 @@ def test_generate_radii_matches_oracle_deep():
     worst, count = compare_routes(isotropic_params(1.5), 8)
     assert count > 60
     assert worst <= 1e-8
+
+
+def test_compare_routes_keeps_a_nan_gap(monkeypatch):
+    # NaN evolved-map radii must not leave the worst gap at 0.0
+    extract = radius_system.extract_radii
+    monkeypatch.setattr(radius_system, "extract_radii",
+                        lambda zf: dict.fromkeys(extract(zf), math.nan))
+    worst, count = compare_routes(isotropic_params(1.5), 4)
+    assert math.isnan(worst) and count > 20
 
 
 def test_diagonal_recurrence_on_field(oracle_field):
@@ -428,11 +465,12 @@ def test_fill_computes_its_angle_constants_once(monkeypatch):
 
 def _replayed_fill(params, n, bits=None, seeds=None):
     """The fill replayed stencil by stencil with the single-stencil solvers,
-    each taking its angle constants itself: with bits on integers over
-    2**bits (from the seed rule's integers unless seeds are given), else
-    with the mpf solvers at the working precision, as the fill ran before
-    the fixed-point route.  ({site: value}, solves per tag)."""
+    each taking its angle constants itself: with bits the package's, on
+    integers over 2**bits (from the seed rule's integers unless seeds are
+    given), else the oracle's mpf solvers at the working precision, as the
+    fill ran before the fixed-point route.  ({site: value}, solves per tag)."""
     read = (lambda x: x) if bits is None else (lambda x: fixed_real(x, bits))
+    solvers, kw = (oracle, {}) if bits is None else (radius_system, {"bits": bits})
     read_seed = read if seeds else (lambda x: x)
     if seeds is None:
         seeds = (z2_initial if params.c == 2 else seeds_from_pattern)(params, bits)
@@ -445,16 +483,16 @@ def _replayed_fill(params, n, bits=None, seeds=None):
                 continue
             if entry.tag == lattice.TAG_HEX:
                 label, slots = lattice.black_fill_stencil(site)
-                out[site] = hex_solve(*label, c=c, bits=bits, **{
+                out[site] = solvers.hex_solve(*label, c=c, **kw, **{
                     name: out.get(slots[name]) for name in ("r1", "r3", "r4", "r5", "r6")})
             elif entry.tag == lattice.TAG_BORDER:
                 st = border_fill_stencil(site)
-                out[site] = border_solve(out[st["r"]], out[st["r2"]], out[st["r3"]],
-                                         st["angle_index"], params, bits=bits)
+                out[site] = solvers.border_solve(out[st["r"]], out[st["r2"]], out[st["r3"]],
+                                                 st["angle_index"], params, **kw)
             else:
                 st = lattice.tri_fill_stencil(site)
-                out[site] = tri_solve_slot2(out[st["r"]], out[st["r1"]], out[st["r3"]],
-                                            params, bits=bits)
+                out[site] = solvers.tri_solve_slot2(out[st["r"]], out[st["r1"]],
+                                                    out[st["r3"]], params, **kw)
             if not out[site] > 0:
                 raise PositivityViolation(site=site, value=out[site], tag=entry.tag,
                                           upstream={})
@@ -497,13 +535,6 @@ def test_fill_values_are_the_single_stencil_solves():
         assert min(counts.values()) >= 10 and sum(counts.values()) >= 60
 
 
-BITS = fixed_bits(40)
-
-
-def _fixed(x):
-    return fixed_real(x, BITS)
-
-
 def _within_half_unit(got, exact):
     assert type(got) is int
     assert abs(got - exact * 2 ** BITS) <= Fraction(1, 2), (got, exact)
@@ -541,16 +572,16 @@ def test_integer_solves_are_within_half_a_unit_of_the_exact_solves():
             a_fac = fr * fr - f2 * f3 + fr * (f3 - f2) * t
             exact = -(f2 * a_fac + (f3 + f2) * fr * (fr - f2 * t)) / (
                 a_fac + (f3 + f2) * (fr * t - f2))
-            _within_half_unit(border_solve(r1, r2, r3, idx, params, cosines, BITS), exact)
+            _within_half_unit(border_solve(r1, r2, r3, idx, params, cosines, bits=BITS), exact)
         # the cosines taken by the solve itself are the same integers
         assert border_solve(r1, r2, r3, 2, params, bits=BITS) == border_solve(
-            r1, r2, r3, 2, params, cosines, BITS)
+            r1, r2, r3, 2, params, cosines, bits=BITS)
         s1, s2, s3 = (Fraction(x, 2 ** BITS) for x in sines)
         fr, f1, f3 = (Fraction(x, 2 ** BITS) for x in (r4, r5, r6))
         exact = (f1 * f3 * s1 - fr * (f1 * s3 + f3 * s2)) / (fr * s1 - f1 * s2 - f3 * s3)
-        _within_half_unit(tri_solve_slot2(r4, r5, r6, params, sines, BITS), exact)
+        _within_half_unit(tri_solve_slot2(r4, r5, r6, params, sines, bits=BITS), exact)
         assert tri_solve_slot2(r4, r5, r6, params, bits=BITS) == tri_solve_slot2(
-            r4, r5, r6, params, sines, BITS)
+            r4, r5, r6, params, sines, bits=BITS)
     assert pairs_seen[1] > 30 and pairs_seen[2] > 30
     # the constants lie within one unit of the working-precision ones
     with mp.workdps(60):
@@ -562,17 +593,17 @@ def test_integer_solves_degenerate_denominators():
     one, params = 1 << BITS, _ext_params(1.37)
     # zero pairs at the diagonal label; c = 2 leaves co_m - acc = 0
     assert hex_solve(0, 0, -1, r5=3 * one, c=2 * one, bits=BITS) == radius_system.POLE
-    assert hex_solve(0, 0, -1, r5=3.0, c=2.0) == radius_system.POLE
+    assert oracle.hex_solve(0, 0, -1, r5=3.0, c=2.0) == radius_system.POLE
     # border: with t = 0, r = 2, r2 = 1 and r3 = 3/2 zero the denominator
     with pytest.raises(DegenerateStencilError):
-        border_solve(2 * one, one, 3 * one // 2, 3, params, (0, 0, 0), BITS)
+        border_solve(2 * one, one, 3 * one // 2, 3, params, (0, 0, 0), bits=BITS)
     with pytest.raises(DegenerateStencilError):
-        border_solve(2.0, 1.0, 1.5, 3, params, (0.0, 0.0, 0.0))
+        oracle.border_solve(2.0, 1.0, 1.5, 3, params, (0.0, 0.0, 0.0))
     # three-circle: equal sines and r = r1 + r3
     with pytest.raises(DegenerateStencilError):
-        tri_solve_slot2(3 * one, one, 2 * one, params, (one, one, one), BITS)
+        tri_solve_slot2(3 * one, one, 2 * one, params, (one, one, one), bits=BITS)
     with pytest.raises(DegenerateStencilError):
-        tri_solve_slot2(3.0, 1.0, 2.0, params, (1.0, 1.0, 1.0))
+        oracle.tri_solve_slot2(3.0, 1.0, 2.0, params, (1.0, 1.0, 1.0))
     # a vanishing pair sum
     with pytest.raises(DegenerateStencilError):
         hex_solve(2, 1, -3, r1=one, r4=-one, r5=one, c=one, bits=BITS)
@@ -586,27 +617,28 @@ def test_pole_slots_keep_the_mpf_outcome():
         msin, mcos = angle_constants(params)
         m = mp.mpf(1)
         # r5: both raise
-        for r5, c, kw in ((pole, 2 * one, {"bits": BITS}), (pole, 2.0, {})):
+        for solve, r5, c, kw in ((hex_solve, pole, 2 * one, {"bits": BITS}),
+                                 (oracle.hex_solve, pole, 2.0, {})):
             with pytest.raises(DegenerateStencilError):
-                hex_solve(0, 0, -1, r5=r5, c=c, **kw)
+                solve(0, 0, -1, r5=r5, c=c, **kw)
             with pytest.raises(DegenerateStencilError):
-                hex_solve(2, 1, -4, r1=pole, r3=one if kw else m, r4=one if kw else m,
-                          r5=r5, r6=one if kw else m, c=c, **kw)
+                solve(2, 1, -4, r1=pole, r3=one if kw else m, r4=one if kw else m,
+                      r5=r5, r6=one if kw else m, c=c, **kw)
         # any other slot: NaN on both routes
         for slot in ("r1", "r3", "r4", "r6"):
             ints = {"r1": one, "r3": 2 * one, "r4": 3 * one, "r5": one, "r6": one, slot: pole}
             mpfs = {k: v if v == pole else mp.mpf(v) / one for k, v in ints.items()}
             assert math.isnan(hex_solve(2, 1, -4, c=one, bits=BITS, **ints))
-            assert mp.isnan(hex_solve(2, 1, -4, c=1.0, **mpfs))
+            assert mp.isnan(oracle.hex_solve(2, 1, -4, c=1.0, **mpfs))
         for i in range(3):
             ints = [one, 2 * one, 3 * one]
             ints[i] = pole
             mpfs = [v if v == pole else mp.mpf(v) / one for v in ints]
             for idx in (2, 3):
-                assert math.isnan(border_solve(*ints, idx, params, cosines, BITS))
-                assert mp.isnan(border_solve(*mpfs, idx, params, mcos))
-            assert math.isnan(tri_solve_slot2(*ints, params, sines, BITS))
-            assert mp.isnan(tri_solve_slot2(*mpfs, params, msin))
+                assert math.isnan(border_solve(*ints, idx, params, cosines, bits=BITS))
+                assert mp.isnan(oracle.border_solve(*mpfs, idx, params, mcos))
+            assert math.isnan(tri_solve_slot2(*ints, params, sines, bits=BITS))
+            assert mp.isnan(oracle.tri_solve_slot2(*mpfs, params, msin))
     # and through the fill: a pole seed under a three-circle and border solve
     seeds = seeds_from_pattern(params)
     seeds[(1, 0, -1)] = pole
