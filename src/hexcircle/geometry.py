@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import lattice
 from .lattice import MultiIndex, SubIndex
-from .numerics import Record, nearest_double
+from .numerics import Record, nearest_double, worse
 from .pattern_core import ZField, field_points
 from .radius_system import RadiusField, extract_radii, is_pole
 
@@ -94,7 +94,8 @@ def reconstruct(rf: RadiusField) -> ZField:
     The origin circle sits at 0 with its first k-spoke along the positive
     real axis (a pole there moves the anchor to the next boundary circle).
     Each intersection point is placed once; the worst mismatch of its
-    re-derivations and the worst closure defect go into the metadata.  Each
+    re-derivations and the worst closure defect, NaN once one is
+    (numerics.worse), go into the metadata, and a NaN defect fails.  Each
     radius is read as a float once (numerics.nearest_double): the layout is
     a double one.
     """
@@ -144,8 +145,8 @@ def reconstruct(rf: RadiusField) -> ZField:
                 spokes.setdefault(k, u)
         if None not in turns:
             defect = abs(math.prod(turns) - 1)
-            worst_closure = max(worst_closure, defect)
-            if defect > CLOSURE_TOL:
+            worst_closure = worse(worst_closure, defect)
+            if not defect <= CLOSURE_TOL:  # a NaN defect fails too
                 raise ReconstructionError(
                     f"wedge turns around {site} close up to {defect:.3e}")
         # place intersection points
@@ -156,7 +157,7 @@ def reconstruct(rf: RadiusField) -> ZField:
                 continue  # outside the octant Q
             z_p = z_c + r_c * u
             if odd in values:
-                worst_mismatch = max(worst_mismatch, abs(values[odd] - z_p))
+                worst_mismatch = worse(worst_mismatch, abs(values[odd] - z_p))
             else:
                 values[odd] = z_p
         # place adjacent centers

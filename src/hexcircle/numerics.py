@@ -227,14 +227,22 @@ def aligned_points(bk: Backend, values: Mapping):
     2**(MIN_EXP - 4 dps) <= |x| < 2**MAX_EXP: the double range, widened
     below by the roundoff (10**-dps > 2**(-4 dps) of the field's scale)
     left on a coordinate that should be zero, which bounds the integer
-    widths.  In double mode x and y are the floats, with one = 1.0.  None
-    when some value is not finite or lies outside the window, which the
-    sweeps report as NaN.
+    widths.  In double mode x and y are the floats times one = 2**-k, k
+    the exponent that puts the largest modulus in [0.5, 1), clamped to
+    |k| <= 500 so that one and one**2 stay normal: a power of two, exact
+    unless a product falls below the normal doubles.  None when some value
+    is not finite or lies outside the window, which the sweeps report as
+    NaN.
     """
     if bk.is_double:
         if not all(map(cmath.isfinite, values.values())):
             return None
-        return {key: (z.real, z.imag) for key, z in values.items()}, 1.0
+        try:
+            k = math.frexp(max(map(abs, values.values()), default=0.0))[1]
+        except OverflowError:  # a modulus past the float range
+            k = MAX_EXP + 1
+        one = 2.0 ** -max(-500, min(k, 500))
+        return {key: (z.real * one, z.imag * one) for key, z in values.items()}, one
     min_exp, e, read = MIN_EXP - 4 * bk.dps, 0, {}
     mpc, mpf, fzero = mp.mpc, mp.mpf, mp.libmp.fzero
     for key, z in values.items():

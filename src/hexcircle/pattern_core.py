@@ -20,7 +20,7 @@ from .lattice import MultiIndex, generation, q_sites
 from .numerics import (ANGLE_GUARD_BITS, DEFAULT_EXT_DPS, DOUBLE, MAX_EXP, Backend,
                        ComplexNumber, Record, aligned_points, div_nearest, fixed_bits,
                        fixed_real, fixed_unit, mp, quotient, raw_mpf, root_quotient, top_bits,
-                       worse, worst_of)
+                       worst_of)
 
 ANGLE_SUM_TOL = 1e-12
 
@@ -348,6 +348,8 @@ def field_points(zf: ZField):
 SCREEN_MARGIN = 1 - 2.0 ** -40
 #: the slack that moves a bound made of float estimates past its residual
 SLACK = 2.0 ** -44
+#: a double read's slack on delta_t and floor on a chain's moduli (_ScreenedWorst)
+DOUBLE_SLACK, DOUBLE_FLOOR = 2.0 ** -50, 2.0 ** -496
 
 
 class _ScreenedWorst:
@@ -362,24 +364,26 @@ class _ScreenedWorst:
     bit for bit.  Any other estimate never screens: NaN, and 0 or inf,
     where the estimate left the float range.
 
-    The bound.  On an extended field a sweep forms each numerator exactly,
-    as an integer, and estimates the residual in floats.  Each modulus is
-    math.hypot of two integers, both converted by a correctly rounded
-    float() and the result within one ulp, so within 2**-51 of the true
-    modulus.  An estimate is made of chains: each starts from a modulus,
+    The bound.  A sweep forms each numerator once, as an integer on an
+    extended read, in floats on a double one, and the estimate and the
+    rounding both start from it.  Each modulus is math.hypot of two
+    numbers (integers by a correctly rounded float()), within 2**-51.  An
+    extended estimate is made of chains: each starts from a modulus,
     multiplies by factors >= 1 (MU_MAX, a unit of the read, a power of two
-    converted exactly) and then divides by moduli and units, each >= 1 since
+    converted exactly) and then divides by moduli and units, each >= 1 as
     the integers are nonzero.  So each value of a chain lies above its end
     or above 1, and a chain that ends above 1e-300 never left the normal
-    range.  The laxzc estimate multiplies one chain by the largest of three
-    and counts only when both factors end above 1e-300; a chain that ends
-    below stands for a value below 1e-300 too.  With at most seven moduli
-    and eight products and quotients (each within 2**-53), an estimate lies
-    within 7 * 2**-51 + 8 * 2**-53 < 2**-47 of its residual, and the exact
-    formula's rounded quotients under square roots within 2**-50.  Past the
-    float range (_big_estimate) each modulus is taken from top_bits, 2**-990
-    more, and the chains divide mantissas in [0.5, 1), the powers of two
-    applied once, exactly, by ldexp: the same bound.
+    range; the laxzc estimate, one chain times the largest of three, counts
+    only when both end above 1e-300.  With at most seven moduli and eight
+    products and quotients (each within 2**-53), an estimate lies within 7
+    * 2**-51 + 8 * 2**-53 < 2**-47 of its residual, and the exact formula's
+    rounded quotients under square roots within 2**-50.  A double read lies
+    below 1 up to 2**500 (aligned_points), its rounding within 2**-49 where
+    its squares and their products are normal doubles; where a chain's
+    moduli multiply to below DOUBLE_FLOOR = 2**-496 they may not be, and
+    the estimate is NaN.  Past the float range (_big_estimate) each modulus
+    is taken from top_bits, 2**-990 more, and the chains divide mantissas
+    in [0.5, 1), the powers of two applied once, exactly, by ldexp.
 
     Bounds.  The proof asks of est only not to lie 2**-47 below its
     residual, and of the bar not to lie 2**-47 above a held one: a sweep
@@ -390,9 +394,13 @@ class _ScreenedWorst:
     (est + delta_t) shape (1 + SLACK) and low = MU_MAX max(est (1 - SLACK)
     - delta_t, delta_t - est (1 + SLACK)) shape (1 - SLACK), est and shape
     within 2**-47 and delta_t rounded outward, lie beyond 1 +- 2**-45 times
-    the laxzc residual MU_MAX |q - w_t| S, past its rounding (2**-50); each
-    counts only when its factors end above 1e-300 (an absolute error below
-    2**-1070 moves it by less than 2**-70).
+    the laxzc residual MU_MAX |q - w_t| S, past its rounding; each counts
+    only when its factors end above 1e-300 (an absolute error below
+    2**-1070 moves it by less than 2**-70).  A double read rounds n and g
+    apart from the shared a e and b c, so |g/w_one - n/r_one| <= (delta_t
+    + 4 sqrt(2) u) |b c| + u (|n|/r_one + |g|/w_one), u = 2**-53, to first
+    order (PatternParams keeps delta_t below 2**-38): delta_t widens by
+    DOUBLE_SLACK = 8 u each way, and SLACK takes the last term.
     """
 
     def __init__(self, exact, refine=None):
@@ -421,13 +429,12 @@ class _ScreenedWorst:
 
 
 def _float_units(bk: Backend, *ones):
-    """The units ones of a read as floats (powers of two, so exact), for
-    the estimates of _ScreenedWorst; a unit past the float range stays an
-    integer, so that each estimate's division by it overflows into
-    _big_estimate.  None on a double read, whose sweeps round every residual."""
-    if bk.is_double:
-        return None
-    return [float(u) if u.bit_length() <= MAX_EXP else u for u in ones]
+    """The units ones of a read as floats (powers of two, so exact), an
+    extended one past the float range kept an integer that overflows each
+    estimate into _big_estimate; then the read's slack and floor, 0.0 and
+    0.0 on an extended read (_ScreenedWorst)."""
+    floats = [float(u) if u < 2 ** MAX_EXP else u for u in ones]
+    return floats + ([DOUBLE_SLACK, DOUBLE_FLOOR] if bk.is_double else [0.0, 0.0])
 
 
 def _big_estimate(unit: int, num, *dens) -> float:
@@ -462,14 +469,15 @@ def _lax_gap(w_scale, one_sq, gx, gy, ax, ay, ex, ey, bsq, csq) -> float:
     return MU_MAX * root_quotient(gx * gx + gy * gy, w_scale * bsq * csq) * math.sqrt(shape)
 
 
-def _lax_estimate(w, w_one, fw, t, aex, aey, px, py, ax, ay, ex, ey, bx, by, cx, cy,
+def _lax_estimate(w, w_one, fw, floor, t, aex, aey, px, py, ax, ay, ex, ey, bx, by, cx, cy,
                   shape, lb, lc):
     """The laxzc estimate of a face from g = w_one a e - w_t b c (top bits
     past the float range, and at lb = 0.0), with the parts _lax_gap rounds."""
     rx, ry = w[t]
     gx, gy = w_one * aex - (rx * px - ry * py), w_one * aey - (rx * py + ry * px)
     try:
-        dw = MU_MAX * math.hypot(gx, gy) / fw / lb / lc
+        lg = math.hypot(gx, gy)
+        dw = MU_MAX * lg / fw / lb / lc if lg * lb * lc >= floor else math.nan
     except ArithmeticError:
         dw = MU_MAX * _big_estimate(w_one, (gx, gy), (bx, by), (cx, cy))
     return (dw * shape if min(dw, shape) > 1e-300 else math.nan,
@@ -485,11 +493,10 @@ def _face_pass(zf: ZField, lax: bool):
     (|b| |c|); each check has its own r over its own r_one, and forms
     r_one (a e - r b c) from the shared a e and b c, with no division.
 
-    On an extended field only the crossratio numerator is exact at every
-    face, the laxzc one only where its bounds from the crossratio estimate
-    do not rule the face out; each check rounds only the faces that no
-    estimate rules out (_ScreenedWorst), and its worst is the one every
-    face rounded gives, bit for bit.  A double field rounds every face."""
+    The laxzc numerator is formed only where its bounds from the crossratio
+    estimate do not rule the face out; each check rounds only the faces no
+    estimate rules out (_ScreenedWorst), on either read, and its worst is
+    the one every face rounded gives, bit for bit."""
     read = field_points(zf)
     if read is None:
         return math.nan, math.nan
@@ -502,16 +509,15 @@ def _face_pass(zf: ZField, lax: bool):
         if lax:  # delta_i / delta_j for each face type (i, j) of FACE_SPAN
             d = _deltas(targets, bk)
             w, w_one = aligned_points(bk, {t: d[i] / d[j] for t, (i, j) in FACE_SPAN.items()})
-    scale, w_scale, one_sq = r_one * r_one, w_one * w_one, one * one
-    # delta_t = |w_t / w_one - r_t / r_one| rounded up (_ScreenedWorst)
-    delta = {t: root_quotient((wx * r_one - r[t][0] * w_one) ** 2
-                              + (wy * r_one - r[t][1] * w_one) ** 2, (w_one * r_one) ** 2)
-             * (1 + 2 ** -50) for t, (wx, wy) in w.items()}
-    cr = _ScreenedWorst(functools.partial(_face_defect, scale))
-    units, hypot = _float_units(bk, r_one, w_one, one), math.hypot
-    zc = _ScreenedWorst(functools.partial(_lax_gap, w_scale, one_sq),
-                        functools.partial(_lax_estimate, w, w_one, units and units[1]))
-    worst, gap, degenerate = 0.0, 0.0, False
+    fr, fw, fo, slack, floor = _float_units(bk, r_one, w_one, one)
+    # delta_t = |w_t / w_one - r_t / r_one| rounded up and down, each past the slack
+    delta = {t: (dt + slack, dt * (1 - 2 ** -49) - slack) for t, dt in (
+        (t, root_quotient((wx * r_one - r[t][0] * w_one) ** 2 + (wy * r_one - r[t][1] * w_one) ** 2,
+                          (w_one * r_one) ** 2) * (1 + 2 ** -50)) for t, (wx, wy) in w.items())}
+    cr = _ScreenedWorst(functools.partial(_face_defect, r_one * r_one))
+    zc = _ScreenedWorst(functools.partial(_lax_gap, w_one * w_one, one * one),
+                        functools.partial(_lax_estimate, w, w_one, fw, floor))
+    degenerate, hypot, fo_low = False, math.hypot, min(fo, 1.0)
     mu_up, mu_down = MU_MAX * (1 + SLACK), MU_MAX * (1 - SLACK)
     for t, _, ((xa, ya), (xb, yb), (xc, yc), (xd, yd)) in _faces(pts):
         ax, ay, bx, by = xb - xa, yb - ya, xa - xd, ya - yd
@@ -523,27 +529,13 @@ def _face_pass(zf: ZField, lax: bool):
         px, py = bx * cx - by * cy, bx * cy + by * cx
         rx, ry = r[t]
         nx, ny = r_one * aex - (rx * px - ry * py), r_one * aey - (rx * py + ry * px)
-        if not units:
-            # a double read rounds every face here, by _face_defect and
-            # _lax_gap written out: a call per face would cost it about 5%
-            bsq, csq = bx * bx + by * by, cx * cx + cy * cy
-            worst = worse(worst, math.sqrt(quotient(nx * nx + ny * ny, scale * bsq * csq)))
-            if lax:
-                rx, ry = w[t]
-                gx, gy = w_one * aex - (rx * px - ry * py), w_one * aey - (rx * py + ry * px)
-                asq, esq = ax * ax + ay * ay, ex * ex + ey * ey
-                shape = max(quotient(csq, esq), quotient(bsq, asq),
-                            quotient(one_sq * ((ex - ax) ** 2 + (ey - ay) ** 2), asq * esq))
-                d = MU_MAX * math.sqrt(quotient(gx * gx + gy * gy, w_scale * bsq * csq))
-                gap = worse(gap, d * math.sqrt(shape))
-            continue
-        fr, _, fo = units
-        try:
-            lb, lc = hypot(bx, by), hypot(cx, cy)
-            est = hypot(nx, ny) / fr / lb / lc
+        try:  # NaN below the read's floor (_ScreenedWorst)
+            lb, lc, ln = hypot(bx, by), hypot(cx, cy), hypot(nx, ny)
+            est = ln / fr / lb / lc if ln * lb * lc >= floor else math.nan
             if lax:  # the shape weight
-                la, le = hypot(ax, ay), hypot(ex, ey)
-                shape = max(lc / le, lb / la, fo * hypot(ex - ax, ey - ay) / la / le)
+                la, le, lea = hypot(ax, ay), hypot(ex, ey), hypot(ex - ax, ey - ay)
+                shape = (max(lc / le, lb / la, fo * lea / la / le)
+                         if fo_low * la * le * lea >= floor else math.nan)
         except OverflowError:  # a modulus past the float range: from its top bits
             lb = lc = 0.0  # and so is the laxzc estimate (_lax_estimate)
             est = _big_estimate(r_one, (nx, ny), (bx, by), (cx, cy))
@@ -554,22 +546,22 @@ def _face_pass(zf: ZField, lax: bool):
         if not cr.screens(est):
             cr.hold(est, nx, ny, bx * bx + by * by, cx * cx + cy * cy)
         if lax:  # bounds (_ScreenedWorst): only the faces zc refines form g
-            hi = est + delta[t]
+            up, down = delta[t]
+            hi = est + up
             ub = mu_up * hi * shape if hi > 1e-300 and shape > 1e-300 else math.nan
-            if not zc.screens(ub):  # delta_t rounded down: times 1 - 2**-49
-                dt = delta[t]
-                lo = max(est * (1 - SLACK) - dt, dt * (1 - 2 ** -49) - est * (1 + SLACK))
+            if not zc.screens(ub):
+                lo = max(est * (1 - SLACK) - up, down - est * (1 + SLACK))
                 zc.hold(ub, t, aex, aey, px, py, ax, ay, ex, ey, bx, by, cx, cy, shape, lb, lc,
                         low=mu_down * lo * shape if lo > 1e-300 and shape > 1e-300 else 0.0)
-    return worse(worst, cr.result()), None if degenerate else worse(gap, zc.result())
+    return cr.result(), None if degenerate else zc.result()
 
 
 def max_face_residual(zf: ZField) -> float:
     """Worst |q - r| of _face_pass, r = exp(-2 i alpha) of the face type, one
-    rounded quotient under a square root, on an extended field only where
-    _ScreenedWorst does not rule the face out.  Faces with a zero
-    edge (collapsed onto the point-circle at the c = 2 branch point) carry
-    no cross-ratio and are skipped.  NaN when the field cannot be read."""
+    rounded quotient under a square root, only where _ScreenedWorst does
+    not rule the face out.  Faces with a zero edge (collapsed onto the
+    point-circle at the c = 2 branch point) carry no cross-ratio and are
+    skipped.  NaN when the field cannot be read."""
     return _face_pass(zf, isinstance(zf, FieldSnapshot) and zf.lax)[0]
 
 
@@ -582,10 +574,10 @@ def interior_sites(zf: ZField) -> Iterator[MultiIndex]:
 def max_constraint_residual(zf: ZField) -> float:
     """Worst |LHS - RHS| of the non-autonomous constraint over the interior
     sites, with its three divisions cleared: with d_j = zu_j - zd_j and
-    P_j = (zu_j - z0)(z0 - zd_j) along each axis j (index n_j = k, l, m), it is |N| / (|d_1| |d_2| |d_3|)
-    with N = c z0 d_1 d_2 d_3 - 2 sum_j n_j P_j prod_{i != j} d_i, N exact on
-    an extended field (field_points) and the ratio one rounded quotient
-    under a square root, on an extended field only where _ScreenedWorst
+    P_j = (zu_j - z0)(z0 - zd_j) along each axis j (index n_j = k, l, m),
+    it is |N| / (|d_1| |d_2| |d_3|) with N = c z0 d_1 d_2 d_3 - 2 sum_j n_j
+    P_j prod_{i != j} d_i, N exact on an extended field (field_points), the
+    ratio one rounded quotient under a square root where _ScreenedWorst
     does not rule the site out.  NaN when the field cannot be read; a
     stencil vertex the field does not store raises IncompleteStencilError,
     a vanishing d_j DegenerateQuadError.
@@ -597,9 +589,8 @@ def max_constraint_residual(zf: ZField) -> float:
     bk = zf.params.backend()
     kc, k_one = aligned_points(bk, {0: zf.params.c})
     cc, unit = kc[0][0], k_one * one
-    scale = unit * unit
-    screen = _ScreenedWorst(functools.partial(_site_defect, scale))
-    units, hypot, worst = _float_units(bk, unit), math.hypot, 0.0
+    screen = _ScreenedWorst(functools.partial(_site_defect, unit * unit))
+    (fu, _, floor), hypot = _float_units(bk, unit), math.hypot
     for p in interior_sites(zf):
         k, l, m = p
         try:  # the ends u_j, w_j of the stencil along each axis
@@ -613,7 +604,7 @@ def max_constraint_residual(zf: ZField) -> float:
         if not ((d1x or d1y) and (d2x or d2y) and (d3x or d3y)):
             raise DegenerateQuadError(f"collinear stencil degenerate at {p}")
         x0, y0 = pts[p]
-        # q_j = 2 n_j P_j in the units of c, in the float order of a double read
+        # q_j = 2 n_j P_j in the units of c
         f, ax, ay, bx, by = 2 * k * k_one, u1x - x0, u1y - y0, x0 - w1x, y0 - w1y
         q1x, q1y = f * (ax * bx - ay * by), f * (ax * by + ay * bx)
         f, ax, ay, bx, by = 2 * l * k_one, u2x - x0, u2y - y0, x0 - w2x, y0 - w2y
@@ -628,17 +619,14 @@ def max_constraint_residual(zf: ZField) -> float:
         ty = q2x * d3y + q2y * d3x + (q3x * d2y + q3y * d2x)
         nx = ax * bx - ay * by - (tx * d1x - ty * d1y)
         ny = ax * by + ay * bx - (tx * d1y + ty * d1x)
-        if not units:  # a double read rounds every site
-            d = (d1x, d1y), (d2x, d2y), (d3x, d3y)
-            worst = worse(worst, _site_defect(scale, nx, ny, d))
-            continue
-        try:
-            est = hypot(nx, ny) / units[0] / hypot(d1x, d1y) / hypot(d2x, d2y) / hypot(d3x, d3y)
+        try:  # NaN below the read's floor (_ScreenedWorst)
+            l1, l2, l3, ln = hypot(d1x, d1y), hypot(d2x, d2y), hypot(d3x, d3y), hypot(nx, ny)
+            est = ln / fu / l1 / l2 / l3 if min(ln, fu, 1.0) * l1 * l2 * l3 >= floor else math.nan
         except OverflowError:  # a modulus past the float range: from its top bits
             est = _big_estimate(unit, (nx, ny), (d1x, d1y), (d2x, d2y), (d3x, d3y))
         if not screen.screens(est):
             screen.hold(est, nx, ny, ((d1x, d1y), (d2x, d2y), (d3x, d3y)))
-    return worse(worst, screen.result())
+    return screen.result()
 
 
 def _site_defect(scale, nx, ny, d) -> float:
@@ -680,9 +668,9 @@ def max_zero_curvature_residual(zf: ZField) -> float:
     mu G (e - a) / (a b c e) and mu G / (a c).  As |delta_j| = 1, the gap is
     MU_MAX |a e - r b c| / (|b| |c|) max(|c|/|e|, |b|/|a|, |e - a| / (|a| |e|))
     with r = delta_i / delta_j, every modulus ratio one rounded quotient
-    under a square root, on an extended field only where _face_pass does
-    not rule the face out.  NaN when the field cannot be read; a zero edge
-    raises DegenerateQuadError.
+    under a square root, only where _face_pass does not rule the face out.
+    NaN when the field cannot be read; a zero edge raises
+    DegenerateQuadError.
     """
     gap = _face_pass(zf, True)[1]
     if gap is None:

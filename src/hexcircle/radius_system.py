@@ -494,7 +494,7 @@ def axis_sq_distances(zf: ZField):
     """The one read of the distances to the axis neighbors, behind
     extract_radii and kite: (_sq_distances of the stored points, one).  On
     an extended field they are exact integers over one**2
-    (pattern_core.field_points), on a double field floats with one = 1.0.
+    (pattern_core.field_points), on a double field floats over one**2.
     None when the field cannot be read: a value that is not finite, or an
     extended value outside the aligned_points window.
     """
@@ -514,11 +514,11 @@ def extract_radii(zf: ZField) -> Dict[SubIndex, float]:
     """Mean distance from each even vertex to its stored neighbors, keyed
     by sublattice label (the oracle for the recurrence route), at the
     precision of the field, from axis_sq_distances.  A double field takes
-    the mean of the math.sqrt of the squares.  On an extended field the
-    roots are taken to 32 bits beyond the working precision (_root_mean),
-    and their sum, over the count, is rounded once to nearest
-    (numerics.raw_mpf).  Every
-    radius is NaN when the field cannot be read.
+    the mean of the math.sqrt of the squares, over its unit one.  On an
+    extended field the roots are taken to 32 bits beyond the working
+    precision (_root_mean), and their sum, over the count, is rounded once
+    to nearest (numerics.raw_mpf).  Every radius is NaN when the field
+    cannot be read.
     """
     bk = zf.params.backend()
     read = axis_sq_distances(zf)
@@ -527,7 +527,8 @@ def extract_radii(zf: ZField) -> Dict[SubIndex, float]:
                              math.nan if bk.is_double else mp.nan)
     sq_of, one = read
     if bk.is_double:
-        return {lattice.to_sub(s): sum(map(math.sqrt, sq)) / len(sq) for s, sq in sq_of.items()}
+        return {lattice.to_sub(s): sum(map(math.sqrt, sq)) / len(sq) / one
+                for s, sq in sq_of.items()}
     make_mpf, prec, log_one = mp.make_mpf, mp.libmp.dps_to_prec(bk.dps), one.bit_length() - 1
     means = {lattice.to_sub(s): _root_mean(sq, prec + 32) for s, sq in sq_of.items()}
     return {s: make_mpf(raw_mpf(num, -log_one, prec, den)) for s, (num, den) in means.items()}

@@ -223,6 +223,25 @@ def test_reconstruct_refuses_radii_that_do_not_close():
         reconstruct(rf)
 
 
+def test_reconstruct_never_drops_a_nan_radius():
+    # one NaN radius at each site in turn: the layout refuses it, or its
+    # metadata reads NaN; never NaN vertices under finite worsts
+    rf = generate_radii(isotropic_params(1.5), 6)
+    refused = 0
+    for site in rf.values:
+        values = {**rf.values, site: math.nan}
+        try:
+            zf = reconstruct(RadiusField(params=rf.params, values=values,
+                                         generation=rf.generation))
+        except ReconstructionError:
+            refused += 1
+            continue
+        if not all(map(cmath.isfinite, zf.values.values())):
+            assert math.isnan(zf.meta["placement_mismatch"]) or math.isnan(
+                zf.meta["wedge_closure"]), site
+    assert refused >= 20
+
+
 @pytest.mark.parametrize("field", ["z2", "log", "c1.5"])
 def test_reconstructed_points_lie_on_their_circles(field):
     """Every placed intersection point lies on the circle of each placed

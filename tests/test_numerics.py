@@ -230,10 +230,16 @@ def test_required_dps_plans_growth_and_refuses_past_the_cap():
 
 
 def test_double_snapshot_is_the_values():
+    # the values times one = 2**-k, the largest modulus (|1 + 2j| = 2.24) in [0.5, 1)
     values = {(0, 0, 0): 1 + 2j, (1, 0, 0): 0.5}
-    assert aligned_points(Backend(), values) == ({(0, 0, 0): (1.0, 2.0),
-                                                  (1, 0, 0): (0.5, 0.0)}, 1.0)
-    assert aligned_reals(Backend(), {0: 0.5, 1: -2.0}) == ({0: 0.5, 1: -2.0}, 1.0)
+    assert aligned_points(Backend(), values) == ({(0, 0, 0): (0.25, 0.5),
+                                                  (1, 0, 0): (0.125, 0.0)}, 0.25)
+    assert aligned_reals(Backend(), {0: 0.5, 1: -2.0}) == ({0: 0.125, 1: -0.5}, 0.25)
+    assert aligned_reals(Backend(), {0: 0.0}) == ({0: 0.0}, 1.0)
+    # |k| <= 500 keeps one and one**2 normal
+    assert aligned_reals(Backend(), {0: 1e-200}) == ({0: 1e-200 * 2.0 ** 500}, 2.0 ** 500)
+    assert aligned_reals(Backend(), {0: 1e300}) == ({0: 1e300 * 2.0 ** -500}, 2.0 ** -500)
+    assert aligned_points(Backend(), {0: complex(1.5e308, 1.5e308)})[1] == 2.0 ** -500
     for bad in (math.nan, math.inf, complex(1, math.nan)):
         assert aligned_points(Backend(), {**values, 2: bad}) is None
     assert aligned_reals(Backend(), {0: 0.5, 1: math.nan}) is None
