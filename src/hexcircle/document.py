@@ -13,8 +13,10 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import re
 import sys
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Dict, List, Optional, Tuple
 
 from .lattice import MultiIndex, SubIndex
@@ -82,6 +84,8 @@ class PatternDocument(Record):
                            generation=self.n_max)
 
 
+_HEADER = r"\n[^\S\n]*(\[.*?)[^\S\n]*$"  # with re.M: a line whose strip() starts "["
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max  # the normal doubles
 #: 10**k: the scale of a token, the decimal shift of the writer
 _ten = functools.cache(lambda k: 10 ** k)
 #: the float mpmath's to_digits_exp converts bits and digits by
@@ -186,6 +190,23 @@ def _parse_site(parts: List[str]) -> MultiIndex:
         raise DocumentError(f"bad site index: {' '.join(parts[:3])}") from None
 
 
+def _rows(body: str, width: int, kind: str, into: dict) -> None:
+    """into[site] = the number tokens of each line of a [vertices] (width 5) or [radii]
+    (width 4) section; the first bad site, or line neither blank nor width tokens, raises."""
+    lines = body.split("\n")
+    widths = list(map(len, map(str.split, lines)))
+    bad = min((widths.index(w) for w in set(widths) - {0, width}), default=None)
+    tokens = (body if bad is None else "\n".join(lines[:bad])).split()
+    cols = [tokens[i::width] for i in range(width)]
+    try:  # each distinct site token converted once
+        ints = {s: int(s) for s in {*cols[0], *cols[1], *cols[2]}}
+    except ValueError:  # the first bad site raises
+        list(map(_parse_site, filter(None, map(str.split, lines[:bad]))))
+    if bad is not None:
+        raise DocumentError(f"bad {kind} line: {lines[bad].strip()}")
+    into.update(zip(zip(*(map(ints.__getitem__, col) for col in cols[:3])), zip(*cols[3:])))
+
+
 def save_document(doc: PatternDocument, path: str) -> None:
     p = doc.params
     lines: List[str] = [FORMAT_HEADER, "[params]"]
@@ -227,47 +248,37 @@ def load_document(path: str, doubles: bool = False) -> PatternDocument:
     at dps; or, with doubles, as float and complex where a double holds them."""
     try:
         with open(path, "r", encoding="ascii") as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
+            chunks = re.split(_HEADER, fh.read(), flags=re.M)
     except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
-    if not lines or lines[0] != FORMAT_HEADER:
+    head, _, chunks[0] = chunks[0].partition("\n")
+    if head != FORMAT_HEADER:
         raise DocumentError("missing or unsupported format header")
-    section = None
     kv: Dict[str, str] = {}
     summary: Dict[str, float] = {}
-    vertices: Dict[MultiIndex, Tuple[str, str]] = {}
-    radii: Dict[SubIndex, str] = {}
-    for ln in lines[1:]:
-        ln = ln.strip()
-        if not ln:
-            continue
-        if ln == "[end]":
+    vertices: Dict[MultiIndex, Tuple[str, str]] = {}  # the last line of a site wins
+    radii: Dict[SubIndex, Tuple[str]] = {}
+    # one pass per section, in file order: the header each body follows
+    for section, body in zip([None] + chunks[1::2], chunks[0::2]):
+        if section == "[end]":
             break
-        if ln.startswith("["):
-            section = ln
-            continue
-        if section == "[params]":
-            if "=" not in ln:
-                raise DocumentError(f"bad params line: {ln}")
-            key, val = (part.strip() for part in ln.split("=", 1))
-            kv[key] = val
-        elif section == "[summary]":
-            if "=" not in ln:
-                raise DocumentError(f"bad summary line: {ln}")
-            key, val = (part.strip() for part in ln.split("=", 1))
-            summary[key] = _parse_number(val, "double")
-        elif section == "[vertices]":
-            parts = ln.split()
-            if len(parts) != 5:
-                raise DocumentError(f"bad vertex line: {ln}")
-            vertices[_parse_site(parts)] = (parts[3], parts[4])
+        if section == "[vertices]":
+            _rows(body, 5, "vertex", vertices)
         elif section == "[radii]":
-            parts = ln.split()
-            if len(parts) != 4:
-                raise DocumentError(f"bad radius line: {ln}")
-            radii[_parse_site(parts)] = parts[3]
-        else:
+            _rows(body, 4, "radius", radii)
+        elif section in ("[params]", "[summary]"):
+            for ln in filter(None, map(str.strip, body.split("\n"))):
+                if "=" not in ln:
+                    raise DocumentError(f"bad {section[1:-1]} line: {ln}")
+                key, val = (part.strip() for part in ln.split("=", 1))
+                if section == "[params]":
+                    kv[key] = val
+                else:
+                    summary[key] = _parse_number(val, "double")
+        elif body.strip():
+            ln = next(filter(None, map(str.strip, body.split("\n"))))
             raise DocumentError(f"content outside any section: {ln}")
+    del chunks, body  # the text, before the numbers are read
     try:
         precision = kv.get("precision", "double")
         dps = int(kv.get("dps", DEFAULT_EXT_DPS))
@@ -287,21 +298,24 @@ def load_document(path: str, doubles: bool = False) -> PatternDocument:
         raise DocumentError(f"bad parameter block: {exc}") from exc
     # _parse_number reads a double document with float already
     read = _parse_double if doubles and precision != "double" else _parse_number
+    tokens = list(chain.from_iterable([*vertices.values(), *radii.values()]))  # in read order
+    n = 2 * len(vertices)
     with contextlib.nullcontext() if precision == "double" else mp.workdps(dps):
         if precision != "double" and not doubles:  # each mpc from two raw tuples
             prec = mp.mp.prec
-            raw = lambda s: _read(s, prec) or mp.mpf(read(s, precision))._mpf_  # noqa: E731
-            doc.vertices = {site: mp.make_mpc((raw(re_s), raw(im_s)))
-                            for site, (re_s, im_s) in vertices.items()}
-        else:
-            for site, (re_s, im_s) in vertices.items():
-                x, y = read(re_s, precision), read(im_s, precision)
-                if precision == "double" or doubles and type(x) is type(y) is float:
-                    doc.vertices[site] = complex(x, y)
-                elif type(x) is type(y) is mp.mpf:
-                    doc.vertices[site] = mp.make_mpc((x._mpf_, y._mpf_))
-                else:
-                    doc.vertices[site] = mp.mpc(x, y)
-        for site, val in radii.items():
-            doc.radii[site] = read(val, precision)
+            raw = map(lambda s: _read(s, prec) or mp.mpf(read(s, precision))._mpf_, tokens[:n])
+            doc.vertices = dict(zip(vertices, map(mp.make_mpc, zip(raw, raw))))  # (re, im)
+            doc.radii = dict(zip(radii, map(read, tokens[n:], repeat(precision))))
+        else:  # float(s) of every token at once, read again where read(s) may differ
+            try:
+                xs = list(map(float, tokens))
+            except ValueError:  # float refuses a token: read each, the first bad one raises
+                xs = [math.nan] * len(tokens)
+            for i in [i for i, x in enumerate(xs)
+                      if not _TINY <= abs(x) <= _HUGE or "_" in tokens[i]]:
+                xs[i] = read(tokens[i], precision)
+            point = complex if set(map(type, xs[:n])) <= {float} else \
+                lambda x, y: complex(x, y) if type(x) is type(y) is float else mp.mpc(x, y)
+            doc.vertices = dict(zip(vertices, map(point, xs[:n:2], xs[1:n:2])))
+            doc.radii = dict(zip(radii, xs[n:]))
     return doc

@@ -738,6 +738,46 @@ def test_loader_reports_the_first_fault_in_file_order(tmp_path):
     assert [_first_fault(doc)(path) for doc, _ in cases] == [want for _, want in cases]
 
 
+def _both_reads(path):
+    """The vertex and radius items, in order, of the extended read and the
+    doubles read of a document."""
+    return [(list(doc.vertices.items()), list(doc.radii.items()))
+            for doc in (load_document(str(path)), load_document(str(path), doubles=True))]
+
+
+def test_loader_grammar_beyond_what_generate_writes(tmp_path):
+    path = tmp_path / "p.txt"
+    assert run_cli(["generate", "--c", "1.5", "--n", "3", "--precision", "ext",
+                    "--dps", "40", "--out", str(path)]) == 0
+    lines = path.read_text().splitlines()
+    clean = _both_reads(path)
+    v, r, end = (lines.index(h) for h in ("[vertices]", "[radii]", "[end]"))
+    # blank and whitespace-only lines, trailing spaces and CRLF line ends
+    loose = (lines[:v + 1] + ["", " \t "] + [ln + "  " for ln in lines[v + 1:r]] + ["\t"]
+             + [lines[r], ""] + [ln + " \t" for ln in lines[r + 1:]])
+    path.write_bytes(("\r\n".join(loose) + "\r\n").encode())
+    assert _both_reads(path) == clean
+    # garbage after [end] is ignored
+    path.write_text("\n".join(lines + ["x", "[bogus]", "1 2"]) + "\n")
+    assert _both_reads(path) == clean
+    # a second [vertices] block after [radii] adds its lines: a site it
+    # repeats takes the new value at its first position, a new site comes last
+    k, l, m, x, y = lines[v + 1].split()
+    swapped, new = f"{k} {l} {m} {y} {x}", "9 9 -9 1.5 -2.5"
+    path.write_text("\n".join(lines[:v + 1] + [swapped] + lines[v + 2:r] + [new]
+                              + lines[r:]) + "\n")
+    edited = _both_reads(path)
+    assert edited != clean and edited[0][0][0][0] == (int(k), int(l), int(m))
+    path.write_text("\n".join(lines[:end] + ["[vertices]", new, swapped] + lines[end:]) + "\n")
+    assert _both_reads(path) == edited
+    # content under an unknown header, or before the first one
+    for doc in (lines[:r] + ["[bogus]", "x"] + lines[r:], lines[:1] + ["x"] + lines[1:]):
+        path.write_text("\n".join(doc) + "\n")
+        for doubles in (False, True):
+            with pytest.raises(DocumentError, match="^content outside any section: x$"):
+                load_document(str(path), doubles=doubles)
+
+
 @st.composite
 def plain_tokens(draw):
     """Plain decimals of 1 to 120 digits, some with trailing zeros, with or

@@ -387,3 +387,16 @@ def test_c_2_from_epsilon_is_refused_at_every_precision(alpha):
         with pytest.raises(painleve.StepSingularError,
                            match=r"^Moebius solve singular at n=0$"):
             call()
+
+
+@pytest.mark.parametrize("c, alpha", [(1.5, math.pi / 3), (0.25, math.pi / 3),
+                                      (1.9, 2 * math.pi / 5), (1.5, math.pi / 10)])
+def test_separatrix_meets_the_painleve_law(c, alpha):
+    # beta_n -> alpha / 2 with n (beta_n - alpha / 2) -> (c - 1) tan(alpha / 2) / 2:
+    # the Richardson value from n = 80 and 160 matches to 2.7e-5 relative at
+    # worst on these points
+    run = run_trajectory(Boundary(c, alpha), None, 160, dps=400)
+    assert run.exit_index is None and len(run.points) == 161
+    gap = [run.beta(n) - alpha / 2 for n in (80, 160)]
+    law = (c - 1) * math.tan(alpha / 2) / 2
+    assert abs(2 * 160 * gap[1] - 80 * gap[0] - law) <= 1e-4 * abs(law)

@@ -406,3 +406,24 @@ def test_ratio_recurrence_refuses_c_2_everywhere():
     for call in calls:
         with pytest.raises(ParameterError, match="needs c < 2"):
             call()
+
+
+LAW_ANGLES = (math.pi / 3, 2 * math.pi / 5, math.pi / 2, 4 * math.pi / 5)
+
+
+@pytest.mark.parametrize("c", [0.5, 1.5, 1.9])
+@pytest.mark.parametrize("alpha", LAW_ANGLES)
+def test_separatrix_is_monotone_one_sided_and_meets_the_riccati_law(c, alpha):
+    # p_n -> 1 from the side of c - 1, monotone from n = 1, with
+    # n (p_n - 1) -> (c - 1) cos^2(alpha / 2); at n = 4000 the worst of
+    # these 12 points is 1.1e-4 relative
+    p = ratio_run(Boundary(c, alpha), 4000)
+    assert all((x - 1) * (c - 1) > 0 for x in p[1:])
+    assert all((y - x) * (1 - c) > 0 for x, y in zip(p[1:], p[2:]))
+    law = (c - 1) * math.cos(alpha / 2) ** 2
+    assert abs(4000 * (p[4000] - 1) - law) <= 2e-4 * abs(law)
+
+
+@pytest.mark.parametrize("alpha", LAW_ANGLES)
+def test_separatrix_at_c_1_is_exactly_1(alpha):
+    assert set(ratio_run(Boundary(1.0, alpha), 4000)) == {1.0}
