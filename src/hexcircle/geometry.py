@@ -101,7 +101,7 @@ def reconstruct(rf: RadiusField) -> ZField:
     """
     radii = {site: nearest_double(r) for site, r in rf.values.items()}
     pole = {s for s, r in radii.items() if r == math.inf and is_pole(rf.values[s])}
-    rot = [cmath.exp(1j * a) for a in rf.params.alphas]
+    rot = [cmath.exp(1j * a) for a in rf.params.angles()]
     anchor = (0, 0, 0)
     if anchor in pole or anchor not in radii:
         anchor = (1, 0, -1)

@@ -9,8 +9,8 @@ mpf is read back by its raw tuple (nearest_double), not by mpf operators.
 A Backend bundles the transcendental calls the rest needs, each by one
 rule (_lifted): math or cmath on floats in double mode, else mpmath at the
 backend's dps.  Its sqrt, atan2, phase and eps have no caller; the
-benchmark tracer patches them.  Exact pi-fractions of the angles keep
-extended runs free of a double-rounded initial datum.
+benchmark tracer patches them.  Every angle is taken by one rule,
+angle_at, a known pi-fraction exactly at the width of the run.
 
 mp is the package's one handle on mpmath.  An mpmath already imported is
 reused; else the module is executed at its first attribute access, so the
@@ -128,10 +128,12 @@ class Backend(namedtuple("Backend", "mode dps")):
             return contextlib.nullcontext()
         return mp.workdps(self.dps)
 
+    @property
+    def prec(self) -> Optional[int]:  # the width of angle_at: None in double
+        return None if self.is_double else mp.libmp.dps_to_prec(self.dps)
+
     # the mpmath sides read mp at the call: a double run never loads it
     real = _lifted(float, lambda x: mp.mpf(x))
-    pi_times = _lifted(lambda frac: math.pi * float(frac),
-                       lambda frac: mp.pi * mp.mpf(frac.numerator) / frac.denominator)
     exp_i = _lifted(lambda theta: cmath.exp(1j * float(theta)), lambda theta: mp.expj(theta))
     cos = _lifted(lambda x: math.cos(float(x)), lambda x: mp.cos(x))
     sin = _lifted(lambda x: math.sin(float(x)), lambda x: mp.sin(x))
@@ -140,17 +142,27 @@ class Backend(namedtuple("Backend", "mode dps")):
     phase = _lifted(cmath.phase, lambda z: mp.arg(z))
     abs = _lifted(lambda z: abs(complex(z) if isinstance(z, complex) else float(z)), abs)
 
+    def pi_times(self, frac: Fraction) -> Number:
+        return angle_at(None, frac, self.prec)
+
     def angle(self, value: float, pi_frac: Optional[Fraction]) -> Number:
-        """High-precision angle when an exact pi-fraction is known."""
-        if pi_frac is not None:
-            return self.pi_times(pi_frac)
-        return self.real(value)
+        return angle_at(value, pi_frac, self.prec)
 
     def eps(self) -> float:
         """Unit roundoff of the active mode."""
         if self.is_double:
             return 2.220446049250313e-16
         return 10.0 ** (1 - self.dps)
+
+
+def angle_at(value, pi_frac: Optional[Fraction], prec: Optional[int] = None) -> Number:
+    """The one rule every angle is taken by: pi * pi_frac when the fraction
+    is known (value unread), else value; a float for prec None, else an mpf
+    rounded at prec bits (value exactly from 53 bits up)."""
+    if prec is None:
+        return float(value) if pi_frac is None else math.pi * float(pi_frac)
+    with mp.workprec(prec):
+        return mp.mpf(value) if pi_frac is None else mp.pi * pi_frac.numerator / pi_frac.denominator
 
 
 def required_dps(steps: int, growth: float, margin: int) -> int:
@@ -379,7 +391,7 @@ def parse_angle(spec: str) -> Tuple[float, Optional[Fraction]]:
         frac = Fraction(spec[:-2].strip() or 1)
     except ZeroDivisionError:
         raise ValueError(f"angle {spec!r} has a zero denominator") from None
-    return float(frac) * math.pi, frac
+    return angle_at(None, frac), frac
 
 
 def parse_angles(spec: str) -> tuple[tuple[float, ...], Optional[tuple[Fraction, ...]]]:
@@ -387,9 +399,7 @@ def parse_angles(spec: str) -> tuple[tuple[float, ...], Optional[tuple[Fraction,
     by parse_angle.  Returns the float values and, when all three are
     exact, their fractions of pi."""
     spec = spec.strip().lower()
-    if spec == "iso":
-        return (math.pi / 3,) * 3, (Fraction(1, 3),) * 3
-    parts = spec.split(",")
+    parts = ["1/3pi"] * 3 if spec == "iso" else spec.split(",")
     if len(parts) != 3:
         raise ValueError("need three comma-separated angles")
     alphas, fracs = zip(*map(parse_angle, parts))

@@ -247,7 +247,7 @@ class RunSetup:
             er, ei = consts[0]
             self.step = lambda n, prev, cur: _fixed_step(n, prev, cur, consts, bits)
             self.sector = lambda z: sector_of_signs(z[1], z[1] * er - z[0] * ei)
-        self.unresolved = f"alpha = {b.alpha!r} is not resolved {where}"
+        self.where, self.unresolved = where, f"alpha = {b.alpha!r} is not resolved {where}"
         # a part of a unit number reads as zero when it leaves one unchanged
         self.eps_resolved = self.one + ei != self.one
 
@@ -264,8 +264,11 @@ class RunSetup:
             x = fixed_unit(beta0, bits)
             im_x = x[1]
         inside = 0 < beta0 < alpha
-        if not self.eps_resolved or inside and one + im_x == one:
+        if not self.eps_resolved:
             raise ResolutionError(self.unresolved)
+        if inside and one + im_x == one:
+            raise ResolutionError(f"the start beta0 = {float(beta0)!r} "
+                                  f"is not resolved {self.where}")
         if n_steps:
             _refuse_pole_start(self.b, beta0, alpha)
         step, sector = self.step, self.sector
@@ -307,8 +310,8 @@ def run_trajectory(b: Boundary, beta0, n_steps: int,
     once.
 
     ResolutionError when the precision cannot resolve the start: Im epsilon,
-    or Im x_0 of a start inside (0, alpha), leaves one unchanged, or the
-    n = 0 solve from such a start is singular."""
+    or Im x_0 of a start inside (0, alpha), leaves one unchanged (the message
+    names alpha or the start), or the n = 0 solve from such a start is singular."""
     return RunSetup(b, dps).walk(beta0, n_steps)
 
 

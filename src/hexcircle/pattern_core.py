@@ -18,9 +18,9 @@ from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 from .lattice import MultiIndex, generation, q_sites
 from .numerics import (ANGLE_GUARD_BITS, DEFAULT_EXT_DPS, DOUBLE, MAX_EXP, Backend,
-                       ComplexNumber, Record, aligned_points, div_nearest, fixed_bits,
-                       fixed_real, fixed_unit, mp, quotient, raw_mpf, root_quotient, top_bits,
-                       worst_of)
+                       ComplexNumber, Number, Record, aligned_points, angle_at, div_nearest,
+                       fixed_bits, fixed_real, fixed_unit, mp, quotient, raw_mpf,
+                       root_quotient, top_bits, worst_of)
 
 ANGLE_SUM_TOL = 1e-12
 
@@ -42,13 +42,18 @@ class UnsupportedExponentError(ValueError):
 
 
 class PatternParams(namedtuple("PatternParams", "alphas c precision dps alpha_pi_fracs")):
-    """Intersection angles, exponent and working precision of one pattern."""
+    """Intersection angles, exponent and working precision of one pattern;
+    given pi-fractions f fix the floats: alphas = pi * float(f) (angle_at)."""
 
     __slots__ = ()
 
     def __new__(cls, alphas: Tuple[float, float, float], c: float, precision: str = DOUBLE,
                 dps: int = DEFAULT_EXT_DPS,
                 alpha_pi_fracs: Optional[Tuple[Fraction, Fraction, Fraction]] = None):
+        if alpha_pi_fracs is not None:
+            if len(alpha_pi_fracs) != 3 or sum(alpha_pi_fracs) != 1:
+                raise ValueError("need three pi-fractions of the angles summing to 1")
+            alphas = tuple(angle_at(None, f) for f in alpha_pi_fracs)
         self = super().__new__(cls, alphas, c, precision, dps, alpha_pi_fracs)
         a1, a2, a3 = self.alphas
         if not all(math.isfinite(a) for a in self.alphas):
@@ -60,24 +65,21 @@ class PatternParams(namedtuple("PatternParams", "alphas c precision dps alpha_pi
         if not (0 <= self.c <= 2):
             # c = 0 only occurs as the dual of the c = 2 pattern
             raise ValueError("exponent must satisfy 0 <= c <= 2")
-        if self.alpha_pi_fracs is not None and (len(self.alpha_pi_fracs) != 3
-                                                or sum(self.alpha_pi_fracs) != 1):
-            raise ValueError("need three pi-fractions of the angles summing to 1")
         self.backend()  # rejects an unknown precision mode or dps
         return self
 
     def backend(self) -> Backend:
         return Backend(self.precision, self.dps)
 
-    def exact_angle(self, i: int, bk: Optional[Backend] = None):
-        """Angle i at bk's precision; an extended run of a float triple
-        closes it there, alpha3 = pi - alpha1 - alpha2 (as guarded_angles)."""
-        bk = bk or self.backend()
-        frac = self.alpha_pi_fracs[i] if self.alpha_pi_fracs else None
-        if i == 2 and frac is None and not bk.is_double:
-            with bk.context():
-                return mp.pi - mp.mpf(self.alphas[0]) - mp.mpf(self.alphas[1])
-        return bk.angle(self.alphas[i], frac)
+    def angles(self, prec: Optional[int] = None) -> Tuple[Number, Number, Number]:
+        """The three angles by numerics.angle_at at width prec; an extended
+        float triple closes at prec bits, alpha3 = pi - alpha1 - alpha2."""
+        fracs = self.alpha_pi_fracs or (None,) * 3
+        a1, a2, a3 = (angle_at(a, f, prec) for a, f in zip(self.alphas, fracs))
+        if prec is not None and self.alpha_pi_fracs is None and self.precision != DOUBLE:
+            with mp.workprec(prec):
+                a3 = mp.pi - a1 - a2
+        return a1, a2, a3
 
 
 class ZField(Record):
@@ -236,22 +238,10 @@ def iter_slab_faces(stored: Mapping[MultiIndex, object]) -> Iterator[Tuple[Multi
                         yield v, f2, f3, f4
 
 
-def face_targets(params: PatternParams, bk: Optional[Backend] = None):
-    bk = bk or params.backend()
-    return {t: bk.exp_i(-2 * params.exact_angle(t - 1, bk)) for t in (1, 2, 3)}
-
-
-def guarded_angles(params: PatternParams, bits: int):
-    """The three exact angles as mpf to bits + ANGLE_GUARD_BITS bits, the
-    angles a fixed-point run of width bits takes its unit vectors from.  An
-    extended float triple closes at that width: alpha3 = pi - alpha1 - alpha2;
-    a double one keeps its three floats."""
-    with mp.workprec(bits + ANGLE_GUARD_BITS):
-        fracs = params.alpha_pi_fracs
-        if fracs:
-            return [mp.pi * f.numerator / f.denominator for f in fracs]
-        a1, a2, a3 = map(mp.mpf, params.alphas)
-        return [a1, a2, a3 if params.precision == DOUBLE else mp.pi - a1 - a2]
+def face_targets(params: PatternParams):
+    """exp(-2 i alpha_t) of each face type t at the working precision."""
+    bk = params.backend()
+    return {t: bk.exp_i(-2 * a) for t, a in enumerate(params.angles(bk.prec), 1)}
 
 
 def generate_z(params: PatternParams, n_max: int,
@@ -295,13 +285,13 @@ def evolve(params: PatternParams, n_max: int, bits: Optional[int] = None,
     if bits is None:
         bk = params.backend()
         c = bk.real(params.c)
-        a2, a3 = params.exact_angle(1, bk), params.exact_angle(2, bk)
+        _, a2, a3 = params.angles(bk.prec)
         z: Dict[MultiIndex, ComplexNumber] = {
             (0, 0, 0): 0j, (1, 0, 0): 1 + 0j, (0, 1, 0): bk.exp_i(params.c * (a2 + a3)),
             (0, 0, -1): bk.exp_i(params.c * a3)}
-        targets = face_targets(params, bk)
+        targets = face_targets(params)
     else:
-        ang = guarded_angles(params, bits)
+        ang = params.angles(bits + ANGLE_GUARD_BITS)
         with mp.workprec(bits + ANGLE_GUARD_BITS):
             cf = mp.mpf(params.c)
             z = {(0, 0, 0): (0, 0), (1, 0, 0): (1 << bits, 0),
@@ -503,7 +493,7 @@ def _face_pass(zf: ZField, lax: bool):
     pts, one = read
     bk = zf.params.backend()
     with bk.context():  # both constants from one set of face targets
-        targets = face_targets(zf.params, bk)
+        targets = face_targets(zf.params)
         r, r_one = aligned_points(bk, targets)
         w, w_one = {}, 1
         if lax:  # delta_i / delta_j for each face type (i, j) of FACE_SPAN

@@ -32,8 +32,7 @@ from .lattice import (SubIndex, TAG_BORDER, TAG_HEX, TAG_SEED, TAG_TRI,
 from .numerics import (ANGLE_GUARD_BITS, DEFAULT_EXT_DPS, DOUBLE, GUARD_BITS, Record,
                        aligned_reals, div_nearest, fixed_bits, fixed_real, fixed_unit, mp,
                        quotient, raw_mpf, worse, worst_of)
-from .pattern_core import (PatternParams, ZField, evolve, field_points,
-                           generate_z, guarded_angles, memoised)
+from .pattern_core import PatternParams, ZField, evolve, field_points, generate_z, memoised
 
 POLE = math.inf
 
@@ -168,16 +167,16 @@ def border_solve(r: int, r2: int, r3: int, angle_index: int,
     return div_nearest(num, den)
 
 
-def angle_constants(params: PatternParams, bk=None, bits: Optional[int] = None):
+def angle_constants(params: PatternParams, bits: Optional[int] = None):
     """(sines, cosines) of the three intersection angles at the working
-    precision, from the exact angles.  With bits, integers over 2**bits
-    within one unit: numerics.fixed_unit of the angles taken to
+    precision, from PatternParams.angles.  With bits, integers over
+    2**bits within one unit: numerics.fixed_unit of the angles taken to
     bits + ANGLE_GUARD_BITS bits."""
     if bits is not None:
-        cosines, sines = zip(*(fixed_unit(a, bits) for a in guarded_angles(params, bits)))
+        cosines, sines = zip(*(fixed_unit(a, bits) for a in params.angles(bits + ANGLE_GUARD_BITS)))
         return sines, cosines
-    bk = bk or params.backend()
-    angles = [params.exact_angle(i, bk) for i in range(3)]
+    bk = params.backend()
+    angles = params.angles(bk.prec)
     return tuple(bk.sin(a) for a in angles), tuple(bk.cos(a) for a in angles)
 
 
@@ -226,12 +225,10 @@ def z2_initial(params: PatternParams, bits: Optional[int] = None) -> Dict[SubInd
     sin(a)/a is taken to bits + ANGLE_GUARD_BITS bits and rounded once.
     Without, those integers at the fill's width, each rounded once by
     _rounding."""
-    if min(params.alphas) <= 0:
-        raise ValueError("angles must be positive")
     if bits is None:
         bits, rounded = _rounding(params)
         return {s: rounded(v) for s, v in z2_initial(params, bits).items()}
-    _, a2, a3 = guarded_angles(params, bits)
+    _, a2, a3 = params.angles(bits + ANGLE_GUARD_BITS)
     with mp.workprec(bits + ANGLE_GUARD_BITS):
         return {(0, 0, 0): 0, (1, 0, -1): fixed_real(mp.sin(a3) / a3, bits),
                 (0, 1, -1): fixed_real(mp.sin(a2) / a2, bits), (1, 1, -1): 1 << bits}
@@ -392,7 +389,7 @@ def equation_defects(rf: RadiusField):
     bk = params.backend()
     poles = {s for s, v in rf.values.items() if is_pole(v)}
     with bk.context():
-        sines, cosines = angle_constants(params, bk)
+        sines, cosines = angle_constants(params)
         consts = dict(enumerate(sines + cosines + (bk.real(params.c) - 1,)))
         read_r = aligned_reals(bk, {s: v for s, v in rf.values.items()
                                     if s not in poles})

@@ -34,7 +34,7 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import List, Optional
 
-from .numerics import ANGLE_GUARD_BITS, GUARD_BITS, Record, fixed_unit, mp
+from .numerics import ANGLE_GUARD_BITS, GUARD_BITS, Record, angle_at, fixed_unit, mp
 
 
 class ParameterError(ValueError):
@@ -61,16 +61,17 @@ def _lifted(double, ext):
 
 class Boundary(namedtuple("Boundary", "c alpha alpha_pi_frac")):
     """(c, alpha) in the source paper's domain 0 < c <= 2, 0 < alpha < pi,
-    checked once; alpha_pi_frac, when set, is alpha / pi exactly.  angle,
+    checked once; alpha_pi_frac, when set, is alpha / pi exactly, and alpha
+    is then pi * float(alpha_pi_frac), whatever float was passed.  angle,
     t = cos(alpha), beta0 = c alpha / 2 and p0 are doubles, or mpf to prec
-    bits with a pi-fraction taken exactly (as pattern_core.guarded_angles);
-    eps and x0 = exp(i beta0) complex doubles, or integers over 2**bits from
-    their angles to bits + ANGLE_GUARD_BITS bits."""
+    bits with the angle taken by numerics.angle_at, as PatternParams.angles
+    takes it; eps and x0 = exp(i beta0) complex doubles, or integers over
+    2**bits from their angles to bits + ANGLE_GUARD_BITS bits."""
 
     __slots__ = ()
 
     def __new__(cls, c: float, alpha: float, alpha_pi_frac: Optional[Fraction] = None):
-        self = super().__new__(cls, c, alpha, alpha_pi_frac)
+        self = super().__new__(cls, c, angle_at(alpha, alpha_pi_frac), alpha_pi_frac)
         if not 0 < self.c <= 2:
             raise ParameterError(f"the exponent c must satisfy 0 < c <= 2, not {self.c!r}")
         if not 0 < self.alpha < math.pi:
@@ -79,12 +80,7 @@ class Boundary(namedtuple("Boundary", "c alpha alpha_pi_frac")):
         return self
 
     def angle(self, prec: Optional[int] = None):
-        """A float alpha is itself at any prec: exact, and cheap per run."""
-        f = self.alpha_pi_frac
-        if prec is None or f is None:
-            return self.alpha
-        with mp.workprec(prec):
-            return mp.pi * f.numerator / f.denominator
+        return angle_at(self.alpha, self.alpha_pi_frac, prec)
 
     t = _lifted(lambda b: math.cos(b.alpha), lambda b, prec: mp.cos(b.angle(prec)))
     beta0 = _lifted(lambda b: b.c * b.alpha / 2,
@@ -94,7 +90,7 @@ class Boundary(namedtuple("Boundary", "c alpha alpha_pi_frac")):
         """sin(x) / sin(y), x = c alpha / 2, y = (2 - c) alpha / 2; one past pi/2
         as sin((pi - alpha) + the other), pi - alpha from alpha_pi_frac or two-part pi."""
         x, y, f = self.c * self.alpha / 2, (2 - self.c) * self.alpha / 2, self.alpha_pi_frac
-        pa = float(1 - f) * math.pi if f else (math.pi - self.alpha) + 1.2246467991473532e-16
+        pa = angle_at(None, 1 - f) if f else (math.pi - self.alpha) + 1.2246467991473532e-16
         return ((math.sin(x) if x <= math.pi / 2 else math.sin(pa + y))
                 / (math.sin(y) if y <= math.pi / 2 else math.sin(pa + x)))
 

@@ -1,10 +1,10 @@
 """Deterministic SVG export of circle patterns.
 
 Fixed-format coordinates and sorted element order keep the output
-byte-identical for identical inputs.  Each vertex's pixel pair is formatted
-once, in six decimals, as "x,y" text that its polygons and its circle share,
-and each element is one %-format of those texts; the text is joined once, so
-it is held in one copy.
+byte-identical for identical inputs.  Each drawn vertex's pixel pair is
+formatted once, in six decimals, as "x,y" text that its polygons and its
+circle share, and each element is one %-format of those texts; the text is
+joined once, so it is held in one copy.
 """
 from __future__ import annotations
 
@@ -85,11 +85,13 @@ def render_svg(doc: PatternDocument, show: str = "both", scale: float = 100.0) -
     if not (0 < scale < math.inf and math.isfinite(width + height)):
         raise ValueError(f"scale {scale} is not finite and positive, or overflows the canvas")
 
-    # each vertex's pixel pair as "x,y" text, the vertical axis flipped so that
+    # each drawn vertex's pixel pair as "x,y" text (a cross-ratio hex field draws
+    # |k + l + m| <= 1, others all they store), the vertical axis flipped so that
     # positive orientation reads as usual; x0 and y1 bound every x from below and
     # every y from above, so no coordinate is negative or prints as -0.000000
-    point = {s: "%.6f,%.6f" % ((z.real - x0) * scale, (y1 - z.imag) * scale)
-             for s, z in vertices.items()}
+    drawn = vertices.items() if doc.mode == "sg" or doc.route == "radius" else [
+        (s, z) for s, z in vertices.items() if -1 <= s[0] + s[1] + s[2] <= 1]
+    point = {s: "%.6f,%.6f" % ((z.real - x0) * scale, (y1 - z.imag) * scale) for s, z in drawn}
     size = (width, height)
     parts = ['<?xml version="1.0" encoding="UTF-8"?>',
              '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

@@ -73,7 +73,7 @@ def lax_deltas(params: PatternParams) -> Dict[int, complex]:
     """
     bk = params.backend()
     with bk.context():
-        return pattern_core._deltas(pattern_core.face_targets(params, bk), bk)
+        return pattern_core._deltas(pattern_core.face_targets(params), bk)
 
 
 # ---------------------------------------------------------------------------

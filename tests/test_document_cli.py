@@ -476,8 +476,8 @@ def test_an_extended_run_closes_a_float_angle_triple_at_its_width(tmp_path, caps
         assert all(read[name] < 1e-39 for name in tiny if name in read), (mode, read)
     # a double run keeps its three floats, as given
     params = pattern_core.PatternParams((1.0, 1.2, 0.9415926535897931), 1.5)
-    assert pattern_core.guarded_angles(params, 69)[2] == mp.mpf(0.9415926535897931)
-    assert params.exact_angle(2) == 0.9415926535897931
+    assert params.angles(69 + 20)[2] == mp.mpf(0.9415926535897931)
+    assert params.angles()[2] == 0.9415926535897931
 
 
 def test_cli_analyze_painleve_files_the_image_of_one_in_a_iv(capsys):
@@ -500,6 +500,19 @@ def test_cli_analyze_painleve_names_an_unresolved_angle(capsys, alpha, precision
                     "--n", "3", *precision]) == 2
     assert capsys.readouterr() == (
         "", f"error: precision exhausted: alpha = {float(alpha)!r} is not "
+            f"resolved {where}\n")
+
+
+@pytest.mark.parametrize("argv, start, where", [
+    (["--c", "1e-300"], 1e-300 * (math.pi / 3) / 2, "in double"),
+    (["--c", "1.5", "--beta0", "1e-300"], 1e-300, "in double"),
+    (["--c", "1e-300", "--precision", "ext", "--dps", "40"], 1e-300 * (math.pi / 3) / 2,
+     "at dps 40")])
+def test_cli_analyze_painleve_names_an_unresolved_start(capsys, argv, start, where):
+    # alpha = pi/3 is resolved; the start inside (0, alpha) is not
+    assert run_cli(["analyze", "painleve", *argv, "--n", "3"]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: precision exhausted: the start beta0 = {start!r} is not "
             f"resolved {where}\n")
 
 

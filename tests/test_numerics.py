@@ -518,6 +518,49 @@ def test_parse_angles_is_parse_angle_three_times():
         parse_angles("1/2pi,1/2pi")
 
 
+def test_angle_at_takes_a_pi_fraction_at_the_width_and_a_float_as_it_is():
+    from hexcircle.numerics import angle_at
+    third = Fraction(1, 3)
+    assert angle_at(None, third) == math.pi * float(third) == math.pi / 3
+    assert angle_at(0.7, None) == 0.7 and type(angle_at(1, None)) is float
+    for prec in (53, 89, 300):
+        with mp.workprec(prec):
+            assert angle_at(None, third, prec) == mp.pi / 3
+            assert angle_at(0.7, None, prec) == mp.mpf(0.7)  # exact
+    with mp.workprec(10):  # below 53 bits the float is rounded
+        assert angle_at(0.7, None, 10) == mp.mpf(0.7) != 0.7
+
+
+def test_every_angle_is_taken_by_the_one_rule(monkeypatch):
+    from hexcircle import geometry, numerics, riccati
+    from hexcircle.pattern_core import PatternParams
+    calls = []
+    rule = numerics.angle_at
+
+    def counted(*args):
+        calls.append(args)
+        return rule(*args)
+    for module in (numerics, pattern_core, riccati):
+        monkeypatch.setattr(module, "angle_at", counted)
+    fracs = (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))
+    double = PatternParams((0.0,) * 3, 1.5, alpha_pi_fracs=fracs)
+    ext = PatternParams((1.0, 1.2, math.pi - 2.2), 1.5, "ext", 40)
+    b = Boundary(1.5, 1.0, Fraction(1, 3))
+    uses = [
+        lambda: Backend().angle(0.7, None), lambda: EXT.pi_times(Fraction(1, 3)),
+        lambda: pattern_core.face_targets(ext), lambda: pattern_core.evolve(double, 2),
+        lambda: pattern_core.evolve(ext, 2, 80), lambda: radius_system.angle_constants(ext),
+        lambda: radius_system.angle_constants(double, 69),
+        lambda: radius_system.z2_initial(double._replace(c=2.0)),
+        lambda: geometry.reconstruct(radius_system.generate_radii(double, 3)),
+        lambda: b.angle(), lambda: b.t(80), lambda: b.beta0(80), lambda: b.p0(80),
+        lambda: b.eps(60), lambda: b.x0(60), lambda: painleve.RunSetup(b, 30)]
+    for use in uses:
+        calls.clear()
+        use()
+        assert calls, use
+
+
 def test_div_nearest_rounds_half_up_on_integers_of_every_sign_and_size():
     rng = random.Random(24)
     half = Fraction(1, 2)

@@ -450,7 +450,7 @@ def test_face_defect_matches_cross_ratio_reference():
         got = _per_face(pattern_core.max_face_residual, zf)
         bk = zf.params.backend()
         with bk.context():
-            targets = pattern_core.face_targets(zf.params, bk)
+            targets = pattern_core.face_targets(zf.params)
             ref = {sites: float(abs(cross_ratio(*(zf[s] for s in sites)) - targets[t]))
                    for t, sites in pattern_core.iter_faces(zf)}
         for sites, want in ref.items():
@@ -539,7 +539,7 @@ def _check_kernels_against_mpmath(precision, monkeypatch):
     bk = zf.params.backend()
     dps = 2 * (zf.params.dps if precision == "ext" else 16)
     with bk.context():
-        targets = pattern_core.face_targets(zf.params, bk)
+        targets = pattern_core.face_targets(zf.params)
         deltas = lax_deltas(zf.params)
         ratios = {t: deltas[i] / deltas[j]
                   for t, (i, j) in pattern_core.FACE_SPAN.items()}
@@ -635,7 +635,7 @@ def exhaustive_face_pass(zf, lax):
     pts, one = read
     bk = zf.params.backend()
     with bk.context():
-        targets = pattern_core.face_targets(zf.params, bk)
+        targets = pattern_core.face_targets(zf.params)
         r, r_one = aligned_points(bk, targets)
         w, w_one = {}, 1
         if lax:
@@ -835,7 +835,7 @@ def test_double_slack_bound_on_random_faces():
     # slack DOUBLE_SLACK = 8 u covers the middle term
     params = PatternParams(alphas=(1.0, 1.2, math.pi - 2.2 + 1e-13), c=1.5)
     bk, rng = params.backend(), random.Random(5)
-    targets = pattern_core.face_targets(params, bk)
+    targets = pattern_core.face_targets(params)
     d = pattern_core._deltas(targets, bk)
     r, r_one = aligned_points(bk, targets)
     w, w_one = aligned_points(bk, {t: d[i] / d[j]
@@ -941,7 +941,7 @@ def _mp_residuals(zf, digits):
     times its shape weight, |constraint_residual| per interior site."""
     bk = zf.params.backend()
     with bk.context():
-        targets = pattern_core.face_targets(zf.params, bk)
+        targets = pattern_core.face_targets(zf.params)
         d = pattern_core._deltas(targets, bk)
         w = {t: d[i] / d[j] for t, (i, j) in pattern_core.FACE_SPAN.items()}
     cr, lax = [], []

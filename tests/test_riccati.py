@@ -372,11 +372,11 @@ def test_boundary_at_a_width_takes_the_float_angle_exactly(c, alpha):
 
 def test_boundary_takes_a_pi_fraction_as_generation_does():
     from fractions import Fraction
-    from hexcircle.pattern_core import PatternParams, guarded_angles
+    from hexcircle.pattern_core import PatternParams
     params = PatternParams(alphas=(math.pi / 4, math.pi / 4, math.pi / 2), c=1.5,
                            alpha_pi_fracs=(Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
     bits = 150
-    exact = guarded_angles(params, bits)
+    exact = params.angles(bits + 20)
     for alpha, frac, want in zip(params.alphas, params.alpha_pi_fracs, exact):
         b = Boundary(1.5, alpha, frac)
         assert b.angle(bits + 20) == want
@@ -385,6 +385,21 @@ def test_boundary_takes_a_pi_fraction_as_generation_does():
     with mp.workdps(60):
         assert abs(b.t(mp.mp.prec) - mp.mpf(1) / 2) <= mp.mpf(10) ** -59
         assert abs(Boundary(1.5, math.pi / 3).t(mp.mp.prec) - mp.mpf(1) / 2) > 1e-17
+
+
+def test_a_pi_fraction_fixes_the_float_of_a_boundary_and_a_pattern():
+    # the float and the fraction cannot disagree: analyze p0 at 1/3pi builds
+    # alpha1 = (pi - alpha) / 2 = 1.0471975511965979, its fraction pi/3 rounds
+    # to 1.0471975511965976
+    from fractions import Fraction
+    from hexcircle.pattern_core import PatternParams
+    third = Fraction(1, 3)
+    assert Boundary(1.5, 1.0, third).alpha == math.pi / 3
+    half = (math.pi - math.pi / 3) / 2
+    assert half != math.pi / 3
+    params = PatternParams((half, half, math.pi / 3), 1.5, alpha_pi_fracs=(third,) * 3)
+    assert params.alphas == (math.pi / 3,) * 3
+    assert params.angles() == params.alphas
 
 
 @pytest.mark.parametrize("c, alpha, name", [
