@@ -1,17 +1,15 @@
 """Persistent pattern documents.
 
-Self-describing text format, versioned, with decimal-string numbers so that
-documents survive precision-mode changes.  A document stores the parameters,
+Self-describing text format, versioned.  A document stores the parameters,
 the vertex map, the radius function and the residual summary recorded when
-it was generated.  Each extended number is written with dps + 5 digits,
-which give it back bit for bit at dps, so re-verifying a fresh cross-ratio
-document reproduces its crossratio, constraint and laxzc summary bit for
-bit.
+it was generated.  A double document writes each number's repr; an extended
+one writes each exactly, as a binary token [-]0x<odd hex mantissa>p<binary
+exponent>, which reads back bit for bit at dps, so a document read back saves
+to the same bytes.  Decimal tokens are still read.
 """
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 import re
 import sys
@@ -86,18 +84,26 @@ class PatternDocument(Record):
 
 _HEADER = r"\n[^\S\n]*(\[.*?)[^\S\n]*$"  # with re.M: a line whose strip() starts "["
 _TINY, _HUGE = sys.float_info.min, sys.float_info.max  # the normal doubles
-#: 10**k: the scale of a token, the decimal shift of the writer
-_ten = functools.cache(lambda k: 10 ** k)
-#: the float mpmath's to_digits_exp converts bits and digits by
-_LOG2_10 = math.log(10, 2)
+#: the binary token of an extended number, sign, hex mantissa and binary exponent
+_binary = re.compile(r"(-?)0x([0-9a-f]+)p(-?[0-9]+)").fullmatch
 
 
 def _read(s: str, prec: int):
-    r"""The raw mpf of mp.mpf(s) at prec bits for a token -?\d+(\.\d*)?(e[-+]?\d+)?
-    whose effective exponent (the written one less the fraction digits left
-    once trailing zeros go) lies within +-400, where from_str rounds right;
-    else None.  Its digits over the power of ten round once to nearest at
-    prec bits (numerics.raw_mpf), as from_str does."""
+    r"""The raw mpf at prec bits of a binary token -?0x[0-9a-f]+p-?[0-9]+ (the
+    tuple itself if its odd mantissa fits prec), or as mp.mpf(s) reads a decimal
+    one -?\d+(\.\d*)?(e[-+]?\d+)? whose effective exponent, the written one less
+    the fraction digits left once trailing zeros go, lies within +-400, where
+    from_str rounds right; else None.  It rounds once to nearest (raw_mpf)."""
+    m = _binary(s)
+    if m:
+        man = int(m[2], 16)
+        try:
+            exp = int(m[3])
+        except ValueError:  # past int()'s 4300 digits
+            return None
+        if man & 1 and man.bit_length() <= prec:
+            return (1 if m[1] else 0), man, exp, man.bit_length()
+        return raw_mpf(-man if m[1] else man, exp, prec)
     s, sep, e = s.partition("e")
     whole, _, frac = s.partition(".")
     sign = 1 if whole[:1] == "-" else 0
@@ -112,48 +118,29 @@ def _read(s: str, prec: int):
         return None
     if not -400 <= e <= 400:
         return None
-    num, den = (man * _ten(e), 1) if e >= 0 else (man, _ten(-e))
+    num, den = (man * 10 ** e, 1) if e >= 0 else (man, 10 ** -e)
     return raw_mpf(-num if sign else num, 0, prec, den)
 
 
-def _fmt(x, prec: int, digits: int) -> str:
-    """mp.nstr(mp.mpf(x), digits) at prec bits, from the raw mpf of x (a raw
-    mpf, an mpf or any number mp.mpf takes), rounded to nearest if wider:
-    libmp.to_str's rule on the floor digits of its to_digits_exp, formed on
-    the integers by the same float expressions (to_str itself where that
-    takes logs, |exp + bc| > 3500).  A float keeps its repr; a pole is inf."""
+def _token(x) -> str:
+    """The binary token of x, a raw mpf, an mpf or a float, exactly: 0x0p0
+    for zero of either sign, inf or -inf for a pole, nan for nan."""
     t = x if type(x) is tuple else getattr(x, "_mpf_", None)
     if t is None:
-        if isinstance(x, float):
+        if not math.isfinite(x):
             return repr(float(x))
-        t = mp.mpf(x, prec=prec)._mpf_
+        man, den = float(x).as_integer_ratio()  # den a power of two
+        t = raw_mpf(man, 1 - den.bit_length(), 53)
     sign, man, exp, bc = t
-    if not man:  # zero, or mpmath's inf and nan
+    if not man and bc:  # mpmath's inf and nan; zero is 0x0p0
         libmp = mp.libmp
-        return ("inf" if t == libmp.finf else "-inf" if t == libmp.fninf
-                else libmp.to_str(t, digits))
-    if bc > prec:
-        sign, man, exp, bc = raw_mpf(-man if sign else man, exp, prec)
-    if abs(exp + bc) > 3500:
-        return mp.libmp.to_str((sign, man, exp, bc), digits)
-    fixprec = max(int((digits + 3) * _LOG2_10) + 10 - exp - bc, 0)
-    fixdps, shift = int(fixprec / _LOG2_10 + 0.5), exp + fixprec
-    d = str((man << shift if shift >= 0 else man >> -shift) * _ten(fixdps) >> fixprec)
-    point = len(d) - fixdps - 1  # the decimal exponent of the first digit
-    if len(d) > digits and d[digits] in "56789":  # round up, carrying through 9s
-        d = str(int(d[:digits]) + 1)
-        point += len(d) > digits
-    d, split = d[:digits], 1
-    if min(-(digits // 3), -5) < point < digits:
-        d, split, point = "0" * -point + d, max(point, 0) + 1, 0
-    d = (d[:split] + "." + d[split:]).rstrip("0")
-    d = ("-" if sign else "") + (d + "0" if d[-1] == "." else d)
-    return d if not point else f"{d}e+{point}" if point > 0 else f"{d}e{point}"
+        return "inf" if t == libmp.finf else "-inf" if t == libmp.fninf else "nan"
+    return f"{'-' if sign else ''}0x{man:x}p{exp}"
 
 
 def _parse_number(s: str, precision: str):
     """One stored number; extended numbers are read at the caller's
-    working precision, bit for bit as mp.mpf(s) reads them."""
+    working precision by _read, or as mp.mpf(s) reads them."""
     if s == "inf":
         return math.inf
     if s == "-inf":
@@ -169,18 +156,32 @@ def _parse_number(s: str, precision: str):
 
 
 def _parse_double(s: str, precision: str):
-    """float(s), unless float rejects s, or its double is not finite or
+    """float(s), or float.fromhex(s) of a binary token of an extended
+    document, unless float rejects s, or its double is not finite or
     underflows (zero or subnormal for a nonzero token), or s holds a digit
     separator, which mpmath refuses: such a token goes to _parse_number."""
-    if "_" not in s:
+    m = precision != "double" and _binary(s)
+    if m or "_" not in s:
         try:
-            x = float(s)
-        except ValueError:
+            x = float.fromhex(s) if m else float(s)
+        except (ValueError, OverflowError):
             x = math.nan
-        if math.isfinite(x) and (abs(x) >= sys.float_info.min or
-                                 not s.lower().partition("e")[0].strip("+-0.")):
+        if math.isfinite(x) and (abs(x) >= _TINY or not (
+                m[2].strip("0") if m else s.lower().partition("e")[0].strip("+-0."))):
             return x
     return _parse_number(s, precision)
+
+
+def _fromhex(tokens: List[str]) -> Optional[List[float]]:
+    """float.fromhex of every token if each leaves "xp" or "in" once its hex
+    digits and minus signs go, else None, so that fromhex, which reads "10"
+    as 16, reads no decimal token: a token that fromhex takes has one p and no
+    letter but a leading 0x, so it is binary, or else inf or -inf."""
+    shapes = ("\n".join(tokens) + "\n").encode().translate(None, b"-0123456789abcdef")
+    if len(shapes) == 3 * len(tokens) == 3 * (shapes.count(b"xp\n") + shapes.count(b"in\n")):
+        with contextlib.suppress(ValueError, OverflowError):  # None: read each
+            return list(map(float.fromhex, tokens))
+    return None
 
 
 def _parse_site(parts: List[str]) -> MultiIndex:
@@ -227,10 +228,8 @@ def save_document(doc: PatternDocument, path: str) -> None:
     lines.append("[vertices]")
     if p.precision == "double":
         parts, fmt = (lambda z: (z.real, z.imag)), (lambda x: repr(float(x)))
-    else:  # dps + 5 digits give back each number made at dps
-        prec, digits = mp.libmp.dps_to_prec(p.dps + 5), p.dps + 5
-        parts = lambda z: getattr(z, "_mpc_", None) or (z.real, z.imag)
-        fmt = lambda x: _fmt(x, prec, digits)
+    else:  # each number exactly, a float from its ratio, an mpf from its raw tuple
+        parts, fmt = (lambda z: getattr(z, "_mpc_", None) or (z.real, z.imag)), _token
     for site in sorted(doc.vertices):
         x, y = parts(doc.vertices[site])
         lines.append(f"{site[0]} {site[1]} {site[2]} {fmt(x)} {fmt(y)}")
@@ -243,9 +242,9 @@ def save_document(doc: PatternDocument, path: str) -> None:
 
 
 def load_document(path: str, doubles: bool = False) -> PatternDocument:
-    """Vertices and radii are read bit for bit as mp.mpf reads them at the
-    document's dps, whose dps + 5 written digits give back each number made
-    at dps; or, with doubles, as float and complex where a double holds them."""
+    """Vertices and radii are read at the document's dps, a binary token
+    bit for bit and a decimal one as mp.mpf reads it; or, with doubles, as
+    float and complex where a double holds them."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             chunks = re.split(_HEADER, fh.read(), flags=re.M)
@@ -309,8 +308,9 @@ def load_document(path: str, doubles: bool = False) -> PatternDocument:
         else:  # float(s) of every token at once, read again where read(s) may differ
             try:
                 xs = list(map(float, tokens))
-            except ValueError:  # float refuses a token: read each, the first bad one raises
-                xs = [math.nan] * len(tokens)
+            except ValueError:  # the binary tokens of an extended document, or
+                # float refuses a token: read each, the first bad one raises
+                xs = precision != "double" and _fromhex(tokens) or [math.nan] * len(tokens)
             for i in [i for i, x in enumerate(xs)
                       if not _TINY <= abs(x) <= _HUGE or "_" in tokens[i]]:
                 xs[i] = read(tokens[i], precision)

@@ -282,11 +282,11 @@ class RunSetup:
             for n in range(n_steps):
                 try:
                     x_next, d = step(n, x_prev, x)
-                except StepSingularError:
-                    # from a start inside, the n = 0 solve is singular only
-                    # by rounding (see _refuse_pole_start)
-                    if n == 0 and inside:
-                        raise ResolutionError(self.unresolved) from None
+                except StepSingularError as exc:
+                    # from a start inside, singular only by rounding (_refuse_pole_start):
+                    if n == 0 and inside:  # of the step where its image is zero, else of alpha
+                        raise ResolutionError(f"the step at n = 0 is not resolved {self.where}"
+                                              if "zero" in str(exc) else self.unresolved) from None
                     raise
                 drift = max(drift, d)
                 x_prev, x = x, x_next

@@ -40,9 +40,9 @@ def _raw(x):
 
 
 def test_document_roundtrip_extended(tmp_path):
-    # dps + 5 written digits give back every number made at dps, bit for
-    # bit, and a document read back is saved to the same bytes.  A z2 or
-    # log layout is in doubles, which the first save writes by their repr.
+    # every number is written exactly and read back bit for bit, and a
+    # document read back is saved to the same bytes.  A z2 or log layout is
+    # in doubles, which are read back as mpf of the same value.
     for mode, c in (("hex", 1.5), ("sg", 1.5), ("z2", 2.0), ("log", 2.0)):
         for dps in (40, 80):
             route = "crossratio" if mode in ("hex", "sg") else "radius"
@@ -66,6 +66,51 @@ def test_document_roundtrip_extended(tmp_path):
                 assert one.read() == two.read(), (mode, dps)
 
 
+#: the layouts generate writes: both cross-ratio modes and the radius route
+LAYOUTS = {"hex": ["--c", "1.5"], "sg": ["--c", "1.5", "--mode", "sg"],
+           "z2": ["--c", "2", "--mode", "z2"], "log": ["--c", "2", "--mode", "log"],
+           "hex-radius": ["--c", "1.5", "--route", "radius"]}
+
+
+@pytest.mark.parametrize("dps", [10, 16, 40, 80, 305])
+@pytest.mark.parametrize("argv", LAYOUTS.values(), ids=LAYOUTS.keys())
+def test_extended_document_is_a_fixed_point_of_load_and_save(tmp_path, argv, dps):
+    # every number is written exactly, so from dps 15 (53 bits) the document
+    # generate writes is already the fixed point of load -> save, bit for
+    # bit.  Below that, a double of the radius route's layout is wider than
+    # the working precision (37 bits at dps 10) and is rounded at the first
+    # read, so there the fixed point holds from the second save on.
+    paths = [tmp_path / f"{i}.pat" for i in range(3)]
+    assert run_cli(["generate", *argv, "--n", "6", "--precision", "ext", "--dps", str(dps),
+                    "--out", str(paths[0])]) == 0
+    for src, dst in zip(paths, paths[1:]):
+        save_document(load_document(str(src)), str(dst))
+    first, second, third = (path.read_bytes() for path in paths)
+    assert second == third
+    doc = load_document(str(paths[0]))
+    if dps < 15 and doc.route == "radius":
+        return
+    assert first == second
+    _assert_verify_reproduces_the_summary(doc)
+
+
+def _assert_verify_reproduces_the_summary(doc):
+    # verify re-checks the very numbers generate checked: each summary
+    # residual of a check is reproduced bit for bit
+    report = verify.run_checks(doc)
+    checked = {"zerocurvature" if name == "laxzc" else name: res
+               for name, res in report.residuals.items()}
+    stored = {key: doc.summary[key] for key in checked.keys() & doc.summary.keys()}
+    assert "crossratio" in stored and stored == {key: checked[key] for key in stored}
+
+
+@pytest.mark.parametrize("argv", LAYOUTS.values(), ids=LAYOUTS.keys())
+def test_verify_of_a_fresh_double_document_reproduces_its_summary(tmp_path, argv):
+    path = tmp_path / "p.pat"
+    assert run_cli(["generate", *argv, "--n", "10", "--out", str(path)]) == 0
+    _assert_verify_reproduces_the_summary(load_document(str(path)))
+
+
 def test_save_writes_a_number_past_the_double_range_as_itself(tmp_path):
     # such a number is finite: only inf is a pole
     pat, edited, again = tmp_path / "z2.txt", tmp_path / "edited.txt", tmp_path / "again.txt"
@@ -82,10 +127,10 @@ def test_save_writes_a_number_past_the_double_range_as_itself(tmp_path):
     save_document(doc, str(again))
     written = {tuple(map(int, ln.split()[:3])): ln.split()[3]
                for ln in again.read_text().split("[radii]")[1].splitlines()[1:-1]}
-    with mp.workdps(85):
-        assert all(written[site] == mp.nstr(mp.mpf(doc.radii[site]), 85) for site in tokens)
-        assert [mp.nstr(mp.mpf(written[site]), 17) for site in tokens] == [
-            "1.5e+400", "-3.0e+500", "1.0e-400"]
+    assert all(written[site] == document._token(doc.radii[site]) for site in tokens)
+    with mp.workdps(80):  # the binary token is the value read at dps 80, exactly
+        assert [document._read(written[site], mp.mp.prec) for site in tokens] == [
+            mp.mpf(token)._mpf_ for token in tokens.values()]
     again_doc = load_document(str(again))
     assert all(again_doc.radii[site]._mpf_ == doc.radii[site]._mpf_ for site in tokens)
 
@@ -489,18 +534,17 @@ def test_cli_analyze_painleve_files_the_image_of_one_in_a_iv(capsys):
     assert "# exited A_I at n=1 into A_IV" in lines
 
 
-@pytest.mark.parametrize("alpha, precision, where", [
-    ("1e-20", [], "in double"),
-    ("1e-10", [], "in double"),  # the first image is zero
-    ("1e-300", ["--precision", "ext", "--dps", "60"], "at dps 60"),
-    ("1e-40", ["--precision", "ext", "--dps", "60"], "at dps 60")])  # singular n = 0
-def test_cli_analyze_painleve_names_an_unresolved_angle(capsys, alpha, precision,
-                                                       where):
+@pytest.mark.parametrize("alpha, precision, what", [
+    ("1e-20", [], "alpha = 1e-20 is not resolved in double"),
+    # alpha and the start are resolved, but the first image rounds to zero
+    ("1e-10", [], "the step at n = 0 is not resolved in double"),
+    ("1e-300", ["--precision", "ext", "--dps", "60"], "alpha = 1e-300 is not resolved at dps 60"),
+    ("1e-40", ["--precision", "ext", "--dps", "60"],  # singular n = 0
+     "alpha = 1e-40 is not resolved at dps 60")])
+def test_cli_analyze_painleve_names_an_unresolved_angle(capsys, alpha, precision, what):
     assert run_cli(["analyze", "painleve", "--c", "1.5", "--alpha", alpha,
                     "--n", "3", *precision]) == 2
-    assert capsys.readouterr() == (
-        "", f"error: precision exhausted: alpha = {float(alpha)!r} is not "
-            f"resolved {where}\n")
+    assert capsys.readouterr() == ("", f"error: precision exhausted: {what}\n")
 
 
 @pytest.mark.parametrize("argv, start, where", [
@@ -878,6 +922,11 @@ def test_every_number_of_an_extended_document_loads_as_mp_mpf(tmp_path, kind, dp
     path = tmp_path / "p.txt"
     assert run_cli(["generate", *kind, "--n", "8", "--precision", "ext",
                     "--dps", str(dps), "--out", str(path)]) == 0
+    # each token is binary, -?0x<hex mantissa>p<exponent>: mp.mpf of its exact value
+    def exact(token):
+        sign, man, exp = re.fullmatch(r"(-?)0x([0-9a-f]+)p(-?[0-9]+)", token).groups()
+        return mp.ldexp(mp.mpf(int(sign + man, 16)), int(exp))._mpf_
+
     doc, rows = load_document(str(path)), {}
     text = path.read_text().split("[vertices]\n")[1].split("[end]")[0]
     vertices, radii = (block.splitlines() for block in text.split("[radii]\n"))
@@ -885,11 +934,11 @@ def test_every_number_of_an_extended_document_loads_as_mp_mpf(tmp_path, kind, dp
         for ln in vertices:
             k, l, m, x, y = ln.split()
             rows[k, l, m] = doc.vertices[int(k), int(l), int(m)]
-            assert rows[k, l, m]._mpc_ == (mp.mpf(x)._mpf_, mp.mpf(y)._mpf_), ln
+            assert rows[k, l, m]._mpc_ == (exact(x), exact(y)), ln
         for ln in radii:
             k, l, m, r = ln.split()
             got = doc.radii[int(k), int(l), int(m)]
-            assert got == math.inf if r == "inf" else got._mpf_ == mp.mpf(r)._mpf_, ln
+            assert got == math.inf if r == "inf" else got._mpf_ == exact(r), ln
     assert len(rows) == len(doc.vertices) and len(radii) == len(doc.radii)
 
 
@@ -901,8 +950,9 @@ def raw_mpfs(draw):
     """(raw mpf, dps): zero, a mantissa of up to 4000 bits (wider than the
     precision of any dps here) near a power of ten on either side of
     to_str's fixed/exponent switch or anywhere, a wide mantissa next to a
-    tie of the written digits, or a run of 9s longer than the written
-    digits, whose carry bumps the exponent; either sign."""
+    tie of dps + 5 decimal digits, or a run of 9s longer than those digits;
+    either sign: the hard cases of a decimal writer, and wide mantissas that
+    the reader rounds at dps."""
     dps = draw(st.sampled_from(WRITER_DPS))
     digits = dps + 5
     kind = draw(st.sampled_from(("zero", "switch", "any", "nines", "tie")))
@@ -937,19 +987,27 @@ def raw_mpfs(draw):
 @given(case=raw_mpfs())
 @example(case=(fzero, 45))
 @example(case=(from_man_exp(-(10 ** 60 - 1), 0), 45))
-def test_writer_token_is_mp_nstr_of_mp_mpf(case):
+def test_binary_token_reads_back_its_raw_tuple(case):
     t, dps = case
-    prec = dps_to_prec(dps + 5)
-    with mp.workdps(dps + 5):
-        want = mp.nstr(mp.mpf(mp.make_mpf(t)), dps + 5)
-    assert document._fmt(t, prec, dps + 5) == want
-    assert document._fmt(mp.make_mpf(t), prec, dps + 5) == want
+    token = document._token(t)
+    assert token == document._token(mp.make_mpf(t))
+    assert re.fullmatch(r"-?0x[0-9a-f]*[13579bdf]p-?[0-9]+|0x0p0", token)  # an odd mantissa
+    # bit for bit at any precision that holds the mantissa, rounded to
+    # nearest as mpmath rounds it at a narrower one
+    assert document._read(token, max(t[3], 1)) == t
+    prec = dps_to_prec(dps)
+    assert document._read(token, prec) == mp.libmp.mpf_pos(t, prec, mp.libmp.round_nearest)
+    if t[1] and -1000 < t[2] + t[3] < 1000:  # a normal double: float.fromhex reads it too
+        assert float.fromhex(token) == mp.libmp.to_float(t, rnd=mp.libmp.round_nearest)
 
 
 def test_writer_marks_only_infinities_as_poles():
-    assert [document._fmt(t, 153, 45) for t in (finf, fninf, fnan)] == ["inf", "-inf", "nan"]
-    assert [document._fmt(x, 153, 45) for x in (math.inf, -math.inf, 0.1, 3)] == [
-        "inf", "-inf", "0.1", "3.0"]
+    assert [document._token(t) for t in (finf, fninf, fnan, fzero)] == [
+        "inf", "-inf", "nan", "0x0p0"]
+    # a float is written exactly, its trailing zero bits dropped
+    floats = (math.inf, -math.inf, math.nan, 0.1, 3.0, -96.0, -0.0)
+    assert [document._token(x) for x in floats] == [
+        "inf", "-inf", "nan", "0xccccccccccccdp-55", "0x3p0", "-0x3p5", "0x0p0"]
 
 
 @pytest.mark.parametrize("kind", [["--c", "1.5"], ["--c", "1.5", "--mode", "sg"],
@@ -986,6 +1044,10 @@ def test_render_read_builds_no_mpf_and_draws_the_same(tmp_path, monkeypatch, kin
     # coordinate past the double range is not finite there
     (["--c", "1.5", "--mode", "sg"], (2, 0, -1), "1e-100000", 0),
     (["--c", "1.5", "--mode", "sg"], (2, 0, -1), "1e400000", 3),
+    # binary tokens past the double range, either way
+    (["--c", "2", "--mode", "log"], (2, 0, -2), "0x1p-99999", 0),
+    (["--c", "1.5", "--mode", "sg"], (2, 0, -1), "0x1p-99999", 0),
+    (["--c", "1.5", "--mode", "sg"], (2, 0, -1), "0x1p99999", 3),
 ])
 def test_cli_render_reads_out_of_window_tokens_at_working_precision(tmp_path, kind, site,
                                                                     token, code):
@@ -1006,7 +1068,9 @@ def _with_vertex(src, dst, site, re, im="0.0"):
     dst.write_text("\n".join(lines) + "\n")
 
 
-@pytest.mark.parametrize("value", ["1e400", "nan"])
+# a finite binary token past the double range is not finite in double: fromhex
+# overflows, and the token is read at the working precision, as 1e400000 is
+@pytest.mark.parametrize("value", ["1e400", "nan", "0x1p99999", "1e400000"])
 def test_cli_render_refuses_non_finite_vertex(tmp_path, capsys, value):
     pat = tmp_path / "e3.txt"
     assert run_cli(["generate", "--c", "1.5", "--n", "3", "--precision", "ext",

@@ -10,6 +10,7 @@ written by a render that did not exit 0.
 """
 import contextlib
 import io
+import re
 
 import mpmath as mp
 import pytest
@@ -20,7 +21,12 @@ from hexcircle import cli, document
 
 GARBAGE = ("", "x", "=", "nan", "inf", "-inf", "0", "-1", "2.5", "1e400",
            "1e-400", "1e-100000", "1e400000", "1/0", "[end]", "[radii]", "0 0 0",
-           "1 2 3 4 5 6")
+           "1 2 3 4 5 6",
+           # binary tokens and near misses: float.hex's fractional form, upper
+           # case, a digit separator, a negative zero, past the double range
+           "0x", "0xp1", "0x1p", "0x1.8p3", "0X1P0", "0x1_0p0", "-0x0p0", "0x1p99999999")
+#: the binary token of an extended document: sign, hex mantissa, binary exponent
+BINARY = re.compile(r"(-?)0x([0-9a-f]+)p(-?[0-9]+)")
 
 index = st.integers(min_value=0, max_value=10**6)
 garbage = st.sampled_from(GARBAGE)
@@ -87,9 +93,14 @@ def test_corrupted_document_exits_0_2_or_3(documents, name, ops):
 
 
 def _reference(token, precision):
-    """The reference read: float, or mp.mpf at the working precision."""
+    """The reference read: float, or mp.mpf at the working precision; in an
+    extended document a binary token reads as mp.mpf of its exact value."""
     if token in ("inf", "-inf"):
         return float(token)
+    binary = BINARY.fullmatch(token)
+    if binary and precision != "double":
+        sign, man, exp = binary.groups()
+        return mp.ldexp(mp.mpf(int(sign + man, 16)), int(exp))
     try:
         return float(token) if precision == "double" else mp.mpf(token)
     except (ValueError, ZeroDivisionError):
@@ -110,3 +121,38 @@ def test_both_reads_of_a_garbage_token_agree(token, precision):
                 got = str(exc)
             assert got == want if type(want) is str else \
                 (mp.isnan(got) and mp.isnan(want) or mp.mpf(got) == mp.mpf(want))
+
+
+def test_decimal_tokens_of_an_extended_document_read_as_decimals(documents):
+    # fromhex would read 10 as 16 and 1.5 as 1.3125; both reads take them as decimals
+    work, docs = documents
+    lines = list(docs["ext"])
+    at = lines.index("[vertices]") + 1
+    site = tuple(map(int, lines[at].split()[:3]))
+    lines[at] = "{} {} {} 10 1.5".format(*site)
+    path = work / "decimal.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with mp.workdps(40):
+        assert document.load_document(str(path)).vertices[site] == mp.mpc(10, 1.5)
+    assert document.load_document(str(path), doubles=True).vertices[site] == 10 + 1.5j
+    assert [document._parse_double(s, "ext") for s in ("10", "1.5")] == [10.0, 1.5]
+
+
+binary_tokens = st.builds(lambda sign, man, exp: f"{sign}{man:#x}p{exp}",
+                          st.sampled_from(("", "-")), st.integers(0, 2 ** 80),
+                          st.integers(-1100, 1100))
+
+
+@settings(max_examples=500, deadline=None)
+@given(tokens=st.lists(binary_tokens | st.sampled_from(("inf", "-inf"))
+                       | st.sampled_from([g for g in GARBAGE if g and " " not in g])
+                       | st.text("0123456789abcdefxpinAFXP.+-_", min_size=1, max_size=10),
+                       min_size=1, max_size=4))
+def test_the_fromhex_pass_takes_only_binary_tokens_and_infinities(tokens):
+    # render's one-pass read of an extended document takes a list of tokens
+    # exactly when the token-by-token read finds each binary or infinite
+    want = None
+    if all(t in ("inf", "-inf") or BINARY.fullmatch(t) for t in tokens):
+        with contextlib.suppress(OverflowError):
+            want = list(map(float.fromhex, tokens))
+    assert document._fromhex(tokens) == want
